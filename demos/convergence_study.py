@@ -8,8 +8,6 @@ order for one and two particles, fits the geometric ratio, and reports the
 implied convergence radius.
 """
 
-import warnings
-
 from diracdiag import manybody as mb
 from diracdiag.decoupling import build_decoupling_bundle
 from diracdiag.grids import build_channel_grid
@@ -43,10 +41,8 @@ def main():
 
     pair = mb.build_pair_interaction(grid)
     cfg2 = mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fs2 = mb.assemble_furry_exact(s0, cfg2, pair, bundle)
-        rows2 = mb.converge_main_theorem(fs2, list(gammas), 10)
+    fs2 = mb.assemble_furry_exact(s0, cfg2, pair, bundle)
+    rows2 = mb.converge_main_theorem(fs2, list(gammas), 10)
     print("\ntwo particles, 6 retained states each")
     show(rows2, gammas, 10)
 

@@ -20,8 +20,7 @@ def main():
     grid = build_channel_grid(120)
     s0 = assemble_system(grid, 0.0)
     bundle = build_decoupling_bundle(s0, order=10)
-    print(f"series order {bundle.order}, contour |z - {bundle.contour.center.real:.1f}|"
-          f" = {bundle.contour.radius:.1f}\n")
+    print(f"series order {bundle.order}\n")
 
     print("coefficient spectral norms (projector series):")
     for k, nrm in enumerate(coefficient_norms(bundle.p_series)):
@@ -37,7 +36,6 @@ def main():
 
     # two-level toy: P(g) has closed-form coefficients, alternating between
     # the diagonal and off-diagonal generators
-    from diracdiag.decoupling import ContourSpec
     from diracdiag.oneparticle import OneParticleSystem
 
     eye = np.eye(2)
@@ -50,7 +48,7 @@ def main():
         u_fw=eye, u_gamma=eye, gap=1.0,
         evals=np.array([-1.0, 1.0]), evecs=np.eye(2)[:, ::-1].copy(),
     )
-    p_toy = riesz_projection_series(toy, ContourSpec(1.0 + 0.0j, 1.0, 64), 4)
+    p_toy = riesz_projection_series(toy, 4)
     print("\n2x2 toy: first coefficients vs closed form")
     print(f"  ||P1 - V/2||   = {np.linalg.norm(p_toy.coeffs[1] - v / 2, 2):.3e}")
     print(f"  ||P2 + D0/4||  = {np.linalg.norm(p_toy.coeffs[2] + d0 / 4, 2):.3e}")

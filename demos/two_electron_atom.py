@@ -7,8 +7,6 @@ inequalities that anchor the construction: the repulsion form bound and
 the kinetic weight bound.
 """
 
-import warnings
-
 import numpy as np
 
 from diracdiag import manybody as mb
@@ -24,9 +22,7 @@ def main():
     bundle = build_decoupling_bundle(assemble_system(grid, 0.0), order=8)
     pair = mb.build_pair_interaction(grid)
     cfg = mb.FurryConfig(n_particles=2, z_charge=z_charge, n_plus=8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fs = mb.assemble_furry_exact(s, cfg, pair, bundle)
+    fs = mb.assemble_furry_exact(s, cfg, pair, bundle)
 
     print(f"two electrons, coupling {gamma}, nuclear charge {z_charge}, "
           f"{cfg.n_plus} retained states -> dimension {fs.dim}\n")
@@ -50,9 +46,7 @@ def main():
 
     cfg_anti = mb.FurryConfig(n_particles=2, z_charge=z_charge, n_plus=8,
                               antisymmetrize=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fs_anti = mb.assemble_furry_exact(s, cfg_anti, pair, bundle)
+    fs_anti = mb.assemble_furry_exact(s, cfg_anti, pair, bundle)
     ea = np.sort(np.linalg.eigvalsh(fs_anti.h_furry_exact))
     print(f"antisymmetric (fermionic) sector: dimension {fs_anti.dim}, "
           f"ground {ea[0]:.10f}")

@@ -72,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (overrides config)")
         sp.add_argument("--threads", metavar="N", type=int, default=None,
                         help="BLAS thread count (default: leave environment alone)")
-        sp.add_argument("--seed", metavar="INT", type=int, default=None,
-                        help="seed recorded in metadata; no command draws random numbers")
         sp.set_defaults(func=func)
     return parser
 
@@ -90,8 +88,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.output is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.output)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
         return args.func(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -164,9 +160,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         print(f"pair interaction unavailable: {exc}", file=sys.stderr)
 
     for gamma, sys_g in systems.items():
-        uni = float(np.linalg.norm(sys_g.u_gamma @ sys_g.u_gamma.conj().T - np.eye(grid.dim), 2))
-        inter = float(np.linalg.norm(
-            sys_g.u_gamma @ sys_g.p_plus_gamma - sys_g.p_plus_0 @ sys_g.u_gamma, 2))
+        uni, inter = op.decoupling_residuals(sys_g)
         record(f"unitarity_gamma_{gamma:.4f}", uni, 1e-10, uni <= 1e-10)
         record(f"intertwining_gamma_{gamma:.4f}", inter, 1e-10, inter <= 1e-10)
 
@@ -230,9 +224,7 @@ def cmd_one_particle(cfg: RunConfig) -> int:
         write_table_csv(os.path.join(out, f"one_particle_gamma_{gamma_tag(gamma)}.csv"),
                         ("index", "eigenvalue", "sommerfeld_reference", "rel_error"), rows)
 
-        uni = float(np.linalg.norm(sys_g.u_gamma @ sys_g.u_gamma.conj().T - np.eye(grid.dim), 2))
-        inter = float(np.linalg.norm(
-            sys_g.u_gamma @ sys_g.p_plus_gamma - sys_g.p_plus_0 @ sys_g.u_gamma, 2))
+        uni, inter = op.decoupling_residuals(sys_g)
         kato = op.check_kato(sys_g)
         dg = op.check_dgamma_bound(sys_g) if gamma > 0 else 0.0
         ground = float(op.positive_levels(sys_g, 1)[0])
@@ -262,14 +254,13 @@ def cmd_one_particle(cfg: RunConfig) -> int:
 
 def _build_shared(cfg: RunConfig):
     """Grid, base system, and decoupling bundle used by converge and nbody."""
-    from .decoupling import build_decoupling_bundle, default_contour
+    from .decoupling import build_decoupling_bundle
     from .grids import build_channel_grid
     from .oneparticle import assemble_system
 
     grid = build_channel_grid(cfg.grid.n, cfg.grid.map_scale, cfg.grid.kappa)
     sys0 = assemble_system(grid, cfg.gamma_list[0])
-    contour = default_contour(sys0, margin=cfg.contour.margin, m_nodes=cfg.contour.m_nodes)
-    bundle = build_decoupling_bundle(sys0, contour=contour, order=cfg.series_order)
+    bundle = build_decoupling_bundle(sys0, order=cfg.series_order)
     return grid, sys0, bundle
 
 
@@ -321,7 +312,7 @@ def cmd_nbody(cfg: RunConfig) -> int:
     import numpy as np
 
     from . import manybody as mb
-    from .oneparticle import assemble_system, d_gamma
+    from .oneparticle import assemble_system
     from .report import gamma_tag, write_json_summary, write_table_csv
     from .series import series_eval, series_truncate
 

@@ -25,12 +25,6 @@ class GridConfig:
 
 
 @dataclass(frozen=True)
-class ContourConfig:
-    m_nodes: int = 64
-    margin: float = 0.5
-
-
-@dataclass(frozen=True)
 class NbodyConfig:
     n_particles: int = 2
     z_charge: float = 2.0
@@ -41,7 +35,6 @@ class NbodyConfig:
 @dataclass(frozen=True)
 class TolerancesConfig:
     tol_gap: float = 1e-6
-    tol_diag: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,11 +42,9 @@ class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     gamma_list: tuple[float, ...] = (0.1, 0.2, 0.3)
     series_order: int = 12
-    contour: ContourConfig = field(default_factory=ContourConfig)
     nbody: NbodyConfig = field(default_factory=NbodyConfig)
     tolerances: TolerancesConfig = field(default_factory=TolerancesConfig)
     output_dir: str = "out"
-    seed: int = 0
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -61,12 +52,11 @@ class RunConfig:
 
 _GROUPS = {
     "grid": (GridConfig, {"kappa": int, "n": int, "map_scale": float}),
-    "contour": (ContourConfig, {"m_nodes": int, "margin": float}),
     "nbody": (NbodyConfig, {"n_particles": int, "z_charge": float,
                             "n_plus": int, "antisymmetrize": bool}),
-    "tolerances": (TolerancesConfig, {"tol_gap": float, "tol_diag": float}),
+    "tolerances": (TolerancesConfig, {"tol_gap": float}),
 }
-_SCALARS = {"series_order": int, "output_dir": str, "seed": int}
+_SCALARS = {"series_order": int, "output_dir": str}
 
 
 def _coerce(key: str, value, want):
@@ -138,11 +128,6 @@ def validate_config(cfg: RunConfig) -> None:
                 f"gamma {gamma} outside the supported window [0, {GAMMA_WINDOW})")
     if cfg.series_order < 1:
         raise ConfigError(f"series_order must be at least 1, got {cfg.series_order}")
-    c = cfg.contour
-    if c.m_nodes < 16 or c.m_nodes % 2:
-        raise ConfigError(f"contour.m_nodes must be an even integer >= 16, got {c.m_nodes}")
-    if c.margin <= 0:
-        raise ConfigError(f"contour.margin must be positive, got {c.margin}")
     nb = cfg.nbody
     if nb.n_particles < 1:
         raise ConfigError(f"nbody.n_particles must be at least 1, got {nb.n_particles}")
@@ -152,9 +137,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"nbody.n_plus must be at least 1, got {nb.n_plus}")
     if nb.antisymmetrize and nb.n_particles > nb.n_plus:
         raise ConfigError("nbody.antisymmetrize needs n_plus >= n_particles")
-    t = cfg.tolerances
-    if t.tol_gap <= 0 or t.tol_diag <= 0:
-        raise ConfigError("tolerances must be positive")
+    if cfg.tolerances.tol_gap <= 0:
+        raise ConfigError("tolerances.tol_gap must be positive")
 
 
 def load_config(path: str | None) -> RunConfig:

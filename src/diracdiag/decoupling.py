@@ -1,15 +1,15 @@
 """Power-series expansions of the spectral projector, the decoupling
 unitary, and the block-diagonalized one-particle Hamiltonian.
 
-Coefficients are defined by the contour integral of the resolvent
-expansion.  Two evaluation methods exist: "residue" computes the integral
-exactly in the free eigenbasis (the analytic limit of the quadrature) and
-is the production path; "quadrature" performs the literal trapezoidal sum
-and is retained for cross-validation on spectra where it converges.  The
-residue recursion obtains cross-gap coefficients from the commutator
-equation, where denominators are bounded below by the spectral gap, and
-same-sign blocks from the idempotency constraint, so no division by the
-tiny spacings inside the discretized continuum ever occurs.
+Coefficients are defined by the Riesz integral of the resolvent expansion
+around the positive branch.  The integral does not depend on the contour
+as long as it separates the two branches, so it is evaluated exactly by
+residues in the frame that diagonalizes the free operator, with the
+enclosed block being the positive eigenvalues.  The recursion obtains
+cross-gap coefficients from the commutator equation, where denominators
+are bounded below by the spectral gap, and same-sign blocks from the
+idempotency constraint, so no division by the tiny spacings inside the
+discretized continuum ever occurs.
 """
 
 from __future__ import annotations
@@ -18,59 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ContourError
-from .oneparticle import OneParticleSystem, free_energies
+from .errors import ConsistencyError
+from .oneparticle import OneParticleSystem
 from .series import (
     MatrixSeries,
     make_series,
     series_adjoint,
     series_constant,
-    series_eval,
     series_identity,
     series_inv_sqrt,
     series_mul,
     series_sub,
-    series_truncate,
 )
-
-
-# ---------------------------------------------------------------------------
-# Contours
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Circle in the complex plane separating the two spectral branches."""
-
-    center: complex
-    radius: float
-    m_nodes: int
-
-
-def validate_contour(contour: ContourSpec, eigenvalues: np.ndarray) -> None:
-    """Every positive eigenvalue must lie inside, every negative outside."""
-    if contour.m_nodes < 16 or contour.m_nodes % 2 != 0:
-        raise ContourError(f"m_nodes must be an even integer >= 16, got {contour.m_nodes}")
-    if contour.radius <= 0:
-        raise ContourError(f"radius must be positive, got {contour.radius}")
-    ev = np.asarray(eigenvalues, dtype=float)
-    dist = np.abs(ev - contour.center)
-    pos_out = ev[(ev > 0) & (dist >= contour.radius)]
-    neg_in = ev[(ev < 0) & (dist < contour.radius)]
-    if pos_out.size:
-        raise ContourError(f"contour misses {pos_out.size} positive eigenvalue(s), e.g. {pos_out[0]:.6g}")
-    if neg_in.size:
-        raise ContourError(f"contour swallows {neg_in.size} negative eigenvalue(s), e.g. {neg_in[0]:.6g}")
-
-
-def default_contour(sys: OneParticleSystem, margin: float = 0.5, m_nodes: int = 64) -> ContourSpec:
-    """Circle through the positive free branch with a safety margin."""
-    e = free_energies(sys.grid)
-    g, lam_max = float(np.min(e)), float(np.max(e))
-    contour = ContourSpec(center=complex((g + lam_max) / 2.0), radius=(lam_max - g) / 2.0 + margin,
-                          m_nodes=int(m_nodes))
-    validate_contour(contour, np.concatenate([e, -e]))
-    return contour
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +48,18 @@ def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray]:
     return lam, vfw
 
 
-def _riesz_residue_fw(lam: np.ndarray, vfw: np.ndarray, chi: np.ndarray, order: int) -> list[np.ndarray]:
-    """Exact contour coefficients in the diagonalizing frame.
+def riesz_projection_series(sys: OneParticleSystem, order: int) -> MatrixSeries:
+    """Series of the positive spectral projector of D_0 + g V.
 
-    chi flags the enclosed eigenvalues.  Cross-block entries follow from
+    The enclosed block is the positive eigenvalues of D_0 in the
+    Foldy-Wouthuysen frame.  Cross-block entries follow from
     [D_0, C_n] = [V, C_(n-1)] restricted across the gap; the within-block
     entries are fixed by idempotency of the projector series.
     """
+    if order < 1:
+        raise ValueError(f"series order must be >= 1, got {order}")
+    lam, vfw = _fw_frame(sys)
+    chi = lam > 0
     pos = np.where(chi)[0]
     neg = np.where(~chi)[0]
     denom = lam[:, None] - lam[None, :]
@@ -112,56 +76,8 @@ def _riesz_residue_fw(lam: np.ndarray, vfw: np.ndarray, chi: np.ndarray, order: 
             x[np.ix_(pos, pos)] = -s[np.ix_(pos, pos)]
             x[np.ix_(neg, neg)] = s[np.ix_(neg, neg)]
         coeffs.append(x)
-    return coeffs
-
-
-def _riesz_quadrature_fw(lam: np.ndarray, vfw: np.ndarray, contour: ContourSpec,
-                         order: int, m_nodes: int) -> list[np.ndarray]:
-    """Literal trapezoidal sum of the resolvent expansion on the circle."""
-    theta = 2.0 * np.pi * np.arange(m_nodes) / m_nodes
-    z = contour.center + contour.radius * np.exp(1j * theta)
-    acc = [np.zeros((lam.size, lam.size), dtype=complex) for _ in range(order + 1)]
-    for zj, th in zip(z, theta):
-        r0 = 1.0 / (zj - lam)
-        factor = (contour.radius / m_nodes) * np.exp(1j * th)
-        term = np.diag(r0.astype(complex))
-        acc[0] += factor * term
-        for n in range(1, order + 1):
-            term = (r0[:, None] * vfw) @ term
-            acc[n] += factor * term
-    return acc
-
-
-def riesz_projection_series(sys: OneParticleSystem, contour: ContourSpec, order: int,
-                            method: str = "residue") -> MatrixSeries:
-    """Series of the positive spectral projector of D_0 + g V.
-
-    The "residue" method evaluates the contour integral exactly and is
-    insensitive to m_nodes.  The "quadrature" method uses the trapezoidal
-    rule; it self-checks by doubling m_nodes and raises when the two sums
-    disagree beyond 1e-8, which on stiff grids (huge spectral radius against
-    an O(1) gap) advises switching to the residue method.
-    """
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
-    lam, vfw = _fw_frame(sys)
-    validate_contour(contour, lam)
-    chi = np.abs(lam - contour.center) < contour.radius
-    if method == "residue":
-        coeffs_fw = _riesz_residue_fw(lam, vfw, chi, order)
-    elif method == "quadrature":
-        coarse = _riesz_quadrature_fw(lam, vfw, contour, order, contour.m_nodes)
-        fine = _riesz_quadrature_fw(lam, vfw, contour, order, 2 * contour.m_nodes)
-        drift = max(np.linalg.norm(c - f, 2) for c, f in zip(coarse, fine))
-        if drift > 1e-8:
-            raise ContourError(
-                f"trapezoidal sum not converged: doubling m_nodes moves a coefficient by "
-                f"{drift:.3e} > 1e-8; increase m_nodes or use method='residue'")
-        coeffs_fw = fine
-    else:
-        raise ValueError(f"unknown method {method!r}")
     q = sys.u_fw
-    return make_series([q.T @ c @ q for c in coeffs_fw])
+    return make_series([q.T @ c @ q for c in coeffs])
 
 
 def u_gamma_series(p_series: MatrixSeries, p0: np.ndarray, order: int) -> MatrixSeries:
@@ -231,18 +147,14 @@ class DecouplingBundle:
     h_series: MatrixSeries
     weight_neg_half: np.ndarray
     system: OneParticleSystem
-    contour: ContourSpec
 
     @property
     def order(self) -> int:
         return self.p_series.order
 
 
-def build_decoupling_bundle(sys: OneParticleSystem, contour: ContourSpec | None = None,
-                            order: int = 12, method: str = "residue") -> DecouplingBundle:
-    if contour is None:
-        contour = default_contour(sys)
-    p = riesz_projection_series(sys, contour, order, method=method)
+def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> DecouplingBundle:
+    p = riesz_projection_series(sys, order)
     if np.linalg.norm(p[0] - sys.p_plus_0, 2) > 1e-11:
         raise ConsistencyError("projector series constant term drifted from P_+^0")
     hermit = max(np.linalg.norm(c - c.conj().T, 2) for c in p.coeffs)
@@ -252,7 +164,7 @@ def build_decoupling_bundle(sys: OneParticleSystem, contour: ContourSpec | None 
     h = h_diag_series(sys, u, p)
     _check_h_block_structure(h)
     return DecouplingBundle(p_series=p, u_series=u, h_series=h,
-                            weight_neg_half=sys.abs_d0_neg_half, system=sys, contour=contour)
+                            weight_neg_half=sys.abs_d0_neg_half, system=sys)
 
 
 def _check_h_block_structure(h: MatrixSeries) -> None:
@@ -271,15 +183,8 @@ def upper_block(mat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Remainder metrics
+# Metrics
 # ---------------------------------------------------------------------------
-
-def remainder_weighted_norm(exact: np.ndarray, series: MatrixSeries, k: int, gamma: float,
-                            weight: np.ndarray) -> float:
-    """|| weight (exact - partial sum) weight || at truncation order k."""
-    approx = series_eval(series_truncate(series, k), gamma)
-    return float(np.linalg.norm(weight @ (exact - approx) @ weight, 2))
-
 
 def resolvent_distance(a: np.ndarray, b: np.ndarray) -> float:
     """||(a+i)^(-1) - (b+i)^(-1)||, the norm-resolvent metric at spectral shift i."""

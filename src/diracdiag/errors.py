@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 ConfigError marks rejected inputs (CLI exit 2); the numerical failures
-(CLI exit 3) are GapError, ContourError, ResolutionError, ConsistencyError.
+(CLI exit 3) are GapError, ResolutionError, ConsistencyError.
 """
 
 
@@ -19,10 +19,6 @@ class NumericalError(DiracDiagError):
 
 class GapError(NumericalError):
     """Spectral gap closed; spectral projectors undefined."""
-
-
-class ContourError(NumericalError):
-    """Contour fails enclosure or its quadrature does not converge."""
 
 
 class ResolutionError(NumericalError):

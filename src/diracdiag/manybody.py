@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,13 +128,6 @@ def _two_site_assemble(z1: np.ndarray, kernel: np.ndarray, z2: np.ndarray, m: in
     x = z1.T @ kernel @ z2
     return np.ascontiguousarray(
         x.reshape(m, m, m, m).transpose(0, 2, 1, 3)).reshape(m * m, m * m)
-
-
-def _confined_probe(grid: ChannelGrid, l: int, q: float) -> np.ndarray:
-    """Normalized weighted momentum samples of a confined reference state."""
-    v = grid.p ** (l + 1) / (q ** 2 + grid.p ** 2) ** (l + 2)
-    x = np.sqrt(grid.w) * v
-    return x / np.linalg.norm(x)
 
 
 def monopole_kernel_form(radial: RadialGrid) -> np.ndarray:
@@ -406,7 +398,10 @@ def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
     to every slot.  The interaction is the pair operator sandwiched by the
     dressed-frame series (rotation times unitary series times projector
     series), assembled through the separable radial form, then shifted up
-    one order by the coupling prefactor and scaled by 1/Z.
+    one order by the coupling prefactor and scaled by 1/Z.  Coefficient n
+    carries the pair products of total order n - 1, so the shift drops the
+    interaction coefficient of the truncation order: its products would land
+    at order + 1, beyond the series.
     """
     n_sites = cfg.n_particles
     if n_sites >= 2 and pair is None:
@@ -431,8 +426,6 @@ def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
                 z += _density_stack(factors[a][0], factors[c][0])
                 z += _density_stack(factors[a][1], factors[c][1])
             zhat.append(z)
-        warnings.warn("interaction coefficient at the truncation order is dropped "
-                      "by the coupling prefactor shift", stacklevel=2)
         for n in range(1, order + 1):
             acc = np.zeros((m * m, m * m))
             for mu in range(n):

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GapError
-from .grids import ChannelGrid, angular_momenta
+from .grids import ChannelGrid
 
 GAMMA_MAX = math.sqrt(3.0) / 2.0
 
@@ -85,6 +84,7 @@ def subtraction_constant(l: int) -> float:
     """
     if l < 0:
         raise ValueError(f"negative degree {l}")
+    from scipy.integrate import quad
 
     def integrand(t):
         return legendre_q(l, np.cosh(t))
@@ -332,6 +332,14 @@ def check_dgamma_bound(sys: OneParticleSystem) -> float:
 def check_gap_bound(sys: OneParticleSystem, tol_gap: float = 1e-6) -> bool:
     """Spectral gap must reach the continuum value sqrt(1-gamma^2) up to tol."""
     return sys.gap >= math.sqrt(1.0 - sys.gamma ** 2) - tol_gap
+
+
+def decoupling_residuals(sys: OneParticleSystem) -> tuple[float, float]:
+    """Unitarity ||U U* - 1|| and intertwining ||U P_gamma - P_0 U|| of the exact unitary."""
+    u = sys.u_gamma
+    uni = float(np.linalg.norm(u @ u.conj().T - np.eye(sys.dim), 2))
+    inter = float(np.linalg.norm(u @ sys.p_plus_gamma - sys.p_plus_0 @ u, 2))
+    return uni, inter
 
 
 def weighted_unitary_norm(sys: OneParticleSystem) -> float:

@@ -5,6 +5,9 @@ session scoped and built lazily, so module tests at n=100 never pay for the
 acceptance-scale n=200 machinery and vice versa.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,21 @@ from diracdiag.decoupling import build_decoupling_bundle
 from diracdiag.grids import build_channel_grid
 from diracdiag.manybody import build_pair_interaction
 from diracdiag.oneparticle import OneParticleSystem, assemble_system
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict:
+    """Environment for a `python -m diracdiag` subprocess.
+
+    Puts the absolute src path first on PYTHONPATH, so the child imports
+    this checkout from any working directory, also when the parent was
+    started with a relative PYTHONPATH.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(scope="session")

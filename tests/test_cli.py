@@ -8,13 +8,14 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import child_env
 from diracdiag.report import read_report_csv, write_report_csv
 
 CLI = [sys.executable, "-m", "diracdiag"]
 
 
 def run_cli(args, cwd):
-    return subprocess.run(CLI + list(args), cwd=str(cwd),
+    return subprocess.run(CLI + list(args), cwd=str(cwd), env=child_env(),
                           capture_output=True, text=True, timeout=600)
 
 
@@ -76,15 +77,16 @@ def test_gamma_at_critical_rejected_for_converge(tmp_path):
     assert "critical" in out.stderr
 
 
-def test_contour_failure_exit_3(tmp_path):
+def test_resolution_failure_exit_3(tmp_path):
+    # 24 momentum nodes cannot carry the radial transform of the pair gate
     cfg = write_cfg(tmp_path, {
-        "grid": {"n": 40}, "gamma_list": [0.1], "series_order": 3,
-        "contour": {"margin": 30000.0},
-        "nbody": {"n_particles": 1, "n_plus": 4},
+        "grid": {"n": 24}, "gamma_list": [0.1], "series_order": 3,
+        "nbody": {"n_particles": 2, "n_plus": 4},
     })
-    out = run_cli(["converge", "--config", cfg, "--output", str(tmp_path / "o")], tmp_path)
+    out = run_cli(["nbody", "--config", cfg, "--output", str(tmp_path / "o")], tmp_path)
     assert out.returncode == 3
     assert "numerical failure:" in out.stderr
+    assert "round-trip defect" in out.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +152,12 @@ def test_one_particle_outputs(tmp_path):
     assert float(row0["intertwining_residual"]) < 1e-12
 
 
-def test_seed_and_output_flags_recorded(tmp_path):
+def test_output_flag_recorded(tmp_path):
     cfg = write_cfg(tmp_path, {"grid": {"n": 16}, "gamma_list": [0.1]})
     out_dir = tmp_path / "results"
-    out = run_cli(["one-particle", "--config", cfg, "--output", str(out_dir),
-                   "--seed", "7"], tmp_path)
+    out = run_cli(["one-particle", "--config", cfg, "--output", str(out_dir)], tmp_path)
     assert out.returncode == 0, out.stderr
     doc = json.loads((out_dir / "one_particle.json").read_text(encoding="utf-8"))
-    assert doc["config"]["seed"] == 7
     assert doc["config"]["output_dir"] == str(out_dir)
 
 

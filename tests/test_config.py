@@ -44,11 +44,16 @@ def test_from_dict_overrides():
 def test_unknown_top_level_key():
     with pytest.raises(ConfigError, match="unknown config key 'tolerance'"):
         config_from_dict({"tolerance": {}})
+    for key in ("seed", "contour"):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            config_from_dict({key: {}})
 
 
 def test_unknown_nested_key():
     with pytest.raises(ConfigError, match="tolerances.tol_gaps"):
         config_from_dict({"tolerances": {"tol_gaps": 1e-6}})
+    with pytest.raises(ConfigError, match="tolerances.tol_diag"):
+        config_from_dict({"tolerances": {"tol_diag": 1e-9}})
 
 
 def test_type_errors():
@@ -85,8 +90,8 @@ def test_validate_rejects_bad_fields():
     bad = dataclasses.replace(base, grid=dataclasses.replace(base.grid, kappa=0))
     with pytest.raises(ConfigError, match="kappa"):
         validate_config(bad)
-    bad = dataclasses.replace(base, contour=dataclasses.replace(base.contour, m_nodes=15))
-    with pytest.raises(ConfigError, match="m_nodes"):
+    bad = dataclasses.replace(base, tolerances=dataclasses.replace(base.tolerances, tol_gap=0.0))
+    with pytest.raises(ConfigError, match="tol_gap"):
         validate_config(bad)
     bad = dataclasses.replace(base, series_order=0)
     with pytest.raises(ConfigError, match="series_order"):

@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import toy_two_level
+from diracdiag import manybody as mb
 from diracdiag.decoupling import (
-    ContourSpec,
     build_decoupling_bundle,
     coefficient_ratio_radius,
-    default_contour,
     h_diag_exact,
-    remainder_weighted_norm,
+    h_diag_series,
     resolvent_distance,
     riesz_projection_series,
     u_gamma_series,
     upper_block,
-    validate_contour,
 )
-from diracdiag.errors import ConsistencyError, ContourError
 from diracdiag.oneparticle import exact_u_gamma, free_energies, positive_levels
 from diracdiag.series import (
     binomial_half_coefficients,
@@ -28,43 +25,31 @@ from diracdiag.series import (
 
 
 # ---------------------------------------------------------------------------
-# contours
-# ---------------------------------------------------------------------------
-
-def test_validate_contour_rejects_bad_nodes():
-    ev = np.array([1.0, -1.0])
-    with pytest.raises(ContourError, match="m_nodes"):
-        validate_contour(ContourSpec(1.0, 1.0, 15), ev)
-    with pytest.raises(ContourError, match="m_nodes"):
-        validate_contour(ContourSpec(1.0, 1.0, 33), ev)
-    with pytest.raises(ContourError, match="radius"):
-        validate_contour(ContourSpec(1.0, -1.0, 32), ev)
-
-
-def test_validate_contour_spectral_separation():
-    with pytest.raises(ContourError, match="misses"):
-        validate_contour(ContourSpec(1.0, 0.5, 32), np.array([2.0, -1.0]))
-    with pytest.raises(ContourError, match="swallows"):
-        validate_contour(ContourSpec(0.0, 2.0, 32), np.array([1.0, -1.0]))
-    validate_contour(ContourSpec(1.5, 1.0, 32), np.array([1.0, 2.0, -1.0]))
-
-
-def test_default_contour_encloses_free_branch(sys100):
-    s = sys100(0.0)
-    c = default_contour(s)
-    e = free_energies(s.grid)
-    assert np.all(np.abs(e - c.center) < c.radius)
-    assert np.all(np.abs(-e - c.center) >= c.radius)
-
-
-def test_default_contour_huge_margin_raises(sys100):
-    with pytest.raises(ContourError, match="swallows"):
-        default_contour(sys100(0.0), margin=30000.0)
-
-
-# ---------------------------------------------------------------------------
 # toy system: every coefficient in closed form
 # ---------------------------------------------------------------------------
+
+def trapezoidal_projector_coefficients(sys, order):
+    """Literal trapezoidal sum of the Riesz integral, order by order.
+
+    Expanding (z - D_0 - gV)^(-1) in g gives coefficient n as the contour
+    integral of ((z - D_0)^(-1) V)^n (z - D_0)^(-1) dz / (2 pi i).  The
+    circle |z - 1| = 1 encloses the toy's positive level +1 and keeps its
+    distance from -1, so the sum over 64 nodes is exact to roundoff.  On a
+    momentum grid no circle stays clear of the discretized continuum.
+    """
+    m_nodes = 64
+    eye = np.eye(sys.d0.shape[0])
+    acc = [np.zeros_like(eye, dtype=complex) for _ in range(order + 1)]
+    for theta in 2.0 * np.pi * np.arange(m_nodes) / m_nodes:
+        z = 1.0 + np.exp(1j * theta)
+        weight = np.exp(1j * theta) / m_nodes  # dz / (2 pi i)
+        r0 = np.linalg.inv(z * eye - sys.d0)
+        term = r0
+        for n in range(order + 1):
+            acc[n] += weight * term
+            term = r0 @ sys.v @ term
+    return acc
+
 
 def toy_projector_coefficients(order):
     """Taylor coefficients of (I + (D_0 + gV)/sqrt(1+g^2))/2 for the toy."""
@@ -81,8 +66,10 @@ def toy_projector_coefficients(order):
 @pytest.mark.parametrize("method", ["residue", "quadrature"])
 def test_toy_projector_coefficients(method):
     toy = toy_two_level()
-    contour = ContourSpec(center=1.0 + 0.0j, radius=1.0, m_nodes=64)
-    p = riesz_projection_series(toy, contour, 6, method=method)
+    if method == "residue":
+        p = riesz_projection_series(toy, 6)
+    else:
+        p = trapezoidal_projector_coefficients(toy, 6)
     ref = toy_projector_coefficients(6)
     for k in range(7):
         assert np.linalg.norm(p[k] - ref[k], 2) < 1e-12
@@ -93,8 +80,7 @@ def test_toy_projector_coefficients(method):
 
 def test_toy_series_evaluates_to_exact():
     toy = toy_two_level()
-    contour = ContourSpec(center=1.0 + 0.0j, radius=1.0, m_nodes=64)
-    p = riesz_projection_series(toy, contour, 20)
+    p = riesz_projection_series(toy, 20)
     u = u_gamma_series(p, toy.p_plus_0, 20)
     g = 0.3
     h = toy.d0 + g * toy.v
@@ -106,35 +92,24 @@ def test_toy_series_evaluates_to_exact():
 
 
 def test_toy_bundle_both_methods_agree():
+    # the bundle against the same unitary and Hamiltonian chain fed by the
+    # trapezoidal projector coefficients
     toy = toy_two_level()
-    contour = ContourSpec(center=1.0 + 0.0j, radius=1.0, m_nodes=64)
-    br = build_decoupling_bundle(toy, contour, order=6, method="residue")
-    bq = build_decoupling_bundle(toy, contour, order=6, method="quadrature")
-    for cr, cq in zip(br.h_series.coeffs, bq.h_series.coeffs):
+    bundle = build_decoupling_bundle(toy, order=6)
+    p = make_series(trapezoidal_projector_coefficients(toy, 6))
+    h = h_diag_series(toy, u_gamma_series(p, toy.p_plus_0, 6), p)
+    for cr, cq in zip(bundle.h_series.coeffs, h.coeffs):
         assert np.linalg.norm(cr - cq, 2) < 1e-12
 
 
 def test_riesz_rejects_bad_arguments(sys100):
-    s = sys100(0.0)
-    c = default_contour(s)
     with pytest.raises(ValueError, match="order"):
-        riesz_projection_series(s, c, 0)
-    with pytest.raises(ValueError, match="method"):
-        riesz_projection_series(s, c, 2, method="simpson")
-
-
-def test_quadrature_not_converged_on_stiff_grid(sys100):
-    # the discretized continuum makes the trapezoidal sum hopeless here;
-    # the self-check must catch it rather than return garbage
-    s = sys100(0.0)
-    with pytest.raises(ContourError, match="residue"):
-        riesz_projection_series(s, default_contour(s), 2, method="quadrature")
+        riesz_projection_series(sys100(0.0), 0)
 
 
 def test_u_series_rejects_mismatched_projector():
     toy = toy_two_level()
-    contour = ContourSpec(center=1.0 + 0.0j, radius=1.0, m_nodes=64)
-    p = riesz_projection_series(toy, contour, 4)
+    p = riesz_projection_series(toy, 4)
     with pytest.raises(ValueError, match="order"):
         u_gamma_series(p, toy.p_plus_0, 5)
     with pytest.raises(ValueError, match="constant term"):
@@ -202,11 +177,8 @@ def test_order_accuracy_scaling(bundle100, sys100):
 
 
 def test_weighted_remainder_decreases(bundle100, sys100):
-    s = sys100(0.2)
-    exact = h_diag_exact(s)
-    w = bundle100.weight_neg_half
-    rs = [remainder_weighted_norm(exact, bundle100.h_series, k, 0.2, w)
-          for k in range(9)]
+    fs = mb.assemble_furry_exact(sys100(0.2), mb.FurryConfig(1, 2.0, 8), None, bundle100)
+    rs = [r["weighted_remainder_norm"] for r in mb.converge_main_theorem(fs, [0.2], 8)]
     assert all(a > b for a, b in zip(rs, rs[1:]))
     assert rs[8] < 1e-4 * rs[2]
 

@@ -1,7 +1,6 @@
 """Pair interaction, Kronecker lifting, N-particle assembly, convergence."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +11,6 @@ from diracdiag.decoupling import resolvent_distance
 from diracdiag.errors import ResolutionError
 from diracdiag.grids import build_channel_grid, build_radial_grid
 from diracdiag.series import series_eval, series_truncate
-
-
-def furry(sys, cfg, pair=None, bundle=None):
-    """assemble_furry_exact with the truncation-order warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return mb.assemble_furry_exact(sys, cfg, pair, bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +33,7 @@ def test_furry_config_validation():
 def test_assemble_requires_pair_for_two_particles(sys100):
     cfg = mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=4)
     with pytest.raises(ValueError, match="pair"):
-        furry(sys100(0.3), cfg, None, None)
+        mb.assemble_furry_exact(sys100(0.3), cfg, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +170,7 @@ def test_antisymmetrizer_isometry_properties():
 
 def test_one_particle_assembly(sys100):
     s = sys100(0.3)
-    fs = furry(s, mb.FurryConfig(n_particles=1, z_charge=2.0, n_plus=8))
+    fs = mb.assemble_furry_exact(s, mb.FurryConfig(n_particles=1, z_charge=2.0, n_plus=8))
     assert fs.dim == 8
     assert np.allclose(np.diag(fs.kinetic), fs.eps, atol=1e-14)
     # furry and diagonalized spectra coincide
@@ -191,7 +183,7 @@ def test_one_particle_assembly(sys100):
 def test_two_particle_assembly(sys100, pair100, bundle100):
     s = sys100(0.3)
     cfg = mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=6)
-    fs = furry(s, cfg, pair100, bundle100)
+    fs = mb.assemble_furry_exact(s, cfg, pair100, bundle100)
     assert fs.dim == 36
     ef = np.sort(np.linalg.eigvalsh(fs.h_furry_exact))
     ed = np.sort(np.linalg.eigvalsh(fs.h_diag_exact))
@@ -204,15 +196,15 @@ def test_two_particle_assembly(sys100, pair100, bundle100):
 
 def test_two_particle_ground_above_positivity_floor(sys100, pair100):
     s = sys100(0.3)
-    fs = furry(s, mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=6), pair100)
+    fs = mb.assemble_furry_exact(s, mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=6), pair100)
     ground = float(np.linalg.eigvalsh(fs.h_furry_exact)[0])
     assert ground > 2.0 * math.sqrt(1.0 - 0.09)
 
 
 def test_antisymmetric_spectrum_sub_multiset(sys100, pair100):
     s = sys100(0.3)
-    full = furry(s, mb.FurryConfig(2, 2.0, 6), pair100)
-    anti = furry(s, mb.FurryConfig(2, 2.0, 6, antisymmetrize=True), pair100)
+    full = mb.assemble_furry_exact(s, mb.FurryConfig(2, 2.0, 6), pair100)
+    anti = mb.assemble_furry_exact(s, mb.FurryConfig(2, 2.0, 6, antisymmetrize=True), pair100)
     assert anti.dim == 15
     ef = np.sort(np.linalg.eigvalsh(full.h_furry_exact))
     ea = np.sort(np.linalg.eigvalsh(anti.h_furry_exact))
@@ -224,18 +216,12 @@ def test_antisymmetric_spectrum_sub_multiset(sys100, pair100):
         used[i] = True
 
 
-def test_series_warns_about_dropped_top_coefficient(sys100, pair100, bundle100):
-    cfg = mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=4)
-    with pytest.warns(UserWarning, match="dropped"):
-        mb.assemble_furry_exact(sys100(0.3), cfg, pair100, bundle100)
-
-
 def test_two_particle_series_matches_exact(sys100, pair100, bundle100):
     # the compressed interaction series against the exactly conjugated
     # operator on the same frame: full-order agreement at the working
     # coupling validates every Cauchy block of the assembly
     s = sys100(0.3)
-    fs = furry(s, mb.FurryConfig(2, 2.0, 6), pair100, bundle100)
+    fs = mb.assemble_furry_exact(s, mb.FurryConfig(2, 2.0, 6), pair100, bundle100)
     hk = series_eval(fs.h_diag_series_N, 0.3)
     dist = resolvent_distance(fs.h_diag_exact, 0.5 * (hk + hk.conj().T))
     assert dist < 1e-7
@@ -249,7 +235,7 @@ def test_series_order_accuracy_two_particle(sys100, pair100, bundle100):
     # gamma^2-sized defect and a ratio near 4.
     errs = {}
     for gamma in (0.1, 0.2):
-        fs = furry(sys100(gamma), mb.FurryConfig(2, 2.0, 5), pair100, bundle100)
+        fs = mb.assemble_furry_exact(sys100(gamma), mb.FurryConfig(2, 2.0, 5), pair100, bundle100)
         hk = series_eval(series_truncate(fs.h_diag_series_N, 2), gamma)
         errs[gamma] = np.linalg.norm(fs.h_diag_exact - 0.5 * (hk + hk.conj().T), 2)
     assert 1e-12 < errs[0.1] < 1e-6
@@ -262,19 +248,19 @@ def test_series_order_accuracy_two_particle(sys100, pair100, bundle100):
 # ---------------------------------------------------------------------------
 
 def test_form_bound_two_particles(sys100, pair100):
-    fs = furry(sys100(0.3), mb.FurryConfig(2, 2.0, 6), pair100)
+    fs = mb.assemble_furry_exact(sys100(0.3), mb.FurryConfig(2, 2.0, 6), pair100)
     value = mb.check_form_bound(fs)
     limit = mb.form_bound_limit(fs)
     assert 0.0 < value < limit + 1e-4
 
 
 def test_form_bound_single_particle_zero(sys100):
-    fs = furry(sys100(0.3), mb.FurryConfig(1, 2.0, 6))
+    fs = mb.assemble_furry_exact(sys100(0.3), mb.FurryConfig(1, 2.0, 6))
     assert mb.check_form_bound(fs) == 0.0
 
 
 def test_kinetic_weight_bound(sys100, pair100):
-    fs = furry(sys100(0.3), mb.FurryConfig(2, 2.0, 6), pair100)
+    fs = mb.assemble_furry_exact(sys100(0.3), mb.FurryConfig(2, 2.0, 6), pair100)
     value = mb.check_kinetic_weight_bound(fs)
     assert value <= mb.kinetic_weight_limit(fs) + 1e-4
     assert value >= 1.0 - 1e-10
@@ -283,7 +269,7 @@ def test_kinetic_weight_bound(sys100, pair100):
 def test_kinetic_weight_free_case(sys100):
     # at zero coupling the retained states are free eigenstates, so the
     # weighted kinetic operator is exactly the identity on them
-    fs = furry(sys100(0.0), mb.FurryConfig(1, 2.0, 10))
+    fs = mb.assemble_furry_exact(sys100(0.0), mb.FurryConfig(1, 2.0, 10))
     assert abs(mb.check_kinetic_weight_bound(fs) - 1.0) < 1e-10
 
 
@@ -301,7 +287,7 @@ def test_fit_geometric_ratio_short_sequence():
 
 
 def test_converge_rows_one_particle(sys100, bundle100):
-    fs = furry(sys100(0.0), mb.FurryConfig(1, 2.0, 8), None, bundle100)
+    fs = mb.assemble_furry_exact(sys100(0.0), mb.FurryConfig(1, 2.0, 8), None, bundle100)
     rows = mb.converge_main_theorem(fs, [0.1, 0.2], 8)
     assert len(rows) == 2 * 9
     for row in rows:
@@ -318,7 +304,7 @@ def test_converge_rows_one_particle(sys100, bundle100):
 
 
 def test_converge_zero_coupling_is_exact(sys100, bundle100):
-    fs = furry(sys100(0.0), mb.FurryConfig(1, 2.0, 8), None, bundle100)
+    fs = mb.assemble_furry_exact(sys100(0.0), mb.FurryConfig(1, 2.0, 8), None, bundle100)
     rows = mb.converge_main_theorem(fs, [0.0], 4)
     for row in rows:
         assert row["resolvent_distance"] < 5e-12
@@ -326,13 +312,13 @@ def test_converge_zero_coupling_is_exact(sys100, bundle100):
 
 
 def test_converge_requires_bundle(sys100):
-    fs = furry(sys100(0.0), mb.FurryConfig(1, 2.0, 8))
+    fs = mb.assemble_furry_exact(sys100(0.0), mb.FurryConfig(1, 2.0, 8))
     with pytest.raises(ValueError, match="bundle"):
         mb.converge_main_theorem(fs, [0.1], 4)
 
 
 def test_converge_rejects_k_beyond_order(sys100, bundle100):
-    fs = furry(sys100(0.0), mb.FurryConfig(1, 2.0, 8), None, bundle100)
+    fs = mb.assemble_furry_exact(sys100(0.0), mb.FurryConfig(1, 2.0, 8), None, bundle100)
     with pytest.raises(ValueError, match="order"):
         mb.converge_main_theorem(fs, [0.1], 9)
 
