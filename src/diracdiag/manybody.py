@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoupling import DecouplingBundle, h_diag_exact, resolvent_distance, upper_block
+from .decoupling import DecouplingBundle, h_diag_exact, resolvent, upper_block
 from .errors import ConsistencyError, ResolutionError
 from .grids import ChannelGrid, RadialGrid, bessel_transform_matrix, build_channel_grid, build_radial_grid
 from .oneparticle import (
@@ -33,7 +33,6 @@ from .series import (
     MatrixSeries,
     make_series,
     series_eval,
-    series_mul,
     series_truncate,
 )
 
@@ -414,9 +413,8 @@ def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
               for a in range(order + 1)]
 
     if n_sites >= 2:
-        f_series = series_mul(bundle.u_series, bundle.p_series)
         q = bundle.system.u_fw
-        dressed = [(q @ fc).conj().T @ frame for fc in f_series.coeffs]
+        dressed = [(q @ fc).conj().T @ frame for fc in bundle.f_series.coeffs]
         factors = [pair.frame_factors(d) for d in dressed]
         zhat = []
         for mu in range(order + 1):
@@ -499,7 +497,9 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
 
     For one particle the comparison runs on the full upper block; for more
     particles each coupling gets its own transported frame, on which both
-    the exact diagonalized operator and the compressed series live.
+    the exact diagonalized operator and the compressed series live.  The
+    exact operator's resolvent and low eigenvalues are computed once per
+    coupling and shared by every truncation order.
     """
     bundle = fs.bundle
     if bundle is None:
@@ -524,14 +524,16 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
             exact = fs_g.h_diag_exact
             series, weight = fs_g.h_diag_series_N, fs_g.d0_sum_half_neg
         exact_low = np.sort(np.linalg.eigvalsh(exact))[:10]
+        exact_res = resolvent(exact, "first")
         dists = np.empty(k_max + 1)
         remainders = np.empty(k_max + 1)
         eig_errors = np.empty(k_max + 1)
         for k in range(k_max + 1):
             approx = series_eval(series_truncate(series, k), gamma)
-            dists[k] = resolvent_distance(exact, 0.5 * (approx + approx.conj().T))
+            approx_h = 0.5 * (approx + approx.conj().T)
+            dists[k] = float(np.linalg.norm(exact_res - resolvent(approx_h, "second"), 2))
             remainders[k] = float(np.linalg.norm(weight @ (exact - approx) @ weight, 2))
-            approx_low = np.sort(np.linalg.eigvalsh(0.5 * (approx + approx.conj().T)))[:10]
+            approx_low = np.sort(np.linalg.eigvalsh(approx_h))[:10]
             eig_errors[k] = float(np.max(np.abs(approx_low - exact_low)))
         ratio = fit_geometric_ratio(dists)
         for k in range(k_max + 1):
@@ -562,7 +564,10 @@ def check_restriction_consistency(gamma: float, cfg: FurryConfig, n_small: int =
     Runs a two-particle instance on a small grid where the full product
     space is affordable, and returns the spectral-norm difference between
     the full-space conjugated Hamiltonian compressed to the transported
-    frame and the factored assembly used at scale.
+    frame and the factored assembly used at scale.  The full-space
+    conjugation is kron(E, E) H_2 kron(E, E)^H with E = u_fw U_gamma
+    P_+^gamma, where H_2 holds both one-particle operators and the full
+    pair matrix.
     """
     if cfg.n_particles < 2:
         return 0.0
@@ -575,11 +580,10 @@ def check_restriction_consistency(gamma: float, cfg: FurryConfig, n_small: int =
 
     scale = gamma / small_cfg.z_charge
     eye = np.eye(grid.dim)
-    p2 = np.kron(sys.p_plus_gamma, sys.p_plus_gamma)
     h2 = np.kron(sys.dgamma, eye) + np.kron(eye, sys.dgamma) + scale * full_pair_matrix(pair)
-    h_proj = p2 @ h2 @ p2
-    u2 = np.kron(sys.u_fw @ sys.u_gamma, sys.u_fw @ sys.u_gamma)
-    h_diag_full = u2 @ h_proj @ u2.conj().T
+    e = sys.u_fw @ sys.u_gamma @ sys.p_plus_gamma
+    e2 = np.kron(e, e)
+    h_diag_full = e2 @ h2 @ e2.conj().T
     xi = np.kron(fs.psi, fs.psi)
     compressed = xi.conj().T @ h_diag_full @ xi
     return float(np.linalg.norm(compressed - fs.h_diag_exact, 2))

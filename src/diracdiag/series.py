@@ -154,34 +154,27 @@ def series_inv(a: MatrixSeries) -> MatrixSeries:
     return make_series(inv)
 
 
-def binomial_half_coefficients(order: int) -> np.ndarray:
-    """Taylor coefficients of (1+x)^(-1/2): 1, -1/2, 3/8, -5/16, ..."""
-    c = np.empty(order + 1)
-    c[0] = 1.0
-    for m in range(1, order + 1):
-        c[m] = c[m - 1] * (-(0.5 + (m - 1)) / m)
-    return c
-
-
 def series_inv_sqrt(a: MatrixSeries) -> MatrixSeries:
-    """Inverse square root via the binomial series on X = A - I.
+    """Inverse square root by the coefficient recurrence of B^2 = A^-1.
 
-    Requires the constant term to be the identity; the perturbation X then
-    starts at order 1 and (1+X)^(-1/2) = sum_m c_m X^m terminates exactly at
-    the truncation order.  The result commutes with A order by order and
-    squares to the inverse of A.
+    Requires the constant term to be the identity, so B_0 = I and matching
+    order n of B B = T with T = A^-1 gives
+    B_n = (T_n - sum_{m=1}^{n-1} B_m B_{n-m}) / 2 (Higham, Functions of
+    Matrices, ch. 6).  That is O(K^2) products where the binomial series
+    sum_m c_m (A - I)^m costs O(K^3); both give the unique series with
+    B_0 = I.  The result commutes with A order by order and squares to the
+    inverse of A.
     """
     if np.linalg.norm(a.coeffs[0] - np.eye(a.dim)) > INV_SQRT_BASE_TOL:
         raise ValueError("inverse square root requires an identity constant term")
-    K = a.order
-    x = make_series([np.zeros((a.dim, a.dim))] + [np.array(c) for c in a.coeffs[1:]])
-    c = binomial_half_coefficients(K)
-    acc = series_identity(a.dim, K)
-    xpow = series_identity(a.dim, K)
-    for m in range(1, K + 1):
-        xpow = series_mul(xpow, x)
-        acc = series_add(acc, series_scale(xpow, c[m]))
-    return acc
+    t = series_inv(a)
+    b = [np.eye(a.dim)]
+    for n in range(1, a.order + 1):
+        acc = t.coeffs[n]
+        for m in range(1, n):
+            acc = acc - b[m] @ b[n - m]
+        b.append(0.5 * acc)
+    return make_series(b)
 
 
 def series_kron(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:

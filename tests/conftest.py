@@ -85,6 +85,18 @@ def pair200(grid200):
     return build_pair_interaction(grid200)
 
 
+def binomial_half_coefficients(order: int) -> np.ndarray:
+    """Taylor coefficients of (1+x)^(-1/2): 1, -1/2, 3/8, -5/16, ...
+
+    The binomial-series oracle for the inverse-square-root recurrence.
+    """
+    c = np.empty(order + 1)
+    c[0] = 1.0
+    for m in range(1, order + 1):
+        c[m] = c[m - 1] * (-(0.5 + (m - 1)) / m)
+    return c
+
+
 def toy_two_level() -> OneParticleSystem:
     """Hand-built 2x2 system: D_0 = diag(1, -1), V swaps the levels.
 

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import child_env, toy_two_level
+from conftest import binomial_half_coefficients, child_env, toy_two_level
 from diracdiag import manybody as mb
 from diracdiag.decoupling import riesz_projection_series
 from diracdiag.grids import build_channel_grid
@@ -28,7 +28,6 @@ from diracdiag.oneparticle import (
     sommerfeld_energy,
 )
 from diracdiag.series import (
-    binomial_half_coefficients,
     make_series,
     series_adjoint,
     series_eval,

@@ -3,25 +3,25 @@
 import numpy as np
 import pytest
 
-from conftest import toy_two_level
+from conftest import binomial_half_coefficients, toy_two_level
 from diracdiag import manybody as mb
 from diracdiag.decoupling import (
+    _check_h_block_structure,
+    _check_projector_hermitian,
+    _check_series_residual,
     build_decoupling_bundle,
     coefficient_ratio_radius,
     h_diag_exact,
     h_diag_series,
+    resolvent,
     resolvent_distance,
     riesz_projection_series,
     u_gamma_series,
     upper_block,
 )
+from diracdiag.errors import ConsistencyError
 from diracdiag.oneparticle import exact_u_gamma, free_energies, positive_levels
-from diracdiag.series import (
-    binomial_half_coefficients,
-    make_series,
-    series_eval,
-    series_truncate,
-)
+from diracdiag.series import make_series, series_eval, series_mul, series_truncate
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_toy_bundle_both_methods_agree():
     toy = toy_two_level()
     bundle = build_decoupling_bundle(toy, order=6)
     p = make_series(trapezoidal_projector_coefficients(toy, 6))
-    h = h_diag_series(toy, u_gamma_series(p, toy.p_plus_0, 6), p)
+    h = h_diag_series(toy, series_mul(u_gamma_series(p, toy.p_plus_0, 6), p))
     for cr, cq in zip(bundle.h_series.coeffs, h.coeffs):
         assert np.linalg.norm(cr - cq, 2) < 1e-12
 
@@ -216,3 +216,65 @@ def test_bundle_shapes(bundle100, sys100):
     assert bundle100.order == 8
     assert np.linalg.norm(bundle100.p_series[0] - sys100(0.0).p_plus_0, 2) < 1e-12
     assert bundle100.weight_neg_half is sys100(0.0).abs_d0_neg_half
+
+
+# ---------------------------------------------------------------------------
+# structural gates: Frobenius pre-test, spectral decision
+# ---------------------------------------------------------------------------
+# Each gate gets a defect x with ||x||_F > tol >= ||x||_2, which must pass
+# through the SVD branch, and one just above tol, which must raise.
+
+def _forces_svd(x, tol):
+    return np.linalg.norm(x) > tol >= np.linalg.norm(x, 2)
+
+
+def test_series_residual_gate():
+    ok = 0.9e-9 * np.eye(4)
+    assert _forces_svd(ok, 1e-9)
+    _check_series_residual(make_series([np.zeros((4, 4)), ok]), "unitarity defect of the U series")
+    bad = make_series([np.zeros((4, 4)), 1.1e-9 * np.eye(4)])
+    with pytest.raises(ConsistencyError,
+                       match=r"^unitarity defect of the U series: coefficient residual 1\.100e-09 > 1\.0e-09$"):
+        _check_series_residual(bad, "unitarity defect of the U series")
+
+
+def test_projector_hermiticity_gate():
+    ok = 0.45e-10j * np.eye(4)
+    assert _forces_svd(ok - ok.conj().T, 1e-10)
+    _check_projector_hermitian(make_series([np.eye(4), ok]))
+    bad = make_series([np.eye(4), 0.55e-10j * np.eye(4)])
+    with pytest.raises(ConsistencyError, match=r"^projector coefficients not Hermitian: 1\.100e-10$"):
+        _check_projector_hermitian(bad)
+
+
+def test_h_hermiticity_gate():
+    upper = np.diag([1.0, 0.0] * 4)
+    ok = 0.45e-10j * upper
+    assert _forces_svd(ok - ok.conj().T, 1e-10)
+    _check_h_block_structure(make_series([upper, ok]))
+    bad = make_series([upper, 0.55e-10j * upper])
+    with pytest.raises(ConsistencyError, match=r"^Hamiltonian coefficient 1 not Hermitian$"):
+        _check_h_block_structure(bad)
+
+
+def test_h_upper_block_leak_gate():
+    upper, lower = np.diag([1.0, 0.0] * 4), np.diag([0.0, 1.0] * 4)
+    ok = 0.45e-9 * lower
+    assert np.linalg.norm(ok[1::2, :]) + np.linalg.norm(ok[:, 1::2]) > 1e-9
+    assert np.linalg.norm(ok[1::2, :], 2) + np.linalg.norm(ok[:, 1::2], 2) <= 1e-9
+    _check_h_block_structure(make_series([upper, ok]))
+    bad = make_series([upper, 0.55e-9 * lower])
+    with pytest.raises(ConsistencyError,
+                       match=r"^Hamiltonian coefficient 1 leaks out of the upper block: 1\.100e-09$"):
+        _check_h_block_structure(bad)
+
+
+def test_resolvent_hermiticity_gate():
+    ok = 0.45e-10j * np.eye(4)
+    assert _forces_svd(ok - ok.conj().T, 1e-10)
+    assert np.array_equal(resolvent(ok), np.linalg.inv(ok + 1j * np.eye(4)))
+    bad = 0.55e-10j * np.eye(4)
+    with pytest.raises(ValueError, match=r"^first argument is not Hermitian within tolerance$"):
+        resolvent(bad)
+    with pytest.raises(ValueError, match=r"^second argument is not Hermitian within tolerance$"):
+        resolvent_distance(np.eye(4), bad)

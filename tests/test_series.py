@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import binomial_half_coefficients
 from diracdiag.series import (
     ORDER_CAP,
-    binomial_half_coefficients,
     coefficient_norms,
     make_series,
     series_add,
@@ -194,6 +194,26 @@ def test_inv_sqrt_scalar_matches_binomial():
     ref = binomial_half_coefficients(order)
     for k in range(order + 1):
         assert abs(r[k][0, 0] - ref[k]) < 1e-14
+
+
+def test_inv_sqrt_recurrence_matches_binomial_sum():
+    # the recurrence against the binomial sum over X = A - I, and B B A = I
+    # order by order, on an order-12 series of dimension 16
+    order, dim = 12, 16
+    rng = np.random.default_rng(91)
+    coeffs = [np.eye(dim)] + [0.4 ** k * rng.standard_normal((dim, dim)) / 4.0
+                              for k in range(1, order + 1)]
+    a = make_series(coeffs)
+    r = series_inv_sqrt(a)
+    x = make_series([np.zeros((dim, dim))] + coeffs[1:])
+    c = binomial_half_coefficients(order)
+    ref = series_identity(dim, order)
+    xpow = series_identity(dim, order)
+    for m in range(1, order + 1):
+        xpow = series_mul(xpow, x)
+        ref = series_add(ref, series_scale(xpow, c[m]))
+    assert max_coeff_err(r, ref) < 1e-12
+    assert max_coeff_err(series_mul(series_mul(r, r), a), series_identity(dim, order)) < 1e-12
 
 
 def test_binomial_sequence():
