@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spherical_jn
 
 
 def angular_momenta(kappa: int) -> tuple[int, int]:
@@ -109,5 +108,7 @@ def bessel_transform_matrix(grid: ChannelGrid, radial: RadialGrid, l: int) -> np
     """
     if l < 0:
         raise ValueError(f"negative angular momentum {l}")
+    from scipy.special import spherical_jn
+
     arg = np.outer(radial.r, grid.p)
     return np.sqrt(2.0 / np.pi) * spherical_jn(l, arg) * (np.sqrt(grid.w) * grid.p)[None, :]

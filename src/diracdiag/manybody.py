@@ -278,7 +278,9 @@ class FurrySystem:
     h_diag_exact and h_diag_series_N on the transported frame (their
     unitary image), so the two spectra must coincide.  With
     antisymmetrize set, all operators are compressed to the alternating
-    subspace.
+    subspace.  d0_sum is the lifted sum of |D_0| on the transported frame,
+    kept raw: ``converge_main_theorem`` takes its inverse square root as the
+    remainder weight, and no other caller needs it.
     """
 
     one_particle: OneParticleSystem
@@ -293,7 +295,7 @@ class FurrySystem:
     h_furry_exact: np.ndarray
     h_diag_exact: np.ndarray
     h_diag_series_N: MatrixSeries | None
-    d0_sum_half_neg: np.ndarray
+    d0_sum: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -368,12 +370,11 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: FurryConfig,
         if series is not None:
             series = make_series([a_iso.T @ c @ a_iso for c in series.coeffs])
 
-    d0_shn = _inv_sqrt_psd(d0_sum)
     return FurrySystem(
         one_particle=sys, config=cfg, pair=pair, bundle=bundle,
         eps=eps, phi=phi, psi=psi, kinetic=kinetic, w_proj=w_proj,
         h_furry_exact=h_furry, h_diag_exact=h_diag,
-        h_diag_series_N=series, d0_sum_half_neg=d0_shn)
+        h_diag_series_N=series, d0_sum=d0_sum)
 
 
 def _require_psd(mat: np.ndarray, tol: float = 1e-9) -> None:
@@ -443,13 +444,18 @@ def check_form_bound(fs: FurrySystem) -> float:
 
     The continuum bound is gamma pi N(N-1) / (4 Z d_gamma); the kinetic
     part T is the projected sum of one-particle operators, positive by the
-    spectral gap.
+    spectral gap.  T is diagonal (sums of one-particle levels on products
+    of eigenstates, and the alternating basis vectors have disjoint
+    supports), so T^(-1/2) scales rows and columns.
     """
     if fs.w_proj is None:
         return 0.0
-    t_inv_half = _inv_sqrt_psd(fs.kinetic)
+    t = np.diag(fs.kinetic)
+    if t.min() <= 0:
+        raise ConsistencyError(f"weight matrix not positive definite: eigenvalue {t.min():.3e}")
+    t_inv_half = t ** -0.5
     scale = fs.one_particle.gamma / fs.config.z_charge
-    m = t_inv_half @ (scale * fs.w_proj) @ t_inv_half
+    m = t_inv_half[:, None] * (scale * fs.w_proj) * t_inv_half[None, :]
     return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
 
 
@@ -459,7 +465,14 @@ def form_bound_limit(fs: FurrySystem) -> float:
 
 
 def check_kinetic_weight_bound(fs: FurrySystem) -> float:
-    """Largest eigenvalue of H^(-1/2) (sum |D_0|) H^(-1/2); bounded by 1/d_gamma."""
+    """Largest eigenvalue of H^(-1/2) (sum |D_0|) H^(-1/2); bounded by 1/d_gamma.
+
+    Taken as the top eigenvalue of the generalized problem L x = lambda H x
+    (L the lifted |D_0| sum, H the Furry Hamiltonian), which has the same
+    spectrum and needs only H's Cholesky factor, not its eigendecomposition.
+    """
+    from scipy.linalg import eigh
+
     sys = fs.one_particle
     cfg = fs.config
     abs_d0 = abs_free_dirac_power(sys.grid, 1.0)
@@ -469,9 +482,12 @@ def check_kinetic_weight_bound(fs: FurrySystem) -> float:
     if cfg.antisymmetrize:
         a_iso = antisymmetrizer_isometry(cfg.n_plus, cfg.n_particles)
         lifted = a_iso.T @ lifted @ a_iso
-    h_inv_half = _inv_sqrt_psd(fs.h_furry_exact)
-    m = h_inv_half @ lifted @ h_inv_half
-    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
+    n = lifted.shape[0]
+    try:
+        top = eigh(lifted, fs.h_furry_exact, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+    except np.linalg.LinAlgError as exc:
+        raise ConsistencyError(f"weight matrix not positive definite: {exc}") from exc
+    return float(top[0])
 
 
 def kinetic_weight_limit(fs: FurrySystem) -> float:
@@ -522,7 +538,7 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
             fs_g = fs if gamma == fs.one_particle.gamma else assemble_furry_exact(
                 sys_g, cfg, fs.pair, bundle)
             exact = fs_g.h_diag_exact
-            series, weight = fs_g.h_diag_series_N, fs_g.d0_sum_half_neg
+            series, weight = fs_g.h_diag_series_N, _inv_sqrt_psd(fs_g.d0_sum)
         exact_low = np.sort(np.linalg.eigvalsh(exact))[:10]
         exact_res = resolvent(exact, "first")
         dists = np.empty(k_max + 1)

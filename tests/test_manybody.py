@@ -1,5 +1,6 @@
 """Pair interaction, Kronecker lifting, N-particle assembly, convergence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from scipy.integrate import quad
 
 from diracdiag import manybody as mb
 from diracdiag.decoupling import resolvent_distance
-from diracdiag.errors import ResolutionError
+from diracdiag.errors import ConsistencyError, ResolutionError
 from diracdiag.grids import build_channel_grid, build_radial_grid
+from diracdiag.oneparticle import abs_free_dirac_power
 from diracdiag.series import series_eval, series_truncate
 
 
@@ -264,6 +266,53 @@ def test_kinetic_weight_bound(sys100, pair100):
     value = mb.check_kinetic_weight_bound(fs)
     assert value <= mb.kinetic_weight_limit(fs) + 1e-4
     assert value >= 1.0 - 1e-10
+
+
+def _inv_sqrt_oracle(mat):
+    ew, uw = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    assert ew[0] > 0
+    return (uw * ew ** -0.5) @ uw.conj().T
+
+
+def _top_eig_conjugated(inv_half, mat):
+    m = inv_half @ mat @ inv_half
+    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
+
+
+def _lifted_abs_d0(fs):
+    # sum of |D_0| over the slots, on products of the retained eigenstates
+    cfg = fs.config
+    phi = fs.phi
+    ce = phi.T @ abs_free_dirac_power(fs.one_particle.grid, 1.0) @ phi
+    s_phi = phi.T @ phi
+    lifted = sum(mb._kron_chain([ce if s == j else s_phi for s in range(cfg.n_particles)])
+                 for j in range(cfg.n_particles))
+    if cfg.antisymmetrize:
+        a_iso = mb.antisymmetrizer_isometry(cfg.n_plus, cfg.n_particles)
+        lifted = a_iso.T @ lifted @ a_iso
+    return lifted
+
+
+@pytest.mark.parametrize("n_particles,n_plus", [(2, 6), (3, 5)])
+@pytest.mark.parametrize("antisymmetrize", [False, True])
+def test_bounds_match_inverse_square_root_formulas(sys100, pair100, n_particles, n_plus,
+                                                   antisymmetrize):
+    cfg = mb.FurryConfig(n_particles, 3.0, n_plus, antisymmetrize=antisymmetrize)
+    fs = mb.assemble_furry_exact(sys100(0.3), cfg, pair100)
+    assert np.count_nonzero(fs.kinetic - np.diag(np.diag(fs.kinetic))) == 0
+    scale = fs.one_particle.gamma / cfg.z_charge
+    form_ref = _top_eig_conjugated(_inv_sqrt_oracle(fs.kinetic), scale * fs.w_proj)
+    kin_ref = _top_eig_conjugated(_inv_sqrt_oracle(fs.h_furry_exact), _lifted_abs_d0(fs))
+    assert abs(mb.check_form_bound(fs) - form_ref) <= 1e-12 * abs(form_ref)
+    assert abs(mb.check_kinetic_weight_bound(fs) - kin_ref) <= 1e-12 * abs(kin_ref)
+
+
+def test_bounds_reject_indefinite_weights(sys100, pair100):
+    fs = mb.assemble_furry_exact(sys100(0.3), mb.FurryConfig(2, 2.0, 6), pair100)
+    with pytest.raises(ConsistencyError, match="not positive definite"):
+        mb.check_kinetic_weight_bound(dataclasses.replace(fs, h_furry_exact=-fs.h_furry_exact))
+    with pytest.raises(ConsistencyError, match="not positive definite"):
+        mb.check_form_bound(dataclasses.replace(fs, kinetic=-fs.kinetic))
 
 
 def test_kinetic_weight_free_case(sys100):

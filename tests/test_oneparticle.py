@@ -7,8 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 from diracdiag.errors import GapError
+from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import (
     GAMMA_MAX,
+    _norm2,
     abs_free_dirac_power,
     assemble_system,
     build_free_dirac,
@@ -167,6 +169,55 @@ def test_exact_u_gamma_rejects_far_projectors():
     pg = np.diag([0.0, 1.0])
     with pytest.raises(ValueError, match="far apart"):
         exact_u_gamma(p0, pg)
+
+
+def test_exact_u_gamma_near_the_distance_limit():
+    # rank-1 projectors at angle theta are sin(theta) ~ 0.93 apart
+    theta = 1.2
+    v = np.array([math.cos(theta), math.sin(theta)])
+    p0 = np.diag([1.0, 0.0])
+    pg = np.outer(v, v)
+    assert abs(np.linalg.norm(p0 - pg, 2) - math.sin(theta)) < 1e-15
+    u = exact_u_gamma(p0, pg)
+    assert np.linalg.norm(u @ u.T - np.eye(2), 2) < 1e-14
+    assert np.linalg.norm(u @ pg - p0 @ u, 2) < 1e-14
+
+
+def test_exact_u_gamma_rejects_rank_mismatch():
+    # projectors of different rank are at distance exactly 1
+    p0 = np.diag([1.0, 0.0, 0.0])
+    pg = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="far apart"):
+        exact_u_gamma(p0, pg)
+
+
+def test_norm2_matches_svd_norm():
+    rng = np.random.default_rng(7)
+    real = rng.standard_normal((40, 40))
+    cases = [real, real + real.T, real + 1j * rng.standard_normal((40, 40))]
+    for x in cases:
+        ref = np.linalg.norm(x, 2)
+        assert abs(_norm2(x) - ref) <= 1e-13 * ref
+    assert _norm2(np.zeros((5, 5))) == 0.0
+
+
+def test_one_particle_path_takes_no_svd(monkeypatch):
+    norm = np.linalg.norm
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("dense SVD on the one-particle path")
+
+    def norm_without_ord2(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            no_svd()
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "norm", norm_without_ord2)
+    s = assemble_system(build_channel_grid(64), 0.3)
+    uni, inter = decoupling_residuals(s)
+    assert uni < 1e-10 and inter < 1e-10
+    assert math.isfinite(weighted_unitary_norm(s))
 
 
 # ---------------------------------------------------------------------------
