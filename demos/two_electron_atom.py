@@ -27,8 +27,8 @@ def main():
     print(f"two electrons, coupling {gamma}, nuclear charge {z_charge}, "
           f"{cfg.n_plus} retained states -> dimension {fs.dim}\n")
 
-    ef = np.sort(np.linalg.eigvalsh(fs.h_furry_exact))
-    ed = np.sort(np.linalg.eigvalsh(fs.h_diag_exact))
+    ef = fs.levels(fs.h_furry_exact)
+    ed = fs.levels(fs.h_diag_exact)
     print(f"spectrum agreement after block-diagonalization: "
           f"{np.max(np.abs(ef - ed)):.3e}")
 
@@ -47,7 +47,7 @@ def main():
     cfg_anti = mb.FurryConfig(n_particles=2, z_charge=z_charge, n_plus=8,
                               antisymmetrize=True)
     fs_anti = mb.assemble_furry_exact(s, cfg_anti, pair, bundle)
-    ea = np.sort(np.linalg.eigvalsh(fs_anti.h_furry_exact))
+    ea = fs_anti.levels(fs_anti.h_furry_exact)
     print(f"antisymmetric (fermionic) sector: dimension {fs_anti.dim}, "
           f"ground {ea[0]:.10f}")
 

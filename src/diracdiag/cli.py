@@ -312,7 +312,7 @@ def cmd_nbody(cfg: RunConfig) -> int:
     from . import manybody as mb
     from .oneparticle import assemble_system
     from .report import gamma_tag, write_json_summary, write_table_csv
-    from .series import series_eval, series_truncate
+    from .series import series_partial_sums
 
     require_convergence_window(cfg)
     grid, sys0, bundle = _build_shared(cfg)
@@ -326,19 +326,18 @@ def cmd_nbody(cfg: RunConfig) -> int:
     for gamma in cfg.gamma_list:
         sys_g = sys0 if gamma == sys0.gamma else assemble_system(grid, gamma)
         fs = mb.assemble_furry_exact(sys_g, cfg_n, pair, bundle)
-        e_furry = np.sort(np.linalg.eigvalsh(fs.h_furry_exact))
-        e_diag = np.sort(np.linalg.eigvalsh(fs.h_diag_exact))
+        e_furry = fs.levels(fs.h_furry_exact)
+        e_diag = fs.levels(fs.h_diag_exact)
         rows = [(i, float(a), float(b), float(abs(a - b)))
                 for i, (a, b) in enumerate(zip(e_furry, e_diag))]
         write_table_csv(os.path.join(out, f"nbody_levels_gamma_{gamma_tag(gamma)}.csv"),
                         ("index", "furry_eigenvalue", "diag_eigenvalue", "abs_diff"), rows)
 
-        series = fs.h_diag_series_N
         ground_exact = float(e_diag[0])
         series_rows = []
-        for k in range(cfg.series_order + 1):
-            hk = series_eval(series_truncate(series, k), gamma)
-            gk = float(np.linalg.eigvalsh(0.5 * (hk + hk.conj().T))[0])
+        partial = zip(*(series_partial_sums(s, gamma) for s in fs.h_diag_series_N))
+        for k, blocks in enumerate(partial):
+            gk = min(float(np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0]) for h in blocks)
             series_rows.append((k, gk, abs(gk - ground_exact)))
         write_table_csv(os.path.join(out, f"nbody_series_gamma_{gamma_tag(gamma)}.csv"),
                         ("k", "series_ground_energy", "ground_error"), series_rows)

@@ -1,7 +1,10 @@
 """N-particle positive-subspace Hamiltonians and their block-diagonalization.
 
 The N-body operator is represented on the span of products of the lowest
-n_plus positive one-particle eigenstates.  The block-diagonalized exact
+n_plus positive one-particle eigenstates, split into site-permutation
+sectors: it commutes with every permutation of the sites, so it is stored
+as one block per partition of N and no product-space matrix is formed.
+The block-diagonalized exact
 operator and the truncated series are both expressed on the transported
 frame (the unitary image of that span), where the comparison of the main
 convergence theorem is a plain matrix computation.  The pair interaction
@@ -13,6 +16,7 @@ two-particle matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,12 +33,7 @@ from .oneparticle import (
     d_gamma,
     positive_states,
 )
-from .series import (
-    MatrixSeries,
-    make_series,
-    series_eval,
-    series_truncate,
-)
+from .series import MatrixSeries, make_series, series_partial_sums
 
 DIMENSION_CAP = 20000
 
@@ -208,62 +207,180 @@ def slater_monopole_value(pair: PairInteraction, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Kronecker lifting
+# Site-permutation sectors
 # ---------------------------------------------------------------------------
 
-def _kron_chain(mats: list[np.ndarray]) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+@dataclass(frozen=True)
+class Sector:
+    """One copy of a symmetry type of the site permutations on N sites of m states.
+
+    The columns of the isometry span the image of the Young symmetrizer of
+    the row-reading tableau of the partition ``shape`` (Fulton & Harris,
+    Representation Theory, sec. 4.1): the multiplicity space of that
+    irreducible representation, whose dimension is ``multiplicity``
+    (hook-length formula).  An operator that commutes with every site
+    permutation maps this span into itself, and its spectrum on the product
+    space is the union of its sector blocks, each repeated
+    ``multiplicity`` times.  Every column lives on one occupation orbit
+    (the arrangements of one multiset of one-particle indices), so it has at
+    most N! nonzeros: ``rows``/``vals`` list them, zero-padded to the
+    largest orbit, and ``occupation`` holds the sorted multiset.
+    """
+
+    shape: tuple[int, ...]
+    multiplicity: int
+    iso: np.ndarray
+    rows: np.ndarray
+    vals: np.ndarray
+    occupation: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.iso.shape[1]
+
+    def compress(self, y: np.ndarray) -> np.ndarray:
+        """V^T y for y with one row per product state, read off V's nonzeros."""
+        return np.einsum("ca,cad->cd", self.vals, y[self.rows])
 
 
-def _lift_single(site_op: np.ndarray, single: np.ndarray, n_sites: int, j: int) -> np.ndarray:
-    return _kron_chain([site_op if s == j else single for s in range(n_sites)])
+def _partitions(n: int, largest: int | None = None):
+    """Partitions of n, largest part first, in decreasing lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
-def _lift_pair(two_site: np.ndarray, single: np.ndarray, n_sites: int, a: int, b: int,
-               m: int) -> np.ndarray:
-    """Embed a two-site operator at slots (a, b) with `single` elsewhere."""
-    if n_sites == 2:
-        return two_site
-    t = two_site.reshape(m, m, m, m)
-    rows = {a: 0, b: 1}
-    cols = {a: 2, b: 3}
-    nxt = 4
-    for s in range(n_sites):
-        if s in (a, b):
+def _hook_dimension(shape: tuple[int, ...]) -> int:
+    """Dimension of the irreducible representation of S_N labelled by shape."""
+    col_len = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    hooks = math.prod(shape[i] - j + col_len[j] - i - 1
+                      for i in range(len(shape)) for j in range(shape[i]))
+    return math.factorial(sum(shape)) // hooks
+
+
+def _young_symmetrizer(shape: tuple[int, ...], arrangements: list[tuple[int, ...]]) -> np.ndarray:
+    """Row symmetrizer times column antisymmetrizer on the span of one orbit.
+
+    Column a of the result is the symmetrizer applied to arrangement a.
+    Each group sum is applied as a product of transposition factors,
+    sum_{S_(j+1)} = (e +- sum_{i<j} (i j)) sum_{S_j}, so the cost grows with
+    N^2 and not with the group order.
+    """
+    index = {t: i for i, t in enumerate(arrangements)}
+
+    def group_sum(x: np.ndarray, sites: list[int], sign: float) -> np.ndarray:
+        for j in range(1, len(sites)):
+            acc = x
+            for i in range(j):
+                a, b = sites[i], sites[j]
+                swap = [index[t[:a] + (t[b],) + t[a + 1:b] + (t[a],) + t[b + 1:]]
+                        for t in arrangements]
+                acc = acc + sign * x[swap]
+            x = acc
+        return x
+
+    starts = [sum(shape[:r]) for r in range(len(shape))]
+    x = np.eye(len(arrangements))
+    for c in range(shape[0]):
+        x = group_sum(x, [starts[r] + c for r in range(len(shape)) if shape[r] > c], -1.0)
+    for r, length in enumerate(shape):
+        x = group_sum(x, list(range(starts[r], starts[r] + length)), 1.0)
+    return x
+
+
+@functools.lru_cache(maxsize=None)
+def site_sectors(m: int, n_sites: int) -> tuple[Sector, ...]:
+    """Isometries of every nonempty sector of N sites with m states each, cached.
+
+    Orbit by orbit, the image of each partition's Young symmetrizer is
+    orthonormalized by an SVD of at most N! x N! entries.  The symmetrizer
+    is N!/d_lambda times an idempotent, and the nonzero singular values of
+    an idempotent are at least 1, so the rank cut is unambiguous.  The
+    widths satisfy sum multiplicity * width = m^N.
+    """
+    orbits = []
+    for occ in itertools.combinations_with_replacement(range(m), n_sites):
+        arrangements = sorted(set(itertools.permutations(occ)))
+        idx = [sum(t[s] * m ** (n_sites - 1 - s) for s in range(n_sites)) for t in arrangements]
+        orbits.append((occ, arrangements, idx))
+    sectors = []
+    for shape in _partitions(n_sites):
+        cols, occs = [], []
+        for occ, arrangements, idx in orbits:
+            u, sv, _ = np.linalg.svd(_young_symmetrizer(shape, arrangements))
+            rank = int(np.count_nonzero(sv > 1e-8 * max(sv[0], 1.0)))
+            cols += [(idx, u[:, r]) for r in range(rank)]
+            occs += [occ] * rank
+        if not cols:
             continue
-        t = np.multiply.outer(t, single)
-        rows[s], cols[s] = nxt, nxt + 1
-        nxt += 2
-    perm = [rows[s] for s in range(n_sites)] + [cols[s] for s in range(n_sites)]
-    dim = m ** n_sites
-    return np.ascontiguousarray(t.transpose(perm)).reshape(dim, dim)
+        k = max(len(idx) for idx, _ in cols)
+        iso = np.zeros((m ** n_sites, len(cols)))
+        rows = np.zeros((len(cols), k), dtype=np.intp)
+        vals = np.zeros((len(cols), k))
+        for c, (idx, v) in enumerate(cols):
+            iso[idx, c] = v
+            rows[c, :len(idx)] = idx
+            vals[c, :len(idx)] = v
+        arrays = (iso, rows, vals, np.array(occs, dtype=np.intp))
+        for a in arrays:
+            a.flags.writeable = False
+        sectors.append(Sector(shape, _hook_dimension(shape), *arrays))
+    return tuple(sectors)
 
 
-def antisymmetrizer_isometry(m: int, n_sites: int) -> np.ndarray:
-    """Orthonormal basis of the alternating subspace as columns in the product space."""
-    combos = list(itertools.combinations(range(m), n_sites))
-    a = np.zeros((m ** n_sites, len(combos)))
-    scale = 1.0 / math.sqrt(math.factorial(n_sites))
-    for col, combo in enumerate(combos):
-        for perm in itertools.permutations(range(n_sites)):
-            sign = _perm_sign(perm)
-            idx = 0
-            for site in range(n_sites):
-                idx = idx * m + combo[perm[site]]
-            a[idx, col] += sign * scale
-    return a
+def furry_sectors(cfg: FurryConfig) -> tuple[Sector, ...]:
+    """The sectors an N-particle operator is stored on: all of them, or only
+    the alternating one (1^N) when the configuration antisymmetrizes."""
+    sectors = site_sectors(cfg.n_plus, cfg.n_particles)
+    if cfg.antisymmetrize:
+        return tuple(s for s in sectors if s.shape == (1,) * cfg.n_particles)
+    return sectors
 
 
-def _perm_sign(perm: tuple[int, ...]) -> float:
-    sign = 1.0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def merged_levels(blocks, multiplicities) -> np.ndarray:
+    """Sorted spectrum of a block-diagonal operator, block b repeated
+    multiplicities[b] times: the product-space spectrum of a sector-split one."""
+    return np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), d)
+                                   for b, d in zip(blocks, multiplicities)]))
+
+
+def _apply_single(single: np.ndarray, t: np.ndarray, skip: tuple[int, ...]) -> np.ndarray:
+    """`single` on every site axis of the column tensor t except those in skip."""
+    for s in range(t.ndim - 1):
+        if s not in skip:
+            t = np.moveaxis(np.tensordot(single, t, axes=(1, s)), 0, s)
+    return t
+
+
+def sector_blocks(sector: Sector, single: np.ndarray, one_site: np.ndarray | None = None,
+                  two_site: np.ndarray | None = None) -> list[np.ndarray]:
+    """Sector blocks of a batch of operators sum_j A_j + sum_{a<b} W_ab.
+
+    Operator b of the batch has A = one_site[b] on site j and W = two_site[b]
+    on sites (a, b), indexed [(i,k),(j,l)] with i, j on site a, and `single`
+    on every other site.  The factors act on the isometry V reshaped as an
+    m x ... x m x width tensor: `single` is applied once per site subset,
+    then each site's factors for the whole batch in one product, and V^T
+    compresses.  No product-space operator is formed.
+    """
+    n_sites = sector.occupation.shape[1]
+    m = single.shape[0]
+    t = sector.iso.reshape((m,) * n_sites + (sector.width,))
+    ops = [x for x in (one_site, two_site) if x is not None]
+    y = np.zeros((len(ops[0]),) + t.shape, dtype=np.result_type(t, single, *ops))
+    if one_site is not None:
+        for j in range(n_sites):
+            u = _apply_single(single, t, (j,))
+            y += np.moveaxis(np.tensordot(one_site, u, axes=(2, j)), 1, j + 1)
+    if two_site is not None:
+        w4 = two_site.reshape(-1, m, m, m, m)
+        for a, b in itertools.combinations(range(n_sites), 2):
+            u = _apply_single(single, t, (a, b))
+            y += np.moveaxis(np.tensordot(w4, u, axes=((3, 4), (a, b))), (1, 2), (a + 1, b + 1))
+    return [sector.compress(x.reshape(m ** n_sites, sector.width)) for x in y]
 
 
 # ---------------------------------------------------------------------------
@@ -274,32 +391,50 @@ def _perm_sign(perm: tuple[int, ...]) -> float:
 class FurrySystem:
     """N-particle bundle on the retained positive subspace at one coupling.
 
-    h_furry_exact is expressed on products of the retained eigenstates;
-    h_diag_exact and h_diag_series_N on the transported frame (their
-    unitary image), so the two spectra must coincide.  With
-    antisymmetrize set, all operators are compressed to the alternating
-    subspace.  d0_sum is the lifted sum of |D_0| on the transported frame,
-    kept raw: ``converge_main_theorem`` takes its inverse square root as the
-    remainder weight, and no other caller needs it.
+    Every N-particle operator is a sum of the same one-site and two-site
+    terms over all sites, so it commutes with the site permutations and is
+    stored as a tuple of blocks, one per entry of ``sectors`` (see
+    ``Sector``): block b is V_b^T X V_b for the sector isometry V_b, and X
+    acts on the product space as the direct sum of block b repeated
+    ``sectors[b].multiplicity`` times.  Without antisymmetrize, ``sectors``
+    holds every partition of N with a nonempty sector, and ``dim`` = sum of
+    multiplicity * width = n_plus^N, the product-space dimension; with it,
+    only the alternating sector (1^N), multiplicity 1, so ``dim`` is
+    C(n_plus, N).  ``levels`` returns the product-space spectrum of such a
+    tuple, sorted with multiplicity.
+
+    h_furry_exact, kinetic and w_proj are expressed on products of the
+    retained eigenstates; h_diag_exact and h_diag_series_N (one series per
+    sector) on the transported frame (their unitary image), so the two
+    spectra must coincide.  kinetic is exactly diagonal: each column of an
+    isometry lives on one occupation orbit, whose level sum is its entry.
     """
 
     one_particle: OneParticleSystem
     config: FurryConfig
     pair: PairInteraction | None
     bundle: DecouplingBundle | None
+    sectors: tuple[Sector, ...]
     eps: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    kinetic: np.ndarray
-    w_proj: np.ndarray | None
-    h_furry_exact: np.ndarray
-    h_diag_exact: np.ndarray
-    h_diag_series_N: MatrixSeries | None
-    d0_sum: np.ndarray
+    kinetic: tuple[np.ndarray, ...]
+    w_proj: tuple[np.ndarray, ...] | None
+    h_furry_exact: tuple[np.ndarray, ...]
+    h_diag_exact: tuple[np.ndarray, ...]
+    h_diag_series_N: tuple[MatrixSeries, ...] | None
 
     @property
     def dim(self) -> int:
-        return self.h_furry_exact.shape[0]
+        return sum(s.multiplicity * s.width for s in self.sectors)
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(s.multiplicity for s in self.sectors)
+
+    def levels(self, blocks) -> np.ndarray:
+        """Product-space spectrum of an operator stored as sector blocks."""
+        return merged_levels(blocks, self.multiplicities)
 
 
 def assemble_furry_exact(sys: OneParticleSystem, cfg: FurryConfig,
@@ -320,61 +455,45 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: FurryConfig,
     if leak > 1e-9:
         raise ConsistencyError(f"transported frame leaks into the lower block: {leak:.3e}")
 
-    m = cfg.n_plus
+    sectors = furry_sectors(cfg)
     scale = sys.gamma / cfg.z_charge
 
     # direct path, products of retained eigenstates
-    eps_sum = eps.copy()
-    for _ in range(n_sites - 1):
-        eps_sum = np.add.outer(eps_sum, eps).ravel()
-    kinetic = np.diag(eps_sum)
+    kinetic = tuple(np.diag(eps[s.occupation].sum(axis=1)) for s in sectors)
     w_proj = None
-    h_furry = kinetic.copy()
+    h_furry = kinetic
     if n_sites >= 2:
         w2 = pair.project(phi)
         _require_psd(w2)
-        w_proj = sum(_lift_pair(w2, phi.conj().T @ phi, n_sites, a, b, m)
-                     for a, b in itertools.combinations(range(n_sites), 2))
-        h_furry = h_furry + scale * w_proj
+        s_phi = phi.conj().T @ phi
+        w_proj = tuple(sector_blocks(s, s_phi, two_site=w2[None])[0] for s in sectors)
+        h_furry = tuple(t + scale * w for t, w in zip(kinetic, w_proj))
 
     # conjugated path, through the assembled unitaries
     phi_rt = sys.u_gamma.conj().T @ sys.u_fw.T @ psi
     pp = sys.p_plus_gamma @ phi_rt
     k1 = pp.conj().T @ sys.dgamma @ pp
     s1 = pp.conj().T @ pp
-    h_diag = sum(_lift_single(k1, s1, n_sites, j) for j in range(n_sites))
-    if n_sites >= 2:
-        w2_rt = pair.project(pp)
-        h_diag = h_diag + scale * sum(
-            _lift_pair(w2_rt, s1, n_sites, a, b, m)
-            for a, b in itertools.combinations(range(n_sites), 2))
-
-    # weight for remainder norms, in the transported frame
-    abs_d0 = abs_free_dirac_power(sys.grid, 1.0)
-    ce = psi.conj().T @ abs_d0 @ psi
-    s_psi = psi.conj().T @ psi
-    d0_sum = sum(_lift_single(ce, s_psi, n_sites, j) for j in range(n_sites))
+    w2_rt = scale * pair.project(pp)[None] if n_sites >= 2 else None
+    h_diag = tuple(sector_blocks(s, s1, k1[None], w2_rt)[0] for s in sectors)
 
     series = None
     if bundle is not None:
         series = assemble_h_diag_series_N(bundle, cfg, pair, psi)
 
-    if cfg.antisymmetrize:
-        a_iso = antisymmetrizer_isometry(m, n_sites)
-        kinetic = a_iso.T @ kinetic @ a_iso
-        h_furry = a_iso.T @ h_furry @ a_iso
-        h_diag = a_iso.T @ h_diag @ a_iso
-        d0_sum = a_iso.T @ d0_sum @ a_iso
-        if w_proj is not None:
-            w_proj = a_iso.T @ w_proj @ a_iso
-        if series is not None:
-            series = make_series([a_iso.T @ c @ a_iso for c in series.coeffs])
-
     return FurrySystem(
-        one_particle=sys, config=cfg, pair=pair, bundle=bundle,
+        one_particle=sys, config=cfg, pair=pair, bundle=bundle, sectors=sectors,
         eps=eps, phi=phi, psi=psi, kinetic=kinetic, w_proj=w_proj,
         h_furry_exact=h_furry, h_diag_exact=h_diag,
-        h_diag_series_N=series, d0_sum=d0_sum)
+        h_diag_series_N=series)
+
+
+def _abs_d0_sum(sys: OneParticleSystem, sectors: tuple[Sector, ...],
+                frame: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sector blocks of the sum of |D_0| over the sites, on products of frame columns."""
+    ce = frame.conj().T @ abs_free_dirac_power(sys.grid, 1.0) @ frame
+    s_f = frame.conj().T @ frame
+    return tuple(sector_blocks(s, s_f, ce[None])[0] for s in sectors)
 
 
 def _require_psd(mat: np.ndarray, tol: float = 1e-9) -> None:
@@ -391,11 +510,12 @@ def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
-                             pair: PairInteraction | None, frame: np.ndarray) -> MatrixSeries:
-    """N-particle Hamiltonian series compressed onto the given frame.
+                             pair: PairInteraction | None,
+                             frame: np.ndarray) -> tuple[MatrixSeries, ...]:
+    """N-particle Hamiltonian series compressed onto the given frame, per sector.
 
-    Kinetic coefficients are compressions of the one-particle series lifted
-    to every slot.  The interaction is the pair operator sandwiched by the
+    Kinetic coefficients are compressions of the one-particle series on
+    every site.  The interaction is the pair operator sandwiched by the
     dressed-frame series (rotation times unitary series times projector
     series), assembled through the separable radial form, then shifted up
     one order by the coupling prefactor and scaled by 1/Z.  Coefficient n
@@ -410,8 +530,7 @@ def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
     m = frame.shape[1]
     s_f = frame.conj().T @ frame
     c_kin = [frame.conj().T @ h @ frame for h in bundle.h_series.coeffs]
-    coeffs = [sum(_lift_single(c_kin[a], s_f, n_sites, j) for j in range(n_sites))
-              for a in range(order + 1)]
+    c_pair = None
 
     if n_sites >= 2:
         q = bundle.system.u_fw
@@ -425,14 +544,13 @@ def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
                 z += _density_stack(factors[a][0], factors[c][0])
                 z += _density_stack(factors[a][1], factors[c][1])
             zhat.append(z)
+        c_pair = np.zeros((order + 1, m * m, m * m))
         for n in range(1, order + 1):
-            acc = np.zeros((m * m, m * m))
             for mu in range(n):
-                acc += _two_site_assemble(zhat[mu], pair.kernel, zhat[n - 1 - mu], m)
-            pair_term = sum(_lift_pair(acc, s_f, n_sites, a, b, m)
-                            for a, b in itertools.combinations(range(n_sites), 2))
-            coeffs[n] = coeffs[n] + pair_term / cfg.z_charge
-    return make_series(coeffs)
+                c_pair[n] += _two_site_assemble(zhat[mu], pair.kernel, zhat[n - 1 - mu], m)
+        c_pair /= cfg.z_charge
+    return tuple(make_series(sector_blocks(s, s_f, np.array(c_kin), c_pair))
+                 for s in furry_sectors(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +562,23 @@ def check_form_bound(fs: FurrySystem) -> float:
 
     The continuum bound is gamma pi N(N-1) / (4 Z d_gamma); the kinetic
     part T is the projected sum of one-particle operators, positive by the
-    spectral gap.  T is diagonal (sums of one-particle levels on products
-    of eigenstates, and the alternating basis vectors have disjoint
-    supports), so T^(-1/2) scales rows and columns.
+    spectral gap.  Both commute with the site permutations, so the largest
+    eigenvalue is the maximum over the sector blocks.  Each T block is
+    diagonal (every isometry column lives on one occupation orbit), so
+    T^(-1/2) scales rows and columns.
     """
     if fs.w_proj is None:
         return 0.0
-    t = np.diag(fs.kinetic)
-    if t.min() <= 0:
-        raise ConsistencyError(f"weight matrix not positive definite: eigenvalue {t.min():.3e}")
-    t_inv_half = t ** -0.5
     scale = fs.one_particle.gamma / fs.config.z_charge
-    m = t_inv_half[:, None] * (scale * fs.w_proj) * t_inv_half[None, :]
-    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
+    top = -np.inf
+    for kin, w in zip(fs.kinetic, fs.w_proj):
+        t = np.diag(kin)
+        if t.min() <= 0:
+            raise ConsistencyError(f"weight matrix not positive definite: eigenvalue {t.min():.3e}")
+        t_inv_half = t ** -0.5
+        m = t_inv_half[:, None] * (scale * w) * t_inv_half[None, :]
+        top = max(top, float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]))
+    return top
 
 
 def form_bound_limit(fs: FurrySystem) -> float:
@@ -467,27 +589,23 @@ def form_bound_limit(fs: FurrySystem) -> float:
 def check_kinetic_weight_bound(fs: FurrySystem) -> float:
     """Largest eigenvalue of H^(-1/2) (sum |D_0|) H^(-1/2); bounded by 1/d_gamma.
 
-    Taken as the top eigenvalue of the generalized problem L x = lambda H x
-    (L the lifted |D_0| sum, H the Furry Hamiltonian), which has the same
-    spectrum and needs only H's Cholesky factor, not its eigendecomposition.
+    Taken per sector block as the top eigenvalue of the generalized problem
+    L x = lambda H x (L the |D_0| sum over the sites, H the Furry
+    Hamiltonian), which has the same spectrum and needs only H's Cholesky
+    factor, not its eigendecomposition; the result is the maximum over the
+    sectors.
     """
     from scipy.linalg import eigh
 
-    sys = fs.one_particle
-    cfg = fs.config
-    abs_d0 = abs_free_dirac_power(sys.grid, 1.0)
-    ce = fs.phi.conj().T @ abs_d0 @ fs.phi
-    s_phi = fs.phi.conj().T @ fs.phi
-    lifted = sum(_lift_single(ce, s_phi, cfg.n_particles, j) for j in range(cfg.n_particles))
-    if cfg.antisymmetrize:
-        a_iso = antisymmetrizer_isometry(cfg.n_plus, cfg.n_particles)
-        lifted = a_iso.T @ lifted @ a_iso
-    n = lifted.shape[0]
-    try:
-        top = eigh(lifted, fs.h_furry_exact, eigvals_only=True, subset_by_index=[n - 1, n - 1])
-    except np.linalg.LinAlgError as exc:
-        raise ConsistencyError(f"weight matrix not positive definite: {exc}") from exc
-    return float(top[0])
+    top = -np.inf
+    for lifted, h in zip(_abs_d0_sum(fs.one_particle, fs.sectors, fs.phi), fs.h_furry_exact):
+        n = lifted.shape[0]
+        try:
+            val = eigh(lifted, h, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+        except np.linalg.LinAlgError as exc:
+            raise ConsistencyError(f"weight matrix not positive definite: {exc}") from exc
+        top = max(top, float(val[0]))
+    return top
 
 
 def kinetic_weight_limit(fs: FurrySystem) -> float:
@@ -513,9 +631,12 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
 
     For one particle the comparison runs on the full upper block; for more
     particles each coupling gets its own transported frame, on which both
-    the exact diagonalized operator and the compressed series live.  The
-    exact operator's resolvent and low eigenvalues are computed once per
-    coupling and shared by every truncation order.
+    the exact diagonalized operator and the compressed series live, split
+    into sector blocks.  Norms and resolvent distances of a block-diagonal
+    operator are the maxima over its blocks; the low eigenvalues come from
+    the merged block spectra.  The exact operator's resolvents and low
+    eigenvalues are computed once per coupling and shared by every
+    truncation order, and the truncations are accumulated partial sums.
     """
     bundle = fs.bundle
     if bundle is None:
@@ -527,29 +648,32 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
     n_sites = cfg.n_particles
     rows = []
     if n_sites == 1:
-        series_u = make_series([upper_block(c) for c in bundle.h_series.coeffs])
-        weight_u = upper_block(bundle.weight_neg_half)
+        series_u = (make_series([upper_block(c) for c in bundle.h_series.coeffs]),)
+        weight_u = (upper_block(bundle.weight_neg_half),)
     for gamma in gammas:
         sys_g = fs.one_particle if gamma == fs.one_particle.gamma else assemble_system(grid, gamma)
         if n_sites == 1:
-            exact = upper_block(h_diag_exact(sys_g))
-            series, weight = series_u, weight_u
+            exact = (upper_block(h_diag_exact(sys_g)),)
+            series, weight, mult = series_u, weight_u, (1,)
         else:
             fs_g = fs if gamma == fs.one_particle.gamma else assemble_furry_exact(
                 sys_g, cfg, fs.pair, bundle)
-            exact = fs_g.h_diag_exact
-            series, weight = fs_g.h_diag_series_N, _inv_sqrt_psd(fs_g.d0_sum)
-        exact_low = np.sort(np.linalg.eigvalsh(exact))[:10]
-        exact_res = resolvent(exact, "first")
+            exact, series, mult = fs_g.h_diag_exact, fs_g.h_diag_series_N, fs_g.multiplicities
+            weight = tuple(_inv_sqrt_psd(d)
+                           for d in _abs_d0_sum(sys_g, fs_g.sectors, fs_g.psi))
+        exact_low = merged_levels(exact, mult)[:10]
+        exact_res = [resolvent(e, "first") for e in exact]
         dists = np.empty(k_max + 1)
         remainders = np.empty(k_max + 1)
         eig_errors = np.empty(k_max + 1)
-        for k in range(k_max + 1):
-            approx = series_eval(series_truncate(series, k), gamma)
-            approx_h = 0.5 * (approx + approx.conj().T)
-            dists[k] = float(np.linalg.norm(exact_res - resolvent(approx_h, "second"), 2))
-            remainders[k] = float(np.linalg.norm(weight @ (exact - approx) @ weight, 2))
-            approx_low = np.sort(np.linalg.eigvalsh(approx_h))[:10]
+        partial = zip(*(series_partial_sums(s, gamma) for s in series))
+        for k, approx in zip(range(k_max + 1), partial):
+            approx_h = [0.5 * (a + a.conj().T) for a in approx]
+            dists[k] = max(float(np.linalg.norm(r - resolvent(a, "second"), 2))
+                           for r, a in zip(exact_res, approx_h))
+            remainders[k] = max(float(np.linalg.norm(w @ (e - a) @ w, 2))
+                                for w, e, a in zip(weight, exact, approx))
+            approx_low = merged_levels(approx_h, mult)[:10]
             eig_errors[k] = float(np.max(np.abs(approx_low - exact_low)))
         ratio = fit_geometric_ratio(dists)
         for k in range(k_max + 1):
@@ -567,23 +691,20 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
 # Cross-validation of restriction against full-space conjugation
 # ---------------------------------------------------------------------------
 
-def full_pair_matrix(pair: PairInteraction) -> np.ndarray:
-    """Dense pair operator on the full two-particle product space (small grids)."""
-    return pair.project(np.eye(pair.grid.dim))
-
-
 def check_restriction_consistency(gamma: float, cfg: FurryConfig, n_small: int = 24,
                                   kappa: int = -1, map_scale: float = 1.0,
                                   n_radial: int = 96, r_max: float = 10.0) -> float:
     """Compare conjugate-then-restrict against restrict-then-conjugate.
 
     Runs a two-particle instance on a small grid where the full product
-    space is affordable, and returns the spectral-norm difference between
-    the full-space conjugated Hamiltonian compressed to the transported
-    frame and the factored assembly used at scale.  The full-space
-    conjugation is kron(E, E) H_2 kron(E, E)^H with E = u_fw U_gamma
-    P_+^gamma, where H_2 holds both one-particle operators and the full
-    pair matrix.
+    space is affordable, and returns the largest spectral-norm difference,
+    over the sector blocks, between the full-space conjugated Hamiltonian
+    compressed to the transported frame and the factored assembly used at
+    scale.  The full-space conjugation is kron(E, E) H_2 kron(E, E)^H with
+    E = u_fw U_gamma P_+^gamma, where H_2 holds both one-particle operators
+    and the full pair matrix.  Compressed to the frame kron(psi, psi) it is
+    Y^H H_2 Y with Y = kron(E^H psi, E^H psi), so only the frame's columns
+    are conjugated.
     """
     if cfg.n_particles < 2:
         return 0.0
@@ -596,10 +717,10 @@ def check_restriction_consistency(gamma: float, cfg: FurryConfig, n_small: int =
 
     scale = gamma / small_cfg.z_charge
     eye = np.eye(grid.dim)
-    h2 = np.kron(sys.dgamma, eye) + np.kron(eye, sys.dgamma) + scale * full_pair_matrix(pair)
+    h2 = np.kron(sys.dgamma, eye) + np.kron(eye, sys.dgamma) + scale * pair.project(eye)
     e = sys.u_fw @ sys.u_gamma @ sys.p_plus_gamma
-    e2 = np.kron(e, e)
-    h_diag_full = e2 @ h2 @ e2.conj().T
-    xi = np.kron(fs.psi, fs.psi)
-    compressed = xi.conj().T @ h_diag_full @ xi
-    return float(np.linalg.norm(compressed - fs.h_diag_exact, 2))
+    e_psi = e.conj().T @ fs.psi
+    y = np.kron(e_psi, e_psi)
+    compressed = y.conj().T @ h2 @ y
+    return max(float(np.linalg.norm(s.iso.T @ compressed @ s.iso - block, 2))
+               for s, block in zip(fs.sectors, fs.h_diag_exact))

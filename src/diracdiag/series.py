@@ -119,10 +119,19 @@ def series_adjoint(a: MatrixSeries) -> MatrixSeries:
     return make_series([c.conj().T for c in a.coeffs])
 
 
-def series_truncate(a: MatrixSeries, order: int) -> MatrixSeries:
-    if order < 0 or order > a.order:
-        raise ValueError(f"cannot truncate order-{a.order} series to {order}")
-    return make_series(list(a.coeffs[: order + 1]))
+def series_partial_sums(a: MatrixSeries, g: float):
+    """Yield the partial sums S_k = S_(k-1) + g^k A_k at coupling g, k = 0..order.
+
+    Each truncation costs one addition, where evaluating every truncation
+    afresh would cost k.
+    """
+    acc = np.array(a.coeffs[0])
+    yield acc
+    gk = 1.0
+    for c in a.coeffs[1:]:
+        gk *= g
+        acc = acc + gk * c
+        yield acc
 
 
 def series_eval(a: MatrixSeries, g: float) -> np.ndarray:

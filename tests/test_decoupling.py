@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import binomial_half_coefficients, toy_two_level
+from conftest import binomial_half_coefficients, series_truncate, toy_two_level
 from diracdiag import manybody as mb
 from diracdiag.decoupling import (
     _check_h_block_structure,
@@ -21,7 +21,7 @@ from diracdiag.decoupling import (
 )
 from diracdiag.errors import ConsistencyError
 from diracdiag.oneparticle import exact_u_gamma, free_energies, positive_levels
-from diracdiag.series import make_series, series_eval, series_mul, series_truncate
+from diracdiag.series import make_series, series_eval, series_mul
 
 
 # ---------------------------------------------------------------------------

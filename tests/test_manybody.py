@@ -1,4 +1,4 @@
-"""Pair interaction, Kronecker lifting, N-particle assembly, convergence."""
+"""Pair interaction, site-permutation sectors, N-particle assembly, convergence."""
 
 import dataclasses
 import math
@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import antisymmetrizer_isometry, dense_furry, lift_pair, lift_single, series_truncate
 from diracdiag import manybody as mb
-from diracdiag.decoupling import resolvent_distance
+from diracdiag.decoupling import build_decoupling_bundle, resolvent_distance
 from diracdiag.errors import ConsistencyError, ResolutionError
 from diracdiag.grids import build_channel_grid, build_radial_grid
-from diracdiag.oneparticle import abs_free_dirac_power
-from diracdiag.series import series_eval, series_truncate
+from diracdiag.oneparticle import assemble_system
+from diracdiag.series import series_eval
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +132,14 @@ def test_pair_projection_properties(sys100, pair100):
 
 
 # ---------------------------------------------------------------------------
-# Kronecker lifting and antisymmetrization
+# Kronecker lifting (the dense oracle) and site-permutation sectors
 # ---------------------------------------------------------------------------
 
 def test_lift_single_places_operator():
     rng = np.random.default_rng(5)
     op = rng.standard_normal((3, 3))
     eye = np.eye(3)
-    lifted = mb._lift_single(op, eye, 3, 1)
+    lifted = lift_single(op, eye, 3, 1)
     assert np.allclose(lifted, np.kron(np.kron(eye, op), eye), atol=1e-14)
 
 
@@ -150,20 +151,85 @@ def test_lift_pair_matches_kron_embedding():
     eye = np.eye(m)
     two_site = np.kron(a1, a2)
     # slots (0, 2) of three sites: a1 on 0, identity on 1, a2 on 2
-    lifted = mb._lift_pair(two_site, eye, 3, 0, 2, m)
+    lifted = lift_pair(two_site, eye, 3, 0, 2, m)
     ref = np.kron(np.kron(a1, eye), a2)
     assert np.allclose(lifted, ref, atol=1e-13)
 
 
 def test_antisymmetrizer_isometry_properties():
     for m, n in ((4, 2), (5, 3)):
-        a = mb.antisymmetrizer_isometry(m, n)
+        (sector,) = mb.furry_sectors(mb.FurryConfig(n, 2.0, m, antisymmetrize=True))
+        a = sector.iso
         assert a.shape == (m ** n, math.comb(m, n))
         assert np.linalg.norm(a.T @ a - np.eye(a.shape[1]), 2) < 1e-12
         # columns change sign under site swap
         t = a.reshape((m,) * n + (a.shape[1],))
         swapped = np.swapaxes(t, 0, 1).reshape(m ** n, a.shape[1])
         assert np.linalg.norm(swapped + a, 2) < 1e-12
+
+
+SECTOR_CASES = [(2, 8, False), (2, 8, True), (3, 5, False), (3, 5, True)]
+
+
+@pytest.fixture(scope="module")
+def system64():
+    """Coupling-0.25 system, pair interaction and order-4 bundle on the n=64 grid."""
+    grid = build_channel_grid(64)
+    bundle = build_decoupling_bundle(assemble_system(grid, 0.0), order=4)
+    return assemble_system(grid, 0.25), mb.build_pair_interaction(grid), bundle
+
+
+def _sector_system(system64, n_particles, n_plus, antisymmetrize):
+    sys64, pair64, bundle64 = system64
+    cfg = mb.FurryConfig(n_particles, 2.0, n_plus, antisymmetrize=antisymmetrize)
+    return mb.assemble_furry_exact(sys64, cfg, pair64, bundle64)
+
+
+@pytest.mark.parametrize("n_particles,n_plus,antisymmetrize", SECTOR_CASES)
+def test_sector_spectra_match_dense_oracle(system64, n_particles, n_plus, antisymmetrize):
+    fs = _sector_system(system64, n_particles, n_plus, antisymmetrize)
+    dense = dense_furry(fs)
+    a_iso = antisymmetrizer_isometry(n_plus, n_particles) if antisymmetrize else None
+    cases = (("h_furry", fs.h_furry_exact, dense["h_furry"]),
+             ("h_diag", fs.h_diag_exact, dense["h_diag"]),
+             ("series_2", tuple(s.coeffs[2] for s in fs.h_diag_series_N), dense["series"][2]))
+    for name, blocks, full in cases:
+        # every block is the operator restricted to an invariant subspace
+        for sector, block in zip(fs.sectors, blocks):
+            defect = np.linalg.norm(full @ sector.iso - sector.iso @ block, 2)
+            assert defect <= 1e-12 * np.linalg.norm(full, 2), name
+        if a_iso is not None:
+            full = a_iso.T @ full @ a_iso
+        ref = np.linalg.eigvalsh(0.5 * (full + full.T))
+        got = fs.levels([0.5 * (b + b.T) for b in blocks])
+        assert got.size == ref.size == fs.dim
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("n_particles,n_plus,antisymmetrize", SECTOR_CASES)
+def test_sector_isometries(system64, n_particles, n_plus, antisymmetrize):
+    fs = _sector_system(system64, n_particles, n_plus, antisymmetrize)
+    for sector in fs.sectors:
+        v = sector.iso
+        assert np.linalg.norm(v.T @ v - np.eye(sector.width), 2) <= 1e-14
+        assert np.count_nonzero(v, axis=0).max() <= math.factorial(n_particles)
+        # the nonzero list reproduces the dense columns
+        y = np.arange(v.shape[0] * 3, dtype=float).reshape(v.shape[0], 3)
+        assert np.max(np.abs(sector.compress(y) - v.T @ y)) <= 1e-14 * np.max(np.abs(y))
+    widths = sum(s.multiplicity * s.width for s in fs.sectors)
+    assert widths == fs.dim == (math.comb(n_plus, n_particles) if antisymmetrize
+                                else n_plus ** n_particles)
+    if antisymmetrize:
+        assert [s.shape for s in fs.sectors] == [(1,) * n_particles]
+
+
+def test_sector_multiplicities_follow_hook_lengths():
+    # d_lambda for S_3 and S_4, and sum d_lambda^2 = N!
+    dims = {s.shape: s.multiplicity for s in mb.site_sectors(4, 4)}
+    assert dims == {(4,): 1, (3, 1): 3, (2, 2): 2, (2, 1, 1): 3, (1, 1, 1, 1): 1}
+    assert sum(d * d for d in dims.values()) == 24
+    assert [(s.shape, s.multiplicity, s.width) for s in mb.site_sectors(10, 3)] == \
+        [((3,), 1, 220), ((2, 1), 2, 330), ((1, 1, 1), 1, 120)]
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +240,10 @@ def test_one_particle_assembly(sys100):
     s = sys100(0.3)
     fs = mb.assemble_furry_exact(s, mb.FurryConfig(n_particles=1, z_charge=2.0, n_plus=8))
     assert fs.dim == 8
-    assert np.allclose(np.diag(fs.kinetic), fs.eps, atol=1e-14)
+    assert np.allclose(np.diag(fs.kinetic[0]), fs.eps, atol=1e-14)
     # furry and diagonalized spectra coincide
-    ef = np.sort(np.linalg.eigvalsh(fs.h_furry_exact))
-    ed = np.sort(np.linalg.eigvalsh(fs.h_diag_exact))
+    ef = fs.levels(fs.h_furry_exact)
+    ed = fs.levels(fs.h_diag_exact)
     assert np.max(np.abs(ef - ed)) < 1e-9
     assert np.max(np.abs(ef - fs.eps)) < 1e-9
 
@@ -187,8 +253,8 @@ def test_two_particle_assembly(sys100, pair100, bundle100):
     cfg = mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=6)
     fs = mb.assemble_furry_exact(s, cfg, pair100, bundle100)
     assert fs.dim == 36
-    ef = np.sort(np.linalg.eigvalsh(fs.h_furry_exact))
-    ed = np.sort(np.linalg.eigvalsh(fs.h_diag_exact))
+    ef = fs.levels(fs.h_furry_exact)
+    ed = fs.levels(fs.h_diag_exact)
     assert np.max(np.abs(ef - ed)) < 1e-9
     # repulsion raises every level above the sum of one-particle energies
     free_sum = np.sort(np.add.outer(fs.eps, fs.eps).ravel())
@@ -199,7 +265,7 @@ def test_two_particle_assembly(sys100, pair100, bundle100):
 def test_two_particle_ground_above_positivity_floor(sys100, pair100):
     s = sys100(0.3)
     fs = mb.assemble_furry_exact(s, mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=6), pair100)
-    ground = float(np.linalg.eigvalsh(fs.h_furry_exact)[0])
+    ground = float(fs.levels(fs.h_furry_exact)[0])
     assert ground > 2.0 * math.sqrt(1.0 - 0.09)
 
 
@@ -208,8 +274,8 @@ def test_antisymmetric_spectrum_sub_multiset(sys100, pair100):
     full = mb.assemble_furry_exact(s, mb.FurryConfig(2, 2.0, 6), pair100)
     anti = mb.assemble_furry_exact(s, mb.FurryConfig(2, 2.0, 6, antisymmetrize=True), pair100)
     assert anti.dim == 15
-    ef = np.sort(np.linalg.eigvalsh(full.h_furry_exact))
-    ea = np.sort(np.linalg.eigvalsh(anti.h_furry_exact))
+    ef = full.levels(full.h_furry_exact)
+    ea = anti.levels(anti.h_furry_exact)
     used = np.zeros(ef.size, dtype=bool)
     for x in ea:
         gaps = np.where(used, np.inf, np.abs(ef - x))
@@ -224,8 +290,10 @@ def test_two_particle_series_matches_exact(sys100, pair100, bundle100):
     # coupling validates every Cauchy block of the assembly
     s = sys100(0.3)
     fs = mb.assemble_furry_exact(s, mb.FurryConfig(2, 2.0, 6), pair100, bundle100)
-    hk = series_eval(fs.h_diag_series_N, 0.3)
-    dist = resolvent_distance(fs.h_diag_exact, 0.5 * (hk + hk.conj().T))
+    dist = 0.0
+    for exact, series in zip(fs.h_diag_exact, fs.h_diag_series_N):
+        hk = series_eval(series, 0.3)
+        dist = max(dist, resolvent_distance(exact, 0.5 * (hk + hk.conj().T)))
     assert dist < 1e-7
 
 
@@ -238,8 +306,10 @@ def test_series_order_accuracy_two_particle(sys100, pair100, bundle100):
     errs = {}
     for gamma in (0.1, 0.2):
         fs = mb.assemble_furry_exact(sys100(gamma), mb.FurryConfig(2, 2.0, 5), pair100, bundle100)
-        hk = series_eval(series_truncate(fs.h_diag_series_N, 2), gamma)
-        errs[gamma] = np.linalg.norm(fs.h_diag_exact - 0.5 * (hk + hk.conj().T), 2)
+        errs[gamma] = 0.0
+        for exact, series in zip(fs.h_diag_exact, fs.h_diag_series_N):
+            hk = series_eval(series_truncate(series, 2), gamma)
+            errs[gamma] = max(errs[gamma], np.linalg.norm(exact - 0.5 * (hk + hk.conj().T), 2))
     assert 1e-12 < errs[0.1] < 1e-6
     ratio = errs[0.2] / errs[0.1]
     assert ratio > 2.0 ** 3 / 2.0
@@ -279,40 +349,34 @@ def _top_eig_conjugated(inv_half, mat):
     return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
 
 
-def _lifted_abs_d0(fs):
-    # sum of |D_0| over the slots, on products of the retained eigenstates
-    cfg = fs.config
-    phi = fs.phi
-    ce = phi.T @ abs_free_dirac_power(fs.one_particle.grid, 1.0) @ phi
-    s_phi = phi.T @ phi
-    lifted = sum(mb._kron_chain([ce if s == j else s_phi for s in range(cfg.n_particles)])
-                 for j in range(cfg.n_particles))
-    if cfg.antisymmetrize:
-        a_iso = mb.antisymmetrizer_isometry(cfg.n_plus, cfg.n_particles)
-        lifted = a_iso.T @ lifted @ a_iso
-    return lifted
-
-
 @pytest.mark.parametrize("n_particles,n_plus", [(2, 6), (3, 5)])
 @pytest.mark.parametrize("antisymmetrize", [False, True])
 def test_bounds_match_inverse_square_root_formulas(sys100, pair100, n_particles, n_plus,
                                                    antisymmetrize):
+    # references from the dense Kronecker oracle on the product space (or
+    # its alternating subspace): no sector splitting on that side
     cfg = mb.FurryConfig(n_particles, 3.0, n_plus, antisymmetrize=antisymmetrize)
     fs = mb.assemble_furry_exact(sys100(0.3), cfg, pair100)
-    assert np.count_nonzero(fs.kinetic - np.diag(np.diag(fs.kinetic))) == 0
+    for kin in fs.kinetic:
+        assert np.count_nonzero(kin - np.diag(np.diag(kin))) == 0
+    dense = dense_furry(fs)
+    if antisymmetrize:
+        a_iso = antisymmetrizer_isometry(n_plus, n_particles)
+        dense = {k: a_iso.T @ v @ a_iso for k, v in dense.items()}
     scale = fs.one_particle.gamma / cfg.z_charge
-    form_ref = _top_eig_conjugated(_inv_sqrt_oracle(fs.kinetic), scale * fs.w_proj)
-    kin_ref = _top_eig_conjugated(_inv_sqrt_oracle(fs.h_furry_exact), _lifted_abs_d0(fs))
+    form_ref = _top_eig_conjugated(_inv_sqrt_oracle(dense["kinetic"]), scale * dense["w_proj"])
+    kin_ref = _top_eig_conjugated(_inv_sqrt_oracle(dense["h_furry"]), dense["abs_d0"])
     assert abs(mb.check_form_bound(fs) - form_ref) <= 1e-12 * abs(form_ref)
     assert abs(mb.check_kinetic_weight_bound(fs) - kin_ref) <= 1e-12 * abs(kin_ref)
 
 
 def test_bounds_reject_indefinite_weights(sys100, pair100):
     fs = mb.assemble_furry_exact(sys100(0.3), mb.FurryConfig(2, 2.0, 6), pair100)
+    negated = tuple(-h for h in fs.h_furry_exact)
     with pytest.raises(ConsistencyError, match="not positive definite"):
-        mb.check_kinetic_weight_bound(dataclasses.replace(fs, h_furry_exact=-fs.h_furry_exact))
+        mb.check_kinetic_weight_bound(dataclasses.replace(fs, h_furry_exact=negated))
     with pytest.raises(ConsistencyError, match="not positive definite"):
-        mb.check_form_bound(dataclasses.replace(fs, kinetic=-fs.kinetic))
+        mb.check_form_bound(dataclasses.replace(fs, kinetic=tuple(-t for t in fs.kinetic)))
 
 
 def test_kinetic_weight_free_case(sys100):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import binomial_half_coefficients
+from conftest import binomial_half_coefficients, series_truncate
 from diracdiag.series import (
     ORDER_CAP,
     coefficient_norms,
@@ -17,9 +17,9 @@ from diracdiag.series import (
     series_inv_sqrt,
     series_kron,
     series_mul,
+    series_partial_sums,
     series_scale,
     series_sub,
-    series_truncate,
     series_zero,
 )
 
@@ -258,6 +258,16 @@ def test_truncate_and_eval():
                    - np.polynomial.polynomial.polyval(g, pa)) < 1e-12
         assert abs(series_eval(t, g)[0, 0]
                    - np.polynomial.polynomial.polyval(g, pa[:4])) < 1e-12
+
+
+def test_partial_sums_match_truncated_evaluation():
+    a = random_series(4, 6, 82)
+    for g in (0.0, 0.3, -1.1):
+        sums = list(series_partial_sums(a, g))
+        assert len(sums) == a.order + 1
+        for k, s in enumerate(sums):
+            ref = series_eval(series_truncate(a, k), g)
+            assert np.max(np.abs(s - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_truncate_rejects_bad_order():
