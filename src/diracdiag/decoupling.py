@@ -1,15 +1,21 @@
 """Power-series expansions of the spectral projector, the decoupling
 unitary, and the block-diagonalized one-particle Hamiltonian.
 
-Coefficients are defined by the Riesz integral of the resolvent expansion
-around the positive branch.  The integral does not depend on the contour
+Everything is computed in the Foldy-Wouthuysen (FW) frame with the
+positive free states first (``oneparticle.fw_rows``), where the free
+projector is a row mask.  Coefficients are defined by the Riesz integral
+of the resolvent expansion around the positive branch.  The integral does not depend on the contour
 as long as it separates the two branches, so it is evaluated exactly by
 residues in the frame that diagonalizes the free operator, with the
 enclosed block being the positive eigenvalues.  The recursion obtains
 cross-gap coefficients from the commutator equation, where denominators
 are bounded below by the spectral gap, and same-sign blocks from the
 idempotency constraint, so no division by the tiny spacings inside the
-discretized continuum ever occurs.
+discretized continuum ever occurs.  The unitary series is the Kato-Nagy
+transform of the projector series, which in this frame needs two
+half-size inverse square roots, and F = U P has nonzero rows on the
+positive states only, so the Hamiltonian series F D F^H is formed as its
+upper block.
 """
 
 from __future__ import annotations
@@ -20,95 +26,197 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .oneparticle import OneParticleSystem
-from .series import (
-    MatrixSeries,
-    coefficient_norms,
-    make_series,
-    series_adjoint,
-    series_constant,
-    series_identity,
-    series_inv_sqrt,
-    series_mul,
-    series_sub,
-)
+from .oneparticle import OneParticleSystem, fw_conjugate, fw_rows, node_blocks
+from .series import MatrixSeries, cauchy_product, inv_sqrt_coefficients, make_series
 
 
 # ---------------------------------------------------------------------------
 # Projector series
 # ---------------------------------------------------------------------------
 
-def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Free eigenvalues (interleaved +E, -E) and the potential in that frame.
+def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node blocks of u_fw, free eigenvalues and the potential in the FW frame.
 
-    Read off the rotated free operator itself rather than the grid, so any
-    system whose u_fw diagonalizes its d0 works, not only grid-built ones.
+    The frame is R = Pi u_fw (``oneparticle.fw_rows``), the positive free
+    states first.  The eigenvalues are read off the rotated free operator
+    itself rather than the grid, so any system whose u_fw diagonalizes its
+    d0 works, not only grid-built ones.
     """
-    dfw = sys.u_fw @ sys.d0 @ sys.u_fw.T
-    lam = np.diag(dfw).copy()
-    vfw = sys.u_fw @ sys.v @ sys.u_fw.T
-    return lam, vfw
+    blocks = node_blocks(sys.u_fw)
+    lam = np.diag(fw_conjugate(blocks, sys.d0)).copy()
+    n = blocks.shape[0]
+    if not (np.all(lam[:n] > 0.0) and np.all(lam[n:] < 0.0)):
+        raise ValueError("u_fw must send the positive free states to the upper components")
+    return blocks, lam, fw_conjugate(blocks, sys.v)
 
 
 def riesz_projection_series(sys: OneParticleSystem, order: int) -> MatrixSeries:
-    """Series of the positive spectral projector of D_0 + g V.
+    """Series of the positive spectral projector of D_0 + g V, in the FW frame.
 
-    The enclosed block is the positive eigenvalues of D_0 in the
-    Foldy-Wouthuysen frame.  Cross-block entries follow from
+    The enclosed block is the positive eigenvalues of D_0, the first half
+    of the FW frame.  Cross-block entries follow from
     [D_0, C_n] = [V, C_(n-1)] restricted across the gap; the within-block
-    entries are fixed by idempotency of the projector series.
+    entries are fixed by idempotency of the projector series.  Each is
+    computed from the rows and columns it needs.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    lam, vfw = _fw_frame(sys)
-    chi = lam > 0
-    pos = np.where(chi)[0]
-    neg = np.where(~chi)[0]
-    denom = lam[:, None] - lam[None, :]
-    coeffs = [np.diag(chi.astype(float))]
-    for n in range(1, order + 1):
-        a = vfw @ coeffs[n - 1] - coeffs[n - 1] @ vfw
-        x = np.zeros_like(a)
-        x[np.ix_(pos, neg)] = -a[np.ix_(pos, neg)] / denom[np.ix_(pos, neg)]
-        x[np.ix_(neg, pos)] = -a[np.ix_(neg, pos)] / denom[np.ix_(neg, pos)]
-        if n > 1:
-            s = np.zeros_like(a)
-            for m in range(1, n):
-                s += coeffs[m] @ coeffs[n - m]
-            x[np.ix_(pos, pos)] = -s[np.ix_(pos, pos)]
-            x[np.ix_(neg, neg)] = s[np.ix_(neg, neg)]
+    _, lam, vfw = _fw_frame(sys)
+    n = lam.size // 2
+    pos, neg = slice(0, n), slice(n, None)
+    gap = lam[pos, None] - lam[None, neg]
+    coeffs = [np.diag((lam > 0.0).astype(float))]
+    for k in range(1, order + 1):
+        prev = coeffs[k - 1]
+        x = np.empty_like(prev)
+        x[pos, neg] = -(vfw[pos] @ prev[:, neg] - prev[pos] @ vfw[:, neg]) / gap
+        x[neg, pos] = (vfw[neg] @ prev[:, pos] - prev[neg] @ vfw[:, pos]) / gap.T
+        s_pos = np.zeros((n, n))
+        s_neg = np.zeros((n, n))
+        for m in range(1, k):
+            s_pos += coeffs[m][pos] @ coeffs[k - m][:, pos]
+            s_neg += coeffs[m][neg] @ coeffs[k - m][:, neg]
+        x[pos, pos] = -s_pos
+        x[neg, neg] = s_neg
         coeffs.append(x)
-    q = sys.u_fw
-    return make_series([q.T @ c @ q for c in coeffs])
+    return make_series(coeffs)
 
 
-def u_gamma_series(p_series: MatrixSeries, p0: np.ndarray, order: int) -> MatrixSeries:
-    """Decoupling-unitary series from the projector series.
+# ---------------------------------------------------------------------------
+# Unitary and Hamiltonian series
+# ---------------------------------------------------------------------------
 
-    U = (P0 p + (1-P0)(1-p)) (1 - (P0 - p)^2)^(-1/2), all truncated at the
-    common order.  Unitarity and the intertwining relation hold order by
-    order; both are verified and enforced here.
+def u_gamma_series(p_series: MatrixSeries, n_plus: int) -> MatrixSeries:
+    """Decoupling-unitary series in a frame where P0 = diag(1, ..., 1, 0, ..., 0).
+
+    P0 has n_plus ones.  The Kato-Nagy transform U = M S^(-1/2) with
+    M = P0 P + Q0 Q, S = 1 - (P0 - P)^2 and Q = 1 - P, truncated at the
+    series order, as in ``oneparticle.exact_u_gamma``: M is P with its
+    negative rows negated plus Q0, and S = P0 P P0 + Q0 Q Q0 is the
+    block-diagonal part of M, so S^(-1/2) is two half-size series.
+    Unitarity holds order by order and is verified on the assembled U;
+    U^H U pairs term m with term n - m, its adjoint.
     """
-    if p_series.order != order:
-        raise ValueError(f"order mismatch: series has {p_series.order}, requested {order}")
-    if np.linalg.norm(p_series[0] - p0, 2) > 1e-11:
+    p = p_series.coeffs
+    dim, k = p_series.dim, n_plus
+    p0 = np.diag(np.arange(dim) < k).astype(float)
+    if _worst_norm2([p[0] - p0], 1e-11) > 1e-11:
         raise ValueError("projector series constant term differs from the free projector")
-    dim = p_series.dim
-    ident = series_identity(dim, order)
-    p0s = series_constant(p0, order)
-    q0s = series_constant(np.eye(dim) - p0, order)
-    a = series_mul(p0s, p_series)
-    b = series_mul(q0s, series_sub(ident, p_series))
-    aligned = make_series([x + y for x, y in zip(a.coeffs, b.coeffs)])
-    diff = series_sub(p0s, p_series)
-    s = series_sub(ident, series_mul(diff, diff))
-    u = series_mul(aligned, series_inv_sqrt(s))
-    _check_series_residual(series_sub(series_mul(series_adjoint(u), u), ident),
-                           "unitarity defect of the U series")
-    _check_series_residual(series_sub(series_mul(u, p_series), series_mul(p0s, u)),
-                           "intertwining defect of the U series")
-    return u
+    sign = np.where(np.arange(dim) < k, 1.0, -1.0)[:, None]
+    m = [sign * c for c in p]
+    m[0] = m[0] + np.eye(dim) - p0
+    u = [np.concatenate(halves, axis=1) for halves in zip(
+        cauchy_product([c[:, :k] for c in m], inv_sqrt_coefficients([c[:k, :k] for c in m])),
+        cauchy_product([c[:, k:] for c in m], inv_sqrt_coefficients([c[k:, k:] for c in m])))]
+    _check_series_residual(_gram_defects(u), "unitarity defect of the U series")
+    return make_series(u)
 
+
+def _gram_defects(u):
+    """Yield the coefficients of U^H U - 1, each product paired with its adjoint."""
+    for n in range(len(u)):
+        acc = np.zeros_like(u[0])
+        for m in range((n + 1) // 2):
+            t = u[m].conj().T @ u[n - m]
+            acc += t + t.conj().T
+        if n % 2 == 0:
+            acc += u[n // 2].conj().T @ u[n // 2]
+        if n == 0:
+            acc -= np.eye(acc.shape[0])
+        yield acc
+
+
+def decoupled_rows(u_series: MatrixSeries, p_series: MatrixSeries, n_plus: int) -> list:
+    """Rows of F = U P on the positive free states, F's only nonzero rows.
+
+    U P = P0 U makes the negative rows of F = U P vanish.  Both are
+    verified on the full product: first the negative rows Q0 U P, the part
+    of F that would leak into the lower block of H = F D F^H, then the
+    whole intertwining defect U P - P0 U, whose negative rows they are.
+    """
+    k = n_plus
+    f = cauchy_product(u_series.coeffs, p_series.coeffs)
+    _check_f_leak(f, k)
+    _check_series_residual((_minus_upper(c, uc, k) for c, uc in zip(f, u_series.coeffs)),
+                           "intertwining defect of the U series")
+    return [c[:k] for c in f]
+
+
+def _minus_upper(f: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
+    """f - P0 u, with P0 the projector onto the first k states."""
+    d = f.copy()
+    d[:k] -= u[:k]
+    return d
+
+
+def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
+    """Upper block of the block-diagonalized one-particle Hamiltonian series.
+
+    H = F D F^H with D = diag(lam) + g vfw, everything in the FW frame;
+    f_rows are F's rows on the positive free states, so the product is
+    H's upper block, the only nonzero one.
+    """
+    fd = [f_rows[0] * lam] + [f * lam + f_prev @ vfw for f, f_prev in zip(f_rows[1:], f_rows)]
+    h = make_series(cauchy_product(fd, [f.conj().T for f in f_rows]))
+    _check_h_hermitian(h)
+    return h
+
+
+# ---------------------------------------------------------------------------
+# Bundle
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DecouplingBundle:
+    """Projector, unitary, and Hamiltonian series sharing one truncation order.
+
+    p_series and u_series are in the original frame of the generating
+    system.  F = U P is stored as f_upper, the rows of u_fw F on the upper
+    components (F's only nonzero rows in the FW frame), with columns in the
+    original frame; it feeds the dressed N-particle frames.  h_upper is the
+    upper block of u_fw H u_fw^T, the block-diagonalized Hamiltonian's only
+    nonzero block.  The series coefficients do not depend on the coupling
+    of the generating system.
+    """
+
+    p_series: MatrixSeries
+    u_series: MatrixSeries
+    f_upper: tuple
+    h_upper: MatrixSeries
+    system: OneParticleSystem
+
+    @property
+    def order(self) -> int:
+        return self.p_series.order
+
+
+def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> DecouplingBundle:
+    """Build every series in the FW frame, where P0 is a row mask, and store
+    them as ``DecouplingBundle`` describes."""
+    blocks, lam, vfw = _fw_frame(sys)
+    n = blocks.shape[0]
+
+    def original_frame(series: MatrixSeries) -> MatrixSeries:
+        return make_series([fw_conjugate(blocks, c, back=True) for c in series.coeffs])
+
+    p = riesz_projection_series(sys, order)
+    p_series = original_frame(p)
+    if _worst_norm2([p_series[0] - sys.p_plus_0], 1e-11) > 1e-11:
+        raise ConsistencyError("projector series constant term drifted from P_+^0")
+    _check_projector_hermitian(p)
+    u = u_gamma_series(p, n)
+    f = decoupled_rows(u, p, n)
+    h = h_diag_series(f, lam, vfw)
+    f_upper = tuple(fw_rows(blocks, c.T, back=True).T for c in f)
+    for c in f_upper:
+        c.flags.writeable = False
+    return DecouplingBundle(p_series=p_series, u_series=original_frame(u),
+                            f_upper=f_upper, h_upper=h, system=sys)
+
+
+# ---------------------------------------------------------------------------
+# Gates
+# ---------------------------------------------------------------------------
 
 def _worst_norm2(mats, tol: float) -> float:
     """Largest spectral norm among mats whenever that exceeds tol.
@@ -122,64 +230,11 @@ def _worst_norm2(mats, tol: float) -> float:
     return max((np.linalg.norm(m, 2) for m in mats if np.linalg.norm(m) > tol), default=0.0)
 
 
-def _check_series_residual(residual: MatrixSeries, label: str, tol: float = 1e-9) -> None:
-    worst = _worst_norm2(residual.coeffs, tol)
+def _check_series_residual(residual, label: str, tol: float = 1e-9) -> None:
+    """Raise when a coefficient of the residual (any iterable of matrices) exceeds tol."""
+    worst = _worst_norm2(residual, tol)
     if worst > tol:
         raise ConsistencyError(f"{label}: coefficient residual {worst:.3e} > {tol:.1e}")
-
-
-def h_diag_series(sys: OneParticleSystem, f_series: MatrixSeries) -> MatrixSeries:
-    """Series of the block-diagonalized one-particle Hamiltonian.
-
-    Conjugates the two-term operator series (D_0, V) by F = U P and then by
-    the free-basis rotation; every coefficient is supported on the upper
-    block.
-    """
-    order = f_series.order
-    d = make_series([sys.d0, sys.v] + [np.zeros_like(sys.d0)] * (order - 1))
-    core = series_mul(series_mul(f_series, d), series_adjoint(f_series))
-    q = sys.u_fw
-    return make_series([q @ c @ q.T for c in core.coeffs])
-
-
-# ---------------------------------------------------------------------------
-# Bundle
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecouplingBundle:
-    """Projector, unitary, and Hamiltonian series sharing one truncation order.
-
-    f_series is the product U P of the unitary and projector series, built
-    once here for the one-particle Hamiltonian series and the dressed
-    N-particle frames.  The series coefficients do not depend on the
-    coupling of the generating system; weight_neg_half is the |D_0|^(-1/2)
-    factor of the weighted remainder norms.
-    """
-
-    p_series: MatrixSeries
-    u_series: MatrixSeries
-    f_series: MatrixSeries
-    h_series: MatrixSeries
-    weight_neg_half: np.ndarray
-    system: OneParticleSystem
-
-    @property
-    def order(self) -> int:
-        return self.p_series.order
-
-
-def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> DecouplingBundle:
-    p = riesz_projection_series(sys, order)
-    if np.linalg.norm(p[0] - sys.p_plus_0, 2) > 1e-11:
-        raise ConsistencyError("projector series constant term drifted from P_+^0")
-    _check_projector_hermitian(p)
-    u = u_gamma_series(p, sys.p_plus_0, order)
-    f = series_mul(u, p)
-    h = h_diag_series(sys, f)
-    _check_h_block_structure(h)
-    return DecouplingBundle(p_series=p, u_series=u, f_series=f, h_series=h,
-                            weight_neg_half=sys.abs_d0_neg_half, system=sys)
 
 
 def _check_projector_hermitian(p: MatrixSeries) -> None:
@@ -188,31 +243,38 @@ def _check_projector_hermitian(p: MatrixSeries) -> None:
         raise ConsistencyError(f"projector coefficients not Hermitian: {hermit:.3e}")
 
 
-def _check_h_block_structure(h: MatrixSeries) -> None:
-    """Hermitian coefficients supported on the upper (even-index) block.
+def _lower_scale(c: np.ndarray) -> float:
+    """max(1, ||c||_F / sqrt(min(shape))), a lower bound of max(1, ||c||_2)."""
+    return max(1.0, np.linalg.norm(c) / math.sqrt(min(c.shape)))
 
-    Both tolerances scale with max(1, ||c||_2).  The Frobenius norms of the
-    defects bound their spectral norms from above and ||c||_F / sqrt(dim)
-    bounds ||c||_2 from below, so a coefficient that passes on these cheap
-    bounds passes the spectral test; SVDs run only when they cannot decide.
+
+def _check_h_hermitian(h: MatrixSeries) -> None:
+    """Hermitian coefficients, to 1e-10 relative to max(1, ||c||_2).
+
+    The Frobenius norm of the defect bounds its spectral norm from above
+    and ``_lower_scale`` bounds the tolerance from below, so a coefficient
+    that passes on these cheap bounds passes the spectral test; SVDs run
+    only when they cannot decide.
     """
     for k, c in enumerate(h.coeffs):
-        scale_lo = max(1.0, np.linalg.norm(c) / math.sqrt(c.shape[0]))
         herm = c - c.conj().T
-        if (np.linalg.norm(herm) > 1e-10 * scale_lo
+        if (np.linalg.norm(herm) > 1e-10 * _lower_scale(c)
                 and np.linalg.norm(herm, 2) > 1e-10 * max(1.0, np.linalg.norm(c, 2))):
             raise ConsistencyError(f"Hamiltonian coefficient {k} not Hermitian")
-        rows, cols = c[1::2, :], c[:, 1::2]
-        if np.linalg.norm(rows) + np.linalg.norm(cols) > 1e-9 * scale_lo:
-            lower = np.linalg.norm(rows, 2) + np.linalg.norm(cols, 2)
-            if lower > 1e-9 * max(1.0, np.linalg.norm(c, 2)):
+
+
+def _check_f_leak(f, k: int, tol: float = 1e-9) -> None:
+    """Rows of F past the first k vanish, to tol relative to max(1, ||F_n||_2).
+
+    Those rows are exactly what H = F D F^H would carry out of its upper
+    block.  Same cheap-bound scheme as ``_check_h_hermitian``.
+    """
+    for n, c in enumerate(f):
+        if np.linalg.norm(c[k:]) > tol * _lower_scale(c):
+            leak = np.linalg.norm(c[k:], 2)
+            if leak > tol * max(1.0, np.linalg.norm(c, 2)):
                 raise ConsistencyError(
-                    f"Hamiltonian coefficient {k} leaks out of the upper block: {lower:.3e}")
-
-
-def upper_block(mat: np.ndarray) -> np.ndarray:
-    """Restriction to the upper spinor components (even indices)."""
-    return mat[0::2, :][:, 0::2]
+                    f"Hamiltonian coefficient {n} leaks out of the upper block: {leak:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +304,3 @@ def h_diag_exact(sys: OneParticleSystem) -> np.ndarray:
     """Exact block-diagonalized Hamiltonian from the exact unitaries."""
     e = sys.u_fw @ sys.u_gamma @ sys.p_plus_gamma
     return e @ sys.dgamma @ e.conj().T
-
-
-def coefficient_ratio_radius(series: MatrixSeries, tail: int = 6) -> tuple[np.ndarray, float]:
-    """Stepwise norm ratios and the fitted convergence radius.
-
-    Fits log ||C_n|| against n over the last `tail` coefficients; the slope
-    is -log(radius).  Ratios oscillate between even and odd orders, so the
-    fit is more stable than any single quotient.
-    """
-    norms = coefficient_norms(series)
-    ratios = norms[1:] / norms[:-1]
-    use = np.arange(len(norms))[-tail:]
-    slope = np.polyfit(use, np.log(norms[use]), 1)[0]
-    return ratios, float(np.exp(-slope))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoupling import DecouplingBundle, h_diag_exact, resolvent, upper_block
+from .decoupling import DecouplingBundle, h_diag_exact, resolvent
 from .errors import ConsistencyError, ResolutionError
 from .grids import ChannelGrid, RadialGrid, bessel_transform_matrix, build_channel_grid, build_radial_grid
 from .oneparticle import (
@@ -514,9 +514,11 @@ def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
                              frame: np.ndarray) -> tuple[MatrixSeries, ...]:
     """N-particle Hamiltonian series compressed onto the given frame, per sector.
 
-    Kinetic coefficients are compressions of the one-particle series on
-    every site.  The interaction is the pair operator sandwiched by the
-    dressed-frame series (rotation times unitary series times projector
+    The frame lives in the FW frame, and the one-particle series on its
+    upper rows only (``DecouplingBundle``).  Kinetic coefficients are
+    compressions of the one-particle series on every site.  The
+    interaction is the pair operator sandwiched by the dressed-frame series
+    (F^H u_fw^T frame with F the unitary series times the projector
     series), assembled through the separable radial form, then shifted up
     one order by the coupling prefactor and scaled by 1/Z.  Coefficient n
     carries the pair products of total order n - 1, so the shift drops the
@@ -529,12 +531,12 @@ def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
     order = bundle.order
     m = frame.shape[1]
     s_f = frame.conj().T @ frame
-    c_kin = [frame.conj().T @ h @ frame for h in bundle.h_series.coeffs]
+    upper = frame[0::2]
+    c_kin = [upper.conj().T @ h @ upper for h in bundle.h_upper.coeffs]
     c_pair = None
 
     if n_sites >= 2:
-        q = bundle.system.u_fw
-        dressed = [(q @ fc).conj().T @ frame for fc in bundle.f_series.coeffs]
+        dressed = [fc.conj().T @ upper for fc in bundle.f_upper]
         factors = [pair.frame_factors(d) for d in dressed]
         zhat = []
         for mu in range(order + 1):
@@ -617,8 +619,21 @@ def kinetic_weight_limit(fs: FurrySystem) -> float:
 # ---------------------------------------------------------------------------
 
 def fit_geometric_ratio(values: np.ndarray, floor: float = 1e-14) -> float:
-    """Least-squares ratio of an eventually geometric positive sequence."""
+    """Least-squares ratio of an eventually geometric positive sequence.
+
+    Only points that still decay enter the log-linear fit.  Left out are
+    the points at or below floor and a roundoff plateau: the longest run of
+    two or more final values that all lie within a factor 1.05 of the
+    run's smallest.  A geometric tail with ratio below 1/1.05 never forms
+    such a run, and the fit does not move when the plateau moves at
+    roundoff.
+    """
     v = np.asarray(values, dtype=float)
+    start = v.size - 1  # the final run is v[start:]
+    while start > 0 and v[start - 1:].max() <= 1.05 * v[start - 1:].min():
+        start -= 1
+    if start < v.size - 1:
+        v = v[:start]
     keep = np.where(v > floor)[0]
     if keep.size < 3:
         return 0.0
@@ -648,12 +663,12 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
     n_sites = cfg.n_particles
     rows = []
     if n_sites == 1:
-        series_u = (make_series([upper_block(c) for c in bundle.h_series.coeffs]),)
-        weight_u = (upper_block(bundle.weight_neg_half),)
+        series_u = (bundle.h_upper,)
+        weight_u = (bundle.system.abs_d0_neg_half[0::2, 0::2],)
     for gamma in gammas:
         sys_g = fs.one_particle if gamma == fs.one_particle.gamma else assemble_system(grid, gamma)
         if n_sites == 1:
-            exact = (upper_block(h_diag_exact(sys_g)),)
+            exact = (h_diag_exact(sys_g)[0::2, 0::2],)
             series, weight, mult = series_u, weight_u, (1,)
         else:
             fs_g = fs if gamma == fs.one_particle.gamma else assemble_furry_exact(

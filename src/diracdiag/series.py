@@ -2,9 +2,11 @@
 
 A series of order K is the tuple (A_0, ..., A_K) of square matrices, all of
 the same dimension, standing for sum_k g^k A_k with the tail discarded.
-Binary operations require matching dimension and order so that truncation
-errors stay where the caller put them.  All products are Cauchy products
-truncated at the common order.
+``make_series`` validates and freezes such a tuple.  The algebra works on
+plain coefficient sequences, so that blocks of a series can be multiplied
+and only the series a caller keeps pay for validation.  Binary operations
+require matching order so that truncation errors stay where the caller put
+them; all products are Cauchy products truncated at the common order.
 """
 
 from __future__ import annotations
@@ -61,62 +63,28 @@ def make_series(coeffs) -> MatrixSeries:
     return MatrixSeries(coeffs=tuple(out))
 
 
-def series_zero(dim: int, order: int) -> MatrixSeries:
-    return make_series([np.zeros((dim, dim))] * (order + 1))
+def cauchy_product(a, b) -> list[np.ndarray]:
+    """C_n = sum_m A_m B_(n-m), n = 0..K, for coefficient sequences of length K + 1.
 
-
-def series_identity(dim: int, order: int) -> MatrixSeries:
-    coeffs = [np.eye(dim)] + [np.zeros((dim, dim))] * order
-    return make_series(coeffs)
-
-
-def series_constant(mat: np.ndarray, order: int) -> MatrixSeries:
-    """Series whose only nonzero coefficient is mat at order 0."""
-    mat = np.asarray(mat)
-    coeffs = [mat] + [np.zeros_like(mat)] * order
-    return make_series(coeffs)
-
-
-def _check_binary(a: MatrixSeries, b: MatrixSeries) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} vs {b.order}")
-
-
-def series_add(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
-    _check_binary(a, b)
-    return make_series([x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-
-def series_sub(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
-    _check_binary(a, b)
-    return make_series([x - y for x, y in zip(a.coeffs, b.coeffs)])
-
-
-def series_scale(a: MatrixSeries, c: float) -> MatrixSeries:
-    return make_series([c * x for x in a.coeffs])
-
-
-def series_mul(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
-    """Cauchy product truncated at the common order."""
-    _check_binary(a, b)
-    K = a.order
-    # skip products with exactly-zero factors; high orders are often sparse
-    a_nz = [np.count_nonzero(c) > 0 for c in a.coeffs]
-    b_nz = [np.count_nonzero(c) > 0 for c in b.coeffs]
+    The truncated Cauchy product.  Shapes need only be compatible for the
+    matrix product, so blocks and row slices of square series multiply
+    too.  Products with an exactly-zero factor are skipped; high orders are
+    often sparse.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"order mismatch: {len(a) - 1} vs {len(b) - 1}")
+    a_nz = [np.count_nonzero(c) > 0 for c in a]
+    b_nz = [np.count_nonzero(c) > 0 for c in b]
+    shape = (a[0].shape[0], b[0].shape[1])
+    dtype = np.result_type(*a, *b)
     out = []
-    for n in range(K + 1):
-        acc = np.zeros((a.dim, a.dim), dtype=np.result_type(a.coeffs[0], b.coeffs[0]))
+    for n in range(len(a)):
+        acc = np.zeros(shape, dtype=dtype)
         for m in range(n + 1):
             if a_nz[m] and b_nz[n - m]:
-                acc = acc + a.coeffs[m] @ b.coeffs[n - m]
+                acc += a[m] @ b[n - m]
         out.append(acc)
-    return make_series(out)
-
-
-def series_adjoint(a: MatrixSeries) -> MatrixSeries:
-    return make_series([c.conj().T for c in a.coeffs])
+    return out
 
 
 def series_partial_sums(a: MatrixSeries, g: float):
@@ -142,28 +110,28 @@ def series_eval(a: MatrixSeries, g: float) -> np.ndarray:
     return acc
 
 
-def series_inv(a: MatrixSeries) -> MatrixSeries:
+def inverse_coefficients(a) -> list[np.ndarray]:
     """Multiplicative inverse: B_0 = A_0^-1, B_n = -A_0^-1 sum_{m>=1} A_m B_{n-m}.
 
     Refuses serieses whose constant term is singular or ill-conditioned,
     since every higher coefficient multiplies by A_0^-1 once per order.
     """
-    s = np.linalg.svd(a.coeffs[0], compute_uv=False)
+    s = np.linalg.svd(a[0], compute_uv=False)
     if s[-1] == 0.0 or s[0] / s[-1] > INV_COND_CAP:
         raise ValueError(
             f"constant term is not safely invertible: smallest singular value {s[-1]:.3e}"
         )
-    a0_inv = np.linalg.inv(a.coeffs[0])
+    a0_inv = np.linalg.inv(a[0])
     inv = [a0_inv]
-    for n in range(1, a.order + 1):
+    for n in range(1, len(a)):
         acc = np.zeros_like(a0_inv)
         for m in range(1, n + 1):
-            acc = acc + a.coeffs[m] @ inv[n - m]
+            acc = acc + a[m] @ inv[n - m]
         inv.append(-a0_inv @ acc)
-    return make_series(inv)
+    return inv
 
 
-def series_inv_sqrt(a: MatrixSeries) -> MatrixSeries:
+def inv_sqrt_coefficients(a) -> list[np.ndarray]:
     """Inverse square root by the coefficient recurrence of B^2 = A^-1.
 
     Requires the constant term to be the identity, so B_0 = I and matching
@@ -174,34 +142,17 @@ def series_inv_sqrt(a: MatrixSeries) -> MatrixSeries:
     B_0 = I.  The result commutes with A order by order and squares to the
     inverse of A.
     """
-    if np.linalg.norm(a.coeffs[0] - np.eye(a.dim)) > INV_SQRT_BASE_TOL:
+    dim = a[0].shape[0]
+    if np.linalg.norm(a[0] - np.eye(dim)) > INV_SQRT_BASE_TOL:
         raise ValueError("inverse square root requires an identity constant term")
-    t = series_inv(a)
-    b = [np.eye(a.dim)]
-    for n in range(1, a.order + 1):
-        acc = t.coeffs[n]
+    t = inverse_coefficients(a)
+    b = [np.eye(dim)]
+    for n in range(1, len(a)):
+        acc = t[n]
         for m in range(1, n):
             acc = acc - b[m] @ b[n - m]
         b.append(0.5 * acc)
-    return make_series(b)
-
-
-def series_kron(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
-    """Cauchy product in the Kronecker sense: C_n = sum_m A_m (x) B_{n-m}."""
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} vs {b.order}")
-    K = a.order
-    a_nz = [np.count_nonzero(c) > 0 for c in a.coeffs]
-    b_nz = [np.count_nonzero(c) > 0 for c in b.coeffs]
-    d = a.dim * b.dim
-    out = []
-    for n in range(K + 1):
-        acc = np.zeros((d, d))
-        for m in range(n + 1):
-            if a_nz[m] and b_nz[n - m]:
-                acc = acc + np.kron(a.coeffs[m], b.coeffs[n - m])
-        out.append(acc)
-    return make_series(out)
+    return b
 
 
 def coefficient_norms(a: MatrixSeries) -> np.ndarray:

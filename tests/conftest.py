@@ -17,7 +17,14 @@ from diracdiag.decoupling import build_decoupling_bundle
 from diracdiag.grids import build_channel_grid
 from diracdiag.manybody import _density_stack, _two_site_assemble, build_pair_interaction
 from diracdiag.oneparticle import OneParticleSystem, abs_free_dirac_power, assemble_system
-from diracdiag.series import MatrixSeries, make_series
+from diracdiag.series import (
+    MatrixSeries,
+    cauchy_product,
+    coefficient_norms,
+    inv_sqrt_coefficients,
+    inverse_coefficients,
+    make_series,
+)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -125,6 +132,135 @@ def series_truncate(a: MatrixSeries, order: int) -> MatrixSeries:
 
 
 # ---------------------------------------------------------------------------
+# MatrixSeries algebra over the coefficient-sequence operations of
+# diracdiag.series; the program itself multiplies plain coefficient lists
+# ---------------------------------------------------------------------------
+
+def _check_binary(a: MatrixSeries, b: MatrixSeries) -> None:
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if a.order != b.order:
+        raise ValueError(f"order mismatch: {a.order} vs {b.order}")
+
+
+def series_zero(dim: int, order: int) -> MatrixSeries:
+    return make_series([np.zeros((dim, dim))] * (order + 1))
+
+
+def series_identity(dim: int, order: int) -> MatrixSeries:
+    return make_series([np.eye(dim)] + [np.zeros((dim, dim))] * order)
+
+
+def series_constant(mat: np.ndarray, order: int) -> MatrixSeries:
+    """Series whose only nonzero coefficient is mat at order 0."""
+    mat = np.asarray(mat)
+    return make_series([mat] + [np.zeros_like(mat)] * order)
+
+
+def series_add(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
+    _check_binary(a, b)
+    return make_series([x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def series_sub(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
+    _check_binary(a, b)
+    return make_series([x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def series_scale(a: MatrixSeries, c: float) -> MatrixSeries:
+    return make_series([c * x for x in a.coeffs])
+
+
+def series_mul(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
+    """Cauchy product truncated at the common order."""
+    _check_binary(a, b)
+    return make_series(cauchy_product(a.coeffs, b.coeffs))
+
+
+def series_adjoint(a: MatrixSeries) -> MatrixSeries:
+    return make_series([c.conj().T for c in a.coeffs])
+
+
+def series_inv(a: MatrixSeries) -> MatrixSeries:
+    return make_series(inverse_coefficients(a.coeffs))
+
+
+def series_inv_sqrt(a: MatrixSeries) -> MatrixSeries:
+    return make_series(inv_sqrt_coefficients(a.coeffs))
+
+
+def series_kron(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
+    """Cauchy product in the Kronecker sense: C_n = sum_m A_m (x) B_{n-m}."""
+    if a.order != b.order:
+        raise ValueError(f"order mismatch: {a.order} vs {b.order}")
+    a_nz = [np.count_nonzero(c) > 0 for c in a.coeffs]
+    b_nz = [np.count_nonzero(c) > 0 for c in b.coeffs]
+    d = a.dim * b.dim
+    out = []
+    for n in range(a.order + 1):
+        acc = np.zeros((d, d))
+        for m in range(n + 1):
+            if a_nz[m] and b_nz[n - m]:
+                acc = acc + np.kron(a.coeffs[m], b.coeffs[n - m])
+        out.append(acc)
+    return make_series(out)
+
+
+def coefficient_ratio_radius(series: MatrixSeries, tail: int = 6) -> tuple[np.ndarray, float]:
+    """Stepwise norm ratios and the fitted convergence radius.
+
+    Fits log ||C_n|| against n over the last `tail` coefficients; the slope
+    is -log(radius).  Ratios oscillate between even and odd orders, so the
+    fit is more stable than any single quotient.
+    """
+    norms = coefficient_norms(series)
+    ratios = norms[1:] / norms[:-1]
+    use = np.arange(len(norms))[-tail:]
+    slope = np.polyfit(use, np.log(norms[use]), 1)[0]
+    return ratios, float(np.exp(-slope))
+
+
+# ---------------------------------------------------------------------------
+# Dense one-particle oracle: the decoupling in the original frame with
+# full-size products, as the program computed it before it moved to the
+# Foldy-Wouthuysen frame
+# ---------------------------------------------------------------------------
+
+def upper_block(mat: np.ndarray) -> np.ndarray:
+    """Restriction to the upper spinor components (even indices)."""
+    return mat[0::2, :][:, 0::2]
+
+
+def dense_exact_u_gamma(p0: np.ndarray, pg: np.ndarray) -> np.ndarray:
+    """U = (P0 Pg + (1-P0)(1-Pg)) (1 - (P0-Pg)^2)^(-1/2) by one full-size eigensolve."""
+    eye = np.eye(p0.shape[0])
+    a = p0 @ pg + (eye - p0) @ (eye - pg)
+    s = eye - (p0 - pg) @ (p0 - pg)
+    ew, uw = np.linalg.eigh(0.5 * (s + s.conj().T))
+    return a @ (uw * ew ** -0.5) @ uw.conj().T
+
+
+def dense_u_gamma_series(p_series: MatrixSeries, p0: np.ndarray) -> MatrixSeries:
+    """U = (P0 p + (1-P0)(1-p)) (1 - (P0 - p)^2)^(-1/2) with full-size series products."""
+    dim, order = p_series.dim, p_series.order
+    ident = series_identity(dim, order)
+    p0s = series_constant(p0, order)
+    q0s = series_constant(np.eye(dim) - p0, order)
+    aligned = series_add(series_mul(p0s, p_series),
+                         series_mul(q0s, series_sub(ident, p_series)))
+    diff = series_sub(p0s, p_series)
+    return series_mul(aligned, series_inv_sqrt(series_sub(ident, series_mul(diff, diff))))
+
+
+def dense_h_diag_series(sys: OneParticleSystem, f_series: MatrixSeries) -> MatrixSeries:
+    """u_fw F D F^H u_fw^T for the operator series D = D_0 + g V, full size."""
+    d = make_series([sys.d0, sys.v] + [np.zeros_like(sys.d0)] * (f_series.order - 1))
+    core = series_mul(series_mul(f_series, d), series_adjoint(f_series))
+    q = sys.u_fw
+    return make_series([q @ c @ q.T for c in core.coeffs])
+
+
+# ---------------------------------------------------------------------------
 # Dense N-particle oracle: Kronecker lifts on the full product space
 # ---------------------------------------------------------------------------
 
@@ -180,6 +316,8 @@ def dense_furry(fs) -> dict:
     Rebuilds kinetic, w_proj, h_furry, h_diag, the |D_0| sum on the retained
     eigenstates and every series coefficient from the system's one-particle
     pieces, m^N x m^N each, with no compression to the alternating subspace.
+    The one-particle Hamiltonian series and F = U P are rebuilt at full size
+    from the bundle's projector and unitary series.
     """
     sys, cfg, pair, bundle = fs.one_particle, fs.config, fs.pair, fs.bundle
     n, m = cfg.n_particles, cfg.n_plus
@@ -209,9 +347,11 @@ def dense_furry(fs) -> dict:
         out["h_diag"] = out["h_diag"] + scale * pair_sum(pair.project(pp), s1)
     if bundle is not None:
         s_f = psi.T @ psi
-        coeffs = [one_site_sum(psi.T @ h @ psi, s_f) for h in bundle.h_series.coeffs]
+        f_series = series_mul(bundle.u_series, bundle.p_series)
+        h_series = dense_h_diag_series(bundle.system, f_series)
+        coeffs = [one_site_sum(psi.T @ h @ psi, s_f) for h in h_series.coeffs]
         if n >= 2:
-            dressed = [(bundle.system.u_fw @ fc).T @ psi for fc in bundle.f_series.coeffs]
+            dressed = [(bundle.system.u_fw @ fc).T @ psi for fc in f_series.coeffs]
             for k in range(1, bundle.order + 1):
                 two = sum(_pair_product(pair, dressed, mu, k - 1 - mu) for mu in range(k))
                 coeffs[k] = coeffs[k] + pair_sum(two, s_f) / cfg.z_charge

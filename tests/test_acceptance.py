@@ -14,7 +14,17 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import binomial_half_coefficients, child_env, toy_two_level
+from conftest import (
+    binomial_half_coefficients,
+    child_env,
+    series_adjoint,
+    series_identity,
+    series_inv,
+    series_inv_sqrt,
+    series_kron,
+    series_mul,
+    toy_two_level,
+)
 from diracdiag import manybody as mb
 from diracdiag.decoupling import riesz_projection_series
 from diracdiag.grids import build_channel_grid
@@ -27,16 +37,7 @@ from diracdiag.oneparticle import (
     positive_levels,
     sommerfeld_energy,
 )
-from diracdiag.series import (
-    make_series,
-    series_adjoint,
-    series_eval,
-    series_identity,
-    series_inv,
-    series_inv_sqrt,
-    series_kron,
-    series_mul,
-)
+from diracdiag.series import make_series, series_eval
 
 GAMMAS_MAIN = (0.1, 0.2, 0.3)
 ROUNDOFF_FLOOR = 1e-13

@@ -1,27 +1,39 @@
 """Projector/unitary/Hamiltonian series: toy closed forms and real grids."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import binomial_half_coefficients, series_truncate, toy_two_level
+from conftest import (
+    binomial_half_coefficients,
+    coefficient_ratio_radius,
+    dense_h_diag_series,
+    dense_u_gamma_series,
+    series_mul,
+    series_truncate,
+    toy_two_level,
+    upper_block,
+)
 from diracdiag import manybody as mb
 from diracdiag.decoupling import (
-    _check_h_block_structure,
+    _check_f_leak,
+    _check_h_hermitian,
     _check_projector_hermitian,
     _check_series_residual,
     build_decoupling_bundle,
-    coefficient_ratio_radius,
+    decoupled_rows,
     h_diag_exact,
     h_diag_series,
     resolvent,
     resolvent_distance,
     riesz_projection_series,
     u_gamma_series,
-    upper_block,
 )
 from diracdiag.errors import ConsistencyError
-from diracdiag.oneparticle import exact_u_gamma, free_energies, positive_levels
-from diracdiag.series import make_series, series_eval, series_mul
+from diracdiag.grids import build_channel_grid
+from diracdiag.oneparticle import assemble_system, exact_u_gamma, free_energies, positive_levels
+from diracdiag.series import make_series, series_eval
 
 
 # ---------------------------------------------------------------------------
@@ -81,25 +93,66 @@ def test_toy_projector_coefficients(method):
 def test_toy_series_evaluates_to_exact():
     toy = toy_two_level()
     p = riesz_projection_series(toy, 20)
-    u = u_gamma_series(p, toy.p_plus_0, 20)
+    u = u_gamma_series(p, 1)
     g = 0.3
     h = toy.d0 + g * toy.v
     ev, evec = np.linalg.eigh(h)
     pos = evec[:, ev > 0.0]
     pg = pos @ pos.T
     assert np.linalg.norm(series_eval(p, g) - pg, 2) < 1e-11
-    assert np.linalg.norm(series_eval(u, g) - exact_u_gamma(toy.p_plus_0, pg), 2) < 1e-11
+    assert np.linalg.norm(series_eval(u, g) - exact_u_gamma(pg, 1), 2) < 1e-11
 
 
 def test_toy_bundle_both_methods_agree():
     # the bundle against the same unitary and Hamiltonian chain fed by the
-    # trapezoidal projector coefficients
+    # trapezoidal projector coefficients; the toy's FW frame is the identity
     toy = toy_two_level()
     bundle = build_decoupling_bundle(toy, order=6)
     p = make_series(trapezoidal_projector_coefficients(toy, 6))
-    h = h_diag_series(toy, series_mul(u_gamma_series(p, toy.p_plus_0, 6), p))
-    for cr, cq in zip(bundle.h_series.coeffs, h.coeffs):
+    f = decoupled_rows(u_gamma_series(p, 1), p, 1)
+    h = h_diag_series(f, np.diag(toy.d0), toy.v)
+    for cr, cq in zip(bundle.h_upper.coeffs, h.coeffs):
         assert np.linalg.norm(cr - cq, 2) < 1e-12
+
+
+def test_bundle_matches_dense_oracle():
+    # the FW-frame bundle against the full-size chain in the original frame,
+    # fed by the same projector series
+    s = assemble_system(build_channel_grid(64), 0.0)
+    bundle = build_decoupling_bundle(s, order=6)
+    u = dense_u_gamma_series(bundle.p_series, s.p_plus_0)
+    f = series_mul(u, bundle.p_series)
+    h = dense_h_diag_series(s, f)
+
+    def rel(x, ref):
+        return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+    for k in range(7):
+        assert rel(bundle.u_series[k], u[k]) <= 1e-12
+        assert rel(bundle.f_upper[k], (s.u_fw @ f[k])[0::2]) <= 1e-12
+        assert rel(bundle.h_upper[k], upper_block(h[k])) <= 1e-12
+
+
+class _NoProduct(np.ndarray):
+    """An array that refuses to enter a matrix product."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("dense product with a frame matrix")
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _NoProduct) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_bundle_takes_no_product_with_the_frame_matrices():
+    s = assemble_system(build_channel_grid(32), 0.0)
+    guarded = dataclasses.replace(s, u_fw=s.u_fw.view(_NoProduct),
+                                  p_plus_0=s.p_plus_0.view(_NoProduct))
+    with pytest.raises(AssertionError, match="dense product"):
+        guarded.u_fw @ np.eye(64)
+    bundle = build_decoupling_bundle(guarded, order=4)
+    ref = build_decoupling_bundle(s, order=4)
+    for a, b in zip(bundle.h_upper.coeffs, ref.h_upper.coeffs):
+        assert np.array_equal(a, b)
 
 
 def test_riesz_rejects_bad_arguments(sys100):
@@ -111,9 +164,9 @@ def test_u_series_rejects_mismatched_projector():
     toy = toy_two_level()
     p = riesz_projection_series(toy, 4)
     with pytest.raises(ValueError, match="order"):
-        u_gamma_series(p, toy.p_plus_0, 5)
+        decoupled_rows(u_gamma_series(p, 1), riesz_projection_series(toy, 5), 1)
     with pytest.raises(ValueError, match="constant term"):
-        u_gamma_series(p, np.eye(2) - toy.p_plus_0, 4)
+        u_gamma_series(p, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +188,20 @@ def test_unitary_series_matches_exact(bundle100, sys100):
 def test_hamiltonian_series_matches_exact(bundle100, sys100):
     s = sys100(0.2)
     err = np.linalg.norm(
-        upper_block(series_eval(bundle100.h_series, 0.2))
-        - upper_block(h_diag_exact(s)), 2)
+        series_eval(bundle100.h_upper, 0.2) - upper_block(h_diag_exact(s)), 2)
     assert err < 1e-5
 
 
 def test_hamiltonian_constant_term_is_free_branch(bundle100, grid100):
-    h0 = upper_block(bundle100.h_series[0])
+    h0 = bundle100.h_upper[0]
     assert np.linalg.norm(h0 - np.diag(free_energies(grid100)), 2) < 1e-11
 
 
 def test_hamiltonian_coefficients_upper_supported(bundle100):
-    for c in bundle100.h_series.coeffs:
+    # the full Hamiltonian series, rebuilt at full size from the stored
+    # projector and unitary series, lives on the upper block alone
+    h = dense_h_diag_series(bundle100.system, series_mul(bundle100.u_series, bundle100.p_series))
+    for c in h.coeffs:
         scale = max(1.0, np.linalg.norm(c, 2))
         assert np.linalg.norm(c[1::2, :], 2) < 1e-9 * scale
         assert np.linalg.norm(c[:, 1::2], 2) < 1e-9 * scale
@@ -169,9 +224,8 @@ def test_order_accuracy_scaling(bundle100, sys100):
     errs = {}
     for gamma in (0.08, 0.32):
         s = sys100(gamma)
-        approx = series_eval(series_truncate(bundle100.h_series, 3), gamma)
-        errs[gamma] = np.linalg.norm(
-            upper_block(approx) - upper_block(h_diag_exact(s)), 2)
+        approx = series_eval(series_truncate(bundle100.h_upper, 3), gamma)
+        errs[gamma] = np.linalg.norm(approx - upper_block(h_diag_exact(s)), 2)
     ratio = errs[0.32] / errs[0.08]
     assert 4.0 ** 4 / 6.0 < ratio < 4.0 ** 4 * 6.0
 
@@ -215,7 +269,10 @@ def test_coefficient_ratio_radius_geometric():
 def test_bundle_shapes(bundle100, sys100):
     assert bundle100.order == 8
     assert np.linalg.norm(bundle100.p_series[0] - sys100(0.0).p_plus_0, 2) < 1e-12
-    assert bundle100.weight_neg_half is sys100(0.0).abs_d0_neg_half
+    assert bundle100.system is sys100(0.0)
+    assert bundle100.u_series.dim == 200 and bundle100.h_upper.dim == 100
+    assert len(bundle100.f_upper) == 9
+    assert all(f.shape == (100, 200) for f in bundle100.f_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +288,8 @@ def _forces_svd(x, tol):
 def test_series_residual_gate():
     ok = 0.9e-9 * np.eye(4)
     assert _forces_svd(ok, 1e-9)
-    _check_series_residual(make_series([np.zeros((4, 4)), ok]), "unitarity defect of the U series")
-    bad = make_series([np.zeros((4, 4)), 1.1e-9 * np.eye(4)])
+    _check_series_residual([np.zeros((4, 4)), ok], "unitarity defect of the U series")
+    bad = [np.zeros((4, 4)), 1.1e-9 * np.eye(4)]
     with pytest.raises(ConsistencyError,
                        match=r"^unitarity defect of the U series: coefficient residual 1\.100e-09 > 1\.0e-09$"):
         _check_series_residual(bad, "unitarity defect of the U series")
@@ -251,22 +308,36 @@ def test_h_hermiticity_gate():
     upper = np.diag([1.0, 0.0] * 4)
     ok = 0.45e-10j * upper
     assert _forces_svd(ok - ok.conj().T, 1e-10)
-    _check_h_block_structure(make_series([upper, ok]))
+    _check_h_hermitian(make_series([upper, ok]))
     bad = make_series([upper, 0.55e-10j * upper])
     with pytest.raises(ConsistencyError, match=r"^Hamiltonian coefficient 1 not Hermitian$"):
-        _check_h_block_structure(bad)
+        _check_h_hermitian(bad)
 
 
 def test_h_upper_block_leak_gate():
-    upper, lower = np.diag([1.0, 0.0] * 4), np.diag([0.0, 1.0] * 4)
-    ok = 0.45e-9 * lower
-    assert np.linalg.norm(ok[1::2, :]) + np.linalg.norm(ok[:, 1::2]) > 1e-9
-    assert np.linalg.norm(ok[1::2, :], 2) + np.linalg.norm(ok[:, 1::2], 2) <= 1e-9
-    _check_h_block_structure(make_series([upper, ok]))
-    bad = make_series([upper, 0.55e-9 * lower])
+    # F = U P in the FW frame, 4 positive states first: its rows past the
+    # fourth are what H = F D F^H would carry out of the upper block
+    upper = np.eye(4, 8)
+    lower = np.vstack((np.zeros((4, 8)), np.eye(4, 8)))
+    ok = 0.9e-9 * lower
+    assert _forces_svd(ok[4:], 1e-9)
+    _check_f_leak([upper, ok], 4)
+    bad = 1.1e-9 * lower
     with pytest.raises(ConsistencyError,
                        match=r"^Hamiltonian coefficient 1 leaks out of the upper block: 1\.100e-09$"):
-        _check_h_block_structure(bad)
+        _check_f_leak([upper, bad], 4)
+
+
+def test_decoupled_rows_report_the_leak():
+    # U = 1 and a projector series whose first-order term has a negative
+    # row: F = U P then carries it out of the upper block
+    p0 = np.diag([1.0, 1.0, 0.0, 0.0])
+    leak = np.zeros((4, 4))
+    leak[2, 0] = 1e-6
+    u = make_series([np.eye(4), np.zeros((4, 4))])
+    with pytest.raises(ConsistencyError,
+                       match=r"^Hamiltonian coefficient 1 leaks out of the upper block: 1\.000e-06$"):
+        decoupled_rows(u, make_series([p0, leak]), 2)
 
 
 def test_resolvent_hermiticity_gate():

@@ -395,6 +395,19 @@ def test_fit_geometric_ratio_exact_sequence():
     assert abs(mb.fit_geometric_ratio(values) - 0.25) < 1e-10
 
 
+def test_fit_geometric_ratio_ignores_roundoff_plateau():
+    # decay to 3.4e-14, then the flat roundoff floor of a resolvent distance
+    values = 0.04 * 0.08 ** np.arange(12)
+    clean = mb.fit_geometric_ratio(values)
+    assert abs(clean - 0.08) <= 1e-12
+    plateau = np.array([1.1539, 1.1542, 1.1540, 1.1541]) * 1e-14
+    tail = np.concatenate((values, plateau))
+    with_plateau = mb.fit_geometric_ratio(tail)
+    assert abs(with_plateau - clean) <= 1e-10 * clean
+    shifted = tail + np.r_[np.zeros(12), 1e-16, -1e-16, 1e-16, 0.0]
+    assert abs(mb.fit_geometric_ratio(shifted) - with_plateau) <= 1e-10 * with_plateau
+
+
 def test_fit_geometric_ratio_short_sequence():
     assert mb.fit_geometric_ratio(np.array([1.0, 1e-16, 1e-17])) == 0.0
 

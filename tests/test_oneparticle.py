@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import dense_exact_u_gamma
 from diracdiag.errors import GapError
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import (
@@ -25,7 +26,10 @@ from diracdiag.oneparticle import (
     foldy_wouthuysen,
     free_energies,
     free_positive_projector,
+    fw_conjugate,
+    fw_rows,
     legendre_q,
+    node_blocks,
     positive_levels,
     positive_states,
     rayleigh_levels,
@@ -168,7 +172,7 @@ def test_exact_u_gamma_rejects_far_projectors():
     p0 = np.diag([1.0, 0.0])
     pg = np.diag([0.0, 1.0])
     with pytest.raises(ValueError, match="far apart"):
-        exact_u_gamma(p0, pg)
+        exact_u_gamma(pg, 1)
 
 
 def test_exact_u_gamma_near_the_distance_limit():
@@ -178,7 +182,7 @@ def test_exact_u_gamma_near_the_distance_limit():
     p0 = np.diag([1.0, 0.0])
     pg = np.outer(v, v)
     assert abs(np.linalg.norm(p0 - pg, 2) - math.sin(theta)) < 1e-15
-    u = exact_u_gamma(p0, pg)
+    u = exact_u_gamma(pg, 1)
     assert np.linalg.norm(u @ u.T - np.eye(2), 2) < 1e-14
     assert np.linalg.norm(u @ pg - p0 @ u, 2) < 1e-14
 
@@ -188,7 +192,59 @@ def test_exact_u_gamma_rejects_rank_mismatch():
     p0 = np.diag([1.0, 0.0, 0.0])
     pg = np.diag([1.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="far apart"):
-        exact_u_gamma(p0, pg)
+        exact_u_gamma(pg, 1)
+
+
+def test_exact_u_gamma_takes_half_size_eigensolves(monkeypatch, sys100):
+    s = sys100(0.3)
+    blocks = node_blocks(s.u_fw)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    u = exact_u_gamma(fw_conjugate(blocks, s.p_plus_gamma), 100)
+    assert sizes == [100, 100]
+    assert np.max(np.abs(fw_conjugate(blocks, u, back=True) - s.u_gamma)) == 0.0
+
+
+def test_exact_u_gamma_matches_dense_formula(sys100):
+    # the half-size Kato-Nagy transform in the FW frame against the full-size
+    # formula in the original frame
+    for gamma in (0.1, 0.3):
+        s = sys100(gamma)
+        ref = dense_exact_u_gamma(s.p_plus_0, s.p_plus_gamma)
+        assert np.max(np.abs(s.u_gamma - ref)) <= 1e-13
+
+
+def test_fw_rotation_is_accurate_at_small_momentum():
+    # q D_0 q^T = diag(E, -E) and q P_0 q^T = diag(1, 0) per node, to roundoff
+    grid = build_channel_grid(500)
+    q = foldy_wouthuysen(grid)
+    e = np.repeat(free_energies(grid), 2)
+    dfw = q @ build_free_dirac(grid) @ q.T
+    off = dfw - np.diag(np.diag(dfw))
+    assert np.max(np.abs(off) / e[:, None]) <= 1e-15
+    assert np.max(np.abs(np.diag(dfw) - e * np.tile([1.0, -1.0], grid.n))) <= 1e-15 * e.max()
+    p0 = q @ free_positive_projector(grid) @ q.T
+    assert np.max(np.abs(p0 - np.diag(np.tile([1.0, 0.0], grid.n)))) <= 1e-15
+
+
+def test_fw_frame_rotation_matches_dense_products():
+    grid = build_channel_grid(32)
+    q = foldy_wouthuysen(grid)
+    blocks = node_blocks(q)
+    perm = np.r_[0:64:2, 1:64:2]
+    x = np.random.default_rng(3).standard_normal((64, 5))
+    assert np.max(np.abs(fw_rows(blocks, x) - (q @ x)[perm])) <= 1e-15
+    assert np.max(np.abs(fw_rows(blocks, fw_rows(blocks, x), back=True) - x)) <= 1e-15
+    y = np.random.default_rng(4).standard_normal((64, 64))
+    assert np.max(np.abs(fw_conjugate(blocks, y) - (q @ y @ q.T)[np.ix_(perm, perm)])) <= 1e-14
+    with pytest.raises(ValueError, match="block-diagonal"):
+        node_blocks(np.ones((4, 4)))
 
 
 def test_norm2_matches_svd_norm():
@@ -286,6 +342,20 @@ def test_kato_bound(sys100):
     s = sys100(0.3)
     floor = -1e-4 * float(np.linalg.norm(s.v, 2))
     assert check_kato(s) >= floor
+
+
+def test_kato_blocks_match_the_full_matrix(sys100):
+    s = sys100(0.3)
+    m = (math.pi / 2.0) * np.diag(np.repeat(free_energies(s.grid), 2)) + s.v
+    full = float(np.linalg.eigvalsh(m)[0])
+    assert abs(check_kato(s) - full) <= 10.0 * np.finfo(float).eps * np.linalg.norm(m, 2)
+
+
+def test_unitarity_residual_is_the_spectral_norm(sys100):
+    s = sys100(0.3)
+    uni, _ = decoupling_residuals(s)
+    ref = np.linalg.norm(s.u_gamma @ s.u_gamma.T - np.eye(s.dim), 2)
+    assert abs(uni - ref) <= 1e-15
 
 
 def test_dgamma_bound(sys100):

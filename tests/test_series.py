@@ -3,24 +3,28 @@
 import numpy as np
 import pytest
 
-from conftest import binomial_half_coefficients, series_truncate
-from diracdiag.series import (
-    ORDER_CAP,
-    coefficient_norms,
-    make_series,
+from conftest import (
+    binomial_half_coefficients,
     series_add,
     series_adjoint,
     series_constant,
-    series_eval,
     series_identity,
     series_inv,
     series_inv_sqrt,
     series_kron,
     series_mul,
-    series_partial_sums,
     series_scale,
     series_sub,
+    series_truncate,
     series_zero,
+)
+from diracdiag.series import (
+    ORDER_CAP,
+    cauchy_product,
+    coefficient_norms,
+    make_series,
+    series_eval,
+    series_partial_sums,
 )
 
 TOL = 1e-10
@@ -137,6 +141,21 @@ def test_mul_associative_distributive():
                          series_mul(a, series_mul(b, c))) < TOL
     assert max_coeff_err(series_mul(a, series_add(b, c)),
                          series_add(series_mul(a, b), series_mul(a, c))) < TOL
+
+
+def test_cauchy_product_of_blocks():
+    # row and column blocks of two series multiply to the blocks of the product
+    a = random_series(6, 5, 24)
+    b = random_series(6, 5, 25)
+    full = series_mul(a, b)
+    top = cauchy_product([c[:2] for c in a.coeffs], b.coeffs)
+    corner = cauchy_product([c[2:] for c in a.coeffs], [c[:, :3] for c in b.coeffs])
+    for k in range(6):
+        assert top[k].shape == (2, 6) and corner[k].shape == (4, 3)
+        assert np.max(np.abs(top[k] - full[k][:2])) <= 1e-13
+        assert np.max(np.abs(corner[k] - full[k][2:, :3])) <= 1e-13
+    with pytest.raises(ValueError, match="order"):
+        cauchy_product(a.coeffs, b.coeffs[:3])
 
 
 def test_identity_neutral():
