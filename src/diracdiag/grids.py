@@ -72,11 +72,6 @@ def build_channel_grid(n: int, map_scale: float = 1.0, kappa: int = -1) -> Chann
     return ChannelGrid(kappa=kappa, n=n, map_scale=float(map_scale), p=p, w=w)
 
 
-def quadrature_integral(grid: ChannelGrid, values: np.ndarray) -> float:
-    """Integrate samples of a scalar function over the momentum half-line."""
-    return float(np.dot(grid.w, values))
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Gauss-Legendre grid on (0, r_max) for position-space sampling."""

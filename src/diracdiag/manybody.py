@@ -31,6 +31,7 @@ from .oneparticle import (
     abs_free_dirac_power,
     assemble_system,
     d_gamma,
+    free_energies,
     positive_states,
 )
 from .series import MatrixSeries, make_series, series_partial_sums
@@ -347,39 +348,30 @@ def merged_levels(blocks, multiplicities) -> np.ndarray:
                                    for b, d in zip(blocks, multiplicities)]))
 
 
-def _apply_single(single: np.ndarray, t: np.ndarray, skip: tuple[int, ...]) -> np.ndarray:
-    """`single` on every site axis of the column tensor t except those in skip."""
-    for s in range(t.ndim - 1):
-        if s not in skip:
-            t = np.moveaxis(np.tensordot(single, t, axes=(1, s)), 0, s)
-    return t
-
-
-def sector_blocks(sector: Sector, single: np.ndarray, one_site: np.ndarray | None = None,
+def sector_blocks(sector: Sector, one_site: np.ndarray | None = None,
                   two_site: np.ndarray | None = None) -> list[np.ndarray]:
     """Sector blocks of a batch of operators sum_j A_j + sum_{a<b} W_ab.
 
     Operator b of the batch has A = one_site[b] on site j and W = two_site[b]
-    on sites (a, b), indexed [(i,k),(j,l)] with i, j on site a, and `single`
-    on every other site.  The factors act on the isometry V reshaped as an
-    m x ... x m x width tensor: `single` is applied once per site subset,
-    then each site's factors for the whole batch in one product, and V^T
-    compresses.  No product-space operator is formed.
+    on sites (a, b), indexed [(i,k),(j,l)] with i, j on site a, and the
+    identity on every other site: the one-site frames are orthonormal
+    (``assemble_furry_exact`` gates that), so no Gram factor enters.  Each
+    site's factors for the whole batch act in one product on the isometry V
+    reshaped as an m x ... x m x width tensor, and V^T compresses.  No
+    product-space operator is formed.
     """
     n_sites = sector.occupation.shape[1]
-    m = single.shape[0]
+    m = one_site.shape[-1] if one_site is not None else math.isqrt(two_site.shape[-1])
     t = sector.iso.reshape((m,) * n_sites + (sector.width,))
     ops = [x for x in (one_site, two_site) if x is not None]
-    y = np.zeros((len(ops[0]),) + t.shape, dtype=np.result_type(t, single, *ops))
+    y = np.zeros((len(ops[0]),) + t.shape, dtype=np.result_type(t, *ops))
     if one_site is not None:
         for j in range(n_sites):
-            u = _apply_single(single, t, (j,))
-            y += np.moveaxis(np.tensordot(one_site, u, axes=(2, j)), 1, j + 1)
+            y += np.moveaxis(np.tensordot(one_site, t, axes=(2, j)), 1, j + 1)
     if two_site is not None:
         w4 = two_site.reshape(-1, m, m, m, m)
         for a, b in itertools.combinations(range(n_sites), 2):
-            u = _apply_single(single, t, (a, b))
-            y += np.moveaxis(np.tensordot(w4, u, axes=((3, 4), (a, b))), (1, 2), (a + 1, b + 1))
+            y += np.moveaxis(np.tensordot(w4, t, axes=((3, 4), (a, b))), (1, 2), (a + 1, b + 1))
     return [sector.compress(x.reshape(m ** n_sites, sector.width)) for x in y]
 
 
@@ -404,10 +396,13 @@ class FurrySystem:
     tuple, sorted with multiplicity.
 
     h_furry_exact, kinetic and w_proj are expressed on products of the
-    retained eigenstates; h_diag_exact and h_diag_series_N (one series per
-    sector) on the transported frame (their unitary image), so the two
-    spectra must coincide.  kinetic is exactly diagonal: each column of an
-    isometry lives on one occupation orbit, whose level sum is its entry.
+    retained eigenstates phi; h_diag_exact and h_diag_series_N (one series
+    per sector) on the transported frame psi (their unitary image), so the
+    two spectra must coincide.  Both frames are orthonormal, phi from the
+    eigensolver and psi by the gate of ``assemble_furry_exact``, so every
+    block is a plain compression and is compared with plain ``eigvalsh``.
+    kinetic is exactly diagonal: each column of an isometry lives on one
+    occupation orbit, whose level sum is its entry.
     """
 
     one_particle: OneParticleSystem
@@ -445,15 +440,24 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: FurryConfig,
     The diagonalized image is computed through the assembled unitaries and
     projectors (not copied from the direct matrix), so its agreement with
     h_furry_exact is a real consistency statement about those matrices.
+    The transported frame psi = u_fw U_gamma phi is gated twice before any
+    block is built: its lower rows must vanish (the decoupling keeps the
+    retained states positive) and ||psi^H psi - 1||_2 must stay below 1e-9
+    (U_gamma is unitary on the retained span).  A frame failing either
+    raises ConsistencyError; a passing one needs no Gram factor on the
+    spectator sites of ``sector_blocks``.
     """
     n_sites = cfg.n_particles
     if n_sites >= 2 and pair is None:
         raise ValueError("pair interaction required for more than one particle")
     eps, phi = positive_states(sys, cfg.n_plus)
-    psi = sys.u_fw @ sys.u_gamma @ phi
+    psi = sys.u_fw @ (sys.u_gamma @ phi)
     leak = np.linalg.norm(psi[1::2, :], 2)
     if leak > 1e-9:
         raise ConsistencyError(f"transported frame leaks into the lower block: {leak:.3e}")
+    defect = np.linalg.norm(psi.conj().T @ psi - np.eye(cfg.n_plus), 2)
+    if defect > 1e-9:
+        raise ConsistencyError(f"transported frame is not orthonormal: {defect:.3e}")
 
     sectors = furry_sectors(cfg)
     scale = sys.gamma / cfg.z_charge
@@ -465,17 +469,15 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: FurryConfig,
     if n_sites >= 2:
         w2 = pair.project(phi)
         _require_psd(w2)
-        s_phi = phi.conj().T @ phi
-        w_proj = tuple(sector_blocks(s, s_phi, two_site=w2[None])[0] for s in sectors)
+        w_proj = tuple(sector_blocks(s, two_site=w2[None])[0] for s in sectors)
         h_furry = tuple(t + scale * w for t, w in zip(kinetic, w_proj))
 
     # conjugated path, through the assembled unitaries
-    phi_rt = sys.u_gamma.conj().T @ sys.u_fw.T @ psi
+    phi_rt = sys.u_gamma.conj().T @ (sys.u_fw.T @ psi)
     pp = sys.p_plus_gamma @ phi_rt
     k1 = pp.conj().T @ sys.dgamma @ pp
-    s1 = pp.conj().T @ pp
     w2_rt = scale * pair.project(pp)[None] if n_sites >= 2 else None
-    h_diag = tuple(sector_blocks(s, s1, k1[None], w2_rt)[0] for s in sectors)
+    h_diag = tuple(sector_blocks(s, k1[None], w2_rt)[0] for s in sectors)
 
     series = None
     if bundle is not None:
@@ -492,8 +494,7 @@ def _abs_d0_sum(sys: OneParticleSystem, sectors: tuple[Sector, ...],
                 frame: np.ndarray) -> tuple[np.ndarray, ...]:
     """Sector blocks of the sum of |D_0| over the sites, on products of frame columns."""
     ce = frame.conj().T @ abs_free_dirac_power(sys.grid, 1.0) @ frame
-    s_f = frame.conj().T @ frame
-    return tuple(sector_blocks(s, s_f, ce[None])[0] for s in sectors)
+    return tuple(sector_blocks(s, ce[None])[0] for s in sectors)
 
 
 def _require_psd(mat: np.ndarray, tol: float = 1e-9) -> None:
@@ -530,7 +531,6 @@ def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
         raise ValueError("pair interaction required for more than one particle")
     order = bundle.order
     m = frame.shape[1]
-    s_f = frame.conj().T @ frame
     upper = frame[0::2]
     c_kin = [upper.conj().T @ h @ upper for h in bundle.h_upper.coeffs]
     c_pair = None
@@ -551,7 +551,7 @@ def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
             for mu in range(n):
                 c_pair[n] += _two_site_assemble(zhat[mu], pair.kernel, zhat[n - 1 - mu], m)
         c_pair /= cfg.z_charge
-    return tuple(make_series(sector_blocks(s, s_f, np.array(c_kin), c_pair))
+    return tuple(make_series(sector_blocks(s, np.array(c_kin), c_pair))
                  for s in furry_sectors(cfg))
 
 
@@ -618,11 +618,11 @@ def kinetic_weight_limit(fs: FurrySystem) -> float:
 # Convergence study
 # ---------------------------------------------------------------------------
 
-def fit_geometric_ratio(values: np.ndarray, floor: float = 1e-14) -> float:
+def fit_geometric_ratio(values: np.ndarray) -> float:
     """Least-squares ratio of an eventually geometric positive sequence.
 
     Only points that still decay enter the log-linear fit.  Left out are
-    the points at or below floor and a roundoff plateau: the longest run of
+    the points at or below 1e-14 and a roundoff plateau: the longest run of
     two or more final values that all lie within a factor 1.05 of the
     run's smallest.  A geometric tail with ratio below 1/1.05 never forms
     such a run, and the fit does not move when the plateau moves at
@@ -634,7 +634,7 @@ def fit_geometric_ratio(values: np.ndarray, floor: float = 1e-14) -> float:
         start -= 1
     if start < v.size - 1:
         v = v[:start]
-    keep = np.where(v > floor)[0]
+    keep = np.where(v > 1e-14)[0]
     if keep.size < 3:
         return 0.0
     slope = np.polyfit(keep, np.log(v[keep]), 1)[0]
@@ -664,7 +664,7 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
     rows = []
     if n_sites == 1:
         series_u = (bundle.h_upper,)
-        weight_u = (bundle.system.abs_d0_neg_half[0::2, 0::2],)
+        weight_u = (np.diag(free_energies(grid) ** -0.5),)
     for gamma in gammas:
         sys_g = fs.one_particle if gamma == fs.one_particle.gamma else assemble_system(grid, gamma)
         if n_sites == 1:
@@ -706,12 +706,10 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
 # Cross-validation of restriction against full-space conjugation
 # ---------------------------------------------------------------------------
 
-def check_restriction_consistency(gamma: float, cfg: FurryConfig, n_small: int = 24,
-                                  kappa: int = -1, map_scale: float = 1.0,
-                                  n_radial: int = 96, r_max: float = 10.0) -> float:
+def check_restriction_consistency(gamma: float, cfg: FurryConfig) -> float:
     """Compare conjugate-then-restrict against restrict-then-conjugate.
 
-    Runs a two-particle instance on a small grid where the full product
+    Runs a two-particle instance on a 24-node grid, where the full product
     space is affordable, and returns the largest spectral-norm difference,
     over the sector blocks, between the full-space conjugated Hamiltonian
     compressed to the transported frame and the factored assembly used at
@@ -723,9 +721,9 @@ def check_restriction_consistency(gamma: float, cfg: FurryConfig, n_small: int =
     """
     if cfg.n_particles < 2:
         return 0.0
-    grid = build_channel_grid(n_small, map_scale, kappa)
+    grid = build_channel_grid(24)
     sys = assemble_system(grid, gamma)
-    pair = build_pair_interaction(grid, n_radial=n_radial, r_max=r_max, gate=False)
+    pair = build_pair_interaction(grid, n_radial=96, r_max=10.0, gate=False)
     small_cfg = FurryConfig(n_particles=2, z_charge=cfg.z_charge,
                             n_plus=min(cfg.n_plus, 6), antisymmetrize=False)
     fs = assemble_furry_exact(sys, small_cfg, pair)

@@ -272,8 +272,6 @@ class OneParticleSystem:
     d0: np.ndarray
     v: np.ndarray
     dgamma: np.ndarray
-    abs_d0_half: np.ndarray
-    abs_d0_neg_half: np.ndarray
     p_plus_0: np.ndarray
     p_plus_gamma: np.ndarray
     u_fw: np.ndarray
@@ -317,13 +315,9 @@ def assemble_system(grid: ChannelGrid, gamma: float, gap_floor: float = 1e-8) ->
         blocks = node_blocks(u_fw)
         u_gamma = fw_conjugate(blocks, exact_u_gamma(fw_conjugate(blocks, p_plus_gamma), grid.n),
                                back=True)
-    abs_half = abs_free_dirac_power(grid, 0.5)
-    abs_neg_half = abs_free_dirac_power(grid, -0.5)
-    _freeze(d0, v, dgamma, abs_half, abs_neg_half, p_plus_0, p_plus_gamma, u_fw, u_gamma,
-            evals, evecs)
+    _freeze(d0, v, dgamma, p_plus_0, p_plus_gamma, u_fw, u_gamma, evals, evecs)
     return OneParticleSystem(
         grid=grid, gamma=float(gamma), d0=d0, v=v, dgamma=dgamma,
-        abs_d0_half=abs_half, abs_d0_neg_half=abs_neg_half,
         p_plus_0=p_plus_0, p_plus_gamma=p_plus_gamma,
         u_fw=u_fw, u_gamma=u_gamma, gap=gap, evals=evals, evecs=evecs)
 
@@ -447,7 +441,3 @@ def decoupling_residuals(sys: OneParticleSystem) -> tuple[float, float]:
     inter = _norm2(u @ sys.p_plus_gamma - sys.p_plus_0 @ u)
     return uni, inter
 
-
-def weighted_unitary_norm(sys: OneParticleSystem) -> float:
-    """||  |D_0|^(1/2) U_gamma |D_0|^(-1/2) ||, the weighted boundedness number."""
-    return _norm2(sys.abs_d0_half @ sys.u_gamma @ sys.abs_d0_neg_half)

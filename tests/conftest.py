@@ -118,7 +118,6 @@ def toy_two_level() -> OneParticleSystem:
     v = np.array([[0.0, 1.0], [1.0, 0.0]])
     return OneParticleSystem(
         grid=None, gamma=0.0, d0=d0, v=v, dgamma=d0,
-        abs_d0_half=eye, abs_d0_neg_half=eye,
         p_plus_0=np.diag([1.0, 0.0]), p_plus_gamma=np.diag([1.0, 0.0]),
         u_fw=eye, u_gamma=eye, gap=1.0,
         evals=np.array([-1.0, 1.0]), evecs=np.eye(2)[:, ::-1].copy(),

@@ -10,8 +10,12 @@ from diracdiag.grids import (
     bessel_transform_matrix,
     build_channel_grid,
     build_radial_grid,
-    quadrature_integral,
 )
+
+
+def quadrature_integral(grid, values: np.ndarray) -> float:
+    """Integrate samples of a scalar function over the momentum half-line."""
+    return float(np.dot(grid.w, values))
 
 
 # ---------------------------------------------------------------------------

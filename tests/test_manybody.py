@@ -262,6 +262,17 @@ def test_two_particle_assembly(sys100, pair100, bundle100):
     assert ef[0] > free_sum[0]
 
 
+def test_transported_frame_orthonormality_gate(sys100):
+    s = sys100(0.2)
+    cfg = mb.FurryConfig(n_particles=1, z_charge=2.0, n_plus=8)
+    fs = mb.assemble_furry_exact(s, cfg)
+    assert np.linalg.norm(fs.psi.conj().T @ fs.psi - np.eye(8), 2) <= 1e-13
+    # a scaled U_gamma keeps the frame positive but stretches it
+    scaled = dataclasses.replace(s, u_gamma=(1 + 1e-6) * s.u_gamma)
+    with pytest.raises(ConsistencyError, match="transported frame is not orthonormal"):
+        mb.assemble_furry_exact(scaled, cfg)
+
+
 def test_two_particle_ground_above_positivity_floor(sys100, pair100):
     s = sys100(0.3)
     fs = mb.assemble_furry_exact(s, mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=6), pair100)

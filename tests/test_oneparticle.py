@@ -35,8 +35,13 @@ from diracdiag.oneparticle import (
     rayleigh_levels,
     sommerfeld_energy,
     subtraction_constant,
-    weighted_unitary_norm,
 )
+
+
+def weighted_unitary_norm(sys) -> float:
+    """||  |D_0|^(1/2) U_gamma |D_0|^(-1/2) ||, the weighted boundedness number."""
+    return _norm2(abs_free_dirac_power(sys.grid, 0.5) @ sys.u_gamma
+                  @ abs_free_dirac_power(sys.grid, -0.5))
 
 
 # ---------------------------------------------------------------------------
