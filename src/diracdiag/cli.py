@@ -165,9 +165,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         record(f"intertwining_gamma_{gamma:.4f}", inter, 1e-10, inter <= 1e-10)
 
     for gamma, sys_g in systems.items():
-        ok = op.check_gap_bound(sys_g, cfg.tolerances.tol_gap)
         record(f"gap_bound_gamma_{gamma:.4f}", sys_g.gap,
-               (1.0 - gamma ** 2) ** 0.5 - cfg.tolerances.tol_gap, ok, hard=False)
+               (1.0 - gamma ** 2) ** 0.5 - op.TOL_GAP, op.check_gap_bound(sys_g), hard=False)
 
     lines = []
     for c in checks:

@@ -15,6 +15,7 @@ from .errors import ConfigError
 
 GAMMA_WINDOW = 0.6
 GAMMA_CRITICAL = 0.3775
+DIMENSION_CAP = 20000  # largest retained product dimension n_plus ** n_particles
 
 
 @dataclass(frozen=True)
@@ -33,17 +34,11 @@ class NbodyConfig:
 
 
 @dataclass(frozen=True)
-class TolerancesConfig:
-    tol_gap: float = 1e-6
-
-
-@dataclass(frozen=True)
 class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     gamma_list: tuple[float, ...] = (0.1, 0.2, 0.3)
     series_order: int = 12
     nbody: NbodyConfig = field(default_factory=NbodyConfig)
-    tolerances: TolerancesConfig = field(default_factory=TolerancesConfig)
     output_dir: str = "out"
 
     def to_dict(self) -> dict:
@@ -54,7 +49,6 @@ _GROUPS = {
     "grid": (GridConfig, {"kappa": int, "n": int, "map_scale": float}),
     "nbody": (NbodyConfig, {"n_particles": int, "z_charge": float,
                             "n_plus": int, "antisymmetrize": bool}),
-    "tolerances": (TolerancesConfig, {"tol_gap": float}),
 }
 _SCALARS = {"series_order": int, "output_dir": str}
 
@@ -135,10 +129,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"nbody.z_charge must be positive, got {nb.z_charge}")
     if nb.n_plus < 1:
         raise ConfigError(f"nbody.n_plus must be at least 1, got {nb.n_plus}")
+    if nb.n_plus ** nb.n_particles > DIMENSION_CAP:
+        raise ConfigError(f"retained dimension nbody.n_plus ** nbody.n_particles = "
+                          f"{nb.n_plus}^{nb.n_particles} exceeds the cap {DIMENSION_CAP}")
     if nb.antisymmetrize and nb.n_particles > nb.n_plus:
         raise ConfigError("nbody.antisymmetrize needs n_plus >= n_particles")
-    if cfg.tolerances.tol_gap <= 0:
-        raise ConfigError("tolerances.tol_gap must be positive")
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .oneparticle import OneParticleSystem, fw_conjugate, fw_rows, node_blocks
+from .oneparticle import OneParticleSystem, fw_conjugate, fw_rows
 from .series import MatrixSeries, cauchy_product, inv_sqrt_coefficients, make_series
 
 
@@ -35,18 +35,18 @@ from .series import MatrixSeries, cauchy_product, inv_sqrt_coefficients, make_se
 # ---------------------------------------------------------------------------
 
 def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node blocks of u_fw, free eigenvalues and the potential in the FW frame.
+    """FW node blocks, free eigenvalues and the potential in the FW frame.
 
-    The frame is R = Pi u_fw (``oneparticle.fw_rows``), the positive free
+    The frame is R = Pi B (``oneparticle.fw_rows``), the positive free
     states first.  The eigenvalues are read off the rotated free operator
-    itself rather than the grid, so any system whose u_fw diagonalizes its
-    d0 works, not only grid-built ones.
+    itself rather than the grid, so any system whose fw_blocks diagonalize
+    its d0 works, not only grid-built ones.
     """
-    blocks = node_blocks(sys.u_fw)
+    blocks = sys.fw_blocks
     lam = np.diag(fw_conjugate(blocks, sys.d0)).copy()
     n = blocks.shape[0]
     if not (np.all(lam[:n] > 0.0) and np.all(lam[n:] < 0.0)):
-        raise ValueError("u_fw must send the positive free states to the upper components")
+        raise ValueError("fw_blocks must send the positive free states to the upper components")
     return blocks, lam, fw_conjugate(blocks, sys.v)
 
 
@@ -170,13 +170,14 @@ def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
 class DecouplingBundle:
     """Projector, unitary, and Hamiltonian series sharing one truncation order.
 
-    p_series and u_series are in the original frame of the generating
-    system.  F = U P is stored as f_upper, the rows of u_fw F on the upper
-    components (F's only nonzero rows in the FW frame), with columns in the
-    original frame; it feeds the dressed N-particle frames.  h_upper is the
-    upper block of u_fw H u_fw^T, the block-diagonalized Hamiltonian's only
-    nonzero block.  The series coefficients do not depend on the coupling
-    of the generating system.
+    p_series and u_series are in the FW frame R = Pi B where they are
+    computed (``oneparticle.fw_rows``): the series of R P_gamma R^T and
+    R U_gamma R^T, with the positive free states first.  F = U P is stored
+    as f_upper, its rows on the positive free states (F's only nonzero rows
+    in the FW frame), with columns in the original frame; it feeds the
+    dressed N-particle frames.  h_upper is the upper block of R H R^T, the
+    block-diagonalized Hamiltonian's only nonzero block.  The series
+    coefficients do not depend on the coupling of the generating system.
     """
 
     p_series: MatrixSeries
@@ -195,13 +196,8 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
     them as ``DecouplingBundle`` describes."""
     blocks, lam, vfw = _fw_frame(sys)
     n = blocks.shape[0]
-
-    def original_frame(series: MatrixSeries) -> MatrixSeries:
-        return make_series([fw_conjugate(blocks, c, back=True) for c in series.coeffs])
-
     p = riesz_projection_series(sys, order)
-    p_series = original_frame(p)
-    if _worst_norm2([p_series[0] - sys.p_plus_0], 1e-11) > 1e-11:
+    if _worst_norm2([p[0] - fw_conjugate(blocks, sys.p_plus_0)], 1e-11) > 1e-11:
         raise ConsistencyError("projector series constant term drifted from P_+^0")
     _check_projector_hermitian(p)
     u = u_gamma_series(p, n)
@@ -210,8 +206,7 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
     f_upper = tuple(fw_rows(blocks, c.T, back=True).T for c in f)
     for c in f_upper:
         c.flags.writeable = False
-    return DecouplingBundle(p_series=p_series, u_series=original_frame(u),
-                            f_upper=f_upper, h_upper=h, system=sys)
+    return DecouplingBundle(p_series=p, u_series=u, f_upper=f_upper, h_upper=h, system=sys)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +296,12 @@ def resolvent_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def h_diag_exact(sys: OneParticleSystem) -> np.ndarray:
-    """Exact block-diagonalized Hamiltonian from the exact unitaries."""
-    e = sys.u_fw @ sys.u_gamma @ sys.p_plus_gamma
+    """Upper block E D_gamma E^H of the exact block-diagonalized Hamiltonian.
+
+    E = (R U_gamma P_gamma)[:n] are the rows of the exact decoupled frame on
+    the positive free states, R the FW frame of ``oneparticle.fw_rows``.
+    The lower rows of R U_gamma P_gamma = P0 R U_gamma vanish, so this is
+    the operator's only nonzero block.
+    """
+    e = fw_rows(sys.fw_blocks, sys.u_gamma @ sys.p_plus_gamma)[:sys.fw_blocks.shape[0]]
     return e @ sys.dgamma @ e.conj().T

@@ -23,20 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DIMENSION_CAP
 from .decoupling import DecouplingBundle, h_diag_exact, resolvent
 from .errors import ConsistencyError, ResolutionError
 from .grids import ChannelGrid, RadialGrid, bessel_transform_matrix, build_channel_grid, build_radial_grid
 from .oneparticle import (
     OneParticleSystem,
-    abs_free_dirac_power,
     assemble_system,
     d_gamma,
     free_energies,
+    fw_rows,
     positive_states,
 )
 from .series import MatrixSeries, make_series, series_partial_sums
-
-DIMENSION_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -397,10 +396,13 @@ class FurrySystem:
 
     h_furry_exact, kinetic and w_proj are expressed on products of the
     retained eigenstates phi; h_diag_exact and h_diag_series_N (one series
-    per sector) on the transported frame psi (their unitary image), so the
-    two spectra must coincide.  Both frames are orthonormal, phi from the
-    eigensolver and psi by the gate of ``assemble_furry_exact``, so every
-    block is a plain compression and is compared with plain ``eigvalsh``.
+    per sector) on the transported frame psi = R U_gamma phi (their unitary
+    image), so the two spectra must coincide.  psi is in the row order of
+    the FW frame R (``oneparticle.fw_rows``): the positive free states
+    first, where its rows are supported.  Both frames are orthonormal, phi
+    from the eigensolver and psi by the gate of ``assemble_furry_exact``, so
+    every block is a plain compression and is compared with plain
+    ``eigvalsh``.
     kinetic is exactly diagonal: each column of an isometry lives on one
     occupation orbit, whose level sum is its entry.
     """
@@ -440,7 +442,7 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: FurryConfig,
     The diagonalized image is computed through the assembled unitaries and
     projectors (not copied from the direct matrix), so its agreement with
     h_furry_exact is a real consistency statement about those matrices.
-    The transported frame psi = u_fw U_gamma phi is gated twice before any
+    The transported frame psi = R U_gamma phi is gated twice before any
     block is built: its lower rows must vanish (the decoupling keeps the
     retained states positive) and ||psi^H psi - 1||_2 must stay below 1e-9
     (U_gamma is unitary on the retained span).  A frame failing either
@@ -451,8 +453,9 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: FurryConfig,
     if n_sites >= 2 and pair is None:
         raise ValueError("pair interaction required for more than one particle")
     eps, phi = positive_states(sys, cfg.n_plus)
-    psi = sys.u_fw @ (sys.u_gamma @ phi)
-    leak = np.linalg.norm(psi[1::2, :], 2)
+    blocks = sys.fw_blocks
+    psi = fw_rows(blocks, sys.u_gamma @ phi)
+    leak = np.linalg.norm(psi[blocks.shape[0]:], 2)
     if leak > 1e-9:
         raise ConsistencyError(f"transported frame leaks into the lower block: {leak:.3e}")
     defect = np.linalg.norm(psi.conj().T @ psi - np.eye(cfg.n_plus), 2)
@@ -473,7 +476,7 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: FurryConfig,
         h_furry = tuple(t + scale * w for t, w in zip(kinetic, w_proj))
 
     # conjugated path, through the assembled unitaries
-    phi_rt = sys.u_gamma.conj().T @ (sys.u_fw.T @ psi)
+    phi_rt = sys.u_gamma.conj().T @ fw_rows(blocks, psi, back=True)
     pp = sys.p_plus_gamma @ phi_rt
     k1 = pp.conj().T @ sys.dgamma @ pp
     w2_rt = scale * pair.project(pp)[None] if n_sites >= 2 else None
@@ -490,10 +493,16 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: FurryConfig,
         h_diag_series_N=series)
 
 
-def _abs_d0_sum(sys: OneParticleSystem, sectors: tuple[Sector, ...],
+def _abs_d0_sum(abs_d0: np.ndarray, sectors: tuple[Sector, ...],
                 frame: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sector blocks of the sum of |D_0| over the sites, on products of frame columns."""
-    ce = frame.conj().T @ abs_free_dirac_power(sys.grid, 1.0) @ frame
+    """Sector blocks of the sum of |D_0| over the sites, on products of frame columns.
+
+    |D_0| is diagonal in the original frame and in the FW frame alike, E_p
+    on both components of node p; abs_d0 is that diagonal in the row order
+    of frame: np.repeat(E, 2) for the original frame, np.tile(E, 2) for
+    the FW frame.
+    """
+    ce = (frame.conj().T * abs_d0) @ frame
     return tuple(sector_blocks(s, ce[None])[0] for s in sectors)
 
 
@@ -515,12 +524,13 @@ def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
                              frame: np.ndarray) -> tuple[MatrixSeries, ...]:
     """N-particle Hamiltonian series compressed onto the given frame, per sector.
 
-    The frame lives in the FW frame, and the one-particle series on its
-    upper rows only (``DecouplingBundle``).  Kinetic coefficients are
-    compressions of the one-particle series on every site.  The
-    interaction is the pair operator sandwiched by the dressed-frame series
-    (F^H u_fw^T frame with F the unitary series times the projector
-    series), assembled through the separable radial form, then shifted up
+    The frame is in FW row order (``FurrySystem``), and the one-particle
+    series live on its rows on the positive free states only
+    (``DecouplingBundle``).  Kinetic coefficients are compressions of the
+    one-particle series on every site.  The interaction is the pair
+    operator sandwiched by the dressed-frame series (F^H R frame in the
+    original frame, with F the unitary series times the projector series),
+    assembled through the separable radial form, then shifted up
     one order by the coupling prefactor and scaled by 1/Z.  Coefficient n
     carries the pair products of total order n - 1, so the shift drops the
     interaction coefficient of the truncation order: its products would land
@@ -531,7 +541,7 @@ def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
         raise ValueError("pair interaction required for more than one particle")
     order = bundle.order
     m = frame.shape[1]
-    upper = frame[0::2]
+    upper = frame[:bundle.h_upper.dim]
     c_kin = [upper.conj().T @ h @ upper for h in bundle.h_upper.coeffs]
     c_pair = None
 
@@ -600,7 +610,8 @@ def check_kinetic_weight_bound(fs: FurrySystem) -> float:
     from scipy.linalg import eigh
 
     top = -np.inf
-    for lifted, h in zip(_abs_d0_sum(fs.one_particle, fs.sectors, fs.phi), fs.h_furry_exact):
+    abs_d0 = np.repeat(free_energies(fs.one_particle.grid), 2)
+    for lifted, h in zip(_abs_d0_sum(abs_d0, fs.sectors, fs.phi), fs.h_furry_exact):
         n = lifted.shape[0]
         try:
             val = eigh(lifted, h, eigvals_only=True, subset_by_index=[n - 1, n - 1])
@@ -662,20 +673,21 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
     cfg = fs.config
     n_sites = cfg.n_particles
     rows = []
+    energies = free_energies(grid)
     if n_sites == 1:
         series_u = (bundle.h_upper,)
-        weight_u = (np.diag(free_energies(grid) ** -0.5),)
+        weight_u = (np.diag(energies ** -0.5),)
     for gamma in gammas:
         sys_g = fs.one_particle if gamma == fs.one_particle.gamma else assemble_system(grid, gamma)
         if n_sites == 1:
-            exact = (h_diag_exact(sys_g)[0::2, 0::2],)
+            exact = (h_diag_exact(sys_g),)
             series, weight, mult = series_u, weight_u, (1,)
         else:
             fs_g = fs if gamma == fs.one_particle.gamma else assemble_furry_exact(
                 sys_g, cfg, fs.pair, bundle)
             exact, series, mult = fs_g.h_diag_exact, fs_g.h_diag_series_N, fs_g.multiplicities
-            weight = tuple(_inv_sqrt_psd(d)
-                           for d in _abs_d0_sum(sys_g, fs_g.sectors, fs_g.psi))
+            weight = tuple(_inv_sqrt_psd(d) for d in
+                           _abs_d0_sum(np.tile(energies, 2), fs_g.sectors, fs_g.psi))
         exact_low = merged_levels(exact, mult)[:10]
         exact_res = [resolvent(e, "first") for e in exact]
         dists = np.empty(k_max + 1)
@@ -714,10 +726,10 @@ def check_restriction_consistency(gamma: float, cfg: FurryConfig) -> float:
     over the sector blocks, between the full-space conjugated Hamiltonian
     compressed to the transported frame and the factored assembly used at
     scale.  The full-space conjugation is kron(E, E) H_2 kron(E, E)^H with
-    E = u_fw U_gamma P_+^gamma, where H_2 holds both one-particle operators
-    and the full pair matrix.  Compressed to the frame kron(psi, psi) it is
-    Y^H H_2 Y with Y = kron(E^H psi, E^H psi), so only the frame's columns
-    are conjugated.
+    E = R U_gamma P_+^gamma and R the FW frame of ``oneparticle.fw_rows``,
+    where H_2 holds both one-particle operators and the full pair matrix.
+    Compressed to the frame kron(psi, psi) it is Y^H H_2 Y with
+    Y = kron(E^H psi, E^H psi), so only the frame's columns are conjugated.
     """
     if cfg.n_particles < 2:
         return 0.0
@@ -731,7 +743,7 @@ def check_restriction_consistency(gamma: float, cfg: FurryConfig) -> float:
     scale = gamma / small_cfg.z_charge
     eye = np.eye(grid.dim)
     h2 = np.kron(sys.dgamma, eye) + np.kron(eye, sys.dgamma) + scale * pair.project(eye)
-    e = sys.u_fw @ sys.u_gamma @ sys.p_plus_gamma
+    e = fw_rows(sys.fw_blocks, sys.u_gamma @ sys.p_plus_gamma)
     e_psi = e.conj().T @ fs.psi
     y = np.kron(e_psi, e_psi)
     compressed = y.conj().T @ h2 @ y

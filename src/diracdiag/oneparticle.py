@@ -20,6 +20,7 @@ from .errors import GapError
 from .grids import ChannelGrid
 
 GAMMA_MAX = math.sqrt(3.0) / 2.0
+TOL_GAP = 1e-6  # slack of the soft gap check ``check_gap_bound``
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +141,6 @@ def free_energies(grid: ChannelGrid) -> np.ndarray:
     return np.sqrt(1.0 + grid.p ** 2)
 
 
-def abs_free_dirac_power(grid: ChannelGrid, power: float) -> np.ndarray:
-    """|D_0|^power; diagonal because |D_0| is E_p times the identity per node."""
-    e = free_energies(grid)
-    return np.diag(np.repeat(e ** power, 2))
-
-
 def free_positive_projector(grid: ChannelGrid) -> np.ndarray:
     """Closed-form projector onto positive free states, (I + D_0/E)/2."""
     n = grid.n
@@ -160,47 +155,33 @@ def free_positive_projector(grid: ChannelGrid) -> np.ndarray:
 
 
 def foldy_wouthuysen(grid: ChannelGrid) -> np.ndarray:
-    """Per-node rotation with tan(2 theta) = p sending D_0 to diag(E, -E).
+    """Per-node rotations [[c, s], [-s, c]], shape (n, 2, 2), with tan(2 theta) = p.
 
-    Maps positive free states to pure upper components, so the upper/lower
+    Each block sends the node's 2x2 block of D_0 to diag(E, -E), so
+    positive free states go to pure upper components and the upper/lower
     splitting after conjugation is the free energy-sign splitting.  The
     entries are c = sqrt((E+1)/(2E)) and s = p/sqrt(2E(E+1)), which involve
     no cancellation; the textbook s = sqrt((1 - 1/E)/2) loses up to 1e-7
     relative accuracy at small p.
     """
-    n = grid.n
     e = free_energies(grid)
     c = np.sqrt((e + 1.0) / (2.0 * e))
     s = grid.p / np.sqrt(2.0 * e * (e + 1.0))
-    u = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    u[2 * idx, 2 * idx] = c
-    u[2 * idx, 2 * idx + 1] = s
-    u[2 * idx + 1, 2 * idx] = -s
-    u[2 * idx + 1, 2 * idx + 1] = c
-    return u
+    return np.stack((np.stack((c, s), axis=-1), np.stack((-s, c), axis=-1)), axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Foldy-Wouthuysen frame
 # ---------------------------------------------------------------------------
-# The FW frame used for the decoupling is R = Pi u_fw: the per-node rotation
-# followed by the permutation Pi that puts the upper components of all nodes
-# first.  There the free projector is diag(1, ..., 1, 0, ..., 0) with n
-# ones.  Since u_fw is block-diagonal over nodes, R x costs O(n) per column.
-
-def node_blocks(u: np.ndarray) -> np.ndarray:
-    """Per-node 2x2 blocks, shape (n, 2, 2), of a matrix block-diagonal over nodes."""
-    n = u.shape[0] // 2
-    idx = np.arange(n)
-    blocks = u.reshape(n, 2, n, 2)[idx, :, idx, :]
-    if np.count_nonzero(blocks) != np.count_nonzero(u):
-        raise ValueError("rotation is not block-diagonal over the nodes")
-    return blocks
-
+# The FW frame used for the decoupling is R = Pi B: the per-node rotation B
+# of ``foldy_wouthuysen``, held as its node blocks only, followed by the
+# permutation Pi that puts the upper components of all nodes first.  There
+# the free projector is diag(1, ..., 1, 0, ..., 0) with n ones.  Every
+# entry into or exit from the frame goes through ``fw_rows`` or
+# ``fw_conjugate``, at O(n) per column.
 
 def fw_rows(blocks: np.ndarray, x: np.ndarray, back: bool = False) -> np.ndarray:
-    """R x for R = Pi u_fw given by its node blocks, or R^T x with back."""
+    """R x for R = Pi B given by the node blocks of B, or R^T x with back."""
     n = blocks.shape[0]
     x2 = x.reshape(x.shape[0], -1)
     a, b = blocks[:, 0, 0, None], blocks[:, 0, 1, None]
@@ -265,6 +246,8 @@ class OneParticleSystem:
     matching; gap is min |evals|.  They carry the eigensolver's backward
     error eps*||D_gamma||, which moves with the BLAS thread count, so the
     levels a run reports come from ``rayleigh_levels`` instead.
+    fw_blocks, shape (n, 2, 2), is the Foldy-Wouthuysen rotation as its
+    node blocks (``foldy_wouthuysen``), the only form in which it is held.
     """
 
     grid: ChannelGrid
@@ -274,7 +257,7 @@ class OneParticleSystem:
     dgamma: np.ndarray
     p_plus_0: np.ndarray
     p_plus_gamma: np.ndarray
-    u_fw: np.ndarray
+    fw_blocks: np.ndarray
     u_gamma: np.ndarray
     gap: float
     evals: np.ndarray
@@ -308,18 +291,17 @@ def assemble_system(grid: ChannelGrid, gamma: float, gap_floor: float = 1e-8) ->
     pos = evecs[:, evals > 0.0]
     p_plus_gamma = pos @ pos.conj().T
     p_plus_0 = free_positive_projector(grid)
-    u_fw = foldy_wouthuysen(grid)
+    blocks = foldy_wouthuysen(grid)
     if gamma == 0.0:
         u_gamma = np.eye(grid.dim)
     else:
-        blocks = node_blocks(u_fw)
         u_gamma = fw_conjugate(blocks, exact_u_gamma(fw_conjugate(blocks, p_plus_gamma), grid.n),
                                back=True)
-    _freeze(d0, v, dgamma, p_plus_0, p_plus_gamma, u_fw, u_gamma, evals, evecs)
+    _freeze(d0, v, dgamma, p_plus_0, p_plus_gamma, blocks, u_gamma, evals, evecs)
     return OneParticleSystem(
         grid=grid, gamma=float(gamma), d0=d0, v=v, dgamma=dgamma,
         p_plus_0=p_plus_0, p_plus_gamma=p_plus_gamma,
-        u_fw=u_fw, u_gamma=u_gamma, gap=gap, evals=evals, evecs=evecs)
+        fw_blocks=blocks, u_gamma=u_gamma, gap=gap, evals=evals, evecs=evecs)
 
 
 def rayleigh_levels(sys: OneParticleSystem) -> np.ndarray:
@@ -412,9 +394,9 @@ def check_dgamma_bound(sys: OneParticleSystem) -> float:
     return float(np.sum((sys.dgamma @ x) ** 2) - d2 * np.sum((sys.d0 @ x) ** 2))
 
 
-def check_gap_bound(sys: OneParticleSystem, tol_gap: float = 1e-6) -> bool:
-    """Spectral gap must reach the continuum value sqrt(1-gamma^2) up to tol."""
-    return sys.gap >= math.sqrt(1.0 - sys.gamma ** 2) - tol_gap
+def check_gap_bound(sys: OneParticleSystem) -> bool:
+    """Spectral gap must reach the continuum value sqrt(1-gamma^2) up to TOL_GAP."""
+    return sys.gap >= math.sqrt(1.0 - sys.gamma ** 2) - TOL_GAP
 
 
 def _norm2(x: np.ndarray) -> float:

@@ -16,7 +16,7 @@ import pytest
 from diracdiag.decoupling import build_decoupling_bundle
 from diracdiag.grids import build_channel_grid
 from diracdiag.manybody import _density_stack, _two_site_assemble, build_pair_interaction
-from diracdiag.oneparticle import OneParticleSystem, abs_free_dirac_power, assemble_system
+from diracdiag.oneparticle import OneParticleSystem, assemble_system, free_energies
 from diracdiag.series import (
     MatrixSeries,
     cauchy_product,
@@ -107,19 +107,23 @@ def binomial_half_coefficients(order: int) -> np.ndarray:
     return c
 
 
+def abs_free_dirac_power(grid, power: float) -> np.ndarray:
+    """|D_0|^power; diagonal because |D_0| is E_p times the identity per node."""
+    return np.diag(np.repeat(free_energies(grid) ** power, 2))
+
+
 def toy_two_level() -> OneParticleSystem:
     """Hand-built 2x2 system: D_0 = diag(1, -1), V swaps the levels.
 
     Closed forms for everything make it the sharpest series oracle: the
     positive projector of D_0 + gV is (I + (D_0 + gV)/sqrt(1+g^2))/2.
     """
-    eye = np.eye(2)
     d0 = np.diag([1.0, -1.0])
     v = np.array([[0.0, 1.0], [1.0, 0.0]])
     return OneParticleSystem(
         grid=None, gamma=0.0, d0=d0, v=v, dgamma=d0,
         p_plus_0=np.diag([1.0, 0.0]), p_plus_gamma=np.diag([1.0, 0.0]),
-        u_fw=eye, u_gamma=eye, gap=1.0,
+        fw_blocks=np.eye(2)[None], u_gamma=np.eye(2), gap=1.0,
         evals=np.array([-1.0, 1.0]), evecs=np.eye(2)[:, ::-1].copy(),
     )
 
@@ -225,9 +229,20 @@ def coefficient_ratio_radius(series: MatrixSeries, tail: int = 6) -> tuple[np.nd
 # Foldy-Wouthuysen frame
 # ---------------------------------------------------------------------------
 
-def upper_block(mat: np.ndarray) -> np.ndarray:
-    """Restriction to the upper spinor components (even indices)."""
-    return mat[0::2, :][:, 0::2]
+def fw_matrix(blocks: np.ndarray) -> np.ndarray:
+    """The FW frame R = Pi B as a dense 2n x 2n matrix, from B's node blocks.
+
+    Row i < n is the upper row of node i's block, row n + i its lower row,
+    each placed on the node's two columns 2i, 2i + 1: what
+    ``oneparticle.fw_rows`` applies, as one matrix for dense oracles.
+    """
+    n = blocks.shape[0]
+    r = np.zeros((2 * n, 2 * n))
+    idx = np.arange(n)
+    for row in (0, 1):
+        for col in (0, 1):
+            r[row * n + idx, 2 * idx + col] = blocks[:, row, col]
+    return r
 
 
 def dense_exact_u_gamma(p0: np.ndarray, pg: np.ndarray) -> np.ndarray:
@@ -252,11 +267,12 @@ def dense_u_gamma_series(p_series: MatrixSeries, p0: np.ndarray) -> MatrixSeries
 
 
 def dense_h_diag_series(sys: OneParticleSystem, f_series: MatrixSeries) -> MatrixSeries:
-    """u_fw F D F^H u_fw^T for the operator series D = D_0 + g V, full size."""
-    d = make_series([sys.d0, sys.v] + [np.zeros_like(sys.d0)] * (f_series.order - 1))
-    core = series_mul(series_mul(f_series, d), series_adjoint(f_series))
-    q = sys.u_fw
-    return make_series([q @ c @ q.T for c in core.coeffs])
+    """F (R D R^T) F^H for F in the FW frame and the operator series
+    D = D_0 + g V, full size; R = ``fw_matrix`` of the system's blocks."""
+    q = fw_matrix(sys.fw_blocks)
+    d = make_series([q @ sys.d0 @ q.T, q @ sys.v @ q.T]
+                    + [np.zeros_like(sys.d0)] * (f_series.order - 1))
+    return series_mul(series_mul(f_series, d), series_adjoint(f_series))
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +328,14 @@ def antisymmetrizer_isometry(m: int, n_sites: int) -> np.ndarray:
 def dense_furry(fs) -> dict:
     """Product-space matrices of an assembled FurrySystem, by Kronecker lifts.
 
-    Rebuilds kinetic, w_proj, h_furry, h_diag, the |D_0| sum on the retained
-    eigenstates and every series coefficient from the system's one-particle
-    pieces, m^N x m^N each, with no compression to the alternating subspace.
-    The one-particle Hamiltonian series and F = U P are rebuilt at full size
-    from the bundle's projector and unitary series.
+    Rebuilds kinetic, w_proj, h_furry, h_diag, the |D_0| sums on the
+    retained eigenstates (abs_d0) and on the transported frame (abs_d0_psi)
+    and every series coefficient from the system's one-particle pieces,
+    m^N x m^N each, with no compression to the alternating subspace.  The
+    one-particle Hamiltonian series and F = U P are rebuilt at full size
+    from the bundle's projector and unitary series, which are in the FW
+    frame.  abs_d0_psi is formed on U_gamma phi in the original frame: |D_0|
+    commutes with the FW rotation, so it needs no row order of psi.
     """
     sys, cfg, pair, bundle = fs.one_particle, fs.config, fs.pair, fs.bundle
     n, m = cfg.n_particles, cfg.n_plus
@@ -335,8 +354,12 @@ def dense_furry(fs) -> dict:
         eps_sum = np.add.outer(eps_sum, fs.eps).ravel()
     out = {"kinetic": np.diag(eps_sum)}
     s_phi = phi.T @ phi
-    out["abs_d0"] = one_site_sum(phi.T @ abs_free_dirac_power(sys.grid, 1.0) @ phi, s_phi)
-    pp = sys.p_plus_gamma @ sys.u_gamma.T @ sys.u_fw.T @ psi
+    absd = abs_free_dirac_power(sys.grid, 1.0)
+    out["abs_d0"] = one_site_sum(phi.T @ absd @ phi, s_phi)
+    u_phi = sys.u_gamma @ phi
+    out["abs_d0_psi"] = one_site_sum(u_phi.T @ absd @ u_phi, psi.T @ psi)
+    q = fw_matrix(sys.fw_blocks)
+    pp = sys.p_plus_gamma @ sys.u_gamma.T @ q.T @ psi
     s1 = pp.T @ pp
     out["h_diag"] = one_site_sum(pp.T @ sys.dgamma @ pp, s1)
     out["h_furry"] = out["kinetic"]
@@ -350,7 +373,7 @@ def dense_furry(fs) -> dict:
         h_series = dense_h_diag_series(bundle.system, f_series)
         coeffs = [one_site_sum(psi.T @ h @ psi, s_f) for h in h_series.coeffs]
         if n >= 2:
-            dressed = [(bundle.system.u_fw @ fc).T @ psi for fc in f_series.coeffs]
+            dressed = [q.T @ fc.T @ psi for fc in f_series.coeffs]
             for k in range(1, bundle.order + 1):
                 two = sum(_pair_product(pair, dressed, mu, k - 1 - mu) for mu in range(k))
                 coeffs[k] = coeffs[k] + pair_sum(two, s_f) / cfg.z_charge

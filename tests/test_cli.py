@@ -77,6 +77,20 @@ def test_gamma_at_critical_rejected_for_converge(tmp_path):
     assert "critical" in out.stderr
 
 
+@pytest.mark.parametrize("command", ["converge", "nbody"])
+def test_oversize_nbody_config_exit_2(tmp_path, command):
+    # 28^3 = 21952 retained product states exceed the cap: rejected with the
+    # config, before any numerics and before any output is written
+    cfg = write_cfg(tmp_path, {"grid": {"n": 16}, "gamma_list": [0.1], "series_order": 2,
+                               "nbody": {"n_particles": 3, "n_plus": 28}})
+    out_dir = tmp_path / "o"
+    out = run_cli([command, "--config", cfg, "--output", str(out_dir)], tmp_path)
+    assert out.returncode == 2
+    assert "config error:" in out.stderr
+    assert "exceeds the cap" in out.stderr
+    assert not out_dir.exists()
+
+
 def test_resolution_failure_exit_3(tmp_path):
     # 24 momentum nodes cannot carry the radial transform of the pair gate
     cfg = write_cfg(tmp_path, {

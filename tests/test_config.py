@@ -5,6 +5,7 @@ import json
 import pytest
 
 from diracdiag.config import (
+    DIMENSION_CAP,
     GAMMA_CRITICAL,
     GAMMA_WINDOW,
     RunConfig,
@@ -44,16 +45,19 @@ def test_from_dict_overrides():
 def test_unknown_top_level_key():
     with pytest.raises(ConfigError, match="unknown config key 'tolerance'"):
         config_from_dict({"tolerance": {}})
-    for key in ("seed", "contour"):
+    for key in ("seed", "contour", "tolerances"):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             config_from_dict({key: {}})
 
 
 def test_unknown_nested_key():
-    with pytest.raises(ConfigError, match="tolerances.tol_gaps"):
-        config_from_dict({"tolerances": {"tol_gaps": 1e-6}})
-    with pytest.raises(ConfigError, match="tolerances.tol_diag"):
-        config_from_dict({"tolerances": {"tol_diag": 1e-9}})
+    # the gap slack is a constant of the program, not a config value
+    with pytest.raises(ConfigError, match="unknown config key 'tolerances'"):
+        config_from_dict({"tolerances": {"tol_gap": 1e-6}})
+    with pytest.raises(ConfigError, match="grid.nodes"):
+        config_from_dict({"grid": {"nodes": 100}})
+    with pytest.raises(ConfigError, match="nbody.n_plu"):
+        config_from_dict({"nbody": {"n_plu": 5}})
 
 
 def test_type_errors():
@@ -90,12 +94,18 @@ def test_validate_rejects_bad_fields():
     bad = dataclasses.replace(base, grid=dataclasses.replace(base.grid, kappa=0))
     with pytest.raises(ConfigError, match="kappa"):
         validate_config(bad)
-    bad = dataclasses.replace(base, tolerances=dataclasses.replace(base.tolerances, tol_gap=0.0))
-    with pytest.raises(ConfigError, match="tol_gap"):
-        validate_config(bad)
     bad = dataclasses.replace(base, series_order=0)
     with pytest.raises(ConfigError, match="series_order"):
         validate_config(bad)
+
+
+def test_retained_dimension_cap():
+    # n_plus ** n_particles may not exceed DIMENSION_CAP = 20000: 27^3 = 19683
+    # passes, 28^3 = 21952 does not
+    assert DIMENSION_CAP == 20000
+    assert config_from_dict({"nbody": {"n_particles": 3, "n_plus": 27}}).nbody.n_plus == 27
+    with pytest.raises(ConfigError, match=r"28\^3 exceeds the cap 20000"):
+        config_from_dict({"nbody": {"n_particles": 3, "n_plus": 28}})
 
 
 def test_convergence_window_gate():

@@ -10,10 +10,10 @@ from conftest import (
     coefficient_ratio_radius,
     dense_h_diag_series,
     dense_u_gamma_series,
+    fw_matrix,
     series_mul,
     series_truncate,
     toy_two_level,
-    upper_block,
 )
 from diracdiag import manybody as mb
 from diracdiag.decoupling import (
@@ -32,7 +32,14 @@ from diracdiag.decoupling import (
 )
 from diracdiag.errors import ConsistencyError
 from diracdiag.grids import build_channel_grid
-from diracdiag.oneparticle import assemble_system, exact_u_gamma, free_energies, positive_levels
+from diracdiag.oneparticle import (
+    assemble_system,
+    exact_u_gamma,
+    free_energies,
+    fw_conjugate,
+    fw_rows,
+    positive_levels,
+)
 from diracdiag.series import make_series, series_eval
 
 
@@ -117,20 +124,22 @@ def test_toy_bundle_both_methods_agree():
 
 def test_bundle_matches_dense_oracle():
     # the FW-frame bundle against the full-size chain in the original frame,
-    # fed by the same projector series
+    # fed by the same projector series, rotated back with the dense frame R
     s = assemble_system(build_channel_grid(64), 0.0)
     bundle = build_decoupling_bundle(s, order=6)
-    u = dense_u_gamma_series(bundle.p_series, s.p_plus_0)
-    f = series_mul(u, bundle.p_series)
-    h = dense_h_diag_series(s, f)
+    q = fw_matrix(s.fw_blocks)
+    p = make_series([q.T @ c @ q for c in bundle.p_series.coeffs])
+    u = dense_u_gamma_series(p, s.p_plus_0)
+    f = series_mul(u, p)
+    h = dense_h_diag_series(s, make_series([q @ c @ q.T for c in f.coeffs]))
 
     def rel(x, ref):
         return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
     for k in range(7):
-        assert rel(bundle.u_series[k], u[k]) <= 1e-12
-        assert rel(bundle.f_upper[k], (s.u_fw @ f[k])[0::2]) <= 1e-12
-        assert rel(bundle.h_upper[k], upper_block(h[k])) <= 1e-12
+        assert rel(bundle.u_series[k], q @ u[k] @ q.T) <= 1e-12
+        assert rel(bundle.f_upper[k], (q @ f[k])[:64]) <= 1e-12
+        assert rel(bundle.h_upper[k], h[k][:64, :64]) <= 1e-12
 
 
 class _NoProduct(np.ndarray):
@@ -145,10 +154,10 @@ class _NoProduct(np.ndarray):
 
 def test_bundle_takes_no_product_with_the_frame_matrices():
     s = assemble_system(build_channel_grid(32), 0.0)
-    guarded = dataclasses.replace(s, u_fw=s.u_fw.view(_NoProduct),
+    guarded = dataclasses.replace(s, fw_blocks=s.fw_blocks.view(_NoProduct),
                                   p_plus_0=s.p_plus_0.view(_NoProduct))
     with pytest.raises(AssertionError, match="dense product"):
-        guarded.u_fw @ np.eye(64)
+        guarded.fw_blocks @ np.eye(2)
     bundle = build_decoupling_bundle(guarded, order=4)
     ref = build_decoupling_bundle(s, order=4)
     for a, b in zip(bundle.h_upper.coeffs, ref.h_upper.coeffs):
@@ -174,21 +183,24 @@ def test_u_series_rejects_mismatched_projector():
 # ---------------------------------------------------------------------------
 
 def test_projector_series_matches_exact(bundle100, sys100):
+    # the bundle's series is in the FW frame; the spectral norm is invariant
     s = sys100(0.2)
-    err = np.linalg.norm(series_eval(bundle100.p_series, 0.2) - s.p_plus_gamma, 2)
+    err = np.linalg.norm(
+        series_eval(bundle100.p_series, 0.2) - fw_conjugate(s.fw_blocks, s.p_plus_gamma), 2)
     assert err < 1e-7
 
 
 def test_unitary_series_matches_exact(bundle100, sys100):
     s = sys100(0.2)
-    err = np.linalg.norm(series_eval(bundle100.u_series, 0.2) - s.u_gamma, 2)
+    err = np.linalg.norm(
+        series_eval(bundle100.u_series, 0.2) - fw_conjugate(s.fw_blocks, s.u_gamma), 2)
     assert err < 1e-7
 
 
 def test_hamiltonian_series_matches_exact(bundle100, sys100):
     s = sys100(0.2)
     err = np.linalg.norm(
-        series_eval(bundle100.h_upper, 0.2) - upper_block(h_diag_exact(s)), 2)
+        series_eval(bundle100.h_upper, 0.2) - h_diag_exact(s), 2)
     assert err < 1e-5
 
 
@@ -203,19 +215,22 @@ def test_hamiltonian_coefficients_upper_supported(bundle100):
     h = dense_h_diag_series(bundle100.system, series_mul(bundle100.u_series, bundle100.p_series))
     for c in h.coeffs:
         scale = max(1.0, np.linalg.norm(c, 2))
-        assert np.linalg.norm(c[1::2, :], 2) < 1e-9 * scale
-        assert np.linalg.norm(c[:, 1::2], 2) < 1e-9 * scale
+        assert np.linalg.norm(c[100:, :], 2) < 1e-9 * scale
+        assert np.linalg.norm(c[:, 100:], 2) < 1e-9 * scale
 
 
 def test_h_diag_exact_spectrum(sys100):
     s = sys100(0.3)
-    hd = h_diag_exact(s)
+    e = fw_rows(s.fw_blocks, s.u_gamma @ s.p_plus_gamma)
+    hd = e @ s.dgamma @ e.T
     # lower block empty, upper block carries exactly the positive spectrum
-    assert np.linalg.norm(hd[1::2, :], 2) < 1e-9
-    got = np.sort(np.linalg.eigvalsh(upper_block(hd)))
+    assert np.linalg.norm(hd[100:, :], 2) < 1e-9
+    got = np.sort(np.linalg.eigvalsh(hd[:100, :100]))
     want = positive_levels(s)
     assert got.size == want.size
     assert np.max(np.abs(got - want)) < 1e-9
+    # h_diag_exact is that upper block
+    assert np.max(np.abs(h_diag_exact(s) - hd[:100, :100])) <= 1e-14 * np.max(np.abs(hd))
 
 
 def test_order_accuracy_scaling(bundle100, sys100):
@@ -225,7 +240,7 @@ def test_order_accuracy_scaling(bundle100, sys100):
     for gamma in (0.08, 0.32):
         s = sys100(gamma)
         approx = series_eval(series_truncate(bundle100.h_upper, 3), gamma)
-        errs[gamma] = np.linalg.norm(approx - upper_block(h_diag_exact(s)), 2)
+        errs[gamma] = np.linalg.norm(approx - h_diag_exact(s), 2)
     ratio = errs[0.32] / errs[0.08]
     assert 4.0 ** 4 / 6.0 < ratio < 4.0 ** 4 * 6.0
 
@@ -254,7 +269,7 @@ def test_resolvent_distance_rejects_non_hermitian():
 
 
 def test_resolvent_distance_zero_on_equal(sys100):
-    h = upper_block(h_diag_exact(sys100(0.1)))
+    h = h_diag_exact(sys100(0.1))
     assert resolvent_distance(h, h) == 0.0
 
 
@@ -268,7 +283,8 @@ def test_coefficient_ratio_radius_geometric():
 
 def test_bundle_shapes(bundle100, sys100):
     assert bundle100.order == 8
-    assert np.linalg.norm(bundle100.p_series[0] - sys100(0.0).p_plus_0, 2) < 1e-12
+    s = sys100(0.0)
+    assert np.linalg.norm(bundle100.p_series[0] - fw_conjugate(s.fw_blocks, s.p_plus_0), 2) < 1e-12
     assert bundle100.system is sys100(0.0)
     assert bundle100.u_series.dim == 200 and bundle100.h_upper.dim == 100
     assert len(bundle100.f_upper) == 9

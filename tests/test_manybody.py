@@ -460,6 +460,31 @@ def test_converge_rejects_k_beyond_order(sys100, bundle100):
         mb.converge_main_theorem(fs, [0.1], 9)
 
 
+@pytest.mark.parametrize("n_particles,n_plus", [(2, 6), (3, 4)])
+def test_weighted_remainder_matches_dense_oracle(sys100, pair100, bundle100, n_particles,
+                                                 n_plus):
+    # ||W (E - A_k) W|| on the full product space, W the inverse square root
+    # of the |D_0| sum on the transported frame, E the block-diagonalized
+    # operator and A_k the truncated series, all from the Kronecker oracle.
+    # E - A_k is formed from entries of size ~3, so its roundoff is ~1e-15
+    # absolute: 1e-9 relative holds where the remainder exceeds 1e-6
+    gamma = 0.3
+    fs = mb.assemble_furry_exact(sys100(gamma), mb.FurryConfig(n_particles, 2.0, n_plus),
+                                 pair100, bundle100)
+    rows = mb.converge_main_theorem(fs, [gamma], bundle100.order)
+    dense = dense_furry(fs)
+    w = _inv_sqrt_oracle(dense["abs_d0_psi"])
+    approx = np.zeros_like(dense["h_diag"])
+    checked = 0
+    for k, c in enumerate(dense["series"]):
+        approx = approx + gamma ** k * c
+        ref = np.linalg.norm(w @ (dense["h_diag"] - approx) @ w, 2)
+        if ref > 1e-6:
+            assert abs(rows[k]["weighted_remainder_norm"] - ref) <= 1e-9 * ref
+            checked += 1
+    assert checked >= 4
+
+
 def test_restriction_consistency_gate():
     cfg = mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=6)
     gate = mb.check_restriction_consistency(0.3, cfg)

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import dense_exact_u_gamma
+from conftest import abs_free_dirac_power, dense_exact_u_gamma, fw_matrix
 from diracdiag.errors import GapError
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import (
     GAMMA_MAX,
     _norm2,
-    abs_free_dirac_power,
     assemble_system,
     build_free_dirac,
     c_gamma,
@@ -29,7 +28,6 @@ from diracdiag.oneparticle import (
     fw_conjugate,
     fw_rows,
     legendre_q,
-    node_blocks,
     positive_levels,
     positive_states,
     rayleigh_levels,
@@ -122,17 +120,20 @@ def test_free_projector_properties(grid100):
     assert np.linalg.norm(d0 @ pr - absd @ pr, 2) < 1e-11
 
 
-def test_foldy_wouthuysen_diagonalizes(grid100):
-    u = foldy_wouthuysen(grid100)
+def test_foldy_wouthuysen_diagonalizes(grid100, sys100):
+    blocks = foldy_wouthuysen(grid100)
+    assert blocks.shape == (100, 2, 2)
+    assert np.array_equal(sys100(0.3).fw_blocks, blocks)
+    q = fw_matrix(blocks)
     d0 = build_free_dirac(grid100)
     e = free_energies(grid100)
-    target = np.diag(np.ravel(np.column_stack([e, -e])))
-    assert np.linalg.norm(u @ u.T - np.eye(grid100.dim), 2) < 1e-13
-    assert np.linalg.norm(u @ d0 @ u.T - target, 2) < 1e-12
+    target = np.diag(np.concatenate([e, -e]))
+    assert np.linalg.norm(q @ q.T - np.eye(grid100.dim), 2) < 1e-13
+    assert np.linalg.norm(q @ d0 @ q.T - target, 2) < 1e-12
     # positive free states land on the upper components
     pr = free_positive_projector(grid100)
-    rotated = u @ pr @ u.T
-    assert np.linalg.norm(rotated[1::2, :], 2) < 1e-12
+    rotated = q @ pr @ q.T
+    assert np.linalg.norm(rotated[100:, :], 2) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ def test_exact_u_gamma_rejects_rank_mismatch():
 
 def test_exact_u_gamma_takes_half_size_eigensolves(monkeypatch, sys100):
     s = sys100(0.3)
-    blocks = node_blocks(s.u_fw)
+    blocks = s.fw_blocks
     sizes = []
     eigh = np.linalg.eigh
 
@@ -228,28 +229,25 @@ def test_exact_u_gamma_matches_dense_formula(sys100):
 def test_fw_rotation_is_accurate_at_small_momentum():
     # q D_0 q^T = diag(E, -E) and q P_0 q^T = diag(1, 0) per node, to roundoff
     grid = build_channel_grid(500)
-    q = foldy_wouthuysen(grid)
-    e = np.repeat(free_energies(grid), 2)
+    q = fw_matrix(foldy_wouthuysen(grid))
+    e = np.tile(free_energies(grid), 2)
     dfw = q @ build_free_dirac(grid) @ q.T
     off = dfw - np.diag(np.diag(dfw))
     assert np.max(np.abs(off) / e[:, None]) <= 1e-15
-    assert np.max(np.abs(np.diag(dfw) - e * np.tile([1.0, -1.0], grid.n))) <= 1e-15 * e.max()
+    assert np.max(np.abs(np.diag(dfw) - e * np.repeat([1.0, -1.0], grid.n))) <= 1e-15 * e.max()
     p0 = q @ free_positive_projector(grid) @ q.T
-    assert np.max(np.abs(p0 - np.diag(np.tile([1.0, 0.0], grid.n)))) <= 1e-15
+    assert np.max(np.abs(p0 - np.diag(np.repeat([1.0, 0.0], grid.n)))) <= 1e-15
 
 
 def test_fw_frame_rotation_matches_dense_products():
     grid = build_channel_grid(32)
-    q = foldy_wouthuysen(grid)
-    blocks = node_blocks(q)
-    perm = np.r_[0:64:2, 1:64:2]
+    blocks = foldy_wouthuysen(grid)
+    q = fw_matrix(blocks)
     x = np.random.default_rng(3).standard_normal((64, 5))
-    assert np.max(np.abs(fw_rows(blocks, x) - (q @ x)[perm])) <= 1e-15
+    assert np.max(np.abs(fw_rows(blocks, x) - q @ x)) <= 1e-15
     assert np.max(np.abs(fw_rows(blocks, fw_rows(blocks, x), back=True) - x)) <= 1e-15
     y = np.random.default_rng(4).standard_normal((64, 64))
-    assert np.max(np.abs(fw_conjugate(blocks, y) - (q @ y @ q.T)[np.ix_(perm, perm)])) <= 1e-14
-    with pytest.raises(ValueError, match="block-diagonal"):
-        node_blocks(np.ones((4, 4)))
+    assert np.max(np.abs(fw_conjugate(blocks, y) - q @ y @ q.T)) <= 1e-14
 
 
 def test_norm2_matches_svd_norm():
@@ -388,7 +386,7 @@ def test_reported_levels_and_dgamma_margin_are_rayleigh_quotients(sys200, gamma)
 
 def test_gap_bound(sys100):
     for gamma in (0.0, 0.3):
-        assert check_gap_bound(sys100(gamma), 1e-6)
+        assert check_gap_bound(sys100(gamma))
 
 
 def test_weighted_unitary_norm_finite(sys100):
