@@ -10,6 +10,7 @@ the kinetic weight bound.
 import numpy as np
 
 from diracdiag import manybody as mb
+from diracdiag.config import NbodyConfig
 from diracdiag.decoupling import build_decoupling_bundle
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import assemble_system, d_gamma, positive_levels
@@ -21,7 +22,7 @@ def main():
     s = assemble_system(grid, gamma)
     bundle = build_decoupling_bundle(assemble_system(grid, 0.0), order=8)
     pair = mb.build_pair_interaction(grid)
-    cfg = mb.FurryConfig(n_particles=2, z_charge=z_charge, n_plus=8)
+    cfg = NbodyConfig(n_particles=2, z_charge=z_charge, n_plus=8)
     fs = mb.assemble_furry_exact(s, cfg, pair, bundle)
 
     print(f"two electrons, coupling {gamma}, nuclear charge {z_charge}, "
@@ -44,8 +45,8 @@ def main():
     print(f"kinetic weight bound : {kin_v:.4f} <= {kin_lim:.4f} "
           f"(= 1/d, d({gamma}) = {d_gamma(gamma):.6f})\n")
 
-    cfg_anti = mb.FurryConfig(n_particles=2, z_charge=z_charge, n_plus=8,
-                              antisymmetrize=True)
+    cfg_anti = NbodyConfig(n_particles=2, z_charge=z_charge, n_plus=8,
+                           antisymmetrize=True)
     fs_anti = mb.assemble_furry_exact(s, cfg_anti, pair, bundle)
     ea = fs_anti.levels(fs_anti.h_furry_exact)
     print(f"antisymmetric (fermionic) sector: dimension {fs_anti.dim}, "

@@ -272,8 +272,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     k_max = cfg.series_order
     results = {}
 
-    cfg1 = mb.FurryConfig(n_particles=1, z_charge=cfg.nbody.z_charge,
-                          n_plus=cfg.nbody.n_plus, antisymmetrize=False)
+    cfg1 = dataclasses.replace(cfg.nbody, n_particles=1, antisymmetrize=False)
     fs1 = mb.assemble_furry_exact(sys0, cfg1, None, bundle)
     rows1 = mb.converge_main_theorem(fs1, gammas, k_max)
     write_report_csv(os.path.join(out, "converge_n1.csv"), rows1)
@@ -282,16 +281,13 @@ def cmd_converge(cfg: RunConfig) -> int:
     n_particles = cfg.nbody.n_particles
     if n_particles >= 2:
         pair = mb.build_pair_interaction(grid)
-        cfg_n = mb.FurryConfig(n_particles=n_particles, z_charge=cfg.nbody.z_charge,
-                               n_plus=cfg.nbody.n_plus,
-                               antisymmetrize=cfg.nbody.antisymmetrize)
-        gate = mb.check_restriction_consistency(gammas[0] or GAMMA_CRITICAL / 2, cfg_n)
+        gate = mb.check_restriction_consistency(gammas[0] or GAMMA_CRITICAL / 2, cfg.nbody)
         if gate > 1e-8:
             from .errors import ConsistencyError
             raise ConsistencyError(
                 f"restriction/conjugation order disagreement {gate:.3e} > 1e-8 "
                 f"on the small cross-check instance")
-        fs_n = mb.assemble_furry_exact(sys0, cfg_n, pair, bundle)
+        fs_n = mb.assemble_furry_exact(sys0, cfg.nbody, pair, bundle)
         rows_n = mb.converge_main_theorem(fs_n, gammas, k_max)
         write_report_csv(os.path.join(out, f"converge_n{n_particles}.csv"), rows_n)
         results[f"n{n_particles}"] = {"rows": rows_n, "restriction_gate": gate}
@@ -317,14 +313,11 @@ def cmd_nbody(cfg: RunConfig) -> int:
     grid, sys0, bundle = _build_shared(cfg)
     out = cfg.output_dir
     n_particles = cfg.nbody.n_particles
-    cfg_n = mb.FurryConfig(n_particles=n_particles, z_charge=cfg.nbody.z_charge,
-                           n_plus=cfg.nbody.n_plus,
-                           antisymmetrize=cfg.nbody.antisymmetrize)
     pair = mb.build_pair_interaction(grid) if n_particles >= 2 else None
     per_gamma = []
     for gamma in cfg.gamma_list:
         sys_g = sys0 if gamma == sys0.gamma else assemble_system(grid, gamma)
-        fs = mb.assemble_furry_exact(sys_g, cfg_n, pair, bundle)
+        fs = mb.assemble_furry_exact(sys_g, cfg.nbody, pair, bundle)
         e_furry = fs.levels(fs.h_furry_exact)
         e_diag = fs.levels(fs.h_diag_exact)
         rows = [(i, float(a), float(b), float(abs(a - b)))

@@ -1,7 +1,10 @@
 """Run configuration: defaults, strict parsing, canonical serialization.
 
-Pure standard library on purpose: the command line front end imports this
-before numpy, so thread environment variables can take effect first.
+Every config object checks its fields when it is built, so one that exists
+is valid, whether it comes from JSON, a library caller or
+``dataclasses.replace``.  Pure standard library on purpose: the command
+line front end imports this before numpy, so thread environment variables
+can take effect first.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .report import gamma_tag
 
 GAMMA_WINDOW = 0.6
 GAMMA_CRITICAL = 0.3775
@@ -24,13 +28,36 @@ class GridConfig:
     n: int = 200
     map_scale: float = 1.0
 
+    def __post_init__(self):
+        if self.kappa == 0:
+            raise ConfigError("grid.kappa must be a nonzero integer")
+        if self.n < 4:
+            raise ConfigError(f"grid.n must be at least 4, got {self.n}")
+        if self.map_scale <= 0:
+            raise ConfigError(f"grid.map_scale must be positive, got {self.map_scale}")
+
 
 @dataclass(frozen=True)
 class NbodyConfig:
+    """Shape of the N-particle computation."""
+
     n_particles: int = 2
     z_charge: float = 2.0
     n_plus: int = 20
     antisymmetrize: bool = False
+
+    def __post_init__(self):
+        if self.n_particles < 1:
+            raise ConfigError(f"nbody.n_particles must be at least 1, got {self.n_particles}")
+        if self.z_charge <= 0:
+            raise ConfigError(f"nbody.z_charge must be positive, got {self.z_charge}")
+        if self.n_plus < 1:
+            raise ConfigError(f"nbody.n_plus must be at least 1, got {self.n_plus}")
+        if self.n_plus ** self.n_particles > DIMENSION_CAP:
+            raise ConfigError(f"retained dimension nbody.n_plus ** nbody.n_particles = "
+                              f"{self.n_plus}^{self.n_particles} exceeds the cap {DIMENSION_CAP}")
+        if self.antisymmetrize and self.n_particles > self.n_plus:
+            raise ConfigError("nbody.antisymmetrize needs n_plus >= n_particles")
 
 
 @dataclass(frozen=True)
@@ -40,6 +67,22 @@ class RunConfig:
     series_order: int = 12
     nbody: NbodyConfig = field(default_factory=NbodyConfig)
     output_dir: str = "out"
+
+    def __post_init__(self):
+        if not self.gamma_list:
+            raise ConfigError("gamma_list is empty: nothing to do")
+        seen = {}  # per-coupling output files are named by the tag
+        for gamma in self.gamma_list:
+            if not 0.0 <= gamma < GAMMA_WINDOW:
+                raise ConfigError(
+                    f"gamma {gamma} outside the supported window [0, {GAMMA_WINDOW})")
+            tag = gamma_tag(gamma)
+            if tag in seen:
+                raise ConfigError(f"gamma {seen[tag]} and gamma {gamma} share the output "
+                                  f"file tag {tag}")
+            seen[tag] = gamma
+        if self.series_order < 1:
+            raise ConfigError(f"series_order must be at least 1, got {self.series_order}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -100,40 +143,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         gl = raw["gamma_list"]
         if not isinstance(gl, list):
             raise ConfigError("key 'gamma_list' must be a list of numbers")
-        if not gl:
-            raise ConfigError("gamma_list is empty: nothing to do")
         kwargs["gamma_list"] = tuple(_coerce("gamma_list", g, float) for g in gl)
-    cfg = RunConfig(**kwargs)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    g = cfg.grid
-    if g.kappa == 0:
-        raise ConfigError("grid.kappa must be a nonzero integer")
-    if g.n < 4:
-        raise ConfigError(f"grid.n must be at least 4, got {g.n}")
-    if g.map_scale <= 0:
-        raise ConfigError(f"grid.map_scale must be positive, got {g.map_scale}")
-    for gamma in cfg.gamma_list:
-        if not 0.0 <= gamma < GAMMA_WINDOW:
-            raise ConfigError(
-                f"gamma {gamma} outside the supported window [0, {GAMMA_WINDOW})")
-    if cfg.series_order < 1:
-        raise ConfigError(f"series_order must be at least 1, got {cfg.series_order}")
-    nb = cfg.nbody
-    if nb.n_particles < 1:
-        raise ConfigError(f"nbody.n_particles must be at least 1, got {nb.n_particles}")
-    if nb.z_charge <= 0:
-        raise ConfigError(f"nbody.z_charge must be positive, got {nb.z_charge}")
-    if nb.n_plus < 1:
-        raise ConfigError(f"nbody.n_plus must be at least 1, got {nb.n_plus}")
-    if nb.n_plus ** nb.n_particles > DIMENSION_CAP:
-        raise ConfigError(f"retained dimension nbody.n_plus ** nbody.n_particles = "
-                          f"{nb.n_plus}^{nb.n_particles} exceeds the cap {DIMENSION_CAP}")
-    if nb.antisymmetrize and nb.n_particles > nb.n_plus:
-        raise ConfigError("nbody.antisymmetrize needs n_plus >= n_particles")
+    return RunConfig(**kwargs)
 
 
 def load_config(path: str | None) -> RunConfig:

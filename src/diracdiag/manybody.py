@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DIMENSION_CAP
+from .config import NbodyConfig
 from .decoupling import DecouplingBundle, h_diag_exact, resolvent
 from .errors import ConsistencyError, ResolutionError
 from .grids import ChannelGrid, RadialGrid, bessel_transform_matrix, build_channel_grid, build_radial_grid
@@ -36,29 +36,6 @@ from .oneparticle import (
     positive_states,
 )
 from .series import MatrixSeries, make_series, series_partial_sums
-
-
-@dataclass(frozen=True)
-class FurryConfig:
-    """Shape of the N-particle computation."""
-
-    n_particles: int
-    z_charge: float
-    n_plus: int
-    antisymmetrize: bool = False
-
-    def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError(f"need at least one particle, got {self.n_particles}")
-        if self.z_charge <= 0:
-            raise ValueError(f"charge must be positive, got {self.z_charge}")
-        if self.n_plus < 1:
-            raise ValueError(f"need at least one retained state, got {self.n_plus}")
-        if self.n_plus ** self.n_particles > DIMENSION_CAP:
-            raise ValueError(
-                f"retained dimension {self.n_plus}^{self.n_particles} exceeds cap {DIMENSION_CAP}")
-        if self.antisymmetrize and self.n_particles > self.n_plus:
-            raise ValueError("alternating subspace is empty: more particles than retained states")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +308,7 @@ def site_sectors(m: int, n_sites: int) -> tuple[Sector, ...]:
     return tuple(sectors)
 
 
-def furry_sectors(cfg: FurryConfig) -> tuple[Sector, ...]:
+def furry_sectors(cfg: NbodyConfig) -> tuple[Sector, ...]:
     """The sectors an N-particle operator is stored on: all of them, or only
     the alternating one (1^N) when the configuration antisymmetrizes."""
     sectors = site_sectors(cfg.n_plus, cfg.n_particles)
@@ -404,11 +381,12 @@ class FurrySystem:
     every block is a plain compression and is compared with plain
     ``eigvalsh``.
     kinetic is exactly diagonal: each column of an isometry lives on one
-    occupation orbit, whose level sum is its entry.
+    occupation orbit, whose level sum is its entry.  config is the run's
+    ``config.NbodyConfig``, checked when it was built.
     """
 
     one_particle: OneParticleSystem
-    config: FurryConfig
+    config: NbodyConfig
     pair: PairInteraction | None
     bundle: DecouplingBundle | None
     sectors: tuple[Sector, ...]
@@ -434,7 +412,7 @@ class FurrySystem:
         return merged_levels(blocks, self.multiplicities)
 
 
-def assemble_furry_exact(sys: OneParticleSystem, cfg: FurryConfig,
+def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
                          pair: PairInteraction | None = None,
                          bundle: DecouplingBundle | None = None) -> FurrySystem:
     """Build the projected Hamiltonian, its diagonalized image, and the series.
@@ -447,7 +425,8 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: FurryConfig,
     retained states positive) and ||psi^H psi - 1||_2 must stay below 1e-9
     (U_gamma is unitary on the retained span).  A frame failing either
     raises ConsistencyError; a passing one needs no Gram factor on the
-    spectator sites of ``sector_blocks``.
+    spectator sites of ``sector_blocks``.  cfg is the run's
+    ``config.NbodyConfig``, which checked its shape when it was built.
     """
     n_sites = cfg.n_particles
     if n_sites >= 2 and pair is None:
@@ -519,7 +498,7 @@ def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (uw * ew ** -0.5) @ uw.conj().T
 
 
-def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: FurryConfig,
+def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: NbodyConfig,
                              pair: PairInteraction | None,
                              frame: np.ndarray) -> tuple[MatrixSeries, ...]:
     """N-particle Hamiltonian series compressed onto the given frame, per sector.
@@ -718,7 +697,7 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
 # Cross-validation of restriction against full-space conjugation
 # ---------------------------------------------------------------------------
 
-def check_restriction_consistency(gamma: float, cfg: FurryConfig) -> float:
+def check_restriction_consistency(gamma: float, cfg: NbodyConfig) -> float:
     """Compare conjugate-then-restrict against restrict-then-conjugate.
 
     Runs a two-particle instance on a 24-node grid, where the full product
@@ -730,13 +709,15 @@ def check_restriction_consistency(gamma: float, cfg: FurryConfig) -> float:
     where H_2 holds both one-particle operators and the full pair matrix.
     Compressed to the frame kron(psi, psi) it is Y^H H_2 Y with
     Y = kron(E^H psi, E^H psi), so only the frame's columns are conjugated.
+    The instance takes the charge of cfg and min(n_plus, 6) retained states,
+    without antisymmetrization; cfg with one particle returns 0.
     """
     if cfg.n_particles < 2:
         return 0.0
     grid = build_channel_grid(24)
     sys = assemble_system(grid, gamma)
     pair = build_pair_interaction(grid, n_radial=96, r_max=10.0, gate=False)
-    small_cfg = FurryConfig(n_particles=2, z_charge=cfg.z_charge,
+    small_cfg = NbodyConfig(n_particles=2, z_charge=cfg.z_charge,
                             n_plus=min(cfg.n_plus, 6), antisymmetrize=False)
     fs = assemble_furry_exact(sys, small_cfg, pair)
 

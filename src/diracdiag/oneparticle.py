@@ -21,6 +21,7 @@ from .grids import ChannelGrid
 
 GAMMA_MAX = math.sqrt(3.0) / 2.0
 TOL_GAP = 1e-6  # slack of the soft gap check ``check_gap_bound``
+GAP_FLOOR = 1e-8  # smallest |eigenvalue| ``assemble_system`` accepts
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +274,10 @@ def _freeze(*mats: np.ndarray) -> None:
         m.flags.writeable = False
 
 
-def assemble_system(grid: ChannelGrid, gamma: float, gap_floor: float = 1e-8) -> OneParticleSystem:
+def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
     """Build and spectrally decompose D_0 + gamma V on the channel grid.
 
-    Raises GapError when an eigenvalue sits within gap_floor of zero, since
+    Raises GapError when an eigenvalue sits within GAP_FLOOR of zero, since
     then the positive spectral projector is not numerically well defined.
     """
     if not 0.0 <= gamma < GAMMA_MAX:
@@ -286,8 +287,8 @@ def assemble_system(grid: ChannelGrid, gamma: float, gap_floor: float = 1e-8) ->
     dgamma = d0 + gamma * v
     evals, evecs = np.linalg.eigh(dgamma)
     gap = float(np.min(np.abs(evals)))
-    if gap < gap_floor:
-        raise GapError(f"no spectral gap: eigenvalue {gap:.3e} within {gap_floor:.1e} of zero")
+    if gap < GAP_FLOOR:
+        raise GapError(f"no spectral gap: eigenvalue {gap:.3e} within {GAP_FLOOR:.1e} of zero")
     pos = evecs[:, evals > 0.0]
     p_plus_gamma = pos @ pos.conj().T
     p_plus_0 = free_positive_projector(grid)

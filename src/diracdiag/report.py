@@ -36,31 +36,9 @@ def validate_report_rows(rows: list[dict]) -> None:
 
 def write_report_csv(path: str, rows: list[dict]) -> None:
     validate_report_rows(rows)
-    lines = [",".join(REPORT_COLUMNS)]
-    for row in sort_report_rows(rows):
-        cells = [format_float(row["gamma"]), str(int(row["k"]))]
-        cells += [format_float(row[col]) for col in REPORT_COLUMNS[2:]]
-        lines.append(",".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def read_report_csv(path: str) -> list[dict]:
-    """Parse a convergence table back; inverse of write_report_csv."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = tuple(lines[0].split(","))
-    if header != REPORT_COLUMNS:
-        raise ValueError(f"unexpected report header {header}")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(REPORT_COLUMNS):
-            raise ValueError(f"malformed report line: {ln!r}")
-        row = {"gamma": float(cells[0]), "k": int(cells[1])}
-        for col, cell in zip(REPORT_COLUMNS[2:], cells[2:]):
-            row[col] = float(cell)
-        rows.append(row)
-    return rows
+    table = [(float(r["gamma"]), int(r["k"])) + tuple(float(r[c]) for c in REPORT_COLUMNS[2:])
+             for r in sort_report_rows(rows)]
+    write_table_csv(path, REPORT_COLUMNS, table)
 
 
 def write_table_csv(path: str, columns: tuple[str, ...], rows: list[tuple]) -> None:

@@ -17,6 +17,7 @@ from diracdiag.decoupling import build_decoupling_bundle
 from diracdiag.grids import build_channel_grid
 from diracdiag.manybody import _density_stack, _two_site_assemble, build_pair_interaction
 from diracdiag.oneparticle import OneParticleSystem, assemble_system, free_energies
+from diracdiag.report import REPORT_COLUMNS
 from diracdiag.series import (
     MatrixSeries,
     cauchy_product,
@@ -40,6 +41,25 @@ def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return env
+
+
+def read_report_csv(path: str) -> list[dict]:
+    """Parse a convergence table back; inverse of ``report.write_report_csv``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    header = tuple(lines[0].split(","))
+    if header != REPORT_COLUMNS:
+        raise ValueError(f"unexpected report header {header}")
+    rows = []
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(REPORT_COLUMNS):
+            raise ValueError(f"malformed report line: {ln!r}")
+        row = {"gamma": float(cells[0]), "k": int(cells[1])}
+        for col, cell in zip(REPORT_COLUMNS[2:], cells[2:]):
+            row[col] = float(cell)
+        rows.append(row)
+    return rows
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,7 @@ from conftest import (
     toy_two_level,
 )
 from diracdiag import manybody as mb
+from diracdiag.config import NbodyConfig
 from diracdiag.decoupling import riesz_projection_series
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import (
@@ -56,13 +57,13 @@ def first_monotone_index(values):
 
 @pytest.fixture(scope="module")
 def fs1(sys200, bundle200):
-    cfg = mb.FurryConfig(n_particles=1, z_charge=2.0, n_plus=20)
+    cfg = NbodyConfig(n_particles=1, z_charge=2.0, n_plus=20)
     return mb.assemble_furry_exact(sys200(0.3), cfg, None, bundle200)
 
 
 @pytest.fixture(scope="module")
 def fs2(sys200, bundle200, pair200):
-    cfg = mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=20)
+    cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=20)
     return mb.assemble_furry_exact(sys200(0.3), cfg, pair200, bundle200)
 
 
@@ -107,7 +108,7 @@ def test_criterion_2_discretization_fidelity(sys200):
 
 
 def test_criterion_3_unitary_equivalence(sys200, fs2):
-    cfg = mb.FurryConfig(n_particles=1, z_charge=2.0, n_plus=20)
+    cfg = NbodyConfig(n_particles=1, z_charge=2.0, n_plus=20)
     fs1_exact = mb.assemble_furry_exact(sys200(0.3), cfg, None, None)
     worst = 0.0
     for fs in (fs1_exact, fs2):

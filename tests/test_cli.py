@@ -4,12 +4,13 @@ import csv
 import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from conftest import child_env
-from diracdiag.report import read_report_csv, write_report_csv
+from conftest import child_env, read_report_csv
+from diracdiag.report import write_report_csv
 
 CLI = [sys.executable, "-m", "diracdiag"]
 
@@ -89,6 +90,42 @@ def test_oversize_nbody_config_exit_2(tmp_path, command):
     assert "config error:" in out.stderr
     assert "exceeds the cap" in out.stderr
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["one-particle", "nbody"])
+def test_colliding_coupling_tags_exit_2(tmp_path, command):
+    # per-coupling files are named by the 4-decimal tag, so 0.10004 would
+    # overwrite the files of 0.1: rejected with the config, nothing written
+    cfg = write_cfg(tmp_path, {"grid": {"n": 16}, "gamma_list": [0.1, 0.10004]})
+    out_dir = tmp_path / "o"
+    out = run_cli([command, "--config", cfg, "--output", str(out_dir)], tmp_path)
+    assert out.returncode == 2
+    assert "config error:" in out.stderr
+    assert "0p1000" in out.stderr
+    assert not out_dir.exists()
+
+
+def test_front_end_loads_no_numpy(tmp_path):
+    # --threads takes effect only because the CLI and the config parser load
+    # no numpy; an invalid config is rejected before numpy loads
+    code = textwrap.dedent("""
+        import sys
+        import diracdiag.cli
+        from diracdiag.config import config_from_dict
+        from diracdiag.errors import ConfigError
+        config_from_dict({"grid": {"n": 16}, "gamma_list": [0.1]})
+        try:
+            config_from_dict({"nbody": {"n_particles": 3, "n_plus": 28}})
+        except ConfigError:
+            pass
+        else:
+            raise SystemExit("oversize config accepted")
+        if "numpy" in sys.modules:
+            raise SystemExit("numpy loaded")
+    """)
+    out = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path), env=child_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 def test_resolution_failure_exit_3(tmp_path):

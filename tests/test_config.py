@@ -13,14 +13,12 @@ from diracdiag.config import (
     config_from_dict,
     load_config,
     require_convergence_window,
-    validate_config,
 )
 from diracdiag.errors import ConfigError
 
 
 def test_defaults_valid():
     cfg = RunConfig()
-    validate_config(cfg)
     assert cfg.grid.n == 200
     assert cfg.series_order == 12
     assert cfg.nbody.n_particles == 2
@@ -91,12 +89,19 @@ def test_empty_gamma_list_message():
 def test_validate_rejects_bad_fields():
     import dataclasses
     base = RunConfig()
-    bad = dataclasses.replace(base, grid=dataclasses.replace(base.grid, kappa=0))
     with pytest.raises(ConfigError, match="kappa"):
-        validate_config(bad)
-    bad = dataclasses.replace(base, series_order=0)
+        dataclasses.replace(base, grid=dataclasses.replace(base.grid, kappa=0))
     with pytest.raises(ConfigError, match="series_order"):
-        validate_config(bad)
+        dataclasses.replace(base, series_order=0)
+
+
+def test_colliding_coupling_tags():
+    # per-coupling output files are named by the 4-decimal tag
+    with pytest.raises(ConfigError, match="0.1 and gamma 0.10004 share the output file tag 0p1000"):
+        config_from_dict({"gamma_list": [0.1, 0.10004]})
+    with pytest.raises(ConfigError, match="file tag 0p2000"):
+        RunConfig(gamma_list=(0.2, 0.3, 0.2))
+    assert RunConfig(gamma_list=(0.1, 0.1001)).gamma_list == (0.1, 0.1001)
 
 
 def test_retained_dimension_cap():

@@ -16,6 +16,7 @@ from conftest import (
     toy_two_level,
 )
 from diracdiag import manybody as mb
+from diracdiag.config import NbodyConfig
 from diracdiag.decoupling import (
     _check_f_leak,
     _check_h_hermitian,
@@ -246,7 +247,7 @@ def test_order_accuracy_scaling(bundle100, sys100):
 
 
 def test_weighted_remainder_decreases(bundle100, sys100):
-    fs = mb.assemble_furry_exact(sys100(0.2), mb.FurryConfig(1, 2.0, 8), None, bundle100)
+    fs = mb.assemble_furry_exact(sys100(0.2), NbodyConfig(1, 2.0, 8), None, bundle100)
     rs = [r["weighted_remainder_norm"] for r in mb.converge_main_theorem(fs, [0.2], 8)]
     assert all(a > b for a, b in zip(rs, rs[1:]))
     assert rs[8] < 1e-4 * rs[2]

@@ -9,8 +9,9 @@ from scipy.integrate import quad
 
 from conftest import antisymmetrizer_isometry, dense_furry, lift_pair, lift_single, series_truncate
 from diracdiag import manybody as mb
+from diracdiag.config import NbodyConfig
 from diracdiag.decoupling import build_decoupling_bundle, resolvent_distance
-from diracdiag.errors import ConsistencyError, ResolutionError
+from diracdiag.errors import ConfigError, ConsistencyError, ResolutionError
 from diracdiag.grids import build_channel_grid, build_radial_grid
 from diracdiag.oneparticle import assemble_system
 from diracdiag.series import series_eval
@@ -21,20 +22,21 @@ from diracdiag.series import series_eval
 # ---------------------------------------------------------------------------
 
 def test_furry_config_validation():
-    with pytest.raises(ValueError, match="particle"):
-        mb.FurryConfig(n_particles=0, z_charge=2.0, n_plus=4)
-    with pytest.raises(ValueError, match="charge"):
-        mb.FurryConfig(n_particles=2, z_charge=0.0, n_plus=4)
-    with pytest.raises(ValueError, match="retained"):
-        mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=0)
-    with pytest.raises(ValueError, match="cap"):
-        mb.FurryConfig(n_particles=3, z_charge=3.0, n_plus=30)
-    with pytest.raises(ValueError, match="alternating"):
-        mb.FurryConfig(n_particles=3, z_charge=3.0, n_plus=2, antisymmetrize=True)
+    # the N-body shape is a config.NbodyConfig, which checks itself when built
+    with pytest.raises(ConfigError, match="n_particles"):
+        NbodyConfig(n_particles=0, z_charge=2.0, n_plus=4)
+    with pytest.raises(ConfigError, match="z_charge"):
+        NbodyConfig(n_particles=2, z_charge=0.0, n_plus=4)
+    with pytest.raises(ConfigError, match="n_plus"):
+        NbodyConfig(n_particles=2, z_charge=2.0, n_plus=0)
+    with pytest.raises(ConfigError, match="cap"):
+        NbodyConfig(n_particles=3, z_charge=3.0, n_plus=30)
+    with pytest.raises(ConfigError, match="antisymmetrize"):
+        NbodyConfig(n_particles=3, z_charge=3.0, n_plus=2, antisymmetrize=True)
 
 
 def test_assemble_requires_pair_for_two_particles(sys100):
-    cfg = mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=4)
+    cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=4)
     with pytest.raises(ValueError, match="pair"):
         mb.assemble_furry_exact(sys100(0.3), cfg, None, None)
 
@@ -158,7 +160,7 @@ def test_lift_pair_matches_kron_embedding():
 
 def test_antisymmetrizer_isometry_properties():
     for m, n in ((4, 2), (5, 3)):
-        (sector,) = mb.furry_sectors(mb.FurryConfig(n, 2.0, m, antisymmetrize=True))
+        (sector,) = mb.furry_sectors(NbodyConfig(n, 2.0, m, antisymmetrize=True))
         a = sector.iso
         assert a.shape == (m ** n, math.comb(m, n))
         assert np.linalg.norm(a.T @ a - np.eye(a.shape[1]), 2) < 1e-12
@@ -181,7 +183,7 @@ def system64():
 
 def _sector_system(system64, n_particles, n_plus, antisymmetrize):
     sys64, pair64, bundle64 = system64
-    cfg = mb.FurryConfig(n_particles, 2.0, n_plus, antisymmetrize=antisymmetrize)
+    cfg = NbodyConfig(n_particles, 2.0, n_plus, antisymmetrize=antisymmetrize)
     return mb.assemble_furry_exact(sys64, cfg, pair64, bundle64)
 
 
@@ -238,7 +240,7 @@ def test_sector_multiplicities_follow_hook_lengths():
 
 def test_one_particle_assembly(sys100):
     s = sys100(0.3)
-    fs = mb.assemble_furry_exact(s, mb.FurryConfig(n_particles=1, z_charge=2.0, n_plus=8))
+    fs = mb.assemble_furry_exact(s, NbodyConfig(n_particles=1, z_charge=2.0, n_plus=8))
     assert fs.dim == 8
     assert np.allclose(np.diag(fs.kinetic[0]), fs.eps, atol=1e-14)
     # furry and diagonalized spectra coincide
@@ -250,7 +252,7 @@ def test_one_particle_assembly(sys100):
 
 def test_two_particle_assembly(sys100, pair100, bundle100):
     s = sys100(0.3)
-    cfg = mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=6)
+    cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6)
     fs = mb.assemble_furry_exact(s, cfg, pair100, bundle100)
     assert fs.dim == 36
     ef = fs.levels(fs.h_furry_exact)
@@ -264,7 +266,7 @@ def test_two_particle_assembly(sys100, pair100, bundle100):
 
 def test_transported_frame_orthonormality_gate(sys100):
     s = sys100(0.2)
-    cfg = mb.FurryConfig(n_particles=1, z_charge=2.0, n_plus=8)
+    cfg = NbodyConfig(n_particles=1, z_charge=2.0, n_plus=8)
     fs = mb.assemble_furry_exact(s, cfg)
     assert np.linalg.norm(fs.psi.conj().T @ fs.psi - np.eye(8), 2) <= 1e-13
     # a scaled U_gamma keeps the frame positive but stretches it
@@ -275,15 +277,15 @@ def test_transported_frame_orthonormality_gate(sys100):
 
 def test_two_particle_ground_above_positivity_floor(sys100, pair100):
     s = sys100(0.3)
-    fs = mb.assemble_furry_exact(s, mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=6), pair100)
+    fs = mb.assemble_furry_exact(s, NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6), pair100)
     ground = float(fs.levels(fs.h_furry_exact)[0])
     assert ground > 2.0 * math.sqrt(1.0 - 0.09)
 
 
 def test_antisymmetric_spectrum_sub_multiset(sys100, pair100):
     s = sys100(0.3)
-    full = mb.assemble_furry_exact(s, mb.FurryConfig(2, 2.0, 6), pair100)
-    anti = mb.assemble_furry_exact(s, mb.FurryConfig(2, 2.0, 6, antisymmetrize=True), pair100)
+    full = mb.assemble_furry_exact(s, NbodyConfig(2, 2.0, 6), pair100)
+    anti = mb.assemble_furry_exact(s, NbodyConfig(2, 2.0, 6, antisymmetrize=True), pair100)
     assert anti.dim == 15
     ef = full.levels(full.h_furry_exact)
     ea = anti.levels(anti.h_furry_exact)
@@ -300,7 +302,7 @@ def test_two_particle_series_matches_exact(sys100, pair100, bundle100):
     # operator on the same frame: full-order agreement at the working
     # coupling validates every Cauchy block of the assembly
     s = sys100(0.3)
-    fs = mb.assemble_furry_exact(s, mb.FurryConfig(2, 2.0, 6), pair100, bundle100)
+    fs = mb.assemble_furry_exact(s, NbodyConfig(2, 2.0, 6), pair100, bundle100)
     dist = 0.0
     for exact, series in zip(fs.h_diag_exact, fs.h_diag_series_N):
         hk = series_eval(series, 0.3)
@@ -316,7 +318,7 @@ def test_series_order_accuracy_two_particle(sys100, pair100, bundle100):
     # gamma^2-sized defect and a ratio near 4.
     errs = {}
     for gamma in (0.1, 0.2):
-        fs = mb.assemble_furry_exact(sys100(gamma), mb.FurryConfig(2, 2.0, 5), pair100, bundle100)
+        fs = mb.assemble_furry_exact(sys100(gamma), NbodyConfig(2, 2.0, 5), pair100, bundle100)
         errs[gamma] = 0.0
         for exact, series in zip(fs.h_diag_exact, fs.h_diag_series_N):
             hk = series_eval(series_truncate(series, 2), gamma)
@@ -331,19 +333,19 @@ def test_series_order_accuracy_two_particle(sys100, pair100, bundle100):
 # ---------------------------------------------------------------------------
 
 def test_form_bound_two_particles(sys100, pair100):
-    fs = mb.assemble_furry_exact(sys100(0.3), mb.FurryConfig(2, 2.0, 6), pair100)
+    fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(2, 2.0, 6), pair100)
     value = mb.check_form_bound(fs)
     limit = mb.form_bound_limit(fs)
     assert 0.0 < value < limit + 1e-4
 
 
 def test_form_bound_single_particle_zero(sys100):
-    fs = mb.assemble_furry_exact(sys100(0.3), mb.FurryConfig(1, 2.0, 6))
+    fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(1, 2.0, 6))
     assert mb.check_form_bound(fs) == 0.0
 
 
 def test_kinetic_weight_bound(sys100, pair100):
-    fs = mb.assemble_furry_exact(sys100(0.3), mb.FurryConfig(2, 2.0, 6), pair100)
+    fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(2, 2.0, 6), pair100)
     value = mb.check_kinetic_weight_bound(fs)
     assert value <= mb.kinetic_weight_limit(fs) + 1e-4
     assert value >= 1.0 - 1e-10
@@ -366,7 +368,7 @@ def test_bounds_match_inverse_square_root_formulas(sys100, pair100, n_particles,
                                                    antisymmetrize):
     # references from the dense Kronecker oracle on the product space (or
     # its alternating subspace): no sector splitting on that side
-    cfg = mb.FurryConfig(n_particles, 3.0, n_plus, antisymmetrize=antisymmetrize)
+    cfg = NbodyConfig(n_particles, 3.0, n_plus, antisymmetrize=antisymmetrize)
     fs = mb.assemble_furry_exact(sys100(0.3), cfg, pair100)
     for kin in fs.kinetic:
         assert np.count_nonzero(kin - np.diag(np.diag(kin))) == 0
@@ -382,7 +384,7 @@ def test_bounds_match_inverse_square_root_formulas(sys100, pair100, n_particles,
 
 
 def test_bounds_reject_indefinite_weights(sys100, pair100):
-    fs = mb.assemble_furry_exact(sys100(0.3), mb.FurryConfig(2, 2.0, 6), pair100)
+    fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(2, 2.0, 6), pair100)
     negated = tuple(-h for h in fs.h_furry_exact)
     with pytest.raises(ConsistencyError, match="not positive definite"):
         mb.check_kinetic_weight_bound(dataclasses.replace(fs, h_furry_exact=negated))
@@ -393,7 +395,7 @@ def test_bounds_reject_indefinite_weights(sys100, pair100):
 def test_kinetic_weight_free_case(sys100):
     # at zero coupling the retained states are free eigenstates, so the
     # weighted kinetic operator is exactly the identity on them
-    fs = mb.assemble_furry_exact(sys100(0.0), mb.FurryConfig(1, 2.0, 10))
+    fs = mb.assemble_furry_exact(sys100(0.0), NbodyConfig(1, 2.0, 10))
     assert abs(mb.check_kinetic_weight_bound(fs) - 1.0) < 1e-10
 
 
@@ -424,7 +426,7 @@ def test_fit_geometric_ratio_short_sequence():
 
 
 def test_converge_rows_one_particle(sys100, bundle100):
-    fs = mb.assemble_furry_exact(sys100(0.0), mb.FurryConfig(1, 2.0, 8), None, bundle100)
+    fs = mb.assemble_furry_exact(sys100(0.0), NbodyConfig(1, 2.0, 8), None, bundle100)
     rows = mb.converge_main_theorem(fs, [0.1, 0.2], 8)
     assert len(rows) == 2 * 9
     for row in rows:
@@ -441,7 +443,7 @@ def test_converge_rows_one_particle(sys100, bundle100):
 
 
 def test_converge_zero_coupling_is_exact(sys100, bundle100):
-    fs = mb.assemble_furry_exact(sys100(0.0), mb.FurryConfig(1, 2.0, 8), None, bundle100)
+    fs = mb.assemble_furry_exact(sys100(0.0), NbodyConfig(1, 2.0, 8), None, bundle100)
     rows = mb.converge_main_theorem(fs, [0.0], 4)
     for row in rows:
         assert row["resolvent_distance"] < 5e-12
@@ -449,13 +451,13 @@ def test_converge_zero_coupling_is_exact(sys100, bundle100):
 
 
 def test_converge_requires_bundle(sys100):
-    fs = mb.assemble_furry_exact(sys100(0.0), mb.FurryConfig(1, 2.0, 8))
+    fs = mb.assemble_furry_exact(sys100(0.0), NbodyConfig(1, 2.0, 8))
     with pytest.raises(ValueError, match="bundle"):
         mb.converge_main_theorem(fs, [0.1], 4)
 
 
 def test_converge_rejects_k_beyond_order(sys100, bundle100):
-    fs = mb.assemble_furry_exact(sys100(0.0), mb.FurryConfig(1, 2.0, 8), None, bundle100)
+    fs = mb.assemble_furry_exact(sys100(0.0), NbodyConfig(1, 2.0, 8), None, bundle100)
     with pytest.raises(ValueError, match="order"):
         mb.converge_main_theorem(fs, [0.1], 9)
 
@@ -469,7 +471,7 @@ def test_weighted_remainder_matches_dense_oracle(sys100, pair100, bundle100, n_p
     # E - A_k is formed from entries of size ~3, so its roundoff is ~1e-15
     # absolute: 1e-9 relative holds where the remainder exceeds 1e-6
     gamma = 0.3
-    fs = mb.assemble_furry_exact(sys100(gamma), mb.FurryConfig(n_particles, 2.0, n_plus),
+    fs = mb.assemble_furry_exact(sys100(gamma), NbodyConfig(n_particles, 2.0, n_plus),
                                  pair100, bundle100)
     rows = mb.converge_main_theorem(fs, [gamma], bundle100.order)
     dense = dense_furry(fs)
@@ -486,11 +488,11 @@ def test_weighted_remainder_matches_dense_oracle(sys100, pair100, bundle100, n_p
 
 
 def test_restriction_consistency_gate():
-    cfg = mb.FurryConfig(n_particles=2, z_charge=2.0, n_plus=6)
+    cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6)
     gate = mb.check_restriction_consistency(0.3, cfg)
     assert gate < 1e-8
 
 
 def test_restriction_consistency_single_particle_zero():
-    cfg = mb.FurryConfig(n_particles=1, z_charge=2.0, n_plus=6)
+    cfg = NbodyConfig(n_particles=1, z_charge=2.0, n_plus=6)
     assert mb.check_restriction_consistency(0.3, cfg) == 0.0

@@ -147,9 +147,10 @@ def test_assemble_rejects_coupling_range(grid100):
         assemble_system(grid100, GAMMA_MAX)
 
 
-def test_assemble_gap_floor_raises(grid100):
+def test_assemble_gap_floor_raises(grid100, monkeypatch):
+    monkeypatch.setattr("diracdiag.oneparticle.GAP_FLOOR", 2.0)
     with pytest.raises(GapError):
-        assemble_system(grid100, 0.1, gap_floor=2.0)
+        assemble_system(grid100, 0.1)
 
 
 def test_ground_state_against_sommerfeld(sys100):

@@ -6,11 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import read_report_csv
 from diracdiag.report import (
     REPORT_COLUMNS,
     format_float,
     gamma_tag,
-    read_report_csv,
     sort_report_rows,
     validate_report_rows,
     write_json_summary,
