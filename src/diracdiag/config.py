@@ -162,7 +162,15 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def require_convergence_window(cfg: RunConfig) -> None:
-    """Convergence claims need couplings strictly below the critical value."""
+    """Rules of the series commands (converge, nbody), checked before any output.
+
+    Convergence claims need couplings strictly below the critical value,
+    and the nbody.n_plus retained states must exist: a grid of n nodes has
+    exactly n positive states.  The other commands never read n_plus.
+    """
+    if cfg.nbody.n_plus > cfg.grid.n:
+        raise ConfigError(f"nbody.n_plus {cfg.nbody.n_plus} exceeds the {cfg.grid.n} positive "
+                          f"states of a grid with grid.n = {cfg.grid.n}")
     for gamma in cfg.gamma_list:
         if gamma >= GAMMA_CRITICAL:
             raise ConfigError(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import gate
 from .oneparticle import OneParticleSystem, fw_conjugate, fw_rows
 from .series import MatrixSeries, cauchy_product, inv_sqrt_coefficients, make_series
 
@@ -45,8 +45,8 @@ def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray, np.ndarra
     blocks = sys.fw_blocks
     lam = np.diag(fw_conjugate(blocks, sys.d0)).copy()
     n = blocks.shape[0]
-    if not (np.all(lam[:n] > 0.0) and np.all(lam[n:] < 0.0)):
-        raise ValueError("fw_blocks must send the positive free states to the upper components")
+    gate(np.count_nonzero(~(lam[:n] > 0.0)) + np.count_nonzero(~(lam[n:] < 0.0)), 0,
+         "fw_blocks must send the positive free states to the upper components")
     return blocks, lam, fw_conjugate(blocks, sys.v)
 
 
@@ -100,15 +100,15 @@ def u_gamma_series(p_series: MatrixSeries, n_plus: int) -> MatrixSeries:
     p = p_series.coeffs
     dim, k = p_series.dim, n_plus
     p0 = np.diag(np.arange(dim) < k).astype(float)
-    if _worst_norm2([p[0] - p0], 1e-11) > 1e-11:
-        raise ValueError("projector series constant term differs from the free projector")
+    gate_norm2([p[0] - p0], 1e-11, "projector series constant term differs from the free projector")
     sign = np.where(np.arange(dim) < k, 1.0, -1.0)[:, None]
     m = [sign * c for c in p]
     m[0] = m[0] + np.eye(dim) - p0
     u = [np.concatenate(halves, axis=1) for halves in zip(
         cauchy_product([c[:, :k] for c in m], inv_sqrt_coefficients([c[:k, :k] for c in m])),
         cauchy_product([c[:, k:] for c in m], inv_sqrt_coefficients([c[k:, k:] for c in m])))]
-    _check_series_residual(_gram_defects(u), "unitarity defect of the U series")
+    gate_norm2(_gram_defects(u), 1e-9,
+               "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}")
     return make_series(u)
 
 
@@ -133,12 +133,15 @@ def decoupled_rows(u_series: MatrixSeries, p_series: MatrixSeries, n_plus: int) 
     verified on the full product: first the negative rows Q0 U P, the part
     of F that would leak into the lower block of H = F D F^H, then the
     whole intertwining defect U P - P0 U, whose negative rows they are.
+    The negative rows of F_n are gated relative to max(1, ||F_n||_2).
     """
     k = n_plus
     f = cauchy_product(u_series.coeffs, p_series.coeffs)
-    _check_f_leak(f, k)
-    _check_series_residual((_minus_upper(c, uc, k) for c, uc in zip(f, u_series.coeffs)),
-                           "intertwining defect of the U series")
+    gate_norm2((c[k:] for c in f), 1e-9,
+               "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}",
+               scales=f)
+    gate_norm2((_minus_upper(c, uc, k) for c, uc in zip(f, u_series.coeffs)), 1e-9,
+               "intertwining defect of the U series: coefficient residual {value:.3e} > {tol:.1e}")
     return [c[:k] for c in f]
 
 
@@ -154,11 +157,13 @@ def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
 
     H = F D F^H with D = diag(lam) + g vfw, everything in the FW frame;
     f_rows are F's rows on the positive free states, so the product is
-    H's upper block, the only nonzero one.
+    H's upper block, the only nonzero one.  Each coefficient c is gated
+    Hermitian to 1e-10 relative to max(1, ||c||_2).
     """
     fd = [f_rows[0] * lam] + [f * lam + f_prev @ vfw for f, f_prev in zip(f_rows[1:], f_rows)]
     h = make_series(cauchy_product(fd, [f.conj().T for f in f_rows]))
-    _check_h_hermitian(h)
+    gate_norm2((c - c.conj().T for c in h.coeffs), 1e-10,
+               "Hamiltonian coefficient {index} not Hermitian", scales=h.coeffs)
     return h
 
 
@@ -197,9 +202,10 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
     blocks, lam, vfw = _fw_frame(sys)
     n = blocks.shape[0]
     p = riesz_projection_series(sys, order)
-    if _worst_norm2([p[0] - fw_conjugate(blocks, sys.p_plus_0)], 1e-11) > 1e-11:
-        raise ConsistencyError("projector series constant term drifted from P_+^0")
-    _check_projector_hermitian(p)
+    gate_norm2([p[0] - fw_conjugate(blocks, sys.p_plus_0)], 1e-11,
+               "projector series constant term drifted from P_+^0")
+    gate_norm2((c - c.conj().T for c in p.coeffs), 1e-10,
+               "projector coefficients not Hermitian: {value:.3e}")
     u = u_gamma_series(p, n)
     f = decoupled_rows(u, p, n)
     h = h_diag_series(f, lam, vfw)
@@ -213,63 +219,29 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
 # Gates
 # ---------------------------------------------------------------------------
 
-def _worst_norm2(mats, tol: float) -> float:
-    """Largest spectral norm among mats whenever that exceeds tol.
+def gate_norm2(mats, tol: float, message: str, scales=None) -> float:
+    """Gate the spectral norms of mats (any iterable) at tol, or matrix i at
+    tol * max(1, ||scales[i]||_2), through ``gate``; return the gated value.
 
-    The Frobenius norm bounds the spectral norm from above, so only the
-    matrices whose Frobenius norm exceeds tol pay for an SVD.  When every
-    spectral norm is at most tol the result is too (0.0 if no SVD ran),
-    so `_worst_norm2(mats, tol) > tol` decides exactly as the maximum of
-    all spectral norms would.
+    The Frobenius norm bounds the spectral norm from above, and
+    max(1, ||s||_F / sqrt(min(shape))) bounds max(1, ||s||_2) from below,
+    so a matrix that passes on these cheap bounds passes the spectral test;
+    SVDs run only when they cannot decide.  One matrix is gated, with its
+    position as the field index: the failing one farthest over its
+    tolerance as a ratio, or else the one nearest it, by its spectral norm
+    or the Frobenius bound that decided it.  A NaN fails.
     """
-    return max((np.linalg.norm(m, 2) for m in mats if np.linalg.norm(m) > tol), default=0.0)
-
-
-def _check_series_residual(residual, label: str, tol: float = 1e-9) -> None:
-    """Raise when a coefficient of the residual (any iterable of matrices) exceeds tol."""
-    worst = _worst_norm2(residual, tol)
-    if worst > tol:
-        raise ConsistencyError(f"{label}: coefficient residual {worst:.3e} > {tol:.1e}")
-
-
-def _check_projector_hermitian(p: MatrixSeries) -> None:
-    hermit = _worst_norm2([c - c.conj().T for c in p.coeffs], 1e-10)
-    if hermit > 1e-10:
-        raise ConsistencyError(f"projector coefficients not Hermitian: {hermit:.3e}")
-
-
-def _lower_scale(c: np.ndarray) -> float:
-    """max(1, ||c||_F / sqrt(min(shape))), a lower bound of max(1, ||c||_2)."""
-    return max(1.0, np.linalg.norm(c) / math.sqrt(min(c.shape)))
-
-
-def _check_h_hermitian(h: MatrixSeries) -> None:
-    """Hermitian coefficients, to 1e-10 relative to max(1, ||c||_2).
-
-    The Frobenius norm of the defect bounds its spectral norm from above
-    and ``_lower_scale`` bounds the tolerance from below, so a coefficient
-    that passes on these cheap bounds passes the spectral test; SVDs run
-    only when they cannot decide.
-    """
-    for k, c in enumerate(h.coeffs):
-        herm = c - c.conj().T
-        if (np.linalg.norm(herm) > 1e-10 * _lower_scale(c)
-                and np.linalg.norm(herm, 2) > 1e-10 * max(1.0, np.linalg.norm(c, 2))):
-            raise ConsistencyError(f"Hamiltonian coefficient {k} not Hermitian")
-
-
-def _check_f_leak(f, k: int, tol: float = 1e-9) -> None:
-    """Rows of F past the first k vanish, to tol relative to max(1, ||F_n||_2).
-
-    Those rows are exactly what H = F D F^H would carry out of its upper
-    block.  Same cheap-bound scheme as ``_check_h_hermitian``.
-    """
-    for n, c in enumerate(f):
-        if np.linalg.norm(c[k:]) > tol * _lower_scale(c):
-            leak = np.linalg.norm(c[k:], 2)
-            if leak > tol * max(1.0, np.linalg.norm(c, 2)):
-                raise ConsistencyError(
-                    f"Hamiltonian coefficient {n} leaks out of the upper block: {leak:.3e}")
+    measured = []
+    for i, m in enumerate(mats):
+        s = None if scales is None else scales[i]
+        bound = tol if s is None else tol * max(1.0, np.linalg.norm(s) / math.sqrt(min(s.shape)))
+        value = np.linalg.norm(m)
+        if value > bound:
+            value = np.linalg.norm(m, 2)
+            bound = tol if s is None else tol * max(1.0, np.linalg.norm(s, 2))
+        measured.append((not value <= bound, value / bound, value, bound, i))
+    *_, value, bound, i = max(measured, key=lambda t: t[:2])
+    return float(gate(value, bound, message, index=i))
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +256,8 @@ def resolvent(m: np.ndarray, name: str = "first") -> np.ndarray:
     raises the floor of the resolvent distances by more than an order of
     magnitude.  name ("first"/"second") labels m in the Hermiticity error.
     """
-    tol = 1e-10 * max(1.0, float(np.linalg.norm(m, np.inf)))
-    if _worst_norm2([m - m.conj().T], tol) > tol:
-        raise ValueError(f"{name} argument is not Hermitian within tolerance")
+    gate_norm2([m - m.conj().T], 1e-10 * max(1.0, float(np.linalg.norm(m, np.inf))),
+               f"{name} argument is not Hermitian within tolerance")
     return np.linalg.inv(m + 1j * np.eye(m.shape[0]))
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NbodyConfig
-from .decoupling import DecouplingBundle, h_diag_exact, resolvent
-from .errors import ConsistencyError, ResolutionError
+from .decoupling import DecouplingBundle, gate_norm2, h_diag_exact, resolvent
+from .errors import ResolutionError, gate
 from .grids import ChannelGrid, RadialGrid, bessel_transform_matrix, build_channel_grid, build_radial_grid
 from .oneparticle import (
     OneParticleSystem,
@@ -139,7 +139,7 @@ def _gaussian_probe(grid: ChannelGrid, l: int, sigma: float) -> np.ndarray:
 
 
 def build_pair_interaction(grid: ChannelGrid, n_radial: int = 160, r_max: float = 16.0,
-                           gate: bool = True) -> PairInteraction:
+                           probe: bool = True) -> PairInteraction:
     """Assemble the factored monopole interaction and gate on resolution.
 
     The radial grid must reproduce the norms of band-limited confined
@@ -148,24 +148,24 @@ def build_pair_interaction(grid: ChannelGrid, n_radial: int = 160, r_max: float 
     momentum quadrature stops resolving the transform's oscillation beyond
     a radius set by the node count, so states extending past r_max (high
     Rydberg-like levels) keep only their inner part, consistently on every
-    code path that projects the interaction.  gate=False skips the probe
-    check for instances used purely as cross-validation fixtures.
+    code path that projects the interaction.  probe=False skips that
+    check, for instances used purely as cross-validation fixtures (the
+    small instance of ``check_restriction_consistency``), which may be too
+    coarse to pass it.
     """
     radial = build_radial_grid(n_radial, r_max)
     b_up = bessel_transform_matrix(grid, radial, grid.l_upper)
     b_lo = bessel_transform_matrix(grid, radial, grid.l_lower)
     kernel = monopole_kernel_form(radial)
     pair = PairInteraction(grid=grid, radial=radial, b_upper=b_up, b_lower=b_lo, kernel=kernel)
-    if gate:
+    if probe:
         probes = np.zeros((grid.dim, 4))
         for col, sigma in enumerate((0.35, 0.7)):
             probes[0::2, col] = _gaussian_probe(grid, grid.l_upper, sigma)
             probes[1::2, 2 + col] = _gaussian_probe(grid, grid.l_lower, sigma)
-        defect = pair.round_trip_defect(probes)
-        if defect > 1e-6:
-            raise ResolutionError(
-                f"radial transform round-trip defect {defect:.3e} > 1e-6; "
-                f"adjust n_radial or r_max to the momentum grid")
+        gate(pair.round_trip_defect(probes), 1e-6,
+             "radial transform round-trip defect {value:.3e} > 1e-6; "
+             "adjust n_radial or r_max to the momentum grid", ResolutionError)
     return pair
 
 
@@ -434,12 +434,10 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     eps, phi = positive_states(sys, cfg.n_plus)
     blocks = sys.fw_blocks
     psi = fw_rows(blocks, sys.u_gamma @ phi)
-    leak = np.linalg.norm(psi[blocks.shape[0]:], 2)
-    if leak > 1e-9:
-        raise ConsistencyError(f"transported frame leaks into the lower block: {leak:.3e}")
-    defect = np.linalg.norm(psi.conj().T @ psi - np.eye(cfg.n_plus), 2)
-    if defect > 1e-9:
-        raise ConsistencyError(f"transported frame is not orthonormal: {defect:.3e}")
+    gate_norm2([psi[blocks.shape[0]:]], 1e-9,
+               "transported frame leaks into the lower block: {value:.3e}")
+    gate_norm2([psi.conj().T @ psi - np.eye(cfg.n_plus)], 1e-9,
+               "transported frame is not orthonormal: {value:.3e}")
 
     sectors = furry_sectors(cfg)
     scale = sys.gamma / cfg.z_charge
@@ -450,7 +448,9 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     h_furry = kinetic
     if n_sites >= 2:
         w2 = pair.project(phi)
-        _require_psd(w2)
+        low = float(np.linalg.eigvalsh(0.5 * (w2 + w2.conj().T))[0])
+        gate(-low, 1e-9 * max(1.0, np.linalg.norm(w2, 2)),
+             "pair projection not positive semidefinite: lowest eigenvalue {low:.3e}", low=low)
         w_proj = tuple(sector_blocks(s, two_site=w2[None])[0] for s in sectors)
         h_furry = tuple(t + scale * w for t, w in zip(kinetic, w_proj))
 
@@ -485,16 +485,14 @@ def _abs_d0_sum(abs_d0: np.ndarray, sectors: tuple[Sector, ...],
     return tuple(sector_blocks(s, ce[None])[0] for s in sectors)
 
 
-def _require_psd(mat: np.ndarray, tol: float = 1e-9) -> None:
-    low = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
-    if low < -tol * max(1.0, np.linalg.norm(mat, 2)):
-        raise ConsistencyError(f"pair projection not positive semidefinite: lowest eigenvalue {low:.3e}")
+def _gate_positive_weight(low: float) -> None:
+    """The lowest eigenvalue of a weight matrix must be positive."""
+    gate(-low, -math.ulp(0.0), "weight matrix not positive definite: eigenvalue {low:.3e}", low=low)
 
 
 def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     ew, uw = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    if ew[0] <= 0:
-        raise ConsistencyError(f"weight matrix not positive definite: eigenvalue {ew[0]:.3e}")
+    _gate_positive_weight(ew[0])
     return (uw * ew ** -0.5) @ uw.conj().T
 
 
@@ -564,8 +562,7 @@ def check_form_bound(fs: FurrySystem) -> float:
     top = -np.inf
     for kin, w in zip(fs.kinetic, fs.w_proj):
         t = np.diag(kin)
-        if t.min() <= 0:
-            raise ConsistencyError(f"weight matrix not positive definite: eigenvalue {t.min():.3e}")
+        _gate_positive_weight(t.min())
         t_inv_half = t ** -0.5
         m = t_inv_half[:, None] * (scale * w) * t_inv_half[None, :]
         top = max(top, float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]))
@@ -595,7 +592,7 @@ def check_kinetic_weight_bound(fs: FurrySystem) -> float:
         try:
             val = eigh(lifted, h, eigvals_only=True, subset_by_index=[n - 1, n - 1])
         except np.linalg.LinAlgError as exc:
-            raise ConsistencyError(f"weight matrix not positive definite: {exc}") from exc
+            gate(math.inf, 0.0, "weight matrix not positive definite: {exc}", exc=exc)
         top = max(top, float(val[0]))
     return top
 
@@ -704,7 +701,8 @@ def check_restriction_consistency(gamma: float, cfg: NbodyConfig) -> float:
     space is affordable, and returns the largest spectral-norm difference,
     over the sector blocks, between the full-space conjugated Hamiltonian
     compressed to the transported frame and the factored assembly used at
-    scale.  The full-space conjugation is kron(E, E) H_2 kron(E, E)^H with
+    scale, after gating it at 1e-8 (ConsistencyError).  The full-space
+    conjugation is kron(E, E) H_2 kron(E, E)^H with
     E = R U_gamma P_+^gamma and R the FW frame of ``oneparticle.fw_rows``,
     where H_2 holds both one-particle operators and the full pair matrix.
     Compressed to the frame kron(psi, psi) it is Y^H H_2 Y with
@@ -716,7 +714,7 @@ def check_restriction_consistency(gamma: float, cfg: NbodyConfig) -> float:
         return 0.0
     grid = build_channel_grid(24)
     sys = assemble_system(grid, gamma)
-    pair = build_pair_interaction(grid, n_radial=96, r_max=10.0, gate=False)
+    pair = build_pair_interaction(grid, n_radial=96, r_max=10.0, probe=False)
     small_cfg = NbodyConfig(n_particles=2, z_charge=cfg.z_charge,
                             n_plus=min(cfg.n_plus, 6), antisymmetrize=False)
     fs = assemble_furry_exact(sys, small_cfg, pair)
@@ -728,5 +726,7 @@ def check_restriction_consistency(gamma: float, cfg: NbodyConfig) -> float:
     e_psi = e.conj().T @ fs.psi
     y = np.kron(e_psi, e_psi)
     compressed = y.conj().T @ h2 @ y
-    return max(float(np.linalg.norm(s.iso.T @ compressed @ s.iso - block, 2))
-               for s, block in zip(fs.sectors, fs.h_diag_exact))
+    return gate(max(float(np.linalg.norm(s.iso.T @ compressed @ s.iso - block, 2))
+                    for s, block in zip(fs.sectors, fs.h_diag_exact)), 1e-8,
+                "restriction/conjugation order disagreement {value:.3e} > 1e-8 "
+                "on the small cross-check instance")

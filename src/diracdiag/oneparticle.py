@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GapError
+from .errors import GapError, gate
 from .grids import ChannelGrid
 
 GAMMA_MAX = math.sqrt(3.0) / 2.0
@@ -226,9 +226,8 @@ def exact_u_gamma(pg: np.ndarray, n_plus: int) -> np.ndarray:
     m[k:, k:] += np.eye(dim - k)
     halves = [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in (m[:k, :k], m[k:, k:])]
     low = min((float(ew[0]) for ew, _ in halves if ew.size), default=1.0)
-    if low <= 0.0:
-        gap = math.sqrt(1.0 - low)
-        raise ValueError(f"projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1")
+    gate(-low, -math.ulp(0.0), "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1",
+         gap=math.sqrt(max(0.0, 1.0 - low)))
     u = np.empty_like(m)
     for cols, (ew, uw) in zip((slice(0, k), slice(k, dim)), halves):
         u[:, cols] = m[:, cols] @ ((uw * ew ** -0.5) @ uw.conj().T)
@@ -287,8 +286,8 @@ def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
     dgamma = d0 + gamma * v
     evals, evecs = np.linalg.eigh(dgamma)
     gap = float(np.min(np.abs(evals)))
-    if gap < GAP_FLOOR:
-        raise GapError(f"no spectral gap: eigenvalue {gap:.3e} within {GAP_FLOOR:.1e} of zero")
+    gate(-gap, -GAP_FLOOR, "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero",
+         GapError, gap=gap, floor=GAP_FLOOR)
     pos = evecs[:, evals > 0.0]
     p_plus_gamma = pos @ pos.conj().T
     p_plus_0 = free_positive_projector(grid)

@@ -92,6 +92,19 @@ def test_oversize_nbody_config_exit_2(tmp_path, command):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["converge", "nbody"])
+def test_more_retained_states_than_nodes_exit_2(tmp_path, command):
+    # 16 nodes carry 16 positive states, fewer than the default n_plus of 20:
+    # rejected with the config, before any numerics and any output
+    cfg = write_cfg(tmp_path, {"grid": {"n": 16}, "gamma_list": [0.3]})
+    out_dir = tmp_path / "o"
+    out = run_cli([command, "--config", cfg, "--output", str(out_dir)], tmp_path)
+    assert out.returncode == 2
+    assert "config error:" in out.stderr
+    assert "nbody.n_plus 20 exceeds the 16 positive states" in out.stderr
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["one-particle", "nbody"])
 def test_colliding_coupling_tags_exit_2(tmp_path, command):
     # per-coupling files are named by the 4-decimal tag, so 0.10004 would

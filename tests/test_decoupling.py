@@ -18,12 +18,9 @@ from conftest import (
 from diracdiag import manybody as mb
 from diracdiag.config import NbodyConfig
 from diracdiag.decoupling import (
-    _check_f_leak,
-    _check_h_hermitian,
-    _check_projector_hermitian,
-    _check_series_residual,
     build_decoupling_bundle,
     decoupled_rows,
+    gate_norm2,
     h_diag_exact,
     h_diag_series,
     resolvent,
@@ -175,7 +172,7 @@ def test_u_series_rejects_mismatched_projector():
     p = riesz_projection_series(toy, 4)
     with pytest.raises(ValueError, match="order"):
         decoupled_rows(u_gamma_series(p, 1), riesz_projection_series(toy, 5), 1)
-    with pytest.raises(ValueError, match="constant term"):
+    with pytest.raises(ConsistencyError, match="constant term"):
         u_gamma_series(p, 0)
 
 
@@ -265,7 +262,7 @@ def test_resolvent_distance_scalar_oracle():
 
 def test_resolvent_distance_rejects_non_hermitian():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ConsistencyError, match="Hermitian"):
         resolvent_distance(a, np.eye(2))
 
 
@@ -296,39 +293,50 @@ def test_bundle_shapes(bundle100, sys100):
 # structural gates: Frobenius pre-test, spectral decision
 # ---------------------------------------------------------------------------
 # Each gate gets a defect x with ||x||_F > tol >= ||x||_2, which must pass
-# through the SVD branch, and one just above tol, which must raise.
+# through the SVD branch, and one just above tol, which must raise.  The
+# messages are the templates of the gate sites in decoupling.py.
+
+UNITARITY = "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}"
+H_HERMITIAN = "Hamiltonian coefficient {index} not Hermitian"
+H_LEAK = "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}"
+
 
 def _forces_svd(x, tol):
     return np.linalg.norm(x) > tol >= np.linalg.norm(x, 2)
 
 
+def _hermitian_defects(coeffs):
+    return (c - c.conj().T for c in coeffs)
+
+
 def test_series_residual_gate():
     ok = 0.9e-9 * np.eye(4)
     assert _forces_svd(ok, 1e-9)
-    _check_series_residual([np.zeros((4, 4)), ok], "unitarity defect of the U series")
+    assert gate_norm2([np.zeros((4, 4)), ok], 1e-9, UNITARITY) == pytest.approx(0.9e-9)
     bad = [np.zeros((4, 4)), 1.1e-9 * np.eye(4)]
     with pytest.raises(ConsistencyError,
                        match=r"^unitarity defect of the U series: coefficient residual 1\.100e-09 > 1\.0e-09$"):
-        _check_series_residual(bad, "unitarity defect of the U series")
+        gate_norm2(bad, 1e-9, UNITARITY)
 
 
 def test_projector_hermiticity_gate():
     ok = 0.45e-10j * np.eye(4)
     assert _forces_svd(ok - ok.conj().T, 1e-10)
-    _check_projector_hermitian(make_series([np.eye(4), ok]))
-    bad = make_series([np.eye(4), 0.55e-10j * np.eye(4)])
+    message = "projector coefficients not Hermitian: {value:.3e}"
+    gate_norm2(_hermitian_defects([np.eye(4), ok]), 1e-10, message)
+    bad = [np.eye(4), 0.55e-10j * np.eye(4)]
     with pytest.raises(ConsistencyError, match=r"^projector coefficients not Hermitian: 1\.100e-10$"):
-        _check_projector_hermitian(bad)
+        gate_norm2(_hermitian_defects(bad), 1e-10, message)
 
 
 def test_h_hermiticity_gate():
     upper = np.diag([1.0, 0.0] * 4)
     ok = 0.45e-10j * upper
     assert _forces_svd(ok - ok.conj().T, 1e-10)
-    _check_h_hermitian(make_series([upper, ok]))
-    bad = make_series([upper, 0.55e-10j * upper])
+    gate_norm2(_hermitian_defects([upper, ok]), 1e-10, H_HERMITIAN, scales=[upper, ok])
+    bad = [upper, 0.55e-10j * upper]
     with pytest.raises(ConsistencyError, match=r"^Hamiltonian coefficient 1 not Hermitian$"):
-        _check_h_hermitian(bad)
+        gate_norm2(_hermitian_defects(bad), 1e-10, H_HERMITIAN, scales=bad)
 
 
 def test_h_upper_block_leak_gate():
@@ -338,11 +346,30 @@ def test_h_upper_block_leak_gate():
     lower = np.vstack((np.zeros((4, 8)), np.eye(4, 8)))
     ok = 0.9e-9 * lower
     assert _forces_svd(ok[4:], 1e-9)
-    _check_f_leak([upper, ok], 4)
+    gate_norm2((c[4:] for c in [upper, ok]), 1e-9, H_LEAK, scales=[upper, ok])
     bad = 1.1e-9 * lower
     with pytest.raises(ConsistencyError,
                        match=r"^Hamiltonian coefficient 1 leaks out of the upper block: 1\.100e-09$"):
-        _check_f_leak([upper, bad], 4)
+        gate_norm2((c[4:] for c in [upper, bad]), 1e-9, H_LEAK, scales=[upper, bad])
+
+
+def test_relative_gate_scales_the_tolerance():
+    # matrix i is gated at tol * max(1, ||scales[i]||_2): a defect of 5e-10
+    # passes next to a coefficient of norm 10 and fails next to one of norm 1
+    defect = 5e-10 * np.eye(2)
+    for big in (10.0 * np.eye(2), np.diag([10.0, 0.0])):
+        gate_norm2([defect], 1e-10, H_HERMITIAN, scales=[big])
+    with pytest.raises(ConsistencyError, match=r"^Hamiltonian coefficient 0 not Hermitian$"):
+        gate_norm2([defect], 1e-10, H_HERMITIAN, scales=[np.eye(2)])
+
+
+def test_gate_norm2_reports_the_worst_failure_and_fails_on_nan():
+    mats = [2e-9 * np.eye(2), 5e-9 * np.eye(2), 3e-9 * np.eye(2)]
+    with pytest.raises(ConsistencyError, match=r"residual 5\.000e-09 > 1\.0e-09$"):
+        gate_norm2(mats, 1e-9, UNITARITY)
+    with pytest.raises(ConsistencyError, match=r"^Hamiltonian coefficient 1 not Hermitian$"):
+        gate_norm2([np.zeros((2, 2)), np.full((2, 2), np.nan)], 1e-10, H_HERMITIAN,
+                   scales=[np.eye(2), np.eye(2)])
 
 
 def test_decoupled_rows_report_the_leak():
@@ -362,7 +389,7 @@ def test_resolvent_hermiticity_gate():
     assert _forces_svd(ok - ok.conj().T, 1e-10)
     assert np.array_equal(resolvent(ok), np.linalg.inv(ok + 1j * np.eye(4)))
     bad = 0.55e-10j * np.eye(4)
-    with pytest.raises(ValueError, match=r"^first argument is not Hermitian within tolerance$"):
+    with pytest.raises(ConsistencyError, match=r"^first argument is not Hermitian within tolerance$"):
         resolvent(bad)
-    with pytest.raises(ValueError, match=r"^second argument is not Hermitian within tolerance$"):
+    with pytest.raises(ConsistencyError, match=r"^second argument is not Hermitian within tolerance$"):
         resolvent_distance(np.eye(4), bad)

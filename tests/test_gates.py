@@ -1,0 +1,106 @@
+"""The gate primitive, the inventory of gates a run passes, and who raises."""
+
+import importlib
+import json
+import math
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from diracdiag import cli, errors
+from diracdiag.errors import ConsistencyError, GapError, ResolutionError, gate
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "diracdiag"
+
+
+def test_gate_returns_the_value_within_tolerance():
+    assert gate(0.5, 1.0, "unused") == 0.5
+    assert gate(1.0, 1.0, "unused") == 1.0
+    assert gate(-3, 0, "unused") == -3
+
+
+def test_gate_raises_the_given_type_with_the_formatted_message():
+    with pytest.raises(ConsistencyError, match=r"^residual 2\.000e\+00 > 1\.0e\+00$"):
+        gate(2.0, 1.0, "residual {value:.3e} > {tol:.1e}")
+    with pytest.raises(ResolutionError, match=r"^node 7 of grid fine: 3\.5 over 3$"):
+        gate(3.5, 3, "node {node} of grid {name}: {value} over {tol}", ResolutionError,
+             node=7, name="fine")
+    with pytest.raises(GapError, match=r"^gap 1\.0e-09$"):
+        gate(-1e-9, -1e-8, "gap {gap:.1e}", error=GapError, gap=1e-9)
+
+
+def test_gate_fails_on_nan():
+    with pytest.raises(ConsistencyError, match=r"^got nan$"):
+        gate(float("nan"), 1.0, "got {value}")
+
+
+def test_gate_strict_lower_bound():
+    # gate(-x, -ulp(0)) passes exactly when x > 0
+    assert gate(-math.ulp(0.0), -math.ulp(0.0), "unused") == -math.ulp(0.0)
+    with pytest.raises(ConsistencyError):
+        gate(-0.0, -math.ulp(0.0), "zero is not positive")
+
+
+def test_only_errors_module_raises_numerical_failures():
+    pattern = re.compile(r"raise\s+(NumericalError|GapError|ResolutionError|ConsistencyError)\b")
+    offenders = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+                 for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if pattern.search(line)]
+    assert offenders == []
+
+
+# Every gate a converge and an nbody run pass, by message template.  A check
+# that only fires on failure (the Cholesky failure of
+# ``check_kinetic_weight_bound``) is not listed; test_manybody covers it.
+PASSED_TEMPLATES = {
+    # decoupling
+    "fw_blocks must send the positive free states to the upper components",
+    "projector series constant term drifted from P_+^0",
+    "projector coefficients not Hermitian: {value:.3e}",
+    "projector series constant term differs from the free projector",
+    "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}",
+    "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}",
+    "intertwining defect of the U series: coefficient residual {value:.3e} > {tol:.1e}",
+    "Hamiltonian coefficient {index} not Hermitian",
+    "first argument is not Hermitian within tolerance",
+    "second argument is not Hermitian within tolerance",
+    # oneparticle
+    "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1",
+    "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero",
+    # manybody
+    "radial transform round-trip defect {value:.3e} > 1e-6; "
+    "adjust n_radial or r_max to the momentum grid",
+    "transported frame leaks into the lower block: {value:.3e}",
+    "transported frame is not orthonormal: {value:.3e}",
+    "pair projection not positive semidefinite: lowest eigenvalue {low:.3e}",
+    "weight matrix not positive definite: eigenvalue {low:.3e}",
+    "restriction/conjugation order disagreement {value:.3e} > 1e-8 "
+    "on the small cross-check instance",
+}
+
+
+def test_gate_inventory_of_converge_and_nbody(tmp_path, monkeypatch):
+    passed = set()
+
+    def recording_gate(value, tol, message, *args, **fields):
+        out = errors.gate(value, tol, message, *args, **fields)
+        passed.add(message)
+        return out
+
+    modules = [importlib.import_module(f"diracdiag.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if not path.stem.startswith("__")]
+    users = [mod.__name__ for mod in modules
+             if mod is not errors and getattr(mod, "gate", None) is errors.gate]
+    assert users == ["diracdiag.decoupling", "diracdiag.manybody", "diracdiag.oneparticle"]
+    for name in users:
+        monkeypatch.setattr(sys.modules[name], "gate", recording_gate)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "grid": {"n": 64}, "gamma_list": [0.1, 0.2], "series_order": 4,
+        "nbody": {"n_particles": 2, "n_plus": 4},
+    }), encoding="utf-8")
+    for command in ("converge", "nbody"):
+        assert cli.main([command, "--config", str(cfg), "--output", str(tmp_path / command)]) == 0
+    assert passed == PASSED_TEMPLATES

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import abs_free_dirac_power, dense_exact_u_gamma, fw_matrix
-from diracdiag.errors import GapError
+from diracdiag.errors import ConsistencyError, GapError
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import (
     GAMMA_MAX,
@@ -178,7 +178,7 @@ def test_unitarity_and_intertwining(sys100):
 def test_exact_u_gamma_rejects_far_projectors():
     p0 = np.diag([1.0, 0.0])
     pg = np.diag([0.0, 1.0])
-    with pytest.raises(ValueError, match="far apart"):
+    with pytest.raises(ConsistencyError, match="far apart"):
         exact_u_gamma(pg, 1)
 
 
@@ -198,7 +198,7 @@ def test_exact_u_gamma_rejects_rank_mismatch():
     # projectors of different rank are at distance exactly 1
     p0 = np.diag([1.0, 0.0, 0.0])
     pg = np.diag([1.0, 1.0, 0.0])
-    with pytest.raises(ValueError, match="far apart"):
+    with pytest.raises(ConsistencyError, match="far apart"):
         exact_u_gamma(pg, 1)
 
 
