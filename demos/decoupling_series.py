@@ -11,8 +11,15 @@ closed-form coefficients is verified alongside.
 import numpy as np
 
 from diracdiag.decoupling import build_decoupling_bundle, riesz_projection_series
-from diracdiag.grids import build_channel_grid
-from diracdiag.oneparticle import assemble_system, fw_conjugate
+from diracdiag.grids import ChannelGrid, build_channel_grid
+from diracdiag.oneparticle import (
+    OneParticleSystem,
+    assemble_system,
+    build_free_dirac,
+    foldy_wouthuysen,
+    free_positive_projector,
+    fw_conjugate,
+)
 from diracdiag.series import coefficient_norms, series_eval
 
 
@@ -39,15 +46,15 @@ def main():
         print(f"{gamma:>8.2f} {p_err:>14.3e} {u_err:>14.3e}")
 
     # two-level toy: P(g) has closed-form coefficients, alternating between
-    # the diagonal and off-diagonal generators
-    from diracdiag.oneparticle import OneParticleSystem
-
-    d0 = np.diag([1.0, -1.0])
+    # the diagonal and off-diagonal generators.  Its grid is one node at
+    # p = 0, where D0 = diag(1, -1) and the FW block is the identity; V
+    # swaps the two levels.
+    toy_grid = ChannelGrid(kappa=-1, n=1, map_scale=1.0, p=np.zeros(1), w=np.ones(1))
+    d0 = build_free_dirac(toy_grid)
     v = np.array([[0.0, 1.0], [1.0, 0.0]])
     toy = OneParticleSystem(
-        grid=None, gamma=0.0, d0=d0, v=v, dgamma=d0,
-        p_plus_0=np.diag([1.0, 0.0]), p_plus_gamma=np.diag([1.0, 0.0]),
-        fw_blocks=np.eye(2)[None], u_gamma=np.eye(2), gap=1.0,
+        grid=toy_grid, gamma=0.0, v=v, dgamma=d0, p_plus_gamma=free_positive_projector(toy_grid),
+        fw_blocks=foldy_wouthuysen(toy_grid), u_gamma=np.eye(2), gap=1.0,
         evals=np.array([-1.0, 1.0]), evecs=np.eye(2)[:, ::-1].copy(),
     )
     p_toy = riesz_projection_series(toy, 4)

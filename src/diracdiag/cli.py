@@ -236,6 +236,7 @@ def cmd_one_particle(cfg: RunConfig) -> int:
             "unitarity_residual": uni, "intertwining_residual": inter,
             "kato_margin": kato, "dgamma_margin": dg, "gap": gap,
         })
+        del sys_g  # before the next coupling's system is assembled
     write_table_csv(os.path.join(out, "one_particle_summary.csv"),
                     ("gamma", "ground_energy", "sommerfeld_rel_error",
                      "unitarity_residual", "intertwining_residual",

@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import gate
-from .oneparticle import OneParticleSystem, fw_conjugate, fw_rows
+from .oneparticle import (
+    OneParticleSystem,
+    free_energies,
+    free_positive_projector,
+    fw_conjugate,
+    fw_rows,
+)
 from .series import MatrixSeries, cauchy_product, inv_sqrt_coefficients, make_series
 
 
@@ -38,16 +44,11 @@ def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """FW node blocks, free eigenvalues and the potential in the FW frame.
 
     The frame is R = Pi B (``oneparticle.fw_rows``), the positive free
-    states first.  The eigenvalues are read off the rotated free operator
-    itself rather than the grid, so any system whose fw_blocks diagonalize
-    its d0 works, not only grid-built ones.
+    states first, so the free eigenvalues are +E then -E, read from the
+    grid (``oneparticle.free_energies``).
     """
-    blocks = sys.fw_blocks
-    lam = np.diag(fw_conjugate(blocks, sys.d0)).copy()
-    n = blocks.shape[0]
-    gate(np.count_nonzero(~(lam[:n] > 0.0)) + np.count_nonzero(~(lam[n:] < 0.0)), 0,
-         "fw_blocks must send the positive free states to the upper components")
-    return blocks, lam, fw_conjugate(blocks, sys.v)
+    e = free_energies(sys.grid)
+    return sys.fw_blocks, np.concatenate((e, -e)), fw_conjugate(sys.fw_blocks, sys.v)
 
 
 def riesz_projection_series(sys: OneParticleSystem, order: int) -> MatrixSeries:
@@ -202,7 +203,7 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
     blocks, lam, vfw = _fw_frame(sys)
     n = blocks.shape[0]
     p = riesz_projection_series(sys, order)
-    gate_norm2([p[0] - fw_conjugate(blocks, sys.p_plus_0)], 1e-11,
+    gate_norm2([p[0] - fw_conjugate(blocks, free_positive_projector(sys.grid))], 1e-11,
                "projector series constant term drifted from P_+^0")
     gate_norm2((c - c.conj().T for c in p.coeffs), 1e-10,
                "projector coefficients not Hermitian: {value:.3e}")

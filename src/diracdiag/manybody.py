@@ -719,9 +719,17 @@ def check_restriction_consistency(gamma: float, cfg: NbodyConfig) -> float:
                             n_plus=min(cfg.n_plus, 6), antisymmetrize=False)
     fs = assemble_furry_exact(sys, small_cfg, pair)
 
-    scale = gamma / small_cfg.z_charge
-    eye = np.eye(grid.dim)
-    h2 = np.kron(sys.dgamma, eye) + np.kron(eye, sys.dgamma) + scale * pair.project(eye)
+    # H_2 = kron(D, 1) + kron(1, D) + (gamma/Z) W, summed in that order in
+    # place, kron(1, D) block by block; W is projected first, while no other
+    # product-space matrix is alive
+    d = grid.dim
+    eye = np.eye(d)
+    w = pair.project(eye)
+    w *= gamma / small_cfg.z_charge
+    h2 = np.kron(sys.dgamma, eye)
+    for k in range(0, d * d, d):
+        h2[k:k + d, k:k + d] += sys.dgamma
+    h2 += w
     e = fw_rows(sys.fw_blocks, sys.u_gamma @ sys.p_plus_gamma)
     e_psi = e.conj().T @ fs.psi
     y = np.kron(e_psi, e_psi)

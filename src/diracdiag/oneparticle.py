@@ -11,8 +11,8 @@ the potential couples nodes.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,23 +77,24 @@ def _legendre_q_series(l: int, y: np.ndarray) -> np.ndarray:
     return c * y ** -(l + 1.0) * acc
 
 
-@lru_cache(maxsize=32)
 def subtraction_constant(l: int) -> float:
-    """2 * integral of Q_l(cosh t) over t in (0, inf).
+    """c_l = 2 * integral of Q_l(cosh t) over t in (0, inf), in closed form.
 
-    Used by the diagonal subtraction of the Coulomb kernel.  Closed values:
-    l=0 -> pi^2/2, l=1 -> 2, l=2 -> pi^2/8.
+    Used by the diagonal subtraction of the Coulomb kernel.  The value is
+    c_l = (pi/2) [Gamma((l+1)/2) / Gamma(l/2 + 1)]^2, evaluated by
+    c_0 = pi^2/2, c_1 = 2 and c_(l+2) = c_l ((l+1)/(l+2))^2: rational for
+    odd l, a rational times pi^2 for even l.  Integrating the series
+    Q_l(cosh t) = sqrt(pi) l!/Gamma(l+3/2) sum_k (1/2)_k (l+1)_k /
+    ((l+3/2)_k k!) e^(-(l+1+2k)t) (DLMF ch. 14) term by term leaves a
+    well-poised 3F2 at unit argument, summed by Dixon's theorem (DLMF
+    sec. 16.4(ii)).
     """
     if l < 0:
         raise ValueError(f"negative degree {l}")
-    from scipy.integrate import quad
-
-    def integrand(t):
-        return legendre_q(l, np.cosh(t))
-
-    a, _ = quad(integrand, 0.0, 2.0, limit=200)
-    b, _ = quad(integrand, 2.0, 80.0, limit=200)
-    return 2.0 * (a + b)
+    c = 2.0 if l % 2 else math.pi ** 2 / 2.0
+    for m in range(l % 2, l, 2):
+        c *= ((m + 1) / (m + 2)) ** 2
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +130,24 @@ def build_free_dirac(grid: ChannelGrid) -> np.ndarray:
     return d0
 
 
+_COULOMB: dict[int, np.ndarray] = {}
+
+
 def build_coulomb(grid: ChannelGrid) -> np.ndarray:
-    """Coulomb coupling matrix V, block-diagonal in the spinor component."""
-    v = np.zeros((grid.dim, grid.dim))
-    v[0::2, 0::2] = coulomb_channel_matrix(grid.p, grid.w, grid.l_upper)
-    v[1::2, 1::2] = coulomb_channel_matrix(grid.p, grid.w, grid.l_lower)
+    """Coulomb coupling matrix V, block-diagonal in the spinor component.
+
+    V does not depend on the coupling, so it is built once per grid object
+    and shared read-only by every system assembled on that grid; it is
+    dropped with the grid.
+    """
+    v = _COULOMB.get(id(grid))
+    if v is None:
+        v = np.zeros((grid.dim, grid.dim))
+        v[0::2, 0::2] = coulomb_channel_matrix(grid.p, grid.w, grid.l_upper)
+        v[1::2, 1::2] = coulomb_channel_matrix(grid.p, grid.w, grid.l_lower)
+        v.flags.writeable = False
+        _COULOMB[id(grid)] = v
+        weakref.finalize(grid, _COULOMB.pop, id(grid), None)
     return v
 
 
@@ -240,8 +254,13 @@ def exact_u_gamma(pg: np.ndarray, n_plus: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OneParticleSystem:
-    """All matrices of one channel at one coupling, plus spectral data.
+    """The matrices of one channel at one coupling, plus spectral data.
 
+    Apart from v, the grid's Coulomb matrix (``build_coulomb``), which every
+    system on the grid shares read-only, a system holds only what depends
+    on the coupling.  The free operator D_0 and its positive projector are
+    closed-form node blocks, read from the grid (``free_energies``,
+    ``free_positive_projector``) and not stored.
     evals are the raw ``eigh`` values, ascending, with evecs columns
     matching; gap is min |evals|.  They carry the eigensolver's backward
     error eps*||D_gamma||, which moves with the BLAS thread count, so the
@@ -252,10 +271,8 @@ class OneParticleSystem:
 
     grid: ChannelGrid
     gamma: float
-    d0: np.ndarray
     v: np.ndarray
     dgamma: np.ndarray
-    p_plus_0: np.ndarray
     p_plus_gamma: np.ndarray
     fw_blocks: np.ndarray
     u_gamma: np.ndarray
@@ -281,38 +298,41 @@ def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
     """
     if not 0.0 <= gamma < GAMMA_MAX:
         raise ValueError(f"coupling {gamma} outside [0, sqrt(3)/2)")
-    d0 = build_free_dirac(grid)
     v = build_coulomb(grid)
-    dgamma = d0 + gamma * v
+    dgamma = build_free_dirac(grid)
+    dgamma += gamma * v
     evals, evecs = np.linalg.eigh(dgamma)
     gap = float(np.min(np.abs(evals)))
     gate(-gap, -GAP_FLOOR, "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero",
          GapError, gap=gap, floor=GAP_FLOOR)
     pos = evecs[:, evals > 0.0]
     p_plus_gamma = pos @ pos.conj().T
-    p_plus_0 = free_positive_projector(grid)
+    del pos
     blocks = foldy_wouthuysen(grid)
     if gamma == 0.0:
         u_gamma = np.eye(grid.dim)
     else:
         u_gamma = fw_conjugate(blocks, exact_u_gamma(fw_conjugate(blocks, p_plus_gamma), grid.n),
                                back=True)
-    _freeze(d0, v, dgamma, p_plus_0, p_plus_gamma, blocks, u_gamma, evals, evecs)
+    _freeze(dgamma, p_plus_gamma, blocks, u_gamma, evals, evecs)
     return OneParticleSystem(
-        grid=grid, gamma=float(gamma), d0=d0, v=v, dgamma=dgamma,
-        p_plus_0=p_plus_0, p_plus_gamma=p_plus_gamma,
+        grid=grid, gamma=float(gamma), v=v, dgamma=dgamma, p_plus_gamma=p_plus_gamma,
         fw_blocks=blocks, u_gamma=u_gamma, gap=gap, evals=evals, evecs=evecs)
 
 
 def rayleigh_levels(sys: OneParticleSystem) -> np.ndarray:
-    """Every level as the Rayleigh quotient x_i^T D_gamma x_i, in eigh's ascending order.
+    """Every level as the Rayleigh quotient x_i^T D_gamma x_i / x_i^T x_i, in eigh's order.
 
     The quotient of a computed eigenvector differs from the eigenvalue only
     at second order in the vector's error (Parlett, The Symmetric Eigenvalue
     Problem, ch. 4), so it does not carry the first-order backward error
     eps*||D_gamma|| of the raw eigenvalue and agrees across thread counts.
+    The division matters at the outer levels: there ``eigh``'s vectors are
+    unit only to about 10 eps, which times |level| ~ p_max exceeds the
+    eigenvalue's own error.
     """
-    return np.einsum("ij,ij->j", sys.evecs, sys.dgamma @ sys.evecs)
+    x = sys.evecs
+    return np.einsum("ij,ij->j", x, sys.dgamma @ x) / np.einsum("ij,ij->j", x, x)
 
 
 def positive_levels(sys: OneParticleSystem, count: int | None = None) -> np.ndarray:
@@ -377,21 +397,31 @@ def check_kato(sys: OneParticleSystem) -> float:
 def check_dgamma_bound(sys: OneParticleSystem) -> float:
     """Lowest eigenvalue of M = D_gamma^2 - d^2 D_0^2; nonnegative in the continuum.
 
-    Returned as the Rayleigh quotient ||D_gamma x||^2 - d^2 ||D_0 x||^2 of
-    the lowest eigenvector x.  M has entries of size p_max^2, so the raw
-    eigenvalue carries a backward error eps*||M|| (1e-7 at n=200) that
-    swamps a margin of order one and moves with the LAPACK driver and the
-    thread count.  The quotient differs from the lowest eigenvalue only at
-    second order in the vector's error and is never below it, so the
-    margin keeps its meaning and its gate its strictness.
+    D_0^2 is diag(E^2) on both components.  The margin is returned as the
+    Rayleigh quotient ||D_gamma y||^2 - d^2 ||E y||^2 of the lowest
+    eigenvector y.  M has entries of size p_max^2, so the raw eigenvalue
+    carries a backward error eps*||M|| (1e-7 at n=200) that swamps a margin
+    of order one and moves with the LAPACK driver and the thread count.
+    The quotient differs from the lowest eigenvalue only at second order in
+    the vector's error and is never below it, so the margin keeps its
+    meaning and its gate its strictness.  y is the computed vector x after
+    one inverse-iteration step, (M - lam0) y = x with lam0 the computed
+    eigenvalue, which damps the other eigenvectors left in x: at n=500 the
+    quotients of the evd and evr vectors differ by up to 1.7e-12 before the
+    step and by 2.2e-16 after it (one BLAS thread).
     """
-    from scipy.linalg import eigh
+    from scipy.linalg import eigh, lu_factor, lu_solve
 
     d2 = d_gamma(sys.gamma) ** 2
-    m = sys.dgamma @ sys.dgamma - d2 * (sys.d0 @ sys.d0)
-    _, x = eigh(0.5 * (m + m.T), subset_by_index=[0, 0])
-    x = x[:, 0]
-    return float(np.sum((sys.dgamma @ x) ** 2) - d2 * np.sum((sys.d0 @ x) ** 2))
+    e2 = np.repeat(1.0 + sys.grid.p ** 2, 2)
+    m = sys.dgamma @ sys.dgamma
+    m[np.diag_indices_from(m)] -= d2 * e2
+    m = 0.5 * (m + m.T)
+    lam0, x = eigh(m, subset_by_index=[0, 0])
+    m[np.diag_indices_from(m)] -= lam0[0]
+    y = lu_solve(lu_factor(m), x[:, 0])
+    y /= np.linalg.norm(y)
+    return float(np.sum((sys.dgamma @ y) ** 2) - d2 * np.sum(e2 * y ** 2))
 
 
 def check_gap_bound(sys: OneParticleSystem) -> bool:
@@ -416,10 +446,18 @@ def decoupling_residuals(sys: OneParticleSystem) -> tuple[float, float]:
     """Unitarity ||U U* - 1|| and intertwining ||U P_gamma - P_0 U|| of the exact unitary.
 
     U U* - 1 is Hermitian, so its norm is its largest eigenvalue in
-    magnitude, with no further product.
+    magnitude, with no further product.  The intertwining defect is taken
+    in the FW frame R (``fw_rows``), where P_0 is a row mask: its norm is
+    that of R U P_gamma - P0 R U, which is R U (P_gamma - 1) on the first n
+    rows and R U P_gamma on the rest.
     """
-    u = sys.u_gamma
-    uni = float(np.max(np.abs(np.linalg.eigvalsh(u @ u.conj().T - np.eye(sys.dim)))))
-    inter = _norm2(u @ sys.p_plus_gamma - sys.p_plus_0 @ u)
-    return uni, inter
-
+    u, n = sys.u_gamma, sys.grid.n
+    uu = u @ u.conj().T
+    uu[np.diag_indices_from(uu)] -= 1.0
+    uni = float(np.max(np.abs(np.linalg.eigvalsh(uu))))
+    del uu
+    ru = fw_rows(sys.fw_blocks, u)
+    d = ru @ sys.p_plus_gamma
+    d[:n] -= ru[:n]
+    del ru
+    return uni, _norm2(d)

@@ -14,9 +14,16 @@ import numpy as np
 import pytest
 
 from diracdiag.decoupling import build_decoupling_bundle
-from diracdiag.grids import build_channel_grid
+from diracdiag.grids import ChannelGrid, build_channel_grid
 from diracdiag.manybody import _density_stack, _two_site_assemble, build_pair_interaction
-from diracdiag.oneparticle import OneParticleSystem, assemble_system, free_energies
+from diracdiag.oneparticle import (
+    OneParticleSystem,
+    assemble_system,
+    build_free_dirac,
+    foldy_wouthuysen,
+    free_energies,
+    free_positive_projector,
+)
 from diracdiag.report import REPORT_COLUMNS
 from diracdiag.series import (
     MatrixSeries,
@@ -132,18 +139,22 @@ def abs_free_dirac_power(grid, power: float) -> np.ndarray:
     return np.diag(np.repeat(free_energies(grid) ** power, 2))
 
 
+def toy_grid() -> ChannelGrid:
+    """One momentum node at p = 0: D_0 = diag(1, -1) and an identity FW block."""
+    return ChannelGrid(kappa=-1, n=1, map_scale=1.0, p=np.zeros(1), w=np.ones(1))
+
+
 def toy_two_level() -> OneParticleSystem:
-    """Hand-built 2x2 system: D_0 = diag(1, -1), V swaps the levels.
+    """Hand-built 2x2 system on ``toy_grid``: D_0 = diag(1, -1), V swaps the levels.
 
     Closed forms for everything make it the sharpest series oracle: the
     positive projector of D_0 + gV is (I + (D_0 + gV)/sqrt(1+g^2))/2.
     """
-    d0 = np.diag([1.0, -1.0])
-    v = np.array([[0.0, 1.0], [1.0, 0.0]])
+    grid = toy_grid()
     return OneParticleSystem(
-        grid=None, gamma=0.0, d0=d0, v=v, dgamma=d0,
-        p_plus_0=np.diag([1.0, 0.0]), p_plus_gamma=np.diag([1.0, 0.0]),
-        fw_blocks=np.eye(2)[None], u_gamma=np.eye(2), gap=1.0,
+        grid=grid, gamma=0.0, v=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        dgamma=build_free_dirac(grid), p_plus_gamma=free_positive_projector(grid),
+        fw_blocks=foldy_wouthuysen(grid), u_gamma=np.eye(2), gap=1.0,
         evals=np.array([-1.0, 1.0]), evecs=np.eye(2)[:, ::-1].copy(),
     )
 
@@ -290,8 +301,8 @@ def dense_h_diag_series(sys: OneParticleSystem, f_series: MatrixSeries) -> Matri
     """F (R D R^T) F^H for F in the FW frame and the operator series
     D = D_0 + g V, full size; R = ``fw_matrix`` of the system's blocks."""
     q = fw_matrix(sys.fw_blocks)
-    d = make_series([q @ sys.d0 @ q.T, q @ sys.v @ q.T]
-                    + [np.zeros_like(sys.d0)] * (f_series.order - 1))
+    d = make_series([q @ build_free_dirac(sys.grid) @ q.T, q @ sys.v @ q.T]
+                    + [np.zeros_like(sys.v)] * (f_series.order - 1))
     return series_mul(series_mul(f_series, d), series_adjoint(f_series))
 
 

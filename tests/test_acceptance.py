@@ -31,6 +31,7 @@ from diracdiag.decoupling import riesz_projection_series
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import (
     assemble_system,
+    build_free_dirac,
     check_dgamma_bound,
     check_kato,
     d_gamma,
@@ -131,7 +132,7 @@ def test_criterion_4_series_correctness(sys200, bundle200):
     p_toy = riesz_projection_series(toy, 4)
     toy_err = max(
         np.linalg.norm(p_toy.coeffs[1] - toy.v / 2.0, 2),
-        np.linalg.norm(p_toy.coeffs[2] + toy.d0 / 4.0, 2))
+        np.linalg.norm(p_toy.coeffs[2] + build_free_dirac(toy.grid) / 4.0, 2))
     print(f"criterion 4: projector {p_err:.3e}, unitary {u_err:.3e}, "
           f"toy coefficients {toy_err:.3e}")
     assert p_err <= 1e-6

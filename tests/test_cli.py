@@ -5,11 +5,14 @@ import json
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import child_env, read_report_csv
+from diracdiag import cli
+from diracdiag import oneparticle as op
 from diracdiag.report import write_report_csv
 
 CLI = [sys.executable, "-m", "diracdiag"]
@@ -139,6 +142,45 @@ def test_front_end_loads_no_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path), env=child_env(),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+def test_commands_load_no_quadrature(tmp_path):
+    # the kernel's subtraction constant is closed-form, so neither command
+    # loads scipy.integrate
+    cfg = write_cfg(tmp_path, {
+        "grid": {"n": 64}, "gamma_list": [0.1, 0.2], "series_order": 4,
+        "nbody": {"n_particles": 2, "n_plus": 4},
+    })
+    code = textwrap.dedent(f"""
+        import sys
+        from diracdiag import cli
+        for command in ("one-particle", "nbody"):
+            if cli.main([command, "--config", {cfg!r}, "--output", {str(tmp_path / "o")!r}]):
+                raise SystemExit(command + " failed")
+            if "scipy.integrate" in sys.modules:
+                raise SystemExit("scipy.integrate loaded by " + command)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path), env=child_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
+def test_one_particle_holds_one_system_at_a_time(tmp_path, monkeypatch):
+    # each coupling's system is released before the next one is assembled
+    assemble = op.assemble_system
+    systems = []
+    alive_at_entry = []
+
+    def tracked(grid, gamma):
+        alive_at_entry.append(sum(ref() is not None for ref in systems))
+        s = assemble(grid, gamma)
+        systems.append(weakref.ref(s))
+        return s
+
+    monkeypatch.setattr(op, "assemble_system", tracked)
+    cfg = write_cfg(tmp_path, {"grid": {"n": 32}, "gamma_list": [0.1, 0.2, 0.3]})
+    assert cli.main(["one-particle", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+    assert alive_at_entry == [0, 0, 0]
 
 
 def test_resolution_failure_exit_3(tmp_path):

@@ -32,8 +32,10 @@ from diracdiag.errors import ConsistencyError
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import (
     assemble_system,
+    build_free_dirac,
     exact_u_gamma,
     free_energies,
+    free_positive_projector,
     fw_conjugate,
     fw_rows,
     positive_levels,
@@ -55,12 +57,13 @@ def trapezoidal_projector_coefficients(sys, order):
     momentum grid no circle stays clear of the discretized continuum.
     """
     m_nodes = 64
-    eye = np.eye(sys.d0.shape[0])
+    d0 = build_free_dirac(sys.grid)
+    eye = np.eye(d0.shape[0])
     acc = [np.zeros_like(eye, dtype=complex) for _ in range(order + 1)]
     for theta in 2.0 * np.pi * np.arange(m_nodes) / m_nodes:
         z = 1.0 + np.exp(1j * theta)
         weight = np.exp(1j * theta) / m_nodes  # dz / (2 pi i)
-        r0 = np.linalg.inv(z * eye - sys.d0)
+        r0 = np.linalg.inv(z * eye - d0)
         term = r0
         for n in range(order + 1):
             acc[n] += weight * term
@@ -92,7 +95,7 @@ def test_toy_projector_coefficients(method):
         assert np.linalg.norm(p[k] - ref[k], 2) < 1e-12
     # the two named low orders explicitly
     assert np.linalg.norm(p[1] - toy.v / 2.0, 2) < 1e-12
-    assert np.linalg.norm(p[2] + toy.d0 / 4.0, 2) < 1e-12
+    assert np.linalg.norm(p[2] + build_free_dirac(toy.grid) / 4.0, 2) < 1e-12
 
 
 def test_toy_series_evaluates_to_exact():
@@ -100,7 +103,7 @@ def test_toy_series_evaluates_to_exact():
     p = riesz_projection_series(toy, 20)
     u = u_gamma_series(p, 1)
     g = 0.3
-    h = toy.d0 + g * toy.v
+    h = build_free_dirac(toy.grid) + g * toy.v
     ev, evec = np.linalg.eigh(h)
     pos = evec[:, ev > 0.0]
     pg = pos @ pos.T
@@ -115,7 +118,7 @@ def test_toy_bundle_both_methods_agree():
     bundle = build_decoupling_bundle(toy, order=6)
     p = make_series(trapezoidal_projector_coefficients(toy, 6))
     f = decoupled_rows(u_gamma_series(p, 1), p, 1)
-    h = h_diag_series(f, np.diag(toy.d0), toy.v)
+    h = h_diag_series(f, np.diag(build_free_dirac(toy.grid)), toy.v)
     for cr, cq in zip(bundle.h_upper.coeffs, h.coeffs):
         assert np.linalg.norm(cr - cq, 2) < 1e-12
 
@@ -127,7 +130,7 @@ def test_bundle_matches_dense_oracle():
     bundle = build_decoupling_bundle(s, order=6)
     q = fw_matrix(s.fw_blocks)
     p = make_series([q.T @ c @ q for c in bundle.p_series.coeffs])
-    u = dense_u_gamma_series(p, s.p_plus_0)
+    u = dense_u_gamma_series(p, free_positive_projector(s.grid))
     f = series_mul(u, p)
     h = dense_h_diag_series(s, make_series([q @ c @ q.T for c in f.coeffs]))
 
@@ -152,8 +155,7 @@ class _NoProduct(np.ndarray):
 
 def test_bundle_takes_no_product_with_the_frame_matrices():
     s = assemble_system(build_channel_grid(32), 0.0)
-    guarded = dataclasses.replace(s, fw_blocks=s.fw_blocks.view(_NoProduct),
-                                  p_plus_0=s.p_plus_0.view(_NoProduct))
+    guarded = dataclasses.replace(s, fw_blocks=s.fw_blocks.view(_NoProduct))
     with pytest.raises(AssertionError, match="dense product"):
         guarded.fw_blocks @ np.eye(2)
     bundle = build_decoupling_bundle(guarded, order=4)
@@ -282,7 +284,8 @@ def test_coefficient_ratio_radius_geometric():
 def test_bundle_shapes(bundle100, sys100):
     assert bundle100.order == 8
     s = sys100(0.0)
-    assert np.linalg.norm(bundle100.p_series[0] - fw_conjugate(s.fw_blocks, s.p_plus_0), 2) < 1e-12
+    p0 = fw_conjugate(s.fw_blocks, free_positive_projector(s.grid))
+    assert np.linalg.norm(bundle100.p_series[0] - p0, 2) < 1e-12
     assert bundle100.system is sys100(0.0)
     assert bundle100.u_series.dim == 200 and bundle100.h_upper.dim == 100
     assert len(bundle100.f_upper) == 9

@@ -56,7 +56,6 @@ def test_only_errors_module_raises_numerical_failures():
 # ``check_kinetic_weight_bound``) is not listed; test_manybody covers it.
 PASSED_TEMPLATES = {
     # decoupling
-    "fw_blocks must send the positive free states to the upper components",
     "projector series constant term drifted from P_+^0",
     "projector coefficients not Hermitian: {value:.3e}",
     "projector series constant term differs from the free projector",

@@ -1,6 +1,7 @@
 """One-particle operator stack: special functions, matrices, oracles, bounds."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -72,9 +73,25 @@ def test_legendre_q_rejects_negative_degree():
 
 
 def test_subtraction_constants():
-    assert abs(subtraction_constant(0) - math.pi ** 2 / 2.0) < 1e-9
-    assert abs(subtraction_constant(1) - 2.0) < 1e-9
-    assert abs(subtraction_constant(2) - math.pi ** 2 / 8.0) < 1e-9
+    assert subtraction_constant(0) == math.pi ** 2 / 2.0
+    assert subtraction_constant(1) == 2.0
+    assert abs(subtraction_constant(2) - math.pi ** 2 / 8.0) < 1e-15
+    assert abs(subtraction_constant(3) - 8.0 / 9.0) < 1e-15
+    with pytest.raises(ValueError):
+        subtraction_constant(-1)
+
+
+@pytest.mark.parametrize("l", range(8))
+def test_subtraction_constant_against_quadrature(l):
+    # the closed form (pi/2) [Gamma((l+1)/2) / Gamma(l/2 + 1)]^2 against
+    # 2 * integral of Q_l(cosh t) over t > 0 by adaptive quadrature
+    def integrand(t):
+        return legendre_q(l, np.cosh(t))
+
+    ref = 2.0 * (quad(integrand, 0.0, 2.0, limit=200)[0] + quad(integrand, 2.0, 80.0, limit=200)[0])
+    gamma_form = 0.5 * math.pi * (math.gamma((l + 1) / 2) / math.gamma(l / 2 + 1)) ** 2
+    assert abs(subtraction_constant(l) - gamma_form) <= 1e-15 * gamma_form
+    assert abs(subtraction_constant(l) - ref) <= 1e-10 * ref
 
 
 def test_coulomb_channel_hydrogen_ground(grid100):
@@ -89,6 +106,16 @@ def test_coulomb_channel_hydrogen_ground(grid100):
 def test_coulomb_channel_symmetric(grid100):
     m = coulomb_channel_matrix(grid100.p, grid100.w, 0)
     assert np.linalg.norm(m - m.T, 2) < 1e-14
+
+
+def test_coulomb_matrix_is_built_once_per_grid():
+    grid = build_channel_grid(16)
+    a, b = assemble_system(grid, 0.1), assemble_system(grid, 0.2)
+    assert a.v is b.v and not a.v.flags.writeable
+    assert assemble_system(build_channel_grid(16), 0.1).v is not a.v
+    v = weakref.ref(a.v)
+    del grid, a, b
+    assert v() is None
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +250,7 @@ def test_exact_u_gamma_matches_dense_formula(sys100):
     # formula in the original frame
     for gamma in (0.1, 0.3):
         s = sys100(gamma)
-        ref = dense_exact_u_gamma(s.p_plus_0, s.p_plus_gamma)
+        ref = dense_exact_u_gamma(free_positive_projector(s.grid), s.p_plus_gamma)
         assert np.max(np.abs(s.u_gamma - ref)) <= 1e-13
 
 
@@ -375,14 +402,39 @@ def test_reported_levels_and_dgamma_margin_are_rayleigh_quotients(sys200, gamma)
     assert np.all(np.diff(levels) > 0.0)
     assert np.max(np.abs(levels - s.evals)) <= 10.0 * eps * np.linalg.norm(s.dgamma, 2)
     d2 = d_gamma(gamma) ** 2
-    m = s.dgamma @ s.dgamma - d2 * (s.d0 @ s.d0)
+    d0 = build_free_dirac(s.grid)
+    m = s.dgamma @ s.dgamma - d2 * (d0 @ d0)
     m = 0.5 * (m + m.T)
     lam, vecs = np.linalg.eigh(m)
     x = vecs[:, 0]
-    quotient = np.sum((s.dgamma @ x) ** 2) - d2 * np.sum((s.d0 @ x) ** 2)
+    quotient = np.sum((s.dgamma @ x) ** 2) - d2 * np.sum((d0 @ x) ** 2)
     margin = check_dgamma_bound(s)
     assert abs(margin - quotient) <= 1e-12
     assert abs(margin - lam[0]) <= 10.0 * eps * np.linalg.norm(m, 2)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.3])
+def test_refined_dgamma_margin_does_not_depend_on_the_eigensolver(monkeypatch, gamma):
+    # at n=500 the quotients of the lowest vectors from numpy's eigh (evd)
+    # and scipy's evr differ by up to 1.7e-12; after the inverse-iteration
+    # step the margins agree to roundoff
+    import scipy.linalg
+
+    s = assemble_system(build_channel_grid(500), gamma)
+    scipy_eigh = scipy.linalg.eigh
+
+    def evr(m, subset_by_index):
+        return scipy_eigh(m, subset_by_index=subset_by_index, driver="evr")
+
+    def evd(m, subset_by_index):
+        lam, vecs = np.linalg.eigh(m)
+        return lam[:1], vecs[:, :1]
+
+    margins = []
+    for solver in (evr, evd):
+        monkeypatch.setattr(scipy.linalg, "eigh", solver)
+        margins.append(check_dgamma_bound(s))
+    assert abs(margins[0] - margins[1]) <= 1e-14 * max(1.0, abs(margins[0]))
 
 
 def test_gap_bound(sys100):
