@@ -28,6 +28,7 @@ import numpy as np
 from .errors import gate
 from .oneparticle import (
     OneParticleSystem,
+    _norm2,
     free_energies,
     free_positive_projector,
     fw_conjugate,
@@ -249,22 +250,40 @@ def gate_norm2(mats, tol: float, message: str, scales=None) -> float:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def resolvent(m: np.ndarray, name: str = "first") -> np.ndarray:
-    """(m+i)^(-1) of a Hermitian matrix, by an LU inverse.
+def resolvent_frame(m: np.ndarray, name: str = "first") -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors q of a Hermitian m and the moduli 1/|lam + i| of (m+i)^(-1).
 
-    An eigendecomposition would give the same operator more cheaply but
-    less accurately: on the one-particle upper block (||m|| ~ p_max) it
-    raises the floor of the resolvent distances by more than an order of
-    magnitude.  name ("first"/"second") labels m in the Hermiticity error.
+    (m+i)^(-1) = q diag(1/(lam+i)) q^H, and 1/(lam+i) is (lam^2+1)^(-1/2)
+    times a unit phase.  m is gated Hermitian first; name ("first"/
+    "second") labels it in the error.  The eigensolve reads the upper
+    triangle, so the tridiagonal reduction starts from the last row: on the
+    one-particle upper block, whose rows run up in momentum to entries of
+    size p_max, that is the largest entries first.  Started from the first
+    row, the order-0 distances at n=200 (a near-diagonal truncation) moved
+    by up to 5.8e-14 from LU resolvents and by 1.8e-13 between one and two
+    BLAS threads; started from the last, by at most 2.5e-16 and 2.5e-15.
     """
     gate_norm2([m - m.conj().T], 1e-10 * max(1.0, float(np.linalg.norm(m, np.inf))),
                f"{name} argument is not Hermitian within tolerance")
-    return np.linalg.inv(m + 1j * np.eye(m.shape[0]))
+    lam, q = np.linalg.eigh(m, UPLO="U")
+    return q, 1.0 / np.hypot(lam, 1.0)
 
 
-def resolvent_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """||(a+i)^(-1) - (b+i)^(-1)||, the norm-resolvent metric at spectral shift i."""
-    return float(np.linalg.norm(resolvent(a, "first") - resolvent(b, "second"), 2))
+def resolvent_distance(a: np.ndarray, b: np.ndarray, frame_a=None, frame_b=None) -> float:
+    """||(a+i)^(-1) - (b+i)^(-1)||, the norm-resolvent metric at spectral shift i.
+
+    By the second resolvent identity the difference is
+    (a+i)^(-1) (b - a) (b+i)^(-1) (Kato, Perturbation Theory for Linear
+    Operators, I sec. 5).  In the eigenbases of a and b both resolvents
+    are diagonal, moduli times unit phases, and diagonal unitaries do not
+    change the spectral norm, so the distance is that of
+    W_a Q_a^H (b - a) Q_b W_b (``resolvent_frame``): real for real a and b,
+    and formed from b - a, not as the difference of two resolvents.
+    frame_a and frame_b are the frames of a and b when the caller has them.
+    """
+    qa, wa = resolvent_frame(a, "first") if frame_a is None else frame_a
+    qb, wb = resolvent_frame(b, "second") if frame_b is None else frame_b
+    return _norm2(wa[:, None] * (qa.conj().T @ (b - a) @ qb) * wb)
 
 
 def h_diag_exact(sys: OneParticleSystem) -> np.ndarray:

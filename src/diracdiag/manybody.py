@@ -24,16 +24,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NbodyConfig
-from .decoupling import DecouplingBundle, gate_norm2, h_diag_exact, resolvent
+from .decoupling import (
+    DecouplingBundle,
+    gate_norm2,
+    h_diag_exact,
+    resolvent_distance,
+    resolvent_frame,
+)
 from .errors import ResolutionError, gate
 from .grids import ChannelGrid, RadialGrid, bessel_transform_matrix, build_channel_grid, build_radial_grid
 from .oneparticle import (
     OneParticleSystem,
+    _norm2,
     assemble_system,
     d_gamma,
     free_energies,
     fw_rows,
     positive_states,
+    rayleigh_quotients,
 )
 from .series import MatrixSeries, make_series, series_partial_sums
 
@@ -448,8 +456,9 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     h_furry = kinetic
     if n_sites >= 2:
         w2 = pair.project(phi)
-        low = float(np.linalg.eigvalsh(0.5 * (w2 + w2.conj().T))[0])
-        gate(-low, 1e-9 * max(1.0, np.linalg.norm(w2, 2)),
+        ew = np.linalg.eigvalsh(0.5 * (w2 + w2.conj().T))
+        low = float(ew[0])
+        gate(-low, 1e-9 * max(1.0, -low, float(ew[-1])),
              "pair projection not positive semidefinite: lowest eigenvalue {low:.3e}", low=low)
         w_proj = tuple(sector_blocks(s, two_site=w2[None])[0] for s in sectors)
         h_furry = tuple(t + scale * w for t, w in zip(kinetic, w_proj))
@@ -496,6 +505,47 @@ def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (uw * ew ** -0.5) @ uw.conj().T
 
 
+def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndarray,
+                 z_charge: float) -> np.ndarray:
+    """Two-site coefficients of the interaction series on the frame rows upper.
+
+    The pair operator is sandwiched by the dressed-frame series (F^H R frame
+    in the original frame, with F the unitary series times the projector
+    series) through the separable radial form, shifted up one order by the
+    coupling prefactor and scaled by 1/Z.  Coefficient n carries the pair
+    products of total order n - 1, so the shift drops the interaction
+    coefficient of the truncation order: its products would land at
+    order + 1, beyond the series.  The term of densities nu, mu is the site
+    swap S X S of the term of mu, nu (the kernel is symmetric), so only
+    mu < nu and half the middle term are contracted, and the swapped copy
+    is added as the transpose of their sum while reindexing.  The densities
+    are dropped on return, before the caller lifts the coefficients.
+    """
+    order, m = bundle.order, upper.shape[1]
+    factors = [pair.frame_factors(fc.conj().T @ upper) for fc in bundle.f_upper]
+    zhat = []
+    for mu in range(order + 1):
+        z = np.zeros((pair.radial.r.size, m * m))
+        for a in range(mu + 1):
+            c = mu - a
+            z += _density_stack(factors[a][0], factors[c][0])
+            z += _density_stack(factors[a][1], factors[c][1])
+        zhat.append(z)
+    c_pair = np.zeros((order + 1, m * m, m * m))
+    for n in range(1, order + 1):
+        # contraction order [(i,j),(k,l)]; c_pair[n] is [(i,k),(j,l)]
+        x = np.zeros((m * m, m * m))
+        for mu in range(n // 2):
+            x += zhat[mu].T @ pair.kernel @ zhat[n - 1 - mu]
+        if n % 2:
+            x += 0.5 * (zhat[n // 2].T @ pair.kernel @ zhat[n // 2])
+        x4 = x.reshape(m, m, m, m)
+        np.add(x4.transpose(0, 2, 1, 3), x4.transpose(2, 0, 3, 1),
+               out=c_pair[n].reshape(m, m, m, m))
+    c_pair /= z_charge
+    return c_pair
+
+
 def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: NbodyConfig,
                              pair: PairInteraction | None,
                              frame: np.ndarray) -> tuple[MatrixSeries, ...]:
@@ -504,40 +554,15 @@ def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: NbodyConfig,
     The frame is in FW row order (``FurrySystem``), and the one-particle
     series live on its rows on the positive free states only
     (``DecouplingBundle``).  Kinetic coefficients are compressions of the
-    one-particle series on every site.  The interaction is the pair
-    operator sandwiched by the dressed-frame series (F^H R frame in the
-    original frame, with F the unitary series times the projector series),
-    assembled through the separable radial form, then shifted up
-    one order by the coupling prefactor and scaled by 1/Z.  Coefficient n
-    carries the pair products of total order n - 1, so the shift drops the
-    interaction coefficient of the truncation order: its products would land
-    at order + 1, beyond the series.
+    one-particle series on every site; the interaction coefficients come
+    from ``_pair_series``.
     """
     n_sites = cfg.n_particles
     if n_sites >= 2 and pair is None:
         raise ValueError("pair interaction required for more than one particle")
-    order = bundle.order
-    m = frame.shape[1]
     upper = frame[:bundle.h_upper.dim]
     c_kin = [upper.conj().T @ h @ upper for h in bundle.h_upper.coeffs]
-    c_pair = None
-
-    if n_sites >= 2:
-        dressed = [fc.conj().T @ upper for fc in bundle.f_upper]
-        factors = [pair.frame_factors(d) for d in dressed]
-        zhat = []
-        for mu in range(order + 1):
-            z = np.zeros((pair.radial.r.size, m * m))
-            for a in range(mu + 1):
-                c = mu - a
-                z += _density_stack(factors[a][0], factors[c][0])
-                z += _density_stack(factors[a][1], factors[c][1])
-            zhat.append(z)
-        c_pair = np.zeros((order + 1, m * m, m * m))
-        for n in range(1, order + 1):
-            for mu in range(n):
-                c_pair[n] += _two_site_assemble(zhat[mu], pair.kernel, zhat[n - 1 - mu], m)
-        c_pair /= cfg.z_charge
+    c_pair = _pair_series(bundle, pair, upper, cfg.z_charge) if n_sites >= 2 else None
     return tuple(make_series(sector_blocks(s, np.array(c_kin), c_pair))
                  for s in furry_sectors(cfg))
 
@@ -628,6 +653,19 @@ def fit_geometric_ratio(values: np.ndarray) -> float:
     return float(np.exp(slope))
 
 
+def _low_levels(blocks, frames, multiplicities, count: int = 10) -> np.ndarray:
+    """The count lowest levels of a sector-split operator, with multiplicity.
+
+    Each block contributes the ``rayleigh_quotients`` of its count lowest
+    eigenvectors (frames from ``resolvent_frame``), repeated by the
+    block's multiplicity; the quotients lack the raw eigenvalues' backward
+    error eps*||block||.
+    """
+    levels = [np.repeat(rayleigh_quotients(b, q[:, :count]), d)
+              for b, (q, _), d in zip(blocks, frames, multiplicities)]
+    return np.sort(np.concatenate(levels))[:count]
+
+
 def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> list[dict]:
     """Resolvent distances, weighted remainders, and eigenvalue errors per (gamma, k).
 
@@ -636,9 +674,12 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
     the exact diagonalized operator and the compressed series live, split
     into sector blocks.  Norms and resolvent distances of a block-diagonal
     operator are the maxima over its blocks; the low eigenvalues come from
-    the merged block spectra.  The exact operator's resolvents and low
-    eigenvalues are computed once per coupling and shared by every
-    truncation order, and the truncations are accumulated partial sums.
+    the merged block spectra.  Every block, exact or truncated, takes one
+    eigendecomposition (``resolvent_frame``), which serves both its
+    resolvent distance and its low levels; the exact operator's is computed
+    once per coupling and shared by every truncation order, and the
+    truncations are accumulated partial sums.  No inverse and no SVD is
+    taken.
     """
     bundle = fs.bundle
     if bundle is None:
@@ -664,20 +705,19 @@ def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> l
             exact, series, mult = fs_g.h_diag_exact, fs_g.h_diag_series_N, fs_g.multiplicities
             weight = tuple(_inv_sqrt_psd(d) for d in
                            _abs_d0_sum(np.tile(energies, 2), fs_g.sectors, fs_g.psi))
-        exact_low = merged_levels(exact, mult)[:10]
-        exact_res = [resolvent(e, "first") for e in exact]
+        exact_frames = [resolvent_frame(e, "first") for e in exact]
+        exact_low = _low_levels(exact, exact_frames, mult)
         dists = np.empty(k_max + 1)
         remainders = np.empty(k_max + 1)
         eig_errors = np.empty(k_max + 1)
         partial = zip(*(series_partial_sums(s, gamma) for s in series))
         for k, approx in zip(range(k_max + 1), partial):
             approx_h = [0.5 * (a + a.conj().T) for a in approx]
-            dists[k] = max(float(np.linalg.norm(r - resolvent(a, "second"), 2))
-                           for r, a in zip(exact_res, approx_h))
-            remainders[k] = max(float(np.linalg.norm(w @ (e - a) @ w, 2))
-                                for w, e, a in zip(weight, exact, approx))
-            approx_low = merged_levels(approx_h, mult)[:10]
-            eig_errors[k] = float(np.max(np.abs(approx_low - exact_low)))
+            frames = [resolvent_frame(a, "second") for a in approx_h]
+            dists[k] = max(resolvent_distance(e, a, fe, fa)
+                           for e, a, fe, fa in zip(exact, approx_h, exact_frames, frames))
+            remainders[k] = max(_norm2(w @ (e - a) @ w) for w, e, a in zip(weight, exact, approx))
+            eig_errors[k] = float(np.max(np.abs(_low_levels(approx_h, frames, mult) - exact_low)))
         ratio = fit_geometric_ratio(dists)
         for k in range(k_max + 1):
             rows.append({

@@ -320,19 +320,24 @@ def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
         fw_blocks=blocks, u_gamma=u_gamma, gap=gap, evals=evals, evecs=evecs)
 
 
-def rayleigh_levels(sys: OneParticleSystem) -> np.ndarray:
-    """Every level as the Rayleigh quotient x_i^T D_gamma x_i / x_i^T x_i, in eigh's order.
+def rayleigh_quotients(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x_i^H m x_i / x_i^H x_i for every column x_i of x, m Hermitian.
 
     The quotient of a computed eigenvector differs from the eigenvalue only
     at second order in the vector's error (Parlett, The Symmetric Eigenvalue
     Problem, ch. 4), so it does not carry the first-order backward error
-    eps*||D_gamma|| of the raw eigenvalue and agrees across thread counts.
-    The division matters at the outer levels: there ``eigh``'s vectors are
-    unit only to about 10 eps, which times |level| ~ p_max exceeds the
+    eps*||m|| of the raw eigenvalue and agrees across thread counts.  The
+    division matters at the outer levels: there ``eigh``'s vectors are unit
+    only to about 10 eps, which times |level| ~ ||m|| exceeds the
     eigenvalue's own error.
     """
-    x = sys.evecs
-    return np.einsum("ij,ij->j", x, sys.dgamma @ x) / np.einsum("ij,ij->j", x, x)
+    xc = x.conj()
+    return np.einsum("ij,ij->j", xc, m @ x).real / np.einsum("ij,ij->j", xc, x).real
+
+
+def rayleigh_levels(sys: OneParticleSystem) -> np.ndarray:
+    """Every level as a ``rayleigh_quotients`` value of D_gamma, in eigh's order."""
+    return rayleigh_quotients(sys.dgamma, sys.evecs)
 
 
 def positive_levels(sys: OneParticleSystem, count: int | None = None) -> np.ndarray:
@@ -343,14 +348,20 @@ def positive_levels(sys: OneParticleSystem, count: int | None = None) -> np.ndar
 
 
 def positive_states(sys: OneParticleSystem, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest positive eigenpairs: (energies, column matrix of states)."""
+    """Lowest positive eigenpairs: (energies, column matrix of states).
+
+    The states are picked by the raw eigenvalues; the energies are their
+    ``rayleigh_quotients`` of D_gamma, free of the eigensolver's backward
+    error, like the levels a run reports.
+    """
     mask = sys.evals > 0.0
     vals = sys.evals[mask]
     vecs = sys.evecs[:, mask]
     order = np.argsort(vals)[:count]
     if count > vals.size:
         raise ValueError(f"requested {count} positive states, only {vals.size} available")
-    return vals[order], vecs[:, order]
+    vecs = vecs[:, order]
+    return rayleigh_quotients(sys.dgamma, vecs), vecs
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +399,19 @@ def check_kato(sys: OneParticleSystem) -> float:
 
     |D_0| is diagonal and V does not couple the spinor components, so the
     matrix is block-diagonal over them and its smallest eigenvalue is the
-    smaller of the two blocks' lowest.
+    smaller of the two blocks' lowest.  Each is returned as the
+    ``rayleigh_quotients`` value of the block's lowest eigenvector: the
+    blocks have norm ~p_max, so the raw eigenvalue's backward error moved
+    with the thread count (4.1e-14 at n=500).
     """
+    from scipy.linalg import eigh
+
     e = np.diag((math.pi / 2.0) * free_energies(sys.grid))
-    return min(float(np.linalg.eigvalsh(e + sys.v[c::2, c::2])[0]) for c in (0, 1))
+    lows = []
+    for c in (0, 1):
+        m = e + sys.v[c::2, c::2]
+        lows.append(float(rayleigh_quotients(m, eigh(m, subset_by_index=[0, 0])[1])[0]))
+    return min(lows)
 
 
 def check_dgamma_bound(sys: OneParticleSystem) -> float:

@@ -139,6 +139,16 @@ def abs_free_dirac_power(grid, power: float) -> np.ndarray:
     return np.diag(np.repeat(free_energies(grid) ** power, 2))
 
 
+def resolvent(m: np.ndarray) -> np.ndarray:
+    """(m+i)^(-1) by an LU inverse; the oracle of ``decoupling.resolvent_distance``."""
+    return np.linalg.inv(m + 1j * np.eye(m.shape[0]))
+
+
+def lu_resolvent_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||(a+i)^(-1) - (b+i)^(-1)|| as the SVD norm of the difference of two LU resolvents."""
+    return float(np.linalg.norm(resolvent(a) - resolvent(b), 2))
+
+
 def toy_grid() -> ChannelGrid:
     """One momentum node at p = 0: D_0 = diag(1, -1) and an identity FW block."""
     return ChannelGrid(kappa=-1, n=1, map_scale=1.0, p=np.zeros(1), w=np.ones(1))

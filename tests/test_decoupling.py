@@ -11,6 +11,7 @@ from conftest import (
     dense_h_diag_series,
     dense_u_gamma_series,
     fw_matrix,
+    lu_resolvent_distance,
     series_mul,
     series_truncate,
     toy_two_level,
@@ -23,7 +24,6 @@ from diracdiag.decoupling import (
     gate_norm2,
     h_diag_exact,
     h_diag_series,
-    resolvent,
     resolvent_distance,
     riesz_projection_series,
     u_gamma_series,
@@ -40,7 +40,7 @@ from diracdiag.oneparticle import (
     fw_rows,
     positive_levels,
 )
-from diracdiag.series import make_series, series_eval
+from diracdiag.series import make_series, series_eval, series_partial_sums
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +273,17 @@ def test_resolvent_distance_zero_on_equal(sys100):
     assert resolvent_distance(h, h) == 0.0
 
 
+@pytest.mark.parametrize("gamma", [0.1, 0.3])
+def test_resolvent_distance_matches_lu_oracle_one_particle(sys100, bundle100, gamma):
+    # the exact upper block (norm ~p_max) against every truncation, from the
+    # order-0 free energies, a near-diagonal matrix, to the roundoff floor
+    exact = h_diag_exact(sys100(gamma))
+    for k, approx in enumerate(series_partial_sums(bundle100.h_upper, gamma)):
+        a = 0.5 * (approx + approx.T)
+        ref = lu_resolvent_distance(exact, a)
+        assert abs(resolvent_distance(exact, a) - ref) <= 1e-11 * ref + 1e-15, k
+
+
 def test_coefficient_ratio_radius_geometric():
     base = np.eye(3)
     series = make_series([(0.5 ** k) * base for k in range(12)])
@@ -390,9 +401,9 @@ def test_decoupled_rows_report_the_leak():
 def test_resolvent_hermiticity_gate():
     ok = 0.45e-10j * np.eye(4)
     assert _forces_svd(ok - ok.conj().T, 1e-10)
-    assert np.array_equal(resolvent(ok), np.linalg.inv(ok + 1j * np.eye(4)))
+    assert resolvent_distance(ok, ok) == 0.0
     bad = 0.55e-10j * np.eye(4)
     with pytest.raises(ConsistencyError, match=r"^first argument is not Hermitian within tolerance$"):
-        resolvent(bad)
+        resolvent_distance(bad, np.eye(4))
     with pytest.raises(ConsistencyError, match=r"^second argument is not Hermitian within tolerance$"):
         resolvent_distance(np.eye(4), bad)

@@ -7,14 +7,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import antisymmetrizer_isometry, dense_furry, lift_pair, lift_single, series_truncate
+from conftest import (
+    _pair_product,
+    antisymmetrizer_isometry,
+    dense_furry,
+    lift_pair,
+    lift_single,
+    lu_resolvent_distance,
+    series_truncate,
+)
 from diracdiag import manybody as mb
 from diracdiag.config import NbodyConfig
 from diracdiag.decoupling import build_decoupling_bundle, resolvent_distance
 from diracdiag.errors import ConfigError, ConsistencyError, ResolutionError
 from diracdiag.grids import build_channel_grid, build_radial_grid
 from diracdiag.oneparticle import assemble_system
-from diracdiag.series import series_eval
+from diracdiag.series import series_eval, series_partial_sums
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +283,17 @@ def test_transported_frame_orthonormality_gate(sys100):
         mb.assemble_furry_exact(scaled, cfg)
 
 
+def test_pair_projection_gate_rejects_an_indefinite_projection(sys100, pair100):
+    # the tolerance is 1e-9 max(1, ||W||) = 2e-9, the norm read off W's eigenvalues
+    cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=3)
+    indefinite = dataclasses.replace(pair100)
+    object.__setattr__(indefinite, "project", lambda frame: np.diag([2.0] + [1.0] * 7 + [-3e-9]))
+    with pytest.raises(ConsistencyError, match=r"^pair projection not positive semidefinite"):
+        mb.assemble_furry_exact(sys100(0.3), cfg, indefinite)
+    object.__setattr__(indefinite, "project", lambda frame: np.diag([2.0] + [1.0] * 7 + [-1.5e-9]))
+    mb.assemble_furry_exact(sys100(0.3), cfg, indefinite)
+
+
 def test_two_particle_ground_above_positivity_floor(sys100, pair100):
     s = sys100(0.3)
     fs = mb.assemble_furry_exact(s, NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6), pair100)
@@ -308,6 +327,28 @@ def test_two_particle_series_matches_exact(sys100, pair100, bundle100):
         hk = series_eval(series, 0.3)
         dist = max(dist, resolvent_distance(exact, 0.5 * (hk + hk.conj().T)))
     assert dist < 1e-7
+
+
+def test_resolvent_distance_matches_lu_oracle_two_particle(sys100, pair100, bundle100):
+    fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(2, 2.0, 6), pair100, bundle100)
+    for exact, series in zip(fs.h_diag_exact, fs.h_diag_series_N):
+        for k, approx in enumerate(series_partial_sums(series, 0.3)):
+            a = 0.5 * (approx + approx.T)
+            ref = lu_resolvent_distance(exact, a)
+            assert abs(resolvent_distance(exact, a) - ref) <= 1e-11 * ref + 1e-15, k
+
+
+def test_pair_series_matches_the_full_sum(sys100, pair100, bundle100):
+    # only the terms with mu < nu are contracted; the reference sums every
+    # ordered pair of densities
+    fs = mb.assemble_furry_exact(sys100(0.2), NbodyConfig(2, 2.0, 6), pair100)
+    upper = fs.psi[:bundle100.h_upper.dim]
+    got = mb._pair_series(bundle100, pair100, upper, 2.0)
+    dressed = [fc.conj().T @ upper for fc in bundle100.f_upper]
+    ref = np.zeros_like(got)
+    for n in range(1, bundle100.order + 1):
+        ref[n] = sum(_pair_product(pair100, dressed, mu, n - 1 - mu) for mu in range(n)) / 2.0
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_series_order_accuracy_two_particle(sys100, pair100, bundle100):
@@ -448,6 +489,25 @@ def test_converge_zero_coupling_is_exact(sys100, bundle100):
     for row in rows:
         assert row["resolvent_distance"] < 5e-12
         assert row["weighted_remainder_norm"] < 5e-12
+
+
+@pytest.mark.parametrize("n_particles", [1, 2])
+def test_converge_takes_no_inverse_and_no_svd(monkeypatch, sys100, pair100, bundle100,
+                                              n_particles):
+    import sys
+
+    fs = mb.assemble_furry_exact(sys100(0.1), NbodyConfig(n_particles, 2.0, 4),
+                                 pair100 if n_particles > 1 else None, bundle100)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the convergence study called inv or svd")
+
+    impl = sys.modules.get("numpy.linalg._linalg") or sys.modules.get("numpy.linalg.linalg")
+    for mod in (np.linalg, impl):
+        monkeypatch.setattr(mod, "inv", refuse)
+        monkeypatch.setattr(mod, "svd", refuse)
+    rows = mb.converge_main_theorem(fs, [0.1, 0.2], 4)
+    assert len(rows) == 10
 
 
 def test_converge_requires_bundle(sys100):

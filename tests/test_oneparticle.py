@@ -195,6 +195,15 @@ def test_positive_states_orthonormal(sys100):
         positive_states(sys100(0.3), 10 ** 6)
 
 
+def test_positive_state_energies_are_rayleigh_quotients(sys200):
+    # the N-body kinetic diagonal: at n=200 the raw eigenvalues of these
+    # states are up to 2.6e-13 away from their quotients
+    s = sys200(0.3)
+    vals, vecs = positive_states(s, 20)
+    ref = np.sum(vecs * (s.dgamma @ vecs), axis=0) / np.sum(vecs * vecs, axis=0)
+    assert np.max(np.abs(vals - ref)) <= 1e-14
+
+
 def test_unitarity_and_intertwining(sys100):
     for gamma in (0.1, 0.3):
         uni, inter = decoupling_residuals(sys100(gamma))
@@ -380,6 +389,29 @@ def test_kato_blocks_match_the_full_matrix(sys100):
     m = (math.pi / 2.0) * np.diag(np.repeat(free_energies(s.grid), 2)) + s.v
     full = float(np.linalg.eigvalsh(m)[0])
     assert abs(check_kato(s) - full) <= 10.0 * np.finfo(float).eps * np.linalg.norm(m, 2)
+
+
+def test_kato_margin_does_not_depend_on_the_eigensolver(monkeypatch):
+    # at n=500 the lowest eigenvalues of the upper-component block from
+    # scipy's evr and numpy's eigh (evd) differ by 1.3e-12; the Rayleigh
+    # quotients of their vectors agree to roundoff
+    import scipy.linalg
+
+    s = assemble_system(build_channel_grid(500), 0.1)
+    scipy_eigh = scipy.linalg.eigh
+
+    def evr(m, subset_by_index):
+        return scipy_eigh(m, subset_by_index=subset_by_index, driver="evr")
+
+    def evd(m, subset_by_index):
+        lam, vecs = np.linalg.eigh(m)
+        return lam[:1], vecs[:, :1]
+
+    margins = []
+    for solver in (evr, evd):
+        monkeypatch.setattr(scipy.linalg, "eigh", solver)
+        margins.append(check_kato(s))
+    assert abs(margins[0] - margins[1]) <= 1e-14 * max(1.0, abs(margins[0]))
 
 
 def test_unitarity_residual_is_the_spectral_norm(sys100):
