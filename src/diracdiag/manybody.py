@@ -210,6 +210,9 @@ class Sector:
     (the arrangements of one multiset of one-particle indices), so it has at
     most N! nonzeros: ``rows``/``vals`` list them, zero-padded to the
     largest orbit, and ``occupation`` holds the sorted multiset.
+    ``site_orbits`` and ``pair_orbits`` list one representative site, and
+    one representative site pair a < b, per orbit of ``_site_orbits``, each
+    with the orbit's size: ``sector_blocks`` lifts a term only onto those.
     """
 
     shape: tuple[int, ...]
@@ -218,6 +221,8 @@ class Sector:
     rows: np.ndarray
     vals: np.ndarray
     occupation: np.ndarray
+    site_orbits: tuple[tuple[int, int], ...]
+    pair_orbits: tuple[tuple[tuple[int, int], int], ...]
 
     @property
     def width(self) -> int:
@@ -244,6 +249,38 @@ def _hook_dimension(shape: tuple[int, ...]) -> int:
     hooks = math.prod(shape[i] - j + col_len[j] - i - 1
                       for i in range(len(shape)) for j in range(shape[i]))
     return math.factorial(sum(shape)) // hooks
+
+
+def _site_orbits(shape: tuple[int, ...]):
+    """Orbits of the sites and of the site pairs a < b under the symmetry of a sector.
+
+    The group is the row group of the row-reading tableau, whose
+    permutations P fix the image of the Young symmetrizer a_lambda b_lambda
+    pointwise (P a_lambda = a_lambda), or all of S_N for the
+    one-dimensional sectors (N) and (1^N), whose image P maps to +-itself.
+    Either way P V = +-V, so a term on site j and its image P A_j P^T =
+    A_{P j} have the same compression V^T A_j V, and likewise for a pair.
+    The rows are consecutive sites, so an orbit of sites is a row and an
+    orbit of pairs a < b is every pair with a in one row and b in another
+    (or the same) one.  Returns (site, size) per orbit of sites and
+    ((a, b), size) per orbit of pairs; the representatives are the last
+    site of a row and the closest, latest pair, so that the lifts act on
+    adjacent, trailing axes where the orbit allows.
+    """
+    n = sum(shape)
+    if len(shape) == 1 or shape[0] == 1:
+        row = [0] * n
+    else:
+        row = [r for r, length in enumerate(shape) for _ in range(length)]
+    sites: dict[int, list[int]] = {}
+    pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for s in range(n):
+        sites.setdefault(row[s], []).append(s)
+    for a, b in itertools.combinations(range(n), 2):
+        pairs.setdefault((row[a], row[b]), []).append((a, b))
+    return (tuple((max(orbit), len(orbit)) for orbit in sites.values()),
+            tuple((min(orbit, key=lambda p: (p[1] - p[0], -p[0])), len(orbit))
+                  for orbit in pairs.values()))
 
 
 def _young_symmetrizer(shape: tuple[int, ...], arrangements: list[tuple[int, ...]]) -> np.ndarray:
@@ -312,7 +349,7 @@ def site_sectors(m: int, n_sites: int) -> tuple[Sector, ...]:
         arrays = (iso, rows, vals, np.array(occs, dtype=np.intp))
         for a in arrays:
             a.flags.writeable = False
-        sectors.append(Sector(shape, _hook_dimension(shape), *arrays))
+        sectors.append(Sector(shape, _hook_dimension(shape), *arrays, *_site_orbits(shape)))
     return tuple(sectors)
 
 
@@ -339,24 +376,45 @@ def sector_blocks(sector: Sector, one_site: np.ndarray | None = None,
     Operator b of the batch has A = one_site[b] on site j and W = two_site[b]
     on sites (a, b), indexed [(i,k),(j,l)] with i, j on site a, and the
     identity on every other site: the one-site frames are orthonormal
-    (``assemble_furry_exact`` gates that), so no Gram factor enters.  Each
-    site's factors for the whole batch act in one product on the isometry V
-    reshaped as an m x ... x m x width tensor, and V^T compresses.  No
-    product-space operator is formed.
+    (``assemble_furry_exact`` gates that), so no Gram factor enters.  All
+    terms of one orbit of ``_site_orbits`` have the same compression, so
+    each orbit's representative is lifted once, with its small factor
+    scaled by the orbit's size.  Per operator of the batch, each lift is
+    one matmul on the isometry V reshaped around its sites, and V^T
+    compresses the sum.  No product-space operator is formed.
     """
     n_sites = sector.occupation.shape[1]
     m = one_site.shape[-1] if one_site is not None else math.isqrt(two_site.shape[-1])
-    t = sector.iso.reshape((m,) * n_sites + (sector.width,))
-    ops = [x for x in (one_site, two_site) if x is not None]
-    y = np.zeros((len(ops[0]),) + t.shape, dtype=np.result_type(t, *ops))
+    terms = []
     if one_site is not None:
-        for j in range(n_sites):
-            y += np.moveaxis(np.tensordot(one_site, t, axes=(2, j)), 1, j + 1)
+        terms += [(size * one_site, (j,)) for j, size in sector.site_orbits]
     if two_site is not None:
-        w4 = two_site.reshape(-1, m, m, m, m)
-        for a, b in itertools.combinations(range(n_sites), 2):
-            y += np.moveaxis(np.tensordot(w4, t, axes=((3, 4), (a, b))), (1, 2), (a + 1, b + 1))
-    return [sector.compress(x.reshape(m ** n_sites, sector.width)) for x in y]
+        terms += [(size * two_site, pair) for pair, size in sector.pair_orbits]
+    lifts = [(op, *_site_axes(sector.iso, sites, m)) for op, sites in terms]
+    dtype = np.result_type(sector.iso, *(op for op, _ in terms))
+    blocks = []
+    for b in range(len(terms[0][0])):
+        y = np.zeros((m ** n_sites, sector.width), dtype=dtype)
+        for op, t, shape in lifts:
+            x = (op[b] @ t).reshape(shape).swapaxes(2, 3)
+            y.reshape(x.shape)[...] += x
+        blocks.append(sector.compress(y))
+    return blocks
+
+
+def _site_axes(iso: np.ndarray, sites: tuple[int, ...], m: int):
+    """iso with the states of one site (a,) or a pair (a, b) as its middle axis.
+
+    Returns the view (m^a, m^s, rest) for s sites, on which an operator on
+    those sites acts by one matmul, and the shape that maps the product
+    back onto iso's layout once its axes 2 and 3 are swapped: the q states
+    of the sites between a and b lie between the pair's two axes.  Making
+    the pair adjacent copies iso only when q > 1.
+    """
+    a, s = sites[0], len(sites)
+    q = m ** (sites[-1] - a - 1) if s == 2 else 1
+    t = iso.reshape(m ** a, m, q, m ** (s - 1), -1).swapaxes(2, 3)
+    return t.reshape(m ** a, m ** s, -1), (m ** a, m, m ** (s - 1), q, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -602,23 +660,27 @@ def form_bound_limit(fs: FurrySystem) -> float:
 def check_kinetic_weight_bound(fs: FurrySystem) -> float:
     """Largest eigenvalue of H^(-1/2) (sum |D_0|) H^(-1/2); bounded by 1/d_gamma.
 
-    Taken per sector block as the top eigenvalue of the generalized problem
-    L x = lambda H x (L the |D_0| sum over the sites, H the Furry
-    Hamiltonian), which has the same spectrum and needs only H's Cholesky
-    factor, not its eigendecomposition; the result is the maximum over the
-    sectors.
+    Taken per sector block from the Cholesky factor H = C C^T as the top
+    eigenvalue of C^-1 L C^-T (L the |D_0| sum over the sites, H the Furry
+    Hamiltonian), which is similar to the matrix above and needs no
+    eigendecomposition of H; the result is the maximum over the sectors.
+    H must be positive definite: the smallest pivot of C is gated on every
+    block, and a factorization that stops at a nonpositive pivot fails the
+    same gate.
     """
-    from scipy.linalg import eigh
-
     top = -np.inf
     abs_d0 = np.repeat(free_energies(fs.one_particle.grid), 2)
     for lifted, h in zip(_abs_d0_sum(abs_d0, fs.sectors, fs.phi), fs.h_furry_exact):
-        n = lifted.shape[0]
         try:
-            val = eigh(lifted, h, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+            c = np.linalg.cholesky(h)
+            pivot = float(np.diag(c).real.min())
+            detail = f"smallest Cholesky pivot {pivot:.3e}"
         except np.linalg.LinAlgError as exc:
-            gate(math.inf, 0.0, "weight matrix not positive definite: {exc}", exc=exc)
-        top = max(top, float(val[0]))
+            pivot, detail = math.nan, exc
+        gate(-pivot, -math.ulp(0.0), "weight matrix not positive definite: {exc}", exc=detail)
+        c_inv = np.linalg.inv(c)
+        m = c_inv @ lifted @ c_inv.conj().T
+        top = max(top, float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]))
     return top
 
 

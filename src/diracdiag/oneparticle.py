@@ -394,9 +394,11 @@ def sommerfeld_energy(gamma: float, n_pr: int, kappa: int) -> float:
     return (1.0 + (gamma / denom) ** 2) ** -0.5
 
 
-def check_kato(sys: OneParticleSystem) -> float:
+def check_kato(grid: ChannelGrid) -> float:
     """Smallest eigenvalue of (pi/2)|D_0| + V; nonnegative in the continuum.
 
+    Neither term depends on the coupling, so the margin is one number per
+    grid, with V shared through ``build_coulomb``.
     |D_0| is diagonal and V does not couple the spinor components, so the
     matrix is block-diagonal over them and its smallest eigenvalue is the
     smaller of the two blocks' lowest.  Each is returned as the
@@ -406,10 +408,11 @@ def check_kato(sys: OneParticleSystem) -> float:
     """
     from scipy.linalg import eigh
 
-    e = np.diag((math.pi / 2.0) * free_energies(sys.grid))
+    e = np.diag((math.pi / 2.0) * free_energies(grid))
+    v = build_coulomb(grid)
     lows = []
     for c in (0, 1):
-        m = e + sys.v[c::2, c::2]
+        m = e + v[c::2, c::2]
         lows.append(float(rayleigh_quotients(m, eigh(m, subset_by_index=[0, 0])[1])[0]))
     return min(lows)
 

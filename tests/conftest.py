@@ -351,6 +351,28 @@ def lift_pair(two_site: np.ndarray, single: np.ndarray, n_sites: int, a: int, b:
     return np.ascontiguousarray(t.transpose(perm)).reshape(dim, dim)
 
 
+def all_sites_sector_blocks(sector, one_site=None, two_site=None) -> list[np.ndarray]:
+    """Sector blocks of sum_j A_j + sum_{a<b} W_ab with every site and pair lifted.
+
+    The oracle of ``manybody.sector_blocks``, which lifts one site and one
+    pair per symmetry orbit: here each term acts on its own axes of V
+    reshaped as an m x ... x m x width tensor, with no symmetry used.
+    """
+    n_sites = sector.occupation.shape[1]
+    m = one_site.shape[-1] if one_site is not None else math.isqrt(two_site.shape[-1])
+    t = sector.iso.reshape((m,) * n_sites + (sector.width,))
+    ops = [x for x in (one_site, two_site) if x is not None]
+    y = np.zeros((len(ops[0]),) + t.shape, dtype=np.result_type(t, *ops))
+    if one_site is not None:
+        for j in range(n_sites):
+            y += np.moveaxis(np.tensordot(one_site, t, axes=(2, j)), 1, j + 1)
+    if two_site is not None:
+        w4 = two_site.reshape(-1, m, m, m, m)
+        for a, b in itertools.combinations(range(n_sites), 2):
+            y += np.moveaxis(np.tensordot(w4, t, axes=((3, 4), (a, b))), (1, 2), (a + 1, b + 1))
+    return [sector.compress(x.reshape(m ** n_sites, sector.width)) for x in y]
+
+
 def antisymmetrizer_isometry(m: int, n_sites: int) -> np.ndarray:
     """Alternating basis built from permutation signs, independently of the sectors."""
     combos = list(itertools.combinations(range(m), n_sites))

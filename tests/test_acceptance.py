@@ -170,7 +170,7 @@ def test_criterion_6_weighted_remainder(rows_n1):
 
 def test_criterion_7_inequality_diagnostics(sys200, fs2):
     s = sys200(0.3)
-    kato = check_kato(s)
+    kato = check_kato(s.grid)
     kato_floor = -1e-4 * float(np.linalg.norm(s.v, 2))
     dg_margins = {g: check_dgamma_bound(sys200(g)) for g in GAMMAS_MAIN}
     form_value = mb.check_form_bound(fs2)

@@ -165,6 +165,51 @@ def test_commands_load_no_quadrature(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def test_series_commands_load_no_scipy(tmp_path):
+    # the Bessel transform and the kinetic-weight bound are numpy-only, so
+    # converge and nbody load no scipy module at all; validate shares the
+    # Kato and D_gamma^2 margins with one-particle, which keep scipy.linalg's
+    # subset eigensolver, and loads nothing else of scipy
+    cfg = write_cfg(tmp_path, {
+        "grid": {"n": 64}, "gamma_list": [0.1, 0.2], "series_order": 4,
+        "nbody": {"n_particles": 2, "n_plus": 4},
+    })
+    code = textwrap.dedent(f"""
+        import sys
+        from diracdiag import cli
+
+        def loaded(name):
+            return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+
+        for command in ("converge", "nbody", "validate"):
+            # 64 nodes fail validate's hydrogen check (exit 1) after every check ran
+            rc = cli.main([command, "--config", {cfg!r}, "--output", {str(tmp_path / "o")!r}])
+            if rc > (command == "validate"):
+                raise SystemExit(command + " failed")
+            if command != "validate" and loaded("scipy"):
+                raise SystemExit(command + " loaded " + ", ".join(loaded("scipy")))
+        public = {{m.split(".")[1] for m in loaded("scipy")
+                  if m.startswith("scipy.") and not m.startswith("scipy._")}}
+        if public - {{"linalg", "version"}}:
+            raise SystemExit("validate loaded " + ", ".join(sorted(public)))
+    """)
+    out = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path), env=child_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
+def test_kato_margin_evaluated_once_per_run(tmp_path, monkeypatch):
+    # the margin reads only |D_0| and V, so no command repeats it per coupling
+    calls = []
+    check_kato = op.check_kato
+    monkeypatch.setattr(op, "check_kato", lambda grid: calls.append(grid) or check_kato(grid))
+    cfg = write_cfg(tmp_path, {"grid": {"n": 32}, "gamma_list": [0.1, 0.2, 0.3]})
+    for command in ("one-particle", "validate"):
+        calls.clear()
+        cli.main([command, "--config", cfg, "--output", str(tmp_path / command)])
+        assert len(calls) == 1, command
+
+
 def test_one_particle_holds_one_system_at_a_time(tmp_path, monkeypatch):
     # each coupling's system is released before the next one is assembled
     assemble = op.assemble_system

@@ -51,9 +51,7 @@ def test_only_errors_module_raises_numerical_failures():
     assert offenders == []
 
 
-# Every gate a converge and an nbody run pass, by message template.  A check
-# that only fires on failure (the Cholesky failure of
-# ``check_kinetic_weight_bound``) is not listed; test_manybody covers it.
+# Every gate a converge and an nbody run pass, by message template.
 PASSED_TEMPLATES = {
     # decoupling
     "projector series constant term drifted from P_+^0",
@@ -75,6 +73,7 @@ PASSED_TEMPLATES = {
     "transported frame is not orthonormal: {value:.3e}",
     "pair projection not positive semidefinite: lowest eigenvalue {low:.3e}",
     "weight matrix not positive definite: eigenvalue {low:.3e}",
+    "weight matrix not positive definite: {exc}",
     "restriction/conjugation order disagreement {value:.3e} > 1e-8 "
     "on the small cross-check instance",
 }

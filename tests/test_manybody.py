@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from conftest import (
     _pair_product,
+    all_sites_sector_blocks,
     antisymmetrizer_isometry,
     dense_furry,
     lift_pair,
@@ -240,6 +241,36 @@ def test_sector_multiplicities_follow_hook_lengths():
     assert sum(d * d for d in dims.values()) == 24
     assert [(s.shape, s.multiplicity, s.width) for s in mb.site_sectors(10, 3)] == \
         [((3,), 1, 220), ((2, 1), 2, 330), ((1, 1, 1), 1, 120)]
+
+
+@pytest.mark.parametrize("m,n_sites", [(6, 2), (5, 3), (4, 4), (3, 5)])
+def test_orbit_lift_matches_all_sites_lift(m, n_sites):
+    # random one-site and two-site batches with no site-swap or other
+    # symmetry: the orbit reduction rests on the isometry alone
+    rng = np.random.default_rng(m * 10 + n_sites)
+    one = rng.standard_normal((2, m, m))
+    two = rng.standard_normal((2, m * m, m * m))
+    for sector in mb.site_sectors(m, n_sites):
+        for args in ((one, None), (None, two), (one, two)):
+            got = mb.sector_blocks(sector, *args)
+            ref = all_sites_sector_blocks(sector, *args)
+            scale = max(np.max(np.abs(r)) for r in ref)
+            assert max(np.max(np.abs(g - r)) for g, r in zip(got, ref)) <= 1e-14 * scale, \
+                (sector.shape, [a is not None for a in args])
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+def test_orbit_sizes_cover_every_site_and_pair(n_sites):
+    sectors = mb.site_sectors(n_sites, n_sites)  # m >= N: every partition has a sector
+    assert {s.shape for s in sectors} == set(mb._partitions(n_sites))
+    for sector in sectors:
+        assert sum(size for _, size in sector.site_orbits) == n_sites
+        assert sum(size for _, size in sector.pair_orbits) == math.comb(n_sites, 2)
+        assert all(a < b for (a, b), _ in sector.pair_orbits)
+    if n_sites == 3:  # sectors (3), (2,1), (1,1,1): 1, 2 and 1 lifts of each kind
+        assert [s.site_orbits for s in sectors] == [((2, 3),), ((1, 2), (2, 1)), ((2, 3),)]
+        assert [s.pair_orbits for s in sectors] == [(((1, 2), 3),), (((0, 1), 1), ((1, 2), 2)),
+                                                    (((1, 2), 3),)]
 
 
 # ---------------------------------------------------------------------------
