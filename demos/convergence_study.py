@@ -35,15 +35,13 @@ def main():
     bundle = build_decoupling_bundle(s0, order=10)
     gammas = (0.1, 0.3)
 
-    cfg1 = NbodyConfig(n_particles=1, z_charge=2.0, n_plus=12)
-    fs1 = mb.assemble_furry_exact(s0, cfg1, None, bundle)
-    print("one particle, 12 retained states")
-    show(mb.converge_main_theorem(fs1, list(gammas), 10), gammas, 10)
+    print("one particle, full upper block")
+    show(mb.converge_main_theorem(bundle, s0, list(gammas), 10), gammas, 10)
 
     pair = mb.build_pair_interaction(grid)
     cfg2 = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6)
-    fs2 = mb.assemble_furry_exact(s0, cfg2, pair, bundle)
-    rows2 = mb.converge_main_theorem(fs2, list(gammas), 10)
+    fs2 = mb.assemble_furry_exact(s0, cfg2, pair)
+    rows2 = mb.converge_main_theorem(bundle, fs2, list(gammas), 10)
     print("\ntwo particles, 6 retained states each")
     show(rows2, gammas, 10)
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from diracdiag import manybody as mb
 from diracdiag.config import NbodyConfig
-from diracdiag.decoupling import build_decoupling_bundle
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import assemble_system, d_gamma, positive_levels
 
@@ -20,10 +19,9 @@ def main():
     gamma, z_charge = 0.3, 2.0
     grid = build_channel_grid(120)
     s = assemble_system(grid, gamma)
-    bundle = build_decoupling_bundle(assemble_system(grid, 0.0), order=8)
     pair = mb.build_pair_interaction(grid)
     cfg = NbodyConfig(n_particles=2, z_charge=z_charge, n_plus=8)
-    fs = mb.assemble_furry_exact(s, cfg, pair, bundle)
+    fs = mb.assemble_furry_exact(s, cfg, pair)
 
     print(f"two electrons, coupling {gamma}, nuclear charge {z_charge}, "
           f"{cfg.n_plus} retained states -> dimension {fs.dim}\n")
@@ -47,7 +45,7 @@ def main():
 
     cfg_anti = NbodyConfig(n_particles=2, z_charge=z_charge, n_plus=8,
                            antisymmetrize=True)
-    fs_anti = mb.assemble_furry_exact(s, cfg_anti, pair, bundle)
+    fs_anti = mb.assemble_furry_exact(s, cfg_anti, pair)
     ea = fs_anti.levels(fs_anti.h_furry_exact)
     print(f"antisymmetric (fermionic) sector: dimension {fs_anti.dim}, "
           f"ground {ea[0]:.10f}")

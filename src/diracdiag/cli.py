@@ -272,9 +272,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     k_max = cfg.series_order
     results = {}
 
-    cfg1 = dataclasses.replace(cfg.nbody, n_particles=1, antisymmetrize=False)
-    fs1 = mb.assemble_furry_exact(sys0, cfg1, None, bundle)
-    rows1 = mb.converge_main_theorem(fs1, gammas, k_max)
+    rows1 = mb.converge_main_theorem(bundle, sys0, gammas, k_max)
     write_report_csv(os.path.join(out, "converge_n1.csv"), rows1)
     results["n1"] = {"rows": rows1}
 
@@ -283,8 +281,8 @@ def cmd_converge(cfg: RunConfig) -> int:
         pair = mb.build_pair_interaction(grid)
         restriction = mb.check_restriction_consistency(gammas[0] or GAMMA_CRITICAL / 2,
                                                        cfg.nbody)
-        fs_n = mb.assemble_furry_exact(sys0, cfg.nbody, pair, bundle)
-        rows_n = mb.converge_main_theorem(fs_n, gammas, k_max)
+        fs_n = mb.assemble_furry_exact(sys0, cfg.nbody, pair)
+        rows_n = mb.converge_main_theorem(bundle, fs_n, gammas, k_max)
         write_report_csv(os.path.join(out, f"converge_n{n_particles}.csv"), rows_n)
         results[f"n{n_particles}"] = {"rows": rows_n, "restriction_gate": restriction}
 
@@ -303,7 +301,6 @@ def cmd_nbody(cfg: RunConfig) -> int:
     from . import manybody as mb
     from .oneparticle import assemble_system
     from .report import gamma_tag, write_json_summary, write_table_csv
-    from .series import series_partial_sums
 
     require_convergence_window(cfg)
     grid, sys0, bundle = _build_shared(cfg)
@@ -313,7 +310,7 @@ def cmd_nbody(cfg: RunConfig) -> int:
     per_gamma = []
     for gamma in cfg.gamma_list:
         sys_g = sys0 if gamma == sys0.gamma else assemble_system(grid, gamma)
-        fs = mb.assemble_furry_exact(sys_g, cfg.nbody, pair, bundle)
+        fs = mb.assemble_furry_exact(sys_g, cfg.nbody, pair)
         e_furry = fs.levels(fs.h_furry_exact)
         e_diag = fs.levels(fs.h_diag_exact)
         rows = [(i, float(a), float(b), float(abs(a - b)))
@@ -323,8 +320,7 @@ def cmd_nbody(cfg: RunConfig) -> int:
 
         ground_exact = float(e_diag[0])
         series_rows = []
-        partial = zip(*(series_partial_sums(s, gamma) for s in fs.h_diag_series_N))
-        for k, blocks in enumerate(partial):
+        for k, blocks in enumerate(mb.h_diag_partial_sums_N(bundle, fs, gamma)):
             gk = min(float(np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0]) for h in blocks)
             series_rows.append((k, gk, abs(gk - ground_exact)))
         write_table_csv(os.path.join(out, f"nbody_series_gamma_{gamma_tag(gamma)}.csv"),
@@ -345,6 +341,7 @@ def cmd_nbody(cfg: RunConfig) -> int:
             diag["form_bound_value"] = mb.check_form_bound(fs)
             diag["form_bound_limit"] = mb.form_bound_limit(fs)
         per_gamma.append(diag)
+        del fs, sys_g  # before the next coupling's systems are assembled
     write_json_summary(os.path.join(out, "nbody.json"), "nbody",
                        cfg.to_dict(), config_digest(cfg), {"per_gamma": per_gamma})
     return 0

@@ -191,7 +191,6 @@ class DecouplingBundle:
     u_series: MatrixSeries
     f_upper: tuple
     h_upper: MatrixSeries
-    system: OneParticleSystem
 
     @property
     def order(self) -> int:
@@ -214,7 +213,7 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
     f_upper = tuple(fw_rows(blocks, c.T, back=True).T for c in f)
     for c in f_upper:
         c.flags.writeable = False
-    return DecouplingBundle(p_series=p, u_series=u, f_upper=f_upper, h_upper=h, system=sys)
+    return DecouplingBundle(p_series=p, u_series=u, f_upper=f_upper, h_upper=h)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .oneparticle import (
     positive_states,
     rayleigh_quotients,
 )
-from .series import MatrixSeries, make_series, series_partial_sums
+from .series import series_partial_sums
 
 
 # ---------------------------------------------------------------------------
@@ -370,36 +370,36 @@ def merged_levels(blocks, multiplicities) -> np.ndarray:
 
 
 def sector_blocks(sector: Sector, one_site: np.ndarray | None = None,
-                  two_site: np.ndarray | None = None) -> list[np.ndarray]:
-    """Sector blocks of a batch of operators sum_j A_j + sum_{a<b} W_ab.
+                  two_site: np.ndarray | None = None) -> np.ndarray:
+    """Sector block V^T X V of the operator X = sum_j A_j + sum_{a<b} W_ab.
 
-    Operator b of the batch has A = one_site[b] on site j and W = two_site[b]
-    on sites (a, b), indexed [(i,k),(j,l)] with i, j on site a, and the
-    identity on every other site: the one-site frames are orthonormal
-    (``assemble_furry_exact`` gates that), so no Gram factor enters.  All
-    terms of one orbit of ``_site_orbits`` have the same compression, so
-    each orbit's representative is lifted once, with its small factor
-    scaled by the orbit's size.  Per operator of the batch, each lift is
-    one matmul on the isometry V reshaped around its sites, and V^T
-    compresses the sum.  No product-space operator is formed.
+    X has A = one_site on site j and W = two_site on sites (a, b), indexed
+    [(i,k),(j,l)] with i, j on site a, and the identity on every other
+    site: the one-site frames are orthonormal (``assemble_furry_exact``
+    gates that), so no Gram factor enters.  All terms of one orbit of
+    ``_site_orbits`` have the same compression, so each orbit's
+    representative is lifted once, with its small factor scaled by the
+    orbit's size.  Each lift is one matmul on the isometry V reshaped
+    around its sites, and V^T compresses the sum.  No product-space
+    operator is formed.  All lifts write into one product buffer, freed
+    before the compression gathers V's rows: with a fresh product per term,
+    or the buffer still alive, the allocator returned and re-faulted these
+    arrays on nearly every call of an order-by-order caller.
     """
     n_sites = sector.occupation.shape[1]
     m = one_site.shape[-1] if one_site is not None else math.isqrt(two_site.shape[-1])
-    terms = []
-    if one_site is not None:
-        terms += [(size * one_site, (j,)) for j, size in sector.site_orbits]
-    if two_site is not None:
-        terms += [(size * two_site, pair) for pair, size in sector.pair_orbits]
-    lifts = [(op, *_site_axes(sector.iso, sites, m)) for op, sites in terms]
-    dtype = np.result_type(sector.iso, *(op for op, _ in terms))
-    blocks = []
-    for b in range(len(terms[0][0])):
-        y = np.zeros((m ** n_sites, sector.width), dtype=dtype)
-        for op, t, shape in lifts:
-            x = (op[b] @ t).reshape(shape).swapaxes(2, 3)
-            y.reshape(x.shape)[...] += x
-        blocks.append(sector.compress(y))
-    return blocks
+    terms = [(size, one_site, (j,)) for j, size in sector.site_orbits if one_site is not None]
+    terms += [(size, two_site, pair) for pair, size in sector.pair_orbits if two_site is not None]
+    y = np.zeros((m ** n_sites, sector.width),
+                 dtype=np.result_type(sector.iso, *(op for _, op, _ in terms)))
+    buf = np.empty_like(y)
+    for size, op, sites in terms:
+        t, shape = _site_axes(sector.iso, sites, m)
+        x = np.matmul(op if size == 1 else size * op, t, out=buf.reshape(t.shape))
+        x = x.reshape(shape).swapaxes(2, 3)
+        y.reshape(x.shape)[...] += x
+    del buf, x
+    return sector.compress(y)
 
 
 def _site_axes(iso: np.ndarray, sites: tuple[int, ...], m: int):
@@ -423,7 +423,7 @@ def _site_axes(iso: np.ndarray, sites: tuple[int, ...], m: int):
 
 @dataclass(frozen=True)
 class FurrySystem:
-    """N-particle bundle on the retained positive subspace at one coupling.
+    """N-particle operators on the retained positive subspace at one coupling.
 
     Every N-particle operator is a sum of the same one-site and two-site
     terms over all sites, so it commutes with the site permutations and is
@@ -438,23 +438,23 @@ class FurrySystem:
     tuple, sorted with multiplicity.
 
     h_furry_exact, kinetic and w_proj are expressed on products of the
-    retained eigenstates phi; h_diag_exact and h_diag_series_N (one series
-    per sector) on the transported frame psi = R U_gamma phi (their unitary
-    image), so the two spectra must coincide.  psi is in the row order of
-    the FW frame R (``oneparticle.fw_rows``): the positive free states
-    first, where its rows are supported.  Both frames are orthonormal, phi
-    from the eigensolver and psi by the gate of ``assemble_furry_exact``, so
-    every block is a plain compression and is compared with plain
-    ``eigvalsh``.
-    kinetic is exactly diagonal: each column of an isometry lives on one
-    occupation orbit, whose level sum is its entry.  config is the run's
-    ``config.NbodyConfig``, checked when it was built.
+    retained eigenstates phi; h_diag_exact, like ``h_diag_series_N``, on
+    the transported frame psi = R U_gamma phi (its unitary image), so the
+    two spectra must coincide.  psi is in the row order of the FW frame R
+    (``oneparticle.fw_rows``): the positive free states first, where its
+    rows are supported.  Both frames are
+    orthonormal, phi from the eigensolver and psi by the gate of
+    ``assemble_furry_exact``, so every block is a plain compression and is
+    compared with plain ``eigvalsh``.
+    kinetic is exactly diagonal, so it holds one vector per sector: each
+    column of an isometry lives on one occupation orbit, whose level sum is
+    its entry.  config is the run's ``config.NbodyConfig``, checked when it
+    was built.
     """
 
     one_particle: OneParticleSystem
     config: NbodyConfig
     pair: PairInteraction | None
-    bundle: DecouplingBundle | None
     sectors: tuple[Sector, ...]
     eps: np.ndarray
     phi: np.ndarray
@@ -463,7 +463,6 @@ class FurrySystem:
     w_proj: tuple[np.ndarray, ...] | None
     h_furry_exact: tuple[np.ndarray, ...]
     h_diag_exact: tuple[np.ndarray, ...]
-    h_diag_series_N: tuple[MatrixSeries, ...] | None
 
     @property
     def dim(self) -> int:
@@ -479,9 +478,8 @@ class FurrySystem:
 
 
 def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
-                         pair: PairInteraction | None = None,
-                         bundle: DecouplingBundle | None = None) -> FurrySystem:
-    """Build the projected Hamiltonian, its diagonalized image, and the series.
+                         pair: PairInteraction | None = None) -> FurrySystem:
+    """Build the projected Hamiltonian and its diagonalized image.
 
     The diagonalized image is computed through the assembled unitaries and
     projectors (not copied from the direct matrix), so its agreement with
@@ -509,34 +507,30 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     scale = sys.gamma / cfg.z_charge
 
     # direct path, products of retained eigenstates
-    kinetic = tuple(np.diag(eps[s.occupation].sum(axis=1)) for s in sectors)
+    kinetic = tuple(eps[s.occupation].sum(axis=1) for s in sectors)
+    h_furry = tuple(np.diag(t) for t in kinetic)
     w_proj = None
-    h_furry = kinetic
     if n_sites >= 2:
         w2 = pair.project(phi)
         ew = np.linalg.eigvalsh(0.5 * (w2 + w2.conj().T))
         low = float(ew[0])
         gate(-low, 1e-9 * max(1.0, -low, float(ew[-1])),
              "pair projection not positive semidefinite: lowest eigenvalue {low:.3e}", low=low)
-        w_proj = tuple(sector_blocks(s, two_site=w2[None])[0] for s in sectors)
-        h_furry = tuple(t + scale * w for t, w in zip(kinetic, w_proj))
+        w_proj = tuple(sector_blocks(s, two_site=w2) for s in sectors)
+        for h, w in zip(h_furry, w_proj):
+            h += scale * w
 
     # conjugated path, through the assembled unitaries
     phi_rt = sys.u_gamma.conj().T @ fw_rows(blocks, psi, back=True)
     pp = sys.p_plus_gamma @ phi_rt
     k1 = pp.conj().T @ sys.dgamma @ pp
-    w2_rt = scale * pair.project(pp)[None] if n_sites >= 2 else None
-    h_diag = tuple(sector_blocks(s, k1[None], w2_rt)[0] for s in sectors)
-
-    series = None
-    if bundle is not None:
-        series = assemble_h_diag_series_N(bundle, cfg, pair, psi)
+    w2_rt = scale * pair.project(pp) if n_sites >= 2 else None
+    h_diag = tuple(sector_blocks(s, k1, w2_rt) for s in sectors)
 
     return FurrySystem(
-        one_particle=sys, config=cfg, pair=pair, bundle=bundle, sectors=sectors,
+        one_particle=sys, config=cfg, pair=pair, sectors=sectors,
         eps=eps, phi=phi, psi=psi, kinetic=kinetic, w_proj=w_proj,
-        h_furry_exact=h_furry, h_diag_exact=h_diag,
-        h_diag_series_N=series)
+        h_furry_exact=h_furry, h_diag_exact=h_diag)
 
 
 def _abs_d0_sum(abs_d0: np.ndarray, sectors: tuple[Sector, ...],
@@ -549,7 +543,7 @@ def _abs_d0_sum(abs_d0: np.ndarray, sectors: tuple[Sector, ...],
     the FW frame.
     """
     ce = (frame.conj().T * abs_d0) @ frame
-    return tuple(sector_blocks(s, ce[None])[0] for s in sectors)
+    return tuple(sector_blocks(s, ce) for s in sectors)
 
 
 def _gate_positive_weight(low: float) -> None:
@@ -564,65 +558,71 @@ def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndarray,
-                 z_charge: float) -> np.ndarray:
-    """Two-site coefficients of the interaction series on the frame rows upper.
+                 z_charge: float):
+    """Yield the two-site coefficients n = 1..order of the interaction series
+    on the frame rows upper, one at a time.
 
     The pair operator is sandwiched by the dressed-frame series (F^H R frame
     in the original frame, with F the unitary series times the projector
     series) through the separable radial form, shifted up one order by the
     coupling prefactor and scaled by 1/Z.  Coefficient n carries the pair
-    products of total order n - 1, so the shift drops the interaction
-    coefficient of the truncation order: its products would land at
-    order + 1, beyond the series.  The term of densities nu, mu is the site
-    swap S X S of the term of mu, nu (the kernel is symmetric), so only
+    products of total order n - 1, so it needs only the density stacks of
+    orders below n, and there is no coefficient 0.  The shift drops the
+    interaction coefficient of the truncation order: its products would land
+    at order + 1, beyond the series.  The term of densities nu, mu is the
+    site swap S X S of the term of mu, nu (the kernel is symmetric), so only
     mu < nu and half the middle term are contracted, and the swapped copy
-    is added as the transpose of their sum while reindexing.  The densities
-    are dropped on return, before the caller lifts the coefficients.
+    is added as the transpose of their sum while reindexing.
     """
-    order, m = bundle.order, upper.shape[1]
+    m = upper.shape[1]
     factors = [pair.frame_factors(fc.conj().T @ upper) for fc in bundle.f_upper]
     zhat = []
-    for mu in range(order + 1):
+    for n in range(1, bundle.order + 1):
         z = np.zeros((pair.radial.r.size, m * m))
-        for a in range(mu + 1):
-            c = mu - a
-            z += _density_stack(factors[a][0], factors[c][0])
-            z += _density_stack(factors[a][1], factors[c][1])
+        for a in range(n):
+            z += _density_stack(factors[a][0], factors[n - 1 - a][0])
+            z += _density_stack(factors[a][1], factors[n - 1 - a][1])
         zhat.append(z)
-    c_pair = np.zeros((order + 1, m * m, m * m))
-    for n in range(1, order + 1):
-        # contraction order [(i,j),(k,l)]; c_pair[n] is [(i,k),(j,l)]
+        # contraction order [(i,j),(k,l)]; the coefficient c is [(i,k),(j,l)]
         x = np.zeros((m * m, m * m))
         for mu in range(n // 2):
             x += zhat[mu].T @ pair.kernel @ zhat[n - 1 - mu]
         if n % 2:
             x += 0.5 * (zhat[n // 2].T @ pair.kernel @ zhat[n // 2])
         x4 = x.reshape(m, m, m, m)
-        np.add(x4.transpose(0, 2, 1, 3), x4.transpose(2, 0, 3, 1),
-               out=c_pair[n].reshape(m, m, m, m))
-    c_pair /= z_charge
-    return c_pair
+        c = np.empty((m * m, m * m))
+        np.add(x4.transpose(0, 2, 1, 3), x4.transpose(2, 0, 3, 1), out=c.reshape(m, m, m, m))
+        del x, x4
+        c /= z_charge
+        yield c
+        del c  # one coefficient alive at a time
 
 
-def assemble_h_diag_series_N(bundle: DecouplingBundle, cfg: NbodyConfig,
-                             pair: PairInteraction | None,
-                             frame: np.ndarray) -> tuple[MatrixSeries, ...]:
-    """N-particle Hamiltonian series compressed onto the given frame, per sector.
+def h_diag_series_N(bundle: DecouplingBundle, fs: FurrySystem):
+    """Yield the N-particle Hamiltonian series on the frame fs.psi, order by order.
 
-    The frame is in FW row order (``FurrySystem``), and the one-particle
-    series live on its rows on the positive free states only
-    (``DecouplingBundle``).  Kinetic coefficients are compressions of the
-    one-particle series on every site; the interaction coefficients come
-    from ``_pair_series``.
+    Item k = 0..bundle.order is the order-k coefficient as a tuple of
+    sector blocks, one per entry of fs.sectors, computed when it is asked
+    for and not kept.  It lifts the compression of the one-particle
+    coefficient onto every site (the one-particle series live on the rows
+    of psi on the positive free states, ``DecouplingBundle``), and from
+    order 1 on the pair coefficient of ``_pair_series`` onto every pair.
     """
-    n_sites = cfg.n_particles
-    if n_sites >= 2 and pair is None:
-        raise ValueError("pair interaction required for more than one particle")
-    upper = frame[:bundle.h_upper.dim]
-    c_kin = [upper.conj().T @ h @ upper for h in bundle.h_upper.coeffs]
-    c_pair = _pair_series(bundle, pair, upper, cfg.z_charge) if n_sites >= 2 else None
-    return tuple(make_series(sector_blocks(s, np.array(c_kin), c_pair))
-                 for s in furry_sectors(cfg))
+    upper = fs.psi[:bundle.h_upper.dim]
+    pairs = None
+    if fs.config.n_particles >= 2:
+        pairs = _pair_series(bundle, fs.pair, upper, fs.config.z_charge)
+    for k, h in enumerate(bundle.h_upper.coeffs):
+        c_kin = upper.conj().T @ h @ upper
+        w = next(pairs) if k and pairs is not None else None
+        yield tuple(sector_blocks(s, c_kin, w) for s in fs.sectors)
+        del w  # before the next pair coefficient is computed
+
+
+def h_diag_partial_sums_N(bundle: DecouplingBundle, fs: FurrySystem, g: float):
+    """Yield the partial sums of ``h_diag_series_N`` at coupling g, k = 0..order,
+    each a tuple of sector blocks (``series.series_partial_sums``)."""
+    return series_partial_sums(h_diag_series_N(bundle, fs), g)
 
 
 # ---------------------------------------------------------------------------
@@ -636,15 +636,14 @@ def check_form_bound(fs: FurrySystem) -> float:
     part T is the projected sum of one-particle operators, positive by the
     spectral gap.  Both commute with the site permutations, so the largest
     eigenvalue is the maximum over the sector blocks.  Each T block is
-    diagonal (every isometry column lives on one occupation orbit), so
-    T^(-1/2) scales rows and columns.
+    diagonal (``FurrySystem.kinetic`` holds its diagonal), so T^(-1/2)
+    scales rows and columns.
     """
     if fs.w_proj is None:
         return 0.0
     scale = fs.one_particle.gamma / fs.config.z_charge
     top = -np.inf
-    for kin, w in zip(fs.kinetic, fs.w_proj):
-        t = np.diag(kin)
+    for t, w in zip(fs.kinetic, fs.w_proj):
         _gate_positive_weight(t.min())
         t_inv_half = t ** -0.5
         m = t_inv_half[:, None] * (scale * w) * t_inv_half[None, :]
@@ -728,51 +727,48 @@ def _low_levels(blocks, frames, multiplicities, count: int = 10) -> np.ndarray:
     return np.sort(np.concatenate(levels))[:count]
 
 
-def converge_main_theorem(fs: FurrySystem, gammas: list[float], k_max: int) -> list[dict]:
+def converge_main_theorem(bundle: DecouplingBundle, system: OneParticleSystem | FurrySystem,
+                          gammas: list[float], k_max: int) -> list[dict]:
     """Resolvent distances, weighted remainders, and eigenvalue errors per (gamma, k).
 
-    For one particle the comparison runs on the full upper block; for more
-    particles each coupling gets its own transported frame, on which both
-    the exact diagonalized operator and the compressed series live, split
-    into sector blocks.  Norms and resolvent distances of a block-diagonal
-    operator are the maxima over its blocks; the low eigenvalues come from
-    the merged block spectra.  Every block, exact or truncated, takes one
+    For one particle, system is a OneParticleSystem and the comparison runs
+    on the full upper block.  For more particles, system is a FurrySystem:
+    each coupling gets its own transported frame, on which both the exact
+    diagonalized operator and the streamed series live, split into sector
+    blocks.  Norms and resolvent distances of a block-diagonal operator are
+    the maxima over its blocks; the low eigenvalues come from the merged
+    block spectra.  Every block, exact or truncated, takes one
     eigendecomposition (``resolvent_frame``), which serves both its
     resolvent distance and its low levels; the exact operator's is computed
     once per coupling and shared by every truncation order, and the
     truncations are accumulated partial sums.  No inverse and no SVD is
     taken.
     """
-    bundle = fs.bundle
-    if bundle is None:
-        raise ValueError("convergence study needs the series bundle")
     if k_max > bundle.order:
         raise ValueError(f"requested k_max {k_max} beyond series order {bundle.order}")
-    grid = fs.one_particle.grid
-    cfg = fs.config
-    n_sites = cfg.n_particles
+    nbody = isinstance(system, FurrySystem)
+    sys0 = system.one_particle if nbody else system
+    grid = sys0.grid
     rows = []
     energies = free_energies(grid)
-    if n_sites == 1:
-        series_u = (bundle.h_upper,)
-        weight_u = (np.diag(energies ** -0.5),)
     for gamma in gammas:
-        sys_g = fs.one_particle if gamma == fs.one_particle.gamma else assemble_system(grid, gamma)
-        if n_sites == 1:
-            exact = (h_diag_exact(sys_g),)
-            series, weight, mult = series_u, weight_u, (1,)
-        else:
-            fs_g = fs if gamma == fs.one_particle.gamma else assemble_furry_exact(
-                sys_g, cfg, fs.pair, bundle)
-            exact, series, mult = fs_g.h_diag_exact, fs_g.h_diag_series_N, fs_g.multiplicities
+        sys_g = sys0 if gamma == sys0.gamma else assemble_system(grid, gamma)
+        if nbody:
+            fs_g = system if gamma == sys0.gamma else assemble_furry_exact(
+                sys_g, system.config, system.pair)
+            exact, mult = fs_g.h_diag_exact, fs_g.multiplicities
             weight = tuple(_inv_sqrt_psd(d) for d in
                            _abs_d0_sum(np.tile(energies, 2), fs_g.sectors, fs_g.psi))
+            partial = h_diag_partial_sums_N(bundle, fs_g, gamma)
+        else:
+            exact, mult = (h_diag_exact(sys_g),), (1,)
+            weight = (np.diag(energies ** -0.5),)
+            partial = series_partial_sums(zip(bundle.h_upper.coeffs), gamma)
         exact_frames = [resolvent_frame(e, "first") for e in exact]
         exact_low = _low_levels(exact, exact_frames, mult)
         dists = np.empty(k_max + 1)
         remainders = np.empty(k_max + 1)
         eig_errors = np.empty(k_max + 1)
-        partial = zip(*(series_partial_sums(s, gamma) for s in series))
         for k, approx in zip(range(k_max + 1), partial):
             approx_h = [0.5 * (a + a.conj().T) for a in approx]
             frames = [resolvent_frame(a, "second") for a in approx_h]

@@ -87,18 +87,22 @@ def cauchy_product(a, b) -> list[np.ndarray]:
     return out
 
 
-def series_partial_sums(a: MatrixSeries, g: float):
-    """Yield the partial sums S_k = S_(k-1) + g^k A_k at coupling g, k = 0..order.
+def series_partial_sums(coeffs, g: float):
+    """Yield the partial sums S_k = S_(k-1) + g^k A_k at coupling g, k = 0, 1, ...
 
-    Each truncation costs one addition, where evaluating every truncation
-    afresh would cost k.
+    coeffs is any iterable of the coefficients A_k of a block-diagonal
+    operator, each a tuple of its blocks, and so is every partial sum:
+    ``zip(a.coeffs)`` for one series a, or a stream that computes each
+    coefficient only when it is asked for.  Each truncation costs one
+    addition, where evaluating every truncation afresh would cost k.
     """
-    acc = np.array(a.coeffs[0])
+    coeffs = iter(coeffs)
+    acc = tuple(np.array(c) for c in next(coeffs))
     yield acc
     gk = 1.0
-    for c in a.coeffs[1:]:
+    for blocks in coeffs:
         gk *= g
-        acc = acc + gk * c
+        acc = tuple(s + gk * c for s, c in zip(acc, blocks))
         yield acc
 
 

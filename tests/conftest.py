@@ -15,7 +15,12 @@ import pytest
 
 from diracdiag.decoupling import build_decoupling_bundle
 from diracdiag.grids import ChannelGrid, build_channel_grid
-from diracdiag.manybody import _density_stack, _two_site_assemble, build_pair_interaction
+from diracdiag.manybody import (
+    _density_stack,
+    _two_site_assemble,
+    build_pair_interaction,
+    h_diag_series_N,
+)
 from diracdiag.oneparticle import (
     OneParticleSystem,
     assemble_system,
@@ -351,8 +356,8 @@ def lift_pair(two_site: np.ndarray, single: np.ndarray, n_sites: int, a: int, b:
     return np.ascontiguousarray(t.transpose(perm)).reshape(dim, dim)
 
 
-def all_sites_sector_blocks(sector, one_site=None, two_site=None) -> list[np.ndarray]:
-    """Sector blocks of sum_j A_j + sum_{a<b} W_ab with every site and pair lifted.
+def all_sites_sector_blocks(sector, one_site=None, two_site=None) -> np.ndarray:
+    """Sector block of sum_j A_j + sum_{a<b} W_ab with every site and pair lifted.
 
     The oracle of ``manybody.sector_blocks``, which lifts one site and one
     pair per symmetry orbit: here each term acts on its own axes of V
@@ -362,15 +367,15 @@ def all_sites_sector_blocks(sector, one_site=None, two_site=None) -> list[np.nda
     m = one_site.shape[-1] if one_site is not None else math.isqrt(two_site.shape[-1])
     t = sector.iso.reshape((m,) * n_sites + (sector.width,))
     ops = [x for x in (one_site, two_site) if x is not None]
-    y = np.zeros((len(ops[0]),) + t.shape, dtype=np.result_type(t, *ops))
+    y = np.zeros(t.shape, dtype=np.result_type(t, *ops))
     if one_site is not None:
         for j in range(n_sites):
-            y += np.moveaxis(np.tensordot(one_site, t, axes=(2, j)), 1, j + 1)
+            y += np.moveaxis(np.tensordot(one_site, t, axes=(1, j)), 0, j)
     if two_site is not None:
-        w4 = two_site.reshape(-1, m, m, m, m)
+        w4 = two_site.reshape(m, m, m, m)
         for a, b in itertools.combinations(range(n_sites), 2):
-            y += np.moveaxis(np.tensordot(w4, t, axes=((3, 4), (a, b))), (1, 2), (a + 1, b + 1))
-    return [sector.compress(x.reshape(m ** n_sites, sector.width)) for x in y]
+            y += np.moveaxis(np.tensordot(w4, t, axes=((2, 3), (a, b))), (0, 1), (a, b))
+    return sector.compress(y.reshape(m ** n_sites, sector.width))
 
 
 def antisymmetrizer_isometry(m: int, n_sites: int) -> np.ndarray:
@@ -388,19 +393,26 @@ def antisymmetrizer_isometry(m: int, n_sites: int) -> np.ndarray:
     return a
 
 
-def dense_furry(fs) -> dict:
+def collect_series_N(bundle, fs) -> tuple[MatrixSeries, ...]:
+    """The streamed N-particle series of ``manybody.h_diag_series_N``, every
+    order collected into one MatrixSeries per sector."""
+    return tuple(make_series(c) for c in zip(*h_diag_series_N(bundle, fs)))
+
+
+def dense_furry(fs, bundle=None) -> dict:
     """Product-space matrices of an assembled FurrySystem, by Kronecker lifts.
 
     Rebuilds kinetic, w_proj, h_furry, h_diag, the |D_0| sums on the
     retained eigenstates (abs_d0) and on the transported frame (abs_d0_psi)
-    and every series coefficient from the system's one-particle pieces,
-    m^N x m^N each, with no compression to the alternating subspace.  The
-    one-particle Hamiltonian series and F = U P are rebuilt at full size
-    from the bundle's projector and unitary series, which are in the FW
-    frame.  abs_d0_psi is formed on U_gamma phi in the original frame: |D_0|
-    commutes with the FW rotation, so it needs no row order of psi.
+    and, given the bundle, every series coefficient from the system's
+    one-particle pieces, m^N x m^N each, with no compression to the
+    alternating subspace.  The one-particle Hamiltonian series and F = U P
+    are rebuilt at full size from the bundle's projector and unitary
+    series, which are in the FW frame.  abs_d0_psi is formed on U_gamma phi
+    in the original frame: |D_0| commutes with the FW rotation, so it needs
+    no row order of psi.
     """
-    sys, cfg, pair, bundle = fs.one_particle, fs.config, fs.pair, fs.bundle
+    sys, cfg, pair = fs.one_particle, fs.config, fs.pair
     n, m = cfg.n_particles, cfg.n_plus
     scale = sys.gamma / cfg.z_charge
     pairs = list(itertools.combinations(range(n), 2))
@@ -433,7 +445,7 @@ def dense_furry(fs) -> dict:
     if bundle is not None:
         s_f = psi.T @ psi
         f_series = series_mul(bundle.u_series, bundle.p_series)
-        h_series = dense_h_diag_series(bundle.system, f_series)
+        h_series = dense_h_diag_series(sys, f_series)
         coeffs = [one_site_sum(psi.T @ h @ psi, s_f) for h in h_series.coeffs]
         if n >= 2:
             dressed = [q.T @ fc.T @ psi for fc in f_series.coeffs]

@@ -57,25 +57,19 @@ def first_monotone_index(values):
 
 
 @pytest.fixture(scope="module")
-def fs1(sys200, bundle200):
-    cfg = NbodyConfig(n_particles=1, z_charge=2.0, n_plus=20)
-    return mb.assemble_furry_exact(sys200(0.3), cfg, None, bundle200)
-
-
-@pytest.fixture(scope="module")
-def fs2(sys200, bundle200, pair200):
+def fs2(sys200, pair200):
     cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=20)
-    return mb.assemble_furry_exact(sys200(0.3), cfg, pair200, bundle200)
+    return mb.assemble_furry_exact(sys200(0.3), cfg, pair200)
 
 
 @pytest.fixture(scope="module")
-def rows_n1(fs1):
-    return mb.converge_main_theorem(fs1, list(GAMMAS_MAIN), 12)
+def rows_n1(sys200, bundle200):
+    return mb.converge_main_theorem(bundle200, sys200(0.3), list(GAMMAS_MAIN), 12)
 
 
 @pytest.fixture(scope="module")
-def rows_n2(fs2):
-    return mb.converge_main_theorem(fs2, list(GAMMAS_MAIN), 12)
+def rows_n2(fs2, bundle200):
+    return mb.converge_main_theorem(bundle200, fs2, list(GAMMAS_MAIN), 12)
 
 
 def column(rows, gamma, name):
@@ -110,7 +104,7 @@ def test_criterion_2_discretization_fidelity(sys200):
 
 def test_criterion_3_unitary_equivalence(sys200, fs2):
     cfg = NbodyConfig(n_particles=1, z_charge=2.0, n_plus=20)
-    fs1_exact = mb.assemble_furry_exact(sys200(0.3), cfg, None, None)
+    fs1_exact = mb.assemble_furry_exact(sys200(0.3), cfg)
     worst = 0.0
     for fs in (fs1_exact, fs2):
         ef = fs.levels(fs.h_furry_exact)

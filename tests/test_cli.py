@@ -12,6 +12,7 @@ import pytest
 
 from conftest import child_env, read_report_csv
 from diracdiag import cli
+from diracdiag import manybody as mb
 from diracdiag import oneparticle as op
 from diracdiag.report import write_report_csv
 
@@ -210,21 +211,27 @@ def test_kato_margin_evaluated_once_per_run(tmp_path, monkeypatch):
         assert len(calls) == 1, command
 
 
-def test_one_particle_holds_one_system_at_a_time(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command,module,name,doc", [
+    ("one-particle", op, "assemble_system", {"grid": {"n": 32}}),
+    ("nbody", mb, "assemble_furry_exact",
+     {"grid": {"n": 64}, "series_order": 4, "nbody": {"n_particles": 2, "n_plus": 4}}),
+], ids=["one-particle", "nbody"])
+def test_one_particle_holds_one_system_at_a_time(tmp_path, monkeypatch, command, module, name,
+                                                 doc):
     # each coupling's system is released before the next one is assembled
-    assemble = op.assemble_system
+    assemble = getattr(module, name)
     systems = []
     alive_at_entry = []
 
-    def tracked(grid, gamma):
+    def tracked(*args):
         alive_at_entry.append(sum(ref() is not None for ref in systems))
-        s = assemble(grid, gamma)
+        s = assemble(*args)
         systems.append(weakref.ref(s))
         return s
 
-    monkeypatch.setattr(op, "assemble_system", tracked)
-    cfg = write_cfg(tmp_path, {"grid": {"n": 32}, "gamma_list": [0.1, 0.2, 0.3]})
-    assert cli.main(["one-particle", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+    monkeypatch.setattr(module, name, tracked)
+    cfg = write_cfg(tmp_path, {"gamma_list": [0.1, 0.2, 0.3], **doc})
+    assert cli.main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 0
     assert alive_at_entry == [0, 0, 0]
 
 

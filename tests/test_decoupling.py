@@ -17,7 +17,6 @@ from conftest import (
     toy_two_level,
 )
 from diracdiag import manybody as mb
-from diracdiag.config import NbodyConfig
 from diracdiag.decoupling import (
     build_decoupling_bundle,
     decoupled_rows,
@@ -209,10 +208,10 @@ def test_hamiltonian_constant_term_is_free_branch(bundle100, grid100):
     assert np.linalg.norm(h0 - np.diag(free_energies(grid100)), 2) < 1e-11
 
 
-def test_hamiltonian_coefficients_upper_supported(bundle100):
+def test_hamiltonian_coefficients_upper_supported(bundle100, sys100):
     # the full Hamiltonian series, rebuilt at full size from the stored
     # projector and unitary series, lives on the upper block alone
-    h = dense_h_diag_series(bundle100.system, series_mul(bundle100.u_series, bundle100.p_series))
+    h = dense_h_diag_series(sys100(0.0), series_mul(bundle100.u_series, bundle100.p_series))
     for c in h.coeffs:
         scale = max(1.0, np.linalg.norm(c, 2))
         assert np.linalg.norm(c[100:, :], 2) < 1e-9 * scale
@@ -246,8 +245,8 @@ def test_order_accuracy_scaling(bundle100, sys100):
 
 
 def test_weighted_remainder_decreases(bundle100, sys100):
-    fs = mb.assemble_furry_exact(sys100(0.2), NbodyConfig(1, 2.0, 8), None, bundle100)
-    rs = [r["weighted_remainder_norm"] for r in mb.converge_main_theorem(fs, [0.2], 8)]
+    rs = [r["weighted_remainder_norm"]
+          for r in mb.converge_main_theorem(bundle100, sys100(0.2), [0.2], 8)]
     assert all(a > b for a, b in zip(rs, rs[1:]))
     assert rs[8] < 1e-4 * rs[2]
 
@@ -278,7 +277,7 @@ def test_resolvent_distance_matches_lu_oracle_one_particle(sys100, bundle100, ga
     # the exact upper block (norm ~p_max) against every truncation, from the
     # order-0 free energies, a near-diagonal matrix, to the roundoff floor
     exact = h_diag_exact(sys100(gamma))
-    for k, approx in enumerate(series_partial_sums(bundle100.h_upper, gamma)):
+    for k, (approx,) in enumerate(series_partial_sums(zip(bundle100.h_upper.coeffs), gamma)):
         a = 0.5 * (approx + approx.T)
         ref = lu_resolvent_distance(exact, a)
         assert abs(resolvent_distance(exact, a) - ref) <= 1e-11 * ref + 1e-15, k
@@ -297,7 +296,6 @@ def test_bundle_shapes(bundle100, sys100):
     s = sys100(0.0)
     p0 = fw_conjugate(s.fw_blocks, free_positive_projector(s.grid))
     assert np.linalg.norm(bundle100.p_series[0] - p0, 2) < 1e-12
-    assert bundle100.system is sys100(0.0)
     assert bundle100.u_series.dim == 200 and bundle100.h_upper.dim == 100
     assert len(bundle100.f_upper) == 9
     assert all(f.shape == (100, 200) for f in bundle100.f_upper)

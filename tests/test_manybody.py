@@ -11,6 +11,7 @@ from conftest import (
     _pair_product,
     all_sites_sector_blocks,
     antisymmetrizer_isometry,
+    collect_series_N,
     dense_furry,
     lift_pair,
     lift_single,
@@ -47,7 +48,7 @@ def test_furry_config_validation():
 def test_assemble_requires_pair_for_two_particles(sys100):
     cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=4)
     with pytest.raises(ValueError, match="pair"):
-        mb.assemble_furry_exact(sys100(0.3), cfg, None, None)
+        mb.assemble_furry_exact(sys100(0.3), cfg, None)
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +192,21 @@ def system64():
 
 
 def _sector_system(system64, n_particles, n_plus, antisymmetrize):
-    sys64, pair64, bundle64 = system64
+    sys64, pair64, _ = system64
     cfg = NbodyConfig(n_particles, 2.0, n_plus, antisymmetrize=antisymmetrize)
-    return mb.assemble_furry_exact(sys64, cfg, pair64, bundle64)
+    return mb.assemble_furry_exact(sys64, cfg, pair64)
 
 
 @pytest.mark.parametrize("n_particles,n_plus,antisymmetrize", SECTOR_CASES)
 def test_sector_spectra_match_dense_oracle(system64, n_particles, n_plus, antisymmetrize):
+    bundle64 = system64[2]
     fs = _sector_system(system64, n_particles, n_plus, antisymmetrize)
-    dense = dense_furry(fs)
+    dense = dense_furry(fs, bundle64)
     a_iso = antisymmetrizer_isometry(n_plus, n_particles) if antisymmetrize else None
+    series = collect_series_N(bundle64, fs)
     cases = (("h_furry", fs.h_furry_exact, dense["h_furry"]),
              ("h_diag", fs.h_diag_exact, dense["h_diag"]),
-             ("series_2", tuple(s.coeffs[2] for s in fs.h_diag_series_N), dense["series"][2]))
+             ("series_2", tuple(s.coeffs[2] for s in series), dense["series"][2]))
     for name, blocks, full in cases:
         # every block is the operator restricted to an invariant subspace
         for sector, block in zip(fs.sectors, blocks):
@@ -245,18 +248,18 @@ def test_sector_multiplicities_follow_hook_lengths():
 
 @pytest.mark.parametrize("m,n_sites", [(6, 2), (5, 3), (4, 4), (3, 5)])
 def test_orbit_lift_matches_all_sites_lift(m, n_sites):
-    # random one-site and two-site batches with no site-swap or other
+    # random one-site and two-site operators with no site-swap or other
     # symmetry: the orbit reduction rests on the isometry alone
     rng = np.random.default_rng(m * 10 + n_sites)
-    one = rng.standard_normal((2, m, m))
-    two = rng.standard_normal((2, m * m, m * m))
-    for sector in mb.site_sectors(m, n_sites):
-        for args in ((one, None), (None, two), (one, two)):
-            got = mb.sector_blocks(sector, *args)
-            ref = all_sites_sector_blocks(sector, *args)
-            scale = max(np.max(np.abs(r)) for r in ref)
-            assert max(np.max(np.abs(g - r)) for g, r in zip(got, ref)) <= 1e-14 * scale, \
-                (sector.shape, [a is not None for a in args])
+    for _ in range(3):
+        one = rng.standard_normal((m, m))
+        two = rng.standard_normal((m * m, m * m))
+        for sector in mb.site_sectors(m, n_sites):
+            for args in ((one, None), (None, two), (one, two)):
+                got = mb.sector_blocks(sector, *args)
+                ref = all_sites_sector_blocks(sector, *args)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), \
+                    (sector.shape, [a is not None for a in args])
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
@@ -281,7 +284,7 @@ def test_one_particle_assembly(sys100):
     s = sys100(0.3)
     fs = mb.assemble_furry_exact(s, NbodyConfig(n_particles=1, z_charge=2.0, n_plus=8))
     assert fs.dim == 8
-    assert np.allclose(np.diag(fs.kinetic[0]), fs.eps, atol=1e-14)
+    assert np.allclose(fs.kinetic[0], fs.eps, atol=1e-14)
     # furry and diagonalized spectra coincide
     ef = fs.levels(fs.h_furry_exact)
     ed = fs.levels(fs.h_diag_exact)
@@ -289,10 +292,10 @@ def test_one_particle_assembly(sys100):
     assert np.max(np.abs(ef - fs.eps)) < 1e-9
 
 
-def test_two_particle_assembly(sys100, pair100, bundle100):
+def test_two_particle_assembly(sys100, pair100):
     s = sys100(0.3)
     cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6)
-    fs = mb.assemble_furry_exact(s, cfg, pair100, bundle100)
+    fs = mb.assemble_furry_exact(s, cfg, pair100)
     assert fs.dim == 36
     ef = fs.levels(fs.h_furry_exact)
     ed = fs.levels(fs.h_diag_exact)
@@ -352,21 +355,38 @@ def test_two_particle_series_matches_exact(sys100, pair100, bundle100):
     # operator on the same frame: full-order agreement at the working
     # coupling validates every Cauchy block of the assembly
     s = sys100(0.3)
-    fs = mb.assemble_furry_exact(s, NbodyConfig(2, 2.0, 6), pair100, bundle100)
+    fs = mb.assemble_furry_exact(s, NbodyConfig(2, 2.0, 6), pair100)
     dist = 0.0
-    for exact, series in zip(fs.h_diag_exact, fs.h_diag_series_N):
+    for exact, series in zip(fs.h_diag_exact, collect_series_N(bundle100, fs)):
         hk = series_eval(series, 0.3)
         dist = max(dist, resolvent_distance(exact, 0.5 * (hk + hk.conj().T)))
     assert dist < 1e-7
 
 
 def test_resolvent_distance_matches_lu_oracle_two_particle(sys100, pair100, bundle100):
-    fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(2, 2.0, 6), pair100, bundle100)
-    for exact, series in zip(fs.h_diag_exact, fs.h_diag_series_N):
-        for k, approx in enumerate(series_partial_sums(series, 0.3)):
+    fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(2, 2.0, 6), pair100)
+    for exact, series in zip(fs.h_diag_exact, collect_series_N(bundle100, fs)):
+        for k, (approx,) in enumerate(series_partial_sums(zip(series.coeffs), 0.3)):
             a = 0.5 * (approx + approx.T)
             ref = lu_resolvent_distance(exact, a)
             assert abs(resolvent_distance(exact, a) - ref) <= 1e-11 * ref + 1e-15, k
+
+
+@pytest.mark.parametrize("n_particles,n_plus", [(1, 6), (2, 6), (3, 4)])
+def test_streamed_partial_sums_match_the_collected_series(sys100, pair100, bundle100,
+                                                          n_particles, n_plus):
+    # the stream computes each order when it is asked for, interleaved with
+    # the sums; collecting it first must not move a single bit
+    fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(n_particles, 2.0, n_plus),
+                                 pair100 if n_particles > 1 else None)
+    collected = collect_series_N(bundle100, fs)
+    assert len(collected) == len(fs.sectors)
+    assert all(s.order == bundle100.order for s in collected)
+    streamed = list(mb.h_diag_partial_sums_N(bundle100, fs, 0.3))
+    assert len(streamed) == bundle100.order + 1
+    for b, series in enumerate(collected):
+        for k, (ref,) in enumerate(series_partial_sums(zip(series.coeffs), 0.3)):
+            assert np.array_equal(streamed[k][b], ref), (b, k)
 
 
 def test_pair_series_matches_the_full_sum(sys100, pair100, bundle100):
@@ -374,12 +394,13 @@ def test_pair_series_matches_the_full_sum(sys100, pair100, bundle100):
     # ordered pair of densities
     fs = mb.assemble_furry_exact(sys100(0.2), NbodyConfig(2, 2.0, 6), pair100)
     upper = fs.psi[:bundle100.h_upper.dim]
-    got = mb._pair_series(bundle100, pair100, upper, 2.0)
+    got = list(mb._pair_series(bundle100, pair100, upper, 2.0))
+    assert len(got) == bundle100.order  # orders 1..K, and no order-0 coefficient
     dressed = [fc.conj().T @ upper for fc in bundle100.f_upper]
-    ref = np.zeros_like(got)
-    for n in range(1, bundle100.order + 1):
-        ref[n] = sum(_pair_product(pair100, dressed, mu, n - 1 - mu) for mu in range(n)) / 2.0
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    ref = [sum(_pair_product(pair100, dressed, mu, n - 1 - mu) for mu in range(n)) / 2.0
+           for n in range(1, bundle100.order + 1)]
+    scale = max(np.max(np.abs(r)) for r in ref)
+    assert max(np.max(np.abs(g - r)) for g, r in zip(got, ref)) <= 1e-14 * scale
 
 
 def test_series_order_accuracy_two_particle(sys100, pair100, bundle100):
@@ -390,9 +411,9 @@ def test_series_order_accuracy_two_particle(sys100, pair100, bundle100):
     # gamma^2-sized defect and a ratio near 4.
     errs = {}
     for gamma in (0.1, 0.2):
-        fs = mb.assemble_furry_exact(sys100(gamma), NbodyConfig(2, 2.0, 5), pair100, bundle100)
+        fs = mb.assemble_furry_exact(sys100(gamma), NbodyConfig(2, 2.0, 5), pair100)
         errs[gamma] = 0.0
-        for exact, series in zip(fs.h_diag_exact, fs.h_diag_series_N):
+        for exact, series in zip(fs.h_diag_exact, collect_series_N(bundle100, fs)):
             hk = series_eval(series_truncate(series, 2), gamma)
             errs[gamma] = max(errs[gamma], np.linalg.norm(exact - 0.5 * (hk + hk.conj().T), 2))
     assert 1e-12 < errs[0.1] < 1e-6
@@ -442,9 +463,11 @@ def test_bounds_match_inverse_square_root_formulas(sys100, pair100, n_particles,
     # its alternating subspace): no sector splitting on that side
     cfg = NbodyConfig(n_particles, 3.0, n_plus, antisymmetrize=antisymmetrize)
     fs = mb.assemble_furry_exact(sys100(0.3), cfg, pair100)
-    for kin in fs.kinetic:
-        assert np.count_nonzero(kin - np.diag(np.diag(kin))) == 0
     dense = dense_furry(fs)
+    for sector, kin in zip(fs.sectors, fs.kinetic):
+        # the level sums are the whole compressed kinetic operator
+        block = sector.iso.T @ dense["kinetic"] @ sector.iso
+        assert np.max(np.abs(block - np.diag(kin))) <= 1e-14 * np.max(np.abs(kin))
     if antisymmetrize:
         a_iso = antisymmetrizer_isometry(n_plus, n_particles)
         dense = {k: a_iso.T @ v @ a_iso for k, v in dense.items()}
@@ -498,8 +521,7 @@ def test_fit_geometric_ratio_short_sequence():
 
 
 def test_converge_rows_one_particle(sys100, bundle100):
-    fs = mb.assemble_furry_exact(sys100(0.0), NbodyConfig(1, 2.0, 8), None, bundle100)
-    rows = mb.converge_main_theorem(fs, [0.1, 0.2], 8)
+    rows = mb.converge_main_theorem(bundle100, sys100(0.0), [0.1, 0.2], 8)
     assert len(rows) == 2 * 9
     for row in rows:
         assert set(row) == {"gamma", "k", "resolvent_distance",
@@ -515,8 +537,7 @@ def test_converge_rows_one_particle(sys100, bundle100):
 
 
 def test_converge_zero_coupling_is_exact(sys100, bundle100):
-    fs = mb.assemble_furry_exact(sys100(0.0), NbodyConfig(1, 2.0, 8), None, bundle100)
-    rows = mb.converge_main_theorem(fs, [0.0], 4)
+    rows = mb.converge_main_theorem(bundle100, sys100(0.0), [0.0], 4)
     for row in rows:
         assert row["resolvent_distance"] < 5e-12
         assert row["weighted_remainder_norm"] < 5e-12
@@ -527,8 +548,9 @@ def test_converge_takes_no_inverse_and_no_svd(monkeypatch, sys100, pair100, bund
                                               n_particles):
     import sys
 
-    fs = mb.assemble_furry_exact(sys100(0.1), NbodyConfig(n_particles, 2.0, 4),
-                                 pair100 if n_particles > 1 else None, bundle100)
+    system = sys100(0.1)
+    if n_particles > 1:
+        system = mb.assemble_furry_exact(system, NbodyConfig(n_particles, 2.0, 4), pair100)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the convergence study called inv or svd")
@@ -537,20 +559,13 @@ def test_converge_takes_no_inverse_and_no_svd(monkeypatch, sys100, pair100, bund
     for mod in (np.linalg, impl):
         monkeypatch.setattr(mod, "inv", refuse)
         monkeypatch.setattr(mod, "svd", refuse)
-    rows = mb.converge_main_theorem(fs, [0.1, 0.2], 4)
+    rows = mb.converge_main_theorem(bundle100, system, [0.1, 0.2], 4)
     assert len(rows) == 10
 
 
-def test_converge_requires_bundle(sys100):
-    fs = mb.assemble_furry_exact(sys100(0.0), NbodyConfig(1, 2.0, 8))
-    with pytest.raises(ValueError, match="bundle"):
-        mb.converge_main_theorem(fs, [0.1], 4)
-
-
 def test_converge_rejects_k_beyond_order(sys100, bundle100):
-    fs = mb.assemble_furry_exact(sys100(0.0), NbodyConfig(1, 2.0, 8), None, bundle100)
     with pytest.raises(ValueError, match="order"):
-        mb.converge_main_theorem(fs, [0.1], 9)
+        mb.converge_main_theorem(bundle100, sys100(0.0), [0.1], 9)
 
 
 @pytest.mark.parametrize("n_particles,n_plus", [(2, 6), (3, 4)])
@@ -562,10 +577,9 @@ def test_weighted_remainder_matches_dense_oracle(sys100, pair100, bundle100, n_p
     # E - A_k is formed from entries of size ~3, so its roundoff is ~1e-15
     # absolute: 1e-9 relative holds where the remainder exceeds 1e-6
     gamma = 0.3
-    fs = mb.assemble_furry_exact(sys100(gamma), NbodyConfig(n_particles, 2.0, n_plus),
-                                 pair100, bundle100)
-    rows = mb.converge_main_theorem(fs, [gamma], bundle100.order)
-    dense = dense_furry(fs)
+    fs = mb.assemble_furry_exact(sys100(gamma), NbodyConfig(n_particles, 2.0, n_plus), pair100)
+    rows = mb.converge_main_theorem(bundle100, fs, [gamma], bundle100.order)
+    dense = dense_furry(fs, bundle100)
     w = _inv_sqrt_oracle(dense["abs_d0_psi"])
     approx = np.zeros_like(dense["h_diag"])
     checked = 0

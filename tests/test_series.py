@@ -280,13 +280,16 @@ def test_truncate_and_eval():
 
 
 def test_partial_sums_match_truncated_evaluation():
-    a = random_series(4, 6, 82)
+    # two blocks of different sizes, summed block by block
+    a, b = random_series(4, 6, 82), random_series(3, 6, 83)
     for g in (0.0, 0.3, -1.1):
-        sums = list(series_partial_sums(a, g))
+        sums = list(series_partial_sums(zip(a.coeffs, b.coeffs), g))
         assert len(sums) == a.order + 1
-        for k, s in enumerate(sums):
-            ref = series_eval(series_truncate(a, k), g)
-            assert np.max(np.abs(s - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        for k, blocks in enumerate(sums):
+            assert len(blocks) == 2
+            for s, series in zip(blocks, (a, b)):
+                ref = series_eval(series_truncate(series, k), g)
+                assert np.max(np.abs(s - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_truncate_rejects_bad_order():
