@@ -78,9 +78,14 @@ class PairInteraction:
         Entry [(i,k),(j,l)] couples the product of columns i,k on the left
         with j,l on the right.
         """
-        gup, glo = self.frame_factors(frame)
-        zhat = _density_stack(gup, gup) + _density_stack(glo, glo)
+        zhat = self.densities(frame)
         return _two_site_assemble(zhat, self.kernel, zhat, frame.shape[1])
+
+    def densities(self, frame: np.ndarray) -> np.ndarray:
+        """Radial density stack of every product of two frame columns, both spinor
+        components summed, one column (i,j) per pair (``_density_stack``)."""
+        gup, glo = self.frame_factors(frame)
+        return _density_stack(gup, gup) + _density_stack(glo, glo)
 
     def round_trip_defect(self, frame: np.ndarray) -> float:
         """Gram defect of momentum -> radial -> momentum on the frame span.
@@ -106,11 +111,22 @@ def _two_site_assemble(z1: np.ndarray, kernel: np.ndarray, z2: np.ndarray, m: in
     """Contract two density stacks with the radial kernel and reindex.
 
     The contraction produces indices [(i,j),(k,l)] (bra/ket per site); the
-    two-particle matrix needs [(i,k),(j,l)].
+    two-particle matrix needs [(i,k),(j,l)].  Both keep the rows of one i
+    together, so the reindex runs in place, one row slab at a time
+    (``_pair_rows``), and no second m^4 array is made.
     """
     x = z1.T @ kernel @ z2
-    return np.ascontiguousarray(
-        x.reshape(m, m, m, m).transpose(0, 2, 1, 3)).reshape(m * m, m * m)
+    for i in range(m):
+        rows = slice(i * m, (i + 1) * m)
+        x[rows] = _pair_rows(x[rows], m)
+    return x
+
+
+def _pair_rows(slab: np.ndarray, m: int) -> np.ndarray:
+    """Rows (i,k), k < m, of a two-site matrix [(i,k),(j,l)], from row slab i of
+    its contraction [(i,j),(k,l)]: an (m, m*m) array indexed [j, (k,l)],
+    returned indexed [k, (j,l)]."""
+    return slab.reshape(m, m, m).swapaxes(0, 1).reshape(m, m * m)
 
 
 def monopole_kernel_form(radial: RadialGrid) -> np.ndarray:
@@ -742,40 +758,15 @@ def converge_main_theorem(bundle: DecouplingBundle, system: OneParticleSystem | 
     resolvent distance and its low levels; the exact operator's is computed
     once per coupling and shared by every truncation order, and the
     truncations are accumulated partial sums.  No inverse and no SVD is
-    taken.
+    taken.  Each coupling is measured by ``_coupling_errors``, so its
+    systems, frames and weights are released before the next coupling's
+    are assembled.
     """
     if k_max > bundle.order:
         raise ValueError(f"requested k_max {k_max} beyond series order {bundle.order}")
-    nbody = isinstance(system, FurrySystem)
-    sys0 = system.one_particle if nbody else system
-    grid = sys0.grid
     rows = []
-    energies = free_energies(grid)
     for gamma in gammas:
-        sys_g = sys0 if gamma == sys0.gamma else assemble_system(grid, gamma)
-        if nbody:
-            fs_g = system if gamma == sys0.gamma else assemble_furry_exact(
-                sys_g, system.config, system.pair)
-            exact, mult = fs_g.h_diag_exact, fs_g.multiplicities
-            weight = tuple(_inv_sqrt_psd(d) for d in
-                           _abs_d0_sum(np.tile(energies, 2), fs_g.sectors, fs_g.psi))
-            partial = h_diag_partial_sums_N(bundle, fs_g, gamma)
-        else:
-            exact, mult = (h_diag_exact(sys_g),), (1,)
-            weight = (np.diag(energies ** -0.5),)
-            partial = series_partial_sums(zip(bundle.h_upper.coeffs), gamma)
-        exact_frames = [resolvent_frame(e, "first") for e in exact]
-        exact_low = _low_levels(exact, exact_frames, mult)
-        dists = np.empty(k_max + 1)
-        remainders = np.empty(k_max + 1)
-        eig_errors = np.empty(k_max + 1)
-        for k, approx in zip(range(k_max + 1), partial):
-            approx_h = [0.5 * (a + a.conj().T) for a in approx]
-            frames = [resolvent_frame(a, "second") for a in approx_h]
-            dists[k] = max(resolvent_distance(e, a, fe, fa)
-                           for e, a, fe, fa in zip(exact, approx_h, exact_frames, frames))
-            remainders[k] = max(_norm2(w @ (e - a) @ w) for w, e, a in zip(weight, exact, approx))
-            eig_errors[k] = float(np.max(np.abs(_low_levels(approx_h, frames, mult) - exact_low)))
+        dists, remainders, eig_errors = _coupling_errors(bundle, system, gamma, k_max)
         ratio = fit_geometric_ratio(dists)
         for k in range(k_max + 1):
             rows.append({
@@ -788,6 +779,40 @@ def converge_main_theorem(bundle: DecouplingBundle, system: OneParticleSystem | 
     return rows
 
 
+def _coupling_errors(bundle: DecouplingBundle, system: OneParticleSystem | FurrySystem,
+                     gamma: float, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolvent distances, weighted remainders and eigenvalue errors of the
+    partial sums k = 0..k_max at one coupling (``converge_main_theorem``)."""
+    nbody = isinstance(system, FurrySystem)
+    sys0 = system.one_particle if nbody else system
+    energies = free_energies(sys0.grid)
+    sys_g = sys0 if gamma == sys0.gamma else assemble_system(sys0.grid, gamma)
+    if nbody:
+        fs_g = system if gamma == sys0.gamma else assemble_furry_exact(
+            sys_g, system.config, system.pair)
+        exact, mult = fs_g.h_diag_exact, fs_g.multiplicities
+        weight = tuple(_inv_sqrt_psd(d) for d in
+                       _abs_d0_sum(np.tile(energies, 2), fs_g.sectors, fs_g.psi))
+        partial = h_diag_partial_sums_N(bundle, fs_g, gamma)
+    else:
+        exact, mult = (h_diag_exact(sys_g),), (1,)
+        weight = (np.diag(energies ** -0.5),)
+        partial = series_partial_sums(zip(bundle.h_upper.coeffs), gamma)
+    exact_frames = [resolvent_frame(e, "first") for e in exact]
+    exact_low = _low_levels(exact, exact_frames, mult)
+    dists = np.empty(k_max + 1)
+    remainders = np.empty(k_max + 1)
+    eig_errors = np.empty(k_max + 1)
+    for k, approx in zip(range(k_max + 1), partial):
+        approx_h = [0.5 * (a + a.conj().T) for a in approx]
+        frames = [resolvent_frame(a, "second") for a in approx_h]
+        dists[k] = max(resolvent_distance(e, a, fe, fa)
+                       for e, a, fe, fa in zip(exact, approx_h, exact_frames, frames))
+        remainders[k] = max(_norm2(w @ (e - a) @ w) for w, e, a in zip(weight, exact, approx))
+        eig_errors[k] = float(np.max(np.abs(_low_levels(approx_h, frames, mult) - exact_low)))
+    return dists, remainders, eig_errors
+
+
 # ---------------------------------------------------------------------------
 # Cross-validation of restriction against full-space conjugation
 # ---------------------------------------------------------------------------
@@ -795,44 +820,62 @@ def converge_main_theorem(bundle: DecouplingBundle, system: OneParticleSystem | 
 def check_restriction_consistency(gamma: float, cfg: NbodyConfig) -> float:
     """Compare conjugate-then-restrict against restrict-then-conjugate.
 
-    Runs a two-particle instance on a 24-node grid, where the full product
-    space is affordable, and returns the largest spectral-norm difference,
-    over the sector blocks, between the full-space conjugated Hamiltonian
-    compressed to the transported frame and the factored assembly used at
-    scale, after gating it at 1e-8 (ConsistencyError).  The full-space
-    conjugation is kron(E, E) H_2 kron(E, E)^H with
-    E = R U_gamma P_+^gamma and R the FW frame of ``oneparticle.fw_rows``,
-    where H_2 holds both one-particle operators and the full pair matrix.
-    Compressed to the frame kron(psi, psi) it is Y^H H_2 Y with
-    Y = kron(E^H psi, E^H psi), so only the frame's columns are conjugated.
-    The instance takes the charge of cfg and min(n_plus, 6) retained states,
-    without antisymmetrization; cfg with one particle returns 0.
+    Runs a two-particle instance on a 24-node grid (``_restriction_instance``),
+    where the full product space is affordable, and returns the largest
+    spectral-norm difference, over the sector blocks, between the full-space
+    conjugated Hamiltonian compressed to the transported frame
+    (``_conjugated_compression``) and the factored assembly used at scale,
+    after gating it at 1e-8 (ConsistencyError).  cfg with one particle
+    returns 0.
     """
     if cfg.n_particles < 2:
         return 0.0
-    grid = build_channel_grid(24)
-    sys = assemble_system(grid, gamma)
-    pair = build_pair_interaction(grid, n_radial=96, r_max=10.0, probe=False)
-    small_cfg = NbodyConfig(n_particles=2, z_charge=cfg.z_charge,
-                            n_plus=min(cfg.n_plus, 6), antisymmetrize=False)
-    fs = assemble_furry_exact(sys, small_cfg, pair)
-
-    # H_2 = kron(D, 1) + kron(1, D) + (gamma/Z) W, summed in that order in
-    # place, kron(1, D) block by block; W is projected first, while no other
-    # product-space matrix is alive
-    d = grid.dim
-    eye = np.eye(d)
-    w = pair.project(eye)
-    w *= gamma / small_cfg.z_charge
-    h2 = np.kron(sys.dgamma, eye)
-    for k in range(0, d * d, d):
-        h2[k:k + d, k:k + d] += sys.dgamma
-    h2 += w
-    e = fw_rows(sys.fw_blocks, sys.u_gamma @ sys.p_plus_gamma)
-    e_psi = e.conj().T @ fs.psi
-    y = np.kron(e_psi, e_psi)
-    compressed = y.conj().T @ h2 @ y
+    fs = _restriction_instance(gamma, cfg)
+    compressed = _conjugated_compression(fs)
     return gate(max(float(np.linalg.norm(s.iso.T @ compressed @ s.iso - block, 2))
                     for s, block in zip(fs.sectors, fs.h_diag_exact)), 1e-8,
                 "restriction/conjugation order disagreement {value:.3e} > 1e-8 "
                 "on the small cross-check instance")
+
+
+def _restriction_instance(gamma: float, cfg: NbodyConfig) -> FurrySystem:
+    """The two-particle system of ``check_restriction_consistency``: a 24-node
+    grid, the charge of cfg and min(n_plus, 6) retained states, without
+    antisymmetrization."""
+    grid = build_channel_grid(24)
+    pair = build_pair_interaction(grid, n_radial=96, r_max=10.0, probe=False)
+    small_cfg = NbodyConfig(n_particles=2, z_charge=cfg.z_charge,
+                            n_plus=min(cfg.n_plus, 6), antisymmetrize=False)
+    return assemble_furry_exact(assemble_system(grid, gamma), small_cfg, pair)
+
+
+def _conjugated_compression(fs: FurrySystem) -> np.ndarray:
+    """Full-space conjugated two-particle Hamiltonian on the frame kron(psi, psi).
+
+    The conjugation is kron(E, E) H_2 kron(E, E)^H with
+    E = R U_gamma P_+^gamma and R the FW frame of ``oneparticle.fw_rows``,
+    where H_2 = D (x) 1 + 1 (x) D + (gamma/Z) W holds both one-particle
+    operators D and the full pair matrix W.  Compressed to the frame it is
+    Y^H H_2 Y with Y = kron(E^H psi, E^H psi), so only the frame's columns
+    are conjugated, and H_2 is applied to Y without being stored: the
+    one-site terms act on Y viewed as (d, d, columns), one matmul per site,
+    and W is formed one row slab at a time (``_pair_rows``), each slab
+    applied to Y as soon as it is formed.  Every entry of W is formed in
+    full space before it is conjugated, but no d^2 x d^2 array is: besides
+    Y and H_2 Y, only the density stack of the unit frame, its kernel image
+    (n_r x d^2 each) and one d x d^2 slab are alive.
+    """
+    sys, pair = fs.one_particle, fs.pair
+    d = sys.grid.dim
+    e = fw_rows(sys.fw_blocks, sys.u_gamma @ sys.p_plus_gamma)
+    e_psi = e.conj().T @ fs.psi
+    y = np.kron(e_psi, e_psi)
+    y3 = y.reshape(d, d, -1)
+    hy = (sys.dgamma @ y.reshape(d, -1)).reshape(y3.shape)
+    hy += np.matmul(sys.dgamma, y3)
+    scale = sys.gamma / fs.config.z_charge
+    z = pair.densities(np.eye(d))
+    zk = z.T @ pair.kernel
+    for i in range(d):
+        hy[i] += scale * (_pair_rows(zk[i * d:(i + 1) * d] @ z, d) @ y)
+    return y.conj().T @ hy.reshape(y.shape)

@@ -8,6 +8,7 @@ acceptance-scale n=200 machinery and vice versa.
 import itertools
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from diracdiag.oneparticle import (
     foldy_wouthuysen,
     free_energies,
     free_positive_projector,
+    fw_rows,
 )
 from diracdiag.report import REPORT_COLUMNS
 from diracdiag.series import (
@@ -53,6 +55,18 @@ def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return env
+
+
+def traced_peak(fn, *args):
+    """Call fn(*args) under tracemalloc; return its result and the peak, in
+    bytes, of the Python and numpy memory allocated during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def read_report_csv(path: str) -> list[dict]:
@@ -354,6 +368,32 @@ def lift_pair(two_site: np.ndarray, single: np.ndarray, n_sites: int, a: int, b:
     perm = [rows[s] for s in range(n_sites)] + [cols[s] for s in range(n_sites)]
     dim = m ** n_sites
     return np.ascontiguousarray(t.transpose(perm)).reshape(dim, dim)
+
+
+def dense_two_site_assemble(z1: np.ndarray, kernel: np.ndarray, z2: np.ndarray,
+                            m: int) -> np.ndarray:
+    """Contraction [(i,j),(k,l)] of two density stacks, reindexed to
+    [(i,k),(j,l)] as one dense transpose: the oracle of the slab-wise
+    reindex in ``manybody._two_site_assemble``."""
+    x = z1.T @ kernel @ z2
+    return np.ascontiguousarray(
+        x.reshape(m, m, m, m).transpose(0, 2, 1, 3)).reshape(m * m, m * m)
+
+
+def dense_conjugated_compression(fs) -> np.ndarray:
+    """Y^H H_2 Y with H_2 = kron(D, 1) + kron(1, D) + (gamma/Z) W and
+    Y = kron(E^H psi, E^H psi), every product-space matrix stored: the
+    oracle of ``manybody._conjugated_compression``."""
+    sys, pair = fs.one_particle, fs.pair
+    d = sys.grid.dim
+    eye = np.eye(d)
+    z = pair.densities(eye)
+    w = dense_two_site_assemble(z, pair.kernel, z, d)
+    h2 = np.kron(sys.dgamma, eye) + np.kron(eye, sys.dgamma) + (sys.gamma / fs.config.z_charge) * w
+    e = fw_rows(sys.fw_blocks, sys.u_gamma @ sys.p_plus_gamma)
+    e_psi = e.conj().T @ fs.psi
+    y = np.kron(e_psi, e_psi)
+    return y.conj().T @ h2 @ y
 
 
 def all_sites_sector_blocks(sector, one_site=None, two_site=None) -> np.ndarray:

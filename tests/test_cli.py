@@ -211,13 +211,19 @@ def test_kato_margin_evaluated_once_per_run(tmp_path, monkeypatch):
         assert len(calls) == 1, command
 
 
-@pytest.mark.parametrize("command,module,name,doc", [
-    ("one-particle", op, "assemble_system", {"grid": {"n": 32}}),
+@pytest.mark.parametrize("command,module,name,doc,expected", [
+    ("one-particle", op, "assemble_system", {"grid": {"n": 32}}, [0, 0, 0]),
     ("nbody", mb, "assemble_furry_exact",
-     {"grid": {"n": 64}, "series_order": 4, "nbody": {"n_particles": 2, "n_plus": 4}}),
-], ids=["one-particle", "nbody"])
+     {"grid": {"n": 64}, "series_order": 4, "nbody": {"n_particles": 2, "n_plus": 4}},
+     [0, 0, 0]),
+    # the restriction check's instance, the base system at 0.1, then one per
+    # further coupling while the base system stays alive
+    ("converge", mb, "assemble_furry_exact",
+     {"grid": {"n": 64}, "series_order": 4, "nbody": {"n_particles": 2, "n_plus": 4}},
+     [0, 0, 1, 1]),
+], ids=["one-particle", "nbody", "converge"])
 def test_one_particle_holds_one_system_at_a_time(tmp_path, monkeypatch, command, module, name,
-                                                 doc):
+                                                 doc, expected):
     # each coupling's system is released before the next one is assembled
     assemble = getattr(module, name)
     systems = []
@@ -232,7 +238,7 @@ def test_one_particle_holds_one_system_at_a_time(tmp_path, monkeypatch, command,
     monkeypatch.setattr(module, name, tracked)
     cfg = write_cfg(tmp_path, {"gamma_list": [0.1, 0.2, 0.3], **doc})
     assert cli.main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 0
-    assert alive_at_entry == [0, 0, 0]
+    assert alive_at_entry == expected
 
 
 def test_resolution_failure_exit_3(tmp_path):

@@ -12,11 +12,14 @@ from conftest import (
     all_sites_sector_blocks,
     antisymmetrizer_isometry,
     collect_series_N,
+    dense_conjugated_compression,
     dense_furry,
+    dense_two_site_assemble,
     lift_pair,
     lift_single,
     lu_resolvent_distance,
     series_truncate,
+    traced_peak,
 )
 from diracdiag import manybody as mb
 from diracdiag.config import NbodyConfig
@@ -126,6 +129,21 @@ def test_slater_through_pipeline_tight(pair200):
     for q in (0.5, 1.0):
         ref = 5.0 * q / 8.0
         assert abs(mb.slater_monopole_value(pair200, q) - ref) / ref < 1e-4
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_pair_projection_matches_dense_reindex(pair100, m):
+    # the slab-wise in-place reindex against one dense transpose, on a
+    # complex frame so that bra and ket densities differ
+    rng = np.random.default_rng(m)
+    dim = pair100.grid.dim
+    frame = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
+    gup, glo = pair100.frame_factors(frame)
+    z = mb._density_stack(gup, gup) + mb._density_stack(glo, glo)
+    ref = dense_two_site_assemble(z, pair100.kernel, z, m)
+    got = pair100.project(frame)
+    assert got.shape == (m * m, m * m)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_pair_projection_properties(sys100, pair100):
@@ -596,6 +614,25 @@ def test_restriction_consistency_gate():
     cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6)
     gate = mb.check_restriction_consistency(0.3, cfg)
     assert gate < 1e-8
+
+
+@pytest.mark.parametrize("n_plus", [4, 6])
+@pytest.mark.parametrize("gamma", [0.1, 0.3])
+def test_conjugated_compression_matches_dense_oracle(gamma, n_plus):
+    # H_2 applied to Y slab by slab against the stored Kronecker conjugation
+    fs = mb._restriction_instance(gamma, NbodyConfig(n_particles=2, z_charge=2.0, n_plus=n_plus))
+    ref = dense_conjugated_compression(fs)
+    got = mb._conjugated_compression(fs)
+    assert got.shape == (n_plus ** 2, n_plus ** 2)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_restriction_check_stores_no_product_space_matrix():
+    # one product-space matrix of the 24-node instance is 2304^2 doubles, 40.5 MiB
+    cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6)
+    gate, peak = traced_peak(mb.check_restriction_consistency, 0.3, cfg)
+    assert gate < 1e-8
+    assert peak < 2304 ** 2 * 8
 
 
 def test_restriction_consistency_single_particle_zero():
