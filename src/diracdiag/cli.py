@@ -138,7 +138,10 @@ def cmd_validate(cfg: RunConfig) -> int:
         record(f"sommerfeld_ground_gamma_{gamma:.4f}", rel, 1e-3, rel <= 1e-3)
 
     kato = op.check_kato(grid)
-    kato_floor = -1e-4 * float(np.linalg.norm(op.build_coulomb(grid), 2))
+    # ||V||_2 from V's two symmetric spinor-component blocks, with no SVD
+    v = op.build_coulomb(grid)
+    kato_floor = -1e-4 * max(float(np.max(np.abs(np.linalg.eigvalsh(v[c::2, c::2]))))
+                             for c in (0, 1))
     record("kato_lower_bound", kato, kato_floor, kato >= kato_floor)
 
     for gamma, sys_g in systems.items():

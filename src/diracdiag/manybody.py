@@ -98,7 +98,7 @@ class PairInteraction:
         up = self.b_upper @ frame[0::2, :]
         lo = self.b_lower @ frame[1::2, :]
         gram = up.conj().T @ (rw[:, None] * up) + lo.conj().T @ (rw[:, None] * lo)
-        return float(np.linalg.norm(gram - frame.conj().T @ frame, 2))
+        return _norm2(gram - frame.conj().T @ frame)
 
 
 def _density_stack(ga: np.ndarray, gc: np.ndarray) -> np.ndarray:

@@ -394,6 +394,44 @@ def sommerfeld_energy(gamma: float, n_pr: int, kappa: int) -> float:
     return (1.0 + (gamma / denom) ** 2) ** -0.5
 
 
+def lowest_eigenvector(m: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the lowest eigenvalue of the real symmetric m.
+
+    m is shifted in place by lam0 = ``eigvalsh(m)[0]``, and two
+    inverse-iteration steps (m - lam0) y_(k+1) = y_k are taken from
+    y_0 = 1/sqrt(d), each followed by normalization (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4).  Why two: the eigensolver is backward
+    stable, so delta = |lam_min - lam0| is at most about eps*||m||, and
+    each step multiplies the weight of an eigenvector with eigenvalue lam_j,
+    relative to the lowest one's, by delta / |lam_j - lam0|.  A Rayleigh
+    quotient's error is quadratic in those weights, so with g the gap above
+    lam_min and c0 the start vector's weight on the lowest eigenvector the
+    quotient lies within delta^2 / (g c0^2) of lam_min after one step and
+    within delta^4 / (g^3 c0^2) after two.  For the D_gamma^2 margin at
+    n=500, gamma 0.05 (eps*||m|| = 2.4e-6, g = 7.5e-3, c0 = 0.44) that is
+    4e-9 after one step and 4e-16 after two.
+    The quotient of y must lie within 10*eps*||m||_F of lam0.  That gate
+    fails when y has not converged to the lowest eigenvector, because the
+    start vector has too little weight on it or the shift is not the lowest
+    eigenvalue; an exactly singular shifted matrix fails it too.
+    """
+    tol = 10.0 * np.finfo(float).eps * float(np.linalg.norm(m))
+    lam0 = float(np.linalg.eigvalsh(m)[0])
+    m[np.diag_indices_from(m)] -= lam0
+    y = np.full(m.shape[0], m.shape[0] ** -0.5)
+    try:
+        for _ in range(2):
+            y = np.linalg.solve(m, y)
+            y /= np.linalg.norm(y)
+    except np.linalg.LinAlgError:
+        offset = math.nan
+    else:
+        offset = abs(float(y @ (m @ y)))
+    gate(offset, tol, "lowest eigenvector not found: Rayleigh quotient {value:.3e} "
+         "from the lowest eigenvalue > {tol:.1e}")
+    return y
+
+
 def check_kato(grid: ChannelGrid) -> float:
     """Smallest eigenvalue of (pi/2)|D_0| + V; nonnegative in the continuum.
 
@@ -402,18 +440,19 @@ def check_kato(grid: ChannelGrid) -> float:
     |D_0| is diagonal and V does not couple the spinor components, so the
     matrix is block-diagonal over them and its smallest eigenvalue is the
     smaller of the two blocks' lowest.  Each is returned as the
-    ``rayleigh_quotients`` value of the block's lowest eigenvector: the
+    ``rayleigh_quotients`` value of the block's ``lowest_eigenvector``: the
     blocks have norm ~p_max, so the raw eigenvalue's backward error moved
-    with the thread count (4.1e-14 at n=500).
+    with the thread count (4.1e-14 at n=500).  The quotient is taken of the
+    whole block: summing the kinetic and Coulomb parts apart, each about
+    20 times the margin, lost up to 4e-15 to cancellation.
     """
-    from scipy.linalg import eigh
-
     e = np.diag((math.pi / 2.0) * free_energies(grid))
     v = build_coulomb(grid)
     lows = []
     for c in (0, 1):
         m = e + v[c::2, c::2]
-        lows.append(float(rayleigh_quotients(m, eigh(m, subset_by_index=[0, 0])[1])[0]))
+        y = lowest_eigenvector(m.copy())
+        lows.append(float(rayleigh_quotients(m, y[:, None])[0]))
     return min(lows)
 
 
@@ -422,28 +461,21 @@ def check_dgamma_bound(sys: OneParticleSystem) -> float:
 
     D_0^2 is diag(E^2) on both components.  The margin is returned as the
     Rayleigh quotient ||D_gamma y||^2 - d^2 ||E y||^2 of the lowest
-    eigenvector y.  M has entries of size p_max^2, so the raw eigenvalue
-    carries a backward error eps*||M|| (1e-7 at n=200) that swamps a margin
-    of order one and moves with the LAPACK driver and the thread count.
-    The quotient differs from the lowest eigenvalue only at second order in
-    the vector's error and is never below it, so the margin keeps its
-    meaning and its gate its strictness.  y is the computed vector x after
-    one inverse-iteration step, (M - lam0) y = x with lam0 the computed
-    eigenvalue, which damps the other eigenvectors left in x: at n=500 the
-    quotients of the evd and evr vectors differ by up to 1.7e-12 before the
-    step and by 2.2e-16 after it (one BLAS thread).
+    eigenvector y (``lowest_eigenvector``).  M has entries of size p_max^2,
+    so its raw eigenvalue carries a backward error eps*||M|| (1e-7 at
+    n=200) that swamps a margin of order one and moves with the LAPACK
+    driver and the thread count.  The quotient differs from the lowest
+    eigenvalue only at second order in the vector's error and is never
+    below it, so the margin keeps its meaning and its gate its strictness.
+    D_gamma is exactly symmetric, so M is formed as D D^T, which BLAS
+    computes as one symmetric rank-k update with an exactly symmetric
+    result.
     """
-    from scipy.linalg import eigh, lu_factor, lu_solve
-
     d2 = d_gamma(sys.gamma) ** 2
     e2 = np.repeat(1.0 + sys.grid.p ** 2, 2)
-    m = sys.dgamma @ sys.dgamma
+    m = sys.dgamma @ sys.dgamma.T
     m[np.diag_indices_from(m)] -= d2 * e2
-    m = 0.5 * (m + m.T)
-    lam0, x = eigh(m, subset_by_index=[0, 0])
-    m[np.diag_indices_from(m)] -= lam0[0]
-    y = lu_solve(lu_factor(m), x[:, 0])
-    y /= np.linalg.norm(y)
+    y = lowest_eigenvector(m)
     return float(np.sum((sys.dgamma @ y) ** 2) - d2 * np.sum(e2 * y ** 2))
 
 
@@ -470,9 +502,12 @@ def decoupling_residuals(sys: OneParticleSystem) -> tuple[float, float]:
 
     U U* - 1 is Hermitian, so its norm is its largest eigenvalue in
     magnitude, with no further product.  The intertwining defect is taken
-    in the FW frame R (``fw_rows``), where P_0 is a row mask: its norm is
-    that of R U P_gamma - P0 R U, which is R U (P_gamma - 1) on the first n
-    rows and R U P_gamma on the rest.
+    in the FW frame R (``fw_rows``), where P_0 is a row mask, and in the
+    eigenbasis X = [X_-, X_+] of D_gamma, which is orthogonal and has
+    P_gamma X = [0, X_+].  So (R U P_gamma - P0 R U) X is
+    [[-(RU)[:n] X_-, 0], [0, (RU)[n:] X_+]] in rows (:n, n:), and its
+    norm is max(||(RU)[:n] X_-||, ||(RU)[n:] X_+||): two half-size
+    products and norms in place of a dim-2n product and norm.
     """
     u, n = sys.u_gamma, sys.grid.n
     uu = u @ u.conj().T
@@ -480,7 +515,6 @@ def decoupling_residuals(sys: OneParticleSystem) -> tuple[float, float]:
     uni = float(np.max(np.abs(np.linalg.eigvalsh(uu))))
     del uu
     ru = fw_rows(sys.fw_blocks, u)
-    d = ru @ sys.p_plus_gamma
-    d[:n] -= ru[:n]
-    del ru
-    return uni, _norm2(d)
+    k = int(np.searchsorted(sys.evals, 0.0))  # evals ascend, none is zero
+    inter = max(_norm2(ru[:n] @ sys.evecs[:, :k]), _norm2(ru[n:] @ sys.evecs[:, k:]))
+    return uni, inter

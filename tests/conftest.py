@@ -158,6 +158,17 @@ def abs_free_dirac_power(grid, power: float) -> np.ndarray:
     return np.diag(np.repeat(free_energies(grid) ** power, 2))
 
 
+def evr_lowest_vector(m: np.ndarray) -> np.ndarray:
+    """Lowest eigenvector of the real symmetric m by scipy's one-vector ``evr``
+    solver, refined by one LU inverse-iteration step shifted by its eigenvalue
+    and normalized; the oracle of ``oneparticle.lowest_eigenvector``."""
+    from scipy.linalg import eigh, lu_factor, lu_solve
+
+    lam, x = eigh(m, subset_by_index=[0, 0], driver="evr")
+    y = lu_solve(lu_factor(m - lam[0] * np.eye(m.shape[0])), x[:, 0])
+    return y / np.linalg.norm(y)
+
+
 def resolvent(m: np.ndarray) -> np.ndarray:
     """(m+i)^(-1) by an LU inverse; the oracle of ``decoupling.resolvent_distance``."""
     return np.linalg.inv(m + 1j * np.eye(m.shape[0]))

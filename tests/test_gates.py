@@ -79,7 +79,17 @@ PASSED_TEMPLATES = {
 }
 
 
-def test_gate_inventory_of_converge_and_nbody(tmp_path, monkeypatch):
+# Every gate a one-particle run passes, by message template.
+ONE_PARTICLE_TEMPLATES = {
+    "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1",
+    "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero",
+    "lowest eigenvector not found: Rayleigh quotient {value:.3e} "
+    "from the lowest eigenvalue > {tol:.1e}",
+}
+
+
+def _run_recording_gates(tmp_path, monkeypatch, commands):
+    """Run the commands on a small config; return the templates of the gates they passed."""
     passed = set()
 
     def recording_gate(value, tol, message, *args, **fields):
@@ -99,6 +109,14 @@ def test_gate_inventory_of_converge_and_nbody(tmp_path, monkeypatch):
         "grid": {"n": 64}, "gamma_list": [0.1, 0.2], "series_order": 4,
         "nbody": {"n_particles": 2, "n_plus": 4},
     }), encoding="utf-8")
-    for command in ("converge", "nbody"):
+    for command in commands:
         assert cli.main([command, "--config", str(cfg), "--output", str(tmp_path / command)]) == 0
-    assert passed == PASSED_TEMPLATES
+    return passed
+
+
+def test_gate_inventory_of_converge_and_nbody(tmp_path, monkeypatch):
+    assert _run_recording_gates(tmp_path, monkeypatch, ("converge", "nbody")) == PASSED_TEMPLATES
+
+
+def test_gate_inventory_of_one_particle(tmp_path, monkeypatch):
+    assert _run_recording_gates(tmp_path, monkeypatch, ("one-particle",)) == ONE_PARTICLE_TEMPLATES

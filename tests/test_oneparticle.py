@@ -1,5 +1,7 @@
 """One-particle operator stack: special functions, matrices, oracles, bounds."""
 
+import dataclasses
+import json
 import math
 import weakref
 
@@ -7,13 +9,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import abs_free_dirac_power, dense_exact_u_gamma, fw_matrix
+from conftest import abs_free_dirac_power, dense_exact_u_gamma, evr_lowest_vector, fw_matrix
+from diracdiag import cli, oneparticle
 from diracdiag.errors import ConsistencyError, GapError
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import (
     GAMMA_MAX,
     _norm2,
     assemble_system,
+    build_coulomb,
     build_free_dirac,
     c_gamma,
     check_dgamma_bound,
@@ -29,12 +33,19 @@ from diracdiag.oneparticle import (
     fw_conjugate,
     fw_rows,
     legendre_q,
+    lowest_eigenvector,
     positive_levels,
     positive_states,
     rayleigh_levels,
+    rayleigh_quotients,
     sommerfeld_energy,
     subtraction_constant,
 )
+
+
+def kato_block(grid, c: int) -> np.ndarray:
+    """(pi/2)|D_0| + V on spinor component c, one of the two Kato blocks."""
+    return (math.pi / 2.0) * np.diag(free_energies(grid)) + build_coulomb(grid)[c::2, c::2]
 
 
 def weighted_unitary_norm(sys) -> float:
@@ -297,7 +308,7 @@ def test_norm2_matches_svd_norm():
     assert _norm2(np.zeros((5, 5))) == 0.0
 
 
-def test_one_particle_path_takes_no_svd(monkeypatch):
+def test_one_particle_path_takes_no_svd(monkeypatch, tmp_path):
     norm = np.linalg.norm
 
     def no_svd(*args, **kwargs):
@@ -314,6 +325,11 @@ def test_one_particle_path_takes_no_svd(monkeypatch):
     uni, inter = decoupling_residuals(s)
     assert uni < 1e-10 and inter < 1e-10
     assert math.isfinite(weighted_unitary_norm(s))
+    # validate, Kato floor included; 64 nodes fail its hydrogen check
+    # (exit 1) after every check ran
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"n": 64}, "gamma_list": [0.1, 0.2]}), encoding="utf-8")
+    assert cli.main(["validate", "--config", str(cfg), "--output", str(tmp_path)]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -391,27 +407,16 @@ def test_kato_blocks_match_the_full_matrix(sys100):
     assert abs(check_kato(s.grid) - full) <= 10.0 * np.finfo(float).eps * np.linalg.norm(m, 2)
 
 
-def test_kato_margin_does_not_depend_on_the_eigensolver(monkeypatch):
+def test_kato_margin_does_not_depend_on_the_eigensolver():
     # at n=500 the lowest eigenvalues of the upper-component block from
     # scipy's evr and numpy's eigh (evd) differ by 1.3e-12; the Rayleigh
-    # quotients of their vectors agree to roundoff
-    import scipy.linalg
-
+    # quotient of the eigvalsh-shifted inverse-iteration vector agrees with
+    # that of the evr vector refined by one LU step to roundoff
     grid = build_channel_grid(500)
-    scipy_eigh = scipy.linalg.eigh
-
-    def evr(m, subset_by_index):
-        return scipy_eigh(m, subset_by_index=subset_by_index, driver="evr")
-
-    def evd(m, subset_by_index):
-        lam, vecs = np.linalg.eigh(m)
-        return lam[:1], vecs[:, :1]
-
-    margins = []
-    for solver in (evr, evd):
-        monkeypatch.setattr(scipy.linalg, "eigh", solver)
-        margins.append(check_kato(grid))
-    assert abs(margins[0] - margins[1]) <= 1e-14 * max(1.0, abs(margins[0]))
+    blocks = [kato_block(grid, c) for c in (0, 1)]
+    ref = min(float(rayleigh_quotients(m, evr_lowest_vector(m)[:, None])[0]) for m in blocks)
+    margin = check_kato(grid)
+    assert abs(margin - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 def test_unitarity_residual_is_the_spectral_norm(sys100):
@@ -419,6 +424,25 @@ def test_unitarity_residual_is_the_spectral_norm(sys100):
     uni, _ = decoupling_residuals(s)
     ref = np.linalg.norm(s.u_gamma @ s.u_gamma.T - np.eye(s.dim), 2)
     assert abs(uni - ref) <= 1e-15
+
+
+@pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.3])
+def test_intertwining_residual_matches_the_dense_norm(sys100, theta):
+    # rotating a negative and a positive eigenvector of D_gamma into each
+    # other by theta turns U into U G with ||U G P_gamma - P_0 U G|| =
+    # ||G P_gamma - P_gamma G|| = sin(theta), up to U's own roundoff
+    s = sys100(0.3)
+    k = int(np.searchsorted(s.evals, 0.0))
+    a, b = s.evecs[:, k - 1], s.evecs[:, k]
+    g = (np.eye(s.dim) + (math.cos(theta) - 1.0) * (np.outer(a, a) + np.outer(b, b))
+         + math.sin(theta) * (np.outer(b, a) - np.outer(a, b)))
+    rotated = dataclasses.replace(s, u_gamma=s.u_gamma @ g)
+    ru = fw_rows(s.fw_blocks, rotated.u_gamma)
+    p0_ru = ru.copy()
+    p0_ru[s.grid.n:] = 0.0
+    ref = np.linalg.norm(ru @ s.p_plus_gamma - p0_ru, 2)
+    assert abs(decoupling_residuals(rotated)[1] - ref) <= 1e-14
+    assert abs(ref - math.sin(theta)) <= 1e-12
 
 
 def test_dgamma_bound(sys100):
@@ -446,27 +470,43 @@ def test_reported_levels_and_dgamma_margin_are_rayleigh_quotients(sys200, gamma)
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.3])
-def test_refined_dgamma_margin_does_not_depend_on_the_eigensolver(monkeypatch, gamma):
+def test_refined_dgamma_margin_does_not_depend_on_the_eigensolver(gamma):
     # at n=500 the quotients of the lowest vectors from numpy's eigh (evd)
-    # and scipy's evr differ by up to 1.7e-12; after the inverse-iteration
-    # step the margins agree to roundoff
-    import scipy.linalg
-
+    # and scipy's evr differ by up to 1.7e-12 before refinement; the margin
+    # from the eigvalsh shift and two inverse-iteration steps agrees with
+    # the evr vector refined by one LU step to roundoff
     s = assemble_system(build_channel_grid(500), gamma)
-    scipy_eigh = scipy.linalg.eigh
+    d2 = d_gamma(gamma) ** 2
+    e2 = np.repeat(1.0 + s.grid.p ** 2, 2)
+    m = s.dgamma @ s.dgamma
+    m[np.diag_indices_from(m)] -= d2 * e2
+    y = evr_lowest_vector(0.5 * (m + m.T))
+    ref = float(np.sum((s.dgamma @ y) ** 2) - d2 * np.sum(e2 * y ** 2))
+    margin = check_dgamma_bound(s)
+    assert abs(margin - ref) <= 1e-14 * max(1.0, abs(ref))
 
-    def evr(m, subset_by_index):
-        return scipy_eigh(m, subset_by_index=subset_by_index, driver="evr")
 
-    def evd(m, subset_by_index):
-        lam, vecs = np.linalg.eigh(m)
-        return lam[:1], vecs[:, :1]
+def test_lowest_eigenvector_matches_the_eigh_vector(grid100):
+    # the upper-component Kato block at n=100: norm 2e3, gap 0.65 above the
+    # lowest eigenvalue, so eigh's vector is accurate to about 1e-12
+    m = kato_block(grid100, 0)
+    ref = np.linalg.eigh(m)[1][:, 0]
+    y = lowest_eigenvector(m.copy())
+    assert abs(np.linalg.norm(y) - 1.0) <= 1e-15
+    assert np.linalg.norm(y - np.copysign(1.0, y @ ref) * ref) <= 1e-10
 
-    margins = []
-    for solver in (evr, evd):
-        monkeypatch.setattr(scipy.linalg, "eigh", solver)
-        margins.append(check_dgamma_bound(s))
-    assert abs(margins[0] - margins[1]) <= 1e-14 * max(1.0, abs(margins[0]))
+
+def test_lowest_eigenvector_gate_rejects_a_shift_in_mid_spectrum(monkeypatch, grid100):
+    # a shift a quarter of the way between two middle eigenvalues makes the
+    # inverse iteration converge to the eigenvector below it, whose quotient
+    # is far from the shift
+    m = kato_block(grid100, 0)
+    ev = np.linalg.eigvalsh(m)
+    j = ev.size // 2
+    shift = 0.75 * ev[j] + 0.25 * ev[j + 1]
+    monkeypatch.setattr(oneparticle.np.linalg, "eigvalsh", lambda a: np.array([shift]))
+    with pytest.raises(ConsistencyError, match="lowest eigenvector not found"):
+        lowest_eigenvector(m)
 
 
 def test_gap_bound(sys100):
