@@ -10,7 +10,7 @@ closed-form coefficients is verified alongside.
 
 import numpy as np
 
-from diracdiag.decoupling import build_decoupling_bundle, riesz_projection_series
+from diracdiag.decoupling import riesz_projection_series, u_gamma_series
 from diracdiag.grids import ChannelGrid, build_channel_grid
 from diracdiag.oneparticle import (
     OneParticleSystem,
@@ -26,11 +26,13 @@ from diracdiag.series import coefficient_norms, series_eval
 def main():
     grid = build_channel_grid(120)
     s0 = assemble_system(grid, 0.0)
-    bundle = build_decoupling_bundle(s0, order=10)
-    print(f"series order {bundle.order}\n")
+    # the two series that the decoupling bundle forms in its build and does not keep
+    p_series = riesz_projection_series(s0, 10)
+    u_series = u_gamma_series(p_series, grid.n)
+    print(f"series order {p_series.order}\n")
 
     print("coefficient spectral norms (projector series):")
-    for k, nrm in enumerate(coefficient_norms(bundle.p_series)):
+    for k, nrm in enumerate(coefficient_norms(p_series)):
         print(f"  k={k:>2}: {nrm:.6e}")
 
     # the series are in the Foldy-Wouthuysen frame; the exact operators are
@@ -40,9 +42,9 @@ def main():
     for gamma in (0.05, 0.1, 0.2, 0.3, 0.37):
         s = assemble_system(grid, gamma)
         p_err = np.linalg.norm(
-            series_eval(bundle.p_series, gamma) - fw_conjugate(s.fw_blocks, s.p_plus_gamma), 2)
+            series_eval(p_series, gamma) - fw_conjugate(s.fw_blocks, s.p_plus_gamma), 2)
         u_err = np.linalg.norm(
-            series_eval(bundle.u_series, gamma) - fw_conjugate(s.fw_blocks, s.u_gamma), 2)
+            series_eval(u_series, gamma) - fw_conjugate(s.fw_blocks, s.u_gamma), 2)
         print(f"{gamma:>8.2f} {p_err:>14.3e} {u_err:>14.3e}")
 
     # two-level toy: P(g) has closed-form coefficients, alternating between

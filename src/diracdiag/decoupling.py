@@ -34,7 +34,13 @@ from .oneparticle import (
     fw_conjugate,
     fw_rows,
 )
-from .series import MatrixSeries, cauchy_product, inv_sqrt_coefficients, make_series
+from .series import (
+    MatrixSeries,
+    cauchy_coefficients,
+    cauchy_product,
+    inv_sqrt_coefficients,
+    make_series,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +101,10 @@ def u_gamma_series(p_series: MatrixSeries, n_plus: int) -> MatrixSeries:
     M = P0 P + Q0 Q, S = 1 - (P0 - P)^2 and Q = 1 - P, truncated at the
     series order, as in ``oneparticle.exact_u_gamma``: M is P with its
     negative rows negated plus Q0, and S = P0 P P0 + Q0 Q Q0 is the
-    block-diagonal part of M, so S^(-1/2) is two half-size series.
+    block-diagonal part of M, so S^(-1/2) is two half-size series.  Each
+    column half of U is the Cauchy product of that column half of M with
+    its diagonal block's inverse square root, written order by order into
+    U's preallocated coefficients; one column half of M is alive at a time.
     Unitarity holds order by order and is verified on the assembled U;
     U^H U pairs term m with term n - m, its adjoint.
     """
@@ -104,11 +113,13 @@ def u_gamma_series(p_series: MatrixSeries, n_plus: int) -> MatrixSeries:
     p0 = np.diag(np.arange(dim) < k).astype(float)
     gate_norm2([p[0] - p0], 1e-11, "projector series constant term differs from the free projector")
     sign = np.where(np.arange(dim) < k, 1.0, -1.0)[:, None]
-    m = [sign * c for c in p]
-    m[0] = m[0] + np.eye(dim) - p0
-    u = [np.concatenate(halves, axis=1) for halves in zip(
-        cauchy_product([c[:, :k] for c in m], inv_sqrt_coefficients([c[:k, :k] for c in m])),
-        cauchy_product([c[:, k:] for c in m], inv_sqrt_coefficients([c[k:, k:] for c in m])))]
+    u = [np.empty((dim, dim), dtype=np.result_type(*p)) for _ in p]
+    for cols in (slice(0, k), slice(k, dim)):
+        m = [sign * c[:, cols] for c in p]
+        m[0] = m[0] + np.eye(dim)[:, cols] - p0[:, cols]
+        for un, x in zip(u, cauchy_coefficients(m, inv_sqrt_coefficients([c[cols] for c in m]))):
+            un[:, cols] = x
+        del m, x
     gate_norm2(_gram_defects(u), 1e-9,
                "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}")
     return make_series(u)
@@ -131,27 +142,26 @@ def _gram_defects(u):
 def decoupled_rows(u_series: MatrixSeries, p_series: MatrixSeries, n_plus: int) -> list:
     """Rows of F = U P on the positive free states, F's only nonzero rows.
 
-    U P = P0 U makes the negative rows of F = U P vanish.  Both are
-    verified on the full product: first the negative rows Q0 U P, the part
-    of F that would leak into the lower block of H = F D F^H, then the
-    whole intertwining defect U P - P0 U, whose negative rows they are.
-    The negative rows of F_n are gated relative to max(1, ||F_n||_2).
+    U P = P0 U makes the negative rows of F = U P vanish.  F is formed one
+    order at a time, and each F_n is measured against both gates before
+    only its upper rows are kept: first its negative rows Q0 F_n, the part
+    of F that would leak into the lower block of H = F D F^H, relative to
+    max(1, ||F_n||_2), then the whole intertwining defect F_n - P0 U_n,
+    whose negative rows they are.  Each gate is decided on the worst
+    coefficient once every order is measured, as ``gate_norm2`` decides.
     """
     k = n_plus
-    f = cauchy_product(u_series.coeffs, p_series.coeffs)
-    gate_norm2((c[k:] for c in f), 1e-9,
-               "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}",
-               scales=f)
-    gate_norm2((_minus_upper(c, uc, k) for c, uc in zip(f, u_series.coeffs)), 1e-9,
-               "intertwining defect of the U series: coefficient residual {value:.3e} > {tol:.1e}")
-    return [c[:k] for c in f]
-
-
-def _minus_upper(f: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
-    """f - P0 u, with P0 the projector onto the first k states."""
-    d = f.copy()
-    d[:k] -= u[:k]
-    return d
+    u = u_series.coeffs
+    rows, leaks, defects = [], [], []
+    for n, f in enumerate(cauchy_coefficients(u, p_series.coeffs)):
+        leaks.append((*_norm2_against(f[k:], 1e-9, f), n))
+        rows.append(f[:k].copy())
+        f[:k] -= u[n][:k]
+        defects.append((*_norm2_against(f, 1e-9), n))
+    _gate_worst(leaks, "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}")
+    _gate_worst(defects,
+                "intertwining defect of the U series: coefficient residual {value:.3e} > {tol:.1e}")
+    return rows
 
 
 def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
@@ -175,31 +185,39 @@ def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
 
 @dataclass(frozen=True)
 class DecouplingBundle:
-    """Projector, unitary, and Hamiltonian series sharing one truncation order.
+    """The decoupled frame and the block-diagonalized Hamiltonian, as series
+    sharing one truncation order.
 
-    p_series and u_series are in the FW frame R = Pi B where they are
-    computed (``oneparticle.fw_rows``): the series of R P_gamma R^T and
-    R U_gamma R^T, with the positive free states first.  F = U P is stored
-    as f_upper, its rows on the positive free states (F's only nonzero rows
-    in the FW frame), with columns in the original frame; it feeds the
-    dressed N-particle frames.  h_upper is the upper block of R H R^T, the
-    block-diagonalized Hamiltonian's only nonzero block.  The series
-    coefficients do not depend on the coupling of the generating system.
+    F = U P, with P the projector and U the unitary series, is stored as
+    f_upper: its rows on the positive free states (F's only nonzero rows in
+    the FW frame R = Pi B, ``oneparticle.fw_rows``), with columns in the
+    original frame; it feeds the dressed N-particle frames.  h_upper is the
+    upper block of R H R^T, the block-diagonalized Hamiltonian's only
+    nonzero block.  P and U themselves are not kept (``riesz_projection_series``
+    and ``u_gamma_series`` give them).  The series coefficients do not
+    depend on the coupling of the generating system.
     """
 
-    p_series: MatrixSeries
-    u_series: MatrixSeries
     f_upper: tuple
     h_upper: MatrixSeries
 
     @property
     def order(self) -> int:
-        return self.p_series.order
+        return self.h_upper.order
 
 
 def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> DecouplingBundle:
     """Build every series in the FW frame, where P0 is a row mask, and store
-    them as ``DecouplingBundle`` describes."""
+    them as ``DecouplingBundle`` describes.
+
+    Memory, in series of order K with 2n x 2n coefficients: P and U, two
+    series, are alive together while U is assembled and while F = U P is
+    formed; U's build adds one column half of M (half a series) with the
+    half-size inverse square root of its diagonal block (a quarter, and its
+    inverse while it is formed), and F's adds its upper rows (half a
+    series) and one full coefficient at a time.  That makes three series
+    the floor.  P and U are released once F is formed, before H.
+    """
     blocks, lam, vfw = _fw_frame(sys)
     n = blocks.shape[0]
     p = riesz_projection_series(sys, order)
@@ -209,11 +227,12 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
                "projector coefficients not Hermitian: {value:.3e}")
     u = u_gamma_series(p, n)
     f = decoupled_rows(u, p, n)
+    del p, u
     h = h_diag_series(f, lam, vfw)
     f_upper = tuple(fw_rows(blocks, c.T, back=True).T for c in f)
     for c in f_upper:
         c.flags.writeable = False
-    return DecouplingBundle(p_series=p, u_series=u, f_upper=f_upper, h_upper=h)
+    return DecouplingBundle(f_upper=f_upper, h_upper=h)
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +243,33 @@ def gate_norm2(mats, tol: float, message: str, scales=None) -> float:
     """Gate the spectral norms of mats (any iterable) at tol, or matrix i at
     tol * max(1, ||scales[i]||_2), through ``gate``; return the gated value.
 
+    Each matrix is measured by ``_norm2_against``, and one is gated, with
+    its position as the field index: the failing one farthest over its
+    tolerance as a ratio, or else the one nearest it (``_gate_worst``).
+    """
+    return _gate_worst([(*_norm2_against(m, tol, None if scales is None else scales[i]), i)
+                        for i, m in enumerate(mats)], message)
+
+
+def _norm2_against(m: np.ndarray, tol: float, scale: np.ndarray | None = None) -> tuple:
+    """(failed, ratio, value, bound) of ||m||_2 against tol * max(1, ||scale||_2).
+
     The Frobenius norm bounds the spectral norm from above, and
     max(1, ||s||_F / sqrt(min(shape))) bounds max(1, ||s||_2) from below,
     so a matrix that passes on these cheap bounds passes the spectral test;
-    SVDs run only when they cannot decide.  One matrix is gated, with its
-    position as the field index: the failing one farthest over its
-    tolerance as a ratio, or else the one nearest it, by its spectral norm
-    or the Frobenius bound that decided it.  A NaN fails.
+    SVDs run only when they cannot decide.  value is the spectral norm or
+    the Frobenius bound that decided.  A NaN fails.
     """
-    measured = []
-    for i, m in enumerate(mats):
-        s = None if scales is None else scales[i]
-        bound = tol if s is None else tol * max(1.0, np.linalg.norm(s) / math.sqrt(min(s.shape)))
-        value = np.linalg.norm(m)
-        if value > bound:
-            value = np.linalg.norm(m, 2)
-            bound = tol if s is None else tol * max(1.0, np.linalg.norm(s, 2))
-        measured.append((not value <= bound, value / bound, value, bound, i))
+    bound = tol if scale is None else tol * max(1.0, np.linalg.norm(scale) / math.sqrt(min(scale.shape)))
+    value = np.linalg.norm(m)
+    if value > bound:
+        value = np.linalg.norm(m, 2)
+        bound = tol if scale is None else tol * max(1.0, np.linalg.norm(scale, 2))
+    return not value <= bound, value / bound, value, bound
+
+
+def _gate_worst(measured, message: str) -> float:
+    """Gate the worst of the measurements (failed, ratio, value, bound, index)."""
     *_, value, bound, i = max(measured, key=lambda t: t[:2])
     return float(gate(value, bound, message, index=i))
 

@@ -245,8 +245,19 @@ class Sector:
         return self.iso.shape[1]
 
     def compress(self, y: np.ndarray) -> np.ndarray:
-        """V^T y for y with one row per product state, read off V's nonzeros."""
-        return np.einsum("ca,cad->cd", self.vals, y[self.rows])
+        """V^T y for y with one row per product state, read off V's nonzeros.
+
+        Row c is sum_a vals[c, a] y[rows[c, a]], accumulated over the N!
+        nonzero positions a, so each step gathers width rows of y and no
+        width x N! x width array is formed.
+        """
+        out = np.zeros((self.width, y.shape[1]), dtype=np.result_type(self.vals, y))
+        for v, r in zip(self.vals.T, self.rows.T):
+            rows = y[r]
+            rows *= v[:, None]
+            out += rows
+            del rows  # before the next gather
+        return out
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -397,24 +408,25 @@ def sector_blocks(sector: Sector, one_site: np.ndarray | None = None,
     representative is lifted once, with its small factor scaled by the
     orbit's size.  Each lift is one matmul on the isometry V reshaped
     around its sites, and V^T compresses the sum.  No product-space
-    operator is formed.  All lifts write into one product buffer, freed
-    before the compression gathers V's rows: with a fresh product per term,
-    or the buffer still alive, the allocator returned and re-faulted these
-    arrays on nearly every call of an order-by-order caller.
+    operator is formed.  All lifts write into one product buffer, and the
+    sum and that buffer are one allocation: as two arrays freed together,
+    or with a fresh product per term, glibc trimmed and re-faulted them on
+    nearly every call of an order-by-order caller (it trims a free heap top
+    beyond twice the largest block it has unmapped).
     """
     n_sites = sector.occupation.shape[1]
     m = one_site.shape[-1] if one_site is not None else math.isqrt(two_site.shape[-1])
     terms = [(size, one_site, (j,)) for j, size in sector.site_orbits if one_site is not None]
     terms += [(size, two_site, pair) for pair, size in sector.pair_orbits if two_site is not None]
-    y = np.zeros((m ** n_sites, sector.width),
-                 dtype=np.result_type(sector.iso, *(op for _, op, _ in terms)))
-    buf = np.empty_like(y)
+    work = np.empty((2, m ** n_sites, sector.width),
+                    dtype=np.result_type(sector.iso, *(op for _, op, _ in terms)))
+    y, buf = work
+    y[...] = 0.0
     for size, op, sites in terms:
         t, shape = _site_axes(sector.iso, sites, m)
         x = np.matmul(op if size == 1 else size * op, t, out=buf.reshape(t.shape))
         x = x.reshape(shape).swapaxes(2, 3)
         y.reshape(x.shape)[...] += x
-    del buf, x
     return sector.compress(y)
 
 
@@ -528,11 +540,15 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     w_proj = None
     if n_sites >= 2:
         w2 = pair.project(phi)
-        ew = np.linalg.eigvalsh(0.5 * (w2 + w2.conj().T))
+        sym = w2 + w2.conj().T
+        sym *= 0.5
+        ew = np.linalg.eigvalsh(sym)
+        del sym
         low = float(ew[0])
         gate(-low, 1e-9 * max(1.0, -low, float(ew[-1])),
              "pair projection not positive semidefinite: lowest eigenvalue {low:.3e}", low=low)
         w_proj = tuple(sector_blocks(s, two_site=w2) for s in sectors)
+        del w2  # one pair matrix alive at a time
         for h, w in zip(h_furry, w_proj):
             h += scale * w
 
@@ -540,7 +556,10 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     phi_rt = sys.u_gamma.conj().T @ fw_rows(blocks, psi, back=True)
     pp = sys.p_plus_gamma @ phi_rt
     k1 = pp.conj().T @ sys.dgamma @ pp
-    w2_rt = scale * pair.project(pp) if n_sites >= 2 else None
+    w2_rt = None
+    if n_sites >= 2:
+        w2_rt = pair.project(pp)
+        w2_rt *= scale
     h_diag = tuple(sector_blocks(s, k1, w2_rt) for s in sectors)
 
     return FurrySystem(

@@ -42,7 +42,12 @@ class MatrixSeries:
 
 
 def make_series(coeffs) -> MatrixSeries:
-    """Validate and freeze a list of coefficient matrices into a series."""
+    """Validate a list of coefficient matrices and freeze them into a series.
+
+    The series takes the arrays it is given: each is frozen in place, not
+    copied, so a series costs no memory beyond its coefficients.  A caller
+    that still holds one of them can no longer write to it.
+    """
     mats = [np.asarray(c) for c in coeffs]
     if not mats:
         raise ValueError("series needs at least the order-0 coefficient")
@@ -51,25 +56,33 @@ def make_series(coeffs) -> MatrixSeries:
     d = mats[0].shape
     if len(d) != 2 or d[0] != d[1]:
         raise ValueError(f"coefficients must be square, got shape {d}")
-    out = []
     for k, m in enumerate(mats):
         if m.shape != d:
             raise ValueError(f"coefficient {k} has shape {m.shape}, expected {d}")
         if not np.all(np.isfinite(m)):
             raise ValueError(f"coefficient {k} has non-finite entries")
-        m = m.copy()
+    for m in mats:
         m.flags.writeable = False
-        out.append(m)
-    return MatrixSeries(coeffs=tuple(out))
+    return MatrixSeries(coeffs=tuple(mats))
 
 
 def cauchy_product(a, b) -> list[np.ndarray]:
     """C_n = sum_m A_m B_(n-m), n = 0..K, for coefficient sequences of length K + 1.
 
-    The truncated Cauchy product.  Shapes need only be compatible for the
-    matrix product, so blocks and row slices of square series multiply
-    too.  Products with an exactly-zero factor are skipped; high orders are
-    often sparse.
+    The truncated Cauchy product, every coefficient at once
+    (``cauchy_coefficients``).
+    """
+    return list(cauchy_coefficients(a, b))
+
+
+def cauchy_coefficients(a, b):
+    """Yield the coefficients C_0, ..., C_K of the truncated Cauchy product.
+
+    Each C_n is computed when it is asked for, so a caller that keeps only
+    part of it, or stores it elsewhere, never holds the whole product.
+    Shapes need only be compatible for the matrix product, so blocks and
+    row slices of square series multiply too.  Products with an
+    exactly-zero factor are skipped; high orders are often sparse.
     """
     if len(a) != len(b):
         raise ValueError(f"order mismatch: {len(a) - 1} vs {len(b) - 1}")
@@ -77,14 +90,12 @@ def cauchy_product(a, b) -> list[np.ndarray]:
     b_nz = [np.count_nonzero(c) > 0 for c in b]
     shape = (a[0].shape[0], b[0].shape[1])
     dtype = np.result_type(*a, *b)
-    out = []
     for n in range(len(a)):
         acc = np.zeros(shape, dtype=dtype)
         for m in range(n + 1):
             if a_nz[m] and b_nz[n - m]:
                 acc += a[m] @ b[n - m]
-        out.append(acc)
-    return out
+        yield acc
 
 
 def series_partial_sums(coeffs, g: float):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracdiag.decoupling import build_decoupling_bundle
+from diracdiag.decoupling import build_decoupling_bundle, riesz_projection_series, u_gamma_series
 from diracdiag.grids import ChannelGrid, build_channel_grid
 from diracdiag.manybody import (
     _density_stack,
@@ -129,6 +129,25 @@ def bundle100(sys100):
 @pytest.fixture(scope="session")
 def bundle200(sys200):
     return build_decoupling_bundle(sys200(0.0), order=12)
+
+
+def pu_series(sys: OneParticleSystem, order: int) -> tuple[MatrixSeries, MatrixSeries]:
+    """The projector and unitary series P and U that ``build_decoupling_bundle(sys,
+    order)`` forms in the FW frame and does not keep, from the same functions."""
+    p = riesz_projection_series(sys, order)
+    return p, u_gamma_series(p, sys.fw_blocks.shape[0])
+
+
+@pytest.fixture(scope="session")
+def pu100(sys100):
+    """P and U of ``bundle100``."""
+    return pu_series(sys100(0.0), 8)
+
+
+@pytest.fixture(scope="session")
+def pu200(sys200):
+    """P and U of ``bundle200``."""
+    return pu_series(sys200(0.0), 12)
 
 
 @pytest.fixture(scope="session")
@@ -458,8 +477,9 @@ def dense_furry(fs, bundle=None) -> dict:
     and, given the bundle, every series coefficient from the system's
     one-particle pieces, m^N x m^N each, with no compression to the
     alternating subspace.  The one-particle Hamiltonian series and F = U P
-    are rebuilt at full size from the bundle's projector and unitary
-    series, which are in the FW frame.  abs_d0_psi is formed on U_gamma phi
+    are rebuilt at full size from the projector and unitary series of the
+    bundle's order (``pu_series``), which are in the FW frame and do not
+    depend on the system's coupling.  abs_d0_psi is formed on U_gamma phi
     in the original frame: |D_0| commutes with the FW rotation, so it needs
     no row order of psi.
     """
@@ -495,7 +515,8 @@ def dense_furry(fs, bundle=None) -> dict:
         out["h_diag"] = out["h_diag"] + scale * pair_sum(pair.project(pp), s1)
     if bundle is not None:
         s_f = psi.T @ psi
-        f_series = series_mul(bundle.u_series, bundle.p_series)
+        p_series, u_series = pu_series(sys, bundle.order)
+        f_series = series_mul(u_series, p_series)
         h_series = dense_h_diag_series(sys, f_series)
         coeffs = [one_site_sum(psi.T @ h @ psi, s_f) for h in h_series.coeffs]
         if n >= 2:

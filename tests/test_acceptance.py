@@ -114,13 +114,14 @@ def test_criterion_3_unitary_equivalence(sys200, fs2):
     assert worst <= 1e-9
 
 
-def test_criterion_4_series_correctness(sys200, bundle200):
+def test_criterion_4_series_correctness(sys200, pu200):
     # the bundle's series are in the FW frame, the exact operators are
     # conjugated into it; the spectral norm is invariant
     s = sys200(0.2)
-    p_err = np.linalg.norm(series_eval(bundle200.p_series, 0.2)
+    p_series, u_series = pu200
+    p_err = np.linalg.norm(series_eval(p_series, 0.2)
                            - fw_conjugate(s.fw_blocks, s.p_plus_gamma), 2)
-    u_err = np.linalg.norm(series_eval(bundle200.u_series, 0.2)
+    u_err = np.linalg.norm(series_eval(u_series, 0.2)
                            - fw_conjugate(s.fw_blocks, s.u_gamma), 2)
     toy = toy_two_level()
     p_toy = riesz_projection_series(toy, 4)

@@ -12,12 +12,15 @@ from conftest import (
     dense_u_gamma_series,
     fw_matrix,
     lu_resolvent_distance,
+    pu_series,
     series_mul,
     series_truncate,
     toy_two_level,
+    traced_peak,
 )
 from diracdiag import manybody as mb
 from diracdiag.decoupling import (
+    DecouplingBundle,
     build_decoupling_bundle,
     decoupled_rows,
     gate_norm2,
@@ -127,8 +130,9 @@ def test_bundle_matches_dense_oracle():
     # fed by the same projector series, rotated back with the dense frame R
     s = assemble_system(build_channel_grid(64), 0.0)
     bundle = build_decoupling_bundle(s, order=6)
+    p_fw, u_fw = pu_series(s, 6)
     q = fw_matrix(s.fw_blocks)
-    p = make_series([q.T @ c @ q for c in bundle.p_series.coeffs])
+    p = make_series([q.T @ c @ q for c in p_fw.coeffs])
     u = dense_u_gamma_series(p, free_positive_projector(s.grid))
     f = series_mul(u, p)
     h = dense_h_diag_series(s, make_series([q @ c @ q.T for c in f.coeffs]))
@@ -137,7 +141,7 @@ def test_bundle_matches_dense_oracle():
         return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
     for k in range(7):
-        assert rel(bundle.u_series[k], q @ u[k] @ q.T) <= 1e-12
+        assert rel(u_fw[k], q @ u[k] @ q.T) <= 1e-12
         assert rel(bundle.f_upper[k], (q @ f[k])[:64]) <= 1e-12
         assert rel(bundle.h_upper[k], h[k][:64, :64]) <= 1e-12
 
@@ -181,18 +185,18 @@ def test_u_series_rejects_mismatched_projector():
 # real grid series against exactly assembled operators
 # ---------------------------------------------------------------------------
 
-def test_projector_series_matches_exact(bundle100, sys100):
+def test_projector_series_matches_exact(pu100, sys100):
     # the bundle's series is in the FW frame; the spectral norm is invariant
     s = sys100(0.2)
     err = np.linalg.norm(
-        series_eval(bundle100.p_series, 0.2) - fw_conjugate(s.fw_blocks, s.p_plus_gamma), 2)
+        series_eval(pu100[0], 0.2) - fw_conjugate(s.fw_blocks, s.p_plus_gamma), 2)
     assert err < 1e-7
 
 
-def test_unitary_series_matches_exact(bundle100, sys100):
+def test_unitary_series_matches_exact(pu100, sys100):
     s = sys100(0.2)
     err = np.linalg.norm(
-        series_eval(bundle100.u_series, 0.2) - fw_conjugate(s.fw_blocks, s.u_gamma), 2)
+        series_eval(pu100[1], 0.2) - fw_conjugate(s.fw_blocks, s.u_gamma), 2)
     assert err < 1e-7
 
 
@@ -208,10 +212,11 @@ def test_hamiltonian_constant_term_is_free_branch(bundle100, grid100):
     assert np.linalg.norm(h0 - np.diag(free_energies(grid100)), 2) < 1e-11
 
 
-def test_hamiltonian_coefficients_upper_supported(bundle100, sys100):
-    # the full Hamiltonian series, rebuilt at full size from the stored
+def test_hamiltonian_coefficients_upper_supported(pu100, sys100):
+    # the full Hamiltonian series, rebuilt at full size from the bundle's
     # projector and unitary series, lives on the upper block alone
-    h = dense_h_diag_series(sys100(0.0), series_mul(bundle100.u_series, bundle100.p_series))
+    p, u = pu100
+    h = dense_h_diag_series(sys100(0.0), series_mul(u, p))
     for c in h.coeffs:
         scale = max(1.0, np.linalg.norm(c, 2))
         assert np.linalg.norm(c[100:, :], 2) < 1e-9 * scale
@@ -291,12 +296,30 @@ def test_coefficient_ratio_radius_geometric():
     assert abs(radius - 2.0) < 1e-6
 
 
-def test_bundle_shapes(bundle100, sys100):
+def test_bundle_keeps_only_f_rows_and_h():
+    assert [f.name for f in dataclasses.fields(DecouplingBundle)] == ["f_upper", "h_upper"]
+
+
+def test_bundle_build_peak(sys100):
+    # memory model of the build at n=100, order 8, in series of nine 200 x 200
+    # coefficients: P and U, one column half of M (half a series), the
+    # half-size inverse square root of its diagonal block and that block's
+    # inverse (a quarter each), three series in all, next to P0, the
+    # identity, the FW potential and one working coefficient.  Keeping M
+    # whole, or both column halves of U next to U, would add a series
+    coeff = 200 * 200 * 8
+    bundle, peak = traced_peak(build_decoupling_bundle, sys100(0.0), 8)
+    assert bundle.order == 8
+    assert peak < (3 * 9 + 4) * coeff
+
+
+def test_bundle_shapes(bundle100, pu100, sys100):
     assert bundle100.order == 8
     s = sys100(0.0)
     p0 = fw_conjugate(s.fw_blocks, free_positive_projector(s.grid))
-    assert np.linalg.norm(bundle100.p_series[0] - p0, 2) < 1e-12
-    assert bundle100.u_series.dim == 200 and bundle100.h_upper.dim == 100
+    p, u = pu100
+    assert np.linalg.norm(p[0] - p0, 2) < 1e-12
+    assert u.dim == 200 and bundle100.h_upper.dim == 100
     assert len(bundle100.f_upper) == 9
     assert all(f.shape == (100, 200) for f in bundle100.f_upper)
 
@@ -394,6 +417,32 @@ def test_decoupled_rows_report_the_leak():
     with pytest.raises(ConsistencyError,
                        match=r"^Hamiltonian coefficient 1 leaks out of the upper block: 1\.000e-06$"):
         decoupled_rows(u, make_series([p0, leak]), 2)
+
+
+def test_decoupled_rows_gate_the_worst_coefficient():
+    # U = 1 and P = P0 up to the entries set, so F = U P is P: an entry of
+    # P_n is one of F_n, below row 2 a leak, above it an intertwining defect
+    # F_n - P0 U_n.  Each gate names the coefficient worst by ratio to its
+    # bound, where the leak's bound scales with max(1, ||F_n||_2)
+    dim, k = 4, 2
+    u = make_series([np.eye(dim)] + [np.zeros((dim, dim))] * 3)
+
+    def rows(*entries):
+        p = [np.diag([1.0, 1.0, 0.0, 0.0])] + [np.zeros((dim, dim)) for _ in range(3)]
+        for n, row, value in entries:
+            p[n][row, 0] = value
+        return decoupled_rows(u, make_series(p), k)
+
+    kept = rows()
+    assert [r.shape for r in kept] == [(k, dim)] * 4
+    assert all(r.flags.owndata for r in kept)  # F's lower rows are not held
+    assert np.array_equal(kept[0], np.eye(k, dim))
+    with pytest.raises(ConsistencyError,
+                       match=r"^Hamiltonian coefficient 2 leaks out of the upper block: 3\.000e-06$"):
+        rows((1, 3, 2e-9), (2, 2, 3e-6), (3, 0, 100.0), (3, 3, 5e-6))
+    with pytest.raises(ConsistencyError,
+                       match=r"^intertwining defect of the U series: coefficient residual 3\.000e-06 > 1\.0e-09$"):
+        rows((1, 0, 2e-9), (2, 1, 3e-6), (3, 0, 1e-6))
 
 
 def test_resolvent_hermiticity_gate():

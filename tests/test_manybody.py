@@ -627,6 +627,36 @@ def test_conjugated_compression_matches_dense_oracle(gamma, n_plus):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_furry_assembly_holds_one_pair_matrix(sys100, pair100):
+    # one pair matrix is m^4 doubles, 6.5 MB at n_plus=30.  The assembly holds
+    # one at a time (two for a moment at the PSD gate, w2 and its
+    # symmetrization, before any sector block exists).  Next to it, the
+    # sector data of N=2 (widths m(m +- 1)/2) add about 2.75 pair matrices
+    # while the last block is built: h_furry and w_proj (sum width^2 ~ m^4/2
+    # each), h_diag's first block (~m^4/4), the lift workspace of
+    # sector_blocks (two m^2 x width arrays, ~m^4/2 each) and the result and
+    # one gathered slice of the compression (~m^4/4 each).  That is 3.75 in
+    # all; a second pair matrix alive at that point breaks 4.  The
+    # isometries are cached by site_sectors and built before the trace.
+    m = 30
+    cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=m)
+    mb.furry_sectors(cfg)
+    fs, peak = traced_peak(mb.assemble_furry_exact, sys100(0.3), cfg, pair100)
+    assert fs.dim == m * m
+    assert peak < 4 * m ** 4 * 8
+
+
+def test_compress_gathers_one_position_at_a_time():
+    # the (3) sector at m=10: width 220, N! = 6 nonzeros per column.  The
+    # result and one gathered width x width slice are alive at once; the
+    # whole gather y[rows] would be six such slices
+    (sector,) = [s for s in mb.site_sectors(10, 3) if s.shape == (3,)]
+    y = np.ones((1000, sector.width))
+    got, peak = traced_peak(sector.compress, y)
+    assert np.max(np.abs(got - sector.iso.T @ y)) <= 1e-14 * sector.width
+    assert peak < 3 * sector.width * sector.width * 8
+
+
 def test_restriction_check_stores_no_product_space_matrix():
     # one product-space matrix of the 24-node instance is 2304^2 doubles, 40.5 MiB
     cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6)
