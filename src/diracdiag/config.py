@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -88,14 +89,6 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-_GROUPS = {
-    "grid": (GridConfig, {"kappa": int, "n": int, "map_scale": float}),
-    "nbody": (NbodyConfig, {"n_particles": int, "z_charge": float,
-                            "n_plus": int, "antisymmetrize": bool}),
-}
-_SCALARS = {"series_order": int, "output_dir": str}
-
-
 def _coerce(key: str, value, want):
     if want is bool:
         if not isinstance(value, bool):
@@ -120,31 +113,36 @@ def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from parsed JSON, rejecting unknown or mistyped keys."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config document must be an object, got {type(raw).__name__}")
-    known = set(_GROUPS) | set(_SCALARS) | {"gamma_list"}
+    return _from_dict(RunConfig, raw, "")
+
+
+def _from_dict(cls, raw: dict, prefix: str):
+    """Build the config dataclass cls from raw, its fields being the schema.
+
+    A nested dataclass is read from a JSON object, ``tuple[float, ...]``
+    from a list of numbers, and every other field by ``_coerce``.  prefix
+    names the enclosing group in error messages ("grid." or "").
+    """
+    hints = typing.get_type_hints(cls)
     for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown config key '{key}'")
+        if key not in hints:
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
     kwargs = {}
-    for group, (cls, fields) in _GROUPS.items():
-        if group not in raw:
+    for key, want in hints.items():
+        if key not in raw:
             continue
-        sub = raw[group]
-        if not isinstance(sub, dict):
-            raise ConfigError(f"key '{group}' must be an object")
-        for key in sub:
-            if key not in fields:
-                raise ConfigError(f"unknown config key '{group}.{key}'")
-        kwargs[group] = cls(**{k: _coerce(f"{group}.{k}", v, fields[k])
-                               for k, v in sub.items()})
-    for key, want in _SCALARS.items():
-        if key in raw:
-            kwargs[key] = _coerce(key, raw[key], want)
-    if "gamma_list" in raw:
-        gl = raw["gamma_list"]
-        if not isinstance(gl, list):
-            raise ConfigError("key 'gamma_list' must be a list of numbers")
-        kwargs["gamma_list"] = tuple(_coerce("gamma_list", g, float) for g in gl)
-    return RunConfig(**kwargs)
+        name, value = prefix + key, raw[key]
+        if dataclasses.is_dataclass(want):
+            if not isinstance(value, dict):
+                raise ConfigError(f"key '{name}' must be an object")
+            kwargs[key] = _from_dict(want, value, f"{name}.")
+        elif want == tuple[float, ...]:
+            if not isinstance(value, list):
+                raise ConfigError(f"key '{name}' must be a list of numbers")
+            kwargs[key] = tuple(_coerce(name, v, float) for v in value)
+        else:
+            kwargs[key] = _coerce(name, value, want)
+    return cls(**kwargs)
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -37,7 +37,6 @@ from .oneparticle import (
 from .series import (
     MatrixSeries,
     cauchy_coefficients,
-    cauchy_product,
     inv_sqrt_coefficients,
     make_series,
 )
@@ -173,7 +172,7 @@ def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
     Hermitian to 1e-10 relative to max(1, ||c||_2).
     """
     fd = [f_rows[0] * lam] + [f * lam + f_prev @ vfw for f, f_prev in zip(f_rows[1:], f_rows)]
-    h = make_series(cauchy_product(fd, [f.conj().T for f in f_rows]))
+    h = make_series(cauchy_coefficients(fd, [f.conj().T for f in f_rows]))
     gate_norm2((c - c.conj().T for c in h.coeffs), 1e-10,
                "Hamiltonian coefficient {index} not Hermitian", scales=h.coeffs)
     return h

@@ -389,13 +389,6 @@ def furry_sectors(cfg: NbodyConfig) -> tuple[Sector, ...]:
     return sectors
 
 
-def merged_levels(blocks, multiplicities) -> np.ndarray:
-    """Sorted spectrum of a block-diagonal operator, block b repeated
-    multiplicities[b] times: the product-space spectrum of a sector-split one."""
-    return np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), d)
-                                   for b, d in zip(blocks, multiplicities)]))
-
-
 def sector_blocks(sector: Sector, one_site: np.ndarray | None = None,
                   two_site: np.ndarray | None = None) -> np.ndarray:
     """Sector block V^T X V of the operator X = sum_j A_j + sum_{a<b} W_ab.
@@ -501,8 +494,10 @@ class FurrySystem:
         return tuple(s.multiplicity for s in self.sectors)
 
     def levels(self, blocks) -> np.ndarray:
-        """Product-space spectrum of an operator stored as sector blocks."""
-        return merged_levels(blocks, self.multiplicities)
+        """Product-space spectrum of an operator stored as sector blocks, sorted,
+        with each block's eigenvalues repeated by its sector's multiplicity."""
+        return np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), d)
+                                       for b, d in zip(blocks, self.multiplicities)]))
 
 
 def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
@@ -626,6 +621,7 @@ def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndar
             x += 0.5 * (zhat[n // 2].T @ pair.kernel @ zhat[n // 2])
         x4 = x.reshape(m, m, m, m)
         c = np.empty((m * m, m * m))
+        # np.add, not ``_pair_rows``: reindex and site swap in one pass, no m^4 temporary
         np.add(x4.transpose(0, 2, 1, 3), x4.transpose(2, 0, 3, 1), out=c.reshape(m, m, m, m))
         del x, x4
         c /= z_charge
@@ -654,12 +650,6 @@ def h_diag_series_N(bundle: DecouplingBundle, fs: FurrySystem):
         del w  # before the next pair coefficient is computed
 
 
-def h_diag_partial_sums_N(bundle: DecouplingBundle, fs: FurrySystem, g: float):
-    """Yield the partial sums of ``h_diag_series_N`` at coupling g, k = 0..order,
-    each a tuple of sector blocks (``series.series_partial_sums``)."""
-    return series_partial_sums(h_diag_series_N(bundle, fs), g)
-
-
 # ---------------------------------------------------------------------------
 # Inequality diagnostics
 # ---------------------------------------------------------------------------
@@ -682,7 +672,7 @@ def check_form_bound(fs: FurrySystem) -> float:
         _gate_positive_weight(t.min())
         t_inv_half = t ** -0.5
         m = t_inv_half[:, None] * (scale * w) * t_inv_half[None, :]
-        top = max(top, float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]))
+        top = float(np.maximum(top, np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]))
     return top
 
 
@@ -714,7 +704,7 @@ def check_kinetic_weight_bound(fs: FurrySystem) -> float:
         gate(-pivot, -math.ulp(0.0), "weight matrix not positive definite: {exc}", exc=detail)
         c_inv = np.linalg.inv(c)
         m = c_inv @ lifted @ c_inv.conj().T
-        top = max(top, float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]))
+        top = float(np.maximum(top, np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]))
     return top
 
 
@@ -812,7 +802,7 @@ def _coupling_errors(bundle: DecouplingBundle, system: OneParticleSystem | Furry
         exact, mult = fs_g.h_diag_exact, fs_g.multiplicities
         weight = tuple(_inv_sqrt_psd(d) for d in
                        _abs_d0_sum(np.tile(energies, 2), fs_g.sectors, fs_g.psi))
-        partial = h_diag_partial_sums_N(bundle, fs_g, gamma)
+        partial = series_partial_sums(h_diag_series_N(bundle, fs_g), gamma)
     else:
         exact, mult = (h_diag_exact(sys_g),), (1,)
         weight = (np.diag(energies ** -0.5),)
@@ -825,9 +815,9 @@ def _coupling_errors(bundle: DecouplingBundle, system: OneParticleSystem | Furry
     for k, approx in zip(range(k_max + 1), partial):
         approx_h = [0.5 * (a + a.conj().T) for a in approx]
         frames = [resolvent_frame(a, "second") for a in approx_h]
-        dists[k] = max(resolvent_distance(e, a, fe, fa)
-                       for e, a, fe, fa in zip(exact, approx_h, exact_frames, frames))
-        remainders[k] = max(_norm2(w @ (e - a) @ w) for w, e, a in zip(weight, exact, approx))
+        dists[k] = np.max([resolvent_distance(e, a, fe, fa)
+                           for e, a, fe, fa in zip(exact, approx_h, exact_frames, frames)])
+        remainders[k] = np.max([_norm2(w @ (e - a) @ w) for w, e, a in zip(weight, exact, approx)])
         eig_errors[k] = float(np.max(np.abs(_low_levels(approx_h, frames, mult) - exact_low)))
     return dists, remainders, eig_errors
 
@@ -851,8 +841,8 @@ def check_restriction_consistency(gamma: float, cfg: NbodyConfig) -> float:
         return 0.0
     fs = _restriction_instance(gamma, cfg)
     compressed = _conjugated_compression(fs)
-    return gate(max(float(np.linalg.norm(s.iso.T @ compressed @ s.iso - block, 2))
-                    for s, block in zip(fs.sectors, fs.h_diag_exact)), 1e-8,
+    return gate(float(np.max([np.linalg.norm(s.iso.T @ compressed @ s.iso - block, 2)
+                              for s, block in zip(fs.sectors, fs.h_diag_exact)])), 1e-8,
                 "restriction/conjugation order disagreement {value:.3e} > 1e-8 "
                 "on the small cross-check instance")
 

@@ -20,7 +20,7 @@ from .errors import GapError, gate
 from .grids import ChannelGrid
 
 GAMMA_MAX = math.sqrt(3.0) / 2.0
-TOL_GAP = 1e-6  # slack of the soft gap check ``check_gap_bound``
+TOL_GAP = 1e-6  # slack of the soft gap check ``gap_floor``
 GAP_FLOOR = 1e-8  # smallest |eigenvalue| ``assemble_system`` accepts
 
 
@@ -453,7 +453,7 @@ def check_kato(grid: ChannelGrid) -> float:
         m = e + v[c::2, c::2]
         y = lowest_eigenvector(m.copy())
         lows.append(float(rayleigh_quotients(m, y[:, None])[0]))
-    return min(lows)
+    return float(np.min(lows))
 
 
 def check_dgamma_bound(sys: OneParticleSystem) -> float:
@@ -479,9 +479,10 @@ def check_dgamma_bound(sys: OneParticleSystem) -> float:
     return float(np.sum((sys.dgamma @ y) ** 2) - d2 * np.sum(e2 * y ** 2))
 
 
-def check_gap_bound(sys: OneParticleSystem) -> bool:
-    """Spectral gap must reach the continuum value sqrt(1-gamma^2) up to TOL_GAP."""
-    return sys.gap >= math.sqrt(1.0 - sys.gamma ** 2) - TOL_GAP
+def gap_floor(gamma: float) -> float:
+    """Lower bound of the soft gap check: the continuum gap sqrt(1-gamma^2)
+    less the slack TOL_GAP."""
+    return (1.0 - gamma ** 2) ** 0.5 - TOL_GAP
 
 
 def _norm2(x: np.ndarray) -> float:
@@ -492,9 +493,14 @@ def _norm2(x: np.ndarray) -> float:
     under half the time of the SVD behind ``np.linalg.norm(x, 2)`` and
     agrees with it to 1e-15 relative.  The product squares the condition
     number, which only blurs the small singular values; the largest keeps
-    its full relative accuracy.
+    its full relative accuracy.  A non-finite entry gives NaN, which every
+    gate fails, and roundoff below zero gives 0.0.
     """
-    return math.sqrt(max(0.0, float(np.linalg.eigvalsh(x.conj().T @ x)[-1])))
+    xhx = x.conj().T @ x
+    if not np.isfinite(xhx).all():
+        return math.nan
+    top = float(np.linalg.eigvalsh(xhx)[-1])
+    return math.sqrt(top) if top > 0.0 else 0.0
 
 
 def decoupling_residuals(sys: OneParticleSystem) -> tuple[float, float]:
@@ -516,5 +522,5 @@ def decoupling_residuals(sys: OneParticleSystem) -> tuple[float, float]:
     del uu
     ru = fw_rows(sys.fw_blocks, u)
     k = int(np.searchsorted(sys.evals, 0.0))  # evals ascend, none is zero
-    inter = max(_norm2(ru[:n] @ sys.evecs[:, :k]), _norm2(ru[n:] @ sys.evecs[:, k:]))
+    inter = float(np.maximum(_norm2(ru[:n] @ sys.evecs[:, :k]), _norm2(ru[n:] @ sys.evecs[:, k:])))
     return uni, inter

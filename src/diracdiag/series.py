@@ -66,15 +66,6 @@ def make_series(coeffs) -> MatrixSeries:
     return MatrixSeries(coeffs=tuple(mats))
 
 
-def cauchy_product(a, b) -> list[np.ndarray]:
-    """C_n = sum_m A_m B_(n-m), n = 0..K, for coefficient sequences of length K + 1.
-
-    The truncated Cauchy product, every coefficient at once
-    (``cauchy_coefficients``).
-    """
-    return list(cauchy_coefficients(a, b))
-
-
 def cauchy_coefficients(a, b):
     """Yield the coefficients C_0, ..., C_K of the truncated Cauchy product.
 

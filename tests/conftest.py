@@ -34,7 +34,7 @@ from diracdiag.oneparticle import (
 from diracdiag.report import REPORT_COLUMNS
 from diracdiag.series import (
     MatrixSeries,
-    cauchy_product,
+    cauchy_coefficients,
     coefficient_norms,
     inv_sqrt_coefficients,
     inverse_coefficients,
@@ -267,7 +267,7 @@ def series_scale(a: MatrixSeries, c: float) -> MatrixSeries:
 def series_mul(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
     """Cauchy product truncated at the common order."""
     _check_binary(a, b)
-    return make_series(cauchy_product(a.coeffs, b.coeffs))
+    return make_series(cauchy_coefficients(a.coeffs, b.coeffs))
 
 
 def series_adjoint(a: MatrixSeries) -> MatrixSeries:

@@ -145,6 +145,37 @@ def test_front_end_loads_no_numpy(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def test_threads_flag_set_before_numpy_loads(tmp_path):
+    # main translates --threads into the BLAS variables after parsing and
+    # before the command body loads numpy, so the flag reaches the backend
+    cfg = write_cfg(tmp_path, {"grid": {"n": 16}, "gamma_list": [0.1]})
+    code = textwrap.dedent(f"""
+        import os
+        import sys
+        from diracdiag import cli
+
+        calls = []
+        set_thread_env = cli.set_thread_env
+
+        def spy(n):
+            calls.append((n, "numpy" in sys.modules))
+            set_thread_env(n)
+
+        cli.set_thread_env = spy
+        rc = cli.main(["one-particle", "--config", {cfg!r}, "--output", {str(tmp_path / "o")!r},
+                       "--threads", "3"])
+        if rc:
+            raise SystemExit(f"one-particle failed: {{rc}}")
+        if calls != [(3, False)]:
+            raise SystemExit(f"set_thread_env calls (threads, numpy loaded): {{calls}}")
+        if os.environ["OPENBLAS_NUM_THREADS"] != "3":
+            raise SystemExit("OPENBLAS_NUM_THREADS = " + os.environ["OPENBLAS_NUM_THREADS"])
+    """)
+    out = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path), env=child_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
 def test_commands_load_no_quadrature(tmp_path):
     # the kernel's subtraction constant is closed-form, so neither command
     # loads scipy.integrate

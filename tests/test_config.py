@@ -8,6 +8,8 @@ from diracdiag.config import (
     DIMENSION_CAP,
     GAMMA_CRITICAL,
     GAMMA_WINDOW,
+    GridConfig,
+    NbodyConfig,
     RunConfig,
     config_digest,
     config_from_dict,
@@ -132,6 +134,17 @@ def test_load_config_errors(tmp_path):
     good.write_text(json.dumps({"grid": {"n": 40}}), encoding="utf-8")
     assert load_config(str(good)).grid.n == 40
     assert load_config(None) == RunConfig()
+
+
+def test_config_echo_reloads():
+    # every output JSON records cfg.to_dict(); reading it back must give the
+    # same config, for the defaults and for a config that sets every field
+    full = RunConfig(grid=GridConfig(kappa=2, n=48, map_scale=0.5), gamma_list=(0.05, 0.25),
+                     series_order=5, nbody=NbodyConfig(n_particles=3, z_charge=3.0, n_plus=6,
+                                                       antisymmetrize=True),
+                     output_dir="elsewhere")
+    for cfg in (RunConfig(), full):
+        assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_config_digest_stability():

@@ -400,7 +400,7 @@ def test_streamed_partial_sums_match_the_collected_series(sys100, pair100, bundl
     collected = collect_series_N(bundle100, fs)
     assert len(collected) == len(fs.sectors)
     assert all(s.order == bundle100.order for s in collected)
-    streamed = list(mb.h_diag_partial_sums_N(bundle100, fs, 0.3))
+    streamed = list(series_partial_sums(mb.h_diag_series_N(bundle100, fs), 0.3))
     assert len(streamed) == bundle100.order + 1
     for b, series in enumerate(collected):
         for k, (ref,) in enumerate(series_partial_sums(zip(series.coeffs), 0.3)):

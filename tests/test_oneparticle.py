@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from conftest import abs_free_dirac_power, dense_exact_u_gamma, evr_lowest_vector, fw_matrix
 from diracdiag import cli, oneparticle
-from diracdiag.errors import ConsistencyError, GapError
+from diracdiag.errors import ConsistencyError, GapError, gate
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import (
     GAMMA_MAX,
@@ -21,7 +21,6 @@ from diracdiag.oneparticle import (
     build_free_dirac,
     c_gamma,
     check_dgamma_bound,
-    check_gap_bound,
     check_kato,
     coulomb_channel_matrix,
     d_gamma,
@@ -32,6 +31,7 @@ from diracdiag.oneparticle import (
     free_positive_projector,
     fw_conjugate,
     fw_rows,
+    gap_floor,
     legendre_q,
     lowest_eigenvector,
     positive_levels,
@@ -308,6 +308,20 @@ def test_norm2_matches_svd_norm():
     assert _norm2(np.zeros((5, 5))) == 0.0
 
 
+def test_norm2_keeps_nan(monkeypatch):
+    # a NaN entry must not read as a zero norm, nor escape as an untyped
+    # LinAlgError, so that every gate on the norm raises ConsistencyError
+    for x in (np.diag([1.0, np.nan]), np.full((2, 2), np.nan)):
+        value = _norm2(x)
+        assert math.isnan(value)
+        with pytest.raises(ConsistencyError):
+            gate(value, 1e-10, "residual {value:.3e}")
+    # an eigenvalue at or below zero gives +0.0, so finite outputs keep their bytes
+    for low in (-0.0, -1e-300):
+        monkeypatch.setattr(oneparticle.np.linalg, "eigvalsh", lambda a, low=low: np.array([low]))
+        assert math.copysign(1.0, _norm2(np.eye(2))) == 1.0 and _norm2(np.eye(2)) == 0.0
+
+
 def test_one_particle_path_takes_no_svd(monkeypatch, tmp_path):
     norm = np.linalg.norm
 
@@ -511,7 +525,7 @@ def test_lowest_eigenvector_gate_rejects_a_shift_in_mid_spectrum(monkeypatch, gr
 
 def test_gap_bound(sys100):
     for gamma in (0.0, 0.3):
-        assert check_gap_bound(sys100(gamma))
+        assert sys100(gamma).gap >= gap_floor(gamma)
 
 
 def test_weighted_unitary_norm_finite(sys100):

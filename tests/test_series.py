@@ -20,7 +20,7 @@ from conftest import (
 )
 from diracdiag.series import (
     ORDER_CAP,
-    cauchy_product,
+    cauchy_coefficients,
     coefficient_norms,
     make_series,
     series_eval,
@@ -148,14 +148,14 @@ def test_cauchy_product_of_blocks():
     a = random_series(6, 5, 24)
     b = random_series(6, 5, 25)
     full = series_mul(a, b)
-    top = cauchy_product([c[:2] for c in a.coeffs], b.coeffs)
-    corner = cauchy_product([c[2:] for c in a.coeffs], [c[:, :3] for c in b.coeffs])
+    top = list(cauchy_coefficients([c[:2] for c in a.coeffs], b.coeffs))
+    corner = list(cauchy_coefficients([c[2:] for c in a.coeffs], [c[:, :3] for c in b.coeffs]))
     for k in range(6):
         assert top[k].shape == (2, 6) and corner[k].shape == (4, 3)
         assert np.max(np.abs(top[k] - full[k][:2])) <= 1e-13
         assert np.max(np.abs(corner[k] - full[k][2:, :3])) <= 1e-13
     with pytest.raises(ValueError, match="order"):
-        cauchy_product(a.coeffs, b.coeffs[:3])
+        next(cauchy_coefficients(a.coeffs, b.coeffs[:3]))
 
 
 def test_identity_neutral():
