@@ -56,7 +56,7 @@ def main():
     v = np.array([[0.0, 1.0], [1.0, 0.0]])
     toy = OneParticleSystem(
         grid=toy_grid, gamma=0.0, v=v, dgamma=d0, p_plus_gamma=free_positive_projector(toy_grid),
-        fw_blocks=foldy_wouthuysen(toy_grid), u_gamma=np.eye(2), gap=1.0,
+        fw_blocks=foldy_wouthuysen(toy_grid), u_gamma=np.eye(2),
         evals=np.array([-1.0, 1.0]), evecs=np.eye(2)[:, ::-1].copy(),
     )
     p_toy = riesz_projection_series(toy, 4)

@@ -111,30 +111,21 @@ def cmd_validate(cfg: RunConfig) -> int:
     rel = abs(ground - ref) / abs(ref)
     record("hydrogen_momentum_ground", rel, 1e-6)
 
-    systems = {}
-    for gamma in cfg.gamma_list:
-        systems[gamma] = op.assemble_system(grid, gamma)
-
-    for gamma, sys_g in systems.items():
-        if gamma == 0.0:
-            continue
-        e_ref = op.sommerfeld_energy(gamma, 1, cfg.grid.kappa)
-        e_num = op.positive_levels(sys_g, 1)[0]
-        rel = abs(e_num - e_ref) / e_ref
-        record(f"sommerfeld_ground_gamma_{gamma:.4f}", rel, 1e-3)
-
+    # one coupling's system at a time; the checks are emitted by kind
     kato = op.check_kato(grid)
+    per_gamma = [op.measure_coupling(grid, gamma, kato)[0] for gamma in cfg.gamma_list]
+    coupled = [r for r in per_gamma if r["gamma"] != 0.0]
+    for r in coupled:
+        record(f"sommerfeld_ground_gamma_{r['gamma']:.4f}", r["sommerfeld_rel_error"], 1e-3)
+
     # ||V||_2 from V's two symmetric spinor-component blocks, with no SVD
     v = op.build_coulomb(grid)
     kato_floor = -1e-4 * max(float(np.max(np.abs(np.linalg.eigvalsh(v[c::2, c::2]))))
                              for c in (0, 1))
     record("kato_lower_bound", kato, kato_floor, lower=True)
 
-    for gamma, sys_g in systems.items():
-        if gamma == 0.0:
-            continue
-        margin = op.check_dgamma_bound(sys_g)
-        record(f"dgamma_bound_gamma_{gamma:.4f}", margin, -1e-4, lower=True)
+    for r in coupled:
+        record(f"dgamma_bound_gamma_{r['gamma']:.4f}", r["dgamma_margin"], -1e-4, lower=True)
 
     try:
         pair = mb.build_pair_interaction(grid)
@@ -147,13 +138,12 @@ def cmd_validate(cfg: RunConfig) -> int:
         record("pair_round_trip", float("inf"), 1e-6)
         print(f"pair interaction unavailable: {exc}", file=sys.stderr)
 
-    for gamma, sys_g in systems.items():
-        uni, inter = op.decoupling_residuals(sys_g)
-        record(f"unitarity_gamma_{gamma:.4f}", uni, 1e-10)
-        record(f"intertwining_gamma_{gamma:.4f}", inter, 1e-10)
+    for r in per_gamma:
+        record(f"unitarity_gamma_{r['gamma']:.4f}", r["unitarity_residual"], 1e-10)
+        record(f"intertwining_gamma_{r['gamma']:.4f}", r["intertwining_residual"], 1e-10)
 
-    for gamma, sys_g in systems.items():
-        record(f"gap_bound_gamma_{gamma:.4f}", sys_g.gap, op.gap_floor(gamma),
+    for r in per_gamma:
+        record(f"gap_bound_gamma_{r['gamma']:.4f}", r["gap"], op.gap_floor(r["gamma"]),
                hard=False, lower=True)
 
     lines = []
@@ -190,47 +180,22 @@ def cmd_one_particle(cfg: RunConfig) -> int:
 
     grid = build_channel_grid(cfg.grid.n, cfg.grid.map_scale, cfg.grid.kappa)
     out = cfg.output_dir
-    summary_rows = []
-    summary_json = []
+    per_gamma = []
     kato = op.check_kato(grid)  # does not depend on the coupling
     for gamma in cfg.gamma_list:
-        sys_g = op.assemble_system(grid, gamma)
-        levels = op.rayleigh_levels(sys_g)
+        record, levels = op.measure_coupling(grid, gamma, kato)
         bound = np.flatnonzero((levels > 0.0) & (levels < 1.0))[:12]
         refs = {int(i): op.sommerfeld_energy(gamma, k + 1, cfg.grid.kappa)
                 for k, i in enumerate(bound)}
-        rows = []
-        for i, e in enumerate(levels):
-            if i in refs:
-                ref = refs[i]
-                rows.append((i, float(e), ref, abs(e - ref) / ref))
-            else:
-                rows.append((i, float(e), "", ""))
+        rows = [(i, float(e), refs[i], abs(e - refs[i]) / refs[i]) if i in refs
+                else (i, float(e), "", "") for i, e in enumerate(levels)]
         write_table_csv(os.path.join(out, f"one_particle_gamma_{gamma_tag(gamma)}.csv"),
                         ("index", "eigenvalue", "sommerfeld_reference", "rel_error"), rows)
-
-        uni, inter = op.decoupling_residuals(sys_g)
-        dg = op.check_dgamma_bound(sys_g) if gamma > 0 else 0.0
-        ground = float(levels[levels > 0.0][0])
-        gap = float(np.min(np.abs(levels)))
-        if gamma > 0:
-            e_ref = op.sommerfeld_energy(gamma, 1, cfg.grid.kappa)
-            s_rel = abs(ground - e_ref) / e_ref
-        else:
-            s_rel = 0.0
-        summary_rows.append((gamma, ground, s_rel, uni, inter, kato, dg, gap))
-        summary_json.append({
-            "gamma": gamma, "ground_energy": ground, "sommerfeld_rel_error": s_rel,
-            "unitarity_residual": uni, "intertwining_residual": inter,
-            "kato_margin": kato, "dgamma_margin": dg, "gap": gap,
-        })
-        del sys_g  # before the next coupling's system is assembled
-    write_table_csv(os.path.join(out, "one_particle_summary.csv"),
-                    ("gamma", "ground_energy", "sommerfeld_rel_error",
-                     "unitarity_residual", "intertwining_residual",
-                     "kato_margin", "dgamma_margin", "gap"), summary_rows)
+        per_gamma.append(record)
+    write_table_csv(os.path.join(out, "one_particle_summary.csv"), tuple(per_gamma[0]),
+                    [tuple(r.values()) for r in per_gamma])
     write_json_summary(os.path.join(out, "one_particle.json"), "one-particle",
-                       cfg.to_dict(), config_digest(cfg), {"per_gamma": summary_json})
+                       cfg.to_dict(), config_digest(cfg), {"per_gamma": per_gamma})
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -34,7 +35,7 @@ class GridConfig:
             raise ConfigError("grid.kappa must be a nonzero integer")
         if self.n < 4:
             raise ConfigError(f"grid.n must be at least 4, got {self.n}")
-        if self.map_scale <= 0:
+        if not 0 < self.map_scale < math.inf:  # NaN and infinities fail too
             raise ConfigError(f"grid.map_scale must be positive, got {self.map_scale}")
 
 
@@ -50,7 +51,7 @@ class NbodyConfig:
     def __post_init__(self):
         if self.n_particles < 1:
             raise ConfigError(f"nbody.n_particles must be at least 1, got {self.n_particles}")
-        if self.z_charge <= 0:
+        if not 0 < self.z_charge < math.inf:
             raise ConfigError(f"nbody.z_charge must be positive, got {self.z_charge}")
         if self.n_plus < 1:
             raise ConfigError(f"nbody.n_plus must be at least 1, got {self.n_plus}")

@@ -256,14 +256,15 @@ def _norm2_against(m: np.ndarray, tol: float, scale: np.ndarray | None = None) -
     The Frobenius norm bounds the spectral norm from above, and
     max(1, ||s||_F / sqrt(min(shape))) bounds max(1, ||s||_2) from below,
     so a matrix that passes on these cheap bounds passes the spectral test;
-    SVDs run only when they cannot decide.  value is the spectral norm or
-    the Frobenius bound that decided.  A NaN fails.
+    spectral norms (``oneparticle._norm2``) are taken only when they cannot
+    decide.  value is the spectral norm or the Frobenius bound that
+    decided.  A NaN fails.
     """
     bound = tol if scale is None else tol * max(1.0, np.linalg.norm(scale) / math.sqrt(min(scale.shape)))
     value = np.linalg.norm(m)
     if value > bound:
-        value = np.linalg.norm(m, 2)
-        bound = tol if scale is None else tol * max(1.0, np.linalg.norm(scale, 2))
+        value = _norm2(m)
+        bound = tol if scale is None else tol * max(1.0, _norm2(scale))
     return not value <= bound, value / bound, value, bound
 
 

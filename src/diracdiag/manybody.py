@@ -841,7 +841,7 @@ def check_restriction_consistency(gamma: float, cfg: NbodyConfig) -> float:
         return 0.0
     fs = _restriction_instance(gamma, cfg)
     compressed = _conjugated_compression(fs)
-    return gate(float(np.max([np.linalg.norm(s.iso.T @ compressed @ s.iso - block, 2)
+    return gate(float(np.max([_norm2(s.iso.T @ compressed @ s.iso - block)
                               for s, block in zip(fs.sectors, fs.h_diag_exact)])), 1e-8,
                 "restriction/conjugation order disagreement {value:.3e} > 1e-8 "
                 "on the small cross-check instance")

@@ -262,9 +262,9 @@ class OneParticleSystem:
     closed-form node blocks, read from the grid (``free_energies``,
     ``free_positive_projector``) and not stored.
     evals are the raw ``eigh`` values, ascending, with evecs columns
-    matching; gap is min |evals|.  They carry the eigensolver's backward
-    error eps*||D_gamma||, which moves with the BLAS thread count, so the
-    levels a run reports come from ``rayleigh_levels`` instead.
+    matching.  They carry the eigensolver's backward error eps*||D_gamma||,
+    which moves with the BLAS thread count, so the levels a run reports,
+    and its gap, come from ``rayleigh_levels`` instead.
     fw_blocks, shape (n, 2, 2), is the Foldy-Wouthuysen rotation as its
     node blocks (``foldy_wouthuysen``), the only form in which it is held.
     """
@@ -276,7 +276,6 @@ class OneParticleSystem:
     p_plus_gamma: np.ndarray
     fw_blocks: np.ndarray
     u_gamma: np.ndarray
-    gap: float
     evals: np.ndarray
     evecs: np.ndarray
 
@@ -317,7 +316,7 @@ def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
     _freeze(dgamma, p_plus_gamma, blocks, u_gamma, evals, evecs)
     return OneParticleSystem(
         grid=grid, gamma=float(gamma), v=v, dgamma=dgamma, p_plus_gamma=p_plus_gamma,
-        fw_blocks=blocks, u_gamma=u_gamma, gap=gap, evals=evals, evecs=evecs)
+        fw_blocks=blocks, u_gamma=u_gamma, evals=evals, evecs=evecs)
 
 
 def rayleigh_quotients(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -488,12 +487,13 @@ def gap_floor(gamma: float) -> float:
 def _norm2(x: np.ndarray) -> float:
     """Spectral norm as sqrt(lambda_max(x^H x)), from a Hermitian eigensolve.
 
+    The package's one spectral norm of a general matrix; a Hermitian one is
+    measured as its largest eigenvalue in magnitude instead.
     ||x||_2^2 is the largest eigenvalue of x^H x (Golub & Van Loan, Matrix
     Computations, sec. 2.5).  At dim 1000 ``eigvalsh`` of that product takes
-    under half the time of the SVD behind ``np.linalg.norm(x, 2)`` and
-    agrees with it to 1e-15 relative.  The product squares the condition
-    number, which only blurs the small singular values; the largest keeps
-    its full relative accuracy.  A non-finite entry gives NaN, which every
+    under half the time of an SVD and agrees with it to 1e-15 relative.
+    The product squares the condition number, which only blurs the small
+    singular values; the largest keeps its full relative accuracy.  A non-finite entry gives NaN, which every
     gate fails, and roundoff below zero gives 0.0.
     """
     xhx = x.conj().T @ x
@@ -524,3 +524,29 @@ def decoupling_residuals(sys: OneParticleSystem) -> tuple[float, float]:
     k = int(np.searchsorted(sys.evals, 0.0))  # evals ascend, none is zero
     inter = float(np.maximum(_norm2(ru[:n] @ sys.evecs[:, :k]), _norm2(ru[n:] @ sys.evecs[:, k:])))
     return uni, inter
+
+
+def measure_coupling(grid: ChannelGrid, gamma: float, kato: float) -> tuple[dict, np.ndarray]:
+    """The record of one coupling, and its ``rayleigh_levels``.
+
+    The record holds the ground level and its Sommerfeld relative error,
+    the ``decoupling_residuals``, the grid's Kato margin kato
+    (``check_kato``), the ``check_dgamma_bound`` margin and the gap
+    min |level|; at zero coupling the Sommerfeld error and the D_gamma^2
+    margin are 0.  The system is assembled here and released on return.
+    """
+    sys = assemble_system(grid, gamma)
+    levels = rayleigh_levels(sys)
+    uni, inter = decoupling_residuals(sys)
+    dg = check_dgamma_bound(sys) if gamma > 0 else 0.0
+    ground = float(levels[levels > 0.0][0])
+    if gamma > 0:
+        e_ref = sommerfeld_energy(gamma, 1, grid.kappa)
+        s_rel = abs(ground - e_ref) / e_ref
+    else:
+        s_rel = 0.0
+    return {
+        "gamma": gamma, "ground_energy": ground, "sommerfeld_rel_error": s_rel,
+        "unitarity_residual": uni, "intertwining_residual": inter,
+        "kato_margin": kato, "dgamma_margin": dg, "gap": float(np.min(np.abs(levels))),
+    }, levels

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .oneparticle import _norm2
+
 ORDER_CAP = 64
 INV_COND_CAP = 1e12
 INV_SQRT_BASE_TOL = 1e-10
@@ -162,5 +164,5 @@ def inv_sqrt_coefficients(a) -> list[np.ndarray]:
 
 
 def coefficient_norms(a: MatrixSeries) -> np.ndarray:
-    """Spectral norm of each coefficient, for radius diagnostics."""
-    return np.array([np.linalg.norm(c, 2) for c in a.coeffs])
+    """Spectral norm (``oneparticle._norm2``) of each coefficient, for radius diagnostics."""
+    return np.array([_norm2(c) for c in a.coeffs])

@@ -69,6 +69,23 @@ def traced_peak(fn, *args):
     return result, peak
 
 
+def forbid_svd(monkeypatch) -> None:
+    """From here on in the test, ``np.linalg.svd`` and ``np.linalg.norm(x, 2)``
+    raise, so a code path that passes takes its spectral norms without an SVD."""
+    norm = np.linalg.norm
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("dense SVD taken")
+
+    def norm_without_ord2(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            no_svd()
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "norm", norm_without_ord2)
+
+
 def read_report_csv(path: str) -> list[dict]:
     """Parse a convergence table back; inverse of ``report.write_report_csv``."""
     with open(path, encoding="utf-8") as fh:
@@ -213,7 +230,7 @@ def toy_two_level() -> OneParticleSystem:
     return OneParticleSystem(
         grid=grid, gamma=0.0, v=np.array([[0.0, 1.0], [1.0, 0.0]]),
         dgamma=build_free_dirac(grid), p_plus_gamma=free_positive_projector(grid),
-        fw_blocks=foldy_wouthuysen(grid), u_gamma=np.eye(2), gap=1.0,
+        fw_blocks=foldy_wouthuysen(grid), u_gamma=np.eye(2),
         evals=np.array([-1.0, 1.0]), evecs=np.eye(2)[:, ::-1].copy(),
     )
 

@@ -145,6 +145,30 @@ def test_front_end_loads_no_numpy(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("doc,field", [
+    (lambda x: {"grid": {"map_scale": x}}, "grid.map_scale"),
+    (lambda x: {"nbody": {"z_charge": x}}, "nbody.z_charge"),
+    (lambda x: {"gamma_list": [0.1, x]}, "gamma"),
+], ids=["map_scale", "z_charge", "gamma_list"])
+def test_non_finite_config_float_exit_2(tmp_path, doc, field, value):
+    # json.load parses NaN and Infinity; the range checks reject both, so
+    # the command exits 2 naming the field before numpy loads
+    cfg = write_cfg(tmp_path, doc(value))
+    code = textwrap.dedent(f"""
+        import sys
+        from diracdiag import cli
+        rc = cli.main(["one-particle", "--config", {cfg!r}, "--output", {str(tmp_path / "o")!r}])
+        if "numpy" in sys.modules:
+            raise SystemExit("numpy loaded")
+        raise SystemExit(rc)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path), env=child_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error: ") and field in out.stderr
+
+
 def test_threads_flag_set_before_numpy_loads(tmp_path):
     # main translates --threads into the BLAS variables after parsing and
     # before the command body loads numpy, so the flag reaches the backend
@@ -237,6 +261,7 @@ def test_kato_margin_evaluated_once_per_run(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command,module,name,doc,expected", [
     ("one-particle", op, "assemble_system", {"grid": {"n": 32}}, [0, 0, 0]),
+    ("validate", op, "assemble_system", {"grid": {"n": 32}}, [0, 0, 0]),
     ("nbody", mb, "assemble_furry_exact",
      {"grid": {"n": 64}, "series_order": 4, "nbody": {"n_particles": 2, "n_plus": 4}},
      [0, 0, 0]),
@@ -245,7 +270,7 @@ def test_kato_margin_evaluated_once_per_run(tmp_path, monkeypatch):
     ("converge", mb, "assemble_furry_exact",
      {"grid": {"n": 64}, "series_order": 4, "nbody": {"n_particles": 2, "n_plus": 4}},
      [0, 0, 1, 1]),
-], ids=["one-particle", "nbody", "converge"])
+], ids=["one-particle", "validate", "nbody", "converge"])
 def test_one_particle_holds_one_system_at_a_time(tmp_path, monkeypatch, command, module, name,
                                                  doc, expected):
     # each coupling's system is released before the next one is assembled
@@ -261,7 +286,9 @@ def test_one_particle_holds_one_system_at_a_time(tmp_path, monkeypatch, command,
 
     monkeypatch.setattr(module, name, tracked)
     cfg = write_cfg(tmp_path, {"gamma_list": [0.1, 0.2, 0.3], **doc})
-    assert cli.main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+    # 32 nodes fail validate's hydrogen check (exit 1) after every check ran
+    assert cli.main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == (
+        command == "validate")
     assert alive_at_entry == expected
 
 
@@ -295,6 +322,31 @@ def test_validate_underresolved_grid_fails(tmp_path):
     # 8 nodes cannot carry the radial transform either
     pair = [ln for ln in report.splitlines() if ln.startswith("pair_round_trip")]
     assert pair and "FAIL" in pair[0]
+
+
+def test_validate_reads_the_one_particle_record(tmp_path):
+    # validate's per-coupling checks are one-particle's record, value for
+    # value; at zero coupling it skips the Sommerfeld and D_gamma^2 checks
+    cfg = write_cfg(tmp_path, {"grid": {"n": 32}, "gamma_list": [0.0, 0.1, 0.2]})
+    # 32 nodes fail validate's hydrogen check (exit 1) after every check ran
+    assert cli.main(["validate", "--config", cfg, "--output", str(tmp_path)]) == 1
+    assert cli.main(["one-particle", "--config", cfg, "--output", str(tmp_path)]) == 0
+    checks = {c["name"]: c["value"] for c in
+              json.loads((tmp_path / "validation.json").read_text())["results"]["checks"]}
+    per_gamma = json.loads((tmp_path / "one_particle.json").read_text())["results"]["per_gamma"]
+    compared = 0
+    for r in per_gamma:
+        keys = {"unitarity": "unitarity_residual", "intertwining": "intertwining_residual",
+                "gap_bound": "gap", "sommerfeld_ground": "sommerfeld_rel_error",
+                "dgamma_bound": "dgamma_margin"}
+        for check, key in keys.items():
+            name = f"{check}_gamma_{r['gamma']:.4f}"
+            if r["gamma"] == 0.0 and check in ("sommerfeld_ground", "dgamma_bound"):
+                assert name not in checks
+                continue
+            assert checks[name] == r[key], name
+            compared += 1
+    assert compared == 13
 
 
 def test_validate_default_scale_passes(tmp_path):

@@ -1,6 +1,9 @@
 """Projector/unitary/Hamiltonian series: toy closed forms and real grids."""
 
 import dataclasses
+import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from conftest import (
     coefficient_ratio_radius,
     dense_h_diag_series,
     dense_u_gamma_series,
+    forbid_svd,
     fw_matrix,
     lu_resolvent_distance,
     pu_series,
@@ -18,6 +22,7 @@ from conftest import (
     toy_two_level,
     traced_peak,
 )
+from diracdiag import cli, oneparticle
 from diracdiag import manybody as mb
 from diracdiag.decoupling import (
     DecouplingBundle,
@@ -36,6 +41,7 @@ from diracdiag.oneparticle import (
     assemble_system,
     build_free_dirac,
     exact_u_gamma,
+    foldy_wouthuysen,
     free_energies,
     free_positive_projector,
     fw_conjugate,
@@ -177,8 +183,39 @@ def test_u_series_rejects_mismatched_projector():
     p = riesz_projection_series(toy, 4)
     with pytest.raises(ValueError, match="order"):
         decoupled_rows(u_gamma_series(p, 1), riesz_projection_series(toy, 5), 1)
-    with pytest.raises(ConsistencyError, match="constant term"):
-        u_gamma_series(p, 0)
+    # a constant term 2e-11 off the free projector trips the gate too;
+    # build_decoupling_bundle never passes one, its P_0 is the same row mask
+    p0 = np.array(p[0])
+    p0[0, 0] -= 2e-11
+    for mismatched, n_plus in ((p, 0), (make_series([p0, *p.coeffs[1:]]), 1)):
+        with pytest.raises(ConsistencyError,
+                           match=r"^projector series constant term differs from the free projector$"):
+            u_gamma_series(mismatched, n_plus)
+
+
+def _turned_fw_rotation(angle):
+    """``foldy_wouthuysen`` with every node block turned by a further angle."""
+    turn = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
+    return lambda grid: turn @ foldy_wouthuysen(grid)
+
+
+DRIFT = r"projector series constant term drifted from P_\+\^0"
+
+
+def test_projector_constant_term_drift_gate_trips(monkeypatch, tmp_path, capsys):
+    # a FW rotation 1e-9 rad off sends the free projector 1e-9 away from the
+    # row mask that is the projector series' constant term
+    s = assemble_system(build_channel_grid(16), 0.2)
+    turned = dataclasses.replace(s, fw_blocks=_turned_fw_rotation(1e-9)(s.grid))
+    with pytest.raises(ConsistencyError, match=f"^{DRIFT}$"):
+        build_decoupling_bundle(turned, order=2)
+    monkeypatch.setattr(oneparticle, "foldy_wouthuysen", _turned_fw_rotation(1e-9))
+    doc = {"grid": {"n": 16}, "gamma_list": [0.2], "series_order": 2,
+           "nbody": {"n_particles": 1, "n_plus": 2}}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["converge", "--config", str(tmp_path / "cfg.json"),
+                     "--output", str(tmp_path / "o")]) == 3
+    assert re.search(f"^numerical failure: {DRIFT}$", capsys.readouterr().err, re.M)
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +365,16 @@ def test_bundle_shapes(bundle100, pu100, sys100):
 # structural gates: Frobenius pre-test, spectral decision
 # ---------------------------------------------------------------------------
 # Each gate gets a defect x with ||x||_F > tol >= ||x||_2, which must pass
-# through the SVD branch, and one just above tol, which must raise.  The
-# messages are the templates of the gate sites in decoupling.py.
+# through the spectral-norm branch, and one just above tol, which must
+# raise.  That branch takes no SVD (``forbid_svd``).  The messages are the
+# templates of the gate sites in decoupling.py.
 
 UNITARITY = "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}"
 H_HERMITIAN = "Hamiltonian coefficient {index} not Hermitian"
 H_LEAK = "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}"
 
 
-def _forces_svd(x, tol):
+def _needs_spectral_norm(x, tol):
     return np.linalg.norm(x) > tol >= np.linalg.norm(x, 2)
 
 
@@ -344,9 +382,10 @@ def _hermitian_defects(coeffs):
     return (c - c.conj().T for c in coeffs)
 
 
-def test_series_residual_gate():
+def test_series_residual_gate(monkeypatch):
     ok = 0.9e-9 * np.eye(4)
-    assert _forces_svd(ok, 1e-9)
+    assert _needs_spectral_norm(ok, 1e-9)
+    forbid_svd(monkeypatch)
     assert gate_norm2([np.zeros((4, 4)), ok], 1e-9, UNITARITY) == pytest.approx(0.9e-9)
     bad = [np.zeros((4, 4)), 1.1e-9 * np.eye(4)]
     with pytest.raises(ConsistencyError,
@@ -354,9 +393,10 @@ def test_series_residual_gate():
         gate_norm2(bad, 1e-9, UNITARITY)
 
 
-def test_projector_hermiticity_gate():
+def test_projector_hermiticity_gate(monkeypatch):
     ok = 0.45e-10j * np.eye(4)
-    assert _forces_svd(ok - ok.conj().T, 1e-10)
+    assert _needs_spectral_norm(ok - ok.conj().T, 1e-10)
+    forbid_svd(monkeypatch)
     message = "projector coefficients not Hermitian: {value:.3e}"
     gate_norm2(_hermitian_defects([np.eye(4), ok]), 1e-10, message)
     bad = [np.eye(4), 0.55e-10j * np.eye(4)]
@@ -364,23 +404,25 @@ def test_projector_hermiticity_gate():
         gate_norm2(_hermitian_defects(bad), 1e-10, message)
 
 
-def test_h_hermiticity_gate():
+def test_h_hermiticity_gate(monkeypatch):
     upper = np.diag([1.0, 0.0] * 4)
     ok = 0.45e-10j * upper
-    assert _forces_svd(ok - ok.conj().T, 1e-10)
+    assert _needs_spectral_norm(ok - ok.conj().T, 1e-10)
+    forbid_svd(monkeypatch)
     gate_norm2(_hermitian_defects([upper, ok]), 1e-10, H_HERMITIAN, scales=[upper, ok])
     bad = [upper, 0.55e-10j * upper]
     with pytest.raises(ConsistencyError, match=r"^Hamiltonian coefficient 1 not Hermitian$"):
         gate_norm2(_hermitian_defects(bad), 1e-10, H_HERMITIAN, scales=bad)
 
 
-def test_h_upper_block_leak_gate():
+def test_h_upper_block_leak_gate(monkeypatch):
     # F = U P in the FW frame, 4 positive states first: its rows past the
     # fourth are what H = F D F^H would carry out of the upper block
     upper = np.eye(4, 8)
     lower = np.vstack((np.zeros((4, 8)), np.eye(4, 8)))
     ok = 0.9e-9 * lower
-    assert _forces_svd(ok[4:], 1e-9)
+    assert _needs_spectral_norm(ok[4:], 1e-9)
+    forbid_svd(monkeypatch)
     gate_norm2((c[4:] for c in [upper, ok]), 1e-9, H_LEAK, scales=[upper, ok])
     bad = 1.1e-9 * lower
     with pytest.raises(ConsistencyError,
@@ -445,9 +487,10 @@ def test_decoupled_rows_gate_the_worst_coefficient():
         rows((1, 0, 2e-9), (2, 1, 3e-6), (3, 0, 1e-6))
 
 
-def test_resolvent_hermiticity_gate():
+def test_resolvent_hermiticity_gate(monkeypatch):
     ok = 0.45e-10j * np.eye(4)
-    assert _forces_svd(ok - ok.conj().T, 1e-10)
+    assert _needs_spectral_norm(ok - ok.conj().T, 1e-10)
+    forbid_svd(monkeypatch)
     assert resolvent_distance(ok, ok) == 0.0
     bad = 0.55e-10j * np.eye(4)
     with pytest.raises(ConsistencyError, match=r"^first argument is not Hermitian within tolerance$"):

@@ -1,7 +1,9 @@
 """Pair interaction, site-permutation sectors, N-particle assembly, convergence."""
 
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,12 +17,14 @@ from conftest import (
     dense_conjugated_compression,
     dense_furry,
     dense_two_site_assemble,
+    forbid_svd,
     lift_pair,
     lift_single,
     lu_resolvent_distance,
     series_truncate,
     traced_peak,
 )
+from diracdiag import cli
 from diracdiag import manybody as mb
 from diracdiag.config import NbodyConfig
 from diracdiag.decoupling import build_decoupling_bundle, resolvent_distance
@@ -335,6 +339,21 @@ def test_transported_frame_orthonormality_gate(sys100):
         mb.assemble_furry_exact(scaled, cfg)
 
 
+def test_transported_frame_leak_gate(sys100):
+    # U_gamma turned by 1e-8 rad in the plane of the lowest positive and the
+    # highest negative eigenvector carries the first retained state into the
+    # lower block by 1e-8, with the frame orthonormal to 1e-16
+    s = sys100(0.2)
+    k = int(np.searchsorted(s.evals, 0.0))
+    x_m, x_p = s.evecs[:, k - 1], s.evecs[:, k]
+    turn = np.eye(s.dim) + 1e-8 * (np.outer(x_m, x_p) - np.outer(x_p, x_m))
+    turned = dataclasses.replace(s, u_gamma=s.u_gamma @ turn)
+    cfg = NbodyConfig(n_particles=1, z_charge=2.0, n_plus=8)
+    with pytest.raises(ConsistencyError,
+                       match=r"^transported frame leaks into the lower block: 1\.000e-08$"):
+        mb.assemble_furry_exact(turned, cfg)
+
+
 def test_pair_projection_gate_rejects_an_indefinite_projection(sys100, pair100):
     # the tolerance is 1e-9 max(1, ||W||) = 2e-9, the norm read off W's eigenvalues
     cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=3)
@@ -610,10 +629,33 @@ def test_weighted_remainder_matches_dense_oracle(sys100, pair100, bundle100, n_p
     assert checked >= 4
 
 
-def test_restriction_consistency_gate():
+def test_restriction_consistency_gate(monkeypatch):
     cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6)
+    mb.site_sectors(6, 2)  # cached; its N! x N! SVDs build the basis, not a norm
+    forbid_svd(monkeypatch)
     gate = mb.check_restriction_consistency(0.3, cfg)
     assert gate < 1e-8
+
+
+RESTRICTION = (r"restriction/conjugation order disagreement 1\.000e-07 > 1e-8 "
+               r"on the small cross-check instance")
+
+
+def test_restriction_consistency_gate_trips(monkeypatch, tmp_path, capsys):
+    # 1e-7 times the identity added to the full-space conjugated compression
+    # moves every sector block of it by exactly 1e-7
+    compression = mb._conjugated_compression
+    monkeypatch.setattr(mb, "_conjugated_compression",
+                        lambda fs: compression(fs) + 1e-7 * np.eye(fs.psi.shape[1] ** 2))
+    cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=4)
+    with pytest.raises(ConsistencyError, match=f"^{RESTRICTION}$"):
+        mb.check_restriction_consistency(0.1, cfg)
+    doc = {"grid": {"n": 64}, "gamma_list": [0.1], "series_order": 2,
+           "nbody": {"n_particles": 2, "n_plus": 4}}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["converge", "--config", str(tmp_path / "cfg.json"),
+                     "--output", str(tmp_path / "o")]) == 3
+    assert re.search(f"^numerical failure: {RESTRICTION}$", capsys.readouterr().err, re.M)
 
 
 @pytest.mark.parametrize("n_plus", [4, 6])
