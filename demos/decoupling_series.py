@@ -17,8 +17,8 @@ from diracdiag.oneparticle import (
     assemble_system,
     build_free_dirac,
     foldy_wouthuysen,
-    free_positive_projector,
     fw_conjugate,
+    positive_projector,
 )
 from diracdiag.series import coefficient_norms, series_eval
 
@@ -42,7 +42,8 @@ def main():
     for gamma in (0.05, 0.1, 0.2, 0.3, 0.37):
         s = assemble_system(grid, gamma)
         p_err = np.linalg.norm(
-            series_eval(p_series, gamma) - fw_conjugate(s.fw_blocks, s.p_plus_gamma), 2)
+            series_eval(p_series, gamma)
+            - fw_conjugate(s.fw_blocks, positive_projector(s.evals, s.evecs)), 2)
         u_err = np.linalg.norm(
             series_eval(u_series, gamma) - fw_conjugate(s.fw_blocks, s.u_gamma), 2)
         print(f"{gamma:>8.2f} {p_err:>14.3e} {u_err:>14.3e}")
@@ -55,8 +56,8 @@ def main():
     d0 = build_free_dirac(toy_grid)
     v = np.array([[0.0, 1.0], [1.0, 0.0]])
     toy = OneParticleSystem(
-        grid=toy_grid, gamma=0.0, v=v, dgamma=d0, p_plus_gamma=free_positive_projector(toy_grid),
-        fw_blocks=foldy_wouthuysen(toy_grid), u_gamma=np.eye(2),
+        grid=toy_grid, gamma=0.0, v=v, dgamma=d0, fw_blocks=foldy_wouthuysen(toy_grid),
+        u_gamma=np.eye(2),
         evals=np.array([-1.0, 1.0]), evecs=np.eye(2)[:, ::-1].copy(),
     )
     p_toy = riesz_projection_series(toy, 4)

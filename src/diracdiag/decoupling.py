@@ -29,10 +29,12 @@ from .errors import gate
 from .oneparticle import (
     OneParticleSystem,
     _norm2,
+    dense_potential,
     free_energies,
     free_positive_projector,
     fw_conjugate,
     fw_rows,
+    positive_projector,
 )
 from .series import (
     MatrixSeries,
@@ -51,10 +53,12 @@ def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     The frame is R = Pi B (``oneparticle.fw_rows``), the positive free
     states first, so the free eigenvalues are +E then -E, read from the
-    grid (``oneparticle.free_energies``).
+    grid (``oneparticle.free_energies``).  The potential is conjugated as
+    a dense matrix (``oneparticle.dense_potential``).
     """
     e = free_energies(sys.grid)
-    return sys.fw_blocks, np.concatenate((e, -e)), fw_conjugate(sys.fw_blocks, sys.v)
+    vfw = fw_conjugate(sys.fw_blocks, dense_potential(sys.v))
+    return sys.fw_blocks, np.concatenate((e, -e)), vfw
 
 
 def riesz_projection_series(sys: OneParticleSystem, order: int) -> MatrixSeries:
@@ -322,5 +326,6 @@ def h_diag_exact(sys: OneParticleSystem) -> np.ndarray:
     The lower rows of R U_gamma P_gamma = P0 R U_gamma vanish, so this is
     the operator's only nonzero block.
     """
-    e = fw_rows(sys.fw_blocks, sys.u_gamma @ sys.p_plus_gamma)[:sys.fw_blocks.shape[0]]
+    pg = positive_projector(sys.evals, sys.evecs)
+    e = fw_rows(sys.fw_blocks, sys.u_gamma @ pg)[:sys.fw_blocks.shape[0]]
     return e @ sys.dgamma @ e.conj().T

@@ -40,6 +40,7 @@ from .oneparticle import (
     d_gamma,
     free_energies,
     fw_rows,
+    positive_projector,
     positive_states,
     rayleigh_quotients,
 )
@@ -549,7 +550,7 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
 
     # conjugated path, through the assembled unitaries
     phi_rt = sys.u_gamma.conj().T @ fw_rows(blocks, psi, back=True)
-    pp = sys.p_plus_gamma @ phi_rt
+    pp = positive_projector(sys.evals, sys.evecs) @ phi_rt
     k1 = pp.conj().T @ sys.dgamma @ pp
     w2_rt = None
     if n_sites >= 2:
@@ -876,7 +877,7 @@ def _conjugated_compression(fs: FurrySystem) -> np.ndarray:
     """
     sys, pair = fs.one_particle, fs.pair
     d = sys.grid.dim
-    e = fw_rows(sys.fw_blocks, sys.u_gamma @ sys.p_plus_gamma)
+    e = fw_rows(sys.fw_blocks, sys.u_gamma @ positive_projector(sys.evals, sys.evecs))
     e_psi = e.conj().T @ fs.psi
     y = np.kron(e_psi, e_psi)
     y3 = y.reshape(d, d, -1)

@@ -134,21 +134,41 @@ _COULOMB: dict[int, np.ndarray] = {}
 
 
 def build_coulomb(grid: ChannelGrid) -> np.ndarray:
-    """Coulomb coupling matrix V, block-diagonal in the spinor component.
+    """Coulomb coupling V as its two spinor-component blocks, shape (2, n, n).
 
+    V does not couple the spinor components, so only its blocks are held:
+    v[0] acts on the upper components (rows and columns 0::2 of the
+    interleaved layout), v[1] on the lower ones (1::2); the cross blocks
+    are exactly zero.  ``dense_potential`` forms the dim x dim matrix.
     V does not depend on the coupling, so it is built once per grid object
     and shared read-only by every system assembled on that grid; it is
     dropped with the grid.
     """
     v = _COULOMB.get(id(grid))
     if v is None:
-        v = np.zeros((grid.dim, grid.dim))
-        v[0::2, 0::2] = coulomb_channel_matrix(grid.p, grid.w, grid.l_upper)
-        v[1::2, 1::2] = coulomb_channel_matrix(grid.p, grid.w, grid.l_lower)
+        v = np.empty((2, grid.n, grid.n))
+        v[0] = coulomb_channel_matrix(grid.p, grid.w, grid.l_upper)
+        v[1] = coulomb_channel_matrix(grid.p, grid.w, grid.l_lower)
         v.flags.writeable = False
         _COULOMB[id(grid)] = v
         weakref.finalize(grid, _COULOMB.pop, id(grid), None)
     return v
+
+
+def dense_potential(v: np.ndarray) -> np.ndarray:
+    """A system's potential as a dim x dim matrix in the interleaved layout.
+
+    v is either the (2, n, n) spinor blocks of ``build_coulomb`` or, for a
+    hand-built system whose potential couples the components, already the
+    dense matrix, which is returned as it is.
+    """
+    if v.ndim == 2:
+        return v
+    n = v.shape[1]
+    out = np.zeros((2 * n, 2 * n), dtype=v.dtype)
+    out[0::2, 0::2] = v[0]
+    out[1::2, 1::2] = v[1]
+    return out
 
 
 def free_energies(grid: ChannelGrid) -> np.ndarray:
@@ -196,18 +216,30 @@ def foldy_wouthuysen(grid: ChannelGrid) -> np.ndarray:
 # ``fw_conjugate``, at O(n) per column.
 
 def fw_rows(blocks: np.ndarray, x: np.ndarray, back: bool = False) -> np.ndarray:
-    """R x for R = Pi B given by the node blocks of B, or R^T x with back."""
+    """R x for R = Pi B given by the node blocks of B, or R^T x with back.
+
+    Each half of the result is written into one preallocated output as a
+    product, with the second product added from one half-height scratch,
+    so no other temporary of x's size is formed.  R x keeps x's memory
+    order and R^T x is C-ordered: the BLAS products that read the results
+    (U_gamma's among them) round differently in another layout.
+    """
     n = blocks.shape[0]
     x2 = x.reshape(x.shape[0], -1)
     a, b = blocks[:, 0, 0, None], blocks[:, 0, 1, None]
     c, d = blocks[:, 1, 0, None], blocks[:, 1, 1, None]
-    if not back:
+    dtype = np.result_type(blocks, x)
+    out = np.empty(x2.shape, dtype) if back else np.empty_like(x2, dtype=dtype)
+    scratch = np.empty_like(x2[:n], dtype=dtype)
+    if back:
+        top, bot = x2[:n], x2[n:]
+        halves = ((out[0::2], a, top, c, bot), (out[1::2], b, top, d, bot))
+    else:
         up, lo = x2[0::2], x2[1::2]
-        return np.concatenate((a * up + b * lo, c * up + d * lo)).reshape(x.shape)
-    top, bot = x2[:n], x2[n:]
-    out = np.empty((n, 2, x2.shape[1]), dtype=np.result_type(blocks, x))
-    out[:, 0] = a * top + c * bot
-    out[:, 1] = b * top + d * bot
+        halves = ((out[:n], a, up, b, lo), (out[n:], c, up, d, lo))
+    for half, f, y, g, z in halves:
+        np.multiply(f, y, out=half)
+        half += np.multiply(g, z, out=scratch)
     return out.reshape(x.shape)
 
 
@@ -232,10 +264,12 @@ def exact_u_gamma(pg: np.ndarray, n_plus: int) -> np.ndarray:
     closer than distance 1, which makes S positive definite; the smaller
     lowest eigenvalue of the two blocks is exactly 1 - ||P0 - pg||^2, so
     no separate norm is taken.
+    pg is overwritten: it is turned into M = P0 pg + Q0 Qg in place, so
+    besides U no array of its size is formed.  Pass a copy to keep it.
     """
     k, dim = n_plus, pg.shape[0]
     # M = P0 pg + Q0 Qg = (P0 - Q0) pg + Q0, and S is M's block-diagonal part
-    m = pg.copy()
+    m = pg
     m[k:] *= -1.0
     m[k:, k:] += np.eye(dim - k)
     halves = [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in (m[:k, :k], m[k:, k:])]
@@ -256,11 +290,15 @@ def exact_u_gamma(pg: np.ndarray, n_plus: int) -> np.ndarray:
 class OneParticleSystem:
     """The matrices of one channel at one coupling, plus spectral data.
 
-    Apart from v, the grid's Coulomb matrix (``build_coulomb``), which every
-    system on the grid shares read-only, a system holds only what depends
-    on the coupling.  The free operator D_0 and its positive projector are
-    closed-form node blocks, read from the grid (``free_energies``,
-    ``free_positive_projector``) and not stored.
+    Apart from v, the grid's Coulomb matrix as its two spinor blocks
+    (``build_coulomb``), which every system on the grid shares read-only,
+    a system holds only what depends on the coupling and cannot be rebuilt
+    from the rest at the cost of one product: dgamma, u_gamma and the
+    eigenpairs, three dim x dim arrays.  The positive spectral projector
+    P_gamma is formed from the eigenpairs when it is needed
+    (``positive_projector``).  The free operator D_0 and its positive
+    projector are closed-form node blocks, read from the grid
+    (``free_energies``, ``free_positive_projector``) and not stored.
     evals are the raw ``eigh`` values, ascending, with evecs columns
     matching.  They carry the eigensolver's backward error eps*||D_gamma||,
     which moves with the BLAS thread count, so the levels a run reports,
@@ -273,7 +311,6 @@ class OneParticleSystem:
     gamma: float
     v: np.ndarray
     dgamma: np.ndarray
-    p_plus_gamma: np.ndarray
     fw_blocks: np.ndarray
     u_gamma: np.ndarray
     evals: np.ndarray
@@ -282,6 +319,12 @@ class OneParticleSystem:
     @property
     def dim(self) -> int:
         return self.grid.dim
+
+
+def positive_projector(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """P_gamma = X_+ X_+^H, X_+ the eigenvector columns of the positive eigenvalues."""
+    pos = evecs[:, evals > 0.0]
+    return pos @ pos.conj().T
 
 
 def _freeze(*mats: np.ndarray) -> None:
@@ -294,29 +337,33 @@ def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
 
     Raises GapError when an eigenvalue sits within GAP_FLOOR of zero, since
     then the positive spectral projector is not numerically well defined.
+    P_gamma is formed only to be conjugated into the FW frame and is then
+    dropped; ``exact_u_gamma`` turns that conjugate into its M in place.
+    The system keeps three dim x dim arrays.  While U_gamma is built, at
+    most 3.5 more are alive beside D_gamma, its eigenvectors and V: a
+    conjugation's input, first pass, output and half-height scratch, or
+    M, U and a column half of their product.
     """
     if not 0.0 <= gamma < GAMMA_MAX:
         raise ValueError(f"coupling {gamma} outside [0, sqrt(3)/2)")
     v = build_coulomb(grid)
     dgamma = build_free_dirac(grid)
-    dgamma += gamma * v
+    for c in (0, 1):
+        dgamma[c::2, c::2] += gamma * v[c]
     evals, evecs = np.linalg.eigh(dgamma)
     gap = float(np.min(np.abs(evals)))
     gate(-gap, -GAP_FLOOR, "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero",
          GapError, gap=gap, floor=GAP_FLOOR)
-    pos = evecs[:, evals > 0.0]
-    p_plus_gamma = pos @ pos.conj().T
-    del pos
     blocks = foldy_wouthuysen(grid)
     if gamma == 0.0:
         u_gamma = np.eye(grid.dim)
     else:
-        u_gamma = fw_conjugate(blocks, exact_u_gamma(fw_conjugate(blocks, p_plus_gamma), grid.n),
-                               back=True)
-    _freeze(dgamma, p_plus_gamma, blocks, u_gamma, evals, evecs)
+        u_gamma = fw_conjugate(blocks, exact_u_gamma(
+            fw_conjugate(blocks, positive_projector(evals, evecs)), grid.n), back=True)
+    _freeze(dgamma, blocks, u_gamma, evals, evecs)
     return OneParticleSystem(
-        grid=grid, gamma=float(gamma), v=v, dgamma=dgamma, p_plus_gamma=p_plus_gamma,
-        fw_blocks=blocks, u_gamma=u_gamma, evals=evals, evecs=evecs)
+        grid=grid, gamma=float(gamma), v=v, dgamma=dgamma, fw_blocks=blocks,
+        u_gamma=u_gamma, evals=evals, evecs=evecs)
 
 
 def rayleigh_quotients(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -449,7 +496,7 @@ def check_kato(grid: ChannelGrid) -> float:
     v = build_coulomb(grid)
     lows = []
     for c in (0, 1):
-        m = e + v[c::2, c::2]
+        m = e + v[c]
         y = lowest_eigenvector(m.copy())
         lows.append(float(rayleigh_quotients(m, y[:, None])[0]))
     return float(np.min(lows))

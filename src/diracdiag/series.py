@@ -18,7 +18,6 @@ import numpy as np
 from .oneparticle import _norm2
 
 ORDER_CAP = 64
-INV_COND_CAP = 1e12
 INV_SQRT_BASE_TOL = 1e-10
 
 
@@ -118,27 +117,6 @@ def series_eval(a: MatrixSeries, g: float) -> np.ndarray:
     return acc
 
 
-def inverse_coefficients(a) -> list[np.ndarray]:
-    """Multiplicative inverse: B_0 = A_0^-1, B_n = -A_0^-1 sum_{m>=1} A_m B_{n-m}.
-
-    Refuses serieses whose constant term is singular or ill-conditioned,
-    since every higher coefficient multiplies by A_0^-1 once per order.
-    """
-    s = np.linalg.svd(a[0], compute_uv=False)
-    if s[-1] == 0.0 or s[0] / s[-1] > INV_COND_CAP:
-        raise ValueError(
-            f"constant term is not safely invertible: smallest singular value {s[-1]:.3e}"
-        )
-    a0_inv = np.linalg.inv(a[0])
-    inv = [a0_inv]
-    for n in range(1, len(a)):
-        acc = np.zeros_like(a0_inv)
-        for m in range(1, n + 1):
-            acc = acc + a[m] @ inv[n - m]
-        inv.append(-a0_inv @ acc)
-    return inv
-
-
 def inv_sqrt_coefficients(a) -> list[np.ndarray]:
     """Inverse square root by the coefficient recurrence of B^2 = A^-1.
 
@@ -148,12 +126,16 @@ def inv_sqrt_coefficients(a) -> list[np.ndarray]:
     Matrices, ch. 6).  That is O(K^2) products where the binomial series
     sum_m c_m (A - I)^m costs O(K^3); both give the unique series with
     B_0 = I.  The result commutes with A order by order and squares to the
-    inverse of A.
+    inverse of A.  With A_0 = I, T starts at T_0 = I and follows
+    T_n = -sum_{m>=1} A_m T_(n-m), so no inverse of A_0 is taken; the
+    identity check bounds A_0's condition number by 1 + 3e-10.
     """
     dim = a[0].shape[0]
     if np.linalg.norm(a[0] - np.eye(dim)) > INV_SQRT_BASE_TOL:
         raise ValueError("inverse square root requires an identity constant term")
-    t = inverse_coefficients(a)
+    t = [np.eye(dim)]
+    for n in range(1, len(a)):
+        t.append(-sum(a[m] @ t[n - m] for m in range(1, n + 1)))
     b = [np.eye(dim)]
     for n in range(1, len(a)):
         acc = t[n]

@@ -26,10 +26,12 @@ from diracdiag.oneparticle import (
     OneParticleSystem,
     assemble_system,
     build_free_dirac,
+    coulomb_channel_matrix,
+    dense_potential,
     foldy_wouthuysen,
     free_energies,
-    free_positive_projector,
     fw_rows,
+    positive_projector,
 )
 from diracdiag.report import REPORT_COLUMNS
 from diracdiag.series import (
@@ -37,7 +39,6 @@ from diracdiag.series import (
     cauchy_coefficients,
     coefficient_norms,
     inv_sqrt_coefficients,
-    inverse_coefficients,
     make_series,
 )
 
@@ -215,6 +216,16 @@ def lu_resolvent_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(resolvent(a) - resolvent(b), 2))
 
 
+def dense_coulomb(grid: ChannelGrid) -> np.ndarray:
+    """V as one dim x dim matrix, each channel matrix written into its
+    spinor block of the interleaved layout: the dense form that
+    ``oneparticle.build_coulomb`` holds as two blocks."""
+    v = np.zeros((grid.dim, grid.dim))
+    v[0::2, 0::2] = coulomb_channel_matrix(grid.p, grid.w, grid.l_upper)
+    v[1::2, 1::2] = coulomb_channel_matrix(grid.p, grid.w, grid.l_lower)
+    return v
+
+
 def toy_grid() -> ChannelGrid:
     """One momentum node at p = 0: D_0 = diag(1, -1) and an identity FW block."""
     return ChannelGrid(kappa=-1, n=1, map_scale=1.0, p=np.zeros(1), w=np.ones(1))
@@ -229,8 +240,7 @@ def toy_two_level() -> OneParticleSystem:
     grid = toy_grid()
     return OneParticleSystem(
         grid=grid, gamma=0.0, v=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        dgamma=build_free_dirac(grid), p_plus_gamma=free_positive_projector(grid),
-        fw_blocks=foldy_wouthuysen(grid), u_gamma=np.eye(2),
+        dgamma=build_free_dirac(grid), fw_blocks=foldy_wouthuysen(grid), u_gamma=np.eye(2),
         evals=np.array([-1.0, 1.0]), evecs=np.eye(2)[:, ::-1].copy(),
     )
 
@@ -289,6 +299,30 @@ def series_mul(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
 
 def series_adjoint(a: MatrixSeries) -> MatrixSeries:
     return make_series([c.conj().T for c in a.coeffs])
+
+
+INV_COND_CAP = 1e12
+
+
+def inverse_coefficients(a) -> list[np.ndarray]:
+    """Multiplicative inverse: B_0 = A_0^-1, B_n = -A_0^-1 sum_{m>=1} A_m B_{n-m}.
+
+    Refuses serieses whose constant term is singular or ill-conditioned,
+    since every higher coefficient multiplies by A_0^-1 once per order.
+    """
+    s = np.linalg.svd(a[0], compute_uv=False)
+    if s[-1] == 0.0 or s[0] / s[-1] > INV_COND_CAP:
+        raise ValueError(
+            f"constant term is not safely invertible: smallest singular value {s[-1]:.3e}"
+        )
+    a0_inv = np.linalg.inv(a[0])
+    inv = [a0_inv]
+    for n in range(1, len(a)):
+        acc = np.zeros_like(a0_inv)
+        for m in range(1, n + 1):
+            acc = acc + a[m] @ inv[n - m]
+        inv.append(-a0_inv @ acc)
+    return inv
 
 
 def series_inv(a: MatrixSeries) -> MatrixSeries:
@@ -377,8 +411,9 @@ def dense_h_diag_series(sys: OneParticleSystem, f_series: MatrixSeries) -> Matri
     """F (R D R^T) F^H for F in the FW frame and the operator series
     D = D_0 + g V, full size; R = ``fw_matrix`` of the system's blocks."""
     q = fw_matrix(sys.fw_blocks)
-    d = make_series([q @ build_free_dirac(sys.grid) @ q.T, q @ sys.v @ q.T]
-                    + [np.zeros_like(sys.v)] * (f_series.order - 1))
+    v = dense_potential(sys.v)
+    d = make_series([q @ build_free_dirac(sys.grid) @ q.T, q @ v @ q.T]
+                    + [np.zeros_like(v)] * (f_series.order - 1))
     return series_mul(series_mul(f_series, d), series_adjoint(f_series))
 
 
@@ -437,7 +472,7 @@ def dense_conjugated_compression(fs) -> np.ndarray:
     z = pair.densities(eye)
     w = dense_two_site_assemble(z, pair.kernel, z, d)
     h2 = np.kron(sys.dgamma, eye) + np.kron(eye, sys.dgamma) + (sys.gamma / fs.config.z_charge) * w
-    e = fw_rows(sys.fw_blocks, sys.u_gamma @ sys.p_plus_gamma)
+    e = fw_rows(sys.fw_blocks, sys.u_gamma @ positive_projector(sys.evals, sys.evecs))
     e_psi = e.conj().T @ fs.psi
     y = np.kron(e_psi, e_psi)
     return y.conj().T @ h2 @ y
@@ -522,7 +557,7 @@ def dense_furry(fs, bundle=None) -> dict:
     u_phi = sys.u_gamma @ phi
     out["abs_d0_psi"] = one_site_sum(u_phi.T @ absd @ u_phi, psi.T @ psi)
     q = fw_matrix(sys.fw_blocks)
-    pp = sys.p_plus_gamma @ sys.u_gamma.T @ q.T @ psi
+    pp = positive_projector(sys.evals, sys.evecs) @ sys.u_gamma.T @ q.T @ psi
     s1 = pp.T @ pp
     out["h_diag"] = one_site_sum(pp.T @ sys.dgamma @ pp, s1)
     out["h_furry"] = out["kinetic"]

@@ -17,6 +17,7 @@ import pytest
 from conftest import (
     binomial_half_coefficients,
     child_env,
+    dense_coulomb,
     series_adjoint,
     series_identity,
     series_inv,
@@ -38,6 +39,7 @@ from diracdiag.oneparticle import (
     decoupling_residuals,
     fw_conjugate,
     positive_levels,
+    positive_projector,
     sommerfeld_energy,
 )
 from diracdiag.series import make_series, series_eval
@@ -120,7 +122,7 @@ def test_criterion_4_series_correctness(sys200, pu200):
     s = sys200(0.2)
     p_series, u_series = pu200
     p_err = np.linalg.norm(series_eval(p_series, 0.2)
-                           - fw_conjugate(s.fw_blocks, s.p_plus_gamma), 2)
+                           - fw_conjugate(s.fw_blocks, positive_projector(s.evals, s.evecs)), 2)
     u_err = np.linalg.norm(series_eval(u_series, 0.2)
                            - fw_conjugate(s.fw_blocks, s.u_gamma), 2)
     toy = toy_two_level()
@@ -166,7 +168,7 @@ def test_criterion_6_weighted_remainder(rows_n1):
 def test_criterion_7_inequality_diagnostics(sys200, fs2):
     s = sys200(0.3)
     kato = check_kato(s.grid)
-    kato_floor = -1e-4 * float(np.linalg.norm(s.v, 2))
+    kato_floor = -1e-4 * float(np.linalg.norm(dense_coulomb(s.grid), 2))
     dg_margins = {g: check_dgamma_bound(sys200(g)) for g in GAMMAS_MAIN}
     form_value = mb.check_form_bound(fs2)
     form_limit = mb.form_bound_limit(fs2)

@@ -47,6 +47,7 @@ from diracdiag.oneparticle import (
     fw_conjugate,
     fw_rows,
     positive_levels,
+    positive_projector,
 )
 from diracdiag.series import make_series, series_eval, series_partial_sums
 
@@ -225,8 +226,8 @@ def test_projector_constant_term_drift_gate_trips(monkeypatch, tmp_path, capsys)
 def test_projector_series_matches_exact(pu100, sys100):
     # the bundle's series is in the FW frame; the spectral norm is invariant
     s = sys100(0.2)
-    err = np.linalg.norm(
-        series_eval(pu100[0], 0.2) - fw_conjugate(s.fw_blocks, s.p_plus_gamma), 2)
+    pg = positive_projector(s.evals, s.evecs)
+    err = np.linalg.norm(series_eval(pu100[0], 0.2) - fw_conjugate(s.fw_blocks, pg), 2)
     assert err < 1e-7
 
 
@@ -262,7 +263,7 @@ def test_hamiltonian_coefficients_upper_supported(pu100, sys100):
 
 def test_h_diag_exact_spectrum(sys100):
     s = sys100(0.3)
-    e = fw_rows(s.fw_blocks, s.u_gamma @ s.p_plus_gamma)
+    e = fw_rows(s.fw_blocks, s.u_gamma @ positive_projector(s.evals, s.evecs))
     hd = e @ s.dgamma @ e.T
     # lower block empty, upper block carries exactly the positive spectrum
     assert np.linalg.norm(hd[100:, :], 2) < 1e-9

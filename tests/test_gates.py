@@ -88,6 +88,61 @@ ONE_PARTICLE_TEMPLATES = {
 }
 
 
+# The test that trips each gate, as file::name; each asserts the typed error
+# and the rendered template.
+TRIP_TESTS = {
+    "projector series constant term drifted from P_+^0":
+        "test_decoupling.py::test_projector_constant_term_drift_gate_trips",
+    "projector coefficients not Hermitian: {value:.3e}":
+        "test_decoupling.py::test_projector_hermiticity_gate",
+    "projector series constant term differs from the free projector":
+        "test_decoupling.py::test_u_series_rejects_mismatched_projector",
+    "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}":
+        "test_decoupling.py::test_series_residual_gate",
+    "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}":
+        "test_decoupling.py::test_h_upper_block_leak_gate",
+    "intertwining defect of the U series: coefficient residual {value:.3e} > {tol:.1e}":
+        "test_decoupling.py::test_decoupled_rows_gate_the_worst_coefficient",
+    "Hamiltonian coefficient {index} not Hermitian":
+        "test_decoupling.py::test_h_hermiticity_gate",
+    "first argument is not Hermitian within tolerance":
+        "test_decoupling.py::test_resolvent_hermiticity_gate",
+    "second argument is not Hermitian within tolerance":
+        "test_decoupling.py::test_resolvent_hermiticity_gate",
+    "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1":
+        "test_oneparticle.py::test_exact_u_gamma_rejects_far_projectors",
+    "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero":
+        "test_oneparticle.py::test_assemble_gap_floor_raises",
+    "lowest eigenvector not found: Rayleigh quotient {value:.3e} "
+    "from the lowest eigenvalue > {tol:.1e}":
+        "test_oneparticle.py::test_lowest_eigenvector_gate_rejects_a_shift_in_mid_spectrum",
+    "radial transform round-trip defect {value:.3e} > 1e-6; "
+    "adjust n_radial or r_max to the momentum grid":
+        "test_manybody.py::test_pair_gate_raises_on_coarse_grid",
+    "transported frame leaks into the lower block: {value:.3e}":
+        "test_manybody.py::test_transported_frame_leak_gate",
+    "transported frame is not orthonormal: {value:.3e}":
+        "test_manybody.py::test_transported_frame_orthonormality_gate",
+    "pair projection not positive semidefinite: lowest eigenvalue {low:.3e}":
+        "test_manybody.py::test_pair_projection_gate_rejects_an_indefinite_projection",
+    "weight matrix not positive definite: eigenvalue {low:.3e}":
+        "test_manybody.py::test_bounds_reject_indefinite_weights",
+    "weight matrix not positive definite: {exc}":
+        "test_manybody.py::test_bounds_reject_indefinite_weights",
+    "restriction/conjugation order disagreement {value:.3e} > 1e-8 "
+    "on the small cross-check instance":
+        "test_manybody.py::test_restriction_consistency_gate_trips",
+}
+
+
+def test_every_passed_gate_has_a_trip_test():
+    assert set(TRIP_TESTS) == PASSED_TEMPLATES | ONE_PARTICLE_TEMPLATES
+    tests = Path(__file__).resolve().parent
+    for where in set(TRIP_TESTS.values()):
+        path, name = where.split("::")
+        assert re.search(rf"^def {name}\(", (tests / path).read_text(encoding="utf-8"), re.M), where
+
+
 def _run_recording_gates(tmp_path, monkeypatch, commands):
     """Run the commands on a small config; return the templates of the gates they passed."""
     passed = set()

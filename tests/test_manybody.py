@@ -117,7 +117,9 @@ def test_pair_round_trip_gate(grid100, pair100):
 
 
 def test_pair_gate_raises_on_coarse_grid():
-    with pytest.raises(ResolutionError, match="round-trip"):
+    with pytest.raises(ResolutionError,
+                       match=r"^radial transform round-trip defect \d\.\d{3}e[+-]\d\d > 1e-6; "
+                             r"adjust n_radial or r_max to the momentum grid$"):
         mb.build_pair_interaction(build_channel_grid(8))
 
 
@@ -335,7 +337,8 @@ def test_transported_frame_orthonormality_gate(sys100):
     assert np.linalg.norm(fs.psi.conj().T @ fs.psi - np.eye(8), 2) <= 1e-13
     # a scaled U_gamma keeps the frame positive but stretches it
     scaled = dataclasses.replace(s, u_gamma=(1 + 1e-6) * s.u_gamma)
-    with pytest.raises(ConsistencyError, match="transported frame is not orthonormal"):
+    with pytest.raises(ConsistencyError,
+                       match=r"^transported frame is not orthonormal: 2\.000e-06$"):
         mb.assemble_furry_exact(scaled, cfg)
 
 
@@ -359,7 +362,8 @@ def test_pair_projection_gate_rejects_an_indefinite_projection(sys100, pair100):
     cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=3)
     indefinite = dataclasses.replace(pair100)
     object.__setattr__(indefinite, "project", lambda frame: np.diag([2.0] + [1.0] * 7 + [-3e-9]))
-    with pytest.raises(ConsistencyError, match=r"^pair projection not positive semidefinite"):
+    with pytest.raises(ConsistencyError, match=r"^pair projection not positive semidefinite: "
+                                               r"lowest eigenvalue -3\.000e-09$"):
         mb.assemble_furry_exact(sys100(0.3), cfg, indefinite)
     object.__setattr__(indefinite, "project", lambda frame: np.diag([2.0] + [1.0] * 7 + [-1.5e-9]))
     mb.assemble_furry_exact(sys100(0.3), cfg, indefinite)
@@ -518,9 +522,13 @@ def test_bounds_match_inverse_square_root_formulas(sys100, pair100, n_particles,
 def test_bounds_reject_indefinite_weights(sys100, pair100):
     fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(2, 2.0, 6), pair100)
     negated = tuple(-h for h in fs.h_furry_exact)
-    with pytest.raises(ConsistencyError, match="not positive definite"):
+    with pytest.raises(np.linalg.LinAlgError) as cholesky:
+        np.linalg.cholesky(negated[0])
+    message = f"weight matrix not positive definite: {cholesky.value}"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
         mb.check_kinetic_weight_bound(dataclasses.replace(fs, h_furry_exact=negated))
-    with pytest.raises(ConsistencyError, match="not positive definite"):
+    with pytest.raises(ConsistencyError, match=r"^weight matrix not positive definite: "
+                                               r"eigenvalue -\d\.\d{3}e[+-]\d\d$"):
         mb.check_form_bound(dataclasses.replace(fs, kinetic=tuple(-t for t in fs.kinetic)))
 
 

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +13,7 @@ from scipy.integrate import quad
 
 from conftest import (
     abs_free_dirac_power,
+    dense_coulomb,
     dense_exact_u_gamma,
     evr_lowest_vector,
     forbid_svd,
@@ -31,6 +34,7 @@ from diracdiag.oneparticle import (
     coulomb_channel_matrix,
     d_gamma,
     decoupling_residuals,
+    dense_potential,
     exact_u_gamma,
     foldy_wouthuysen,
     free_energies,
@@ -41,6 +45,7 @@ from diracdiag.oneparticle import (
     legendre_q,
     lowest_eigenvector,
     positive_levels,
+    positive_projector,
     positive_states,
     rayleigh_levels,
     rayleigh_quotients,
@@ -51,7 +56,7 @@ from diracdiag.oneparticle import (
 
 def kato_block(grid, c: int) -> np.ndarray:
     """(pi/2)|D_0| + V on spinor component c, one of the two Kato blocks."""
-    return (math.pi / 2.0) * np.diag(free_energies(grid)) + build_coulomb(grid)[c::2, c::2]
+    return (math.pi / 2.0) * np.diag(free_energies(grid)) + build_coulomb(grid)[c]
 
 
 def weighted_unitary_norm(sys) -> float:
@@ -125,6 +130,46 @@ def test_coulomb_channel_symmetric(grid100):
     assert np.linalg.norm(m - m.T, 2) < 1e-14
 
 
+def test_spinor_block_coulomb_matches_the_dense_assembly():
+    # V held as its two spinor blocks gives D_gamma and the Kato margin
+    # bit for bit as the dense interleaved V did
+    grid = build_channel_grid(32)
+    v = build_coulomb(grid)
+    dense = dense_coulomb(grid)
+    assert v.shape == (2, 32, 32)
+    assert np.array_equal(dense_potential(v), dense)
+    for gamma in (0.0, 0.3):
+        ref = build_free_dirac(grid)
+        ref += gamma * dense
+        assert np.array_equal(assemble_system(grid, gamma).dgamma, ref)
+    e = np.diag((math.pi / 2.0) * free_energies(grid))
+    lows = []
+    for c in (0, 1):
+        m = e + dense[c::2, c::2]
+        y = lowest_eigenvector(m.copy())
+        lows.append(float(rayleigh_quotients(m, y[:, None])[0]))
+    assert check_kato(grid) == float(np.min(lows))
+
+
+def test_assemble_system_memory_model():
+    # with V built beforehand, a system keeps three dim^2 arrays (D_gamma,
+    # its eigenvectors, U_gamma), and P_gamma, its FW-frame conjugate, M and
+    # U are never alive together; a system that also kept P_gamma and built
+    # U_gamma from a copy of M held 4.02 and peaked at 7.52
+    grid = build_channel_grid(100)
+    build_coulomb(grid)
+    unit = grid.dim ** 2 * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        s = assemble_system(grid, 0.3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.u_gamma.shape == (grid.dim, grid.dim)
+    assert 3.0 <= held / unit < 3.1
+    assert peak / unit <= 6.2
+
+
 def test_coulomb_matrix_is_built_once_per_grid():
     grid = build_channel_grid(16)
     a, b = assemble_system(grid, 0.1), assemble_system(grid, 0.2)
@@ -191,10 +236,15 @@ def test_assemble_rejects_coupling_range(grid100):
         assemble_system(grid100, GAMMA_MAX)
 
 
-def test_assemble_gap_floor_raises(grid100, monkeypatch):
+def test_assemble_gap_floor_raises(grid100, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr("diracdiag.oneparticle.GAP_FLOOR", 2.0)
-    with pytest.raises(GapError):
+    template = r"no spectral gap: eigenvalue \d\.\d{3}e[+-]\d\d within 2\.0e\+00 of zero"
+    with pytest.raises(GapError, match=f"^{template}$"):
         assemble_system(grid100, 0.1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"n": 16}, "gamma_list": [0.1]}), encoding="utf-8")
+    assert cli.main(["one-particle", "--config", str(cfg), "--output", str(tmp_path)]) == 3
+    assert re.search(template, capsys.readouterr().err)
 
 
 def test_ground_state_against_sommerfeld(sys100):
@@ -228,10 +278,13 @@ def test_unitarity_and_intertwining(sys100):
         assert inter < 1e-10
 
 
+FAR_APART = "projectors too far apart: ||p0 - pg|| = 1.000000 >= 1"
+
+
 def test_exact_u_gamma_rejects_far_projectors():
-    p0 = np.diag([1.0, 0.0])
+    # orthogonal rank-1 projectors: both blocks of S are exactly 0
     pg = np.diag([0.0, 1.0])
-    with pytest.raises(ConsistencyError, match="far apart"):
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(FAR_APART)}$"):
         exact_u_gamma(pg, 1)
 
 
@@ -242,16 +295,15 @@ def test_exact_u_gamma_near_the_distance_limit():
     p0 = np.diag([1.0, 0.0])
     pg = np.outer(v, v)
     assert abs(np.linalg.norm(p0 - pg, 2) - math.sin(theta)) < 1e-15
-    u = exact_u_gamma(pg, 1)
+    u = exact_u_gamma(pg.copy(), 1)
     assert np.linalg.norm(u @ u.T - np.eye(2), 2) < 1e-14
     assert np.linalg.norm(u @ pg - p0 @ u, 2) < 1e-14
 
 
 def test_exact_u_gamma_rejects_rank_mismatch():
     # projectors of different rank are at distance exactly 1
-    p0 = np.diag([1.0, 0.0, 0.0])
     pg = np.diag([1.0, 1.0, 0.0])
-    with pytest.raises(ConsistencyError, match="far apart"):
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(FAR_APART)}$"):
         exact_u_gamma(pg, 1)
 
 
@@ -266,7 +318,7 @@ def test_exact_u_gamma_takes_half_size_eigensolves(monkeypatch, sys100):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    u = exact_u_gamma(fw_conjugate(blocks, s.p_plus_gamma), 100)
+    u = exact_u_gamma(fw_conjugate(blocks, positive_projector(s.evals, s.evecs)), 100)
     assert sizes == [100, 100]
     assert np.max(np.abs(fw_conjugate(blocks, u, back=True) - s.u_gamma)) == 0.0
 
@@ -276,7 +328,8 @@ def test_exact_u_gamma_matches_dense_formula(sys100):
     # formula in the original frame
     for gamma in (0.1, 0.3):
         s = sys100(gamma)
-        ref = dense_exact_u_gamma(free_positive_projector(s.grid), s.p_plus_gamma)
+        pg = positive_projector(s.evals, s.evecs)
+        ref = dense_exact_u_gamma(free_positive_projector(s.grid), pg)
         assert np.max(np.abs(s.u_gamma - ref)) <= 1e-13
 
 
@@ -302,6 +355,24 @@ def test_fw_frame_rotation_matches_dense_products():
     assert np.max(np.abs(fw_rows(blocks, fw_rows(blocks, x), back=True) - x)) <= 1e-15
     y = np.random.default_rng(4).standard_normal((64, 64))
     assert np.max(np.abs(fw_conjugate(blocks, y) - q @ y @ q.T)) <= 1e-14
+
+
+def test_fw_rows_are_the_two_product_sums_bitwise():
+    # each half of R x is one product plus another, rounded as the plain
+    # expressions round them, for real and complex x and both directions
+    grid = build_channel_grid(16)
+    blocks = foldy_wouthuysen(grid)
+    a, b = blocks[:, 0, 0, None], blocks[:, 0, 1, None]
+    c, d = blocks[:, 1, 0, None], blocks[:, 1, 1, None]
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal((32, 7))
+    for x in (real, real + 1j * rng.standard_normal((32, 7)), real[:, 0]):
+        x2 = x.reshape(32, -1)
+        up, lo, top, bot = x2[0::2], x2[1::2], x2[:16], x2[16:]
+        fwd = np.concatenate((a * up + b * lo, c * up + d * lo)).reshape(x.shape)
+        back = np.stack((a * top + c * bot, b * top + d * bot), axis=1).reshape(x.shape)
+        assert np.array_equal(fw_rows(blocks, x), fwd)
+        assert np.array_equal(fw_rows(blocks, x, back=True), back)
 
 
 def test_norm2_matches_svd_norm():
@@ -405,13 +476,13 @@ def test_constants_monotone_decreasing():
 
 def test_kato_bound(sys100):
     s = sys100(0.3)
-    floor = -1e-4 * float(np.linalg.norm(s.v, 2))
+    floor = -1e-4 * float(np.linalg.norm(dense_coulomb(s.grid), 2))
     assert check_kato(s.grid) >= floor
 
 
 def test_kato_blocks_match_the_full_matrix(sys100):
     s = sys100(0.3)
-    m = (math.pi / 2.0) * np.diag(np.repeat(free_energies(s.grid), 2)) + s.v
+    m = (math.pi / 2.0) * np.diag(np.repeat(free_energies(s.grid), 2)) + dense_coulomb(s.grid)
     full = float(np.linalg.eigvalsh(m)[0])
     assert abs(check_kato(s.grid) - full) <= 10.0 * np.finfo(float).eps * np.linalg.norm(m, 2)
 
@@ -449,7 +520,7 @@ def test_intertwining_residual_matches_the_dense_norm(sys100, theta):
     ru = fw_rows(s.fw_blocks, rotated.u_gamma)
     p0_ru = ru.copy()
     p0_ru[s.grid.n:] = 0.0
-    ref = np.linalg.norm(ru @ s.p_plus_gamma - p0_ru, 2)
+    ref = np.linalg.norm(ru @ positive_projector(s.evals, s.evecs) - p0_ru, 2)
     assert abs(decoupling_residuals(rotated)[1] - ref) <= 1e-14
     assert abs(ref - math.sin(theta)) <= 1e-12
 
@@ -514,7 +585,8 @@ def test_lowest_eigenvector_gate_rejects_a_shift_in_mid_spectrum(monkeypatch, gr
     j = ev.size // 2
     shift = 0.75 * ev[j] + 0.25 * ev[j + 1]
     monkeypatch.setattr(oneparticle.np.linalg, "eigvalsh", lambda a: np.array([shift]))
-    with pytest.raises(ConsistencyError, match="lowest eigenvector not found"):
+    with pytest.raises(ConsistencyError, match=r"^lowest eigenvector not found: Rayleigh quotient "
+                       r"\d\.\d{3}e[+-]\d\d from the lowest eigenvalue > \d\.\de[+-]\d\d$"):
         lowest_eigenvector(m)
 
 
