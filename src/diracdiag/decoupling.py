@@ -13,7 +13,7 @@ are bounded below by the spectral gap, and same-sign blocks from the
 idempotency constraint, so no division by the tiny spacings inside the
 discretized continuum ever occurs.  The unitary series is the Kato-Nagy
 transform of the projector series, which in this frame needs two
-half-size inverse square roots, and F = U P has nonzero rows on the
+half-size square roots, and F = U P has nonzero rows on the
 positive states only, so the Hamiltonian series F D F^H is formed as its
 upper block.
 """
@@ -39,8 +39,8 @@ from .oneparticle import (
 from .series import (
     MatrixSeries,
     cauchy_coefficients,
-    inv_sqrt_coefficients,
     make_series,
+    sqrt_coefficients,
 )
 
 
@@ -104,25 +104,30 @@ def u_gamma_series(p_series: MatrixSeries, n_plus: int) -> MatrixSeries:
     M = P0 P + Q0 Q, S = 1 - (P0 - P)^2 and Q = 1 - P, truncated at the
     series order, as in ``oneparticle.exact_u_gamma``: M is P with its
     negative rows negated plus Q0, and S = P0 P P0 + Q0 Q Q0 is the
-    block-diagonal part of M, so S^(-1/2) is two half-size series.  Each
-    column half of U is the Cauchy product of that column half of M with
-    its diagonal block's inverse square root, written order by order into
-    U's preallocated coefficients; one column half of M is alive at a time.
+    block-diagonal part of M, so S^(1/2) is two half-size series.  M is
+    formed in U's coefficients; each column half of U then solves
+    U R = M for that half's diagonal block R = S_half^(1/2)
+    (``series.sqrt_coefficients``) by forward substitution,
+    U_n = M_n - sum_{j=1}^{n} U_(n-j) R_j, in place, since R_0 = I.
+    Besides P and U only R, a quarter series, is alive.
     Unitarity holds order by order and is verified on the assembled U;
     U^H U pairs term m with term n - m, its adjoint.
     """
     p = p_series.coeffs
     dim, k = p_series.dim, n_plus
-    p0 = np.diag(np.arange(dim) < k).astype(float)
-    gate_norm2([p[0] - p0], 1e-11, "projector series constant term differs from the free projector")
+    gate_norm2([p[0] - np.diag(np.arange(dim) < k)], 1e-11,
+               "projector series constant term differs from the free projector")
     sign = np.where(np.arange(dim) < k, 1.0, -1.0)[:, None]
-    u = [np.empty((dim, dim), dtype=np.result_type(*p)) for _ in p]
+    u = [sign * c for c in p]
+    lower = np.arange(k, dim)
+    u[0][lower, lower] += 1.0
     for cols in (slice(0, k), slice(k, dim)):
-        m = [sign * c[:, cols] for c in p]
-        m[0] = m[0] + np.eye(dim)[:, cols] - p0[:, cols]
-        for un, x in zip(u, cauchy_coefficients(m, inv_sqrt_coefficients([c[cols] for c in m]))):
-            un[:, cols] = x
-        del m, x
+        r = sqrt_coefficients(c[cols, cols] for c in u)
+        for n in range(1, len(u)):
+            un = u[n][:, cols]
+            for j in range(1, n + 1):
+                un -= u[n - j][:, cols] @ r[j]
+        del r
     gate_norm2(_gram_defects(u), 1e-9,
                "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}")
     return make_series(u)
@@ -142,29 +147,32 @@ def _gram_defects(u):
         yield acc
 
 
-def decoupled_rows(u_series: MatrixSeries, p_series: MatrixSeries, n_plus: int) -> list:
+def decoupled_rows(u: list, p: list, n_plus: int) -> list:
     """Rows of F = U P on the positive free states, F's only nonzero rows.
 
-    U P = P0 U makes the negative rows of F = U P vanish.  F is formed one
-    order at a time, and each F_n is measured against both gates before
+    u and p are the coefficient lists of U and P.  U P = P0 U makes the
+    negative rows of F = U P vanish.  F is formed one order at a time, from
+    F_K down to F_0, and each F_n is measured against both gates before
     only its upper rows are kept: first its negative rows Q0 F_n, the part
     of F that would leak into the lower block of H = F D F^H, relative to
     max(1, ||F_n||_2), then the whole intertwining defect F_n - P0 U_n,
-    whose negative rows they are.  Each gate is decided on the worst
-    coefficient once every order is measured, as ``gate_norm2`` decides.
+    whose negative rows they are.  No lower order reads U_n or P_n, so both
+    are then set to None in the lists: F's rows grow as U and P shrink.
+    Each gate is decided on the worst coefficient once every order is
+    measured, as ``gate_norm2`` decides, over the orders in ascending order.
     """
     k = n_plus
-    u = u_series.coeffs
     rows, leaks, defects = [], [], []
-    for n, f in enumerate(cauchy_coefficients(u, p_series.coeffs)):
+    for n, f in zip(range(len(u) - 1, -1, -1), cauchy_coefficients(u, p, descending=True)):
         leaks.append((*_norm2_against(f[k:], 1e-9, f), n))
         rows.append(f[:k].copy())
         f[:k] -= u[n][:k]
         defects.append((*_norm2_against(f, 1e-9), n))
-    _gate_worst(leaks, "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}")
-    _gate_worst(defects,
+        u[n] = p[n] = None
+    _gate_worst(leaks[::-1], "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}")
+    _gate_worst(defects[::-1],
                 "intertwining defect of the U series: coefficient residual {value:.3e} > {tol:.1e}")
-    return rows
+    return rows[::-1]
 
 
 def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
@@ -215,11 +223,13 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
 
     Memory, in series of order K with 2n x 2n coefficients: P and U, two
     series, are alive together while U is assembled and while F = U P is
-    formed; U's build adds one column half of M (half a series) with the
-    half-size inverse square root of its diagonal block (a quarter, and its
-    inverse while it is formed), and F's adds its upper rows (half a
-    series) and one full coefficient at a time.  That makes three series
-    the floor.  P and U are released once F is formed, before H.
+    formed.  U's build forms M in U's own coefficients and adds the
+    half-size square root of one diagonal block of M (a quarter series),
+    or four working coefficients while U's Gram defect is measured.  F is
+    formed from the top order down, and P_n and U_n are released once F_n
+    is measured, so F's upper rows grow as P and U shrink, beside two
+    working coefficients.  That makes two and a quarter series the floor.
+    H is formed from F's rows once P and U are gone.
     """
     blocks, lam, vfw = _fw_frame(sys)
     n = blocks.shape[0]
@@ -228,9 +238,9 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
                "projector series constant term drifted from P_+^0")
     gate_norm2((c - c.conj().T for c in p.coeffs), 1e-10,
                "projector coefficients not Hermitian: {value:.3e}")
-    u = u_gamma_series(p, n)
+    u = list(u_gamma_series(p, n).coeffs)
+    p = list(p.coeffs)
     f = decoupled_rows(u, p, n)
-    del p, u
     h = h_diag_series(f, lam, vfw)
     f_upper = tuple(fw_rows(blocks, c.T, back=True).T for c in f)
     for c in f_upper:

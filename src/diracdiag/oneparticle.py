@@ -244,8 +244,14 @@ def fw_rows(blocks: np.ndarray, x: np.ndarray, back: bool = False) -> np.ndarray
 
 
 def fw_conjugate(blocks: np.ndarray, x: np.ndarray, back: bool = False) -> np.ndarray:
-    """R x R^T (into the FW frame), or R^T x R with back (out of it)."""
-    return fw_rows(blocks, fw_rows(blocks, x, back).T, back).T
+    """R x R^T (into the FW frame), or R^T x R with back (out of it).
+
+    x is dropped after the first pass, so when the caller holds no other
+    reference to it, the second pass runs beside one array of x's size.
+    """
+    y = fw_rows(blocks, x, back).T
+    del x
+    return fw_rows(blocks, y, back).T
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +346,10 @@ def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
     P_gamma is formed only to be conjugated into the FW frame and is then
     dropped; ``exact_u_gamma`` turns that conjugate into its M in place.
     The system keeps three dim x dim arrays.  While U_gamma is built, at
-    most 3.5 more are alive beside D_gamma, its eigenvectors and V: a
-    conjugation's input, first pass, output and half-height scratch, or
-    M, U and a column half of their product.
+    most 3.25 more are alive beside D_gamma, its eigenvectors and V: M, U,
+    the two half-size eigenbases, a column half of their product and one
+    quarter-size factor.  A conjugation, which drops its input after the
+    first pass, needs 2.5: first pass, output and half-height scratch.
     """
     if not 0.0 <= gamma < GAMMA_MAX:
         raise ValueError(f"coupling {gamma} outside [0, sqrt(3)/2)")

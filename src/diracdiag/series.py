@@ -18,7 +18,7 @@ import numpy as np
 from .oneparticle import _norm2
 
 ORDER_CAP = 64
-INV_SQRT_BASE_TOL = 1e-10
+SQRT_BASE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,14 @@ def make_series(coeffs) -> MatrixSeries:
     return MatrixSeries(coeffs=tuple(mats))
 
 
-def cauchy_coefficients(a, b):
-    """Yield the coefficients C_0, ..., C_K of the truncated Cauchy product.
+def cauchy_coefficients(a, b, descending: bool = False):
+    """Yield the coefficients C_0, ..., C_K of the truncated Cauchy product,
+    or C_K, ..., C_0 with descending.
 
     Each C_n is computed when it is asked for, so a caller that keeps only
     part of it, or stores it elsewhere, never holds the whole product.
+    C_n reads only A_m and B_m with m <= n, so a caller taking the orders
+    descending may drop A_n and B_n from its lists once it has C_n.
     Shapes need only be compatible for the matrix product, so blocks and
     row slices of square series multiply too.  Products with an
     exactly-zero factor are skipped; high orders are often sparse.
@@ -82,7 +85,8 @@ def cauchy_coefficients(a, b):
     b_nz = [np.count_nonzero(c) > 0 for c in b]
     shape = (a[0].shape[0], b[0].shape[1])
     dtype = np.result_type(*a, *b)
-    for n in range(len(a)):
+    orders = range(len(a))
+    for n in orders[::-1] if descending else orders:
         acc = np.zeros(shape, dtype=dtype)
         for m in range(n + 1):
             if a_nz[m] and b_nz[n - m]:
@@ -117,32 +121,30 @@ def series_eval(a: MatrixSeries, g: float) -> np.ndarray:
     return acc
 
 
-def inv_sqrt_coefficients(a) -> list[np.ndarray]:
-    """Inverse square root by the coefficient recurrence of B^2 = A^-1.
+def sqrt_coefficients(a) -> list[np.ndarray]:
+    """Square root R of a series A whose constant term is the identity.
 
-    Requires the constant term to be the identity, so B_0 = I and matching
-    order n of B B = T with T = A^-1 gives
-    B_n = (T_n - sum_{m=1}^{n-1} B_m B_{n-m}) / 2 (Higham, Functions of
-    Matrices, ch. 6).  That is O(K^2) products where the binomial series
+    R_0 = I, and matching order n of R R = A gives
+    R_n = (A_n - sum_{m=1}^{n-1} R_m R_{n-m}) / 2 (Higham, Functions of
+    Matrices, ch. 6): O(K^2) products where the binomial series
     sum_m c_m (A - I)^m costs O(K^3); both give the unique series with
-    B_0 = I.  The result commutes with A order by order and squares to the
-    inverse of A.  With A_0 = I, T starts at T_0 = I and follows
-    T_n = -sum_{m>=1} A_m T_(n-m), so no inverse of A_0 is taken; the
-    identity check bounds A_0's condition number by 1 + 3e-10.
+    R_0 = I, which commutes with A order by order.  a is any iterable of
+    A_0, A_1, ...; each A_n is read once, when R_n is formed, and not kept,
+    so the caller can hand out blocks of a larger array one at a time.
     """
-    dim = a[0].shape[0]
-    if np.linalg.norm(a[0] - np.eye(dim)) > INV_SQRT_BASE_TOL:
-        raise ValueError("inverse square root requires an identity constant term")
-    t = [np.eye(dim)]
-    for n in range(1, len(a)):
-        t.append(-sum(a[m] @ t[n - m] for m in range(1, n + 1)))
-    b = [np.eye(dim)]
-    for n in range(1, len(a)):
-        acc = t[n]
+    a = iter(a)
+    a0 = next(a)
+    eye = np.eye(a0.shape[0])
+    if np.linalg.norm(a0 - eye) > SQRT_BASE_TOL:
+        raise ValueError("square root requires an identity constant term")
+    r = [eye]
+    for n, an in enumerate(a, 1):
+        acc = np.array(an, dtype=np.result_type(an, 1.0))
         for m in range(1, n):
-            acc = acc - b[m] @ b[n - m]
-        b.append(0.5 * acc)
-    return b
+            acc -= r[m] @ r[n - m]
+        acc *= 0.5
+        r.append(acc)
+    return r
 
 
 def coefficient_norms(a: MatrixSeries) -> np.ndarray:

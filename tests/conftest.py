@@ -38,7 +38,6 @@ from diracdiag.series import (
     MatrixSeries,
     cauchy_coefficients,
     coefficient_norms,
-    inv_sqrt_coefficients,
     make_series,
 )
 
@@ -178,15 +177,16 @@ def pair200(grid200):
     return build_pair_interaction(grid200)
 
 
-def binomial_half_coefficients(order: int) -> np.ndarray:
-    """Taylor coefficients of (1+x)^(-1/2): 1, -1/2, 3/8, -5/16, ...
+def binomial_half_coefficients(order: int, power: float = -0.5) -> np.ndarray:
+    """Taylor coefficients of (1+x)^power, by default (1+x)^(-1/2): 1, -1/2, 3/8, ...
 
-    The binomial-series oracle for the inverse-square-root recurrence.
+    The binomial-series oracle for the square-root and inverse-square-root
+    recurrences.
     """
     c = np.empty(order + 1)
     c[0] = 1.0
     for m in range(1, order + 1):
-        c[m] = c[m - 1] * (-(0.5 + (m - 1)) / m)
+        c[m] = c[m - 1] * ((power - (m - 1)) / m)
     return c
 
 
@@ -327,6 +327,36 @@ def inverse_coefficients(a) -> list[np.ndarray]:
 
 def series_inv(a: MatrixSeries) -> MatrixSeries:
     return make_series(inverse_coefficients(a.coeffs))
+
+
+INV_SQRT_BASE_TOL = 1e-10
+
+
+def inv_sqrt_coefficients(a) -> list[np.ndarray]:
+    """Inverse square root by the coefficient recurrence of B^2 = A^-1.
+
+    The oracle of ``decoupling.u_gamma_series``, which right-divides by the
+    square root (``series.sqrt_coefficients``) instead.  Requires the
+    constant term to be the identity, so B_0 = I and matching order n of
+    B B = T with T = A^-1 gives B_n = (T_n - sum_{m=1}^{n-1} B_m B_{n-m}) / 2
+    (Higham, Functions of Matrices, ch. 6).  The result commutes with A
+    order by order and squares to the inverse of A.  With A_0 = I, T starts
+    at T_0 = I and follows T_n = -sum_{m>=1} A_m T_(n-m), so no inverse of
+    A_0 is taken.
+    """
+    dim = a[0].shape[0]
+    if np.linalg.norm(a[0] - np.eye(dim)) > INV_SQRT_BASE_TOL:
+        raise ValueError("inverse square root requires an identity constant term")
+    t = [np.eye(dim)]
+    for n in range(1, len(a)):
+        t.append(-sum(a[m] @ t[n - m] for m in range(1, n + 1)))
+    b = [np.eye(dim)]
+    for n in range(1, len(a)):
+        acc = t[n]
+        for m in range(1, n):
+            acc = acc - b[m] @ b[n - m]
+        b.append(0.5 * acc)
+    return b
 
 
 def series_inv_sqrt(a: MatrixSeries) -> MatrixSeries:

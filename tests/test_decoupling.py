@@ -15,6 +15,7 @@ from conftest import (
     dense_u_gamma_series,
     forbid_svd,
     fw_matrix,
+    inv_sqrt_coefficients,
     lu_resolvent_distance,
     pu_series,
     series_mul,
@@ -49,7 +50,7 @@ from diracdiag.oneparticle import (
     positive_levels,
     positive_projector,
 )
-from diracdiag.series import make_series, series_eval, series_partial_sums
+from diracdiag.series import cauchy_coefficients, make_series, series_eval, series_partial_sums
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,7 @@ def test_toy_bundle_both_methods_agree():
     toy = toy_two_level()
     bundle = build_decoupling_bundle(toy, order=6)
     p = make_series(trapezoidal_projector_coefficients(toy, 6))
-    f = decoupled_rows(u_gamma_series(p, 1), p, 1)
+    f = decoupled_rows(list(u_gamma_series(p, 1).coeffs), list(p.coeffs), 1)
     h = h_diag_series(f, np.diag(build_free_dirac(toy.grid)), toy.v)
     for cr, cq in zip(bundle.h_upper.coeffs, h.coeffs):
         assert np.linalg.norm(cr - cq, 2) < 1e-12
@@ -183,7 +184,8 @@ def test_u_series_rejects_mismatched_projector():
     toy = toy_two_level()
     p = riesz_projection_series(toy, 4)
     with pytest.raises(ValueError, match="order"):
-        decoupled_rows(u_gamma_series(p, 1), riesz_projection_series(toy, 5), 1)
+        decoupled_rows(list(u_gamma_series(p, 1).coeffs),
+                       list(riesz_projection_series(toy, 5).coeffs), 1)
     # a constant term 2e-11 off the free projector trips the gate too;
     # build_decoupling_bundle never passes one, its P_0 is the same row mask
     p0 = np.array(p[0])
@@ -192,6 +194,38 @@ def test_u_series_rejects_mismatched_projector():
         with pytest.raises(ConsistencyError,
                            match=r"^projector series constant term differs from the free projector$"):
             u_gamma_series(mismatched, n_plus)
+
+
+def inv_sqrt_route_u(p, k):
+    """U = M S^(-1/2) by each column half of M times the inverse square root
+    of its diagonal block, a Cauchy product: the route ``u_gamma_series``
+    replaced by right division by S^(1/2)."""
+    dim = p.dim
+    sign = np.where(np.arange(dim) < k, 1.0, -1.0)[:, None]
+    u = [np.empty((dim, dim)) for _ in p.coeffs]
+    for cols in (slice(0, k), slice(k, dim)):
+        m = [sign * c[:, cols] for c in p.coeffs]
+        m[0] = m[0] + (np.eye(dim) - np.diag(np.arange(dim) < k))[:, cols]
+        for un, x in zip(u, cauchy_coefficients(m, inv_sqrt_coefficients([c[cols] for c in m]))):
+            un[:, cols] = x
+    return u
+
+
+@pytest.mark.parametrize("case", ["toy", "sys100"])
+def test_u_series_matches_inverse_square_root_route(case, pu100):
+    p, u = (riesz_projection_series(toy_two_level(), 12), None) if case == "toy" else pu100
+    k = p.dim // 2
+    u = u if u is not None else u_gamma_series(p, k)
+    for got, ref in zip(u.coeffs, inv_sqrt_route_u(p, k)):
+        assert np.linalg.norm(got - ref, 2) <= 1e-13 * max(1.0, np.linalg.norm(ref, 2))
+
+
+def test_u_series_leaves_the_projector_series_unchanged(sys100):
+    p = riesz_projection_series(sys100(0.0), 4)
+    before = [c.copy() for c in p.coeffs]
+    u_gamma_series(p, 100)
+    for c, ref in zip(p.coeffs, before):
+        assert np.array_equal(c, ref) and not c.flags.writeable
 
 
 def _turned_fw_rotation(angle):
@@ -340,15 +374,16 @@ def test_bundle_keeps_only_f_rows_and_h():
 
 def test_bundle_build_peak(sys100):
     # memory model of the build at n=100, order 8, in series of nine 200 x 200
-    # coefficients: P and U, one column half of M (half a series), the
-    # half-size inverse square root of its diagonal block and that block's
-    # inverse (a quarter each), three series in all, next to P0, the
-    # identity, the FW potential and one working coefficient.  Keeping M
-    # whole, or both column halves of U next to U, would add a series
+    # coefficients: P and U, with M formed in U's coefficients, and the
+    # half-size square root of one diagonal block of M (a quarter series),
+    # next to the FW potential and at most four working coefficients (while
+    # U's Gram defect is measured; F = U P, formed from the top order down,
+    # needs two).  Keeping a column half of M apart from U, with the inverse
+    # series and inverse square root beside it, held 29.55 coefficients
     coeff = 200 * 200 * 8
     bundle, peak = traced_peak(build_decoupling_bundle, sys100(0.0), 8)
     assert bundle.order == 8
-    assert peak < (3 * 9 + 4) * coeff
+    assert peak < (2 * 9 + 3 + 4) * coeff
 
 
 def test_bundle_shapes(bundle100, pu100, sys100):
@@ -456,10 +491,9 @@ def test_decoupled_rows_report_the_leak():
     p0 = np.diag([1.0, 1.0, 0.0, 0.0])
     leak = np.zeros((4, 4))
     leak[2, 0] = 1e-6
-    u = make_series([np.eye(4), np.zeros((4, 4))])
     with pytest.raises(ConsistencyError,
                        match=r"^Hamiltonian coefficient 1 leaks out of the upper block: 1\.000e-06$"):
-        decoupled_rows(u, make_series([p0, leak]), 2)
+        decoupled_rows([np.eye(4), np.zeros((4, 4))], [p0, leak], 2)
 
 
 def test_decoupled_rows_gate_the_worst_coefficient():
@@ -468,13 +502,13 @@ def test_decoupled_rows_gate_the_worst_coefficient():
     # F_n - P0 U_n.  Each gate names the coefficient worst by ratio to its
     # bound, where the leak's bound scales with max(1, ||F_n||_2)
     dim, k = 4, 2
-    u = make_series([np.eye(dim)] + [np.zeros((dim, dim))] * 3)
 
     def rows(*entries):
+        u = [np.eye(dim)] + [np.zeros((dim, dim))] * 3
         p = [np.diag([1.0, 1.0, 0.0, 0.0])] + [np.zeros((dim, dim)) for _ in range(3)]
         for n, row, value in entries:
             p[n][row, 0] = value
-        return decoupled_rows(u, make_series(p), k)
+        return decoupled_rows(u, p, k)
 
     kept = rows()
     assert [r.shape for r in kept] == [(k, dim)] * 4

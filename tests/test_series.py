@@ -25,6 +25,7 @@ from diracdiag.series import (
     make_series,
     series_eval,
     series_partial_sums,
+    sqrt_coefficients,
 )
 
 TOL = 1e-10
@@ -233,6 +234,55 @@ def test_inv_sqrt_recurrence_matches_binomial_sum():
         ref = series_add(ref, series_scale(xpow, c[m]))
     assert max_coeff_err(r, ref) < 1e-12
     assert max_coeff_err(series_mul(series_mul(r, r), a), series_identity(dim, order)) < 1e-12
+
+
+def _scaled_symmetric_series(dim, order, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = [0.4 ** k * rng.standard_normal((dim, dim)) / 4.0 for k in range(order + 1)]
+    coeffs = [0.5 * (c + c.T) for c in coeffs]
+    coeffs[0] = np.eye(dim)
+    return coeffs
+
+
+def test_sqrt_squares_back_order_by_order():
+    a = _scaled_symmetric_series(16, 12, 93)
+    r = make_series(sqrt_coefficients(a))
+    assert np.array_equal(r[0], np.eye(16))
+    for n, rr in enumerate(series_mul(r, r).coeffs):
+        assert np.linalg.norm(rr - a[n], 2) <= 1e-13 * np.linalg.norm(a[n], 2)
+    # R commutes with A order by order
+    assert max_coeff_err(series_mul(r, make_series(a)), series_mul(make_series(a), r)) < 1e-13
+
+
+def test_sqrt_scalar_matches_binomial():
+    # (1 + g)^(1/2) expanded through the matrix machinery on 1x1 blocks
+    order = 10
+    one = np.eye(1)
+    r = sqrt_coefficients([one, one] + [np.zeros((1, 1))] * (order - 1))
+    ref = binomial_half_coefficients(order, 0.5)
+    for k in range(order + 1):
+        assert abs(r[k][0, 0] - ref[k]) < 1e-14
+
+
+def test_sqrt_requires_identity_constant():
+    with pytest.raises(ValueError, match="identity constant term"):
+        sqrt_coefficients([2.0 * np.eye(2), np.eye(2)])
+
+
+def test_sqrt_accepts_a_generator():
+    # each A_n is read once, in order, so a generator gives the list's result
+    a = _scaled_symmetric_series(6, 8, 95)
+    read = []
+
+    def stream():
+        for n, c in enumerate(a):
+            read.append(n)
+            yield c
+
+    got = sqrt_coefficients(stream())
+    assert read == list(range(9))
+    for x, y in zip(got, sqrt_coefficients(a)):
+        assert np.array_equal(x, y)
 
 
 def test_binomial_sequence():
