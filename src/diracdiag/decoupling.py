@@ -13,8 +13,9 @@ are bounded below by the spectral gap, and same-sign blocks from the
 idempotency constraint, so no division by the tiny spacings inside the
 discretized continuum ever occurs.  The unitary series is the Kato-Nagy
 transform of the projector series, which in this frame needs two
-half-size square roots, and F = U P has nonzero rows on the
-positive states only, so the Hamiltonian series F D F^H is formed as its
+half-size square roots.  F = U P = P0 U has nonzero rows on the positive
+states only, U's upper rows, which are read straight from P's blocks, so
+the bundle forms no U and the Hamiltonian series F D F^H is formed as its
 upper block.
 """
 
@@ -61,18 +62,19 @@ def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return sys.fw_blocks, np.concatenate((e, -e)), vfw
 
 
-def riesz_projection_series(sys: OneParticleSystem, order: int) -> MatrixSeries:
+def riesz_projection_series(sys: OneParticleSystem, order: int, frame=None) -> MatrixSeries:
     """Series of the positive spectral projector of D_0 + g V, in the FW frame.
 
     The enclosed block is the positive eigenvalues of D_0, the first half
     of the FW frame.  Cross-block entries follow from
     [D_0, C_n] = [V, C_(n-1)] restricted across the gap; the within-block
     entries are fixed by idempotency of the projector series.  Each is
-    computed from the rows and columns it needs.
+    computed from the rows and columns it needs.  frame is
+    ``_fw_frame(sys)`` when the caller has it.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    _, lam, vfw = _fw_frame(sys)
+    _, lam, vfw = _fw_frame(sys) if frame is None else frame
     n = lam.size // 2
     pos, neg = slice(0, n), slice(n, None)
     gap = lam[pos, None] - lam[None, neg]
@@ -97,37 +99,42 @@ def riesz_projection_series(sys: OneParticleSystem, order: int) -> MatrixSeries:
 # Unitary and Hamiltonian series
 # ---------------------------------------------------------------------------
 
-def u_gamma_series(p_series: MatrixSeries, n_plus: int) -> MatrixSeries:
-    """Decoupling-unitary series in a frame where P0 = diag(1, ..., 1, 0, ..., 0).
+def kato_nagy_rows(p, k: int, lower: bool = False) -> list:
+    """Rows of the Kato-Nagy unitary U = M S^(-1/2), M = P0 P + Q0 Q,
+    S = 1 - (P0 - P)^2 (``oneparticle.exact_u_gamma``), from the projector
+    coefficients p, in a frame where P0 = diag(1, ..., 1, 0, ..., 0) has k ones.
 
-    P0 has n_plus ones.  The Kato-Nagy transform U = M S^(-1/2) with
-    M = P0 P + Q0 Q, S = 1 - (P0 - P)^2 and Q = 1 - P, truncated at the
-    series order, as in ``oneparticle.exact_u_gamma``: M is P with its
-    negative rows negated plus Q0, and S = P0 P P0 + Q0 Q Q0 is the
-    block-diagonal part of M, so S^(1/2) is two half-size series.  M is
-    formed in U's coefficients; each column half of U then solves
-    U R = M for that half's diagonal block R = S_half^(1/2)
-    (``series.sqrt_coefficients``) by forward substitution,
-    U_n = M_n - sum_{j=1}^{n} U_(n-j) R_j, in place, since R_0 = I.
-    Besides P and U only R, a quarter series, is alive.
-    Unitarity holds order by order and is verified on the assembled U;
-    U^H U pairs term m with term n - m, its adjoint.
+    With A = P_(++), B = P_(+-) and C = P_(--), S = blockdiag(A, 1 - C), so
+    the upper rows are [A^(1/2), G] with G R = B, also F's only nonzero rows
+    (F = U P = P0 U), and the lower rows, returned with lower, [-X, R] with
+    X A^(1/2) = P_(-+), where R = (1 - C)^(1/2) (Kato, Perturbation Theory,
+    I sec. 4.6).  Each root is a half-size series (``series.sqrt_coefficients``),
+    one alive at a time, and each division by it the forward substitution
+    Y_n = Z_n - sum_{j=1}^{n} Y_(n-j) R_j of Y R = Z.
     """
-    p = p_series.coeffs
-    dim, k = p_series.dim, n_plus
+    dim = p[0].shape[0]
     gate_norm2([p[0] - np.diag(np.arange(dim) < k)], 1e-11,
                "projector series constant term differs from the free projector")
-    sign = np.where(np.arange(dim) < k, 1.0, -1.0)[:, None]
-    u = [sign * c for c in p]
-    lower = np.arange(k, dim)
-    u[0][lower, lower] += 1.0
-    for cols in (slice(0, k), slice(k, dim)):
-        r = sqrt_coefficients(c[cols, cols] for c in u)
-        for n in range(1, len(u)):
-            un = u[n][:, cols]
-            for j in range(1, n + 1):
-                un -= u[n - j][:, cols] @ r[j]
-        del r
+    up, lo = slice(0, k), slice(k, dim)
+    rows = [np.empty((dim if lower else k, dim), dtype=np.result_type(*p)) for _ in p]
+    r = sqrt_coefficients((np.eye(dim - k) if n == 0 else 0.0) - c[lo, lo] for n, c in enumerate(p))
+    for n, (row, c) in enumerate(zip(rows, p)):
+        row[up, lo] = c[up, lo] - sum(rows[n - j][up, lo] @ r[j] for j in range(1, n + 1))
+        if lower:
+            row[lo, lo] = r[n]
+    del r
+    r = sqrt_coefficients(c[up, up] for c in p)
+    for n, (row, c) in enumerate(zip(rows, p)):
+        row[up, up] = r[n]
+        if lower:
+            row[lo, up] = -c[lo, up] - sum(rows[n - j][lo, up] @ r[j] for j in range(1, n + 1))
+    return rows
+
+
+def u_gamma_series(p_series: MatrixSeries, n_plus: int) -> MatrixSeries:
+    """Decoupling-unitary series ``kato_nagy_rows`` in a frame where P0 has
+    n_plus ones, gated unitary order by order (``_gram_defects``)."""
+    u = kato_nagy_rows(p_series.coeffs, n_plus, lower=True)
     gate_norm2(_gram_defects(u), 1e-9,
                "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}")
     return make_series(u)
@@ -136,7 +143,7 @@ def u_gamma_series(p_series: MatrixSeries, n_plus: int) -> MatrixSeries:
 def _gram_defects(u):
     """Yield the coefficients of U^H U - 1, each product paired with its adjoint."""
     for n in range(len(u)):
-        acc = np.zeros_like(u[0])
+        acc = np.zeros((u[0].shape[1],) * 2, dtype=u[0].dtype)
         for m in range((n + 1) // 2):
             t = u[m].conj().T @ u[n - m]
             acc += t + t.conj().T
@@ -147,32 +154,21 @@ def _gram_defects(u):
         yield acc
 
 
-def decoupled_rows(u: list, p: list, n_plus: int) -> list:
-    """Rows of F = U P on the positive free states, F's only nonzero rows.
+def gate_decoupled_frame(f: list, p) -> None:
+    """Gate F's rows order by order at 1e-9: F F^H = 1 and F P = F.
 
-    u and p are the coefficient lists of U and P.  U P = P0 U makes the
-    negative rows of F = U P vanish.  F is formed one order at a time, from
-    F_K down to F_0, and each F_n is measured against both gates before
-    only its upper rows are kept: first its negative rows Q0 F_n, the part
-    of F that would leak into the lower block of H = F D F^H, relative to
-    max(1, ||F_n||_2), then the whole intertwining defect F_n - P0 U_n,
-    whose negative rows they are.  No lower order reads U_n or P_n, so both
-    are then set to None in the lists: F's rows grow as U and P shrink.
-    Each gate is decided on the worst coefficient once every order is
-    measured, as ``gate_norm2`` decides, over the orders in ascending order.
+    f are F's upper rows (``kato_nagy_rows``) and p the projector
+    coefficients.  Together with P = P^H = P^2 the two give F^H F = P, so
+    F D F^H is D compressed onto P's range.  F F^H pairs term m with term
+    n - m, its adjoint (``_gram_defects`` of F^H).  Each gate names the
+    coefficient farthest over its tolerance.
     """
-    k = n_plus
-    rows, leaks, defects = [], [], []
-    for n, f in zip(range(len(u) - 1, -1, -1), cauchy_coefficients(u, p, descending=True)):
-        leaks.append((*_norm2_against(f[k:], 1e-9, f), n))
-        rows.append(f[:k].copy())
-        f[:k] -= u[n][:k]
-        defects.append((*_norm2_against(f, 1e-9), n))
-        u[n] = p[n] = None
-    _gate_worst(leaks[::-1], "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}")
-    _gate_worst(defects[::-1],
-                "intertwining defect of the U series: coefficient residual {value:.3e} > {tol:.1e}")
-    return rows[::-1]
+    gate_norm2(_gram_defects([c.conj().T for c in f]), 1e-9,
+               "decoupled frame rows not orthonormal: coefficient {index} of F F^H - 1 "
+               "is {value:.3e} > {tol:.1e}")
+    gate_norm2(map(np.subtract, cauchy_coefficients(f, p), f), 1e-9,
+               "decoupled frame leaves the projector's range: coefficient {index} of F P - F "
+               "is {value:.3e} > {tol:.1e}")
 
 
 def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
@@ -221,26 +217,23 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
     """Build every series in the FW frame, where P0 is a row mask, and store
     them as ``DecouplingBundle`` describes.
 
-    Memory, in series of order K with 2n x 2n coefficients: P and U, two
-    series, are alive together while U is assembled and while F = U P is
-    formed.  U's build forms M in U's own coefficients and adds the
-    half-size square root of one diagonal block of M (a quarter series),
-    or four working coefficients while U's Gram defect is measured.  F is
-    formed from the top order down, and P_n and U_n are released once F_n
-    is measured, so F's upper rows grow as P and U shrink, beside two
-    working coefficients.  That makes two and a quarter series the floor.
-    H is formed from F's rows once P and U are gone.
+    F's upper rows come straight from P (``kato_nagy_rows``), so no
+    coefficient of U, Gram product U^H U or Cauchy product U P is formed.
+    Memory, in series of order K with 2n x 2n coefficients: P, F's rows
+    (half a series) and one half-size square root (a quarter series), beside
+    the FW potential that P and H read and a working coefficient, while the
+    rows are formed; that is the floor.  H is formed once P is gone.
     """
-    blocks, lam, vfw = _fw_frame(sys)
+    blocks, lam, vfw = frame = _fw_frame(sys)
     n = blocks.shape[0]
-    p = riesz_projection_series(sys, order)
+    p = riesz_projection_series(sys, order, frame)
     gate_norm2([p[0] - fw_conjugate(blocks, free_positive_projector(sys.grid))], 1e-11,
                "projector series constant term drifted from P_+^0")
     gate_norm2((c - c.conj().T for c in p.coeffs), 1e-10,
                "projector coefficients not Hermitian: {value:.3e}")
-    u = list(u_gamma_series(p, n).coeffs)
-    p = list(p.coeffs)
-    f = decoupled_rows(u, p, n)
+    f = kato_nagy_rows(p.coeffs, n)
+    gate_decoupled_frame(f, p.coeffs)
+    del p
     h = h_diag_series(f, lam, vfw)
     f_upper = tuple(fw_rows(blocks, c.T, back=True).T for c in f)
     for c in f_upper:
@@ -256,12 +249,20 @@ def gate_norm2(mats, tol: float, message: str, scales=None) -> float:
     """Gate the spectral norms of mats (any iterable) at tol, or matrix i at
     tol * max(1, ||scales[i]||_2), through ``gate``; return the gated value.
 
-    Each matrix is measured by ``_norm2_against``, and one is gated, with
-    its position as the field index: the failing one farthest over its
-    tolerance as a ratio, or else the one nearest it (``_gate_worst``).
+    Each matrix is measured by ``_norm2_against`` and dropped before the
+    next is drawn, so a generator forms one at a time.  One is gated, with
+    its position as the field index: the first failing one farthest over
+    its tolerance as a ratio, or else the first one nearest it.
     """
-    return _gate_worst([(*_norm2_against(m, tol, None if scales is None else scales[i]), i)
-                        for i, m in enumerate(mats)], message)
+    worst, i = None, 0
+    for m in mats:
+        measured = (*_norm2_against(m, tol, None if scales is None else scales[i]), i)
+        del m
+        if worst is None or measured[:2] > worst[:2]:
+            worst = measured
+        i += 1
+    *_, value, bound, i = worst
+    return float(gate(value, bound, message, index=i))
 
 
 def _norm2_against(m: np.ndarray, tol: float, scale: np.ndarray | None = None) -> tuple:
@@ -280,12 +281,6 @@ def _norm2_against(m: np.ndarray, tol: float, scale: np.ndarray | None = None) -
         value = _norm2(m)
         bound = tol if scale is None else tol * max(1.0, _norm2(scale))
     return not value <= bound, value / bound, value, bound
-
-
-def _gate_worst(measured, message: str) -> float:
-    """Gate the worst of the measurements (failed, ratio, value, bound, index)."""
-    *_, value, bound, i = max(measured, key=lambda t: t[:2])
-    return float(gate(value, bound, message, index=i))
 
 
 # ---------------------------------------------------------------------------

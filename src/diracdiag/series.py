@@ -67,14 +67,11 @@ def make_series(coeffs) -> MatrixSeries:
     return MatrixSeries(coeffs=tuple(mats))
 
 
-def cauchy_coefficients(a, b, descending: bool = False):
-    """Yield the coefficients C_0, ..., C_K of the truncated Cauchy product,
-    or C_K, ..., C_0 with descending.
+def cauchy_coefficients(a, b):
+    """Yield the coefficients C_0, ..., C_K of the truncated Cauchy product.
 
     Each C_n is computed when it is asked for, so a caller that keeps only
     part of it, or stores it elsewhere, never holds the whole product.
-    C_n reads only A_m and B_m with m <= n, so a caller taking the orders
-    descending may drop A_n and B_n from its lists once it has C_n.
     Shapes need only be compatible for the matrix product, so blocks and
     row slices of square series multiply too.  Products with an
     exactly-zero factor are skipped; high orders are often sparse.
@@ -85,8 +82,7 @@ def cauchy_coefficients(a, b, descending: bool = False):
     b_nz = [np.count_nonzero(c) > 0 for c in b]
     shape = (a[0].shape[0], b[0].shape[1])
     dtype = np.result_type(*a, *b)
-    orders = range(len(a))
-    for n in orders[::-1] if descending else orders:
+    for n in range(len(a)):
         acc = np.zeros(shape, dtype=dtype)
         for m in range(n + 1):
             if a_nz[m] and b_nz[n - m]:

@@ -437,6 +437,13 @@ def dense_u_gamma_series(p_series: MatrixSeries, p0: np.ndarray) -> MatrixSeries
     return series_mul(aligned, series_inv_sqrt(series_sub(ident, series_mul(diff, diff))))
 
 
+def decoupled_rows(u, p, n_plus: int) -> list[np.ndarray]:
+    """Rows of F = U P on the positive free states, by the full Cauchy
+    product of the coefficient lists u and p: the oracle of
+    ``decoupling.kato_nagy_rows``, which reads F's rows from P alone."""
+    return [c[:n_plus] for c in cauchy_coefficients(u, p)]
+
+
 def dense_h_diag_series(sys: OneParticleSystem, f_series: MatrixSeries) -> MatrixSeries:
     """F (R D R^T) F^H for F in the FW frame and the operator series
     D = D_0 + g V, full size; R = ``fw_matrix`` of the system's blocks."""

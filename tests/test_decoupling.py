@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     binomial_half_coefficients,
     coefficient_ratio_radius,
+    decoupled_rows,
     dense_h_diag_series,
     dense_u_gamma_series,
     forbid_svd,
@@ -27,8 +28,9 @@ from diracdiag import cli, oneparticle
 from diracdiag import manybody as mb
 from diracdiag.decoupling import (
     DecouplingBundle,
+    _fw_frame,
     build_decoupling_bundle,
-    decoupled_rows,
+    gate_decoupled_frame,
     gate_norm2,
     h_diag_exact,
     h_diag_series,
@@ -154,6 +156,22 @@ def test_bundle_matches_dense_oracle():
         assert rel(bundle.h_upper[k], h[k][:64, :64]) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_bundle_matches_the_product_route(n, request):
+    # F's rows read from P against the upper rows of the Cauchy product U P
+    # of the same P and U, and H = F D F^H formed from each
+    bundle = request.getfixturevalue(f"bundle{n}")
+    p, u = request.getfixturevalue(f"pu{n}")
+    blocks, lam, vfw = _fw_frame(request.getfixturevalue(f"sys{n}")(0.0))
+    rows = decoupled_rows(u.coeffs, p.coeffs, n)
+    h = h_diag_series(rows, lam, vfw)
+    assert bundle.order == h.order
+    for k, row in enumerate(rows):
+        f = fw_rows(blocks, row.T, back=True).T
+        assert np.linalg.norm(bundle.f_upper[k] - f) <= 1e-14 * np.linalg.norm(f)
+        assert np.linalg.norm(bundle.h_upper[k] - h[k]) <= 1e-14 * np.linalg.norm(h[k])
+
+
 class _NoProduct(np.ndarray):
     """An array that refuses to enter a matrix product."""
 
@@ -184,8 +202,8 @@ def test_u_series_rejects_mismatched_projector():
     toy = toy_two_level()
     p = riesz_projection_series(toy, 4)
     with pytest.raises(ValueError, match="order"):
-        decoupled_rows(list(u_gamma_series(p, 1).coeffs),
-                       list(riesz_projection_series(toy, 5).coeffs), 1)
+        gate_decoupled_frame([c[:1] for c in u_gamma_series(p, 1).coeffs],
+                             riesz_projection_series(toy, 5).coeffs)
     # a constant term 2e-11 off the free projector trips the gate too;
     # build_decoupling_bundle never passes one, its P_0 is the same row mask
     p0 = np.array(p[0])
@@ -374,16 +392,14 @@ def test_bundle_keeps_only_f_rows_and_h():
 
 def test_bundle_build_peak(sys100):
     # memory model of the build at n=100, order 8, in series of nine 200 x 200
-    # coefficients: P and U, with M formed in U's coefficients, and the
-    # half-size square root of one diagonal block of M (a quarter series),
-    # next to the FW potential and at most four working coefficients (while
-    # U's Gram defect is measured; F = U P, formed from the top order down,
-    # needs two).  Keeping a column half of M apart from U, with the inverse
-    # series and inverse square root beside it, held 29.55 coefficients
+    # coefficients: P, F's upper rows (half a series) and the half-size
+    # square root of one diagonal block of P (a quarter series), next to the
+    # FW potential and at most one working coefficient.  Forming the whole
+    # U series and F = U P from it held 23.24 coefficients
     coeff = 200 * 200 * 8
     bundle, peak = traced_peak(build_decoupling_bundle, sys100(0.0), 8)
     assert bundle.order == 8
-    assert peak < (2 * 9 + 3 + 4) * coeff
+    assert peak < (9 + 9 / 2 + 9 / 4 + 1 + 1) * coeff
 
 
 def test_bundle_shapes(bundle100, pu100, sys100):
@@ -407,7 +423,6 @@ def test_bundle_shapes(bundle100, pu100, sys100):
 
 UNITARITY = "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}"
 H_HERMITIAN = "Hamiltonian coefficient {index} not Hermitian"
-H_LEAK = "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}"
 
 
 def _needs_spectral_norm(x, tol):
@@ -451,21 +466,6 @@ def test_h_hermiticity_gate(monkeypatch):
         gate_norm2(_hermitian_defects(bad), 1e-10, H_HERMITIAN, scales=bad)
 
 
-def test_h_upper_block_leak_gate(monkeypatch):
-    # F = U P in the FW frame, 4 positive states first: its rows past the
-    # fourth are what H = F D F^H would carry out of the upper block
-    upper = np.eye(4, 8)
-    lower = np.vstack((np.zeros((4, 8)), np.eye(4, 8)))
-    ok = 0.9e-9 * lower
-    assert _needs_spectral_norm(ok[4:], 1e-9)
-    forbid_svd(monkeypatch)
-    gate_norm2((c[4:] for c in [upper, ok]), 1e-9, H_LEAK, scales=[upper, ok])
-    bad = 1.1e-9 * lower
-    with pytest.raises(ConsistencyError,
-                       match=r"^Hamiltonian coefficient 1 leaks out of the upper block: 1\.100e-09$"):
-        gate_norm2((c[4:] for c in [upper, bad]), 1e-9, H_LEAK, scales=[upper, bad])
-
-
 def test_relative_gate_scales_the_tolerance():
     # matrix i is gated at tol * max(1, ||scales[i]||_2): a defect of 5e-10
     # passes next to a coefficient of norm 10 and fails next to one of norm 1
@@ -485,41 +485,58 @@ def test_gate_norm2_reports_the_worst_failure_and_fails_on_nan():
                    scales=[np.eye(2), np.eye(2)])
 
 
-def test_decoupled_rows_report_the_leak():
-    # U = 1 and a projector series whose first-order term has a negative
-    # row: F = U P then carries it out of the upper block
-    p0 = np.diag([1.0, 1.0, 0.0, 0.0])
-    leak = np.zeros((4, 4))
-    leak[2, 0] = 1e-6
+def _gate_frame(*entries, order=3):
+    """Run ``gate_decoupled_frame`` on F = [1, 0] and P = P0, 4 positive
+    states of 8, up to the entries (n, row, col, value) set in F_n.
+
+    An entry in F_n's left block is a defect of F F^H = 1 at order n (of
+    norm |value| off the diagonal), one in its right block a defect of
+    F P = F; products of two entries are far below both.
+    """
+    dim, k = 8, 4
+    f = [np.eye(k, dim)] + [np.zeros((k, dim)) for _ in range(order)]
+    p = [np.diag(np.arange(dim) < k).astype(float)] + [np.zeros((dim, dim))] * order
+    for n, row, col, value in entries:
+        f[n][row, col] = value
+    gate_decoupled_frame(f, p)
+
+
+def test_frame_orthonormality_gate(monkeypatch):
+    # F_1 = x [1, 0] makes F F^H - 1 = 2x at order 1
+    ok = 0.9e-9 * np.eye(4)
+    assert _needs_spectral_norm(ok, 1e-9)
+    forbid_svd(monkeypatch)
+    _gate_frame(*((1, i, i, 0.45e-9) for i in range(4)), order=1)
     with pytest.raises(ConsistencyError,
-                       match=r"^Hamiltonian coefficient 1 leaks out of the upper block: 1\.000e-06$"):
-        decoupled_rows([np.eye(4), np.zeros((4, 4))], [p0, leak], 2)
+                       match=r"^decoupled frame rows not orthonormal: coefficient 1 of F F\^H - 1 "
+                             r"is 1\.100e-09 > 1\.0e-09$"):
+        _gate_frame(*((1, i, i, 0.55e-9) for i in range(4)), order=1)
 
 
-def test_decoupled_rows_gate_the_worst_coefficient():
-    # U = 1 and P = P0 up to the entries set, so F = U P is P: an entry of
-    # P_n is one of F_n, below row 2 a leak, above it an intertwining defect
-    # F_n - P0 U_n.  Each gate names the coefficient worst by ratio to its
-    # bound, where the leak's bound scales with max(1, ||F_n||_2)
-    dim, k = 4, 2
-
-    def rows(*entries):
-        u = [np.eye(dim)] + [np.zeros((dim, dim))] * 3
-        p = [np.diag([1.0, 1.0, 0.0, 0.0])] + [np.zeros((dim, dim)) for _ in range(3)]
-        for n, row, value in entries:
-            p[n][row, 0] = value
-        return decoupled_rows(u, p, k)
-
-    kept = rows()
-    assert [r.shape for r in kept] == [(k, dim)] * 4
-    assert all(r.flags.owndata for r in kept)  # F's lower rows are not held
-    assert np.array_equal(kept[0], np.eye(k, dim))
+def test_frame_range_gate(monkeypatch):
+    # F_1 = [0, x] makes F P - F = -F_1 at order 1, and F_1 F_0^H = 0
+    ok = np.hstack((np.zeros((4, 4)), 0.9e-9 * np.eye(4)))
+    assert _needs_spectral_norm(ok, 1e-9)
+    forbid_svd(monkeypatch)
+    _gate_frame(*((1, i, 4 + i, 0.9e-9) for i in range(4)), order=1)
     with pytest.raises(ConsistencyError,
-                       match=r"^Hamiltonian coefficient 2 leaks out of the upper block: 3\.000e-06$"):
-        rows((1, 3, 2e-9), (2, 2, 3e-6), (3, 0, 100.0), (3, 3, 5e-6))
+                       match=r"^decoupled frame leaves the projector's range: coefficient 1 of "
+                             r"F P - F is 1\.100e-09 > 1\.0e-09$"):
+        _gate_frame(*((1, i, 4 + i, 1.1e-9) for i in range(4)), order=1)
+
+
+def test_frame_gates_name_the_worst_coefficient():
+    # each gate names the coefficient farthest over its tolerance, here
+    # coefficient 2, neither the first failing one nor the last
+    _gate_frame()
     with pytest.raises(ConsistencyError,
-                       match=r"^intertwining defect of the U series: coefficient residual 3\.000e-06 > 1\.0e-09$"):
-        rows((1, 0, 2e-9), (2, 1, 3e-6), (3, 0, 1e-6))
+                       match=r"^decoupled frame rows not orthonormal: coefficient 2 of F F\^H - 1 "
+                             r"is 3\.000e-06 > 1\.0e-09$"):
+        _gate_frame((1, 0, 1, 2e-9), (2, 1, 2, 3e-6), (3, 2, 3, 1e-6))
+    with pytest.raises(ConsistencyError,
+                       match=r"^decoupled frame leaves the projector's range: coefficient 2 of "
+                             r"F P - F is 3\.000e-06 > 1\.0e-09$"):
+        _gate_frame((1, 0, 4, 2e-9), (2, 1, 5, 3e-6), (3, 2, 6, 1e-6))
 
 
 def test_resolvent_hermiticity_gate(monkeypatch):

@@ -57,9 +57,10 @@ PASSED_TEMPLATES = {
     "projector series constant term drifted from P_+^0",
     "projector coefficients not Hermitian: {value:.3e}",
     "projector series constant term differs from the free projector",
-    "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}",
-    "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}",
-    "intertwining defect of the U series: coefficient residual {value:.3e} > {tol:.1e}",
+    "decoupled frame rows not orthonormal: coefficient {index} of F F^H - 1 "
+    "is {value:.3e} > {tol:.1e}",
+    "decoupled frame leaves the projector's range: coefficient {index} of F P - F "
+    "is {value:.3e} > {tol:.1e}",
     "Hamiltonian coefficient {index} not Hermitian",
     "first argument is not Hermitian within tolerance",
     "second argument is not Hermitian within tolerance",
@@ -88,6 +89,12 @@ ONE_PARTICLE_TEMPLATES = {
 }
 
 
+# Every gate that only a direct call passes: no command forms the U series.
+DIRECT_CALL_TEMPLATES = {
+    "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}",
+}
+
+
 # The test that trips each gate, as file::name; each asserts the typed error
 # and the rendered template.
 TRIP_TESTS = {
@@ -99,10 +106,12 @@ TRIP_TESTS = {
         "test_decoupling.py::test_u_series_rejects_mismatched_projector",
     "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}":
         "test_decoupling.py::test_series_residual_gate",
-    "Hamiltonian coefficient {index} leaks out of the upper block: {value:.3e}":
-        "test_decoupling.py::test_h_upper_block_leak_gate",
-    "intertwining defect of the U series: coefficient residual {value:.3e} > {tol:.1e}":
-        "test_decoupling.py::test_decoupled_rows_gate_the_worst_coefficient",
+    "decoupled frame rows not orthonormal: coefficient {index} of F F^H - 1 "
+    "is {value:.3e} > {tol:.1e}":
+        "test_decoupling.py::test_frame_orthonormality_gate",
+    "decoupled frame leaves the projector's range: coefficient {index} of F P - F "
+    "is {value:.3e} > {tol:.1e}":
+        "test_decoupling.py::test_frame_range_gate",
     "Hamiltonian coefficient {index} not Hermitian":
         "test_decoupling.py::test_h_hermiticity_gate",
     "first argument is not Hermitian within tolerance":
@@ -136,7 +145,7 @@ TRIP_TESTS = {
 
 
 def test_every_passed_gate_has_a_trip_test():
-    assert set(TRIP_TESTS) == PASSED_TEMPLATES | ONE_PARTICLE_TEMPLATES
+    assert set(TRIP_TESTS) == PASSED_TEMPLATES | ONE_PARTICLE_TEMPLATES | DIRECT_CALL_TEMPLATES
     tests = Path(__file__).resolve().parent
     for where in set(TRIP_TESTS.values()):
         path, name = where.split("::")
