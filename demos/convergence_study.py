@@ -15,7 +15,7 @@ from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import assemble_system
 
 
-def show(rows, gammas, k_max):
+def show(rows, gammas):
     for gamma in gammas:
         sub = sorted((r for r in rows if r["gamma"] == gamma), key=lambda r: r["k"])
         ratio = sub[0]["fitted_ratio"]
@@ -36,14 +36,14 @@ def main():
     gammas = (0.1, 0.3)
 
     print("one particle, full upper block")
-    show(mb.converge_main_theorem(bundle, s0, list(gammas), 10), gammas, 10)
+    show(mb.converge_main_theorem(bundle, s0, list(gammas)), gammas)
 
     pair = mb.build_pair_interaction(grid)
     cfg2 = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6)
     fs2 = mb.assemble_furry_exact(s0, cfg2, pair)
-    rows2 = mb.converge_main_theorem(bundle, fs2, list(gammas), 10)
+    rows2 = mb.converge_main_theorem(bundle, fs2, list(gammas))
     print("\ntwo particles, 6 retained states each")
-    show(rows2, gammas, 10)
+    show(rows2, gammas)
 
     gate = mb.check_restriction_consistency(0.3, cfg2)
     print(f"\nrestriction consistency gate at gamma=0.3: {gate:.3e}")

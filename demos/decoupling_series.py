@@ -28,7 +28,7 @@ def main():
     s0 = assemble_system(grid, 0.0)
     # the two series that the decoupling bundle forms in its build and does not keep
     p_series = riesz_projection_series(s0, 10)
-    u_series = u_gamma_series(p_series, grid.n)
+    u_series = u_gamma_series(p_series)
     print(f"series order {p_series.order}\n")
 
     print("coefficient spectral norms (projector series):")

@@ -103,10 +103,10 @@ def cmd_validate(cfg: RunConfig) -> int:
                        "passed": bool(passed), "hard": hard})
 
     # nonrelativistic limit of the Coulomb kernel: lowest hydrogen level in
-    # the upper channel, -1/(2(l+1)^2)
+    # the upper channel, -1/(2(l+1)^2); v[0] is that channel's block of V
+    v = op.build_coulomb(grid)
     t_kin = np.diag(grid.p ** 2 / 2.0)
-    v_chan = op.coulomb_channel_matrix(grid.p, grid.w, grid.l_upper)
-    ground = float(np.linalg.eigvalsh(t_kin + v_chan)[0])
+    ground = float(np.linalg.eigvalsh(t_kin + v[0])[0])
     ref = -0.5 / (grid.l_upper + 1) ** 2
     rel = abs(ground - ref) / abs(ref)
     record("hydrogen_momentum_ground", rel, 1e-6)
@@ -119,7 +119,6 @@ def cmd_validate(cfg: RunConfig) -> int:
         record(f"sommerfeld_ground_gamma_{r['gamma']:.4f}", r["sommerfeld_rel_error"], 1e-3)
 
     # ||V||_2 from V's two symmetric spinor-component blocks, with no SVD
-    v = op.build_coulomb(grid)
     kato_floor = -1e-4 * max(float(np.max(np.abs(np.linalg.eigvalsh(b)))) for b in v)
     record("kato_lower_bound", kato, kato_floor, lower=True)
 
@@ -184,7 +183,7 @@ def cmd_one_particle(cfg: RunConfig) -> int:
     for gamma in cfg.gamma_list:
         record, levels = op.measure_coupling(grid, gamma, kato)
         bound = np.flatnonzero((levels > 0.0) & (levels < 1.0))[:12]
-        refs = {int(i): op.sommerfeld_energy(gamma, k + 1, cfg.grid.kappa)
+        refs = {int(i): op.sommerfeld_energy(gamma, k + grid.l_upper + 1, grid.kappa)
                 for k, i in enumerate(bound)}
         rows = [(i, float(e), refs[i], abs(e - refs[i]) / refs[i]) if i in refs
                 else (i, float(e), "", "") for i, e in enumerate(levels)]
@@ -222,10 +221,9 @@ def cmd_converge(cfg: RunConfig) -> int:
     grid, sys0, bundle = _build_shared(cfg)
     out = cfg.output_dir
     gammas = list(cfg.gamma_list)
-    k_max = cfg.series_order
     results = {}
 
-    rows1 = mb.converge_main_theorem(bundle, sys0, gammas, k_max)
+    rows1 = mb.converge_main_theorem(bundle, sys0, gammas)
     write_report_csv(os.path.join(out, "converge_n1.csv"), rows1)
     results["n1"] = {"rows": rows1}
 
@@ -235,7 +233,7 @@ def cmd_converge(cfg: RunConfig) -> int:
         restriction = mb.check_restriction_consistency(gammas[0] or GAMMA_CRITICAL / 2,
                                                        cfg.nbody)
         fs_n = mb.assemble_furry_exact(sys0, cfg.nbody, pair)
-        rows_n = mb.converge_main_theorem(bundle, fs_n, gammas, k_max)
+        rows_n = mb.converge_main_theorem(bundle, fs_n, gammas)
         write_report_csv(os.path.join(out, f"converge_n{n_particles}.csv"), rows_n)
         results[f"n{n_particles}"] = {"rows": rows_n, "restriction_gate": restriction}
 

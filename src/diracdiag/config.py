@@ -22,6 +22,7 @@ from .report import gamma_tag
 GAMMA_WINDOW = 0.6
 GAMMA_CRITICAL = 0.3775
 DIMENSION_CAP = 20000  # largest retained product dimension n_plus ** n_particles
+ORDER_CAP = 64  # largest series order, of series_order and of ``series.make_series``
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,8 @@ class RunConfig:
                 raise ConfigError(f"gamma {seen[tag]} and gamma {gamma} share the output "
                                   f"file tag {tag}")
             seen[tag] = gamma
-        if self.series_order < 1:
-            raise ConfigError(f"series_order must be at least 1, got {self.series_order}")
+        if not 1 <= self.series_order <= ORDER_CAP:
+            raise ConfigError(f"series_order must lie in [1, {ORDER_CAP}], got {self.series_order}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -99,10 +99,11 @@ def riesz_projection_series(sys: OneParticleSystem, order: int, frame=None) -> M
 # Unitary and Hamiltonian series
 # ---------------------------------------------------------------------------
 
-def kato_nagy_rows(p, k: int, lower: bool = False) -> list:
+def kato_nagy_rows(p, lower: bool = False) -> list:
     """Rows of the Kato-Nagy unitary U = M S^(-1/2), M = P0 P + Q0 Q,
     S = 1 - (P0 - P)^2 (``oneparticle.exact_u_gamma``), from the projector
-    coefficients p, in a frame where P0 = diag(1, ..., 1, 0, ..., 0) has k ones.
+    coefficients p in the FW frame, where P0 is the row mask of the first
+    half of the states (``riesz_projection_series`` builds p[0] as it).
 
     With A = P_(++), B = P_(+-) and C = P_(--), S = blockdiag(A, 1 - C), so
     the upper rows are [A^(1/2), G] with G R = B, also F's only nonzero rows
@@ -113,8 +114,7 @@ def kato_nagy_rows(p, k: int, lower: bool = False) -> list:
     Y_n = Z_n - sum_{j=1}^{n} Y_(n-j) R_j of Y R = Z.
     """
     dim = p[0].shape[0]
-    gate_norm2([p[0] - np.diag(np.arange(dim) < k)], 1e-11,
-               "projector series constant term differs from the free projector")
+    k = dim // 2
     up, lo = slice(0, k), slice(k, dim)
     rows = [np.empty((dim if lower else k, dim), dtype=np.result_type(*p)) for _ in p]
     r = sqrt_coefficients((np.eye(dim - k) if n == 0 else 0.0) - c[lo, lo] for n, c in enumerate(p))
@@ -131,10 +131,10 @@ def kato_nagy_rows(p, k: int, lower: bool = False) -> list:
     return rows
 
 
-def u_gamma_series(p_series: MatrixSeries, n_plus: int) -> MatrixSeries:
-    """Decoupling-unitary series ``kato_nagy_rows`` in a frame where P0 has
-    n_plus ones, gated unitary order by order (``_gram_defects``)."""
-    u = kato_nagy_rows(p_series.coeffs, n_plus, lower=True)
+def u_gamma_series(p_series: MatrixSeries) -> MatrixSeries:
+    """Decoupling-unitary series ``kato_nagy_rows`` in the FW frame, gated
+    unitary order by order (``_gram_defects``)."""
+    u = kato_nagy_rows(p_series.coeffs, lower=True)
     gate_norm2(_gram_defects(u), 1e-9,
                "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}")
     return make_series(u)
@@ -225,13 +225,12 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
     rows are formed; that is the floor.  H is formed once P is gone.
     """
     blocks, lam, vfw = frame = _fw_frame(sys)
-    n = blocks.shape[0]
     p = riesz_projection_series(sys, order, frame)
     gate_norm2([p[0] - fw_conjugate(blocks, free_positive_projector(sys.grid))], 1e-11,
                "projector series constant term drifted from P_+^0")
     gate_norm2((c - c.conj().T for c in p.coeffs), 1e-10,
                "projector coefficients not Hermitian: {value:.3e}")
-    f = kato_nagy_rows(p.coeffs, n)
+    f = kato_nagy_rows(p.coeffs)
     gate_decoupled_frame(f, p.coeffs)
     del p
     h = h_diag_series(f, lam, vfw)

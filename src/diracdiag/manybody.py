@@ -478,7 +478,6 @@ class FurrySystem:
     config: NbodyConfig
     pair: PairInteraction | None
     sectors: tuple[Sector, ...]
-    eps: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
     kinetic: tuple[np.ndarray, ...]
@@ -560,7 +559,7 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
 
     return FurrySystem(
         one_particle=sys, config=cfg, pair=pair, sectors=sectors,
-        eps=eps, phi=phi, psi=psi, kinetic=kinetic, w_proj=w_proj,
+        phi=phi, psi=psi, kinetic=kinetic, w_proj=w_proj,
         h_furry_exact=h_furry, h_diag_exact=h_diag)
 
 
@@ -754,8 +753,9 @@ def _low_levels(blocks, frames, multiplicities, count: int = 10) -> np.ndarray:
 
 
 def converge_main_theorem(bundle: DecouplingBundle, system: OneParticleSystem | FurrySystem,
-                          gammas: list[float], k_max: int) -> list[dict]:
-    """Resolvent distances, weighted remainders, and eigenvalue errors per (gamma, k).
+                          gammas: list[float]) -> list[dict]:
+    """Resolvent distances, weighted remainders, and eigenvalue errors per
+    (gamma, k), k = 0..``bundle.order``.
 
     For one particle, system is a OneParticleSystem and the comparison runs
     on the full upper block.  For more particles, system is a FurrySystem:
@@ -772,13 +772,11 @@ def converge_main_theorem(bundle: DecouplingBundle, system: OneParticleSystem | 
     systems, frames and weights are released before the next coupling's
     are assembled.
     """
-    if k_max > bundle.order:
-        raise ValueError(f"requested k_max {k_max} beyond series order {bundle.order}")
     rows = []
     for gamma in gammas:
-        dists, remainders, eig_errors = _coupling_errors(bundle, system, gamma, k_max)
+        dists, remainders, eig_errors = _coupling_errors(bundle, system, gamma)
         ratio = fit_geometric_ratio(dists)
-        for k in range(k_max + 1):
+        for k in range(bundle.order + 1):
             rows.append({
                 "gamma": gamma, "k": k,
                 "resolvent_distance": float(dists[k]),
@@ -790,9 +788,9 @@ def converge_main_theorem(bundle: DecouplingBundle, system: OneParticleSystem | 
 
 
 def _coupling_errors(bundle: DecouplingBundle, system: OneParticleSystem | FurrySystem,
-                     gamma: float, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resolvent distances, weighted remainders and eigenvalue errors of the
-    partial sums k = 0..k_max at one coupling (``converge_main_theorem``)."""
+    partial sums k = 0..``bundle.order`` at one coupling (``converge_main_theorem``)."""
     nbody = isinstance(system, FurrySystem)
     sys0 = system.one_particle if nbody else system
     energies = free_energies(sys0.grid)
@@ -810,10 +808,8 @@ def _coupling_errors(bundle: DecouplingBundle, system: OneParticleSystem | Furry
         partial = series_partial_sums(zip(bundle.h_upper.coeffs), gamma)
     exact_frames = [resolvent_frame(e, "first") for e in exact]
     exact_low = _low_levels(exact, exact_frames, mult)
-    dists = np.empty(k_max + 1)
-    remainders = np.empty(k_max + 1)
-    eig_errors = np.empty(k_max + 1)
-    for k, approx in zip(range(k_max + 1), partial):
+    dists, remainders, eig_errors = np.empty((3, bundle.order + 1))
+    for k, approx in enumerate(partial):
         approx_h = [0.5 * (a + a.conj().T) for a in approx]
         frames = [resolvent_frame(a, "second") for a in approx_h]
         dists[k] = np.max([resolvent_distance(e, a, fe, fa)
@@ -835,11 +831,9 @@ def check_restriction_consistency(gamma: float, cfg: NbodyConfig) -> float:
     spectral-norm difference, over the sector blocks, between the full-space
     conjugated Hamiltonian compressed to the transported frame
     (``_conjugated_compression``) and the factored assembly used at scale,
-    after gating it at 1e-8 (ConsistencyError).  cfg with one particle
-    returns 0.
+    after gating it at 1e-8 (ConsistencyError).  Only cfg's charge and
+    n_plus are read; the instance always has two particles.
     """
-    if cfg.n_particles < 2:
-        return 0.0
     fs = _restriction_instance(gamma, cfg)
     compressed = _conjugated_compression(fs)
     return gate(float(np.max([_norm2(s.iso.T @ compressed @ s.iso - block)

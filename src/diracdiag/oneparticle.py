@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapError, gate
-from .grids import ChannelGrid
+from .grids import ChannelGrid, angular_momenta
 
 GAMMA_MAX = math.sqrt(3.0) / 2.0
 TOL_GAP = 1e-6  # slack of the soft gap check ``gap_floor``
@@ -258,28 +258,30 @@ def fw_conjugate(blocks: np.ndarray, x: np.ndarray, back: bool = False) -> np.nd
 # Exact decoupling unitary
 # ---------------------------------------------------------------------------
 
-def exact_u_gamma(pg: np.ndarray, n_plus: int) -> np.ndarray:
-    """Unitary U with U pg = P0 U, where P0 = diag(1, ..., 1, 0, ..., 0) has n_plus ones.
+def exact_u_gamma(pg: np.ndarray) -> np.ndarray:
+    """Unitary U with U pg = P0 U, pg in the FW frame, where the free
+    projector P0 is the row mask of the first half of the states.
 
     The Kato-Nagy transform U = (P0 pg + Q0 Qg) S^(-1/2) with Q = 1 - P and
     S = 1 - (P0 - pg)^2 (Kato, Perturbation Theory for Linear Operators,
     I sec. 4.6; the direct rotation of Davis & Kahan, SIAM J. Numer. Anal.
     7, 1970).  The identity S = P0 pg P0 + Q0 Qg Q0 makes S block-diagonal:
-    pg's block on the first n_plus states and 1 - pg's block on the rest,
-    so two half-size eigensolves give S^(-1/2).  The projectors must be
+    pg's block on the first half and 1 - pg's block on the second, so two
+    half-size eigensolves give S^(-1/2).  The projectors must be
     closer than distance 1, which makes S positive definite; the smaller
     lowest eigenvalue of the two blocks is exactly 1 - ||P0 - pg||^2, so
     no separate norm is taken.
     pg is overwritten: it is turned into M = P0 pg + Q0 Qg in place, so
     besides U no array of its size is formed.  Pass a copy to keep it.
     """
-    k, dim = n_plus, pg.shape[0]
+    dim = pg.shape[0]
+    k = dim // 2
     # M = P0 pg + Q0 Qg = (P0 - Q0) pg + Q0, and S is M's block-diagonal part
     m = pg
     m[k:] *= -1.0
     m[k:, k:] += np.eye(dim - k)
     halves = [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in (m[:k, :k], m[k:, k:])]
-    low = min((float(ew[0]) for ew, _ in halves if ew.size), default=1.0)
+    low = min(float(ew[0]) for ew, _ in halves)
     gate(-low, -math.ulp(0.0), "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1",
          gap=math.sqrt(max(0.0, 1.0 - low)))
     u = np.empty_like(m)
@@ -366,7 +368,7 @@ def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
         u_gamma = np.eye(grid.dim)
     else:
         u_gamma = fw_conjugate(blocks, exact_u_gamma(
-            fw_conjugate(blocks, positive_projector(evals, evecs)), grid.n), back=True)
+            fw_conjugate(blocks, positive_projector(evals, evecs))), back=True)
     _freeze(dgamma, blocks, u_gamma, evals, evecs)
     return OneParticleSystem(
         grid=grid, gamma=float(gamma), v=v, dgamma=dgamma, fw_blocks=blocks,
@@ -434,16 +436,18 @@ def d_gamma(gamma: float) -> float:
 
 
 def sommerfeld_energy(gamma: float, n_pr: int, kappa: int) -> float:
-    """Closed-form relativistic Coulomb level; the discretization oracle."""
-    if kappa == 0:
-        raise ValueError("channel label must be nonzero")
-    if n_pr < 1:
-        raise ValueError(f"principal number must be >= 1, got {n_pr}")
+    """Closed-form relativistic Coulomb level; the discretization oracle.
+
+    Channel kappa's k-th bound level (k = 0, 1, ...) has n_pr = k + l_upper + 1;
+    for those the effective quantum number n_pr - |kappa| + sqrt(kappa^2 - gamma^2)
+    is positive.
+    """
+    lowest = angular_momenta(kappa)[0] + 1
+    if n_pr < lowest:
+        raise ValueError(f"principal number {n_pr} below the lowest, {lowest}, of kappa {kappa}")
     if not 0.0 <= gamma < abs(kappa):
         raise ValueError(f"coupling {gamma} outside [0, |kappa|)")
     denom = n_pr - abs(kappa) + math.sqrt(kappa ** 2 - gamma ** 2)
-    if denom <= 0.0:
-        raise ValueError(f"invalid level: effective quantum number {denom} <= 0")
     return (1.0 + (gamma / denom) ** 2) ** -0.5
 
 
@@ -583,11 +587,12 @@ def decoupling_residuals(sys: OneParticleSystem) -> tuple[float, float]:
 def measure_coupling(grid: ChannelGrid, gamma: float, kato: float) -> tuple[dict, np.ndarray]:
     """The record of one coupling, and its ``rayleigh_levels``.
 
-    The record holds the ground level and its Sommerfeld relative error,
-    the ``decoupling_residuals``, the grid's Kato margin kato
-    (``check_kato``), the ``check_dgamma_bound`` margin and the gap
-    min |level|; at zero coupling the Sommerfeld error and the D_gamma^2
-    margin are 0.  The system is assembled here and released on return.
+    The record holds the ground level and its relative error against the
+    channel's lowest Sommerfeld level (principal number l_upper + 1), the
+    ``decoupling_residuals``, the grid's Kato margin kato (``check_kato``),
+    the ``check_dgamma_bound`` margin and the gap min |level|; at zero
+    coupling the Sommerfeld error and the D_gamma^2 margin are 0.  The
+    system is assembled here and released on return.
     """
     sys = assemble_system(grid, gamma)
     levels = rayleigh_levels(sys)
@@ -595,7 +600,7 @@ def measure_coupling(grid: ChannelGrid, gamma: float, kato: float) -> tuple[dict
     dg = check_dgamma_bound(sys) if gamma > 0 else 0.0
     ground = float(levels[levels > 0.0][0])
     if gamma > 0:
-        e_ref = sommerfeld_energy(gamma, 1, grid.kappa)
+        e_ref = sommerfeld_energy(gamma, grid.l_upper + 1, grid.kappa)
         s_rel = abs(ground - e_ref) / e_ref
     else:
         s_rel = 0.0

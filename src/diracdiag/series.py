@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ORDER_CAP
 from .oneparticle import _norm2
 
-ORDER_CAP = 64
 SQRT_BASE_TOL = 1e-10
 
 

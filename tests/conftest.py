@@ -32,6 +32,7 @@ from diracdiag.oneparticle import (
     free_energies,
     fw_rows,
     positive_projector,
+    positive_states,
 )
 from diracdiag.report import REPORT_COLUMNS
 from diracdiag.series import (
@@ -152,7 +153,7 @@ def pu_series(sys: OneParticleSystem, order: int) -> tuple[MatrixSeries, MatrixS
     """The projector and unitary series P and U that ``build_decoupling_bundle(sys,
     order)`` forms in the FW frame and does not keep, from the same functions."""
     p = riesz_projection_series(sys, order)
-    return p, u_gamma_series(p, sys.fw_blocks.shape[0])
+    return p, u_gamma_series(p)
 
 
 @pytest.fixture(scope="session")
@@ -584,9 +585,10 @@ def dense_furry(fs, bundle=None) -> dict:
         return sum(lift_pair(op, single, n, a, b, m) for a, b in pairs)
 
     phi, psi = fs.phi, fs.psi
-    eps_sum = fs.eps
+    eps = positive_states(sys, m)[0]
+    eps_sum = eps
     for _ in range(n - 1):
-        eps_sum = np.add.outer(eps_sum, fs.eps).ravel()
+        eps_sum = np.add.outer(eps_sum, eps).ravel()
     out = {"kinetic": np.diag(eps_sum)}
     s_phi = phi.T @ phi
     absd = abs_free_dirac_power(sys.grid, 1.0)

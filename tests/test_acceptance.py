@@ -66,12 +66,12 @@ def fs2(sys200, pair200):
 
 @pytest.fixture(scope="module")
 def rows_n1(sys200, bundle200):
-    return mb.converge_main_theorem(bundle200, sys200(0.3), list(GAMMAS_MAIN), 12)
+    return mb.converge_main_theorem(bundle200, sys200(0.3), list(GAMMAS_MAIN))
 
 
 @pytest.fixture(scope="module")
 def rows_n2(fs2, bundle200):
-    return mb.converge_main_theorem(bundle200, fs2, list(GAMMAS_MAIN), 12)
+    return mb.converge_main_theorem(bundle200, fs2, list(GAMMAS_MAIN))
 
 
 def column(rows, gamma, name):

@@ -169,6 +169,26 @@ def test_non_finite_config_float_exit_2(tmp_path, doc, field, value):
     assert out.stderr.startswith("config error: ") and field in out.stderr
 
 
+def test_series_order_above_the_cap_exit_2(tmp_path):
+    # series_order 65 is rejected with the config, before numpy loads and
+    # before any series is formed; make_series holds the same cap
+    cfg = write_cfg(tmp_path, {"grid": {"n": 8}, "gamma_list": [0.1], "series_order": 65,
+                               "nbody": {"n_plus": 4}})
+    code = textwrap.dedent(f"""
+        import sys
+        from diracdiag import cli
+        rc = cli.main(["converge", "--config", {cfg!r}, "--output", {str(tmp_path / "o")!r}])
+        if "numpy" in sys.modules:
+            raise SystemExit("numpy loaded")
+        raise SystemExit(rc)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path), env=child_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "config error: series_order must lie in [1, 64], got 65\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_threads_flag_set_before_numpy_loads(tmp_path):
     # main translates --threads into the BLAS variables after parsing and
     # before the command body loads numpy, so the flag reaches the backend

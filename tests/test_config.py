@@ -8,6 +8,7 @@ from diracdiag.config import (
     DIMENSION_CAP,
     GAMMA_CRITICAL,
     GAMMA_WINDOW,
+    ORDER_CAP,
     GridConfig,
     NbodyConfig,
     RunConfig,
@@ -95,6 +96,9 @@ def test_validate_rejects_bad_fields():
         dataclasses.replace(base, grid=dataclasses.replace(base.grid, kappa=0))
     with pytest.raises(ConfigError, match="series_order"):
         dataclasses.replace(base, series_order=0)
+    assert dataclasses.replace(base, series_order=ORDER_CAP).series_order == ORDER_CAP
+    with pytest.raises(ConfigError, match=r"^series_order must lie in \[1, 64\], got 65$"):
+        dataclasses.replace(base, series_order=ORDER_CAP + 1)
 
 
 def test_colliding_coupling_tags():

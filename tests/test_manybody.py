@@ -30,7 +30,7 @@ from diracdiag.config import NbodyConfig
 from diracdiag.decoupling import build_decoupling_bundle, resolvent_distance
 from diracdiag.errors import ConfigError, ConsistencyError, ResolutionError
 from diracdiag.grids import build_channel_grid, build_radial_grid
-from diracdiag.oneparticle import assemble_system
+from diracdiag.oneparticle import assemble_system, positive_states
 from diracdiag.series import series_eval, series_partial_sums
 
 
@@ -153,7 +153,6 @@ def test_pair_projection_matches_dense_reindex(pair100, m):
 
 
 def test_pair_projection_properties(sys100, pair100):
-    from diracdiag.oneparticle import positive_states
     _, phi = positive_states(sys100(0.3), 5)
     w2 = pair100.project(phi)
     m = 5
@@ -307,13 +306,14 @@ def test_orbit_sizes_cover_every_site_and_pair(n_sites):
 def test_one_particle_assembly(sys100):
     s = sys100(0.3)
     fs = mb.assemble_furry_exact(s, NbodyConfig(n_particles=1, z_charge=2.0, n_plus=8))
+    eps = positive_states(s, 8)[0]
     assert fs.dim == 8
-    assert np.allclose(fs.kinetic[0], fs.eps, atol=1e-14)
+    assert np.allclose(fs.kinetic[0], eps, atol=1e-14)
     # furry and diagonalized spectra coincide
     ef = fs.levels(fs.h_furry_exact)
     ed = fs.levels(fs.h_diag_exact)
     assert np.max(np.abs(ef - ed)) < 1e-9
-    assert np.max(np.abs(ef - fs.eps)) < 1e-9
+    assert np.max(np.abs(ef - eps)) < 1e-9
 
 
 def test_two_particle_assembly(sys100, pair100):
@@ -325,7 +325,8 @@ def test_two_particle_assembly(sys100, pair100):
     ed = fs.levels(fs.h_diag_exact)
     assert np.max(np.abs(ef - ed)) < 1e-9
     # repulsion raises every level above the sum of one-particle energies
-    free_sum = np.sort(np.add.outer(fs.eps, fs.eps).ravel())
+    eps = positive_states(s, 6)[0]
+    free_sum = np.sort(np.add.outer(eps, eps).ravel())
     assert np.all(ef >= free_sum - 1e-10)
     assert ef[0] > free_sum[0]
 
@@ -566,7 +567,7 @@ def test_fit_geometric_ratio_short_sequence():
 
 
 def test_converge_rows_one_particle(sys100, bundle100):
-    rows = mb.converge_main_theorem(bundle100, sys100(0.0), [0.1, 0.2], 8)
+    rows = mb.converge_main_theorem(bundle100, sys100(0.0), [0.1, 0.2])
     assert len(rows) == 2 * 9
     for row in rows:
         assert set(row) == {"gamma", "k", "resolvent_distance",
@@ -582,7 +583,7 @@ def test_converge_rows_one_particle(sys100, bundle100):
 
 
 def test_converge_zero_coupling_is_exact(sys100, bundle100):
-    rows = mb.converge_main_theorem(bundle100, sys100(0.0), [0.0], 4)
+    rows = mb.converge_main_theorem(bundle100, sys100(0.0), [0.0])
     for row in rows:
         assert row["resolvent_distance"] < 5e-12
         assert row["weighted_remainder_norm"] < 5e-12
@@ -604,13 +605,8 @@ def test_converge_takes_no_inverse_and_no_svd(monkeypatch, sys100, pair100, bund
     for mod in (np.linalg, impl):
         monkeypatch.setattr(mod, "inv", refuse)
         monkeypatch.setattr(mod, "svd", refuse)
-    rows = mb.converge_main_theorem(bundle100, system, [0.1, 0.2], 4)
-    assert len(rows) == 10
-
-
-def test_converge_rejects_k_beyond_order(sys100, bundle100):
-    with pytest.raises(ValueError, match="order"):
-        mb.converge_main_theorem(bundle100, sys100(0.0), [0.1], 9)
+    rows = mb.converge_main_theorem(bundle100, system, [0.1, 0.2])
+    assert len(rows) == 2 * 9
 
 
 @pytest.mark.parametrize("n_particles,n_plus", [(2, 6), (3, 4)])
@@ -623,7 +619,7 @@ def test_weighted_remainder_matches_dense_oracle(sys100, pair100, bundle100, n_p
     # absolute: 1e-9 relative holds where the remainder exceeds 1e-6
     gamma = 0.3
     fs = mb.assemble_furry_exact(sys100(gamma), NbodyConfig(n_particles, 2.0, n_plus), pair100)
-    rows = mb.converge_main_theorem(bundle100, fs, [gamma], bundle100.order)
+    rows = mb.converge_main_theorem(bundle100, fs, [gamma])
     dense = dense_furry(fs, bundle100)
     w = _inv_sqrt_oracle(dense["abs_d0_psi"])
     approx = np.zeros_like(dense["h_diag"])
@@ -714,7 +710,3 @@ def test_restriction_check_stores_no_product_space_matrix():
     assert gate < 1e-8
     assert peak < 2304 ** 2 * 8
 
-
-def test_restriction_consistency_single_particle_zero():
-    cfg = NbodyConfig(n_particles=1, z_charge=2.0, n_plus=6)
-    assert mb.check_restriction_consistency(0.3, cfg) == 0.0

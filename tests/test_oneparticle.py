@@ -1,5 +1,6 @@
 """One-particle operator stack: special functions, matrices, oracles, bounds."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -21,7 +22,7 @@ from conftest import (
 )
 from diracdiag import cli, oneparticle
 from diracdiag.errors import ConsistencyError, GapError, gate
-from diracdiag.grids import build_channel_grid
+from diracdiag.grids import angular_momenta, build_channel_grid
 from diracdiag.oneparticle import (
     GAMMA_MAX,
     _norm2,
@@ -286,7 +287,7 @@ def test_exact_u_gamma_rejects_far_projectors():
     # orthogonal rank-1 projectors: both blocks of S are exactly 0
     pg = np.diag([0.0, 1.0])
     with pytest.raises(ConsistencyError, match=f"^{re.escape(FAR_APART)}$"):
-        exact_u_gamma(pg, 1)
+        exact_u_gamma(pg)
 
 
 def test_exact_u_gamma_near_the_distance_limit():
@@ -296,7 +297,7 @@ def test_exact_u_gamma_near_the_distance_limit():
     p0 = np.diag([1.0, 0.0])
     pg = np.outer(v, v)
     assert abs(np.linalg.norm(p0 - pg, 2) - math.sin(theta)) < 1e-15
-    u = exact_u_gamma(pg.copy(), 1)
+    u = exact_u_gamma(pg.copy())
     assert np.linalg.norm(u @ u.T - np.eye(2), 2) < 1e-14
     assert np.linalg.norm(u @ pg - p0 @ u, 2) < 1e-14
 
@@ -305,7 +306,7 @@ def test_exact_u_gamma_rejects_rank_mismatch():
     # projectors of different rank are at distance exactly 1
     pg = np.diag([1.0, 1.0, 0.0])
     with pytest.raises(ConsistencyError, match=f"^{re.escape(FAR_APART)}$"):
-        exact_u_gamma(pg, 1)
+        exact_u_gamma(pg)
 
 
 def test_exact_u_gamma_takes_half_size_eigensolves(monkeypatch, sys100):
@@ -319,7 +320,7 @@ def test_exact_u_gamma_takes_half_size_eigensolves(monkeypatch, sys100):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    u = exact_u_gamma(fw_conjugate(blocks, positive_projector(s.evals, s.evecs)), 100)
+    u = exact_u_gamma(fw_conjugate(blocks, positive_projector(s.evals, s.evecs)))
     assert sizes == [100, 100]
     assert np.max(np.abs(fw_conjugate(blocks, u, back=True) - s.u_gamma)) == 0.0
 
@@ -445,6 +446,27 @@ def test_sommerfeld_rejects_bad_input():
         sommerfeld_energy(0.3, 0, -1)
     with pytest.raises(ValueError):
         sommerfeld_energy(1.5, 1, -1)
+
+
+@pytest.mark.parametrize("kappa", [1, -2, 2])
+def test_sommerfeld_references_follow_the_channel(tmp_path, kappa):
+    # channel kappa's k-th bound level has principal number k + l_upper + 1;
+    # at 100 nodes and gamma 0.3 its ground level is then within 8.6e-7 of
+    # the reference and every one of the 12 within 8.6e-5, where numbering
+    # the levels k + 1 puts the ground level 3-4% off
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"n": 100, "kappa": kappa}, "gamma_list": [0.3]}),
+                   encoding="utf-8")
+    assert cli.main(["one-particle", "--config", str(cfg), "--output", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "one_particle.json").read_text())["results"]["per_gamma"][0]
+    assert record["sommerfeld_rel_error"] < 1e-6
+    with open(tmp_path / "one_particle_gamma_0p3000.csv", newline="", encoding="utf-8") as fh:
+        errors = [float(r["rel_error"]) for r in csv.DictReader(fh) if r["rel_error"]]
+    assert len(errors) == 12 and max(errors) < 1e-4
+    lowest = angular_momenta(kappa)[0] + 1
+    assert sommerfeld_energy(0.3, lowest, kappa) == pytest.approx(record["ground_energy"], rel=1e-6)
+    with pytest.raises(ValueError, match=f"^principal number {lowest - 1} below the lowest"):
+        sommerfeld_energy(0.3, lowest - 1, kappa)
 
 
 def test_constants_at_zero_coupling():
