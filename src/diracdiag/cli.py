@@ -252,7 +252,6 @@ def cmd_nbody(cfg: RunConfig) -> int:
     from . import manybody as mb
     from .oneparticle import assemble_system
     from .report import gamma_tag, write_json_summary, write_table_csv
-    from .series import series_partial_sums
 
     require_convergence_window(cfg)
     grid, sys0, bundle = _build_shared(cfg)
@@ -264,17 +263,16 @@ def cmd_nbody(cfg: RunConfig) -> int:
         sys_g = sys0 if gamma == sys0.gamma else assemble_system(grid, gamma)
         fs = mb.assemble_furry_exact(sys_g, cfg.nbody, pair)
         e_furry = fs.levels(fs.h_furry_exact)
-        e_diag = fs.levels(fs.h_diag_exact)
+        spectra = [np.linalg.eigvalsh(b) for b in fs.h_diag_exact]
+        e_diag = fs.merge(spectra)
         rows = [(i, float(a), float(b), float(abs(a - b)))
                 for i, (a, b) in enumerate(zip(e_furry, e_diag))]
         write_table_csv(os.path.join(out, f"nbody_levels_gamma_{gamma_tag(gamma)}.csv"),
                         ("index", "furry_eigenvalue", "diag_eigenvalue", "abs_diff"), rows)
 
         ground_exact = float(e_diag[0])
-        series_rows = []
-        for k, blocks in enumerate(series_partial_sums(mb.h_diag_series_N(bundle, fs), gamma)):
-            gk = float(np.min([np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0] for h in blocks]))
-            series_rows.append((k, gk, abs(gk - ground_exact)))
+        series = mb.series_ground_energies(bundle, fs, gamma, [e[0] for e in spectra])
+        series_rows = [(k, gk, abs(gk - ground_exact)) for k, gk in enumerate(series.tolist())]
         write_table_csv(os.path.join(out, f"nbody_series_gamma_{gamma_tag(gamma)}.csv"),
                         ("k", "series_ground_energy", "ground_error"), series_rows)
 

@@ -110,24 +110,30 @@ def kato_nagy_rows(p, lower: bool = False) -> list:
     (F = U P = P0 U), and the lower rows, returned with lower, [-X, R] with
     X A^(1/2) = P_(-+), where R = (1 - C)^(1/2) (Kato, Perturbation Theory,
     I sec. 4.6).  Each root is a half-size series (``series.sqrt_coefficients``),
-    one alive at a time, and each division by it the forward substitution
-    Y_n = Z_n - sum_{j=1}^{n} Y_(n-j) R_j of Y R = Z.
+    one alive at a time without lower, and each division by it the forward
+    substitution Y_n = Z_n - sum_{j=1}^{n} Y_(n-j) R_j of Y R = Z.  G is
+    formed from R first, then A^(1/2), and only then each row as their
+    concatenation, releasing both halves as it is formed, so beside P at
+    most G and one root (a quarter series each) are alive.
     """
     dim = p[0].shape[0]
     k = dim // 2
     up, lo = slice(0, k), slice(k, dim)
-    rows = [np.empty((dim if lower else k, dim), dtype=np.result_type(*p)) for _ in p]
     r = sqrt_coefficients((np.eye(dim - k) if n == 0 else 0.0) - c[lo, lo] for n, c in enumerate(p))
-    for n, (row, c) in enumerate(zip(rows, p)):
-        row[up, lo] = c[up, lo] - sum(rows[n - j][up, lo] @ r[j] for j in range(1, n + 1))
-        if lower:
-            row[lo, lo] = r[n]
-    del r
-    r = sqrt_coefficients(c[up, up] for c in p)
-    for n, (row, c) in enumerate(zip(rows, p)):
-        row[up, up] = r[n]
-        if lower:
-            row[lo, up] = -c[lo, up] - sum(rows[n - j][lo, up] @ r[j] for j in range(1, n + 1))
+    g = []
+    for n, c in enumerate(p):
+        g.append(c[up, lo] - sum(g[n - j] @ r[j] for j in range(1, n + 1)))
+    if not lower:
+        del r
+    a = sqrt_coefficients(c[up, up] for c in p)
+    if lower:
+        x = []
+        for n, c in enumerate(p):
+            x.append(-c[lo, up] - sum(x[n - j] @ a[j] for j in range(1, n + 1)))
+    rows = []
+    for n in range(len(p)):
+        rows.append(np.block([[a[n], g[n]], [x[n], r[n]]]) if lower else np.hstack((a[n], g[n])))
+        a[n] = g[n] = None  # each half released as its row is formed
     return rows
 
 
@@ -166,9 +172,31 @@ def gate_decoupled_frame(f: list, p) -> None:
     gate_norm2(_gram_defects([c.conj().T for c in f]), 1e-9,
                "decoupled frame rows not orthonormal: coefficient {index} of F F^H - 1 "
                "is {value:.3e} > {tol:.1e}")
-    gate_norm2(map(np.subtract, cauchy_coefficients(f, p), f), 1e-9,
+    gate_norm2(_range_defects(f, p), 1e-9,
                "decoupled frame leaves the projector's range: coefficient {index} of F P - F "
                "is {value:.3e} > {tol:.1e}")
+
+
+def _range_defects(f, p):
+    """Yield the coefficients of F P - F without the products by F_0 or P_0.
+
+    F_0 = [1, 0] and P_0, the row mask, are exact by construction
+    (``kato_nagy_rows``, ``riesz_projection_series``), so F_0 P_n is P_n's
+    upper rows and F_n P_0 is F_n's left block padded with zeros.  The
+    terms are added in the order of ``series.cauchy_coefficients``,
+    m = 0..n, so each coefficient is the one the full products give.
+    """
+    if len(f) != len(p):
+        raise ValueError(f"order mismatch: {len(f) - 1} vs {len(p) - 1}")
+    k = f[0].shape[0]
+    for n, fn in enumerate(f):
+        acc = np.array(p[n][:k], dtype=np.result_type(fn, p[n]))
+        for m in range(1, n):
+            acc += f[m] @ p[n - m]
+        if n:
+            acc[:, :k] += fn[:, :k]
+        acc -= fn
+        yield acc
 
 
 def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
@@ -219,10 +247,11 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
 
     F's upper rows come straight from P (``kato_nagy_rows``), so no
     coefficient of U, Gram product U^H U or Cauchy product U P is formed.
-    Memory, in series of order K with 2n x 2n coefficients: P, F's rows
-    (half a series) and one half-size square root (a quarter series), beside
-    the FW potential that P and H read and a working coefficient, while the
-    rows are formed; that is the floor.  H is formed once P is gone.
+    Memory, in series of order K with 2n x 2n coefficients: P and F's rows
+    (half a series), beside the FW potential that P and H read and the
+    gates' working coefficients; that is the floor.  While the rows are
+    formed, G and one half-size square root (a quarter series each) stand
+    where they will be.  H is formed once P is gone.
     """
     blocks, lam, vfw = frame = _fw_frame(sys)
     p = riesz_projection_series(sys, order, frame)

@@ -496,8 +496,11 @@ class FurrySystem:
     def levels(self, blocks) -> np.ndarray:
         """Product-space spectrum of an operator stored as sector blocks, sorted,
         with each block's eigenvalues repeated by its sector's multiplicity."""
-        return np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), d)
-                                       for b, d in zip(blocks, self.multiplicities)]))
+        return self.merge([np.linalg.eigvalsh(b) for b in blocks])
+
+    def merge(self, spectra) -> np.ndarray:
+        """The product-space spectrum ``levels`` from the blocks' spectra."""
+        return np.sort(np.concatenate([np.repeat(e, d) for e, d in zip(spectra, self.multiplicities)]))
 
 
 def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
@@ -629,25 +632,182 @@ def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndar
         del c  # one coefficient alive at a time
 
 
-def h_diag_series_N(bundle: DecouplingBundle, fs: FurrySystem):
-    """Yield the N-particle Hamiltonian series on the frame fs.psi, order by order.
+def _site_series(bundle: DecouplingBundle, fs: FurrySystem):
+    """Yield the site operators (c_k, w_k) of the N-particle Hamiltonian
+    series on the frame fs.psi, k = 0..bundle.order, one order at a time.
 
-    Item k = 0..bundle.order is the order-k coefficient as a tuple of
-    sector blocks, one per entry of fs.sectors, computed when it is asked
-    for and not kept.  It lifts the compression of the one-particle
-    coefficient onto every site (the one-particle series live on the rows
-    of psi on the positive free states, ``DecouplingBundle``), and from
-    order 1 on the pair coefficient of ``_pair_series`` onto every pair.
+    c_k = upper^H h_k upper is the compression of the one-particle
+    coefficient (the one-particle series live on the rows of psi on the
+    positive free states, ``DecouplingBundle``), acting on every site; w_k
+    is the pair coefficient of ``_pair_series``, acting on every pair, and
+    None at order 0 or for one particle.
     """
     upper = fs.psi[:bundle.h_upper.dim]
     pairs = None
     if fs.config.n_particles >= 2:
         pairs = _pair_series(bundle, fs.pair, upper, fs.config.z_charge)
     for k, h in enumerate(bundle.h_upper.coeffs):
-        c_kin = upper.conj().T @ h @ upper
+        c = upper.conj().T @ h @ upper
         w = next(pairs) if k and pairs is not None else None
-        yield tuple(sector_blocks(s, c_kin, w) for s in fs.sectors)
+        yield c, w
         del w  # before the next pair coefficient is computed
+
+
+def h_diag_series_N(bundle: DecouplingBundle, fs: FurrySystem):
+    """Yield the N-particle Hamiltonian series on the frame fs.psi, order by order.
+
+    Item k = 0..bundle.order is the order-k coefficient as a tuple of
+    sector blocks, one per entry of fs.sectors, computed when it is asked
+    for and not kept: the site operators of ``_site_series`` lifted onto
+    every sector.
+    """
+    for c, w in _site_series(bundle, fs):
+        yield tuple(sector_blocks(s, c, w) for s in fs.sectors)
+        del w  # before the next pair coefficient is computed
+
+
+def series_ground_energies(bundle: DecouplingBundle, fs: FurrySystem, gamma: float,
+                           lows) -> np.ndarray:
+    """Lowest level of each partial sum S_k = sum_(j<=k) gamma^j H_j,
+    k = 0..bundle.order, of the series ``h_diag_series_N``, lifting and
+    diagonalizing only the sector blocks that can hold it.
+
+    lows[b] is the lowest eigenvalue of the exact block fs.h_diag_exact[b],
+    as ``np.linalg.eigvalsh`` returns it.  The level of S_k is the minimum
+    over its blocks.  At each order the sectors are visited in ascending
+    order of lows, and best is the lowest level found so far at that
+    order.  By Weyl's inequality (H. Weyl, Math. Ann. 71, 1912) block b of
+    S_k has no level below lows[b] - ||S_k^(b) - E_b||_2, with E_b the
+    exact block, so a sector whose bound lies above best cannot hold the
+    minimum and is skipped (``_LazyBlock``).  The first sector is lifted
+    and diagonalized at every order, as is any sector not certified, with
+    the arithmetic of ``series.series_partial_sums``; a level is therefore
+    bit for bit that of the full route, unless it is held by a sector that
+    resumed after a skip, whose partial sum differs at roundoff.
+    """
+    n = fs.config.n_particles
+    weights = (n, math.comb(n, 2))
+    blocks = [_LazyBlock(s, e, float(low))
+              for s, e, low in zip(fs.sectors, fs.h_diag_exact, lows)]
+    visit = [blocks[b] for b in np.argsort(lows, kind="stable")]
+    energies = np.empty(bundle.order + 1)
+    gk = 1.0
+    for k, (c, w) in enumerate(_site_series(bundle, fs)):
+        bound = 0.0
+        if k:
+            gk *= gamma
+            if len(blocks) > 1:
+                bound = weights[0] * np.linalg.norm(c) + weights[1] * np.linalg.norm(w)
+        best = np.inf
+        for block in visit:
+            best = min(best, block.step(k, gk, c, w, gk * bound, best))
+        energies[k] = best
+        del w  # before the next pair coefficient is computed
+    return energies
+
+
+class _LazyBlock:
+    """Partial sums of one sector block, lifted only when a Weyl bound cannot
+    place its lowest level above the best level found so far
+    (``series_ground_energies``).
+
+    After a lift at order k0 the block stores S = S_k0 and dist =
+    ||S - E||_F.  At order k > k0,
+        B = dist + sum_(j=k0+1..k) gamma^j (N ||c_j||_F + C(N,2) ||w_j||_F)
+    bounds ||S_k - E||_2: the order-j term of block b is the compression
+    V^T X_j V by the orthonormal sector isometry V of X_j, the sum of c_j
+    over the N sites and w_j over the C(N,2) pairs, so ||V^T X_j V||_2 <=
+    ||X_j||_2 <= N ||c_j||_2 + C(N,2) ||w_j||_2, and ||.||_2 <= ||.||_F
+    (V is orthonormal to roundoff, which ``margin`` covers).
+    Symmetrizing is a contraction, so ||(S + S^H)/2 - (E + E^H)/2||_2 <=
+    ||S - E||_2, and by Weyl the block's lowest level is at least
+    lows[b] - B up to the roundoff that ``margin`` bounds.  The block is
+    skipped when low - B > best + margin: it is neither lifted nor
+    diagonalized, and gamma^j c_j and gamma^j w_j are added in place to one
+    buffer each.  The first order that is not certified lifts the buffers
+    once onto S.  Right after any lift, low - dist > best + margin skips
+    the eigensolve as well.  With best = inf (the first sector visited)
+    nothing is certified and no distance is taken.
+    """
+
+    def __init__(self, sector: Sector, exact: np.ndarray, low: float):
+        self.sector, self.exact, self.low = sector, exact, low
+        self.exact_norm = float(np.linalg.norm(exact))
+        self.asymmetry = 0.5 * float(np.linalg.norm(exact - exact.conj().T))
+        m_n, n_sites = sector.iso.shape[0], sector.occupation.shape[1]
+        self.rounding = m_n * math.factorial(n_sites) + sector.width ** 2
+        self.sum = None
+        self.dist = self.pending = self.size = 0.0
+        self.c_buf = self.w_buf = None
+
+    def margin(self, k: int) -> float:
+        """Roundoff allowance of the certificate at order k.
+
+        The certificate must hold for the level the full route would
+        compute, lam = eigvalsh((S + S^H)/2)[0] with S its floating-point
+        partial sum, and lows[b] is itself a computed eigenvalue.  Each
+        rounding step is bounded in the standard first-order model:
+        a step whose sums have at most p terms is off by at most
+        p eps ||x||_2 (eps = machine epsilon), with p the block width w
+        for a backward-stable Hermitian eigensolver (LAPACK Users' Guide
+        sec. 4.7, |lam_hat - lam| <= p(w) eps ||A||_2 by Weyl), at most
+        m^N N! for forming one lifted term (products of length m or m^2,
+        orbit sums, N! gathered positions per column) and w^2 for a
+        Frobenius norm.  p = m^N N! + w^2 bounds all of them.  Every matrix
+        involved has spectral norm at most ||E||_F + M, with M = size =
+        ||S_0||_F + sum_(j=1..k) gamma^j (N ||c_j||_F + C(N,2) ||w_j||_F)
+        bounding every partial sum and lifted term.  Up to order k there
+        are 2k + 1 steps forming S (k + 1 lifts, k additions), two
+        eigensolves (E and S) and one distance: at most 2(k + 2) steps, so
+            margin = 2 (k + 2) p eps (||E||_F + M) + ||E - E^H||_F / 2.
+        The last term is exact, not a rounding bound: eigvalsh reads E's
+        lower triangle, the Hermitian matrix that differs from (E + E^H)/2
+        by that much in Frobenius norm, while the bound above compares S
+        with (E + E^H)/2.
+        """
+        eps = np.finfo(float).eps
+        return 2 * (k + 2) * self.rounding * eps * (self.exact_norm + self.size) + self.asymmetry
+
+    def step(self, k: int, gk: float, c: np.ndarray, w: np.ndarray | None,
+             growth: float, best: float) -> float:
+        """Advance to order k and return the block's lowest level, or inf
+        when it is certified above best.  gk = gamma^k, and growth is
+        gamma^k (N ||c||_F + C(N,2) ||w||_F)."""
+        if k == 0:
+            self.sum = sector_blocks(self.sector, c, w)
+            self.size = float(np.linalg.norm(self.sum))
+        else:
+            self.size += growth
+            self.pending += growth
+            if self.low - (self.dist + self.pending) > best + self.margin(k):
+                self._defer(gk, c, w)
+                return np.inf
+            self._lift(gk, c, w)
+        if best < np.inf:
+            self.dist, self.pending = float(np.linalg.norm(self.sum - self.exact)), 0.0
+            if self.low - self.dist > best + self.margin(k):
+                return np.inf
+        return float(np.linalg.eigvalsh(0.5 * (self.sum + self.sum.conj().T))[0])
+
+    def _defer(self, gk: float, c: np.ndarray, w: np.ndarray | None) -> None:
+        """Add gamma^k c and gamma^k w to the buffers, in place after the first."""
+        if self.c_buf is None:
+            self.c_buf = gk * c
+            self.w_buf = None if w is None else gk * w
+            return
+        self.c_buf += gk * c
+        if w is not None:
+            self.w_buf += gk * w
+
+    def _lift(self, gk: float, c: np.ndarray, w: np.ndarray | None) -> None:
+        """Add order k to S: the buffered orders and this one in one lift, or
+        this order's lift scaled by gk, as ``series.series_partial_sums`` does."""
+        if self.c_buf is None:
+            self.sum += gk * sector_blocks(self.sector, c, w)
+            return
+        self._defer(gk, c, w)
+        self.sum += sector_blocks(self.sector, self.c_buf, self.w_buf)
+        self.c_buf = self.w_buf = None
 
 
 # ---------------------------------------------------------------------------

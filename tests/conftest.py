@@ -40,6 +40,7 @@ from diracdiag.series import (
     cauchy_coefficients,
     coefficient_norms,
     make_series,
+    series_partial_sums,
 )
 
 
@@ -557,6 +558,15 @@ def collect_series_N(bundle, fs) -> tuple[MatrixSeries, ...]:
     """The streamed N-particle series of ``manybody.h_diag_series_N``, every
     order collected into one MatrixSeries per sector."""
     return tuple(make_series(c) for c in zip(*h_diag_series_N(bundle, fs)))
+
+
+def full_series_ground_energies(bundle, fs, gamma: float) -> np.ndarray:
+    """Lowest level of every partial sum of ``manybody.h_diag_series_N`` with
+    every sector block lifted and diagonalized at every order: the oracle of
+    ``manybody.series_ground_energies``, which lifts only the blocks that
+    can hold it."""
+    return np.array([float(np.min([np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0] for h in blocks]))
+                     for blocks in series_partial_sums(h_diag_series_N(bundle, fs), gamma)])
 
 
 def dense_furry(fs, bundle=None) -> dict:

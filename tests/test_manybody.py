@@ -18,6 +18,7 @@ from conftest import (
     dense_furry,
     dense_two_site_assemble,
     forbid_svd,
+    full_series_ground_energies,
     lift_pair,
     lift_single,
     lu_resolvent_distance,
@@ -429,6 +430,121 @@ def test_streamed_partial_sums_match_the_collected_series(sys100, pair100, bundl
     for b, series in enumerate(collected):
         for k, (ref,) in enumerate(series_partial_sums(zip(series.coeffs), 0.3)):
             assert np.array_equal(streamed[k][b], ref), (b, k)
+
+
+# ---------------------------------------------------------------------------
+# series ground energies: the Weyl certificate
+# ---------------------------------------------------------------------------
+
+def _exact_lows(fs) -> list[float]:
+    return [float(np.linalg.eigvalsh(b)[0]) for b in fs.h_diag_exact]
+
+
+@pytest.mark.parametrize("antisymmetrize", [False, True])
+@pytest.mark.parametrize("n_particles,n_plus", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("gamma", [0.05, 0.2, 0.35])
+def test_series_ground_energies_match_the_full_route(sys100, pair100, bundle100, gamma,
+                                                     n_particles, n_plus, antisymmetrize):
+    # the certified route skips only blocks that cannot hold the minimum, and
+    # every block it does diagonalize is summed as the full route sums it
+    cfg = NbodyConfig(n_particles, 2.0, n_plus, antisymmetrize)
+    fs = mb.assemble_furry_exact(sys100(gamma), cfg, pair100)
+    got = mb.series_ground_energies(bundle100, fs, gamma, _exact_lows(fs))
+    assert got.shape == (bundle100.order + 1,)
+    assert np.array_equal(got, full_series_ground_energies(bundle100, fs, gamma))
+
+
+def _count_calls(monkeypatch) -> dict:
+    """Count ``manybody.sector_blocks`` and ``np.linalg.eigvalsh`` calls from here on."""
+    counts = {"lifts": 0, "eigvalsh": 0}
+    lift, eigvalsh = mb.sector_blocks, np.linalg.eigvalsh
+
+    def counted_lift(*args):
+        counts["lifts"] += 1
+        return lift(*args)
+
+    def counted_eigvalsh(*args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(mb, "sector_blocks", counted_lift)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    return counts
+
+
+def test_a_block_inside_the_margin_is_lifted_and_diagonalized(monkeypatch):
+    # the exact block E is the order-0 sum itself, so ||S - E||_F = 0 after
+    # the order-0 lift and only the margin separates low from best there;
+    # at order 1 the bound is the term's growth and the margin
+    (sector, _) = mb.site_sectors(3, 2)
+    c0, c1 = np.diag([1.0, 2.0, 3.0]), np.diag([1e-3, 0.0, -2e-3])
+    exact = mb.sector_blocks(sector, c0)
+    low = float(np.linalg.eigvalsh(exact)[0])
+    growth = 0.1 * 2 * np.linalg.norm(c1)
+    # the margins at orders 0 and 1, read off a block that has seen order 0
+    probe = mb._LazyBlock(sector, exact, low)
+    probe.step(0, 1.0, c0, None, 0.0, np.inf)
+    margin0 = probe.margin(0)
+    probe.size += growth
+    margin1 = probe.margin(1)
+    assert 0.0 < margin0 < margin1 < 1e-10
+
+    def run(best0: float, best1: float) -> tuple[float, float, dict]:
+        block = mb._LazyBlock(sector, exact, low)
+        counts = _count_calls(monkeypatch)
+        level0 = block.step(0, 1.0, c0, None, 0.0, best0)
+        level1 = block.step(1, 0.1, c1, None, growth, best1)
+        monkeypatch.undo()
+        return level0, level1, counts
+
+    # inside: low - bound lies above best, but by less than the margin
+    level0, level1, counts = run(low - 0.5 * margin0, low - growth - 0.5 * margin1)
+    assert counts == {"lifts": 2, "eigvalsh": 2}
+    assert level0 == pytest.approx(low, abs=1e-14)
+    ref = np.linalg.eigvalsh(exact + 0.1 * mb.sector_blocks(sector, c1))[0]
+    assert level1 == pytest.approx(ref, abs=1e-14)
+    # outside: certified above best by more than the margin, neither
+    # diagonalized at order 0 nor lifted at order 1
+    level0, level1, counts = run(low - 2 * margin0, low - growth - 2 * margin1)
+    assert counts == {"lifts": 1, "eigvalsh": 0}
+    assert level0 == level1 == np.inf
+
+
+def test_a_skipped_block_resumes_from_its_buffers(sys100, pair100, bundle100):
+    # best = -inf certifies every block, best = inf none: the widest block
+    # of three particles is skipped at orders 1-3, resumes at order 4 by one
+    # lift of the buffered terms and is lifted order by order after that
+    gamma = 0.2
+    fs = mb.assemble_furry_exact(sys100(gamma), NbodyConfig(3, 2.0, 4), pair100)
+    b = int(np.argmax([s.width for s in fs.sectors]))
+    block = mb._LazyBlock(fs.sectors[b], fs.h_diag_exact[b], _exact_lows(fs)[b])
+    oracle = series_partial_sums(mb.h_diag_series_N(bundle100, fs), gamma)
+    for k, ((c, w), ref) in enumerate(zip(mb._site_series(bundle100, fs), oracle)):
+        gk = 1.0 if k == 0 else gk * gamma
+        best = -np.inf if 1 <= k <= 3 else np.inf
+        level = block.step(k, gk, c, w, 0.0, best)
+        if best == -np.inf:
+            assert level == np.inf and block.c_buf is not None
+            continue
+        assert block.c_buf is None
+        scale = np.max(np.abs(ref[b]))
+        assert np.max(np.abs(block.sum - ref[b])) <= 1e-14 * scale, k
+        sym = 0.5 * (ref[b] + ref[b].T)
+        assert abs(level - np.linalg.eigvalsh(sym)[0]) <= 1e-14 * abs(level), k
+
+
+def test_series_ground_energies_skip_most_blocks(monkeypatch, sys100, pair100, bundle100):
+    # three sectors at N=3, n_plus=4 and nine orders: the full route lifts and
+    # diagonalizes 27 blocks.  The certified route lifts every block at
+    # orders 0 and 1 and diagonalizes every block at order 0; after that it
+    # lifts and diagonalizes only the sector of the exact ground level
+    gamma = 0.2
+    fs = mb.assemble_furry_exact(sys100(gamma), NbodyConfig(3, 2.0, 4), pair100)
+    assert len(fs.sectors) == 3
+    lows = _exact_lows(fs)
+    counts = _count_calls(monkeypatch)
+    mb.series_ground_energies(bundle100, fs, gamma, lows)
+    assert counts == {"lifts": 13, "eigvalsh": 11}
 
 
 def test_pair_series_matches_the_full_sum(sys100, pair100, bundle100):
