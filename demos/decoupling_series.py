@@ -10,7 +10,7 @@ closed-form coefficients is verified alongside.
 
 import numpy as np
 
-from diracdiag.decoupling import riesz_projection_series, u_gamma_series
+from diracdiag.decoupling import projector_series, riesz_projection_series, u_gamma_series
 from diracdiag.grids import ChannelGrid, build_channel_grid
 from diracdiag.oneparticle import (
     OneParticleSystem,
@@ -26,9 +26,10 @@ from diracdiag.series import coefficient_norms, series_eval
 def main():
     grid = build_channel_grid(120)
     s0 = assemble_system(grid, 0.0)
-    # the two series that the decoupling bundle forms in its build and does not keep
-    p_series = riesz_projection_series(s0, 10)
-    u_series = u_gamma_series(p_series)
+    # the two series that the decoupling bundle forms in its build and does
+    # not keep; P comes as three blocks and is assembled for evaluation
+    p_blocks = riesz_projection_series(s0, 10)
+    p_series, u_series = projector_series(p_blocks), u_gamma_series(p_blocks)
     print(f"series order {p_series.order}\n")
 
     print("coefficient spectral norms (projector series):")
@@ -60,7 +61,7 @@ def main():
         u_gamma=np.eye(2),
         evals=np.array([-1.0, 1.0]), evecs=np.eye(2)[:, ::-1].copy(),
     )
-    p_toy = riesz_projection_series(toy, 4)
+    p_toy = projector_series(riesz_projection_series(toy, 4))
     print("\n2x2 toy: first coefficients vs closed form")
     print(f"  ||P1 - V/2||   = {np.linalg.norm(p_toy.coeffs[1] - v / 2, 2):.3e}")
     print(f"  ||P2 + D0/4||  = {np.linalg.norm(p_toy.coeffs[2] + d0 / 4, 2):.3e}")

@@ -215,6 +215,7 @@ def _build_shared(cfg: RunConfig):
 
 def cmd_converge(cfg: RunConfig) -> int:
     from . import manybody as mb
+    from .oneparticle import assemble_system
     from .report import write_json_summary, write_report_csv
 
     require_convergence_window(cfg)
@@ -223,17 +224,25 @@ def cmd_converge(cfg: RunConfig) -> int:
     gammas = list(cfg.gamma_list)
     results = {}
 
-    rows1 = mb.converge_main_theorem(bundle, sys0, gammas)
-    write_report_csv(os.path.join(out, "converge_n1.csv"), rows1)
-    results["n1"] = {"rows": rows1}
-
     n_particles = cfg.nbody.n_particles
+    pair = restriction = None
     if n_particles >= 2:
         pair = mb.build_pair_interaction(grid)
         restriction = mb.check_restriction_consistency(gammas[0] or GAMMA_CRITICAL / 2,
                                                        cfg.nbody)
-        fs_n = mb.assemble_furry_exact(sys0, cfg.nbody, pair)
-        rows_n = mb.converge_main_theorem(bundle, fs_n, gammas)
+    # couplings outermost: both tables read one system per coupling
+    rows1, rows_n = [], []
+    for gamma in gammas:
+        sys_g = sys0 if gamma == sys0.gamma else assemble_system(grid, gamma)
+        rows1 += mb.convergence_rows(bundle, sys_g, gamma)
+        if pair is not None:
+            fs_g = mb.assemble_furry_exact(sys_g, cfg.nbody, pair)
+            rows_n += mb.convergence_rows(bundle, fs_g, gamma)
+            del fs_g
+        del sys_g  # before the next coupling's systems are assembled
+    write_report_csv(os.path.join(out, "converge_n1.csv"), rows1)
+    results["n1"] = {"rows": rows1}
+    if pair is not None:
         write_report_csv(os.path.join(out, f"converge_n{n_particles}.csv"), rows_n)
         results[f"n{n_particles}"] = {"rows": rows_n, "restriction_gate": restriction}
 

@@ -11,9 +11,11 @@ enclosed block being the positive eigenvalues.  The recursion obtains
 cross-gap coefficients from the commutator equation, where denominators
 are bounded below by the spectral gap, and same-sign blocks from the
 idempotency constraint, so no division by the tiny spacings inside the
-discretized continuum ever occurs.  The unitary series is the Kato-Nagy
-transform of the projector series, which in this frame needs two
-half-size square roots.  F = U P = P0 U has nonzero rows on the positive
+discretized continuum ever occurs.  The projector series is real
+symmetric and is held as its three blocks P_(++), P_(+-) and P_(--), each
+symmetric product of its recursion formed once.  The unitary series is
+the Kato-Nagy transform of the projector series, which in this frame needs
+two half-size square roots.  F = U P = P0 U has nonzero rows on the positive
 states only, U's upper rows, which are read straight from P's blocks, so
 the bundle forms no U and the Hamiltonian series F D F^H is formed as its
 upper block.
@@ -39,7 +41,6 @@ from .oneparticle import (
 )
 from .series import (
     MatrixSeries,
-    cauchy_coefficients,
     make_series,
     sqrt_coefficients,
 )
@@ -62,112 +63,166 @@ def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return sys.fw_blocks, np.concatenate((e, -e)), vfw
 
 
-def riesz_projection_series(sys: OneParticleSystem, order: int, frame=None) -> MatrixSeries:
-    """Series of the positive spectral projector of D_0 + g V, in the FW frame.
+def riesz_projection_series(sys: OneParticleSystem, order: int, frame=None) -> tuple:
+    """Series of the positive spectral projector of D_0 + g V, in the FW
+    frame, as its three blocks (A, B, C) = (P_(++), P_(+-), P_(--)).
 
     The enclosed block is the positive eigenvalues of D_0, the first half
-    of the FW frame.  Cross-block entries follow from
-    [D_0, C_n] = [V, C_(n-1)] restricted across the gap; the within-block
-    entries are fixed by idempotency of the projector series.  Each is
-    computed from the rows and columns it needs.  frame is
-    ``_fw_frame(sys)`` when the caller has it.
+    of the FW frame.  P is real symmetric, so P_(-+) is B^T and is not
+    stored.  Cross-block entries follow from [D_0, C_n] = [V, C_(n-1)]
+    restricted across the gap, formed once per order; the within-block
+    entries are fixed by idempotency of the projector series:
+    A_k = -sum_(m=1)^(k-1) (A_m A_(k-m) + B_m B_(k-m)^T) and
+    C_k = sum (B_m^T B_(k-m) + C_m C_(k-m)).  Terms m and k - m are
+    transposes of each other, so each pair is formed once as t + t^T and
+    the middle term as X X^T, and every coefficient is exactly symmetric.
+    A_0 = 1, B_0 = C_0 = 0, and A_1 = C_1 = 0, B_1 = V_(+-) / gap exactly,
+    so no product is formed with them.  Each block is a tuple of the
+    order + 1 read-only coefficients.  frame is ``_fw_frame(sys)`` when
+    the caller has it; ``projector_series`` assembles the full P.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
     _, lam, vfw = _fw_frame(sys) if frame is None else frame
     n = lam.size // 2
     pos, neg = slice(0, n), slice(n, None)
+    v11, v12, v22 = vfw[pos, pos], vfw[pos, neg], vfw[neg, neg]
     gap = lam[pos, None] - lam[None, neg]
-    coeffs = [np.diag((lam > 0.0).astype(float))]
-    for k in range(1, order + 1):
-        prev = coeffs[k - 1]
-        x = np.empty_like(prev)
-        x[pos, neg] = -(vfw[pos] @ prev[:, neg] - prev[pos] @ vfw[:, neg]) / gap
-        x[neg, pos] = (vfw[neg] @ prev[:, pos] - prev[neg] @ vfw[:, pos]) / gap.T
+    zero = np.zeros((n, n))
+    a, b, c = [np.eye(n), zero], [zero, v12 / gap], [zero, zero]
+    for k in range(2, order + 1):
+        x = v11 @ b[k - 1] - b[k - 1] @ v22
+        if k > 2:  # A_1 = C_1 = 0
+            x += v12 @ c[k - 1] - a[k - 1] @ v12
+        x /= -gap
+        b.append(x)
         s_pos = np.zeros((n, n))
         s_neg = np.zeros((n, n))
-        for m in range(1, k):
-            s_pos += coeffs[m][pos] @ coeffs[k - m][:, pos]
-            s_neg += coeffs[m][neg] @ coeffs[k - m][:, neg]
-        x[pos, pos] = -s_pos
-        x[neg, neg] = s_neg
-        coeffs.append(x)
-    return make_series(coeffs)
+        for m in range(1, (k + 1) // 2):
+            tp = b[m] @ b[k - m].T
+            tn = b[m].T @ b[k - m]
+            if m > 1:  # A_1 = C_1 = 0
+                tp += a[m] @ a[k - m]
+                tn += c[m] @ c[k - m]
+            tp += tp.T
+            tn += tn.T
+            s_pos += tp
+            s_neg += tn
+        if k % 2 == 0:
+            h = k // 2
+            s_pos += b[h] @ b[h].T
+            s_neg += b[h].T @ b[h]
+            if h > 1:
+                s_pos += a[h] @ a[h].T
+                s_neg += c[h] @ c[h].T
+        a.append(-s_pos)
+        c.append(s_neg)
+    for x in a + b + c:
+        x.flags.writeable = False
+    return tuple(a), tuple(b), tuple(c)
+
+
+def projector_coefficient(p, n: int) -> np.ndarray:
+    """Coefficient n of the full projector series from its blocks p = (A, B, C)
+    (``riesz_projection_series``)."""
+    a, b, c = (x[n] for x in p)
+    return np.block([[a, b], [b.T, c]])
+
+
+def projector_series(p) -> MatrixSeries:
+    """The full projector series, assembled from its blocks p = (A, B, C)."""
+    return make_series([projector_coefficient(p, n) for n in range(len(p[0]))])
 
 
 # ---------------------------------------------------------------------------
 # Unitary and Hamiltonian series
 # ---------------------------------------------------------------------------
 
+def _nonzero(mats) -> list[bool]:
+    """Whether each matrix has a nonzero entry, so products with exact zeros are skipped."""
+    return [bool(x.any()) for x in mats]
+
+
 def kato_nagy_rows(p, lower: bool = False) -> list:
     """Rows of the Kato-Nagy unitary U = M S^(-1/2), M = P0 P + Q0 Q,
     S = 1 - (P0 - P)^2 (``oneparticle.exact_u_gamma``), from the projector
-    coefficients p in the FW frame, where P0 is the row mask of the first
-    half of the states (``riesz_projection_series`` builds p[0] as it).
+    blocks p = (A, B, C) = (P_(++), P_(+-), P_(--)) in the FW frame
+    (``riesz_projection_series``), where P0 is the row mask of the first
+    half of the states.
 
-    With A = P_(++), B = P_(+-) and C = P_(--), S = blockdiag(A, 1 - C), so
-    the upper rows are [A^(1/2), G] with G R = B, also F's only nonzero rows
-    (F = U P = P0 U), and the lower rows, returned with lower, [-X, R] with
-    X A^(1/2) = P_(-+), where R = (1 - C)^(1/2) (Kato, Perturbation Theory,
-    I sec. 4.6).  Each root is a half-size series (``series.sqrt_coefficients``),
-    one alive at a time without lower, and each division by it the forward
-    substitution Y_n = Z_n - sum_{j=1}^{n} Y_(n-j) R_j of Y R = Z.  G is
-    formed from R first, then A^(1/2), and only then each row as their
-    concatenation, releasing both halves as it is formed, so beside P at
-    most G and one root (a quarter series each) are alive.
+    S = blockdiag(A, 1 - C), so the upper rows are [A^(1/2), G] with G R = B,
+    also F's only nonzero rows (F = U P = P0 U), and the lower rows,
+    returned with lower, [-X, R] with X A^(1/2) = B^T, where
+    R = (1 - C)^(1/2) (Kato, Perturbation Theory, I sec. 4.6).  Each root
+    is a half-size series (``series.sqrt_coefficients``), one alive at a
+    time without lower, and each division by it the forward substitution
+    Y_n = Z_n - sum_{j=1}^{n} Y_(n-j) R_j of Y R = Z, skipping the roots'
+    exactly zero coefficients (R_1 = A^(1/2)_1 = 0, since A_1 = C_1 = 0).
+    G is formed from R first, then A^(1/2), and only then each row as
+    their concatenation, releasing both halves as it is formed, so beside
+    P at most G and one root (a quarter series each) are alive.
     """
-    dim = p[0].shape[0]
-    k = dim // 2
-    up, lo = slice(0, k), slice(k, dim)
-    r = sqrt_coefficients((np.eye(dim - k) if n == 0 else 0.0) - c[lo, lo] for n, c in enumerate(p))
-    g = []
-    for n, c in enumerate(p):
-        g.append(c[up, lo] - sum(g[n - j] @ r[j] for j in range(1, n + 1)))
+    pa, pb, pc = p
+    k = pa[0].shape[0]
+    r = sqrt_coefficients((np.eye(k) if n == 0 else 0.0) - c for n, c in enumerate(pc))
+    g = _right_divide(pb, r)
     if not lower:
         del r
-    a = sqrt_coefficients(c[up, up] for c in p)
+    a = sqrt_coefficients(pa)
     if lower:
-        x = []
-        for n, c in enumerate(p):
-            x.append(-c[lo, up] - sum(x[n - j] @ a[j] for j in range(1, n + 1)))
+        x = _right_divide([-c.T for c in pb], a)
     rows = []
-    for n in range(len(p)):
+    for n in range(len(pa)):
         rows.append(np.block([[a[n], g[n]], [x[n], r[n]]]) if lower else np.hstack((a[n], g[n])))
         a[n] = g[n] = None  # each half released as its row is formed
     return rows
 
 
-def u_gamma_series(p_series: MatrixSeries) -> MatrixSeries:
-    """Decoupling-unitary series ``kato_nagy_rows`` in the FW frame, gated
-    unitary order by order (``_gram_defects``)."""
-    u = kato_nagy_rows(p_series.coeffs, lower=True)
+def _right_divide(z, r) -> list:
+    """Y with Y R = Z for series Z and R, R_0 = 1, by forward substitution."""
+    nonzero = _nonzero(r)
+    y = []
+    for n, zn in enumerate(z):
+        y.append(zn - sum(y[n - j] @ r[j] for j in range(1, n + 1) if nonzero[j]))
+    return y
+
+
+def u_gamma_series(p) -> MatrixSeries:
+    """Decoupling-unitary series ``kato_nagy_rows`` in the FW frame from the
+    projector blocks p, gated unitary order by order (``_gram_defects``)."""
+    u = kato_nagy_rows(p, lower=True)
     gate_norm2(_gram_defects(u), 1e-9,
                "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}")
     return make_series(u)
 
 
 def _gram_defects(u):
-    """Yield the coefficients of U^H U - 1, each product paired with its adjoint."""
-    for n in range(len(u)):
-        acc = np.zeros((u[0].shape[1],) * 2, dtype=u[0].dtype)
-        for m in range((n + 1) // 2):
+    """Yield the coefficients of U^H U - 1, each product paired with its adjoint.
+
+    U_0 is the leading columns of the identity, exactly (``kato_nagy_rows``),
+    so order 0 is zero, and U_0^H U_n is the leading rows of U_n.
+    """
+    k = u[0].shape[1]
+    yield np.zeros((k, k), dtype=u[0].dtype)
+    for n in range(1, len(u)):
+        acc = np.array(u[n][:k])
+        acc += acc.conj().T
+        for m in range(1, (n + 1) // 2):
             t = u[m].conj().T @ u[n - m]
             acc += t + t.conj().T
         if n % 2 == 0:
             acc += u[n // 2].conj().T @ u[n // 2]
-        if n == 0:
-            acc -= np.eye(acc.shape[0])
         yield acc
 
 
 def gate_decoupled_frame(f: list, p) -> None:
     """Gate F's rows order by order at 1e-9: F F^H = 1 and F P = F.
 
-    f are F's upper rows (``kato_nagy_rows``) and p the projector
-    coefficients.  Together with P = P^H = P^2 the two give F^H F = P, so
-    F D F^H is D compressed onto P's range.  F F^H pairs term m with term
-    n - m, its adjoint (``_gram_defects`` of F^H).  Each gate names the
-    coefficient farthest over its tolerance.
+    f are F's upper rows (``kato_nagy_rows``) and p the projector blocks
+    (``riesz_projection_series``).  Together with P = P^H = P^2 the two
+    give F^H F = P, so F D F^H is D compressed onto P's range.  F F^H
+    pairs term m with term n - m, its adjoint (``_gram_defects`` of F^H).
+    Each gate names the coefficient farthest over its tolerance.
     """
     gate_norm2(_gram_defects([c.conj().T for c in f]), 1e-9,
                "decoupled frame rows not orthonormal: coefficient {index} of F F^H - 1 "
@@ -178,23 +233,35 @@ def gate_decoupled_frame(f: list, p) -> None:
 
 
 def _range_defects(f, p):
-    """Yield the coefficients of F P - F without the products by F_0 or P_0.
+    """Yield the coefficients of F P - F from the projector blocks p = (A, B, C).
 
-    F_0 = [1, 0] and P_0, the row mask, are exact by construction
-    (``kato_nagy_rows``, ``riesz_projection_series``), so F_0 P_n is P_n's
-    upper rows and F_n P_0 is F_n's left block padded with zeros.  The
-    terms are added in the order of ``series.cauchy_coefficients``,
-    m = 0..n, so each coefficient is the one the full products give.
+    F_0 = [1, 0] and P_0 = blockdiag(1, 0) are exact by construction
+    (``kato_nagy_rows``, ``riesz_projection_series``), so F_0 P_n is
+    [A_n, B_n] and F_n P_0 is F_n's left block padded with zeros.  Every
+    other term F_m P_j is formed by blocks, [L A + R B^T, L B + R C] for
+    F_m = [L, R], skipping the exactly zero blocks (L of F_1, A_1, C_1).
     """
-    if len(f) != len(p):
-        raise ValueError(f"order mismatch: {len(f) - 1} vs {len(p) - 1}")
+    pa, pb, pc = p
+    if len(f) != len(pa):
+        raise ValueError(f"order mismatch: {len(f) - 1} vs {len(pa) - 1}")
     k = f[0].shape[0]
+    left_nz, a_nz, c_nz = _nonzero(c[:, :k] for c in f), _nonzero(pa), _nonzero(pc)
     for n, fn in enumerate(f):
-        acc = np.array(p[n][:k], dtype=np.result_type(fn, p[n]))
+        left, right = np.array(pa[n]), np.array(pb[n])
         for m in range(1, n):
-            acc += f[m] @ p[n - m]
+            j = n - m
+            lm, rm = f[m][:, :k], f[m][:, k:]
+            if left_nz[m]:
+                if a_nz[j]:
+                    left += lm @ pa[j]
+                right += lm @ pb[j]
+            left += rm @ pb[j].T
+            if c_nz[j]:
+                right += rm @ pc[j]
         if n:
-            acc[:, :k] += fn[:, :k]
+            left += fn[:, :k]
+        acc = np.hstack((left, right))
+        del left, right
         acc -= fn
         yield acc
 
@@ -204,11 +271,32 @@ def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
 
     H = F D F^H with D = diag(lam) + g vfw, everything in the FW frame;
     f_rows are F's rows on the positive free states, so the product is
-    H's upper block, the only nonzero one.  Each coefficient c is gated
-    Hermitian to 1e-10 relative to max(1, ||c||_2).
+    H's upper block, the only nonzero one.  With FD = F D, term m of
+    H_n = sum_m FD_m F_(n-m)^H is read off where F_0 = [1, 0] is a factor:
+    FD_0 F_n^H = Lambda_+ L_n^T for F_n = [L_n, R_n], FD_n F_0^H is FD_n's
+    left block, and F_0 vfw is vfw's upper rows.  Products with F_1's zero
+    left block are formed on the right blocks only.  Each coefficient c
+    is gated Hermitian to 1e-10 relative to max(1, ||c||_2).
     """
-    fd = [f_rows[0] * lam] + [f * lam + f_prev @ vfw for f, f_prev in zip(f_rows[1:], f_rows)]
-    h = make_series(cauchy_coefficients(fd, [f.conj().T for f in f_rows]))
+    k = f_rows[0].shape[0]
+    left_nz = _nonzero(f[:, :k] for f in f_rows)
+
+    def times(x, y, full):  # x y, or only its second half of terms where the first is zero
+        return x @ y if full else x[:, k:] @ y[k:]
+
+    fd = [None]  # FD_0 enters only through the read-off
+    for n in range(1, len(f_rows)):
+        fv = vfw[:k] if n == 1 else times(f_rows[n - 1], vfw, left_nz[n - 1])
+        fd.append(f_rows[n] * lam + fv)
+    coeffs = []
+    for n, fn in enumerate(f_rows):
+        acc = lam[:k, None] * fn[:, :k].conj().T
+        for m in range(1, n):
+            acc += times(fd[m], f_rows[n - m].conj().T, left_nz[n - m])
+        if n:
+            acc += fd[n][:, :k]
+        coeffs.append(acc)
+    h = make_series(coeffs)
     gate_norm2((c - c.conj().T for c in h.coeffs), 1e-10,
                "Hamiltonian coefficient {index} not Hermitian", scales=h.coeffs)
     return h
@@ -247,20 +335,19 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
 
     F's upper rows come straight from P (``kato_nagy_rows``), so no
     coefficient of U, Gram product U^H U or Cauchy product U P is formed.
-    Memory, in series of order K with 2n x 2n coefficients: P and F's rows
-    (half a series), beside the FW potential that P and H read and the
-    gates' working coefficients; that is the floor.  While the rows are
+    Memory, in series of order K with 2n x 2n coefficients: P's three
+    blocks (three quarters of a series) and F's rows (half a series),
+    beside the FW potential that P and H read and the gates' working
+    coefficients; that is the floor.  While the rows are
     formed, G and one half-size square root (a quarter series each) stand
     where they will be.  H is formed once P is gone.
     """
     blocks, lam, vfw = frame = _fw_frame(sys)
     p = riesz_projection_series(sys, order, frame)
-    gate_norm2([p[0] - fw_conjugate(blocks, free_positive_projector(sys.grid))], 1e-11,
-               "projector series constant term drifted from P_+^0")
-    gate_norm2((c - c.conj().T for c in p.coeffs), 1e-10,
-               "projector coefficients not Hermitian: {value:.3e}")
-    f = kato_nagy_rows(p.coeffs)
-    gate_decoupled_frame(f, p.coeffs)
+    gate_norm2([projector_coefficient(p, 0) - fw_conjugate(blocks, free_positive_projector(sys.grid))],
+               1e-11, "projector series constant term drifted from P_+^0")
+    f = kato_nagy_rows(p)
+    gate_decoupled_frame(f, p)
     del p
     h = h_diag_series(f, lam, vfw)
     f_upper = tuple(fw_rows(blocks, c.T, back=True).T for c in f)
@@ -315,21 +402,29 @@ def _norm2_against(m: np.ndarray, tol: float, scale: np.ndarray | None = None) -
 # Metrics
 # ---------------------------------------------------------------------------
 
-def resolvent_frame(m: np.ndarray, name: str = "first") -> tuple[np.ndarray, np.ndarray]:
+def resolvent_frame(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``hermitian_frame`` of m, the first argument of ``resolvent_distance``,
+    after gating m Hermitian: the exact operators it receives are formed
+    by products and are Hermitian only to roundoff."""
+    gate_norm2([m - m.conj().T], 1e-10 * max(1.0, float(np.linalg.norm(m, np.inf))),
+               "first argument is not Hermitian within tolerance")
+    return hermitian_frame(m)
+
+
+def hermitian_frame(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors q of a Hermitian m and the moduli 1/|lam + i| of (m+i)^(-1).
 
     (m+i)^(-1) = q diag(1/(lam+i)) q^H, and 1/(lam+i) is (lam^2+1)^(-1/2)
-    times a unit phase.  m is gated Hermitian first; name ("first"/
-    "second") labels it in the error.  The eigensolve reads the upper
-    triangle, so the tridiagonal reduction starts from the last row: on the
-    one-particle upper block, whose rows run up in momentum to entries of
-    size p_max, that is the largest entries first.  Started from the first
-    row, the order-0 distances at n=200 (a near-diagonal truncation) moved
-    by up to 5.8e-14 from LU resolvents and by 1.8e-13 between one and two
-    BLAS threads; started from the last, by at most 2.5e-16 and 2.5e-15.
+    times a unit phase.  m is not gated: it is exactly Hermitian, as
+    0.5 (a + a^H) is in IEEE arithmetic, or gated by ``resolvent_frame``.
+    The eigensolve reads the upper triangle, so the tridiagonal reduction
+    starts from the last row: on the one-particle upper block, whose rows
+    run up in momentum to entries of size p_max, that is the largest
+    entries first.  Started from the first row, the order-0 distances at
+    n=200 (a near-diagonal truncation) moved by up to 5.8e-14 from LU
+    resolvents and by 1.8e-13 between one and two BLAS threads; started
+    from the last, by at most 2.5e-16 and 2.5e-15.
     """
-    gate_norm2([m - m.conj().T], 1e-10 * max(1.0, float(np.linalg.norm(m, np.inf))),
-               f"{name} argument is not Hermitian within tolerance")
     lam, q = np.linalg.eigh(m, UPLO="U")
     return q, 1.0 / np.hypot(lam, 1.0)
 
@@ -342,12 +437,14 @@ def resolvent_distance(a: np.ndarray, b: np.ndarray, frame_a=None, frame_b=None)
     Operators, I sec. 5).  In the eigenbases of a and b both resolvents
     are diagonal, moduli times unit phases, and diagonal unitaries do not
     change the spectral norm, so the distance is that of
-    W_a Q_a^H (b - a) Q_b W_b (``resolvent_frame``): real for real a and b,
+    W_a Q_a^H (b - a) Q_b W_b (``hermitian_frame``): real for real a and b,
     and formed from b - a, not as the difference of two resolvents.
+    a is gated Hermitian (``resolvent_frame``); b must be exactly
+    Hermitian, as the symmetrized truncations of ``manybody`` are.
     frame_a and frame_b are the frames of a and b when the caller has them.
     """
-    qa, wa = resolvent_frame(a, "first") if frame_a is None else frame_a
-    qb, wb = resolvent_frame(b, "second") if frame_b is None else frame_b
+    qa, wa = resolvent_frame(a) if frame_a is None else frame_a
+    qb, wb = hermitian_frame(b) if frame_b is None else frame_b
     return _norm2(wa[:, None] * (qa.conj().T @ (b - a) @ qb) * wb)
 
 

@@ -28,6 +28,7 @@ from .decoupling import (
     DecouplingBundle,
     gate_norm2,
     h_diag_exact,
+    hermitian_frame,
     resolvent_distance,
     resolvent_frame,
 )
@@ -341,6 +342,13 @@ def _young_symmetrizer(shape: tuple[int, ...], arrangements: list[tuple[int, ...
     return x
 
 
+def _symmetrizer_image(shape: tuple[int, ...], arrangements: list[tuple[int, ...]]) -> np.ndarray:
+    """Orthonormal basis of the image of the Young symmetrizer of shape on
+    the span of one orbit's arrangements, by an SVD (``site_sectors``)."""
+    u, sv, _ = np.linalg.svd(_young_symmetrizer(shape, arrangements))
+    return u[:, :int(np.count_nonzero(sv > 1e-8 * max(sv[0], 1.0)))]
+
+
 @functools.lru_cache(maxsize=None)
 def site_sectors(m: int, n_sites: int) -> tuple[Sector, ...]:
     """Isometries of every nonempty sector of N sites with m states each, cached.
@@ -348,22 +356,27 @@ def site_sectors(m: int, n_sites: int) -> tuple[Sector, ...]:
     Orbit by orbit, the image of each partition's Young symmetrizer is
     orthonormalized by an SVD of at most N! x N! entries.  The symmetrizer
     is N!/d_lambda times an idempotent, and the nonzero singular values of
-    an idempotent are at least 1, so the rank cut is unambiguous.  The
-    widths satisfy sum multiplicity * width = m^N.
+    an idempotent are at least 1, so the rank cut is unambiguous.  Orbits
+    whose sorted multisets have the same pattern of equal indices, such as
+    (0, 0, 1) and (2, 2, 5), list their arrangements in the same order, so
+    their symmetrizers are the same matrix: one SVD serves each pattern.
+    The widths satisfy sum multiplicity * width = m^N.
     """
     orbits = []
     for occ in itertools.combinations_with_replacement(range(m), n_sites):
         arrangements = sorted(set(itertools.permutations(occ)))
         idx = [sum(t[s] * m ** (n_sites - 1 - s) for s in range(n_sites)) for t in arrangements]
-        orbits.append((occ, arrangements, idx))
+        pattern = tuple(sorted(set(occ)).index(i) for i in occ)
+        orbits.append((occ, pattern, arrangements, idx))
     sectors = []
     for shape in _partitions(n_sites):
-        cols, occs = [], []
-        for occ, arrangements, idx in orbits:
-            u, sv, _ = np.linalg.svd(_young_symmetrizer(shape, arrangements))
-            rank = int(np.count_nonzero(sv > 1e-8 * max(sv[0], 1.0)))
-            cols += [(idx, u[:, r]) for r in range(rank)]
-            occs += [occ] * rank
+        cols, occs, images = [], [], {}
+        for occ, pattern, arrangements, idx in orbits:
+            if pattern not in images:
+                images[pattern] = _symmetrizer_image(shape, arrangements)
+            basis = images[pattern]
+            cols += [(idx, basis[:, r]) for r in range(basis.shape[1])]
+            occs += [occ] * basis.shape[1]
         if not cols:
             continue
         k = max(len(idx) for idx, _ in cols)
@@ -602,32 +615,45 @@ def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndar
     products of total order n - 1, so it needs only the density stacks of
     orders below n, and there is no coefficient 0.  The shift drops the
     interaction coefficient of the truncation order: its products would land
-    at order + 1, beyond the series.  The term of densities nu, mu is the
-    site swap S X S of the term of mu, nu (the kernel is symmetric), so only
-    mu < nu and half the middle term are contracted, and the swapped copy
-    is added as the transpose of their sum while reindexing.
+    at order + 1, beyond the series.  The frames are real, so the density
+    z_nu[r, (i,j)] = sum_a g_a[r,i] g_(nu-a)[r,j] is symmetric in i and j
+    (the terms a and nu - a swap), and only its m(m+1)/2 columns i <= j are
+    kept, with the kernel applied once per density order.  The term of
+    densities nu, mu is the site swap S X S of the term of mu, nu (the
+    kernel is symmetric), so only mu < nu and half the middle term are
+    contracted, and the swapped copy is added as the transpose of their sum;
+    one index gather then expands the sum onto [(i,k),(j,l)].
     """
-    m = upper.shape[1]
-    factors = [pair.frame_factors(fc.conj().T @ upper) for fc in bundle.f_upper]
-    zhat = []
-    for n in range(1, bundle.order + 1):
-        z = np.zeros((pair.radial.r.size, m * m))
-        for a in range(n):
-            z += _density_stack(factors[a][0], factors[n - 1 - a][0])
-            z += _density_stack(factors[a][1], factors[n - 1 - a][1])
-        zhat.append(z)
-        # contraction order [(i,j),(k,l)]; the coefficient c is [(i,k),(j,l)]
-        x = np.zeros((m * m, m * m))
+    m, order = upper.shape[1], bundle.order
+    iu, ju = np.triu_indices(m)
+    keep = iu * m + ju
+    packed = np.empty((m, m), dtype=np.intp)  # column of the pair (i, j) among i <= j
+    packed[iu, ju] = packed[ju, iu] = np.arange(iu.size)
+    # c[(i,k),(j,l)] = x[(i,j),(k,l)], read from x flattened
+    gather = (packed[:, None, :, None] * iu.size + packed[None, :, None, :]).reshape(-1)
+    # radial samples g[r, a, s, i] of the dressed frame of order a < order, spinor component s
+    g = np.stack([np.stack(pair.frame_factors(fc.conj().T @ upper), axis=1)
+                  for fc in bundle.f_upper[:order]], axis=1)
+    n_r = g.shape[0]
+    zhat, kzhat = [], []
+    for n in range(1, order + 1):
+        # density of order n - 1: per node, sum over a and s of g_a[:, i] g_(n-1-a)[:, j]
+        left = g[:, :n].reshape(n_r, 2 * n, m)
+        right = g[:, n - 1::-1].reshape(n_r, 2 * n, m)
+        zhat.append(np.matmul(left.transpose(0, 2, 1), right).reshape(n_r, m * m)[:, keep])
+        del left, right
+        if 2 * (n - 1) < order:  # a left factor of some later order
+            kzhat.append(pair.kernel @ zhat[-1])
+        # contraction order [(i,j),(k,l)] on the pairs i <= j, k <= l
+        x = np.zeros((iu.size, iu.size))
         for mu in range(n // 2):
-            x += zhat[mu].T @ pair.kernel @ zhat[n - 1 - mu]
+            x += kzhat[mu].T @ zhat[n - 1 - mu]
         if n % 2:
-            x += 0.5 * (zhat[n // 2].T @ pair.kernel @ zhat[n // 2])
-        x4 = x.reshape(m, m, m, m)
-        c = np.empty((m * m, m * m))
-        # np.add, not ``_pair_rows``: reindex and site swap in one pass, no m^4 temporary
-        np.add(x4.transpose(0, 2, 1, 3), x4.transpose(2, 0, 3, 1), out=c.reshape(m, m, m, m))
-        del x, x4
-        c /= z_charge
+            x += 0.5 * (kzhat[n // 2].T @ zhat[n // 2])
+        x += x.T
+        x /= z_charge
+        c = x.ravel().take(gather).reshape(m * m, m * m)
+        del x
         yield c
         del c  # one coefficient alive at a time
 
@@ -915,68 +941,76 @@ def _low_levels(blocks, frames, multiplicities, count: int = 10) -> np.ndarray:
 def converge_main_theorem(bundle: DecouplingBundle, system: OneParticleSystem | FurrySystem,
                           gammas: list[float]) -> list[dict]:
     """Resolvent distances, weighted remainders, and eigenvalue errors per
-    (gamma, k), k = 0..``bundle.order``.
-
-    For one particle, system is a OneParticleSystem and the comparison runs
-    on the full upper block.  For more particles, system is a FurrySystem:
-    each coupling gets its own transported frame, on which both the exact
-    diagonalized operator and the streamed series live, split into sector
-    blocks.  Norms and resolvent distances of a block-diagonal operator are
-    the maxima over its blocks; the low eigenvalues come from the merged
-    block spectra.  Every block, exact or truncated, takes one
-    eigendecomposition (``resolvent_frame``), which serves both its
-    resolvent distance and its low levels; the exact operator's is computed
-    once per coupling and shared by every truncation order, and the
-    truncations are accumulated partial sums.  No inverse and no SVD is
-    taken.  Each coupling is measured by ``_coupling_errors``, so its
-    systems, frames and weights are released before the next coupling's
-    are assembled.
+    (gamma, k), k = 0..``bundle.order``: the ``convergence_rows`` of system
+    at each coupling, assembled from its grid (and, for a FurrySystem, its
+    configuration and pair interaction) unless gamma is its own.  Each
+    coupling's systems are released before the next coupling's are
+    assembled.
     """
     rows = []
     for gamma in gammas:
-        dists, remainders, eig_errors = _coupling_errors(bundle, system, gamma)
-        ratio = fit_geometric_ratio(dists)
-        for k in range(bundle.order + 1):
-            rows.append({
-                "gamma": gamma, "k": k,
-                "resolvent_distance": float(dists[k]),
-                "weighted_remainder_norm": float(remainders[k]),
-                "max_eigval_error": float(eig_errors[k]),
-                "fitted_ratio": ratio,
-            })
+        rows += convergence_rows(bundle, _at_coupling(system, gamma), gamma)
     return rows
 
 
-def _coupling_errors(bundle: DecouplingBundle, system: OneParticleSystem | FurrySystem,
-                     gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resolvent distances, weighted remainders and eigenvalue errors of the
-    partial sums k = 0..``bundle.order`` at one coupling (``converge_main_theorem``)."""
+def _at_coupling(system: OneParticleSystem | FurrySystem,
+                 gamma: float) -> OneParticleSystem | FurrySystem:
+    """system itself at its own coupling, else assembled anew at gamma."""
     nbody = isinstance(system, FurrySystem)
     sys0 = system.one_particle if nbody else system
-    energies = free_energies(sys0.grid)
-    sys_g = sys0 if gamma == sys0.gamma else assemble_system(sys0.grid, gamma)
+    if gamma == sys0.gamma:
+        return system
+    sys_g = assemble_system(sys0.grid, gamma)
+    return assemble_furry_exact(sys_g, system.config, system.pair) if nbody else sys_g
+
+
+def convergence_rows(bundle: DecouplingBundle, system: OneParticleSystem | FurrySystem,
+                     gamma: float) -> list[dict]:
+    """The rows (gamma, k), k = 0..``bundle.order``, of system at its coupling gamma.
+
+    For one particle, system is a OneParticleSystem and the comparison runs
+    on the full upper block.  For more particles, system is a FurrySystem:
+    its transported frame carries both the exact diagonalized operator and
+    the streamed series, split into sector blocks.  Norms and resolvent
+    distances of a block-diagonal operator are the maxima over its blocks;
+    the low eigenvalues come from the merged block spectra.  Every block,
+    exact or truncated, takes one eigendecomposition (``hermitian_frame``),
+    which serves both its resolvent distance and its low levels; the exact
+    operator's is computed once and shared by every truncation order, and
+    the truncations are accumulated partial sums.  No inverse and no SVD
+    is taken.  The remainders are weighted by W = |D_0|^(-1/2) on the
+    frame; for one particle W is diagonal and scales rows and columns,
+    which gives the products with diag(W) bit for bit, since those add
+    only exact zeros.
+    """
+    nbody = isinstance(system, FurrySystem)
+    energies = free_energies((system.one_particle if nbody else system).grid)
     if nbody:
-        fs_g = system if gamma == sys0.gamma else assemble_furry_exact(
-            sys_g, system.config, system.pair)
-        exact, mult = fs_g.h_diag_exact, fs_g.multiplicities
+        exact, mult = system.h_diag_exact, system.multiplicities
         weight = tuple(_inv_sqrt_psd(d) for d in
-                       _abs_d0_sum(np.tile(energies, 2), fs_g.sectors, fs_g.psi))
-        partial = series_partial_sums(h_diag_series_N(bundle, fs_g), gamma)
+                       _abs_d0_sum(np.tile(energies, 2), system.sectors, system.psi))
+        partial = series_partial_sums(h_diag_series_N(bundle, system), gamma)
     else:
-        exact, mult = (h_diag_exact(sys_g),), (1,)
-        weight = (np.diag(energies ** -0.5),)
+        exact, mult = (h_diag_exact(system),), (1,)
+        weight = (energies ** -0.5,)
         partial = series_partial_sums(zip(bundle.h_upper.coeffs), gamma)
-    exact_frames = [resolvent_frame(e, "first") for e in exact]
+    exact_frames = [resolvent_frame(e) for e in exact]
     exact_low = _low_levels(exact, exact_frames, mult)
     dists, remainders, eig_errors = np.empty((3, bundle.order + 1))
     for k, approx in enumerate(partial):
         approx_h = [0.5 * (a + a.conj().T) for a in approx]
-        frames = [resolvent_frame(a, "second") for a in approx_h]
+        frames = [hermitian_frame(a) for a in approx_h]
         dists[k] = np.max([resolvent_distance(e, a, fe, fa)
                            for e, a, fe, fa in zip(exact, approx_h, exact_frames, frames)])
-        remainders[k] = np.max([_norm2(w @ (e - a) @ w) for w, e, a in zip(weight, exact, approx)])
+        remainders[k] = np.max([_norm2(w @ (e - a) @ w if nbody else w[:, None] * (e - a) * w)
+                                for w, e, a in zip(weight, exact, approx)])
         eig_errors[k] = float(np.max(np.abs(_low_levels(approx_h, frames, mult) - exact_low)))
-    return dists, remainders, eig_errors
+    ratio = fit_geometric_ratio(dists)
+    return [{"gamma": gamma, "k": k,
+             "resolvent_distance": float(dists[k]),
+             "weighted_remainder_norm": float(remainders[k]),
+             "max_eigval_error": float(eig_errors[k]),
+             "fitted_ratio": ratio} for k in range(bundle.order + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ A series of order K is the tuple (A_0, ..., A_K) of square matrices, all of
 the same dimension, standing for sum_k g^k A_k with the tail discarded.
 ``make_series`` validates and freezes such a tuple.  The algebra works on
 plain coefficient sequences, so that blocks of a series can be multiplied
-and only the series a caller keeps pay for validation.  Binary operations
-require matching order so that truncation errors stay where the caller put
-them; all products are Cauchy products truncated at the common order.
+and only the series a caller keeps pay for validation.  Products are
+Cauchy products truncated at the common order, formed by the callers on
+the blocks they need (``decoupling``).
 """
 
 from __future__ import annotations
@@ -67,29 +67,6 @@ def make_series(coeffs) -> MatrixSeries:
     return MatrixSeries(coeffs=tuple(mats))
 
 
-def cauchy_coefficients(a, b):
-    """Yield the coefficients C_0, ..., C_K of the truncated Cauchy product.
-
-    Each C_n is computed when it is asked for, so a caller that keeps only
-    part of it, or stores it elsewhere, never holds the whole product.
-    Shapes need only be compatible for the matrix product, so blocks and
-    row slices of square series multiply too.  Products with an
-    exactly-zero factor are skipped; high orders are often sparse.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"order mismatch: {len(a) - 1} vs {len(b) - 1}")
-    a_nz = [np.count_nonzero(c) > 0 for c in a]
-    b_nz = [np.count_nonzero(c) > 0 for c in b]
-    shape = (a[0].shape[0], b[0].shape[1])
-    dtype = np.result_type(*a, *b)
-    for n in range(len(a)):
-        acc = np.zeros(shape, dtype=dtype)
-        for m in range(n + 1):
-            if a_nz[m] and b_nz[n - m]:
-                acc += a[m] @ b[n - m]
-        yield acc
-
-
 def series_partial_sums(coeffs, g: float):
     """Yield the partial sums S_k = S_(k-1) + g^k A_k at coupling g, k = 0, 1, ...
 
@@ -118,28 +95,38 @@ def series_eval(a: MatrixSeries, g: float) -> np.ndarray:
 
 
 def sqrt_coefficients(a) -> list[np.ndarray]:
-    """Square root R of a series A whose constant term is the identity.
+    """Square root R of a real symmetric series A whose constant term is the identity.
 
     R_0 = I, and matching order n of R R = A gives
     R_n = (A_n - sum_{m=1}^{n-1} R_m R_{n-m}) / 2 (Higham, Functions of
     Matrices, ch. 6): O(K^2) products where the binomial series
     sum_m c_m (A - I)^m costs O(K^3); both give the unique series with
-    R_0 = I, which commutes with A order by order.  a is any iterable of
-    A_0, A_1, ...; each A_n is read once, when R_n is formed, and not kept,
-    so the caller can hand out blocks of a larger array one at a time.
+    R_0 = I, which commutes with A order by order.  Every R_m is
+    symmetric, so the terms m and n - m are transposes of each other:
+    each pair is formed once as t + t^T and the middle term as
+    R_m R_m^T, so R_n is exactly symmetric when A_n is.  Terms with an
+    exactly zero factor are skipped.  a is any iterable of A_0, A_1, ...;
+    each A_n is read once, when R_n is formed, and not kept, so the
+    caller can hand out blocks of a larger array one at a time.
     """
     a = iter(a)
     a0 = next(a)
     eye = np.eye(a0.shape[0])
     if np.linalg.norm(a0 - eye) > SQRT_BASE_TOL:
         raise ValueError("square root requires an identity constant term")
-    r = [eye]
+    r, nonzero = [eye], [True]
     for n, an in enumerate(a, 1):
         acc = np.array(an, dtype=np.result_type(an, 1.0))
-        for m in range(1, n):
-            acc -= r[m] @ r[n - m]
+        for m in range(1, (n + 1) // 2):
+            if nonzero[m] and nonzero[n - m]:
+                t = r[m] @ r[n - m]
+                t += t.T
+                acc -= t
+        if n % 2 == 0 and nonzero[n // 2]:
+            acc -= r[n // 2] @ r[n // 2].T
         acc *= 0.5
         r.append(acc)
+        nonzero.append(bool(acc.any()))
     return r
 
 

@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracdiag.decoupling import build_decoupling_bundle, riesz_projection_series, u_gamma_series
+from diracdiag.decoupling import (
+    _fw_frame,
+    build_decoupling_bundle,
+    projector_series,
+    riesz_projection_series,
+    u_gamma_series,
+)
 from diracdiag.grids import ChannelGrid, build_channel_grid
 from diracdiag.manybody import (
     _density_stack,
@@ -37,7 +43,6 @@ from diracdiag.oneparticle import (
 from diracdiag.report import REPORT_COLUMNS
 from diracdiag.series import (
     MatrixSeries,
-    cauchy_coefficients,
     coefficient_norms,
     make_series,
     series_partial_sums,
@@ -152,9 +157,49 @@ def bundle200(sys200):
 
 def pu_series(sys: OneParticleSystem, order: int) -> tuple[MatrixSeries, MatrixSeries]:
     """The projector and unitary series P and U that ``build_decoupling_bundle(sys,
-    order)`` forms in the FW frame and does not keep, from the same functions."""
+    order)`` forms in the FW frame and does not keep, from the same functions,
+    with P assembled from its blocks."""
     p = riesz_projection_series(sys, order)
-    return p, u_gamma_series(p)
+    return projector_series(p), u_gamma_series(p)
+
+
+def full_riesz_projection_series(sys: OneParticleSystem, order: int) -> MatrixSeries:
+    """The projector series by the recursion on full 2n x 2n coefficients:
+    the oracle of ``decoupling.riesz_projection_series``, which runs on
+    three blocks and forms each symmetric product once.
+
+    Cross-block entries from [D_0, C_n] = [V, C_(n-1)] across the gap, both
+    off-diagonal blocks formed, and the same-sign blocks from idempotency,
+    every ordered product of the Cauchy sum formed.
+    """
+    _, lam, vfw = _fw_frame(sys)
+    n = lam.size // 2
+    pos, neg = slice(0, n), slice(n, None)
+    gap = lam[pos, None] - lam[None, neg]
+    coeffs = [np.diag((lam > 0.0).astype(float))]
+    for k in range(1, order + 1):
+        prev = coeffs[k - 1]
+        x = np.empty_like(prev)
+        x[pos, neg] = -(vfw[pos] @ prev[:, neg] - prev[pos] @ vfw[:, neg]) / gap
+        x[neg, pos] = (vfw[neg] @ prev[:, pos] - prev[neg] @ vfw[:, pos]) / gap.T
+        s_pos = np.zeros((n, n))
+        s_neg = np.zeros((n, n))
+        for m in range(1, k):
+            s_pos += coeffs[m][pos] @ coeffs[k - m][:, pos]
+            s_neg += coeffs[m][neg] @ coeffs[k - m][:, neg]
+        x[pos, pos] = -s_pos
+        x[neg, neg] = s_neg
+        coeffs.append(x)
+    return make_series(coeffs)
+
+
+def projector_blocks(p: MatrixSeries) -> tuple:
+    """The blocks (P_(++), P_(+-), P_(--)) of a full projector series, the
+    layout ``decoupling.riesz_projection_series`` returns."""
+    k = p.dim // 2
+    return tuple(tuple(c[rows, cols] for c in p.coeffs)
+                 for rows, cols in ((slice(0, k), slice(0, k)), (slice(0, k), slice(k, None)),
+                                    (slice(k, None), slice(k, None))))
 
 
 @pytest.fixture(scope="session")
@@ -263,6 +308,29 @@ def _check_binary(a: MatrixSeries, b: MatrixSeries) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
+
+
+def cauchy_coefficients(a, b):
+    """Yield the coefficients C_0, ..., C_K of the truncated Cauchy product.
+
+    The full products that ``decoupling`` forms by blocks, with its exact
+    terms read off.  Each C_n is computed when it is asked for.  Shapes need
+    only be compatible for the matrix product, so blocks and
+    row slices of square series multiply too.  Products with an
+    exactly-zero factor are skipped; high orders are often sparse.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"order mismatch: {len(a) - 1} vs {len(b) - 1}")
+    a_nz = [np.count_nonzero(c) > 0 for c in a]
+    b_nz = [np.count_nonzero(c) > 0 for c in b]
+    shape = (a[0].shape[0], b[0].shape[1])
+    dtype = np.result_type(*a, *b)
+    for n in range(len(a)):
+        acc = np.zeros(shape, dtype=dtype)
+        for m in range(n + 1):
+            if a_nz[m] and b_nz[n - m]:
+                acc += a[m] @ b[n - m]
+        yield acc
 
 
 def series_zero(dim: int, order: int) -> MatrixSeries:
@@ -499,6 +567,26 @@ def dense_two_site_assemble(z1: np.ndarray, kernel: np.ndarray, z2: np.ndarray,
     x = z1.T @ kernel @ z2
     return np.ascontiguousarray(
         x.reshape(m, m, m, m).transpose(0, 2, 1, 3)).reshape(m * m, m * m)
+
+
+def full_pair_series(bundle, pair, upper: np.ndarray, z_charge: float) -> list[np.ndarray]:
+    """The two-site coefficients of ``manybody._pair_series`` with every
+    density column (i, j) stored and contracted: the oracle of the route on
+    the columns i <= j.  The terms mu < nu and half the middle term are
+    contracted, and the site swap is added while reindexing."""
+    m = upper.shape[1]
+    factors = [pair.frame_factors(fc.conj().T @ upper) for fc in bundle.f_upper]
+    zhat, out = [], []
+    for n in range(1, bundle.order + 1):
+        zhat.append(sum(_density_stack(factors[a][s], factors[n - 1 - a][s])
+                        for a in range(n) for s in (0, 1)))
+        x = sum((zhat[mu].T @ pair.kernel @ zhat[n - 1 - mu] for mu in range(n // 2)),
+                np.zeros((m * m, m * m)))
+        if n % 2:
+            x += 0.5 * (zhat[n // 2].T @ pair.kernel @ zhat[n // 2])
+        x4 = x.reshape(m, m, m, m)
+        out.append((x4.transpose(0, 2, 1, 3) + x4.transpose(2, 0, 3, 1)).reshape(m * m, m * m) / z_charge)
+    return out
 
 
 def dense_conjugated_compression(fs) -> np.ndarray:

@@ -28,7 +28,7 @@ from conftest import (
 )
 from diracdiag import manybody as mb
 from diracdiag.config import NbodyConfig
-from diracdiag.decoupling import riesz_projection_series
+from diracdiag.decoupling import projector_series, riesz_projection_series
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import (
     assemble_system,
@@ -126,7 +126,7 @@ def test_criterion_4_series_correctness(sys200, pu200):
     u_err = np.linalg.norm(series_eval(u_series, 0.2)
                            - fw_conjugate(s.fw_blocks, s.u_gamma), 2)
     toy = toy_two_level()
-    p_toy = riesz_projection_series(toy, 4)
+    p_toy = projector_series(riesz_projection_series(toy, 4))
     toy_err = max(
         np.linalg.norm(p_toy.coeffs[1] - toy.v / 2.0, 2),
         np.linalg.norm(p_toy.coeffs[2] + build_free_dirac(toy.grid) / 4.0, 2))

@@ -285,11 +285,11 @@ def test_kato_margin_evaluated_once_per_run(tmp_path, monkeypatch):
     ("nbody", mb, "assemble_furry_exact",
      {"grid": {"n": 64}, "series_order": 4, "nbody": {"n_particles": 2, "n_plus": 4}},
      [0, 0, 0]),
-    # the restriction check's instance, the base system at 0.1, then one per
-    # further coupling while the base system stays alive
+    # the restriction check's instance, then one per coupling, each released
+    # before the next
     ("converge", mb, "assemble_furry_exact",
      {"grid": {"n": 64}, "series_order": 4, "nbody": {"n_particles": 2, "n_plus": 4}},
-     [0, 0, 1, 1]),
+     [0, 0, 0, 0]),
 ], ids=["one-particle", "validate", "nbody", "converge"])
 def test_one_particle_holds_one_system_at_a_time(tmp_path, monkeypatch, command, module, name,
                                                  doc, expected):
@@ -310,6 +310,21 @@ def test_one_particle_holds_one_system_at_a_time(tmp_path, monkeypatch, command,
     assert cli.main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == (
         command == "validate")
     assert alive_at_entry == expected
+
+
+def test_converge_assembles_each_coupling_once(tmp_path, monkeypatch):
+    # the one- and two-particle tables read one system per coupling; the
+    # restriction check's 24-node instance is its own
+    assembled = []
+    for module in (op, mb):
+        assemble = module.assemble_system
+        monkeypatch.setattr(module, "assemble_system",
+                            lambda grid, gamma, assemble=assemble:
+                            assembled.append((grid.n, gamma)) or assemble(grid, gamma))
+    cfg = write_cfg(tmp_path, {"grid": {"n": 64}, "gamma_list": [0.1, 0.2, 0.3], "series_order": 4,
+                               "nbody": {"n_particles": 2, "n_plus": 4}})
+    assert cli.main(["converge", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+    assert [gamma for n, gamma in assembled if n == 64] == [0.1, 0.2, 0.3]
 
 
 def test_resolution_failure_exit_3(tmp_path):

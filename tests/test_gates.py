@@ -55,14 +55,12 @@ def test_only_errors_module_raises_numerical_failures():
 PASSED_TEMPLATES = {
     # decoupling
     "projector series constant term drifted from P_+^0",
-    "projector coefficients not Hermitian: {value:.3e}",
     "decoupled frame rows not orthonormal: coefficient {index} of F F^H - 1 "
     "is {value:.3e} > {tol:.1e}",
     "decoupled frame leaves the projector's range: coefficient {index} of F P - F "
     "is {value:.3e} > {tol:.1e}",
     "Hamiltonian coefficient {index} not Hermitian",
     "first argument is not Hermitian within tolerance",
-    "second argument is not Hermitian within tolerance",
     # oneparticle
     "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1",
     "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero",
@@ -99,8 +97,6 @@ DIRECT_CALL_TEMPLATES = {
 TRIP_TESTS = {
     "projector series constant term drifted from P_+^0":
         "test_decoupling.py::test_projector_constant_term_drift_gate_trips",
-    "projector coefficients not Hermitian: {value:.3e}":
-        "test_decoupling.py::test_projector_hermiticity_gate",
     "unitarity defect of the U series: coefficient residual {value:.3e} > {tol:.1e}":
         "test_decoupling.py::test_series_residual_gate",
     "decoupled frame rows not orthonormal: coefficient {index} of F F^H - 1 "
@@ -112,8 +108,6 @@ TRIP_TESTS = {
     "Hamiltonian coefficient {index} not Hermitian":
         "test_decoupling.py::test_h_hermiticity_gate",
     "first argument is not Hermitian within tolerance":
-        "test_decoupling.py::test_resolvent_hermiticity_gate",
-    "second argument is not Hermitian within tolerance":
         "test_decoupling.py::test_resolvent_hermiticity_gate",
     "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1":
         "test_oneparticle.py::test_exact_u_gamma_rejects_far_projectors",
@@ -184,13 +178,7 @@ def test_gate_inventory_of_one_particle(tmp_path, monkeypatch):
     assert set(_run_recording_gates(tmp_path, monkeypatch, ("one-particle",))) == ONE_PARTICLE_TEMPLATES
 
 
-# Gates that read exactly 0 in every pipeline run, so no run can trip them.
-# ``_coupling_errors`` hands ``resolvent_frame`` its truncation as
-# 0.5 * (a + a^H), which is exactly Hermitian in IEEE arithmetic.
-ZERO_IN_PIPELINE = {"second argument is not Hermitian within tolerance"}
-
-
 def test_every_pipeline_gate_reads_nonzero(tmp_path, monkeypatch):
     # a gate whose measured value is exactly 0 on every call cannot fire
     measured = _run_recording_gates(tmp_path, monkeypatch, ("converge", "nbody", "one-particle"))
-    assert {message for message, values in measured.items() if not any(values)} == ZERO_IN_PIPELINE
+    assert [message for message, values in measured.items() if not any(values)] == []

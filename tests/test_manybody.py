@@ -1,6 +1,7 @@
 """Pair interaction, site-permutation sectors, N-particle assembly, convergence."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -18,6 +19,7 @@ from conftest import (
     dense_furry,
     dense_two_site_assemble,
     forbid_svd,
+    full_pair_series,
     full_series_ground_energies,
     lift_pair,
     lift_single,
@@ -268,6 +270,38 @@ def test_sector_multiplicities_follow_hook_lengths():
     assert sum(d * d for d in dims.values()) == 24
     assert [(s.shape, s.multiplicity, s.width) for s in mb.site_sectors(10, 3)] == \
         [((3,), 1, 220), ((2, 1), 2, 330), ((1, 1, 1), 1, 120)]
+
+
+def per_orbit_sector_arrays(m: int, n_sites: int, shape: tuple[int, ...]) -> tuple:
+    """iso, rows and vals of a sector with one SVD of the Young symmetrizer
+    per occupation orbit: the route ``manybody.site_sectors`` replaced by one
+    SVD per pattern of equal indices."""
+    cols = []
+    for occ in itertools.combinations_with_replacement(range(m), n_sites):
+        arrangements = sorted(set(itertools.permutations(occ)))
+        idx = [sum(t[s] * m ** (n_sites - 1 - s) for s in range(n_sites)) for t in arrangements]
+        u, sv, _ = np.linalg.svd(mb._young_symmetrizer(shape, arrangements))
+        rank = int(np.count_nonzero(sv > 1e-8 * max(sv[0], 1.0)))
+        cols += [(idx, u[:, r]) for r in range(rank)]
+    k = max(len(idx) for idx, _ in cols)
+    iso = np.zeros((m ** n_sites, len(cols)))
+    rows = np.zeros((len(cols), k), dtype=np.intp)
+    vals = np.zeros((len(cols), k))
+    for c, (idx, v) in enumerate(cols):
+        iso[idx, c] = v
+        rows[c, :len(idx)] = idx
+        vals[c, :len(idx)] = v
+    return iso, rows, vals
+
+
+@pytest.mark.parametrize("m,n_sites", [(10, 3), (20, 2), (4, 4), (3, 5), (6, 2)])
+def test_sectors_match_one_svd_per_orbit(m, n_sites):
+    # orbits with one pattern of equal indices share their symmetrizer, so
+    # one SVD per pattern gives every column bit for bit
+    for sector in mb.site_sectors(m, n_sites):
+        for got, ref in zip((sector.iso, sector.rows, sector.vals),
+                            per_orbit_sector_arrays(m, n_sites, sector.shape)):
+            assert np.array_equal(got, ref), sector.shape
 
 
 @pytest.mark.parametrize("m,n_sites", [(6, 2), (5, 3), (4, 4), (3, 5)])
@@ -559,6 +593,20 @@ def test_pair_series_matches_the_full_sum(sys100, pair100, bundle100):
            for n in range(1, bundle100.order + 1)]
     scale = max(np.max(np.abs(r)) for r in ref)
     assert max(np.max(np.abs(g - r)) for g, r in zip(got, ref)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n_plus", [6, 20])
+def test_pair_series_matches_every_density_column(sys100, pair100, bundle100, n_plus):
+    # densities on the columns i <= j, one kernel image per order and one
+    # gather, against the route that stores every column (i, j)
+    fs = mb.assemble_furry_exact(sys100(0.2), NbodyConfig(2, 2.0, n_plus), pair100)
+    upper = fs.psi[:bundle100.h_upper.dim]
+    got = list(mb._pair_series(bundle100, pair100, upper, 2.0))
+    ref = full_pair_series(bundle100, pair100, upper, 2.0)
+    scale = max(np.max(np.abs(r)) for r in ref)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-14 * scale
 
 
 def test_series_order_accuracy_two_particle(sys100, pair100, bundle100):

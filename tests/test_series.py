@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     binomial_half_coefficients,
+    cauchy_coefficients,
     series_add,
     series_adjoint,
     series_constant,
@@ -20,7 +21,6 @@ from conftest import (
 )
 from diracdiag.series import (
     ORDER_CAP,
-    cauchy_coefficients,
     coefficient_norms,
     make_series,
     series_eval,
