@@ -129,7 +129,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         pair = mb.build_pair_interaction(grid)
         for q in (0.5, 1.0):
             val = mb.slater_monopole_value(pair, q)
-            ref = 5.0 * q / 8.0
+            ref = mb.slater_monopole_reference(grid.l_upper, q)
             rel = abs(val - ref) / ref
             record(f"slater_monopole_q_{q:g}", rel, 1e-4)
     except NumericalError as exc:

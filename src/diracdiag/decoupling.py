@@ -23,7 +23,6 @@ upper block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +55,14 @@ def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray, np.ndarra
     The frame is R = Pi B (``oneparticle.fw_rows``), the positive free
     states first, so the free eigenvalues are +E then -E, read from the
     grid (``oneparticle.free_energies``).  The potential is conjugated as
-    a dense matrix (``oneparticle.dense_potential``).
+    a dense matrix (``oneparticle.dense_potential``) and returned as
+    0.5 (x + x^T), exactly symmetric: the two passes of the conjugation
+    round the two triangles differently (by up to 1.8e-12 at n=200), and
+    ``h_diag_series`` reads one triangle for the other.
     """
     e = free_energies(sys.grid)
     vfw = fw_conjugate(sys.fw_blocks, dense_potential(sys.v))
-    return sys.fw_blocks, np.concatenate((e, -e)), vfw
+    return sys.fw_blocks, np.concatenate((e, -e)), 0.5 * (vfw + vfw.T)
 
 
 def riesz_projection_series(sys: OneParticleSystem, order: int, frame=None) -> tuple:
@@ -269,37 +271,46 @@ def _range_defects(f, p):
 def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
     """Upper block of the block-diagonalized one-particle Hamiltonian series.
 
-    H = F D F^H with D = diag(lam) + g vfw, everything in the FW frame;
-    f_rows are F's rows on the positive free states, so the product is
-    H's upper block, the only nonzero one.  With FD = F D, term m of
-    H_n = sum_m FD_m F_(n-m)^H is read off where F_0 = [1, 0] is a factor:
-    FD_0 F_n^H = Lambda_+ L_n^T for F_n = [L_n, R_n], FD_n F_0^H is FD_n's
-    left block, and F_0 vfw is vfw's upper rows.  Products with F_1's zero
-    left block are formed on the right blocks only.  Each coefficient c
-    is gated Hermitian to 1e-10 relative to max(1, ||c||_2).
+    H = F D F^T with D = diag(lam) + g vfw, everything in the FW frame and
+    real; f_rows are F's rows on the positive free states, so the product
+    is H's upper block, the only nonzero one.  In
+    H_n = sum_(a+b=n) F_a Lambda F_b^T + sum_(a+b=n-1) F_a vfw F_b^T
+    terms (a, b) and (b, a) are transposes of each other (vfw is exactly
+    symmetric, ``_fw_frame``), so H_n = S_n + S_n^T with S_n the terms
+    a > b and half of each middle term a = b: each product is formed once,
+    and since IEEE addition commutes every coefficient is exactly
+    symmetric.  Terms with F_0 = [1, 0] are read off: F_n Lambda F_0^T is
+    F_n's left block times Lambda_+, and F_n vfw F_0^T is the left block of
+    F_n vfw, which is kept for the other terms; F_a Lambda is formed where
+    it is used.  Products with F_1's zero left block are formed on the
+    right blocks only.
     """
     k = f_rows[0].shape[0]
     left_nz = _nonzero(f[:, :k] for f in f_rows)
 
-    def times(x, y, full):  # x y, or only its second half of terms where the first is zero
-        return x @ y if full else x[:, k:] @ y[k:]
+    def times(x, b):  # x F_b^T, on the right blocks only where F_b's left block is zero
+        return x @ f_rows[b].T if left_nz[b] else x[:, k:] @ f_rows[b][:, k:].T
 
-    fd = [None]  # FD_0 enters only through the read-off
-    for n in range(1, len(f_rows)):
-        fv = vfw[:k] if n == 1 else times(f_rows[n - 1], vfw, left_nz[n - 1])
-        fd.append(f_rows[n] * lam + fv)
+    fv = [None] + [f @ vfw if nz else f[:, k:] @ vfw[k:]
+                   for f, nz in zip(f_rows[1:-1], left_nz[1:-1])]
     coeffs = []
     for n, fn in enumerate(f_rows):
-        acc = lam[:k, None] * fn[:, :k].conj().T
-        for m in range(1, n):
-            acc += times(fd[m], f_rows[n - m].conj().T, left_nz[n - m])
-        if n:
-            acc += fd[n][:, :k]
-        coeffs.append(acc)
-    h = make_series(coeffs)
-    gate_norm2((c - c.conj().T for c in h.coeffs), 1e-10,
-               "Hamiltonian coefficient {index} not Hermitian", scales=h.coeffs)
-    return h
+        s = fn[:, :k] * lam[:k] if n else np.diag(0.5 * lam[:k])
+        for a in range(n - 1, n // 2, -1):  # a > b = n - a >= 1
+            s += times(f_rows[a] * lam, n - a)
+        if n > 1 and n % 2 == 0:
+            s += 0.5 * times(f_rows[n // 2] * lam, n // 2)
+        if n == 1:
+            s += 0.5 * vfw[:k, :k]
+        elif n:
+            s += fv[n - 1][:, :k]
+        for a in range(n - 2, (n - 1) // 2, -1):  # a > b = n - 1 - a >= 1
+            s += times(fv[a], n - 1 - a)
+        if n > 1 and n % 2 == 1:
+            s += 0.5 * times(fv[n // 2], n // 2)
+        s += s.T
+        coeffs.append(s)
+    return make_series(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -360,42 +371,37 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
 # Gates
 # ---------------------------------------------------------------------------
 
-def gate_norm2(mats, tol: float, message: str, scales=None) -> float:
-    """Gate the spectral norms of mats (any iterable) at tol, or matrix i at
-    tol * max(1, ||scales[i]||_2), through ``gate``; return the gated value.
+def gate_norm2(mats, tol: float, message: str) -> float:
+    """Gate the spectral norms of mats (any iterable) at tol through
+    ``gate``; return the gated value.
 
     Each matrix is measured by ``_norm2_against`` and dropped before the
     next is drawn, so a generator forms one at a time.  One is gated, with
     its position as the field index: the first failing one farthest over
-    its tolerance as a ratio, or else the first one nearest it.
+    tol, or else the first one nearest it.
     """
-    worst, i = None, 0
-    for m in mats:
-        measured = (*_norm2_against(m, tol, None if scales is None else scales[i]), i)
+    worst = None
+    for i, m in enumerate(mats):
+        measured = (*_norm2_against(m, tol), i)
         del m
         if worst is None or measured[:2] > worst[:2]:
             worst = measured
-        i += 1
-    *_, value, bound, i = worst
-    return float(gate(value, bound, message, index=i))
+    *_, value, i = worst
+    return float(gate(value, tol, message, index=i))
 
 
-def _norm2_against(m: np.ndarray, tol: float, scale: np.ndarray | None = None) -> tuple:
-    """(failed, ratio, value, bound) of ||m||_2 against tol * max(1, ||scale||_2).
+def _norm2_against(m: np.ndarray, tol: float) -> tuple:
+    """(failed, value) of ||m||_2 against tol.
 
-    The Frobenius norm bounds the spectral norm from above, and
-    max(1, ||s||_F / sqrt(min(shape))) bounds max(1, ||s||_2) from below,
-    so a matrix that passes on these cheap bounds passes the spectral test;
-    spectral norms (``oneparticle._norm2``) are taken only when they cannot
-    decide.  value is the spectral norm or the Frobenius bound that
-    decided.  A NaN fails.
+    The Frobenius norm bounds the spectral norm from above, so a matrix
+    that passes on it passes the spectral test; the spectral norm
+    (``oneparticle._norm2``) is taken only when it cannot decide.  value
+    is the spectral norm or the Frobenius bound that decided.  A NaN fails.
     """
-    bound = tol if scale is None else tol * max(1.0, np.linalg.norm(scale) / math.sqrt(min(scale.shape)))
     value = np.linalg.norm(m)
-    if value > bound:
+    if value > tol:
         value = _norm2(m)
-        bound = tol if scale is None else tol * max(1.0, _norm2(scale))
-    return not value <= bound, value / bound, value, bound
+    return not value <= tol, value
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -196,17 +197,41 @@ def build_pair_interaction(grid: ChannelGrid, n_radial: int = 160, r_max: float 
 
 
 def hydrogenic_momentum_ground(grid: ChannelGrid, q: float) -> np.ndarray:
-    """Weighted reduced momentum samples of the 1s state with charge q."""
-    phi = 4.0 * math.sqrt(2.0 / math.pi) * q ** 2.5 / (q ** 2 + grid.p ** 2) ** 2
+    """Weighted reduced momentum samples of the lowest nodeless hydrogenic
+    state of the upper channel, r^l exp(-zeta r) with zeta = q (l + 1): the
+    1s state of charge q at l = 0.
+
+    Its momentum function is p^l / (p^2 + zeta^2)^(l+2) (Podolsky & Pauling,
+    Phys. Rev. 34, 1929), here with the 1s prefactor; the samples are
+    normalized on the grid.
+    """
+    l = grid.l_upper
+    zeta = q * (l + 1)
+    prefactor = 4.0 * math.sqrt(2.0 / math.pi) * zeta ** 2.5
+    phi = prefactor * grid.p ** l / (zeta ** 2 + grid.p ** 2) ** (l + 2)
     x = np.sqrt(grid.w) * grid.p * phi
     return x / np.linalg.norm(x)
 
 
 def slater_monopole_value(pair: PairInteraction, q: float) -> float:
-    """Self-repulsion of the hydrogenic ground state; closed form is 5q/8."""
+    """Self-repulsion of ``hydrogenic_momentum_ground`` through the pair
+    interaction; its closed form is ``slater_monopole_reference``."""
     frame = np.zeros((pair.grid.dim, 1))
     frame[0::2, 0] = hydrogenic_momentum_ground(pair.grid, q)
     return float(pair.project(frame)[0, 0].real)
+
+
+def slater_monopole_reference(l: int, q: float) -> float:
+    """Monopole Slater integral F^0 of the normalized density
+    r^m exp(-a r) (volume factor included), m = 2l + 2 and a = 2 zeta,
+    zeta = q (l + 1) (``hydrogenic_momentum_ground``):
+    F^0 = a [2/m - 2 sum_(j=0)^m (m+j-1)! / (j! m! 2^(m+j))], which is
+    5 zeta / 8 at l = 0 and 93 zeta / 256 at l = 1.  The rational factor is
+    summed exactly.
+    """
+    m = 2 * l + 2
+    tail = sum(Fraction(math.comb(m + j - 1, j), 2 ** (m + j)) for j in range(m + 1))
+    return q * (l + 1) * float(Fraction(4, m) * (1 - tail))
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +617,11 @@ def _abs_d0_sum(abs_d0: np.ndarray, sectors: tuple[Sector, ...],
     return tuple(sector_blocks(s, ce) for s in sectors)
 
 
-def _gate_positive_weight(low: float) -> None:
-    """The lowest eigenvalue of a weight matrix must be positive."""
-    gate(-low, -math.ulp(0.0), "weight matrix not positive definite: eigenvalue {low:.3e}", low=low)
+def _gate_positive_weight(low: float, what: str = "eigenvalue") -> None:
+    """A weight matrix's lowest eigenvalue, or the smallest pivot of its
+    Cholesky factor (what names which), must be positive; a NaN fails."""
+    gate(-low, -math.ulp(0.0), "weight matrix not positive definite: {what} {low:.3e}",
+         what=what, low=low)
 
 
 def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
@@ -875,8 +902,8 @@ def check_kinetic_weight_bound(fs: FurrySystem) -> float:
     Hamiltonian), which is similar to the matrix above and needs no
     eigendecomposition of H; the result is the maximum over the sectors.
     H must be positive definite: the smallest pivot of C is gated on every
-    block, and a factorization that stops at a nonpositive pivot fails the
-    same gate.
+    block (``_gate_positive_weight``), and a factorization that stops at a
+    nonpositive pivot reads NaN and fails the same gate.
     """
     top = -np.inf
     abs_d0 = np.repeat(free_energies(fs.one_particle.grid), 2)
@@ -884,10 +911,9 @@ def check_kinetic_weight_bound(fs: FurrySystem) -> float:
         try:
             c = np.linalg.cholesky(h)
             pivot = float(np.diag(c).real.min())
-            detail = f"smallest Cholesky pivot {pivot:.3e}"
-        except np.linalg.LinAlgError as exc:
-            pivot, detail = math.nan, exc
-        gate(-pivot, -math.ulp(0.0), "weight matrix not positive definite: {exc}", exc=detail)
+        except np.linalg.LinAlgError:
+            pivot = math.nan
+        _gate_positive_weight(pivot, "smallest Cholesky pivot")
         c_inv = np.linalg.inv(c)
         m = c_inv @ lifted @ c_inv.conj().T
         top = float(np.maximum(top, np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]))

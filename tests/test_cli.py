@@ -399,6 +399,17 @@ def test_validate_default_scale_passes(tmp_path):
     assert "unitarity_gamma_0.3000" in names
 
 
+@pytest.mark.parametrize("kappa", [-2, 1])
+def test_validate_passes_in_the_l1_channels(tmp_path, kappa):
+    # l_upper = 1: the Slater oracle is the channel's nodeless 2p-like state,
+    # and the hydrogen check meets its 1e-6 bound from about n = 260
+    cfg = write_cfg(tmp_path, {"grid": {"kappa": kappa, "n": 260}})
+    assert cli.main(["validate", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+    checks = json.loads((tmp_path / "o" / "validation.json").read_text())["results"]["checks"]
+    assert {"slater_monopole_q_0.5", "slater_monopole_q_1"} <= {c["name"] for c in checks}
+    assert all(c["passed"] for c in checks if c["hard"])
+
+
 # ---------------------------------------------------------------------------
 # one-particle
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ PASSED_TEMPLATES = {
     "is {value:.3e} > {tol:.1e}",
     "decoupled frame leaves the projector's range: coefficient {index} of F P - F "
     "is {value:.3e} > {tol:.1e}",
-    "Hamiltonian coefficient {index} not Hermitian",
     "first argument is not Hermitian within tolerance",
     # oneparticle
     "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1",
@@ -70,8 +69,7 @@ PASSED_TEMPLATES = {
     "transported frame leaks into the lower block: {value:.3e}",
     "transported frame is not orthonormal: {value:.3e}",
     "pair projection not positive semidefinite: lowest eigenvalue {low:.3e}",
-    "weight matrix not positive definite: eigenvalue {low:.3e}",
-    "weight matrix not positive definite: {exc}",
+    "weight matrix not positive definite: {what} {low:.3e}",
     "restriction/conjugation order disagreement {value:.3e} > 1e-8 "
     "on the small cross-check instance",
 }
@@ -105,8 +103,6 @@ TRIP_TESTS = {
     "decoupled frame leaves the projector's range: coefficient {index} of F P - F "
     "is {value:.3e} > {tol:.1e}":
         "test_decoupling.py::test_frame_range_gate",
-    "Hamiltonian coefficient {index} not Hermitian":
-        "test_decoupling.py::test_h_hermiticity_gate",
     "first argument is not Hermitian within tolerance":
         "test_decoupling.py::test_resolvent_hermiticity_gate",
     "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1":
@@ -125,9 +121,7 @@ TRIP_TESTS = {
         "test_manybody.py::test_transported_frame_orthonormality_gate",
     "pair projection not positive semidefinite: lowest eigenvalue {low:.3e}":
         "test_manybody.py::test_pair_projection_gate_rejects_an_indefinite_projection",
-    "weight matrix not positive definite: eigenvalue {low:.3e}":
-        "test_manybody.py::test_bounds_reject_indefinite_weights",
-    "weight matrix not positive definite: {exc}":
+    "weight matrix not positive definite: {what} {low:.3e}":
         "test_manybody.py::test_bounds_reject_indefinite_weights",
     "restriction/conjugation order disagreement {value:.3e} > 1e-8 "
     "on the small cross-check instance":
