@@ -292,7 +292,6 @@ def cmd_nbody(cfg: RunConfig) -> int:
             "ground_diag": ground_exact,
             "spectrum_agreement": float(np.max(np.abs(e_furry - e_diag))),
             "positivity_floor": n_particles * float(np.sqrt(1.0 - gamma ** 2)),
-            "min_eigenvalue": float(e_furry[0]),
             "kinetic_weight_value": mb.check_kinetic_weight_bound(fs),
             "kinetic_weight_limit": mb.kinetic_weight_limit(fs),
         }

@@ -408,21 +408,13 @@ def _norm2_against(m: np.ndarray, tol: float) -> tuple:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def resolvent_frame(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``hermitian_frame`` of m, the first argument of ``resolvent_distance``,
-    after gating m Hermitian: the exact operators it receives are formed
-    by products and are Hermitian only to roundoff."""
-    gate_norm2([m - m.conj().T], 1e-10 * max(1.0, float(np.linalg.norm(m, np.inf))),
-               "first argument is not Hermitian within tolerance")
-    return hermitian_frame(m)
-
-
 def hermitian_frame(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors q of a Hermitian m and the moduli 1/|lam + i| of (m+i)^(-1).
 
     (m+i)^(-1) = q diag(1/(lam+i)) q^H, and 1/(lam+i) is (lam^2+1)^(-1/2)
-    times a unit phase.  m is not gated: it is exactly Hermitian, as
-    0.5 (a + a^H) is in IEEE arithmetic, or gated by ``resolvent_frame``.
+    times a unit phase.  m is not gated: every caller passes a matrix that
+    is exactly symmetric as formed (``h_diag_exact``, ``h_diag_series``,
+    ``manybody.sector_blocks``) or an elementwise partial sum of such.
     The eigensolve reads the upper triangle, so the tridiagonal reduction
     starts from the last row: on the one-particle upper block, whose rows
     run up in momentum to entries of size p_max, that is the largest
@@ -445,11 +437,10 @@ def resolvent_distance(a: np.ndarray, b: np.ndarray, frame_a=None, frame_b=None)
     change the spectral norm, so the distance is that of
     W_a Q_a^H (b - a) Q_b W_b (``hermitian_frame``): real for real a and b,
     and formed from b - a, not as the difference of two resolvents.
-    a is gated Hermitian (``resolvent_frame``); b must be exactly
-    Hermitian, as the symmetrized truncations of ``manybody`` are.
-    frame_a and frame_b are the frames of a and b when the caller has them.
+    a and b must be exactly Hermitian (``hermitian_frame``).  frame_a and
+    frame_b are the frames of a and b when the caller has them.
     """
-    qa, wa = resolvent_frame(a) if frame_a is None else frame_a
+    qa, wa = hermitian_frame(a) if frame_a is None else frame_a
     qb, wb = hermitian_frame(b) if frame_b is None else frame_b
     return _norm2(wa[:, None] * (qa.conj().T @ (b - a) @ qb) * wb)
 
@@ -460,8 +451,12 @@ def h_diag_exact(sys: OneParticleSystem) -> np.ndarray:
     E = (R U_gamma P_gamma)[:n] are the rows of the exact decoupled frame on
     the positive free states, R the FW frame of ``oneparticle.fw_rows``.
     The lower rows of R U_gamma P_gamma = P0 R U_gamma vanish, so this is
-    the operator's only nonzero block.
+    the operator's only nonzero block.  E is real, and the block H is
+    returned as (H + H^T)/2, exactly symmetric since IEEE addition commutes.
     """
     pg = positive_projector(sys.evals, sys.evecs)
     e = fw_rows(sys.fw_blocks, sys.u_gamma @ pg)[:sys.fw_blocks.shape[0]]
-    return e @ sys.dgamma @ e.conj().T
+    h = e @ sys.dgamma @ e.T
+    h += h.T
+    h *= 0.5
+    return h

@@ -31,7 +31,6 @@ from .decoupling import (
     h_diag_exact,
     hermitian_frame,
     resolvent_distance,
-    resolvent_frame,
 )
 from .errors import ResolutionError, gate
 from .grids import ChannelGrid, RadialGrid, bessel_transform_matrix, build_channel_grid, build_radial_grid
@@ -72,21 +71,27 @@ class PairInteraction:
     kernel: np.ndarray
 
     def frame_factors(self, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Radial samples of the frame columns, per spinor component."""
-        return self.b_upper @ frame[0::2, :].conj(), self.b_lower @ frame[1::2, :].conj()
+        """Radial samples of the frame columns, per spinor component; frames are real."""
+        return self.b_upper @ frame[0::2, :], self.b_lower @ frame[1::2, :]
 
     def project(self, frame: np.ndarray) -> np.ndarray:
-        """Matrix of the pair operator between products of frame columns.
+        """Matrix of the pair operator between products of real frame columns.
 
         Entry [(i,k),(j,l)] couples the product of columns i,k on the left
-        with j,l on the right.
+        with j,l on the right.  Only the density columns i <= j enter the
+        contraction X, and X/2 + X^T/2 is expanded by ``_packed_pairs``, so
+        the result is exactly symmetric and exactly site-swap invariant.
         """
-        zhat = self.densities(frame)
-        return _two_site_assemble(zhat, self.kernel, zhat, frame.shape[1])
+        m = frame.shape[1]
+        keep, gather = _packed_pairs(m)
+        z = self.densities(frame)[:, keep]
+        x = 0.5 * ((self.kernel @ z).T @ z)
+        x += x.T
+        return x.ravel().take(gather).reshape(m * m, m * m)
 
     def densities(self, frame: np.ndarray) -> np.ndarray:
-        """Radial density stack of every product of two frame columns, both spinor
-        components summed, one column (i,j) per pair (``_density_stack``)."""
+        """Radial density stack of every product of two real frame columns, both
+        spinor components summed, one column (i,j) per pair (``_density_stack``)."""
         gup, glo = self.frame_factors(frame)
         return _density_stack(gup, gup) + _density_stack(glo, glo)
 
@@ -105,24 +110,21 @@ class PairInteraction:
 
 
 def _density_stack(ga: np.ndarray, gc: np.ndarray) -> np.ndarray:
-    """Per radial node the rank-1 density G_a[al,:] (x) conj(G_c[al,:]), vectorized."""
+    """Per radial node the rank-1 density G_a[al,:] (x) G_c[al,:] of real
+    radial samples, vectorized."""
     n_r, m = ga.shape
-    return np.einsum("ai,aj->aij", ga, gc.conj()).reshape(n_r, m * m)
+    return np.einsum("ai,aj->aij", ga, gc).reshape(n_r, m * m)
 
 
-def _two_site_assemble(z1: np.ndarray, kernel: np.ndarray, z2: np.ndarray, m: int) -> np.ndarray:
-    """Contract two density stacks with the radial kernel and reindex.
-
-    The contraction produces indices [(i,j),(k,l)] (bra/ket per site); the
-    two-particle matrix needs [(i,k),(j,l)].  Both keep the rows of one i
-    together, so the reindex runs in place, one row slab at a time
-    (``_pair_rows``), and no second m^4 array is made.
-    """
-    x = z1.T @ kernel @ z2
-    for i in range(m):
-        rows = slice(i * m, (i + 1) * m)
-        x[rows] = _pair_rows(x[rows], m)
-    return x
+def _packed_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, gather) for the index pairs i <= j of m states: the columns (i, j)
+    of an m*m density stack to keep, and the gather that expands a contraction
+    x[(i,j),(k,l)] on them, flattened, onto c[(i,k),(j,l)] (either order)."""
+    iu, ju = np.triu_indices(m)
+    packed = np.empty((m, m), dtype=np.intp)  # column of the pair (i, j) among i <= j
+    packed[iu, ju] = packed[ju, iu] = np.arange(iu.size)
+    gather = (packed[:, None, :, None] * iu.size + packed[None, :, None, :]).reshape(-1)
+    return iu * m + ju, gather
 
 
 def _pair_rows(slab: np.ndarray, m: int) -> np.ndarray:
@@ -435,7 +437,9 @@ def sector_blocks(sector: Sector, one_site: np.ndarray | None = None,
     X has A = one_site on site j and W = two_site on sites (a, b), indexed
     [(i,k),(j,l)] with i, j on site a, and the identity on every other
     site: the one-site frames are orthonormal (``assemble_furry_exact``
-    gates that), so no Gram factor enters.  All terms of one orbit of
+    gates that), so no Gram factor enters.  A and W are symmetric, as every
+    caller's are, and the block B is returned as (B + B^T)/2, exactly
+    symmetric since IEEE addition commutes.  All terms of one orbit of
     ``_site_orbits`` have the same compression, so each orbit's
     representative is lifted once, with its small factor scaled by the
     orbit's size.  Each lift is one matmul on the isometry V reshaped
@@ -459,7 +463,10 @@ def sector_blocks(sector: Sector, one_site: np.ndarray | None = None,
         x = np.matmul(op if size == 1 else size * op, t, out=buf.reshape(t.shape))
         x = x.reshape(shape).swapaxes(2, 3)
         y.reshape(x.shape)[...] += x
-    return sector.compress(y)
+    out = sector.compress(y)
+    out += out.T
+    out *= 0.5
+    return out
 
 
 def _site_axes(iso: np.ndarray, sites: tuple[int, ...], m: int):
@@ -553,7 +560,8 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     retained states positive) and ||psi^H psi - 1||_2 must stay below 1e-9
     (U_gamma is unitary on the retained span).  A frame failing either
     raises ConsistencyError; a passing one needs no Gram factor on the
-    spectator sites of ``sector_blocks``.  cfg is the run's
+    spectator sites of ``sector_blocks``.  A non-finite pair matrix reads NaN
+    at its semidefinite gate, which the eigensolver would not.  cfg is the run's
     ``config.NbodyConfig``, which checked its shape when it was built.
     """
     n_sites = cfg.n_particles
@@ -576,10 +584,7 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     w_proj = None
     if n_sites >= 2:
         w2 = pair.project(phi)
-        sym = w2 + w2.conj().T
-        sym *= 0.5
-        ew = np.linalg.eigvalsh(sym)
-        del sym
+        ew = np.linalg.eigvalsh(w2) if np.isfinite(w2).all() else [math.nan]
         low = float(ew[0])
         gate(-low, 1e-9 * max(1.0, -low, float(ew[-1])),
              "pair projection not positive semidefinite: lowest eigenvalue {low:.3e}", low=low)
@@ -625,7 +630,7 @@ def _gate_positive_weight(low: float, what: str = "eigenvalue") -> None:
 
 
 def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    ew, uw = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    ew, uw = np.linalg.eigh(mat)
     _gate_positive_weight(ew[0])
     return (uw * ew ** -0.5) @ uw.conj().T
 
@@ -649,15 +654,10 @@ def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndar
     densities nu, mu is the site swap S X S of the term of mu, nu (the
     kernel is symmetric), so only mu < nu and half the middle term are
     contracted, and the swapped copy is added as the transpose of their sum;
-    one index gather then expands the sum onto [(i,k),(j,l)].
+    the gather of ``_packed_pairs`` then expands the sum onto [(i,k),(j,l)].
     """
     m, order = upper.shape[1], bundle.order
-    iu, ju = np.triu_indices(m)
-    keep = iu * m + ju
-    packed = np.empty((m, m), dtype=np.intp)  # column of the pair (i, j) among i <= j
-    packed[iu, ju] = packed[ju, iu] = np.arange(iu.size)
-    # c[(i,k),(j,l)] = x[(i,j),(k,l)], read from x flattened
-    gather = (packed[:, None, :, None] * iu.size + packed[None, :, None, :]).reshape(-1)
+    keep, gather = _packed_pairs(m)
     # radial samples g[r, a, s, i] of the dressed frame of order a < order, spinor component s
     g = np.stack([np.stack(pair.frame_factors(fc.conj().T @ upper), axis=1)
                   for fc in bundle.f_upper[:order]], axis=1)
@@ -672,7 +672,7 @@ def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndar
         if 2 * (n - 1) < order:  # a left factor of some later order
             kzhat.append(pair.kernel @ zhat[-1])
         # contraction order [(i,j),(k,l)] on the pairs i <= j, k <= l
-        x = np.zeros((iu.size, iu.size))
+        x = np.zeros((keep.size, keep.size))
         for mu in range(n // 2):
             x += kzhat[mu].T @ zhat[n - 1 - mu]
         if n % 2:
@@ -771,13 +771,12 @@ class _LazyBlock:
     V^T X_j V by the orthonormal sector isometry V of X_j, the sum of c_j
     over the N sites and w_j over the C(N,2) pairs, so ||V^T X_j V||_2 <=
     ||X_j||_2 <= N ||c_j||_2 + C(N,2) ||w_j||_2, and ||.||_2 <= ||.||_F
-    (V is orthonormal to roundoff, which ``margin`` covers).
-    Symmetrizing is a contraction, so ||(S + S^H)/2 - (E + E^H)/2||_2 <=
-    ||S - E||_2, and by Weyl the block's lowest level is at least
-    lows[b] - B up to the roundoff that ``margin`` bounds.  The block is
-    skipped when low - B > best + margin: it is neither lifted nor
-    diagonalized, and gamma^j c_j and gamma^j w_j are added in place to one
-    buffer each.  The first order that is not certified lifts the buffers
+    (V is orthonormal to roundoff, which ``margin`` covers).  S and E are
+    exactly symmetric (``sector_blocks``), so by Weyl the block's lowest
+    level is at least lows[b] - B up to the roundoff that ``margin`` bounds.
+    The block is skipped when low - B > best + margin: it is neither lifted
+    nor diagonalized, and gamma^j c_j and gamma^j w_j are added in place to
+    one buffer each.  The first order that is not certified lifts the buffers
     once onto S.  Right after any lift, low - dist > best + margin skips
     the eigensolve as well.  With best = inf (the first sector visited)
     nothing is certified and no distance is taken.
@@ -786,7 +785,6 @@ class _LazyBlock:
     def __init__(self, sector: Sector, exact: np.ndarray, low: float):
         self.sector, self.exact, self.low = sector, exact, low
         self.exact_norm = float(np.linalg.norm(exact))
-        self.asymmetry = 0.5 * float(np.linalg.norm(exact - exact.conj().T))
         m_n, n_sites = sector.iso.shape[0], sector.occupation.shape[1]
         self.rounding = m_n * math.factorial(n_sites) + sector.width ** 2
         self.sum = None
@@ -797,8 +795,8 @@ class _LazyBlock:
         """Roundoff allowance of the certificate at order k.
 
         The certificate must hold for the level the full route would
-        compute, lam = eigvalsh((S + S^H)/2)[0] with S its floating-point
-        partial sum, and lows[b] is itself a computed eigenvalue.  Each
+        compute, lam = eigvalsh(S)[0] with S its floating-point partial
+        sum, and lows[b] is itself a computed eigenvalue.  Each
         rounding step is bounded in the standard first-order model:
         a step whose sums have at most p terms is off by at most
         p eps ||x||_2 (eps = machine epsilon), with p the block width w
@@ -812,14 +810,10 @@ class _LazyBlock:
         bounding every partial sum and lifted term.  Up to order k there
         are 2k + 1 steps forming S (k + 1 lifts, k additions), two
         eigensolves (E and S) and one distance: at most 2(k + 2) steps, so
-            margin = 2 (k + 2) p eps (||E||_F + M) + ||E - E^H||_F / 2.
-        The last term is exact, not a rounding bound: eigvalsh reads E's
-        lower triangle, the Hermitian matrix that differs from (E + E^H)/2
-        by that much in Frobenius norm, while the bound above compares S
-        with (E + E^H)/2.
+            margin = 2 (k + 2) p eps (||E||_F + M).
         """
         eps = np.finfo(float).eps
-        return 2 * (k + 2) * self.rounding * eps * (self.exact_norm + self.size) + self.asymmetry
+        return 2 * (k + 2) * self.rounding * eps * (self.exact_norm + self.size)
 
     def step(self, k: int, gk: float, c: np.ndarray, w: np.ndarray | None,
              growth: float, best: float) -> float:
@@ -840,7 +834,7 @@ class _LazyBlock:
             self.dist, self.pending = float(np.linalg.norm(self.sum - self.exact)), 0.0
             if self.low - self.dist > best + self.margin(k):
                 return np.inf
-        return float(np.linalg.eigvalsh(0.5 * (self.sum + self.sum.conj().T))[0])
+        return float(np.linalg.eigvalsh(self.sum)[0])
 
     def _defer(self, gk: float, c: np.ndarray, w: np.ndarray | None) -> None:
         """Add gamma^k c and gamma^k w to the buffers, in place after the first."""
@@ -874,8 +868,8 @@ def check_form_bound(fs: FurrySystem) -> float:
     part T is the projected sum of one-particle operators, positive by the
     spectral gap.  Both commute with the site permutations, so the largest
     eigenvalue is the maximum over the sector blocks.  Each T block is
-    diagonal (``FurrySystem.kinetic`` holds its diagonal), so T^(-1/2)
-    scales rows and columns.
+    diagonal (``FurrySystem.kinetic`` holds its diagonal t), so a block is
+    W times d d^T entry by entry, d = t^(-1/2): exactly symmetric, as W is.
     """
     if fs.w_proj is None:
         return 0.0
@@ -883,9 +877,9 @@ def check_form_bound(fs: FurrySystem) -> float:
     top = -np.inf
     for t, w in zip(fs.kinetic, fs.w_proj):
         _gate_positive_weight(t.min())
-        t_inv_half = t ** -0.5
-        m = t_inv_half[:, None] * (scale * w) * t_inv_half[None, :]
-        top = float(np.maximum(top, np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]))
+        d = t ** -0.5
+        m = (scale * w) * np.outer(d, d)
+        top = float(np.maximum(top, np.linalg.eigvalsh(m)[-1]))
     return top
 
 
@@ -955,7 +949,7 @@ def _low_levels(blocks, frames, multiplicities, count: int = 10) -> np.ndarray:
     """The count lowest levels of a sector-split operator, with multiplicity.
 
     Each block contributes the ``rayleigh_quotients`` of its count lowest
-    eigenvectors (frames from ``resolvent_frame``), repeated by the
+    eigenvectors (frames from ``hermitian_frame``), repeated by the
     block's multiplicity; the quotients lack the raw eigenvalues' backward
     error eps*||block||.
     """
@@ -1003,7 +997,9 @@ def convergence_rows(bundle: DecouplingBundle, system: OneParticleSystem | Furry
     exact or truncated, takes one eigendecomposition (``hermitian_frame``),
     which serves both its resolvent distance and its low levels; the exact
     operator's is computed once and shared by every truncation order, and
-    the truncations are accumulated partial sums.  No inverse and no SVD
+    the truncations are accumulated partial sums.  Every block is exactly
+    symmetric as formed (``h_diag_exact``, ``sector_blocks``), and so is
+    every elementwise partial sum of such blocks.  No inverse and no SVD
     is taken.  The remainders are weighted by W = |D_0|^(-1/2) on the
     frame; for one particle W is diagonal and scales rows and columns,
     which gives the products with diag(W) bit for bit, since those add
@@ -1020,17 +1016,16 @@ def convergence_rows(bundle: DecouplingBundle, system: OneParticleSystem | Furry
         exact, mult = (h_diag_exact(system),), (1,)
         weight = (energies ** -0.5,)
         partial = series_partial_sums(zip(bundle.h_upper.coeffs), gamma)
-    exact_frames = [resolvent_frame(e) for e in exact]
+    exact_frames = [hermitian_frame(e) for e in exact]
     exact_low = _low_levels(exact, exact_frames, mult)
     dists, remainders, eig_errors = np.empty((3, bundle.order + 1))
     for k, approx in enumerate(partial):
-        approx_h = [0.5 * (a + a.conj().T) for a in approx]
-        frames = [hermitian_frame(a) for a in approx_h]
+        frames = [hermitian_frame(a) for a in approx]
         dists[k] = np.max([resolvent_distance(e, a, fe, fa)
-                           for e, a, fe, fa in zip(exact, approx_h, exact_frames, frames)])
+                           for e, a, fe, fa in zip(exact, approx, exact_frames, frames)])
         remainders[k] = np.max([_norm2(w @ (e - a) @ w if nbody else w[:, None] * (e - a) * w)
                                 for w, e, a in zip(weight, exact, approx)])
-        eig_errors[k] = float(np.max(np.abs(_low_levels(approx_h, frames, mult) - exact_low)))
+        eig_errors[k] = float(np.max(np.abs(_low_levels(approx, frames, mult) - exact_low)))
     ratio = fit_geometric_ratio(dists)
     return [{"gamma": gamma, "k": k,
              "resolvent_distance": float(dists[k]),

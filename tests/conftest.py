@@ -24,7 +24,6 @@ from diracdiag.decoupling import (
 from diracdiag.grids import ChannelGrid, build_channel_grid
 from diracdiag.manybody import (
     _density_stack,
-    _two_site_assemble,
     build_pair_interaction,
     h_diag_series_N,
 )
@@ -561,9 +560,9 @@ def lift_pair(two_site: np.ndarray, single: np.ndarray, n_sites: int, a: int, b:
 
 def dense_two_site_assemble(z1: np.ndarray, kernel: np.ndarray, z2: np.ndarray,
                             m: int) -> np.ndarray:
-    """Contraction [(i,j),(k,l)] of two density stacks, reindexed to
-    [(i,k),(j,l)] as one dense transpose: the oracle of the slab-wise
-    reindex in ``manybody._two_site_assemble``."""
+    """Contraction [(i,j),(k,l)] of two density stacks on every column,
+    reindexed to [(i,k),(j,l)] as one dense transpose: the oracle of the
+    packed contraction and gather of ``manybody.PairInteraction.project``."""
     x = z1.T @ kernel @ z2
     return np.ascontiguousarray(
         x.reshape(m, m, m, m).transpose(0, 2, 1, 3)).reshape(m * m, m * m)
@@ -727,4 +726,4 @@ def _pair_product(pair, dressed, left: int, right: int) -> np.ndarray:
         return sum(_density_stack(factors[a][c], factors[mu - a][c])
                    for a in range(mu + 1) for c in (0, 1))
 
-    return _two_site_assemble(density(left), pair.kernel, density(right), dressed[0].shape[1])
+    return dense_two_site_assemble(density(left), pair.kernel, density(right), dressed[0].shape[1])

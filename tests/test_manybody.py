@@ -30,7 +30,7 @@ from conftest import (
 from diracdiag import cli
 from diracdiag import manybody as mb
 from diracdiag.config import NbodyConfig
-from diracdiag.decoupling import build_decoupling_bundle, resolvent_distance
+from diracdiag.decoupling import build_decoupling_bundle, h_diag_exact, resolvent_distance
 from diracdiag.errors import ConfigError, ConsistencyError, ResolutionError
 from diracdiag.grids import build_channel_grid, build_radial_grid
 from diracdiag.oneparticle import assemble_system, positive_states
@@ -151,11 +151,11 @@ def test_slater_reference_closed_form():
 
 @pytest.mark.parametrize("m", [5, 7])
 def test_pair_projection_matches_dense_reindex(pair100, m):
-    # the slab-wise in-place reindex against one dense transpose, on a
-    # complex frame so that bra and ket densities differ
+    # the packed contraction and index gather against every density column
+    # contracted and reindexed by one dense transpose, on a real frame
     rng = np.random.default_rng(m)
     dim = pair100.grid.dim
-    frame = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
+    frame = rng.standard_normal((dim, m))
     gup, glo = pair100.frame_factors(frame)
     z = mb._density_stack(gup, gup) + mb._density_stack(glo, glo)
     ref = dense_two_site_assemble(z, pair100.kernel, z, m)
@@ -168,14 +168,15 @@ def test_pair_projection_properties(sys100, pair100):
     _, phi = positive_states(sys100(0.3), 5)
     w2 = pair100.project(phi)
     m = 5
-    assert np.linalg.norm(w2 - w2.conj().T, 2) < 1e-10
+    # exactly symmetric, and exactly invariant under swapping both particles,
+    # [(i,k),(j,l)] == [(k,i),(l,j)]
+    assert np.array_equal(w2, w2.T)
+    t = w2.reshape(m, m, m, m)
+    assert np.array_equal(t, t.transpose(1, 0, 3, 2))
     # positive semidefinite and positive diagonal
-    low = float(np.linalg.eigvalsh(0.5 * (w2 + w2.conj().T))[0])
+    low = float(np.linalg.eigvalsh(w2)[0])
     assert low > -1e-9 * np.linalg.norm(w2, 2)
     assert np.all(np.diag(w2) > -1e-12)
-    # swapping both particles is a symmetry: [(i,k),(j,l)] == [(k,i),(l,j)]
-    t = w2.reshape(m, m, m, m)
-    assert np.max(np.abs(t - t.transpose(1, 0, 3, 2))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +316,15 @@ def test_sectors_match_one_svd_per_orbit(m, n_sites):
 
 @pytest.mark.parametrize("m,n_sites", [(6, 2), (5, 3), (4, 4), (3, 5)])
 def test_orbit_lift_matches_all_sites_lift(m, n_sites):
-    # random one-site and two-site operators with no site-swap or other
-    # symmetry: the orbit reduction rests on the isometry alone
+    # random symmetric one-site and two-site operators, as sector_blocks
+    # requires, with no site-swap symmetry: the orbit reduction rests on the
+    # isometry alone
     rng = np.random.default_rng(m * 10 + n_sites)
     for _ in range(3):
         one = rng.standard_normal((m, m))
+        one += one.T
         two = rng.standard_normal((m * m, m * m))
+        two += two.T
         for sector in mb.site_sectors(m, n_sites):
             for args in ((one, None), (None, two), (one, two)):
                 got = mb.sector_blocks(sector, *args)
@@ -412,6 +416,35 @@ def test_pair_projection_gate_rejects_an_indefinite_projection(sys100, pair100):
         mb.assemble_furry_exact(sys100(0.3), cfg, indefinite)
     object.__setattr__(indefinite, "project", lambda frame: np.diag([2.0] + [1.0] * 7 + [-1.5e-9]))
     mb.assemble_furry_exact(sys100(0.3), cfg, indefinite)
+
+
+def test_pair_projection_gate_rejects_a_non_finite_projection(sys100, pair100):
+    # a NaN in the kernel reaches every entry of the pair matrix, which the
+    # eigensolver would refuse with an untyped error; the gate reads NaN
+    cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=3)
+    kernel = pair100.kernel.copy()
+    kernel[3, 5] = np.nan
+    broken = dataclasses.replace(pair100, kernel=kernel)
+    with pytest.raises(ConsistencyError, match=r"^pair projection not positive semidefinite: "
+                                               r"lowest eigenvalue nan$"):
+        mb.assemble_furry_exact(sys100(0.3), cfg, broken)
+
+
+@pytest.mark.parametrize("antisymmetrize", [False, True])
+@pytest.mark.parametrize("n_particles,n_plus", [(2, 6), (3, 4)])
+def test_operators_are_exactly_symmetric_as_formed(sys100, pair100, bundle100, n_particles,
+                                                   n_plus, antisymmetrize):
+    # every operator that is diagonalized or gated is exactly symmetric where
+    # it is formed, so nothing downstream symmetrizes it
+    s = sys100(0.3)
+    fs = mb.assemble_furry_exact(s, NbodyConfig(n_particles, 2.0, n_plus, antisymmetrize), pair100)
+    _, phi = positive_states(s, n_plus)
+    named = [("project", pair100.project(phi)), ("h_diag_exact", h_diag_exact(s))]
+    for field in ("w_proj", "h_furry_exact", "h_diag_exact"):
+        named += [(f"{field}[{b}]", x) for b, x in enumerate(getattr(fs, field))]
+    for k, partial in enumerate(series_partial_sums(mb.h_diag_series_N(bundle100, fs), 0.3)):
+        named += [(f"S_{k}[{b}]", x) for b, x in enumerate(partial)]
+    assert [name for name, x in named if not np.array_equal(x, x.T)] == []
 
 
 def test_two_particle_ground_above_positivity_floor(sys100, pair100):
