@@ -49,8 +49,8 @@ from .series import (
 # Projector series
 # ---------------------------------------------------------------------------
 
-def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """FW node blocks, free eigenvalues and the potential in the FW frame.
+def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Free eigenvalues and the potential in the FW frame.
 
     The frame is R = Pi B (``oneparticle.fw_rows``), the positive free
     states first, so the free eigenvalues are +E then -E, read from the
@@ -62,10 +62,10 @@ def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     e = free_energies(sys.grid)
     vfw = fw_conjugate(sys.fw_blocks, dense_potential(sys.v))
-    return sys.fw_blocks, np.concatenate((e, -e)), 0.5 * (vfw + vfw.T)
+    return np.concatenate((e, -e)), 0.5 * (vfw + vfw.T)
 
 
-def riesz_projection_series(sys: OneParticleSystem, order: int, frame=None) -> tuple:
+def riesz_projection_series(sys: OneParticleSystem, order: int) -> tuple:
     """Series of the positive spectral projector of D_0 + g V, in the FW
     frame, as its three blocks (A, B, C) = (P_(++), P_(+-), P_(--)).
 
@@ -80,12 +80,13 @@ def riesz_projection_series(sys: OneParticleSystem, order: int, frame=None) -> t
     the middle term as X X^T, and every coefficient is exactly symmetric.
     A_0 = 1, B_0 = C_0 = 0, and A_1 = C_1 = 0, B_1 = V_(+-) / gap exactly,
     so no product is formed with them.  Each block is a tuple of the
-    order + 1 read-only coefficients.  frame is ``_fw_frame(sys)`` when
-    the caller has it; ``projector_series`` assembles the full P.
+    order + 1 read-only coefficients; ``projector_series`` assembles the
+    full P.  The FW potential (``_fw_frame``) is formed here and released
+    on return.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    _, lam, vfw = _fw_frame(sys) if frame is None else frame
+    lam, vfw = _fw_frame(sys)
     n = lam.size // 2
     pos, neg = slice(0, n), slice(n, None)
     v11, v12, v22 = vfw[pos, pos], vfw[pos, neg], vfw[neg, neg]
@@ -198,74 +199,64 @@ def u_gamma_series(p) -> MatrixSeries:
     return make_series(u)
 
 
-def _gram_defects(u):
-    """Yield the coefficients of U^H U - 1, each product paired with its adjoint.
+def _gram_defects(u, p=None):
+    """Yield the coefficients of U^H U - 1, or of U^H U - P from the
+    projector blocks p = (A, B, C), each product paired with its adjoint.
 
-    U_0 is the leading columns of the identity, exactly (``kato_nagy_rows``),
-    so order 0 is zero, and U_0^H U_n is the leading rows of U_n.
+    The one routine of the series' Gram gates: U^H U - 1 of the U series,
+    F F^H - 1 (U = F^H) and F^H F - P (U = F, with p).  U_0 is the leading
+    block of the identity, exactly (``kato_nagy_rows``): columns for U and
+    F^H, so U_0^H U_n is U_n's leading rows, and rows for F = [1, 0], so
+    U_0^H U_n is U_n over zero rows.  U_0^H U_0 is 1, or P_0 =
+    blockdiag(1, 0) exactly (``riesz_projection_series``), so order 0 is
+    zero.  Each product and its adjoint are added to the accumulator in
+    place, and P_n is subtracted by blocks, so beside the accumulator one
+    product is alive.
     """
-    k = u[0].shape[1]
+    rows, k = u[0].shape
     yield np.zeros((k, k), dtype=u[0].dtype)
     for n in range(1, len(u)):
-        acc = np.array(u[n][:k])
-        acc += acc.conj().T
+        acc = np.zeros((k, k), dtype=u[0].dtype)
+        acc[:rows] = u[n][:k]
+        acc[:, :rows] += u[n][:k].conj().T
         for m in range(1, (n + 1) // 2):
             t = u[m].conj().T @ u[n - m]
-            acc += t + t.conj().T
+            acc += t
+            acc += t.conj().T
+            del t
         if n % 2 == 0:
             acc += u[n // 2].conj().T @ u[n // 2]
+        if p is not None:
+            a, b, c = (x[n] for x in p)
+            acc[:rows, :rows] -= a
+            acc[:rows, rows:] -= b
+            acc[rows:, :rows] -= b.T
+            acc[rows:, rows:] -= c
         yield acc
 
 
 def gate_decoupled_frame(f: list, p) -> None:
-    """Gate F's rows order by order at 1e-9: F F^H = 1 and F P = F.
+    """Gate F's rows order by order: F F^H = 1 at 1e-9, then F^H F = P.
 
     f are F's upper rows (``kato_nagy_rows``) and p the projector blocks
-    (``riesz_projection_series``).  Together with P = P^H = P^2 the two
-    give F^H F = P, so F D F^H is D compressed onto P's range.  F F^H
-    pairs term m with term n - m, its adjoint (``_gram_defects`` of F^H).
+    (``riesz_projection_series``); both Gram sums pair term m with term
+    n - m, its adjoint (``_gram_defects``).  F^H F = P makes F D F^H the
+    compression of D onto P's range.  The second gate's tolerance is
+    1e-9 / s - o, with o the value the first gate returns and
+    s = 1 + sum_(a>=1) ||F_a||_F >= sum_a ||F_a||_2 (||F_0||_2 = 1), so
+    that, coefficient by coefficient,
+    F P - F = -F (F^H F - P) + (F F^H - 1) F gives ||(F P - F)_n|| <= 1e-9.
     Each gate names the coefficient farthest over its tolerance.
     """
-    gate_norm2(_gram_defects([c.conj().T for c in f]), 1e-9,
-               "decoupled frame rows not orthonormal: coefficient {index} of F F^H - 1 "
+    if len(f) != len(p[0]):
+        raise ValueError(f"order mismatch: {len(f) - 1} vs {len(p[0]) - 1}")
+    o = gate_norm2(_gram_defects([c.conj().T for c in f]), 1e-9,
+                   "decoupled frame rows not orthonormal: coefficient {index} of F F^H - 1 "
+                   "is {value:.3e} > {tol:.1e}")
+    s = 1.0 + sum(np.linalg.norm(c) for c in f[1:])
+    gate_norm2(_gram_defects(f, p), 1e-9 / s - o,
+               "decoupled frame leaves the projector's range: coefficient {index} of F^H F - P "
                "is {value:.3e} > {tol:.1e}")
-    gate_norm2(_range_defects(f, p), 1e-9,
-               "decoupled frame leaves the projector's range: coefficient {index} of F P - F "
-               "is {value:.3e} > {tol:.1e}")
-
-
-def _range_defects(f, p):
-    """Yield the coefficients of F P - F from the projector blocks p = (A, B, C).
-
-    F_0 = [1, 0] and P_0 = blockdiag(1, 0) are exact by construction
-    (``kato_nagy_rows``, ``riesz_projection_series``), so F_0 P_n is
-    [A_n, B_n] and F_n P_0 is F_n's left block padded with zeros.  Every
-    other term F_m P_j is formed by blocks, [L A + R B^T, L B + R C] for
-    F_m = [L, R], skipping the exactly zero blocks (L of F_1, A_1, C_1).
-    """
-    pa, pb, pc = p
-    if len(f) != len(pa):
-        raise ValueError(f"order mismatch: {len(f) - 1} vs {len(pa) - 1}")
-    k = f[0].shape[0]
-    left_nz, a_nz, c_nz = _nonzero(c[:, :k] for c in f), _nonzero(pa), _nonzero(pc)
-    for n, fn in enumerate(f):
-        left, right = np.array(pa[n]), np.array(pb[n])
-        for m in range(1, n):
-            j = n - m
-            lm, rm = f[m][:, :k], f[m][:, k:]
-            if left_nz[m]:
-                if a_nz[j]:
-                    left += lm @ pa[j]
-                right += lm @ pb[j]
-            left += rm @ pb[j].T
-            if c_nz[j]:
-                right += rm @ pc[j]
-        if n:
-            left += fn[:, :k]
-        acc = np.hstack((left, right))
-        del left, right
-        acc -= fn
-        yield acc
 
 
 def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
@@ -345,23 +336,24 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
     them as ``DecouplingBundle`` describes.
 
     F's upper rows come straight from P (``kato_nagy_rows``), so no
-    coefficient of U, Gram product U^H U or Cauchy product U P is formed.
+    coefficient of U or Cauchy product U P is formed.
     Memory, in series of order K with 2n x 2n coefficients: P's three
     blocks (three quarters of a series) and F's rows (half a series),
-    beside the FW potential that P and H read and the gates' working
-    coefficients; that is the floor.  While the rows are
-    formed, G and one half-size square root (a quarter series each) stand
-    where they will be.  H is formed once P is gone.
+    beside the Gram gates' accumulator and one product (two coefficients,
+    ``_gram_defects``); that is the floor.  While the rows are formed, G
+    and one half-size square root (a quarter series each) stand where they
+    will be.  The FW potential is formed inside ``riesz_projection_series``
+    and again for H once P is gone, so it is not alive while the rows are
+    formed and gated.
     """
-    blocks, lam, vfw = frame = _fw_frame(sys)
-    p = riesz_projection_series(sys, order, frame)
-    gate_norm2([projector_coefficient(p, 0) - fw_conjugate(blocks, free_positive_projector(sys.grid))],
+    p = riesz_projection_series(sys, order)
+    gate_norm2([projector_coefficient(p, 0) - fw_conjugate(sys.fw_blocks, free_positive_projector(sys.grid))],
                1e-11, "projector series constant term drifted from P_+^0")
     f = kato_nagy_rows(p)
     gate_decoupled_frame(f, p)
     del p
-    h = h_diag_series(f, lam, vfw)
-    f_upper = tuple(fw_rows(blocks, c.T, back=True).T for c in f)
+    h = h_diag_series(f, *_fw_frame(sys))
+    f_upper = tuple(fw_rows(sys.fw_blocks, c.T, back=True).T for c in f)
     for c in f_upper:
         c.flags.writeable = False
     return DecouplingBundle(f_upper=f_upper, h_upper=h)
@@ -376,16 +368,18 @@ def gate_norm2(mats, tol: float, message: str) -> float:
     ``gate``; return the gated value.
 
     Each matrix is measured by ``_norm2_against`` and dropped before the
-    next is drawn, so a generator forms one at a time.  One is gated, with
-    its position as the field index: the first failing one farthest over
-    tol, or else the first one nearest it.
+    next is drawn, so a generator forms one at a time; ``enumerate`` would
+    hold it on in its reused result tuple while the next is formed.  One is
+    gated, with its position as the field index: the first failing one
+    farthest over tol, or else the first one nearest it.
     """
-    worst = None
-    for i, m in enumerate(mats):
+    worst, i = None, 0
+    for m in mats:
         measured = (*_norm2_against(m, tol), i)
         del m
         if worst is None or measured[:2] > worst[:2]:
             worst = measured
+        i += 1
     *_, value, i = worst
     return float(gate(value, tol, message, index=i))
 

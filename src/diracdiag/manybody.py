@@ -103,10 +103,9 @@ class PairInteraction:
         confined well inside r_max should come back essentially exactly.
         """
         rw = self.radial.w * self.radial.r ** 2
-        up = self.b_upper @ frame[0::2, :]
-        lo = self.b_lower @ frame[1::2, :]
-        gram = up.conj().T @ (rw[:, None] * up) + lo.conj().T @ (rw[:, None] * lo)
-        return _norm2(gram - frame.conj().T @ frame)
+        up, lo = self.frame_factors(frame)
+        gram = up.T @ (rw[:, None] * up) + lo.T @ (rw[:, None] * lo)
+        return _norm2(gram - frame.T @ frame)
 
 
 def _density_stack(ga: np.ndarray, gc: np.ndarray) -> np.ndarray:
@@ -194,7 +193,7 @@ def build_pair_interaction(grid: ChannelGrid, n_radial: int = 160, r_max: float 
             probes[1::2, 2 + col] = _gaussian_probe(grid, grid.l_lower, sigma)
         gate(pair.round_trip_defect(probes), 1e-6,
              "radial transform round-trip defect {value:.3e} > 1e-6; "
-             "adjust n_radial or r_max to the momentum grid", ResolutionError)
+             "the momentum grid is too coarse: raise grid.n", ResolutionError)
     return pair
 
 

@@ -171,7 +171,7 @@ def full_riesz_projection_series(sys: OneParticleSystem, order: int) -> MatrixSe
     off-diagonal blocks formed, and the same-sign blocks from idempotency,
     every ordered product of the Cauchy sum formed.
     """
-    _, lam, vfw = _fw_frame(sys)
+    lam, vfw = _fw_frame(sys)
     n = lam.size // 2
     pos, neg = slice(0, n), slice(n, None)
     gap = lam[pos, None] - lam[None, neg]

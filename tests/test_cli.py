@@ -339,6 +339,20 @@ def test_resolution_failure_exit_3(tmp_path):
     assert "round-trip defect" in out.stderr
 
 
+def test_weight_gate_fires_in_a_run_exit_3(tmp_path):
+    # at Z = 1e-30 the pair term, scaled by gamma / Z, swamps the kinetic
+    # term: every earlier gate passes, and the Cholesky factorization of the
+    # Furry Hamiltonian stops, so the weight gate can fire in a run
+    cfg = write_cfg(tmp_path, {
+        "grid": {"n": 64}, "gamma_list": [0.2], "series_order": 4,
+        "nbody": {"n_particles": 2, "n_plus": 4, "z_charge": 1e-30},
+    })
+    out = run_cli(["nbody", "--config", cfg, "--output", str(tmp_path / "o")], tmp_path)
+    assert out.returncode == 3
+    assert out.stderr.splitlines()[-1] == ("numerical failure: weight matrix not positive "
+                                           "definite: smallest Cholesky pivot nan")
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

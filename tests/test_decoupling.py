@@ -37,6 +37,8 @@ from diracdiag.decoupling import (
     gate_norm2,
     h_diag_exact,
     h_diag_series,
+    kato_nagy_rows,
+    projector_coefficient,
     projector_series,
     resolvent_distance,
     riesz_projection_series,
@@ -168,12 +170,13 @@ def test_bundle_matches_the_product_route(n, request):
     # of the same P and U, and H = F D F^H formed from each
     bundle = request.getfixturevalue(f"bundle{n}")
     p, u = request.getfixturevalue(f"pu{n}")
-    blocks, lam, vfw = _fw_frame(request.getfixturevalue(f"sys{n}")(0.0))
+    s = request.getfixturevalue(f"sys{n}")(0.0)
+    lam, vfw = _fw_frame(s)
     rows = decoupled_rows(u.coeffs, p.coeffs, n)
     h = h_diag_series(rows, lam, vfw)
     assert bundle.order == h.order
     for k, row in enumerate(rows):
-        f = fw_rows(blocks, row.T, back=True).T
+        f = fw_rows(s.fw_blocks, row.T, back=True).T
         assert np.linalg.norm(bundle.f_upper[k] - f) <= 1e-14 * np.linalg.norm(f)
         assert np.linalg.norm(bundle.h_upper[k] - h[k]) <= 1e-14 * np.linalg.norm(h[k])
 
@@ -268,7 +271,7 @@ def test_potential_and_hamiltonian_coefficients_are_exactly_symmetric(n, order):
     # with every pair of transposed terms once in S, so both are symmetric
     # bit for bit: a Hermiticity gate on H would read exactly 0
     s = assemble_system(build_channel_grid(n), 0.0)
-    vfw = _fw_frame(s)[2]
+    vfw = _fw_frame(s)[1]
     assert np.array_equal(vfw, vfw.T)
     h = build_decoupling_bundle(s, order).h_upper
     assert h.order == order
@@ -429,9 +432,11 @@ def test_bundle_keeps_only_f_rows_and_h():
 def test_bundle_build_peak(sys100):
     # memory model of the build at n=100, order 8, in series of nine 200 x 200
     # coefficients: P's three blocks (three quarters of a series) and F's
-    # upper rows (half a series), next to the FW potential and at most one
-    # and a quarter working coefficients, while the F P = F gate runs: its
-    # two half-row accumulators and their concatenation, or one product.
+    # upper rows (half a series), and at most two and a quarter working
+    # coefficients while F^H F = P is gated: the Gram accumulator, one
+    # product and the buffers of the in-place adds.  The FW potential is not
+    # alive then; it was, beside a gate of F P = F with one and a quarter
+    # working coefficients (a peak of 13.15 coefficients, against 12.73 here).
     # While the rows are formed, G and one root (a quarter series each)
     # stand where the rows will be.  P as full coefficients held 9 of the 15
     # bound before; allocating the rows before the second root held a
@@ -498,7 +503,7 @@ def _gate_frame(*entries, order=3):
 
     An entry in F_n's left block is a defect of F F^H = 1 at order n (of
     norm |value| off the diagonal), one in its right block a defect of
-    F P = F; products of two entries are far below both.
+    F^H F = P; products of two entries are far below both.
     """
     dim, k = 8, 4
     f = [np.eye(k, dim)] + [np.zeros((k, dim)) for _ in range(order)]
@@ -510,11 +515,16 @@ def _gate_frame(*entries, order=3):
 
 
 def test_frame_orthonormality_gate(monkeypatch):
-    # F_1 = x [1, 0] makes F F^H - 1 = 2x at order 1
+    # F_1 = x [1, 0] makes F F^H - 1 = 2x at order 1, and F^H F - P =
+    # blockdiag(2x, 0): at 2x = 0.9e-9 the first gate passes, and leaves the
+    # second 1e-9 / s - 0.9e-9 = 1.0e-10 (``gate_decoupled_frame``)
     ok = 0.9e-9 * np.eye(4)
     assert _needs_spectral_norm(ok, 1e-9)
     forbid_svd(monkeypatch)
-    _gate_frame(*((1, i, i, 0.45e-9) for i in range(4)), order=1)
+    with pytest.raises(ConsistencyError,
+                       match=r"^decoupled frame leaves the projector's range: coefficient 1 of "
+                             r"F\^H F - P is 9\.000e-10 > 1\.0e-10$"):
+        _gate_frame(*((1, i, i, 0.45e-9) for i in range(4)), order=1)
     with pytest.raises(ConsistencyError,
                        match=r"^decoupled frame rows not orthonormal: coefficient 1 of F F\^H - 1 "
                              r"is 1\.100e-09 > 1\.0e-09$"):
@@ -522,14 +532,16 @@ def test_frame_orthonormality_gate(monkeypatch):
 
 
 def test_frame_range_gate(monkeypatch):
-    # F_1 = [0, x] makes F P - F = -F_1 at order 1, and F_1 F_0^H = 0
-    ok = np.hstack((np.zeros((4, 4)), 0.9e-9 * np.eye(4)))
+    # F_1 = [0, x] makes F^H F - P = [[0, x], [x, 0]] at order 1, and
+    # F_1 F_0^H = 0
+    x = 0.9e-9 * np.eye(4)
+    ok = np.block([[np.zeros((4, 4)), x], [x, np.zeros((4, 4))]])
     assert _needs_spectral_norm(ok, 1e-9)
     forbid_svd(monkeypatch)
     _gate_frame(*((1, i, 4 + i, 0.9e-9) for i in range(4)), order=1)
     with pytest.raises(ConsistencyError,
                        match=r"^decoupled frame leaves the projector's range: coefficient 1 of "
-                             r"F P - F is 1\.100e-09 > 1\.0e-09$"):
+                             r"F\^H F - P is 1\.100e-09 > 1\.0e-09$"):
         _gate_frame(*((1, i, 4 + i, 1.1e-9) for i in range(4)), order=1)
 
 
@@ -543,6 +555,42 @@ def test_frame_gates_name_the_worst_coefficient():
         _gate_frame((1, 0, 1, 2e-9), (2, 1, 2, 3e-6), (3, 2, 3, 1e-6))
     with pytest.raises(ConsistencyError,
                        match=r"^decoupled frame leaves the projector's range: coefficient 2 of "
-                             r"F P - F is 3\.000e-06 > 1\.0e-09$"):
+                             r"F\^H F - P is 3\.000e-06 > 1\.0e-09$"):
         _gate_frame((1, 0, 4, 2e-9), (2, 1, 5, 3e-6), (3, 2, 6, 1e-6))
+
+
+def _range_defects_dense(f, p):
+    """Spectral norms of the coefficients of F P - F, by the Cauchy product
+    of F's rows with the assembled P: the quantity the range gate bounds."""
+    full = [projector_coefficient(p, n) for n in range(len(f))]
+    return [np.linalg.norm(sum(f[m] @ full[n - m] for m in range(n + 1)) - f[n], 2)
+            for n in range(len(f))]
+
+
+def test_frame_gates_bound_the_range_defect():
+    # F P - F = -F (F^H F - P) + (F F^H - 1) F coefficient by coefficient,
+    # so the gates (F F^H - 1 at 1e-9 reading o, F^H F - P at 1e-9 / s - o)
+    # pass only when every ||(F P - F)_n||_2 <= 1e-9; seeded perturbations
+    # of F's coefficients, on one block or both, of norm 1e-10 to 1e-8
+    s = assemble_system(build_channel_grid(32), 0.0)
+    p = riesz_projection_series(s, 4)
+    f0 = kato_nagy_rows(p)
+    k = f0[0].shape[0]
+    assert max(_range_defects_dense(f0, p)) < 1e-13
+    rng = np.random.default_rng(33)
+    fired_on = {"rows": 0, "range": 0, None: 0}
+    for _ in range(60):
+        f = [c.copy() for c in f0]
+        for n in rng.choice(np.arange(1, 5), size=rng.integers(1, 3), replace=False):
+            e = rng.standard_normal(f[n].shape)
+            e[:, [slice(0, k), slice(k, None), slice(0, 0)][rng.integers(3)]] = 0.0
+            f[n] += 10.0 ** rng.uniform(-10, -8) * e / np.linalg.norm(e, 2)
+        try:
+            gate_decoupled_frame(f, p)
+            fired = None
+        except ConsistencyError as err:
+            fired = "rows" if "not orthonormal" in str(err) else "range"
+        assert fired or max(_range_defects_dense(f, p)) <= 1e-9
+        fired_on[fired] += 1
+    assert min(fired_on.values()) >= 5, fired_on
 

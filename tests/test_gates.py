@@ -57,14 +57,14 @@ PASSED_TEMPLATES = {
     "projector series constant term drifted from P_+^0",
     "decoupled frame rows not orthonormal: coefficient {index} of F F^H - 1 "
     "is {value:.3e} > {tol:.1e}",
-    "decoupled frame leaves the projector's range: coefficient {index} of F P - F "
+    "decoupled frame leaves the projector's range: coefficient {index} of F^H F - P "
     "is {value:.3e} > {tol:.1e}",
     # oneparticle
     "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1",
     "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero",
     # manybody
     "radial transform round-trip defect {value:.3e} > 1e-6; "
-    "adjust n_radial or r_max to the momentum grid",
+    "the momentum grid is too coarse: raise grid.n",
     "transported frame leaks into the lower block: {value:.3e}",
     "transported frame is not orthonormal: {value:.3e}",
     "pair projection not positive semidefinite: lowest eigenvalue {low:.3e}",
@@ -99,7 +99,7 @@ TRIP_TESTS = {
     "decoupled frame rows not orthonormal: coefficient {index} of F F^H - 1 "
     "is {value:.3e} > {tol:.1e}":
         "test_decoupling.py::test_frame_orthonormality_gate",
-    "decoupled frame leaves the projector's range: coefficient {index} of F P - F "
+    "decoupled frame leaves the projector's range: coefficient {index} of F^H F - P "
     "is {value:.3e} > {tol:.1e}":
         "test_decoupling.py::test_frame_range_gate",
     "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1":
@@ -110,7 +110,7 @@ TRIP_TESTS = {
     "from the lowest eigenvalue > {tol:.1e}":
         "test_oneparticle.py::test_lowest_eigenvector_gate_rejects_a_shift_in_mid_spectrum",
     "radial transform round-trip defect {value:.3e} > 1e-6; "
-    "adjust n_radial or r_max to the momentum grid":
+    "the momentum grid is too coarse: raise grid.n":
         "test_manybody.py::test_pair_gate_raises_on_coarse_grid",
     "transported frame leaks into the lower block: {value:.3e}":
         "test_manybody.py::test_transported_frame_leak_gate",

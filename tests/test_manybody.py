@@ -122,7 +122,7 @@ def test_pair_round_trip_gate(grid100, pair100):
 def test_pair_gate_raises_on_coarse_grid():
     with pytest.raises(ResolutionError,
                        match=r"^radial transform round-trip defect \d\.\d{3}e[+-]\d\d > 1e-6; "
-                             r"adjust n_radial or r_max to the momentum grid$"):
+                             r"the momentum grid is too coarse: raise grid\.n$"):
         mb.build_pair_interaction(build_channel_grid(8))
 
 
