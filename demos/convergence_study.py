@@ -31,17 +31,18 @@ def show(rows, gammas):
 
 def main():
     grid = build_channel_grid(100)
-    s0 = assemble_system(grid, 0.0)
-    bundle = build_decoupling_bundle(s0, order=10)
+    bundle = build_decoupling_bundle(grid, 10)  # from the grid alone, for every coupling
     gammas = (0.1, 0.3)
-
-    print("one particle, full upper block")
-    show(mb.converge_main_theorem(bundle, s0, list(gammas)), gammas)
-
     pair = mb.build_pair_interaction(grid)
     cfg2 = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6)
-    fs2 = mb.assemble_furry_exact(s0, cfg2, pair)
-    rows2 = mb.converge_main_theorem(bundle, fs2, list(gammas))
+    rows1, rows2 = [], []
+    for gamma in gammas:
+        s = assemble_system(grid, gamma)
+        rows1 += mb.convergence_rows(bundle, s)
+        rows2 += mb.convergence_rows(bundle, mb.assemble_furry_exact(s, cfg2, pair))
+
+    print("one particle, full upper block")
+    show(rows1, gammas)
     print("\ntwo particles, 6 retained states each")
     show(rows2, gammas)
 

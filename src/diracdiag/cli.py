@@ -202,15 +202,13 @@ def cmd_one_particle(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_shared(cfg: RunConfig):
-    """Grid, base system, and decoupling bundle used by converge and nbody."""
+    """The grid and its decoupling bundle, shared by every coupling of
+    converge and nbody; the bundle is built before any system is assembled."""
     from .decoupling import build_decoupling_bundle
     from .grids import build_channel_grid
-    from .oneparticle import assemble_system
 
     grid = build_channel_grid(cfg.grid.n, cfg.grid.map_scale, cfg.grid.kappa)
-    sys0 = assemble_system(grid, cfg.gamma_list[0])
-    bundle = build_decoupling_bundle(sys0, order=cfg.series_order)
-    return grid, sys0, bundle
+    return grid, build_decoupling_bundle(grid, cfg.series_order)
 
 
 def cmd_converge(cfg: RunConfig) -> int:
@@ -219,7 +217,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     from .report import write_json_summary, write_report_csv
 
     require_convergence_window(cfg)
-    grid, sys0, bundle = _build_shared(cfg)
+    grid, bundle = _build_shared(cfg)
     out = cfg.output_dir
     gammas = list(cfg.gamma_list)
     results = {}
@@ -233,11 +231,11 @@ def cmd_converge(cfg: RunConfig) -> int:
     # couplings outermost: both tables read one system per coupling
     rows1, rows_n = [], []
     for gamma in gammas:
-        sys_g = sys0 if gamma == sys0.gamma else assemble_system(grid, gamma)
-        rows1 += mb.convergence_rows(bundle, sys_g, gamma)
+        sys_g = assemble_system(grid, gamma)
+        rows1 += mb.convergence_rows(bundle, sys_g)
         if pair is not None:
             fs_g = mb.assemble_furry_exact(sys_g, cfg.nbody, pair)
-            rows_n += mb.convergence_rows(bundle, fs_g, gamma)
+            rows_n += mb.convergence_rows(bundle, fs_g)
             del fs_g
         del sys_g  # before the next coupling's systems are assembled
     write_report_csv(os.path.join(out, "converge_n1.csv"), rows1)
@@ -263,13 +261,13 @@ def cmd_nbody(cfg: RunConfig) -> int:
     from .report import gamma_tag, write_json_summary, write_table_csv
 
     require_convergence_window(cfg)
-    grid, sys0, bundle = _build_shared(cfg)
+    grid, bundle = _build_shared(cfg)
     out = cfg.output_dir
     n_particles = cfg.nbody.n_particles
     pair = mb.build_pair_interaction(grid) if n_particles >= 2 else None
     per_gamma = []
     for gamma in cfg.gamma_list:
-        sys_g = sys0 if gamma == sys0.gamma else assemble_system(grid, gamma)
+        sys_g = assemble_system(grid, gamma)
         fs = mb.assemble_furry_exact(sys_g, cfg.nbody, pair)
         e_furry = fs.levels(fs.h_furry_exact)
         spectra = [np.linalg.eigvalsh(b) for b in fs.h_diag_exact]
@@ -280,7 +278,7 @@ def cmd_nbody(cfg: RunConfig) -> int:
                         ("index", "furry_eigenvalue", "diag_eigenvalue", "abs_diff"), rows)
 
         ground_exact = float(e_diag[0])
-        series = mb.series_ground_energies(bundle, fs, gamma, [e[0] for e in spectra])
+        series = mb.series_ground_energies(bundle, fs, [e[0] for e in spectra])
         series_rows = [(k, gk, abs(gk - ground_exact)) for k, gk in enumerate(series.tolist())]
         write_table_csv(os.path.join(out, f"nbody_series_gamma_{gamma_tag(gamma)}.csv"),
                         ("k", "series_ground_energy", "ground_error"), series_rows)

@@ -28,10 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import gate
+from .grids import ChannelGrid
 from .oneparticle import (
     OneParticleSystem,
     _norm2,
+    build_coulomb,
     dense_potential,
+    foldy_wouthuysen,
     free_energies,
     free_positive_projector,
     fw_conjugate,
@@ -49,31 +52,35 @@ from .series import (
 # Projector series
 # ---------------------------------------------------------------------------
 
-def _fw_frame(sys: OneParticleSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Free eigenvalues and the potential in the FW frame.
+def fw_frame(grid: ChannelGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Free eigenvalues lam and the Coulomb potential vfw in the FW frame.
 
-    The frame is R = Pi B (``oneparticle.fw_rows``), the positive free
-    states first, so the free eigenvalues are +E then -E, read from the
-    grid (``oneparticle.free_energies``).  The potential is conjugated as
-    a dense matrix (``oneparticle.dense_potential``) and returned as
+    Both depend on the grid alone.  The frame is R = Pi B
+    (``oneparticle.fw_rows``, B from ``oneparticle.foldy_wouthuysen``), the
+    positive free states first, so the free eigenvalues are +E then -E
+    (``oneparticle.free_energies``).  The grid's Coulomb matrix
+    (``oneparticle.build_coulomb``) is conjugated as a dense matrix
+    (``oneparticle.dense_potential``) and returned as
     0.5 (x + x^T), exactly symmetric: the two passes of the conjugation
     round the two triangles differently (by up to 1.8e-12 at n=200), and
     ``h_diag_series`` reads one triangle for the other.
     """
-    e = free_energies(sys.grid)
-    vfw = fw_conjugate(sys.fw_blocks, dense_potential(sys.v))
+    e = free_energies(grid)
+    vfw = fw_conjugate(foldy_wouthuysen(grid), dense_potential(build_coulomb(grid)))
     return np.concatenate((e, -e)), 0.5 * (vfw + vfw.T)
 
 
-def riesz_projection_series(sys: OneParticleSystem, order: int) -> tuple:
+def riesz_projection_series(lam: np.ndarray, vfw: np.ndarray, order: int) -> tuple:
     """Series of the positive spectral projector of D_0 + g V, in the FW
     frame, as its three blocks (A, B, C) = (P_(++), P_(+-), P_(--)).
 
-    The enclosed block is the positive eigenvalues of D_0, the first half
-    of the FW frame.  P is real symmetric, so P_(-+) is B^T and is not
-    stored.  Cross-block entries follow from [D_0, C_n] = [V, C_(n-1)]
-    restricted across the gap, formed once per order; the within-block
-    entries are fixed by idempotency of the projector series:
+    lam are the free eigenvalues, the positive ones first, and vfw the
+    exactly symmetric potential in that frame (``fw_frame``).  The enclosed
+    block is the positive eigenvalues of D_0, the first half of the FW
+    frame.  P is real symmetric, so P_(-+) is B^T and is not stored.
+    Cross-block entries follow from [D_0, C_n] = [V, C_(n-1)] restricted
+    across the gap, formed once per order; the within-block entries are
+    fixed by idempotency of the projector series:
     A_k = -sum_(m=1)^(k-1) (A_m A_(k-m) + B_m B_(k-m)^T) and
     C_k = sum (B_m^T B_(k-m) + C_m C_(k-m)).  Terms m and k - m are
     transposes of each other, so each pair is formed once as t + t^T and
@@ -81,12 +88,10 @@ def riesz_projection_series(sys: OneParticleSystem, order: int) -> tuple:
     A_0 = 1, B_0 = C_0 = 0, and A_1 = C_1 = 0, B_1 = V_(+-) / gap exactly,
     so no product is formed with them.  Each block is a tuple of the
     order + 1 read-only coefficients; ``projector_series`` assembles the
-    full P.  The FW potential (``_fw_frame``) is formed here and released
-    on return.
+    full P.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    lam, vfw = _fw_frame(sys)
     n = lam.size // 2
     pos, neg = slice(0, n), slice(n, None)
     v11, v12, v22 = vfw[pos, pos], vfw[pos, neg], vfw[neg, neg]
@@ -267,7 +272,7 @@ def h_diag_series(f_rows, lam: np.ndarray, vfw: np.ndarray) -> MatrixSeries:
     is H's upper block, the only nonzero one.  In
     H_n = sum_(a+b=n) F_a Lambda F_b^T + sum_(a+b=n-1) F_a vfw F_b^T
     terms (a, b) and (b, a) are transposes of each other (vfw is exactly
-    symmetric, ``_fw_frame``), so H_n = S_n + S_n^T with S_n the terms
+    symmetric, ``fw_frame``), so H_n = S_n + S_n^T with S_n the terms
     a > b and half of each middle term a = b: each product is formed once,
     and since IEEE addition commutes every coefficient is exactly
     symmetric.  Terms with F_0 = [1, 0] are read off: F_n Lambda F_0^T is
@@ -319,8 +324,8 @@ class DecouplingBundle:
     original frame; it feeds the dressed N-particle frames.  h_upper is the
     upper block of R H R^T, the block-diagonalized Hamiltonian's only
     nonzero block.  P and U themselves are not kept (``riesz_projection_series``
-    and ``u_gamma_series`` give them).  The series coefficients do not
-    depend on the coupling of the generating system.
+    and ``u_gamma_series`` give them).  The bundle is built from the grid
+    alone (``build_decoupling_bundle``), so no coupling enters it.
     """
 
     f_upper: tuple
@@ -331,9 +336,12 @@ class DecouplingBundle:
         return self.h_upper.order
 
 
-def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> DecouplingBundle:
-    """Build every series in the FW frame, where P0 is a row mask, and store
-    them as ``DecouplingBundle`` describes.
+def build_decoupling_bundle(grid: ChannelGrid, order: int) -> DecouplingBundle:
+    """Build every series of the grid's channel in the FW frame, where P0 is
+    a row mask, and store them as ``DecouplingBundle`` describes.
+
+    The coefficients are fixed by the free operator and the potential
+    (``fw_frame``), so the grid and the order are the only inputs.
 
     F's upper rows come straight from P (``kato_nagy_rows``), so no
     coefficient of U or Cauchy product U P is formed.
@@ -342,18 +350,18 @@ def build_decoupling_bundle(sys: OneParticleSystem, order: int = 12) -> Decoupli
     beside the Gram gates' accumulator and one product (two coefficients,
     ``_gram_defects``); that is the floor.  While the rows are formed, G
     and one half-size square root (a quarter series each) stand where they
-    will be.  The FW potential is formed inside ``riesz_projection_series``
-    and again for H once P is gone, so it is not alive while the rows are
-    formed and gated.
+    will be.  The FW potential is formed for P and again for H once P is
+    gone, so it is not alive while the rows are formed and gated.
     """
-    p = riesz_projection_series(sys, order)
-    gate_norm2([projector_coefficient(p, 0) - fw_conjugate(sys.fw_blocks, free_positive_projector(sys.grid))],
+    blocks = foldy_wouthuysen(grid)
+    p = riesz_projection_series(*fw_frame(grid), order)
+    gate_norm2([projector_coefficient(p, 0) - fw_conjugate(blocks, free_positive_projector(grid))],
                1e-11, "projector series constant term drifted from P_+^0")
     f = kato_nagy_rows(p)
     gate_decoupled_frame(f, p)
     del p
-    h = h_diag_series(f, *_fw_frame(sys))
-    f_upper = tuple(fw_rows(sys.fw_blocks, c.T, back=True).T for c in f)
+    h = h_diag_series(f, *fw_frame(grid))
+    f_upper = tuple(fw_rows(blocks, c.T, back=True).T for c in f)
     for c in f_upper:
         c.flags.writeable = False
     return DecouplingBundle(f_upper=f_upper, h_upper=h)
@@ -449,7 +457,7 @@ def h_diag_exact(sys: OneParticleSystem) -> np.ndarray:
     returned as (H + H^T)/2, exactly symmetric since IEEE addition commutes.
     """
     pg = positive_projector(sys.evals, sys.evecs)
-    e = fw_rows(sys.fw_blocks, sys.u_gamma @ pg)[:sys.fw_blocks.shape[0]]
+    e = fw_rows(foldy_wouthuysen(sys.grid), sys.u_gamma @ pg)[:sys.grid.n]
     h = e @ sys.dgamma @ e.T
     h += h.T
     h *= 0.5

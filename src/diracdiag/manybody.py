@@ -39,6 +39,7 @@ from .oneparticle import (
     _norm2,
     assemble_system,
     d_gamma,
+    foldy_wouthuysen,
     free_energies,
     fw_rows,
     positive_projector,
@@ -567,9 +568,9 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     if n_sites >= 2 and pair is None:
         raise ValueError("pair interaction required for more than one particle")
     eps, phi = positive_states(sys, cfg.n_plus)
-    blocks = sys.fw_blocks
+    blocks = foldy_wouthuysen(sys.grid)
     psi = fw_rows(blocks, sys.u_gamma @ phi)
-    gate_norm2([psi[blocks.shape[0]:]], 1e-9,
+    gate_norm2([psi[sys.grid.n:]], 1e-9,
                "transported frame leaks into the lower block: {value:.3e}")
     gate_norm2([psi.conj().T @ psi - np.eye(cfg.n_plus)], 1e-9,
                "transported frame is not orthonormal: {value:.3e}")
@@ -718,11 +719,11 @@ def h_diag_series_N(bundle: DecouplingBundle, fs: FurrySystem):
         del w  # before the next pair coefficient is computed
 
 
-def series_ground_energies(bundle: DecouplingBundle, fs: FurrySystem, gamma: float,
-                           lows) -> np.ndarray:
+def series_ground_energies(bundle: DecouplingBundle, fs: FurrySystem, lows) -> np.ndarray:
     """Lowest level of each partial sum S_k = sum_(j<=k) gamma^j H_j,
-    k = 0..bundle.order, of the series ``h_diag_series_N``, lifting and
-    diagonalizing only the sector blocks that can hold it.
+    k = 0..bundle.order, of the series ``h_diag_series_N`` at fs's own
+    coupling gamma, lifting and diagonalizing only the sector blocks that
+    can hold it.
 
     lows[b] is the lowest eigenvalue of the exact block fs.h_diag_exact[b],
     as ``np.linalg.eigvalsh`` returns it.  The level of S_k is the minimum
@@ -737,7 +738,7 @@ def series_ground_energies(bundle: DecouplingBundle, fs: FurrySystem, gamma: flo
     bit for bit that of the full route, unless it is held by a sector that
     resumed after a skip, whose partial sum differs at roundoff.
     """
-    n = fs.config.n_particles
+    n, gamma = fs.config.n_particles, fs.one_particle.gamma
     weights = (n, math.comb(n, 2))
     blocks = [_LazyBlock(s, e, float(low))
               for s, e, low in zip(fs.sectors, fs.h_diag_exact, lows)]
@@ -957,35 +958,10 @@ def _low_levels(blocks, frames, multiplicities, count: int = 10) -> np.ndarray:
     return np.sort(np.concatenate(levels))[:count]
 
 
-def converge_main_theorem(bundle: DecouplingBundle, system: OneParticleSystem | FurrySystem,
-                          gammas: list[float]) -> list[dict]:
-    """Resolvent distances, weighted remainders, and eigenvalue errors per
-    (gamma, k), k = 0..``bundle.order``: the ``convergence_rows`` of system
-    at each coupling, assembled from its grid (and, for a FurrySystem, its
-    configuration and pair interaction) unless gamma is its own.  Each
-    coupling's systems are released before the next coupling's are
-    assembled.
-    """
-    rows = []
-    for gamma in gammas:
-        rows += convergence_rows(bundle, _at_coupling(system, gamma), gamma)
-    return rows
-
-
-def _at_coupling(system: OneParticleSystem | FurrySystem,
-                 gamma: float) -> OneParticleSystem | FurrySystem:
-    """system itself at its own coupling, else assembled anew at gamma."""
-    nbody = isinstance(system, FurrySystem)
-    sys0 = system.one_particle if nbody else system
-    if gamma == sys0.gamma:
-        return system
-    sys_g = assemble_system(sys0.grid, gamma)
-    return assemble_furry_exact(sys_g, system.config, system.pair) if nbody else sys_g
-
-
-def convergence_rows(bundle: DecouplingBundle, system: OneParticleSystem | FurrySystem,
-                     gamma: float) -> list[dict]:
-    """The rows (gamma, k), k = 0..``bundle.order``, of system at its coupling gamma.
+def convergence_rows(bundle: DecouplingBundle,
+                     system: OneParticleSystem | FurrySystem) -> list[dict]:
+    """Resolvent distances, weighted remainders and eigenvalue errors of the
+    rows (gamma, k), k = 0..``bundle.order``, at system's own coupling gamma.
 
     For one particle, system is a OneParticleSystem and the comparison runs
     on the full upper block.  For more particles, system is a FurrySystem:
@@ -1005,7 +981,9 @@ def convergence_rows(bundle: DecouplingBundle, system: OneParticleSystem | Furry
     only exact zeros.
     """
     nbody = isinstance(system, FurrySystem)
-    energies = free_energies((system.one_particle if nbody else system).grid)
+    sys1 = system.one_particle if nbody else system
+    gamma = sys1.gamma
+    energies = free_energies(sys1.grid)
     if nbody:
         exact, mult = system.h_diag_exact, system.multiplicities
         weight = tuple(_inv_sqrt_psd(d) for d in
@@ -1085,7 +1063,7 @@ def _conjugated_compression(fs: FurrySystem) -> np.ndarray:
     """
     sys, pair = fs.one_particle, fs.pair
     d = sys.grid.dim
-    e = fw_rows(sys.fw_blocks, sys.u_gamma @ positive_projector(sys.evals, sys.evecs))
+    e = fw_rows(foldy_wouthuysen(sys.grid), sys.u_gamma @ positive_projector(sys.evals, sys.evecs))
     e_psi = e.conj().T @ fs.psi
     y = np.kron(e_psi, e_psi)
     y3 = y.reshape(d, d, -1)

@@ -141,8 +141,8 @@ def build_coulomb(grid: ChannelGrid) -> np.ndarray:
     interleaved layout), v[1] on the lower ones (1::2); the cross blocks
     are exactly zero.  ``dense_potential`` forms the dim x dim matrix.
     V does not depend on the coupling, so it is built once per grid object
-    and shared read-only by every system assembled on that grid; it is
-    dropped with the grid.
+    and shared read-only by every assembly, Kato margin and series bundle
+    on that grid; it is dropped with the grid.
     """
     v = _COULOMB.get(id(grid))
     if v is None:
@@ -156,14 +156,8 @@ def build_coulomb(grid: ChannelGrid) -> np.ndarray:
 
 
 def dense_potential(v: np.ndarray) -> np.ndarray:
-    """A system's potential as a dim x dim matrix in the interleaved layout.
-
-    v is either the (2, n, n) spinor blocks of ``build_coulomb`` or, for a
-    hand-built system whose potential couples the components, already the
-    dense matrix, which is returned as it is.
-    """
-    if v.ndim == 2:
-        return v
+    """The Coulomb coupling as a dim x dim matrix in the interleaved layout,
+    from its (2, n, n) spinor blocks (``build_coulomb``)."""
     n = v.shape[1]
     out = np.zeros((2 * n, 2 * n), dtype=v.dtype)
     out[0::2, 0::2] = v[0]
@@ -298,28 +292,25 @@ def exact_u_gamma(pg: np.ndarray) -> np.ndarray:
 class OneParticleSystem:
     """The matrices of one channel at one coupling, plus spectral data.
 
-    Apart from v, the grid's Coulomb matrix as its two spinor blocks
-    (``build_coulomb``), which every system on the grid shares read-only,
-    a system holds only what depends on the coupling and cannot be rebuilt
+    A system holds only what depends on the coupling and cannot be rebuilt
     from the rest at the cost of one product: dgamma, u_gamma and the
     eigenpairs, three dim x dim arrays.  The positive spectral projector
     P_gamma is formed from the eigenpairs when it is needed
-    (``positive_projector``).  The free operator D_0 and its positive
-    projector are closed-form node blocks, read from the grid
-    (``free_energies``, ``free_positive_projector``) and not stored.
+    (``positive_projector``).  What depends on the grid alone is read from
+    the grid: the free operator D_0 and its positive projector as
+    closed-form node blocks (``free_energies``, ``free_positive_projector``),
+    the Foldy-Wouthuysen rotation as its node blocks (``foldy_wouthuysen``,
+    O(n)), and the Coulomb matrix, which ``build_coulomb`` keeps once per
+    grid.
     evals are the raw ``eigh`` values, ascending, with evecs columns
     matching.  They carry the eigensolver's backward error eps*||D_gamma||,
     which moves with the BLAS thread count, so the levels a run reports,
     and its gap, come from ``rayleigh_levels`` instead.
-    fw_blocks, shape (n, 2, 2), is the Foldy-Wouthuysen rotation as its
-    node blocks (``foldy_wouthuysen``), the only form in which it is held.
     """
 
     grid: ChannelGrid
     gamma: float
-    v: np.ndarray
     dgamma: np.ndarray
-    fw_blocks: np.ndarray
     u_gamma: np.ndarray
     evals: np.ndarray
     evecs: np.ndarray
@@ -343,6 +334,9 @@ def _freeze(*mats: np.ndarray) -> None:
 def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
     """Build and spectrally decompose D_0 + gamma V on the channel grid.
 
+    The returned system holds only the coupling's arrays
+    (``OneParticleSystem``); V comes from ``build_coulomb``'s per-grid
+    cache and the FW rotation from ``foldy_wouthuysen``.
     Raises GapError when an eigenvalue sits within GAP_FLOOR of zero, since
     then the positive spectral projector is not numerically well defined.
     P_gamma is formed only to be conjugated into the FW frame and is then
@@ -363,16 +357,15 @@ def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
     gap = float(np.min(np.abs(evals)))
     gate(-gap, -GAP_FLOOR, "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero",
          GapError, gap=gap, floor=GAP_FLOOR)
-    blocks = foldy_wouthuysen(grid)
     if gamma == 0.0:
         u_gamma = np.eye(grid.dim)
     else:
+        blocks = foldy_wouthuysen(grid)
         u_gamma = fw_conjugate(blocks, exact_u_gamma(
             fw_conjugate(blocks, positive_projector(evals, evecs))), back=True)
-    _freeze(dgamma, blocks, u_gamma, evals, evecs)
-    return OneParticleSystem(
-        grid=grid, gamma=float(gamma), v=v, dgamma=dgamma, fw_blocks=blocks,
-        u_gamma=u_gamma, evals=evals, evecs=evecs)
+    _freeze(dgamma, u_gamma, evals, evecs)
+    return OneParticleSystem(grid=grid, gamma=float(gamma), dgamma=dgamma, u_gamma=u_gamma,
+                             evals=evals, evecs=evecs)
 
 
 def rayleigh_quotients(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -578,7 +571,7 @@ def decoupling_residuals(sys: OneParticleSystem) -> tuple[float, float]:
     uu[np.diag_indices_from(uu)] -= 1.0
     uni = float(np.max(np.abs(np.linalg.eigvalsh(uu))))
     del uu
-    ru = fw_rows(sys.fw_blocks, u)
+    ru = fw_rows(foldy_wouthuysen(sys.grid), u)
     k = int(np.searchsorted(sys.evals, 0.0))  # evals ascend, none is zero
     inter = float(np.maximum(_norm2(ru[:n] @ sys.evecs[:, :k]), _norm2(ru[n:] @ sys.evecs[:, k:])))
     return uni, inter

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from diracdiag.decoupling import (
-    _fw_frame,
     build_decoupling_bundle,
+    fw_frame,
     projector_series,
     riesz_projection_series,
     u_gamma_series,
@@ -30,6 +30,7 @@ from diracdiag.manybody import (
 from diracdiag.oneparticle import (
     OneParticleSystem,
     assemble_system,
+    build_coulomb,
     build_free_dirac,
     coulomb_channel_matrix,
     dense_potential,
@@ -145,24 +146,24 @@ def sys200(grid200):
 
 
 @pytest.fixture(scope="session")
-def bundle100(sys100):
-    return build_decoupling_bundle(sys100(0.0), order=8)
+def bundle100(grid100):
+    return build_decoupling_bundle(grid100, 8)
 
 
 @pytest.fixture(scope="session")
-def bundle200(sys200):
-    return build_decoupling_bundle(sys200(0.0), order=12)
+def bundle200(grid200):
+    return build_decoupling_bundle(grid200, 12)
 
 
-def pu_series(sys: OneParticleSystem, order: int) -> tuple[MatrixSeries, MatrixSeries]:
-    """The projector and unitary series P and U that ``build_decoupling_bundle(sys,
+def pu_series(grid: ChannelGrid, order: int) -> tuple[MatrixSeries, MatrixSeries]:
+    """The projector and unitary series P and U that ``build_decoupling_bundle(grid,
     order)`` forms in the FW frame and does not keep, from the same functions,
     with P assembled from its blocks."""
-    p = riesz_projection_series(sys, order)
+    p = riesz_projection_series(*fw_frame(grid), order)
     return projector_series(p), u_gamma_series(p)
 
 
-def full_riesz_projection_series(sys: OneParticleSystem, order: int) -> MatrixSeries:
+def full_riesz_projection_series(lam: np.ndarray, vfw: np.ndarray, order: int) -> MatrixSeries:
     """The projector series by the recursion on full 2n x 2n coefficients:
     the oracle of ``decoupling.riesz_projection_series``, which runs on
     three blocks and forms each symmetric product once.
@@ -171,7 +172,6 @@ def full_riesz_projection_series(sys: OneParticleSystem, order: int) -> MatrixSe
     off-diagonal blocks formed, and the same-sign blocks from idempotency,
     every ordered product of the Cauchy sum formed.
     """
-    lam, vfw = _fw_frame(sys)
     n = lam.size // 2
     pos, neg = slice(0, n), slice(n, None)
     gap = lam[pos, None] - lam[None, neg]
@@ -202,15 +202,15 @@ def projector_blocks(p: MatrixSeries) -> tuple:
 
 
 @pytest.fixture(scope="session")
-def pu100(sys100):
+def pu100(grid100):
     """P and U of ``bundle100``."""
-    return pu_series(sys100(0.0), 8)
+    return pu_series(grid100, 8)
 
 
 @pytest.fixture(scope="session")
-def pu200(sys200):
+def pu200(grid200):
     """P and U of ``bundle200``."""
-    return pu_series(sys200(0.0), 12)
+    return pu_series(grid200, 12)
 
 
 @pytest.fixture(scope="session")
@@ -272,23 +272,18 @@ def dense_coulomb(grid: ChannelGrid) -> np.ndarray:
     return v
 
 
-def toy_grid() -> ChannelGrid:
-    """One momentum node at p = 0: D_0 = diag(1, -1) and an identity FW block."""
-    return ChannelGrid(kappa=-1, n=1, map_scale=1.0, p=np.zeros(1), w=np.ones(1))
+def toy_two_level() -> tuple[np.ndarray, np.ndarray]:
+    """Hand-built 2x2 system as its FW-frame data (lam, V): D_0 = diag(1, -1),
+    V swaps the levels.
 
-
-def toy_two_level() -> OneParticleSystem:
-    """Hand-built 2x2 system on ``toy_grid``: D_0 = diag(1, -1), V swaps the levels.
-
-    Closed forms for everything make it the sharpest series oracle: the
-    positive projector of D_0 + gV is (I + (D_0 + gV)/sqrt(1+g^2))/2.
+    It stands for one momentum node at p = 0, whose FW rotation is the
+    identity, so (lam, V) enter ``decoupling.riesz_projection_series`` and
+    ``decoupling.h_diag_series`` as they are; the Coulomb kernel is 0/0
+    there, so no grid gives them.  Closed forms for everything make it the
+    sharpest series oracle: the positive projector of D_0 + gV is
+    (I + (D_0 + gV)/sqrt(1+g^2))/2.
     """
-    grid = toy_grid()
-    return OneParticleSystem(
-        grid=grid, gamma=0.0, v=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        dgamma=build_free_dirac(grid), fw_blocks=foldy_wouthuysen(grid), u_gamma=np.eye(2),
-        evals=np.array([-1.0, 1.0]), evecs=np.eye(2)[:, ::-1].copy(),
-    )
+    return np.array([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def series_truncate(a: MatrixSeries, order: int) -> MatrixSeries:
@@ -513,12 +508,12 @@ def decoupled_rows(u, p, n_plus: int) -> list[np.ndarray]:
     return [c[:n_plus] for c in cauchy_coefficients(u, p)]
 
 
-def dense_h_diag_series(sys: OneParticleSystem, f_series: MatrixSeries) -> MatrixSeries:
+def dense_h_diag_series(grid: ChannelGrid, f_series: MatrixSeries) -> MatrixSeries:
     """F (R D R^T) F^H for F in the FW frame and the operator series
-    D = D_0 + g V, full size; R = ``fw_matrix`` of the system's blocks."""
-    q = fw_matrix(sys.fw_blocks)
-    v = dense_potential(sys.v)
-    d = make_series([q @ build_free_dirac(sys.grid) @ q.T, q @ v @ q.T]
+    D = D_0 + g V, full size; R = ``fw_matrix`` of the grid's blocks."""
+    q = fw_matrix(foldy_wouthuysen(grid))
+    v = dense_potential(build_coulomb(grid))
+    d = make_series([q @ build_free_dirac(grid) @ q.T, q @ v @ q.T]
                     + [np.zeros_like(v)] * (f_series.order - 1))
     return series_mul(series_mul(f_series, d), series_adjoint(f_series))
 
@@ -598,7 +593,7 @@ def dense_conjugated_compression(fs) -> np.ndarray:
     z = pair.densities(eye)
     w = dense_two_site_assemble(z, pair.kernel, z, d)
     h2 = np.kron(sys.dgamma, eye) + np.kron(eye, sys.dgamma) + (sys.gamma / fs.config.z_charge) * w
-    e = fw_rows(sys.fw_blocks, sys.u_gamma @ positive_projector(sys.evals, sys.evecs))
+    e = fw_rows(foldy_wouthuysen(sys.grid), sys.u_gamma @ positive_projector(sys.evals, sys.evecs))
     e_psi = e.conj().T @ fs.psi
     y = np.kron(e_psi, e_psi)
     return y.conj().T @ h2 @ y
@@ -647,13 +642,15 @@ def collect_series_N(bundle, fs) -> tuple[MatrixSeries, ...]:
     return tuple(make_series(c) for c in zip(*h_diag_series_N(bundle, fs)))
 
 
-def full_series_ground_energies(bundle, fs, gamma: float) -> np.ndarray:
-    """Lowest level of every partial sum of ``manybody.h_diag_series_N`` with
-    every sector block lifted and diagonalized at every order: the oracle of
+def full_series_ground_energies(bundle, fs) -> np.ndarray:
+    """Lowest level of every partial sum of ``manybody.h_diag_series_N``, at
+    fs's own coupling, with every sector block lifted and diagonalized at
+    every order: the oracle of
     ``manybody.series_ground_energies``, which lifts only the blocks that
     can hold it."""
     return np.array([float(np.min([np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0] for h in blocks]))
-                     for blocks in series_partial_sums(h_diag_series_N(bundle, fs), gamma)])
+                     for blocks in series_partial_sums(h_diag_series_N(bundle, fs),
+                                                       fs.one_particle.gamma)])
 
 
 def dense_furry(fs, bundle=None) -> dict:
@@ -665,8 +662,8 @@ def dense_furry(fs, bundle=None) -> dict:
     one-particle pieces, m^N x m^N each, with no compression to the
     alternating subspace.  The one-particle Hamiltonian series and F = U P
     are rebuilt at full size from the projector and unitary series of the
-    bundle's order (``pu_series``), which are in the FW frame and do not
-    depend on the system's coupling.  abs_d0_psi is formed on U_gamma phi
+    bundle's order (``pu_series``), which are in the FW frame and are built
+    from the system's grid alone.  abs_d0_psi is formed on U_gamma phi
     in the original frame: |D_0| commutes with the FW rotation, so it needs
     no row order of psi.
     """
@@ -692,7 +689,7 @@ def dense_furry(fs, bundle=None) -> dict:
     out["abs_d0"] = one_site_sum(phi.T @ absd @ phi, s_phi)
     u_phi = sys.u_gamma @ phi
     out["abs_d0_psi"] = one_site_sum(u_phi.T @ absd @ u_phi, psi.T @ psi)
-    q = fw_matrix(sys.fw_blocks)
+    q = fw_matrix(foldy_wouthuysen(sys.grid))
     pp = positive_projector(sys.evals, sys.evecs) @ sys.u_gamma.T @ q.T @ psi
     s1 = pp.T @ pp
     out["h_diag"] = one_site_sum(pp.T @ sys.dgamma @ pp, s1)
@@ -703,9 +700,9 @@ def dense_furry(fs, bundle=None) -> dict:
         out["h_diag"] = out["h_diag"] + scale * pair_sum(pair.project(pp), s1)
     if bundle is not None:
         s_f = psi.T @ psi
-        p_series, u_series = pu_series(sys, bundle.order)
+        p_series, u_series = pu_series(sys.grid, bundle.order)
         f_series = series_mul(u_series, p_series)
-        h_series = dense_h_diag_series(sys, f_series)
+        h_series = dense_h_diag_series(sys.grid, f_series)
         coeffs = [one_site_sum(psi.T @ h @ psi, s_f) for h in h_series.coeffs]
         if n >= 2:
             dressed = [q.T @ fc.T @ psi for fc in f_series.coeffs]

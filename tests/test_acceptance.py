@@ -32,11 +32,11 @@ from diracdiag.decoupling import projector_series, riesz_projection_series
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import (
     assemble_system,
-    build_free_dirac,
     check_dgamma_bound,
     check_kato,
     d_gamma,
     decoupling_residuals,
+    foldy_wouthuysen,
     fw_conjugate,
     positive_levels,
     positive_projector,
@@ -58,20 +58,24 @@ def first_monotone_index(values):
     return n
 
 
+CFG_N2 = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=20)
+
+
 @pytest.fixture(scope="module")
 def fs2(sys200, pair200):
-    cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=20)
-    return mb.assemble_furry_exact(sys200(0.3), cfg, pair200)
+    return mb.assemble_furry_exact(sys200(0.3), CFG_N2, pair200)
 
 
 @pytest.fixture(scope="module")
 def rows_n1(sys200, bundle200):
-    return mb.converge_main_theorem(bundle200, sys200(0.3), list(GAMMAS_MAIN))
+    return [r for g in GAMMAS_MAIN for r in mb.convergence_rows(bundle200, sys200(g))]
 
 
 @pytest.fixture(scope="module")
-def rows_n2(fs2, bundle200):
-    return mb.converge_main_theorem(bundle200, fs2, list(GAMMAS_MAIN))
+def rows_n2(sys200, pair200, bundle200):
+    # one coupling's two-particle system alive at a time
+    return [r for g in GAMMAS_MAIN for r in
+            mb.convergence_rows(bundle200, mb.assemble_furry_exact(sys200(g), CFG_N2, pair200))]
 
 
 def column(rows, gamma, name):
@@ -121,15 +125,15 @@ def test_criterion_4_series_correctness(sys200, pu200):
     # conjugated into it; the spectral norm is invariant
     s = sys200(0.2)
     p_series, u_series = pu200
+    blocks = foldy_wouthuysen(s.grid)
     p_err = np.linalg.norm(series_eval(p_series, 0.2)
-                           - fw_conjugate(s.fw_blocks, positive_projector(s.evals, s.evecs)), 2)
-    u_err = np.linalg.norm(series_eval(u_series, 0.2)
-                           - fw_conjugate(s.fw_blocks, s.u_gamma), 2)
-    toy = toy_two_level()
-    p_toy = projector_series(riesz_projection_series(toy, 4))
+                           - fw_conjugate(blocks, positive_projector(s.evals, s.evecs)), 2)
+    u_err = np.linalg.norm(series_eval(u_series, 0.2) - fw_conjugate(blocks, s.u_gamma), 2)
+    lam, v = toy_two_level()
+    p_toy = projector_series(riesz_projection_series(lam, v, 4))
     toy_err = max(
-        np.linalg.norm(p_toy.coeffs[1] - toy.v / 2.0, 2),
-        np.linalg.norm(p_toy.coeffs[2] + build_free_dirac(toy.grid) / 4.0, 2))
+        np.linalg.norm(p_toy.coeffs[1] - v / 2.0, 2),
+        np.linalg.norm(p_toy.coeffs[2] + np.diag(lam) / 4.0, 2))
     print(f"criterion 4: projector {p_err:.3e}, unitary {u_err:.3e}, "
           f"toy coefficients {toy_err:.3e}")
     assert p_err <= 1e-6

@@ -327,6 +327,33 @@ def test_converge_assembles_each_coupling_once(tmp_path, monkeypatch):
     assert [gamma for n, gamma in assembled if n == 64] == [0.1, 0.2, 0.3]
 
 
+@pytest.mark.parametrize("command", ["converge", "nbody"])
+def test_bundle_is_built_before_any_system(tmp_path, monkeypatch, command):
+    # the bundle is built from the grid alone, so a run builds it first and
+    # then assembles each coupling once, in the loop that reads it; no system
+    # is alive while the bundle build sets the run's peak memory.  The
+    # restriction check's own 24-node grid is not the run's
+    from diracdiag import decoupling
+
+    calls = []
+    build, assemble = decoupling.build_decoupling_bundle, op.assemble_system
+
+    def tracked_build(grid, order):
+        calls.append((grid.n, "bundle"))
+        return build(grid, order)
+
+    def tracked_assemble(grid, gamma):
+        calls.append((grid.n, gamma))
+        return assemble(grid, gamma)
+
+    monkeypatch.setattr(decoupling, "build_decoupling_bundle", tracked_build)
+    monkeypatch.setattr(op, "assemble_system", tracked_assemble)
+    cfg = write_cfg(tmp_path, {"grid": {"n": 64}, "gamma_list": [0.1, 0.2], "series_order": 4,
+                               "nbody": {"n_particles": 2, "n_plus": 4}})
+    assert cli.main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+    assert [what for n, what in calls if n == 64] == ["bundle", 0.1, 0.2]
+
+
 def test_resolution_failure_exit_3(tmp_path):
     # 24 momentum nodes cannot carry the radial transform of the pair gate
     cfg = write_cfg(tmp_path, {

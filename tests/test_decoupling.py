@@ -27,12 +27,12 @@ from conftest import (
     toy_two_level,
     traced_peak,
 )
-from diracdiag import cli, oneparticle
+from diracdiag import cli, decoupling, oneparticle
 from diracdiag import manybody as mb
 from diracdiag.decoupling import (
     DecouplingBundle,
-    _fw_frame,
     build_decoupling_bundle,
+    fw_frame,
     gate_decoupled_frame,
     gate_norm2,
     h_diag_exact,
@@ -47,8 +47,6 @@ from diracdiag.decoupling import (
 from diracdiag.errors import ConsistencyError
 from diracdiag.grids import build_channel_grid
 from diracdiag.oneparticle import (
-    assemble_system,
-    build_free_dirac,
     exact_u_gamma,
     foldy_wouthuysen,
     free_energies,
@@ -65,8 +63,8 @@ from diracdiag.series import make_series, series_eval, series_partial_sums
 # toy system: every coefficient in closed form
 # ---------------------------------------------------------------------------
 
-def trapezoidal_projector_coefficients(sys, order):
-    """Literal trapezoidal sum of the Riesz integral, order by order.
+def trapezoidal_projector_coefficients(order):
+    """Literal trapezoidal sum of the Riesz integral of the toy, order by order.
 
     Expanding (z - D_0 - gV)^(-1) in g gives coefficient n as the contour
     integral of ((z - D_0)^(-1) V)^n (z - D_0)^(-1) dz / (2 pi i).  The
@@ -75,7 +73,8 @@ def trapezoidal_projector_coefficients(sys, order):
     momentum grid no circle stays clear of the discretized continuum.
     """
     m_nodes = 64
-    d0 = build_free_dirac(sys.grid)
+    lam, v = toy_two_level()
+    d0 = np.diag(lam)
     eye = np.eye(d0.shape[0])
     acc = [np.zeros_like(eye, dtype=complex) for _ in range(order + 1)]
     for theta in 2.0 * np.pi * np.arange(m_nodes) / m_nodes:
@@ -85,7 +84,7 @@ def trapezoidal_projector_coefficients(sys, order):
         term = r0
         for n in range(order + 1):
             acc[n] += weight * term
-            term = r0 @ sys.v @ term
+            term = r0 @ v @ term
     return acc
 
 
@@ -103,26 +102,26 @@ def toy_projector_coefficients(order):
 
 @pytest.mark.parametrize("method", ["residue", "quadrature"])
 def test_toy_projector_coefficients(method):
-    toy = toy_two_level()
+    lam, v = toy_two_level()
     if method == "residue":
-        p = projector_series(riesz_projection_series(toy, 6))
+        p = projector_series(riesz_projection_series(lam, v, 6))
     else:
-        p = trapezoidal_projector_coefficients(toy, 6)
+        p = trapezoidal_projector_coefficients(6)
     ref = toy_projector_coefficients(6)
     for k in range(7):
         assert np.linalg.norm(p[k] - ref[k], 2) < 1e-12
     # the two named low orders explicitly
-    assert np.linalg.norm(p[1] - toy.v / 2.0, 2) < 1e-12
-    assert np.linalg.norm(p[2] + build_free_dirac(toy.grid) / 4.0, 2) < 1e-12
+    assert np.linalg.norm(p[1] - v / 2.0, 2) < 1e-12
+    assert np.linalg.norm(p[2] + np.diag(lam) / 4.0, 2) < 1e-12
 
 
 def test_toy_series_evaluates_to_exact():
-    toy = toy_two_level()
-    p = riesz_projection_series(toy, 20)
+    lam, v = toy_two_level()
+    p = riesz_projection_series(lam, v, 20)
     u = u_gamma_series(p)
     p = projector_series(p)
     g = 0.3
-    h = build_free_dirac(toy.grid) + g * toy.v
+    h = np.diag(lam) + g * v
     ev, evec = np.linalg.eigh(h)
     pos = evec[:, ev > 0.0]
     pg = pos @ pos.T
@@ -131,29 +130,34 @@ def test_toy_series_evaluates_to_exact():
 
 
 def test_toy_bundle_both_methods_agree():
-    # the bundle against the same unitary and Hamiltonian chain fed by the
-    # trapezoidal projector coefficients (real up to roundoff); the toy's FW
-    # frame is the identity
-    toy = toy_two_level()
-    bundle = build_decoupling_bundle(toy, order=6)
-    p = make_series([c.real for c in trapezoidal_projector_coefficients(toy, 6)])
-    f = decoupled_rows(list(u_gamma_series(projector_blocks(p)).coeffs), list(p.coeffs), 1)
-    h = h_diag_series(f, np.diag(build_free_dirac(toy.grid)), toy.v)
-    for cr, cq in zip(bundle.h_upper.coeffs, h.coeffs):
+    # the bundle's chain on the residue projector series (F's rows read from
+    # P and gated, then H) against the same unitary and Hamiltonian chain fed
+    # by the trapezoidal projector coefficients (real up to roundoff); the
+    # toy's FW frame is the identity, so F's rows need no rotation back
+    lam, v = toy_two_level()
+    p = riesz_projection_series(lam, v, 6)
+    f = kato_nagy_rows(p)
+    gate_decoupled_frame(f, p)
+    h = h_diag_series(f, lam, v)
+    pq = make_series([c.real for c in trapezoidal_projector_coefficients(6)])
+    fq = decoupled_rows(list(u_gamma_series(projector_blocks(pq)).coeffs), list(pq.coeffs), 1)
+    hq = h_diag_series(fq, lam, v)
+    assert h.order == hq.order == 6
+    for cr, cq in zip(h.coeffs, hq.coeffs):
         assert np.linalg.norm(cr - cq, 2) < 1e-12
 
 
 def test_bundle_matches_dense_oracle():
     # the FW-frame bundle against the full-size chain in the original frame,
     # fed by the same projector series, rotated back with the dense frame R
-    s = assemble_system(build_channel_grid(64), 0.0)
-    bundle = build_decoupling_bundle(s, order=6)
-    p_fw, u_fw = pu_series(s, 6)
-    q = fw_matrix(s.fw_blocks)
+    grid = build_channel_grid(64)
+    bundle = build_decoupling_bundle(grid, 6)
+    p_fw, u_fw = pu_series(grid, 6)
+    q = fw_matrix(foldy_wouthuysen(grid))
     p = make_series([q.T @ c @ q for c in p_fw.coeffs])
-    u = dense_u_gamma_series(p, free_positive_projector(s.grid))
+    u = dense_u_gamma_series(p, free_positive_projector(grid))
     f = series_mul(u, p)
-    h = dense_h_diag_series(s, make_series([q @ c @ q.T for c in f.coeffs]))
+    h = dense_h_diag_series(grid, make_series([q @ c @ q.T for c in f.coeffs]))
 
     def rel(x, ref):
         return np.linalg.norm(x - ref) / np.linalg.norm(ref)
@@ -170,13 +174,13 @@ def test_bundle_matches_the_product_route(n, request):
     # of the same P and U, and H = F D F^H formed from each
     bundle = request.getfixturevalue(f"bundle{n}")
     p, u = request.getfixturevalue(f"pu{n}")
-    s = request.getfixturevalue(f"sys{n}")(0.0)
-    lam, vfw = _fw_frame(s)
+    grid = request.getfixturevalue(f"grid{n}")
+    lam, vfw = fw_frame(grid)
     rows = decoupled_rows(u.coeffs, p.coeffs, n)
     h = h_diag_series(rows, lam, vfw)
     assert bundle.order == h.order
     for k, row in enumerate(rows):
-        f = fw_rows(s.fw_blocks, row.T, back=True).T
+        f = fw_rows(foldy_wouthuysen(grid), row.T, back=True).T
         assert np.linalg.norm(bundle.f_upper[k] - f) <= 1e-14 * np.linalg.norm(f)
         assert np.linalg.norm(bundle.h_upper[k] - h[k]) <= 1e-14 * np.linalg.norm(h[k])
 
@@ -191,28 +195,35 @@ class _NoProduct(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-def test_bundle_takes_no_product_with_the_frame_matrices():
-    s = assemble_system(build_channel_grid(32), 0.0)
-    guarded = dataclasses.replace(s, fw_blocks=s.fw_blocks.view(_NoProduct))
+def test_bundle_takes_no_product_with_the_frame_matrices(monkeypatch):
+    # the bundle reads the FW rotation's node blocks from foldy_wouthuysen;
+    # handed blocks that refuse every matrix product, it builds the same
+    # series, so it applies the frame only node by node
+    grid = build_channel_grid(32)
+    ref = build_decoupling_bundle(grid, 4)
+
+    def guarded(g):
+        return foldy_wouthuysen(g).view(_NoProduct)
+
     with pytest.raises(AssertionError, match="dense product"):
-        guarded.fw_blocks @ np.eye(2)
-    bundle = build_decoupling_bundle(guarded, order=4)
-    ref = build_decoupling_bundle(s, order=4)
-    for a, b in zip(bundle.h_upper.coeffs, ref.h_upper.coeffs):
+        guarded(grid) @ np.eye(2)
+    monkeypatch.setattr(decoupling, "foldy_wouthuysen", guarded)
+    bundle = build_decoupling_bundle(grid, 4)
+    for a, b in zip(bundle.h_upper.coeffs + bundle.f_upper, ref.h_upper.coeffs + ref.f_upper):
         assert np.array_equal(a, b)
 
 
-def test_riesz_rejects_bad_arguments(sys100):
+def test_riesz_rejects_bad_arguments():
     with pytest.raises(ValueError, match="order"):
-        riesz_projection_series(sys100(0.0), 0)
+        riesz_projection_series(*toy_two_level(), 0)
 
 
 def test_u_series_rejects_mismatched_projector():
     toy = toy_two_level()
-    p = riesz_projection_series(toy, 4)
+    p = riesz_projection_series(*toy, 4)
     with pytest.raises(ValueError, match="order"):
         gate_decoupled_frame([c[:1] for c in u_gamma_series(p).coeffs],
-                             riesz_projection_series(toy, 5))
+                             riesz_projection_series(*toy, 5))
 
 
 def inv_sqrt_route_u(p, k):
@@ -233,7 +244,7 @@ def inv_sqrt_route_u(p, k):
 @pytest.mark.parametrize("case", ["toy", "sys100"])
 def test_u_series_matches_inverse_square_root_route(case, pu100):
     if case == "toy":
-        blocks = riesz_projection_series(toy_two_level(), 12)
+        blocks = riesz_projection_series(*toy_two_level(), 12)
         p, u = projector_series(blocks), u_gamma_series(blocks)
     else:
         p, u = pu100
@@ -242,8 +253,8 @@ def test_u_series_matches_inverse_square_root_route(case, pu100):
         assert np.linalg.norm(got - ref, 2) <= 1e-13 * max(1.0, np.linalg.norm(ref, 2))
 
 
-def test_u_series_leaves_the_projector_series_unchanged(sys100):
-    p = riesz_projection_series(sys100(0.0), 4)
+def test_u_series_leaves_the_projector_series_unchanged(grid100):
+    p = riesz_projection_series(*fw_frame(grid100), 4)
     before = [[c.copy() for c in block] for block in p]
     u_gamma_series(p)
     for block, ref_block in zip(p, before):
@@ -255,9 +266,9 @@ def test_u_series_leaves_the_projector_series_unchanged(sys100):
 def test_projector_blocks_match_the_full_recursion(n, order):
     # the three-block recursion against the full-matrix recursion, and P_(-+)
     # as the transpose of P_(+-)
-    s = assemble_system(build_channel_grid(n), 0.0)
-    blocks = riesz_projection_series(s, order)
-    ref = full_riesz_projection_series(s, order)
+    lam, vfw = fw_frame(build_channel_grid(n))
+    blocks = riesz_projection_series(lam, vfw, order)
+    ref = full_riesz_projection_series(lam, vfw, order)
     got = projector_series(blocks)
     scale = max(np.max(np.abs(c)) for c in ref.coeffs)
     assert got.order == order
@@ -270,20 +281,20 @@ def test_potential_and_hamiltonian_coefficients_are_exactly_symmetric(n, order):
     # the FW potential is taken as 0.5 (x + x^T), and each H_n as S + S^T
     # with every pair of transposed terms once in S, so both are symmetric
     # bit for bit: a Hermiticity gate on H would read exactly 0
-    s = assemble_system(build_channel_grid(n), 0.0)
-    vfw = _fw_frame(s)[1]
+    grid = build_channel_grid(n)
+    vfw = fw_frame(grid)[1]
     assert np.array_equal(vfw, vfw.T)
-    h = build_decoupling_bundle(s, order).h_upper
+    h = build_decoupling_bundle(grid, order).h_upper
     assert h.order == order
     for c in h.coeffs:
         assert np.array_equal(c, c.T)
 
 
-def test_projector_coefficients_are_exactly_symmetric(sys100):
+def test_projector_coefficients_are_exactly_symmetric(grid100):
     # each pair of transposed terms is added as t + t^T and the middle term
     # is X X^T, so every coefficient, and the assembled P, is symmetric bit
     # for bit: a Hermiticity gate on P would read exactly 0
-    a, b, c = riesz_projection_series(sys100(0.0), 8)
+    a, b, c = riesz_projection_series(*fw_frame(grid100), 8)
     for x in a + c:
         assert np.array_equal(x, x.T)
     assert not (a[1].any() or c[1].any())
@@ -302,12 +313,13 @@ DRIFT = r"projector series constant term drifted from P_\+\^0"
 
 def test_projector_constant_term_drift_gate_trips(monkeypatch, tmp_path, capsys):
     # a FW rotation 1e-9 rad off sends the free projector 1e-9 away from the
-    # row mask that is the projector series' constant term
-    s = assemble_system(build_channel_grid(16), 0.2)
-    turned = dataclasses.replace(s, fw_blocks=_turned_fw_rotation(1e-9)(s.grid))
+    # row mask that is the projector series' constant term; the rotation is
+    # turned where the bundle and the one-particle layer read it, for the
+    # direct build and for a run
+    for module in (decoupling, oneparticle):
+        monkeypatch.setattr(module, "foldy_wouthuysen", _turned_fw_rotation(1e-9))
     with pytest.raises(ConsistencyError, match=f"^{DRIFT}$"):
-        build_decoupling_bundle(turned, order=2)
-    monkeypatch.setattr(oneparticle, "foldy_wouthuysen", _turned_fw_rotation(1e-9))
+        build_decoupling_bundle(build_channel_grid(16), 2)
     doc = {"grid": {"n": 16}, "gamma_list": [0.2], "series_order": 2,
            "nbody": {"n_particles": 1, "n_plus": 2}}
     (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -324,14 +336,14 @@ def test_projector_series_matches_exact(pu100, sys100):
     # the bundle's series is in the FW frame; the spectral norm is invariant
     s = sys100(0.2)
     pg = positive_projector(s.evals, s.evecs)
-    err = np.linalg.norm(series_eval(pu100[0], 0.2) - fw_conjugate(s.fw_blocks, pg), 2)
+    err = np.linalg.norm(series_eval(pu100[0], 0.2) - fw_conjugate(foldy_wouthuysen(s.grid), pg), 2)
     assert err < 1e-7
 
 
 def test_unitary_series_matches_exact(pu100, sys100):
     s = sys100(0.2)
     err = np.linalg.norm(
-        series_eval(pu100[1], 0.2) - fw_conjugate(s.fw_blocks, s.u_gamma), 2)
+        series_eval(pu100[1], 0.2) - fw_conjugate(foldy_wouthuysen(s.grid), s.u_gamma), 2)
     assert err < 1e-7
 
 
@@ -347,11 +359,11 @@ def test_hamiltonian_constant_term_is_free_branch(bundle100, grid100):
     assert np.linalg.norm(h0 - np.diag(free_energies(grid100)), 2) < 1e-11
 
 
-def test_hamiltonian_coefficients_upper_supported(pu100, sys100):
+def test_hamiltonian_coefficients_upper_supported(pu100, grid100):
     # the full Hamiltonian series, rebuilt at full size from the bundle's
     # projector and unitary series, lives on the upper block alone
     p, u = pu100
-    h = dense_h_diag_series(sys100(0.0), series_mul(u, p))
+    h = dense_h_diag_series(grid100, series_mul(u, p))
     for c in h.coeffs:
         scale = max(1.0, np.linalg.norm(c, 2))
         assert np.linalg.norm(c[100:, :], 2) < 1e-9 * scale
@@ -360,7 +372,7 @@ def test_hamiltonian_coefficients_upper_supported(pu100, sys100):
 
 def test_h_diag_exact_spectrum(sys100):
     s = sys100(0.3)
-    e = fw_rows(s.fw_blocks, s.u_gamma @ positive_projector(s.evals, s.evecs))
+    e = fw_rows(foldy_wouthuysen(s.grid), s.u_gamma @ positive_projector(s.evals, s.evecs))
     hd = e @ s.dgamma @ e.T
     # lower block empty, upper block carries exactly the positive spectrum
     assert np.linalg.norm(hd[100:, :], 2) < 1e-9
@@ -386,7 +398,7 @@ def test_order_accuracy_scaling(bundle100, sys100):
 
 def test_weighted_remainder_decreases(bundle100, sys100):
     rs = [r["weighted_remainder_norm"]
-          for r in mb.converge_main_theorem(bundle100, sys100(0.2), [0.2])]
+          for r in mb.convergence_rows(bundle100, sys100(0.2))]
     assert all(a > b for a, b in zip(rs, rs[1:]))
     assert rs[8] < 1e-4 * rs[2]
 
@@ -429,29 +441,33 @@ def test_bundle_keeps_only_f_rows_and_h():
     assert [f.name for f in dataclasses.fields(DecouplingBundle)] == ["f_upper", "h_upper"]
 
 
-def test_bundle_build_peak(sys100):
+def test_bundle_build_peak():
     # memory model of the build at n=100, order 8, in series of nine 200 x 200
     # coefficients: P's three blocks (three quarters of a series) and F's
     # upper rows (half a series), and at most two and a quarter working
     # coefficients while F^H F = P is gated: the Gram accumulator, one
     # product and the buffers of the in-place adds.  The FW potential is not
     # alive then; it was, beside a gate of F P = F with one and a quarter
-    # working coefficients (a peak of 13.15 coefficients, against 12.73 here).
+    # working coefficients (a peak of 13.15 coefficients, against 12.73
+    # without it).  The grid is fresh, as in a run, which builds the bundle
+    # before it assembles any system: the build also forms the grid's
+    # Coulomb matrix (``oneparticle.build_coulomb``, half a coefficient),
+    # which stays cached with the grid, so this traces 13.24 coefficients,
+    # against 12.74 with the matrix built beforehand.
     # While the rows are formed, G and one root (a quarter series each)
     # stand where the rows will be.  P as full coefficients held 9 of the 15
     # bound before; allocating the rows before the second root held a
     # quarter series more (17.53 coefficients), and forming the whole U
     # series and F = U P from it held 23.24
     coeff = 200 * 200 * 8
-    bundle, peak = traced_peak(build_decoupling_bundle, sys100(0.0), 8)
+    bundle, peak = traced_peak(build_decoupling_bundle, build_channel_grid(100), 8)
     assert bundle.order == 8
     assert peak < (9 * 3 / 4 + 9 / 2 + 1 + 1.25) * coeff
 
 
-def test_bundle_shapes(bundle100, pu100, sys100):
+def test_bundle_shapes(bundle100, pu100, grid100):
     assert bundle100.order == 8
-    s = sys100(0.0)
-    p0 = fw_conjugate(s.fw_blocks, free_positive_projector(s.grid))
+    p0 = fw_conjugate(foldy_wouthuysen(grid100), free_positive_projector(grid100))
     p, u = pu100
     assert np.linalg.norm(p[0] - p0, 2) < 1e-12
     assert u.dim == 200 and bundle100.h_upper.dim == 100
@@ -572,8 +588,7 @@ def test_frame_gates_bound_the_range_defect():
     # so the gates (F F^H - 1 at 1e-9 reading o, F^H F - P at 1e-9 / s - o)
     # pass only when every ||(F P - F)_n||_2 <= 1e-9; seeded perturbations
     # of F's coefficients, on one block or both, of norm 1e-10 to 1e-8
-    s = assemble_system(build_channel_grid(32), 0.0)
-    p = riesz_projection_series(s, 4)
+    p = riesz_projection_series(*fw_frame(build_channel_grid(32)), 4)
     f0 = kato_nagy_rows(p)
     k = f0[0].shape[0]
     assert max(_range_defects_dense(f0, p)) < 1e-13

@@ -223,7 +223,7 @@ SECTOR_CASES = [(2, 8, False), (2, 8, True), (3, 5, False), (3, 5, True)]
 def system64():
     """Coupling-0.25 system, pair interaction and order-4 bundle on the n=64 grid."""
     grid = build_channel_grid(64)
-    bundle = build_decoupling_bundle(assemble_system(grid, 0.0), order=4)
+    bundle = build_decoupling_bundle(grid, 4)
     return assemble_system(grid, 0.25), mb.build_pair_interaction(grid), bundle
 
 
@@ -525,9 +525,9 @@ def test_series_ground_energies_match_the_full_route(sys100, pair100, bundle100,
     # every block it does diagonalize is summed as the full route sums it
     cfg = NbodyConfig(n_particles, 2.0, n_plus, antisymmetrize)
     fs = mb.assemble_furry_exact(sys100(gamma), cfg, pair100)
-    got = mb.series_ground_energies(bundle100, fs, gamma, _exact_lows(fs))
+    got = mb.series_ground_energies(bundle100, fs, _exact_lows(fs))
     assert got.shape == (bundle100.order + 1,)
-    assert np.array_equal(got, full_series_ground_energies(bundle100, fs, gamma))
+    assert np.array_equal(got, full_series_ground_energies(bundle100, fs))
 
 
 def _count_calls(monkeypatch) -> dict:
@@ -619,7 +619,7 @@ def test_series_ground_energies_skip_most_blocks(monkeypatch, sys100, pair100, b
     assert len(fs.sectors) == 3
     lows = _exact_lows(fs)
     counts = _count_calls(monkeypatch)
-    mb.series_ground_energies(bundle100, fs, gamma, lows)
+    mb.series_ground_energies(bundle100, fs, lows)
     assert counts == {"lifts": 13, "eigvalsh": 11}
 
 
@@ -773,7 +773,7 @@ def test_fit_geometric_ratio_short_sequence():
 
 
 def test_converge_rows_one_particle(sys100, bundle100):
-    rows = mb.converge_main_theorem(bundle100, sys100(0.0), [0.1, 0.2])
+    rows = [r for g in (0.1, 0.2) for r in mb.convergence_rows(bundle100, sys100(g))]
     assert len(rows) == 2 * 9
     for row in rows:
         assert set(row) == {"gamma", "k", "resolvent_distance",
@@ -789,7 +789,7 @@ def test_converge_rows_one_particle(sys100, bundle100):
 
 
 def test_converge_zero_coupling_is_exact(sys100, bundle100):
-    rows = mb.converge_main_theorem(bundle100, sys100(0.0), [0.0])
+    rows = mb.convergence_rows(bundle100, sys100(0.0))
     for row in rows:
         assert row["resolvent_distance"] < 5e-12
         assert row["weighted_remainder_norm"] < 5e-12
@@ -800,9 +800,11 @@ def test_converge_takes_no_inverse_and_no_svd(monkeypatch, sys100, pair100, bund
                                               n_particles):
     import sys
 
-    system = sys100(0.1)
-    if n_particles > 1:
-        system = mb.assemble_furry_exact(system, NbodyConfig(n_particles, 2.0, 4), pair100)
+    def system(gamma):
+        s = sys100(gamma)
+        if n_particles > 1:
+            return mb.assemble_furry_exact(s, NbodyConfig(n_particles, 2.0, 4), pair100)
+        return s
 
     def refuse(*args, **kwargs):
         raise AssertionError("the convergence study called inv or svd")
@@ -811,7 +813,7 @@ def test_converge_takes_no_inverse_and_no_svd(monkeypatch, sys100, pair100, bund
     for mod in (np.linalg, impl):
         monkeypatch.setattr(mod, "inv", refuse)
         monkeypatch.setattr(mod, "svd", refuse)
-    rows = mb.converge_main_theorem(bundle100, system, [0.1, 0.2])
+    rows = [r for g in (0.1, 0.2) for r in mb.convergence_rows(bundle100, system(g))]
     assert len(rows) == 2 * 9
 
 
@@ -825,7 +827,7 @@ def test_weighted_remainder_matches_dense_oracle(sys100, pair100, bundle100, n_p
     # absolute: 1e-9 relative holds where the remainder exceeds 1e-6
     gamma = 0.3
     fs = mb.assemble_furry_exact(sys100(gamma), NbodyConfig(n_particles, 2.0, n_plus), pair100)
-    rows = mb.converge_main_theorem(bundle100, fs, [gamma])
+    rows = mb.convergence_rows(bundle100, fs)
     dense = dense_furry(fs, bundle100)
     w = _inv_sqrt_oracle(dense["abs_d0_psi"])
     approx = np.zeros_like(dense["h_diag"])

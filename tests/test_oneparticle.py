@@ -25,6 +25,7 @@ from diracdiag.errors import ConsistencyError, GapError, gate
 from diracdiag.grids import angular_momenta, build_channel_grid
 from diracdiag.oneparticle import (
     GAMMA_MAX,
+    OneParticleSystem,
     _norm2,
     assemble_system,
     build_coulomb,
@@ -172,13 +173,23 @@ def test_assemble_system_memory_model():
     assert peak / unit <= 5.4
 
 
+def test_system_keeps_only_per_coupling_arrays():
+    # what depends on the grid alone (V, the FW rotation, D_0) is read from
+    # the grid, not held per system
+    assert [f.name for f in dataclasses.fields(OneParticleSystem)] == [
+        "grid", "gamma", "dgamma", "u_gamma", "evals", "evecs"]
+
+
 def test_coulomb_matrix_is_built_once_per_grid():
+    # one read-only array per grid object, also across assemblies, a fresh
+    # one for a new grid, and none left once the grid is gone
     grid = build_channel_grid(16)
-    a, b = assemble_system(grid, 0.1), assemble_system(grid, 0.2)
-    assert a.v is b.v and not a.v.flags.writeable
-    assert assemble_system(build_channel_grid(16), 0.1).v is not a.v
-    v = weakref.ref(a.v)
-    del grid, a, b
+    a = build_coulomb(grid)
+    assemble_system(grid, 0.1)
+    assert build_coulomb(grid) is a and not a.flags.writeable
+    assert build_coulomb(build_channel_grid(16)) is not a
+    v = weakref.ref(a)
+    del grid, a
     assert v() is None
 
 
@@ -211,10 +222,9 @@ def test_free_projector_properties(grid100):
     assert np.linalg.norm(d0 @ pr - absd @ pr, 2) < 1e-11
 
 
-def test_foldy_wouthuysen_diagonalizes(grid100, sys100):
+def test_foldy_wouthuysen_diagonalizes(grid100):
     blocks = foldy_wouthuysen(grid100)
     assert blocks.shape == (100, 2, 2)
-    assert np.array_equal(sys100(0.3).fw_blocks, blocks)
     q = fw_matrix(blocks)
     d0 = build_free_dirac(grid100)
     e = free_energies(grid100)
@@ -311,7 +321,7 @@ def test_exact_u_gamma_rejects_rank_mismatch():
 
 def test_exact_u_gamma_takes_half_size_eigensolves(monkeypatch, sys100):
     s = sys100(0.3)
-    blocks = s.fw_blocks
+    blocks = foldy_wouthuysen(s.grid)
     sizes = []
     eigh = np.linalg.eigh
 
@@ -540,7 +550,7 @@ def test_intertwining_residual_matches_the_dense_norm(sys100, theta):
     g = (np.eye(s.dim) + (math.cos(theta) - 1.0) * (np.outer(a, a) + np.outer(b, b))
          + math.sin(theta) * (np.outer(b, a) - np.outer(a, b)))
     rotated = dataclasses.replace(s, u_gamma=s.u_gamma @ g)
-    ru = fw_rows(s.fw_blocks, rotated.u_gamma)
+    ru = fw_rows(foldy_wouthuysen(s.grid), rotated.u_gamma)
     p0_ru = ru.copy()
     p0_ru[s.grid.n:] = 0.0
     ref = np.linalg.norm(ru @ positive_projector(s.evals, s.evecs) - p0_ru, 2)
