@@ -1,5 +1,12 @@
 """Finite-matrix block-diagonalization of projected Coulomb-Dirac operators.
 
+Every matrix is real: the Coulomb-Dirac operator, its spectral projectors,
+the decoupling unitary, their coupling series and the N-particle blocks are
+float64 arrays, and where a docstring says Hermitian it means real
+symmetric.  Transposes stand for adjoints, and no array is conjugated.
+Where caller-supplied matrices enter (``series.make_series``,
+``decoupling.hermitian_frame``), a complex array raises ValueError.
+
 Submodules load lazily so that the command line front end can configure
 BLAS threading before numpy is imported.
 """

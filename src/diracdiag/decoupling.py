@@ -17,7 +17,7 @@ symmetric product of its recursion formed once.  The unitary series is
 the Kato-Nagy transform of the projector series, which in this frame needs
 two half-size square roots.  F = U P = P0 U has nonzero rows on the positive
 states only, U's upper rows, which are read straight from P's blocks, so
-the bundle forms no U and the Hamiltonian series F D F^H is formed as its
+the bundle forms no U and the Hamiltonian series F D F^T is formed as its
 upper block.
 """
 
@@ -205,32 +205,32 @@ def u_gamma_series(p) -> MatrixSeries:
 
 
 def _gram_defects(u, p=None):
-    """Yield the coefficients of U^H U - 1, or of U^H U - P from the
-    projector blocks p = (A, B, C), each product paired with its adjoint.
+    """Yield the coefficients of U^T U - 1, or of U^T U - P from the
+    projector blocks p = (A, B, C), each product paired with its transpose.
 
-    The one routine of the series' Gram gates: U^H U - 1 of the U series,
-    F F^H - 1 (U = F^H) and F^H F - P (U = F, with p).  U_0 is the leading
+    The one routine of the series' Gram gates: U^T U - 1 of the U series,
+    F F^T - 1 (U = F^T) and F^T F - P (U = F, with p).  U_0 is the leading
     block of the identity, exactly (``kato_nagy_rows``): columns for U and
-    F^H, so U_0^H U_n is U_n's leading rows, and rows for F = [1, 0], so
-    U_0^H U_n is U_n over zero rows.  U_0^H U_0 is 1, or P_0 =
+    F^T, so U_0^T U_n is U_n's leading rows, and rows for F = [1, 0], so
+    U_0^T U_n is U_n over zero rows.  U_0^T U_0 is 1, or P_0 =
     blockdiag(1, 0) exactly (``riesz_projection_series``), so order 0 is
-    zero.  Each product and its adjoint are added to the accumulator in
+    zero.  Each product and its transpose are added to the accumulator in
     place, and P_n is subtracted by blocks, so beside the accumulator one
     product is alive.
     """
     rows, k = u[0].shape
-    yield np.zeros((k, k), dtype=u[0].dtype)
+    yield np.zeros((k, k))
     for n in range(1, len(u)):
-        acc = np.zeros((k, k), dtype=u[0].dtype)
+        acc = np.zeros((k, k))
         acc[:rows] = u[n][:k]
-        acc[:, :rows] += u[n][:k].conj().T
+        acc[:, :rows] += u[n][:k].T
         for m in range(1, (n + 1) // 2):
-            t = u[m].conj().T @ u[n - m]
+            t = u[m].T @ u[n - m]
             acc += t
-            acc += t.conj().T
+            acc += t.T
             del t
         if n % 2 == 0:
-            acc += u[n // 2].conj().T @ u[n // 2]
+            acc += u[n // 2].T @ u[n // 2]
         if p is not None:
             a, b, c = (x[n] for x in p)
             acc[:rows, :rows] -= a
@@ -241,21 +241,21 @@ def _gram_defects(u, p=None):
 
 
 def gate_decoupled_frame(f: list, p) -> None:
-    """Gate F's rows order by order: F F^H = 1 at 1e-9, then F^H F = P.
+    """Gate F's rows order by order: F F^T = 1 at 1e-9, then F^T F = P.
 
     f are F's upper rows (``kato_nagy_rows``) and p the projector blocks
     (``riesz_projection_series``); both Gram sums pair term m with term
-    n - m, its adjoint (``_gram_defects``).  F^H F = P makes F D F^H the
+    n - m, its transpose (``_gram_defects``).  F^T F = P makes F D F^T the
     compression of D onto P's range.  The second gate's tolerance is
     1e-9 / s - o, with o the value the first gate returns and
     s = 1 + sum_(a>=1) ||F_a||_F >= sum_a ||F_a||_2 (||F_0||_2 = 1), so
     that, coefficient by coefficient,
-    F P - F = -F (F^H F - P) + (F F^H - 1) F gives ||(F P - F)_n|| <= 1e-9.
+    F P - F = -F (F^T F - P) + (F F^T - 1) F gives ||(F P - F)_n|| <= 1e-9.
     Each gate names the coefficient farthest over its tolerance.
     """
     if len(f) != len(p[0]):
         raise ValueError(f"order mismatch: {len(f) - 1} vs {len(p[0]) - 1}")
-    o = gate_norm2(_gram_defects([c.conj().T for c in f]), 1e-9,
+    o = gate_norm2(_gram_defects([c.T for c in f]), 1e-9,
                    "decoupled frame rows not orthonormal: coefficient {index} of F F^H - 1 "
                    "is {value:.3e} > {tol:.1e}")
     s = 1.0 + sum(np.linalg.norm(c) for c in f[1:])
@@ -411,12 +411,14 @@ def _norm2_against(m: np.ndarray, tol: float) -> tuple:
 # ---------------------------------------------------------------------------
 
 def hermitian_frame(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors q of a Hermitian m and the moduli 1/|lam + i| of (m+i)^(-1).
+    """Eigenvectors q of a symmetric m and the moduli 1/|lam + i| of (m+i)^(-1).
 
-    (m+i)^(-1) = q diag(1/(lam+i)) q^H, and 1/(lam+i) is (lam^2+1)^(-1/2)
-    times a unit phase.  m is not gated: every caller passes a matrix that
-    is exactly symmetric as formed (``h_diag_exact``, ``h_diag_series``,
-    ``manybody.sector_blocks``) or an elementwise partial sum of such.
+    (m+i)^(-1) = q diag(1/(lam+i)) q^T, and 1/(lam+i) is (lam^2+1)^(-1/2)
+    times a unit phase.  A complex m raises ValueError: the eigensolve
+    would read it as Hermitian.  Symmetry is not gated: every caller passes
+    a matrix that is exactly symmetric as formed (``h_diag_exact``,
+    ``h_diag_series``, ``manybody.sector_blocks``) or an elementwise
+    partial sum of such.
     The eigensolve reads the upper triangle, so the tridiagonal reduction
     starts from the last row: on the one-particle upper block, whose rows
     run up in momentum to entries of size p_max, that is the largest
@@ -425,11 +427,13 @@ def hermitian_frame(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     resolvents and by 1.8e-13 between one and two BLAS threads; started
     from the last, by at most 2.5e-16 and 2.5e-15.
     """
+    if np.iscomplexobj(m):
+        raise ValueError("hermitian_frame takes a real symmetric matrix, got a complex one")
     lam, q = np.linalg.eigh(m, UPLO="U")
     return q, 1.0 / np.hypot(lam, 1.0)
 
 
-def resolvent_distance(a: np.ndarray, b: np.ndarray, frame_a=None, frame_b=None) -> float:
+def resolvent_distance(a: np.ndarray, b: np.ndarray, frame_a, frame_b) -> float:
     """||(a+i)^(-1) - (b+i)^(-1)||, the norm-resolvent metric at spectral shift i.
 
     By the second resolvent identity the difference is
@@ -437,18 +441,16 @@ def resolvent_distance(a: np.ndarray, b: np.ndarray, frame_a=None, frame_b=None)
     Operators, I sec. 5).  In the eigenbases of a and b both resolvents
     are diagonal, moduli times unit phases, and diagonal unitaries do not
     change the spectral norm, so the distance is that of
-    W_a Q_a^H (b - a) Q_b W_b (``hermitian_frame``): real for real a and b,
-    and formed from b - a, not as the difference of two resolvents.
-    a and b must be exactly Hermitian (``hermitian_frame``).  frame_a and
-    frame_b are the frames of a and b when the caller has them.
+    W_a Q_a^T (b - a) Q_b W_b, a real matrix formed from b - a, not as the
+    difference of two resolvents.  a and b must be exactly symmetric, and
+    frame_a and frame_b are their ``hermitian_frame``.
     """
-    qa, wa = hermitian_frame(a) if frame_a is None else frame_a
-    qb, wb = hermitian_frame(b) if frame_b is None else frame_b
-    return _norm2(wa[:, None] * (qa.conj().T @ (b - a) @ qb) * wb)
+    (qa, wa), (qb, wb) = frame_a, frame_b
+    return _norm2(wa[:, None] * (qa.T @ (b - a) @ qb) * wb)
 
 
 def h_diag_exact(sys: OneParticleSystem) -> np.ndarray:
-    """Upper block E D_gamma E^H of the exact block-diagonalized Hamiltonian.
+    """Upper block E D_gamma E^T of the exact block-diagonalized Hamiltonian.
 
     E = (R U_gamma P_gamma)[:n] are the rows of the exact decoupled frame on
     the positive free states, R the FW frame of ``oneparticle.fw_rows``.

@@ -220,7 +220,7 @@ def slater_monopole_value(pair: PairInteraction, q: float) -> float:
     interaction; its closed form is ``slater_monopole_reference``."""
     frame = np.zeros((pair.grid.dim, 1))
     frame[0::2, 0] = hydrogenic_momentum_ground(pair.grid, q)
-    return float(pair.project(frame)[0, 0].real)
+    return float(pair.project(frame)[0, 0])
 
 
 def slater_monopole_reference(l: int, q: float) -> float:
@@ -280,7 +280,7 @@ class Sector:
         nonzero positions a, so each step gathers width rows of y and no
         width x N! x width array is formed.
         """
-        out = np.zeros((self.width, y.shape[1]), dtype=np.result_type(self.vals, y))
+        out = np.zeros((self.width, y.shape[1]))
         for v, r in zip(self.vals.T, self.rows.T):
             rows = y[r]
             rows *= v[:, None]
@@ -454,8 +454,7 @@ def sector_blocks(sector: Sector, one_site: np.ndarray | None = None,
     m = one_site.shape[-1] if one_site is not None else math.isqrt(two_site.shape[-1])
     terms = [(size, one_site, (j,)) for j, size in sector.site_orbits if one_site is not None]
     terms += [(size, two_site, pair) for pair, size in sector.pair_orbits if two_site is not None]
-    work = np.empty((2, m ** n_sites, sector.width),
-                    dtype=np.result_type(sector.iso, *(op for _, op, _ in terms)))
+    work = np.empty((2, m ** n_sites, sector.width))
     y, buf = work
     y[...] = 0.0
     for size, op, sites in terms:
@@ -557,12 +556,17 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     h_furry_exact is a real consistency statement about those matrices.
     The transported frame psi = R U_gamma phi is gated twice before any
     block is built: its lower rows must vanish (the decoupling keeps the
-    retained states positive) and ||psi^H psi - 1||_2 must stay below 1e-9
+    retained states positive) and ||psi^T psi - 1||_2 must stay below 1e-9
     (U_gamma is unitary on the retained span).  A frame failing either
     raises ConsistencyError; a passing one needs no Gram factor on the
-    spectator sites of ``sector_blocks``.  A non-finite pair matrix reads NaN
-    at its semidefinite gate, which the eigensolver would not.  cfg is the run's
-    ``config.NbodyConfig``, which checked its shape when it was built.
+    spectator sites of ``sector_blocks``.  The pair matrix W is gated
+    positive semidefinite, to 1e-9 max(1, ||W||), on its blocks in the two
+    site-swap sectors of ``site_sectors(n_plus, 2)``: W is exactly
+    swap-invariant (``PairInteraction.project``), so its spectrum is the
+    union of theirs, and for two particles those blocks are the stored
+    w_proj.  A non-finite W reads NaN at the gate, which the eigensolver
+    would not.  cfg is the run's ``config.NbodyConfig``, which checked its
+    shape when it was built.
     """
     n_sites = cfg.n_particles
     if n_sites >= 2 and pair is None:
@@ -572,7 +576,7 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     psi = fw_rows(blocks, sys.u_gamma @ phi)
     gate_norm2([psi[sys.grid.n:]], 1e-9,
                "transported frame leaks into the lower block: {value:.3e}")
-    gate_norm2([psi.conj().T @ psi - np.eye(cfg.n_plus)], 1e-9,
+    gate_norm2([psi.T @ psi - np.eye(cfg.n_plus)], 1e-9,
                "transported frame is not orthonormal: {value:.3e}")
 
     sectors = furry_sectors(cfg)
@@ -584,19 +588,22 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     w_proj = None
     if n_sites >= 2:
         w2 = pair.project(phi)
-        ew = np.linalg.eigvalsh(w2) if np.isfinite(w2).all() else [math.nan]
-        low = float(ew[0])
-        gate(-low, 1e-9 * max(1.0, -low, float(ew[-1])),
+        two = {s.shape: sector_blocks(s, two_site=w2)
+               for s in site_sectors(cfg.n_plus, 2)} if np.isfinite(w2).all() else {}
+        spectra = [np.linalg.eigvalsh(b) for b in two.values()] or [[math.nan]]
+        low = min(float(e[0]) for e in spectra)
+        gate(-low, 1e-9 * max(1.0, -low, max(float(e[-1]) for e in spectra)),
              "pair projection not positive semidefinite: lowest eigenvalue {low:.3e}", low=low)
-        w_proj = tuple(sector_blocks(s, two_site=w2) for s in sectors)
-        del w2  # one pair matrix alive at a time
+        w_proj = tuple(two[s.shape] if n_sites == 2 else sector_blocks(s, two_site=w2)
+                       for s in sectors)
+        del w2, two  # one pair matrix alive at a time
         for h, w in zip(h_furry, w_proj):
             h += scale * w
 
     # conjugated path, through the assembled unitaries
-    phi_rt = sys.u_gamma.conj().T @ fw_rows(blocks, psi, back=True)
+    phi_rt = sys.u_gamma.T @ fw_rows(blocks, psi, back=True)
     pp = positive_projector(sys.evals, sys.evecs) @ phi_rt
-    k1 = pp.conj().T @ sys.dgamma @ pp
+    k1 = pp.T @ sys.dgamma @ pp
     w2_rt = None
     if n_sites >= 2:
         w2_rt = pair.project(pp)
@@ -618,7 +625,7 @@ def _abs_d0_sum(abs_d0: np.ndarray, sectors: tuple[Sector, ...],
     of frame: np.repeat(E, 2) for the original frame, np.tile(E, 2) for
     the FW frame.
     """
-    ce = (frame.conj().T * abs_d0) @ frame
+    ce = (frame.T * abs_d0) @ frame
     return tuple(sector_blocks(s, ce) for s in sectors)
 
 
@@ -632,7 +639,7 @@ def _gate_positive_weight(low: float, what: str = "eigenvalue") -> None:
 def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     ew, uw = np.linalg.eigh(mat)
     _gate_positive_weight(ew[0])
-    return (uw * ew ** -0.5) @ uw.conj().T
+    return (uw * ew ** -0.5) @ uw.T
 
 
 def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndarray,
@@ -640,7 +647,7 @@ def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndar
     """Yield the two-site coefficients n = 1..order of the interaction series
     on the frame rows upper, one at a time.
 
-    The pair operator is sandwiched by the dressed-frame series (F^H R frame
+    The pair operator is sandwiched by the dressed-frame series (F^T R frame
     in the original frame, with F the unitary series times the projector
     series) through the separable radial form, shifted up one order by the
     coupling prefactor and scaled by 1/Z.  Coefficient n carries the pair
@@ -659,7 +666,7 @@ def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndar
     m, order = upper.shape[1], bundle.order
     keep, gather = _packed_pairs(m)
     # radial samples g[r, a, s, i] of the dressed frame of order a < order, spinor component s
-    g = np.stack([np.stack(pair.frame_factors(fc.conj().T @ upper), axis=1)
+    g = np.stack([np.stack(pair.frame_factors(fc.T @ upper), axis=1)
                   for fc in bundle.f_upper[:order]], axis=1)
     n_r = g.shape[0]
     zhat, kzhat = [], []
@@ -689,7 +696,7 @@ def _site_series(bundle: DecouplingBundle, fs: FurrySystem):
     """Yield the site operators (c_k, w_k) of the N-particle Hamiltonian
     series on the frame fs.psi, k = 0..bundle.order, one order at a time.
 
-    c_k = upper^H h_k upper is the compression of the one-particle
+    c_k = upper^T h_k upper is the compression of the one-particle
     coefficient (the one-particle series live on the rows of psi on the
     positive free states, ``DecouplingBundle``), acting on every site; w_k
     is the pair coefficient of ``_pair_series``, acting on every pair, and
@@ -700,7 +707,7 @@ def _site_series(bundle: DecouplingBundle, fs: FurrySystem):
     if fs.config.n_particles >= 2:
         pairs = _pair_series(bundle, fs.pair, upper, fs.config.z_charge)
     for k, h in enumerate(bundle.h_upper.coeffs):
-        c = upper.conj().T @ h @ upper
+        c = upper.T @ h @ upper
         w = next(pairs) if k and pairs is not None else None
         yield c, w
         del w  # before the next pair coefficient is computed
@@ -904,13 +911,13 @@ def check_kinetic_weight_bound(fs: FurrySystem) -> float:
     for lifted, h in zip(_abs_d0_sum(abs_d0, fs.sectors, fs.phi), fs.h_furry_exact):
         try:
             c = np.linalg.cholesky(h)
-            pivot = float(np.diag(c).real.min())
+            pivot = float(np.diag(c).min())
         except np.linalg.LinAlgError:
             pivot = math.nan
         _gate_positive_weight(pivot, "smallest Cholesky pivot")
         c_inv = np.linalg.inv(c)
-        m = c_inv @ lifted @ c_inv.conj().T
-        top = float(np.maximum(top, np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]))
+        m = c_inv @ lifted @ c_inv.T
+        top = float(np.maximum(top, np.linalg.eigvalsh(0.5 * (m + m.T))[-1]))
     return top
 
 
@@ -1048,11 +1055,11 @@ def _restriction_instance(gamma: float, cfg: NbodyConfig) -> FurrySystem:
 def _conjugated_compression(fs: FurrySystem) -> np.ndarray:
     """Full-space conjugated two-particle Hamiltonian on the frame kron(psi, psi).
 
-    The conjugation is kron(E, E) H_2 kron(E, E)^H with
+    The conjugation is kron(E, E) H_2 kron(E, E)^T with
     E = R U_gamma P_+^gamma and R the FW frame of ``oneparticle.fw_rows``,
     where H_2 = D (x) 1 + 1 (x) D + (gamma/Z) W holds both one-particle
     operators D and the full pair matrix W.  Compressed to the frame it is
-    Y^H H_2 Y with Y = kron(E^H psi, E^H psi), so only the frame's columns
+    Y^T H_2 Y with Y = kron(E^T psi, E^T psi), so only the frame's columns
     are conjugated, and H_2 is applied to Y without being stored: the
     one-site terms act on Y viewed as (d, d, columns), one matmul per site,
     and W is formed one row slab at a time (``_pair_rows``), each slab
@@ -1064,7 +1071,7 @@ def _conjugated_compression(fs: FurrySystem) -> np.ndarray:
     sys, pair = fs.one_particle, fs.pair
     d = sys.grid.dim
     e = fw_rows(foldy_wouthuysen(sys.grid), sys.u_gamma @ positive_projector(sys.evals, sys.evecs))
-    e_psi = e.conj().T @ fs.psi
+    e_psi = e.T @ fs.psi
     y = np.kron(e_psi, e_psi)
     y3 = y.reshape(d, d, -1)
     hy = (sys.dgamma @ y.reshape(d, -1)).reshape(y3.shape)
@@ -1074,4 +1081,4 @@ def _conjugated_compression(fs: FurrySystem) -> np.ndarray:
     zk = z.T @ pair.kernel
     for i in range(d):
         hy[i] += scale * (_pair_rows(zk[i * d:(i + 1) * d] @ z, d) @ y)
-    return y.conj().T @ hy.reshape(y.shape)
+    return y.T @ hy.reshape(y.shape)

@@ -45,6 +45,8 @@ class MatrixSeries:
 def make_series(coeffs) -> MatrixSeries:
     """Validate a list of coefficient matrices and freeze them into a series.
 
+    Coefficients must be square, finite and real: a complex one raises
+    ValueError, since the norms of ``coefficient_norms`` read x^T x.
     The series takes the arrays it is given: each is frozen in place, not
     copied, so a series costs no memory beyond its coefficients.  A caller
     that still holds one of them can no longer write to it.
@@ -60,6 +62,8 @@ def make_series(coeffs) -> MatrixSeries:
     for k, m in enumerate(mats):
         if m.shape != d:
             raise ValueError(f"coefficient {k} has shape {m.shape}, expected {d}")
+        if np.iscomplexobj(m):
+            raise ValueError(f"coefficient {k} is complex; series are real")
         if not np.all(np.isfinite(m)):
             raise ValueError(f"coefficient {k} has non-finite entries")
     for m in mats:
@@ -116,7 +120,7 @@ def sqrt_coefficients(a) -> list[np.ndarray]:
         raise ValueError("square root requires an identity constant term")
     r, nonzero = [eye], [True]
     for n, an in enumerate(a, 1):
-        acc = np.array(an, dtype=np.result_type(an, 1.0))
+        acc = np.array(an)
         for m in range(1, (n + 1) // 2):
             if nonzero[m] and nonzero[n - m]:
                 t = r[m] @ r[n - m]

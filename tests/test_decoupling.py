@@ -37,6 +37,7 @@ from diracdiag.decoupling import (
     gate_norm2,
     h_diag_exact,
     h_diag_series,
+    hermitian_frame,
     kato_nagy_rows,
     projector_coefficient,
     projector_series,
@@ -409,13 +410,14 @@ def test_weighted_remainder_decreases(bundle100, sys100):
 
 def test_resolvent_distance_scalar_oracle():
     # (0+i)^-1 = -i and (1+i)^-1 = (1-i)/2 differ by 1/sqrt(2)
-    d = resolvent_distance(np.array([[0.0]]), np.array([[1.0]]))
+    a, b = np.array([[0.0]]), np.array([[1.0]])
+    d = resolvent_distance(a, b, hermitian_frame(a), hermitian_frame(b))
     assert abs(d - 1.0 / np.sqrt(2.0)) < 1e-14
 
 
 def test_resolvent_distance_zero_on_equal(sys100):
     h = h_diag_exact(sys100(0.1))
-    assert resolvent_distance(h, h) == 0.0
+    assert resolvent_distance(h, h, hermitian_frame(h), hermitian_frame(h)) == 0.0
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.3])
@@ -426,7 +428,8 @@ def test_resolvent_distance_matches_lu_oracle_one_particle(sys100, bundle100, ga
     for k, (approx,) in enumerate(series_partial_sums(zip(bundle100.h_upper.coeffs), gamma)):
         a = 0.5 * (approx + approx.T)
         ref = lu_resolvent_distance(exact, a)
-        assert abs(resolvent_distance(exact, a) - ref) <= 1e-11 * ref + 1e-15, k
+        got = resolvent_distance(exact, a, hermitian_frame(exact), hermitian_frame(a))
+        assert abs(got - ref) <= 1e-11 * ref + 1e-15, k
 
 
 def test_coefficient_ratio_radius_geometric():

@@ -30,11 +30,16 @@ from conftest import (
 from diracdiag import cli
 from diracdiag import manybody as mb
 from diracdiag.config import NbodyConfig
-from diracdiag.decoupling import build_decoupling_bundle, h_diag_exact, resolvent_distance
+from diracdiag.decoupling import (
+    build_decoupling_bundle,
+    h_diag_exact,
+    hermitian_frame,
+    resolvent_distance,
+)
 from diracdiag.errors import ConfigError, ConsistencyError, ResolutionError
 from diracdiag.grids import build_channel_grid, build_radial_grid
 from diracdiag.oneparticle import assemble_system, positive_states
-from diracdiag.series import series_eval, series_partial_sums
+from diracdiag.series import make_series, series_eval, series_partial_sums
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +452,46 @@ def test_operators_are_exactly_symmetric_as_formed(sys100, pair100, bundle100, n
     assert [name for name, x in named if not np.array_equal(x, x.T)] == []
 
 
+def _held_arrays(obj, path="obj"):
+    """(path, array) for every numpy array held by obj, through dataclass
+    fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _held_arrays(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, tuple):
+        for i, x in enumerate(obj):
+            yield from _held_arrays(x, f"{path}[{i}]")
+
+
+@pytest.fixture(scope="module")
+def real_run64():
+    grid = build_channel_grid(64)
+    return build_decoupling_bundle(grid, 4), assemble_system(grid, 0.3), mb.build_pair_interaction(grid)
+
+
+@pytest.mark.parametrize("antisymmetrize", [False, True])
+@pytest.mark.parametrize("n_particles,n_plus", [(2, 6), (3, 4)])
+def test_every_held_array_is_real(real_run64, n_particles, n_plus, antisymmetrize):
+    # the numerical core is real: a bundle, a system and a FurrySystem hold
+    # float64 arrays, apart from the sectors' integer index arrays, and the
+    # entries of caller-supplied matrices refuse a complex input
+    bundle, s, pair = real_run64
+    fs = mb.assemble_furry_exact(s, NbodyConfig(n_particles, 2.0, n_plus, antisymmetrize), pair)
+    held = [*_held_arrays(bundle, "bundle"), *_held_arrays(fs, "fs")]
+    index = {f"fs.sectors[{b}].{name}" for b in range(len(fs.sectors))
+             for name in ("rows", "occupation")}
+    assert [p for p, x in held if x.dtype != (np.intp if p in index else np.float64)] == []
+    assert {p for p, x in held if x.dtype == np.intp} == index
+    assert any(p.startswith("fs.one_particle.") for p, _ in held)
+    z = np.eye(3) + 1j * np.diag([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="complex"):
+        make_series([np.eye(3), z])
+    with pytest.raises(ValueError, match="complex"):
+        hermitian_frame(z)
+
+
 def test_two_particle_ground_above_positivity_floor(sys100, pair100):
     s = sys100(0.3)
     fs = mb.assemble_furry_exact(s, NbodyConfig(n_particles=2, z_charge=2.0, n_plus=6), pair100)
@@ -478,7 +523,8 @@ def test_two_particle_series_matches_exact(sys100, pair100, bundle100):
     dist = 0.0
     for exact, series in zip(fs.h_diag_exact, collect_series_N(bundle100, fs)):
         hk = series_eval(series, 0.3)
-        dist = max(dist, resolvent_distance(exact, 0.5 * (hk + hk.conj().T)))
+        a = 0.5 * (hk + hk.conj().T)
+        dist = max(dist, resolvent_distance(exact, a, hermitian_frame(exact), hermitian_frame(a)))
     assert dist < 1e-7
 
 
@@ -488,7 +534,8 @@ def test_resolvent_distance_matches_lu_oracle_two_particle(sys100, pair100, bund
         for k, (approx,) in enumerate(series_partial_sums(zip(series.coeffs), 0.3)):
             a = 0.5 * (approx + approx.T)
             ref = lu_resolvent_distance(exact, a)
-            assert abs(resolvent_distance(exact, a) - ref) <= 1e-11 * ref + 1e-15, k
+            got = resolvent_distance(exact, a, hermitian_frame(exact), hermitian_frame(a))
+            assert abs(got - ref) <= 1e-11 * ref + 1e-15, k
 
 
 @pytest.mark.parametrize("n_particles,n_plus", [(1, 6), (2, 6), (3, 4)])
