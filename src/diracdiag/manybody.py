@@ -504,11 +504,11 @@ class FurrySystem:
     tuple, sorted with multiplicity.
 
     h_furry_exact, kinetic and w_proj are expressed on products of the
-    retained eigenstates phi; h_diag_exact, like ``h_diag_series_N``, on
-    the transported frame psi = R U_gamma phi (its unitary image), so the
-    two spectra must coincide.  psi is in the row order of the FW frame R
-    (``oneparticle.fw_rows``): the positive free states first, where its
-    rows are supported.  Both frames are
+    retained eigenstates phi; h_diag_exact, like the series partial sums
+    of ``site_partial_sums``, on the transported frame psi = R U_gamma phi
+    (its unitary image), so the two spectra must coincide.  psi is in the
+    row order of the FW frame R (``oneparticle.fw_rows``): the positive
+    free states first, where its rows are supported.  Both frames are
     orthonormal, phi from the eigensolver and psi by the gate of
     ``assemble_furry_exact``, so every block is a plain compression and is
     compared with plain ``eigvalsh``.
@@ -700,7 +700,8 @@ def _site_series(bundle: DecouplingBundle, fs: FurrySystem):
     coefficient (the one-particle series live on the rows of psi on the
     positive free states, ``DecouplingBundle``), acting on every site; w_k
     is the pair coefficient of ``_pair_series``, acting on every pair, and
-    None at order 0 or for one particle.
+    None at order 0 or for one particle.  Both are fresh: the reader may
+    overwrite them.
     """
     upper = fs.psi[:bundle.h_upper.dim]
     pairs = None
@@ -713,24 +714,46 @@ def _site_series(bundle: DecouplingBundle, fs: FurrySystem):
         del w  # before the next pair coefficient is computed
 
 
-def h_diag_series_N(bundle: DecouplingBundle, fs: FurrySystem):
-    """Yield the N-particle Hamiltonian series on the frame fs.psi, order by order.
+def site_partial_sums(bundle: DecouplingBundle, fs: FurrySystem):
+    """Yield (C_k, W_k, growth_k), k = 0..bundle.order: the partial sums of
+    the N-particle Hamiltonian series on the frame fs.psi at fs's own
+    coupling gamma, summed on the site operators of ``_site_series``.
 
-    Item k = 0..bundle.order is the order-k coefficient as a tuple of
-    sector blocks, one per entry of fs.sectors, computed when it is asked
-    for and not kept: the site operators of ``_site_series`` lifted onto
-    every sector.
+    Every order is a site sum, so the partial sum S_k is the operator with
+    C_k = sum_(j<=k) gamma^j c_j on every site and W_k = sum_(j<=k)
+    gamma^j w_j on every site pair, and its block on a sector is
+    ``sector_blocks(sector, C_k, W_k)``.  The sums take the arithmetic of
+    ``series.series_partial_sums``, S_k = S_(k-1) + gamma^k A_k with gamma^k
+    formed by repeated multiplication; W_k is None while there is no pair
+    term (order 0, and one particle).  Each fresh term is scaled and added
+    in place, so C_k and W_k are overwritten by the next item.  growth_k =
+    gamma^k (N ||c_k||_F + C(N,2) ||w_k||_F), 0 at order 0, bounds every
+    sector block of S_k - S_(k-1) in spectral norm (``_LazyBlock``).
     """
-    for c, w in _site_series(bundle, fs):
-        yield tuple(sector_blocks(s, c, w) for s in fs.sectors)
-        del w  # before the next pair coefficient is computed
+    n, gamma = fs.config.n_particles, fs.one_particle.gamma
+    weights = (n, math.comb(n, 2))
+    gk, sums = 1.0, [None, None]
+    for k, terms in enumerate(_site_series(bundle, fs)):
+        growth = 0.0
+        if k:
+            gk *= gamma
+            growth = gk * sum(a * np.linalg.norm(x) for a, x in zip(weights, terms) if x is not None)
+        for i, x in enumerate(terms):
+            if x is not None:
+                x *= gk
+                if sums[i] is None:
+                    sums[i] = x
+                else:
+                    sums[i] += x
+        yield (*sums, growth)
+        del terms, x  # before the next pair coefficient is computed
 
 
 def series_ground_energies(bundle: DecouplingBundle, fs: FurrySystem, lows) -> np.ndarray:
     """Lowest level of each partial sum S_k = sum_(j<=k) gamma^j H_j,
-    k = 0..bundle.order, of the series ``h_diag_series_N`` at fs's own
-    coupling gamma, lifting and diagonalizing only the sector blocks that
-    can hold it.
+    k = 0..bundle.order, of the N-particle series at fs's own coupling
+    gamma (``site_partial_sums``), lifting and diagonalizing only the
+    sector blocks that can hold it.
 
     lows[b] is the lowest eigenvalue of the exact block fs.h_diag_exact[b],
     as ``np.linalg.eigvalsh`` returns it.  The level of S_k is the minimum
@@ -740,52 +763,45 @@ def series_ground_energies(bundle: DecouplingBundle, fs: FurrySystem, lows) -> n
     S_k has no level below lows[b] - ||S_k^(b) - E_b||_2, with E_b the
     exact block, so a sector whose bound lies above best cannot hold the
     minimum and is skipped (``_LazyBlock``).  The first sector is lifted
-    and diagonalized at every order, as is any sector not certified, with
-    the arithmetic of ``series.series_partial_sums``; a level is therefore
-    bit for bit that of the full route, unless it is held by a sector that
-    resumed after a skip, whose partial sum differs at roundoff.
+    and diagonalized at every order, as is any sector not certified.
+    Every block that is diagonalized is the one lift of its partial sum, so
+    each level is bit for bit that of the route that lifts and
+    diagonalizes every block.
     """
-    n, gamma = fs.config.n_particles, fs.one_particle.gamma
-    weights = (n, math.comb(n, 2))
     blocks = [_LazyBlock(s, e, float(low))
               for s, e, low in zip(fs.sectors, fs.h_diag_exact, lows)]
     visit = [blocks[b] for b in np.argsort(lows, kind="stable")]
     energies = np.empty(bundle.order + 1)
-    gk = 1.0
-    for k, (c, w) in enumerate(_site_series(bundle, fs)):
-        bound = 0.0
-        if k:
-            gk *= gamma
-            if len(blocks) > 1:
-                bound = weights[0] * np.linalg.norm(c) + weights[1] * np.linalg.norm(w)
+    for k, (c, w, growth) in enumerate(site_partial_sums(bundle, fs)):
         best = np.inf
         for block in visit:
-            best = min(best, block.step(k, gk, c, w, gk * bound, best))
+            best = min(best, block.step(k, c, w, growth, best))
         energies[k] = best
-        del w  # before the next pair coefficient is computed
     return energies
 
 
 class _LazyBlock:
-    """Partial sums of one sector block, lifted only when a Weyl bound cannot
-    place its lowest level above the best level found so far
-    (``series_ground_energies``).
+    """The Weyl certificate of one sector block of the partial sums, which
+    is lifted only when the certificate cannot place its lowest level above
+    the best level found so far (``series_ground_energies``).
 
-    After a lift at order k0 the block stores S = S_k0 and dist =
-    ||S - E||_F.  At order k > k0,
+    When the distance is taken after a lift at order k0, the block stores
+    dist = ||S_k0 - E||_F; before that, dist is inf and nothing is
+    certified.  At order k > k0,
         B = dist + sum_(j=k0+1..k) gamma^j (N ||c_j||_F + C(N,2) ||w_j||_F)
-    bounds ||S_k - E||_2: the order-j term of block b is the compression
-    V^T X_j V by the orthonormal sector isometry V of X_j, the sum of c_j
-    over the N sites and w_j over the C(N,2) pairs, so ||V^T X_j V||_2 <=
-    ||X_j||_2 <= N ||c_j||_2 + C(N,2) ||w_j||_2, and ||.||_2 <= ||.||_F
-    (V is orthonormal to roundoff, which ``margin`` covers).  S and E are
-    exactly symmetric (``sector_blocks``), so by Weyl the block's lowest
-    level is at least lows[b] - B up to the roundoff that ``margin`` bounds.
-    The block is skipped when low - B > best + margin: it is neither lifted
-    nor diagonalized, and gamma^j c_j and gamma^j w_j are added in place to
-    one buffer each.  The first order that is not certified lifts the buffers
-    once onto S.  Right after any lift, low - dist > best + margin skips
-    the eigensolve as well.  With best = inf (the first sector visited)
+    bounds ||S_k - E||_2, since S_k - S_k0 is the lift of
+    sum_(k0<j<=k) gamma^j (c_j, w_j): the order-j term of block b is the
+    compression V^T X_j V by the orthonormal sector isometry V of X_j, the
+    sum of c_j over the N sites and w_j over the C(N,2) pairs, so
+    ||V^T X_j V||_2 <= ||X_j||_2 <= N ||c_j||_2 + C(N,2) ||w_j||_2, and
+    ||.||_2 <= ||.||_F (V is orthonormal to roundoff, which ``margin``
+    covers).  pending is the sum over j.  S and E are exactly symmetric
+    (``sector_blocks``), so by Weyl the block's lowest level is at least
+    lows[b] - B up to the roundoff that ``margin`` bounds.  The block is
+    skipped when low - B > best + margin: it is neither lifted nor
+    diagonalized.  Otherwise S_k is lifted, and with best < inf its
+    distance is taken, after which low - dist > best + margin skips the
+    eigensolve as well.  With best = inf (the first sector visited)
     nothing is certified and no distance is taken.
     """
 
@@ -794,9 +810,7 @@ class _LazyBlock:
         self.exact_norm = float(np.linalg.norm(exact))
         m_n, n_sites = sector.iso.shape[0], sector.occupation.shape[1]
         self.rounding = m_n * math.factorial(n_sites) + sector.width ** 2
-        self.sum = None
-        self.dist = self.pending = self.size = 0.0
-        self.c_buf = self.w_buf = None
+        self.dist, self.pending, self.size = np.inf, 0.0, 0.0
 
     def margin(self, k: int) -> float:
         """Roundoff allowance of the certificate at order k.
@@ -814,54 +828,34 @@ class _LazyBlock:
         Frobenius norm.  p = m^N N! + w^2 bounds all of them.  Every matrix
         involved has spectral norm at most ||E||_F + M, with M = size =
         ||S_0||_F + sum_(j=1..k) gamma^j (N ||c_j||_F + C(N,2) ||w_j||_F)
-        bounding every partial sum and lifted term.  Up to order k there
-        are 2k + 1 steps forming S (k + 1 lifts, k additions), two
-        eigensolves (E and S) and one distance: at most 2(k + 2) steps, so
+        bounding every partial sum and lifted term.  The formula counts
+        2k + 1 steps forming S (k + 1 lifts, k additions), two eigensolves
+        (E and S) and one distance: at most 2(k + 2) steps, so
             margin = 2 (k + 2) p eps (||E||_F + M).
+        S_k is one lift of the site sums (``site_partial_sums``), whose k
+        additions act on the site operators: fewer rounding steps than
+        the 2k + 1 counted, so the margin still bounds them.
         """
         eps = np.finfo(float).eps
         return 2 * (k + 2) * self.rounding * eps * (self.exact_norm + self.size)
 
-    def step(self, k: int, gk: float, c: np.ndarray, w: np.ndarray | None,
-             growth: float, best: float) -> float:
+    def step(self, k: int, c: np.ndarray, w: np.ndarray | None, growth: float,
+             best: float) -> float:
         """Advance to order k and return the block's lowest level, or inf
-        when it is certified above best.  gk = gamma^k, and growth is
-        gamma^k (N ||c||_F + C(N,2) ||w||_F)."""
+        when it is certified above best.  (c, w, growth) is order k of
+        ``site_partial_sums``."""
+        self.size += growth
+        self.pending += growth
+        if self.low - (self.dist + self.pending) > best + self.margin(k):
+            return np.inf
+        s = sector_blocks(self.sector, c, w)
         if k == 0:
-            self.sum = sector_blocks(self.sector, c, w)
-            self.size = float(np.linalg.norm(self.sum))
-        else:
-            self.size += growth
-            self.pending += growth
-            if self.low - (self.dist + self.pending) > best + self.margin(k):
-                self._defer(gk, c, w)
-                return np.inf
-            self._lift(gk, c, w)
+            self.size = float(np.linalg.norm(s))
         if best < np.inf:
-            self.dist, self.pending = float(np.linalg.norm(self.sum - self.exact)), 0.0
+            self.dist, self.pending = float(np.linalg.norm(s - self.exact)), 0.0
             if self.low - self.dist > best + self.margin(k):
                 return np.inf
-        return float(np.linalg.eigvalsh(self.sum)[0])
-
-    def _defer(self, gk: float, c: np.ndarray, w: np.ndarray | None) -> None:
-        """Add gamma^k c and gamma^k w to the buffers, in place after the first."""
-        if self.c_buf is None:
-            self.c_buf = gk * c
-            self.w_buf = None if w is None else gk * w
-            return
-        self.c_buf += gk * c
-        if w is not None:
-            self.w_buf += gk * w
-
-    def _lift(self, gk: float, c: np.ndarray, w: np.ndarray | None) -> None:
-        """Add order k to S: the buffered orders and this one in one lift, or
-        this order's lift scaled by gk, as ``series.series_partial_sums`` does."""
-        if self.c_buf is None:
-            self.sum += gk * sector_blocks(self.sector, c, w)
-            return
-        self._defer(gk, c, w)
-        self.sum += sector_blocks(self.sector, self.c_buf, self.w_buf)
-        self.c_buf = self.w_buf = None
+        return float(np.linalg.eigvalsh(s)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -973,19 +967,20 @@ def convergence_rows(bundle: DecouplingBundle,
     For one particle, system is a OneParticleSystem and the comparison runs
     on the full upper block.  For more particles, system is a FurrySystem:
     its transported frame carries both the exact diagonalized operator and
-    the streamed series, split into sector blocks.  Norms and resolvent
-    distances of a block-diagonal operator are the maxima over its blocks;
+    the series, split into sector blocks.  Norms and resolvent distances
+    of a block-diagonal operator are the maxima over its blocks;
     the low eigenvalues come from the merged block spectra.  Every block,
     exact or truncated, takes one eigendecomposition (``hermitian_frame``),
     which serves both its resolvent distance and its low levels; the exact
     operator's is computed once and shared by every truncation order, and
-    the truncations are accumulated partial sums.  Every block is exactly
-    symmetric as formed (``h_diag_exact``, ``sector_blocks``), and so is
-    every elementwise partial sum of such blocks.  No inverse and no SVD
-    is taken.  The remainders are weighted by W = |D_0|^(-1/2) on the
-    frame; for one particle W is diagonal and scales rows and columns,
-    which gives the products with diag(W) bit for bit, since those add
-    only exact zeros.
+    the truncations are accumulated partial sums: for N particles the site
+    sums of ``site_partial_sums``, each lifted once per sector.  Every
+    block is exactly symmetric as formed (``h_diag_exact``,
+    ``sector_blocks``), and so is every elementwise partial sum of such
+    blocks.  No inverse and no SVD is taken.  The remainders are weighted
+    by W = |D_0|^(-1/2) on the frame; for one particle W is diagonal and
+    scales rows and columns, which gives the products with diag(W) bit for
+    bit, since those add only exact zeros.
     """
     nbody = isinstance(system, FurrySystem)
     sys1 = system.one_particle if nbody else system
@@ -995,7 +990,8 @@ def convergence_rows(bundle: DecouplingBundle,
         exact, mult = system.h_diag_exact, system.multiplicities
         weight = tuple(_inv_sqrt_psd(d) for d in
                        _abs_d0_sum(np.tile(energies, 2), system.sectors, system.psi))
-        partial = series_partial_sums(h_diag_series_N(bundle, system), gamma)
+        partial = (tuple(sector_blocks(s, c, w) for s in system.sectors)
+                   for c, w, _ in site_partial_sums(bundle, system))
     else:
         exact, mult = (h_diag_exact(system),), (1,)
         weight = (energies ** -0.5,)

@@ -76,9 +76,10 @@ def series_partial_sums(coeffs, g: float):
 
     coeffs is any iterable of the coefficients A_k of a block-diagonal
     operator, each a tuple of its blocks, and so is every partial sum:
-    ``zip(a.coeffs)`` for one series a, or a stream that computes each
-    coefficient only when it is asked for.  Each truncation costs one
-    addition, where evaluating every truncation afresh would cost k.
+    ``zip(a.coeffs)`` for one series a.  Each truncation costs one
+    addition, where evaluating every truncation afresh would cost k.  The
+    N-particle series is summed with this arithmetic on its site operators,
+    in place and before any lift (``manybody.site_partial_sums``).
     """
     coeffs = iter(coeffs)
     acc = tuple(np.array(c) for c in next(coeffs))

@@ -24,8 +24,10 @@ from diracdiag.decoupling import (
 from diracdiag.grids import ChannelGrid, build_channel_grid
 from diracdiag.manybody import (
     _density_stack,
+    _site_series,
     build_pair_interaction,
-    h_diag_series_N,
+    sector_blocks,
+    site_partial_sums,
 )
 from diracdiag.oneparticle import (
     OneParticleSystem,
@@ -45,7 +47,6 @@ from diracdiag.series import (
     MatrixSeries,
     coefficient_norms,
     make_series,
-    series_partial_sums,
 )
 
 
@@ -637,20 +638,21 @@ def antisymmetrizer_isometry(m: int, n_sites: int) -> np.ndarray:
 
 
 def collect_series_N(bundle, fs) -> tuple[MatrixSeries, ...]:
-    """The streamed N-particle series of ``manybody.h_diag_series_N``, every
-    order collected into one MatrixSeries per sector."""
-    return tuple(make_series(c) for c in zip(*h_diag_series_N(bundle, fs)))
+    """The N-particle series on the frame fs.psi, every order collected into
+    one MatrixSeries per sector: the site operators of
+    ``manybody._site_series`` lifted onto every sector, order by order."""
+    return tuple(make_series(c) for c in zip(*(tuple(sector_blocks(s, c, w) for s in fs.sectors)
+                                               for c, w in _site_series(bundle, fs))))
 
 
 def full_series_ground_energies(bundle, fs) -> np.ndarray:
-    """Lowest level of every partial sum of ``manybody.h_diag_series_N``, at
-    fs's own coupling, with every sector block lifted and diagonalized at
-    every order: the oracle of
+    """Lowest level of every partial sum of ``manybody.site_partial_sums``,
+    at fs's own coupling, with every sector block of the partial sum lifted
+    and diagonalized at every order: the oracle of
     ``manybody.series_ground_energies``, which lifts only the blocks that
     can hold it."""
-    return np.array([float(np.min([np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0] for h in blocks]))
-                     for blocks in series_partial_sums(h_diag_series_N(bundle, fs),
-                                                       fs.one_particle.gamma)])
+    return np.array([min(float(np.linalg.eigvalsh(sector_blocks(s, c, w))[0]) for s in fs.sectors)
+                     for c, w, _ in site_partial_sums(bundle, fs)])
 
 
 def dense_furry(fs, bundle=None) -> dict:

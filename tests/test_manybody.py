@@ -447,8 +447,8 @@ def test_operators_are_exactly_symmetric_as_formed(sys100, pair100, bundle100, n
     named = [("project", pair100.project(phi)), ("h_diag_exact", h_diag_exact(s))]
     for field in ("w_proj", "h_furry_exact", "h_diag_exact"):
         named += [(f"{field}[{b}]", x) for b, x in enumerate(getattr(fs, field))]
-    for k, partial in enumerate(series_partial_sums(mb.h_diag_series_N(bundle100, fs), 0.3)):
-        named += [(f"S_{k}[{b}]", x) for b, x in enumerate(partial)]
+    for k, (c, w, _) in enumerate(mb.site_partial_sums(bundle100, fs)):
+        named += [(f"S_{k}[{b}]", mb.sector_blocks(sector, c, w)) for b, sector in enumerate(fs.sectors)]
     assert [name for name, x in named if not np.array_equal(x, x.T)] == []
 
 
@@ -541,18 +541,26 @@ def test_resolvent_distance_matches_lu_oracle_two_particle(sys100, pair100, bund
 @pytest.mark.parametrize("n_particles,n_plus", [(1, 6), (2, 6), (3, 4)])
 def test_streamed_partial_sums_match_the_collected_series(sys100, pair100, bundle100,
                                                           n_particles, n_plus):
-    # the stream computes each order when it is asked for, interleaved with
-    # the sums; collecting it first must not move a single bit
+    # the stream computes each order when it is asked for and adds it in
+    # place; collecting the site operators first and summing them afresh
+    # must not move a single bit.  Lifted, each partial sum is the sum of
+    # the lifted coefficients up to roundoff
     fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(n_particles, 2.0, n_plus),
                                  pair100 if n_particles > 1 else None)
     collected = collect_series_N(bundle100, fs)
     assert len(collected) == len(fs.sectors)
     assert all(s.order == bundle100.order for s in collected)
-    streamed = list(series_partial_sums(mb.h_diag_series_N(bundle100, fs), 0.3))
-    assert len(streamed) == bundle100.order + 1
-    for b, series in enumerate(collected):
-        for k, (ref,) in enumerate(series_partial_sums(zip(series.coeffs), 0.3)):
-            assert np.array_equal(streamed[k][b], ref), (b, k)
+    sites = list(mb._site_series(bundle100, fs))
+    zero = np.zeros((n_plus ** 2,) * 2)  # adds exact zeros where there is no pair term
+    refs = series_partial_sums(((c, zero if w is None else w) for c, w in sites), 0.3)
+    lifted = zip(*(series_partial_sums(zip(series.coeffs), 0.3) for series in collected))
+    for k, ((c, w, _), (c_ref, w_ref), blocks) in enumerate(
+            zip(mb.site_partial_sums(bundle100, fs), refs, lifted, strict=True)):
+        assert np.array_equal(c, c_ref), k
+        assert (w is None) if k == 0 or n_particles == 1 else np.array_equal(w, w_ref), k
+        for b, ((ref,), sector) in enumerate(zip(blocks, fs.sectors)):
+            got = mb.sector_blocks(sector, c, w)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (b, k)
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +572,13 @@ def _exact_lows(fs) -> list[float]:
 
 
 @pytest.mark.parametrize("antisymmetrize", [False, True])
-@pytest.mark.parametrize("n_particles,n_plus", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("n_particles,n_plus", [(1, 6), (2, 6), (3, 4)])
 @pytest.mark.parametrize("gamma", [0.05, 0.2, 0.35])
 def test_series_ground_energies_match_the_full_route(sys100, pair100, bundle100, gamma,
                                                      n_particles, n_plus, antisymmetrize):
     # the certified route skips only blocks that cannot hold the minimum, and
-    # every block it does diagonalize is summed as the full route sums it
+    # every block it does diagonalize is the full route's lift of the same
+    # partial sum
     cfg = NbodyConfig(n_particles, 2.0, n_plus, antisymmetrize)
     fs = mb.assemble_furry_exact(sys100(gamma), cfg, pair100)
     got = mb.series_ground_energies(bundle100, fs, _exact_lows(fs))
@@ -606,7 +615,7 @@ def test_a_block_inside_the_margin_is_lifted_and_diagonalized(monkeypatch):
     growth = 0.1 * 2 * np.linalg.norm(c1)
     # the margins at orders 0 and 1, read off a block that has seen order 0
     probe = mb._LazyBlock(sector, exact, low)
-    probe.step(0, 1.0, c0, None, 0.0, np.inf)
+    probe.step(0, c0, None, 0.0, np.inf)
     margin0 = probe.margin(0)
     probe.size += growth
     margin1 = probe.margin(1)
@@ -615,8 +624,8 @@ def test_a_block_inside_the_margin_is_lifted_and_diagonalized(monkeypatch):
     def run(best0: float, best1: float) -> tuple[float, float, dict]:
         block = mb._LazyBlock(sector, exact, low)
         counts = _count_calls(monkeypatch)
-        level0 = block.step(0, 1.0, c0, None, 0.0, best0)
-        level1 = block.step(1, 0.1, c1, None, growth, best1)
+        level0 = block.step(0, c0, None, 0.0, best0)
+        level1 = block.step(1, c0 + 0.1 * c1, None, growth, best1)
         monkeypatch.undo()
         return level0, level1, counts
 
@@ -633,27 +642,28 @@ def test_a_block_inside_the_margin_is_lifted_and_diagonalized(monkeypatch):
     assert level0 == level1 == np.inf
 
 
-def test_a_skipped_block_resumes_from_its_buffers(sys100, pair100, bundle100):
-    # best = -inf certifies every block, best = inf none: the widest block
-    # of three particles is skipped at orders 1-3, resumes at order 4 by one
-    # lift of the buffered terms and is lifted order by order after that
+def test_a_skipped_block_resumes_bit_for_bit(monkeypatch, sys100, pair100, bundle100):
+    # best = -inf certifies every block whose distance is known, best = inf
+    # none: the widest block of three particles is lifted and diagonalized
+    # at order 0, skipped at orders 1-3 with no lift, and resumes at order 4
+    # with the level of the route that lifts every partial sum
     gamma = 0.2
     fs = mb.assemble_furry_exact(sys100(gamma), NbodyConfig(3, 2.0, 4), pair100)
     b = int(np.argmax([s.width for s in fs.sectors]))
-    block = mb._LazyBlock(fs.sectors[b], fs.h_diag_exact[b], _exact_lows(fs)[b])
-    oracle = series_partial_sums(mb.h_diag_series_N(bundle100, fs), gamma)
-    for k, ((c, w), ref) in enumerate(zip(mb._site_series(bundle100, fs), oracle)):
-        gk = 1.0 if k == 0 else gk * gamma
-        best = -np.inf if 1 <= k <= 3 else np.inf
-        level = block.step(k, gk, c, w, 0.0, best)
-        if best == -np.inf:
-            assert level == np.inf and block.c_buf is not None
-            continue
-        assert block.c_buf is None
-        scale = np.max(np.abs(ref[b]))
-        assert np.max(np.abs(block.sum - ref[b])) <= 1e-14 * scale, k
-        sym = 0.5 * (ref[b] + ref[b].T)
-        assert abs(level - np.linalg.eigvalsh(sym)[0]) <= 1e-14 * abs(level), k
+    sector = fs.sectors[b]
+    eager = [float(np.linalg.eigvalsh(mb.sector_blocks(sector, c, w))[0])
+             for c, w, _ in mb.site_partial_sums(bundle100, fs)]
+    low = _exact_lows(fs)[b]
+    block = mb._LazyBlock(sector, fs.h_diag_exact[b], low)
+    for k, (c, w, growth) in enumerate(mb.site_partial_sums(bundle100, fs)):
+        best = low + 1.0 if k == 0 else -np.inf if k <= 3 else np.inf
+        counts = _count_calls(monkeypatch)
+        level = block.step(k, c, w, growth, best)
+        monkeypatch.undo()
+        if 1 <= k <= 3:
+            assert level == np.inf and counts == {"lifts": 0, "eigvalsh": 0}, k
+        else:
+            assert level == eager[k] and counts == {"lifts": 1, "eigvalsh": 1}, k
 
 
 def test_series_ground_energies_skip_most_blocks(monkeypatch, sys100, pair100, bundle100):
