@@ -76,19 +76,25 @@ class PairInteraction:
         return self.b_upper @ frame[0::2, :], self.b_lower @ frame[1::2, :]
 
     def project(self, frame: np.ndarray) -> np.ndarray:
-        """Matrix of the pair operator between products of real frame columns.
+        """Packed matrix S of the pair operator between products of real frame columns.
 
-        Entry [(i,k),(j,l)] couples the product of columns i,k on the left
-        with j,l on the right.  Only the density columns i <= j enter the
-        contraction X, and X/2 + X^T/2 is expanded by ``_packed_pairs``, so
-        the result is exactly symmetric and exactly site-swap invariant.
+        Rows (i,j) and columns (k,l) run over the index pairs i <= j and
+        k <= l (``_pair_index``), and the two-site matrix is
+        W[(i,k),(j,l)] = S[(i,j),(k,l)] for either order of i, j and of k, l:
+        entry [(i,k),(j,l)] of W couples the product of columns i,k on the
+        left with j,l on the right.  S is the contraction X of the density
+        columns i <= j, returned as X/2 + X^T/2, so it is exactly symmetric,
+        and W is exactly site-swap invariant, since each entry of S stands
+        for both orders.  ``sector_blocks`` gathers two-site blocks off S,
+        with no m^2 x m^2 array, and expands S only to lift three or more
+        sites.
         """
         m = frame.shape[1]
-        keep, gather = _packed_pairs(m)
-        z = self.densities(frame)[:, keep]
+        iu, ju = np.triu_indices(m)
+        z = self.densities(frame)[:, iu * m + ju]
         x = 0.5 * ((self.kernel @ z).T @ z)
         x += x.T
-        return x.ravel().take(gather).reshape(m * m, m * m)
+        return x
 
     def densities(self, frame: np.ndarray) -> np.ndarray:
         """Radial density stack of every product of two real frame columns, both
@@ -116,15 +122,37 @@ def _density_stack(ga: np.ndarray, gc: np.ndarray) -> np.ndarray:
     return np.einsum("ai,aj->aij", ga, gc).reshape(n_r, m * m)
 
 
-def _packed_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, gather) for the index pairs i <= j of m states: the columns (i, j)
-    of an m*m density stack to keep, and the gather that expands a contraction
-    x[(i,j),(k,l)] on them, flattened, onto c[(i,k),(j,l)] (either order)."""
+def _pair_index(m: int) -> np.ndarray:
+    """Position of the index pair (i, j) of m states among the m(m+1)/2 pairs
+    i <= j, in the order of ``np.triu_indices(m)``, for either order of i, j."""
     iu, ju = np.triu_indices(m)
-    packed = np.empty((m, m), dtype=np.intp)  # column of the pair (i, j) among i <= j
+    packed = np.empty((m, m), dtype=np.intp)
     packed[iu, ju] = packed[ju, iu] = np.arange(iu.size)
-    gather = (packed[:, None, :, None] * iu.size + packed[None, :, None, :]).reshape(-1)
-    return iu * m + ju, gather
+    return packed
+
+
+def _pair_states(n_pairs: int) -> int:
+    """The state count m of a packed two-site matrix with m(m+1)/2 rows."""
+    return (math.isqrt(8 * n_pairs + 1) - 1) // 2
+
+
+def _expand_pairs(s: np.ndarray, m: int) -> np.ndarray:
+    """The m^2 x m^2 two-site matrix W[(i,k),(j,l)] = S[(i,j),(k,l)] of a
+    packed S, gathered by two broadcast index arrays of m^2 entries each."""
+    packed = _pair_index(m)
+    return s[packed[:, None, :, None], packed[None, :, None, :]].reshape(m * m, m * m)
+
+
+def _pair_norm(s: np.ndarray) -> float:
+    """Frobenius norm of the two-site matrix of a packed S (``_expand_pairs``)
+    without expanding it: a pair i != j stands for two rows or columns of W,
+    so its rows and columns are weighted sqrt(2)."""
+    m = _pair_states(s.shape[0])
+    iu, ju = np.triu_indices(m)
+    r = np.where(iu == ju, 1.0, math.sqrt(2.0))
+    w = s * r
+    w *= r[:, None]
+    return float(np.linalg.norm(w))
 
 
 def _pair_rows(slab: np.ndarray, m: int) -> np.ndarray:
@@ -434,24 +462,31 @@ def sector_blocks(sector: Sector, one_site: np.ndarray | None = None,
                   two_site: np.ndarray | None = None) -> np.ndarray:
     """Sector block V^T X V of the operator X = sum_j A_j + sum_{a<b} W_ab.
 
-    X has A = one_site on site j and W = two_site on sites (a, b), indexed
+    X has A = one_site on site j and W on sites (a, b), indexed
     [(i,k),(j,l)] with i, j on site a, and the identity on every other
     site: the one-site frames are orthonormal (``assemble_furry_exact``
-    gates that), so no Gram factor enters.  A and W are symmetric, as every
-    caller's are, and the block B is returned as (B + B^T)/2, exactly
-    symmetric since IEEE addition commutes.  All terms of one orbit of
-    ``_site_orbits`` have the same compression, so each orbit's
+    gates that), so no Gram factor enters.  two_site is W's packed matrix
+    S (``PairInteraction.project``).  A and S are symmetric, as every
+    caller's are.  Two-site sectors are read off S by the selection rule
+    (``_pair_sector_block``), exactly symmetric as gathered.  For more
+    sites, S is expanded to W (``_expand_pairs``), and all terms of one
+    orbit of ``_site_orbits`` have the same compression, so each orbit's
     representative is lifted once, with its small factor scaled by the
     orbit's size.  Each lift is one matmul on the isometry V reshaped
-    around its sites, and V^T compresses the sum.  No product-space
-    operator is formed.  All lifts write into one product buffer, and the
-    sum and that buffer are one allocation: as two arrays freed together,
-    or with a fresh product per term, glibc trimmed and re-faulted them on
-    nearly every call of an order-by-order caller (it trims a free heap top
-    beyond twice the largest block it has unmapped).
+    around its sites, V^T compresses the sum, and the block B is returned
+    as (B + B^T)/2, exactly symmetric since IEEE addition commutes.  No
+    product-space operator is formed.  All lifts write into one product
+    buffer, and the sum and that buffer are one allocation: as two arrays
+    freed together, or with a fresh product per term, glibc trimmed and
+    re-faulted them on nearly every call of an order-by-order caller (it
+    trims a free heap top beyond twice the largest block it has unmapped).
     """
     n_sites = sector.occupation.shape[1]
-    m = one_site.shape[-1] if one_site is not None else math.isqrt(two_site.shape[-1])
+    m = one_site.shape[-1] if one_site is not None else _pair_states(two_site.shape[-1])
+    if n_sites == 2:
+        return _pair_sector_block(sector, _packed_sum(one_site, two_site, m), m)
+    if two_site is not None:
+        two_site = _expand_pairs(two_site, m)
     terms = [(size, one_site, (j,)) for j, size in sector.site_orbits if one_site is not None]
     terms += [(size, two_site, pair) for pair, size in sector.pair_orbits if two_site is not None]
     work = np.empty((2, m ** n_sites, sector.width))
@@ -465,6 +500,63 @@ def sector_blocks(sector: Sector, one_site: np.ndarray | None = None,
     out = sector.compress(y)
     out += out.T
     out *= 0.5
+    return out
+
+
+def _packed_sum(one_site: np.ndarray | None, two_site: np.ndarray | None, m: int) -> np.ndarray:
+    """Packed matrix of A (x) 1 + 1 (x) A + W: W's packed S, or a copy of it
+    with the one-site term c_ij delta_kl + delta_ij c_kl added on the rows
+    and columns of the diagonal pairs (k,k) and (i,i).  Each update is added
+    to an entry and its mirror alike, so the sum stays exactly symmetric."""
+    if one_site is None:
+        return two_site
+    n_pairs = m * (m + 1) // 2
+    s = np.zeros((n_pairs, n_pairs)) if two_site is None else two_site.copy()
+    iu, ju = np.triu_indices(m)
+    c = one_site[iu, ju]
+    diag = _pair_index(m).diagonal()
+    rows = s[diag] + c
+    rows[:, diag] = s[np.ix_(diag, diag)] + np.add.outer(c[diag], c[diag])
+    s[diag] = rows
+    s[:, diag] = rows.T
+    return s
+
+
+def _pair_sector_block(sector: Sector, s: np.ndarray, m: int) -> np.ndarray:
+    """Block V^T X V of a two-site sector of m states per site, gathered
+    from the packed S of X.
+
+    This is the Slater-Condon selection rule for two sites: column c of V
+    is +-(e_ik + e_ki)/sqrt(2) for i < k, +-e_ii in the symmetric sector,
+    and +-(e_ik - e_ki)/sqrt(2) in the alternating one, with the sign of
+    its first nonzero (``Sector.vals``).  X is site-swap invariant, so the
+    symmetric sector's entry for {i,k}, {j,l} is S[(i,j),(k,l)] +
+    S[(i,l),(k,j)], the alternating sector's is their difference, and each
+    diagonal pair takes a factor 1/sqrt(2).  The block is exactly
+    symmetric: S is, its entries [c,d] and [d,c] add the same two values,
+    and both are scaled by the factors of c and d, each +-1 or
+    +-1/sqrt(2); a product by +-1 is exact, so both take the same
+    roundings.  Beside the block, one width^2 index array and one gathered
+    term are alive; no index array is cached.
+    """
+    i, k = sector.occupation.T
+    packed, n_pairs = _pair_index(m), s.shape[0]
+    rows_i, rows_k = packed.take(i, axis=0), packed.take(k, axis=0)
+    index = rows_i.take(i, axis=1)
+    index *= n_pairs
+    index += rows_k.take(k, axis=1)
+    out = s.take(index)
+    np.multiply(rows_i.take(k, axis=1), n_pairs, out=index)
+    index += rows_k.take(i, axis=1)
+    factor = np.sign(sector.vals[:, 0])
+    if sector.shape == (2,):
+        out += s.take(index)
+        factor[i == k] *= math.sqrt(0.5)
+    else:
+        out -= s.take(index)
+    del index
+    out *= factor[:, None]
+    out *= factor
     return out
 
 
@@ -559,14 +651,14 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     retained states positive) and ||psi^T psi - 1||_2 must stay below 1e-9
     (U_gamma is unitary on the retained span).  A frame failing either
     raises ConsistencyError; a passing one needs no Gram factor on the
-    spectator sites of ``sector_blocks``.  The pair matrix W is gated
-    positive semidefinite, to 1e-9 max(1, ||W||), on its blocks in the two
-    site-swap sectors of ``site_sectors(n_plus, 2)``: W is exactly
-    swap-invariant (``PairInteraction.project``), so its spectrum is the
-    union of theirs, and for two particles those blocks are the stored
-    w_proj.  A non-finite W reads NaN at the gate, which the eigensolver
-    would not.  cfg is the run's ``config.NbodyConfig``, which checked its
-    shape when it was built.
+    spectator sites of ``sector_blocks``.  The pair matrix W, held packed
+    (``PairInteraction.project``), is gated positive semidefinite, to
+    1e-9 max(1, ||W||), on its blocks in the two site-swap sectors of
+    ``site_sectors(n_plus, 2)``: W is exactly swap-invariant, so its
+    spectrum is the union of theirs, and for two particles those blocks
+    are the stored w_proj.  A non-finite W reads NaN at the gate, which the
+    eigensolver would not.  cfg is the run's ``config.NbodyConfig``, which
+    checked its shape when it was built.
     """
     n_sites = cfg.n_particles
     if n_sites >= 2 and pair is None:
@@ -644,8 +736,8 @@ def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
 
 def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndarray,
                  z_charge: float):
-    """Yield the two-site coefficients n = 1..order of the interaction series
-    on the frame rows upper, one at a time.
+    """Yield the packed two-site coefficients n = 1..order of the interaction
+    series on the frame rows upper, one at a time.
 
     The pair operator is sandwiched by the dressed-frame series (F^T R frame
     in the original frame, with F the unitary series times the projector
@@ -660,11 +752,14 @@ def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndar
     kept, with the kernel applied once per density order.  The term of
     densities nu, mu is the site swap S X S of the term of mu, nu (the
     kernel is symmetric), so only mu < nu and half the middle term are
-    contracted, and the swapped copy is added as the transpose of their sum;
-    the gather of ``_packed_pairs`` then expands the sum onto [(i,k),(j,l)].
+    contracted, and the swapped copy is added as the transpose of their sum.
+    Each coefficient is the packed matrix of ``PairInteraction.project``.
+    Order n reads the density stacks n // 2 .. n - 1, so after an odd order
+    n the stack n // 2 is dead and dropped; every kernel image is read again.
     """
     m, order = upper.shape[1], bundle.order
-    keep, gather = _packed_pairs(m)
+    iu, ju = np.triu_indices(m)
+    keep = iu * m + ju
     # radial samples g[r, a, s, i] of the dressed frame of order a < order, spinor component s
     g = np.stack([np.stack(pair.frame_factors(fc.T @ upper), axis=1)
                   for fc in bundle.f_upper[:order]], axis=1)
@@ -684,12 +779,11 @@ def _pair_series(bundle: DecouplingBundle, pair: PairInteraction, upper: np.ndar
             x += kzhat[mu].T @ zhat[n - 1 - mu]
         if n % 2:
             x += 0.5 * (kzhat[n // 2].T @ zhat[n // 2])
+            zhat[n // 2] = None  # no later order reads it
         x += x.T
         x /= z_charge
-        c = x.ravel().take(gather).reshape(m * m, m * m)
-        del x
-        yield c
-        del c  # one coefficient alive at a time
+        yield x
+        del x  # one coefficient alive at a time
 
 
 def _site_series(bundle: DecouplingBundle, fs: FurrySystem):
@@ -699,9 +793,9 @@ def _site_series(bundle: DecouplingBundle, fs: FurrySystem):
     c_k = upper^T h_k upper is the compression of the one-particle
     coefficient (the one-particle series live on the rows of psi on the
     positive free states, ``DecouplingBundle``), acting on every site; w_k
-    is the pair coefficient of ``_pair_series``, acting on every pair, and
-    None at order 0 or for one particle.  Both are fresh: the reader may
-    overwrite them.
+    is the packed pair coefficient of ``_pair_series``, acting on every
+    pair, and None at order 0 or for one particle.  Both are fresh: the
+    reader may overwrite them.
     """
     upper = fs.psi[:bundle.h_upper.dim]
     pairs = None
@@ -722,22 +816,33 @@ def site_partial_sums(bundle: DecouplingBundle, fs: FurrySystem):
     Every order is a site sum, so the partial sum S_k is the operator with
     C_k = sum_(j<=k) gamma^j c_j on every site and W_k = sum_(j<=k)
     gamma^j w_j on every site pair, and its block on a sector is
-    ``sector_blocks(sector, C_k, W_k)``.  The sums take the arithmetic of
-    ``series.series_partial_sums``, S_k = S_(k-1) + gamma^k A_k with gamma^k
-    formed by repeated multiplication; W_k is None while there is no pair
-    term (order 0, and one particle).  Each fresh term is scaled and added
-    in place, so C_k and W_k are overwritten by the next item.  growth_k =
+    ``sector_blocks(sector, C_k, W_k)``.  W_k is summed on the packed
+    pairs i <= j (``PairInteraction.project``), so no m^2 x m^2 array is
+    formed.  The sums take the arithmetic of ``series.series_partial_sums``,
+    S_k = S_(k-1) + gamma^k A_k with gamma^k formed by repeated
+    multiplication; W_k is None while there is no pair term (order 0, and
+    one particle).  Each fresh term is scaled and added in place, so C_k
+    and W_k are overwritten by the next item, and the term is dropped
+    before the next one is formed: two packed pair arrays are alive while
+    it is, W_k and the coefficient being formed.  The orders are drawn with
+    ``next``, since ``enumerate`` would keep the previous term in its
+    reused result tuple.  growth_k =
     gamma^k (N ||c_k||_F + C(N,2) ||w_k||_F), 0 at order 0, bounds every
-    sector block of S_k - S_(k-1) in spectral norm (``_LazyBlock``).
+    sector block of S_k - S_(k-1) in spectral norm (``_LazyBlock``);
+    ||w_k||_F is the norm of the two-site matrix (``_pair_norm``).
     """
     n, gamma = fs.config.n_particles, fs.one_particle.gamma
     weights = (n, math.comb(n, 2))
+    norms = (np.linalg.norm, _pair_norm)
     gk, sums = 1.0, [None, None]
-    for k, terms in enumerate(_site_series(bundle, fs)):
+    orders = _site_series(bundle, fs)
+    for k in range(bundle.order + 1):
+        terms = next(orders)
         growth = 0.0
         if k:
             gk *= gamma
-            growth = gk * sum(a * np.linalg.norm(x) for a, x in zip(weights, terms) if x is not None)
+            growth = gk * sum(a * norm(x) for a, norm, x in zip(weights, norms, terms)
+                              if x is not None)
         for i, x in enumerate(terms):
             if x is not None:
                 x *= gk
@@ -834,7 +939,11 @@ class _LazyBlock:
             margin = 2 (k + 2) p eps (||E||_F + M).
         S_k is one lift of the site sums (``site_partial_sums``), whose k
         additions act on the site operators: fewer rounding steps than
-        the 2k + 1 counted, so the margin still bounds them.
+        the 2k + 1 counted, so the margin still bounds them.  A two-site
+        block is not lifted but gathered (``_pair_sector_block``): the
+        one-site term folded into the packed pair matrix (two additions),
+        one sum or difference and two scalings per entry, fewer steps and
+        shorter sums than the m^N N! counted for a lift.
         """
         eps = np.finfo(float).eps
         return 2 * (k + 2) * self.rounding * eps * (self.exact_norm + self.size)
@@ -977,8 +1086,11 @@ def convergence_rows(bundle: DecouplingBundle,
     sums of ``site_partial_sums``, each lifted once per sector.  Every
     block is exactly symmetric as formed (``h_diag_exact``,
     ``sector_blocks``), and so is every elementwise partial sum of such
-    blocks.  No inverse and no SVD is taken.  The remainders are weighted
-    by W = |D_0|^(-1/2) on the frame; for one particle W is diagonal and
+    blocks.  The orders are drawn with ``next`` and each order's blocks
+    and frames are dropped before the next order's are formed (an
+    ``enumerate`` would hold them in its reused result tuple).  No inverse
+    and no SVD is taken.  The remainders are weighted by
+    W = |D_0|^(-1/2) on the frame; for one particle W is diagonal and
     scales rows and columns, which gives the products with diag(W) bit for
     bit, since those add only exact zeros.
     """
@@ -999,13 +1111,15 @@ def convergence_rows(bundle: DecouplingBundle,
     exact_frames = [hermitian_frame(e) for e in exact]
     exact_low = _low_levels(exact, exact_frames, mult)
     dists, remainders, eig_errors = np.empty((3, bundle.order + 1))
-    for k, approx in enumerate(partial):
+    for k in range(bundle.order + 1):
+        approx = next(partial)
         frames = [hermitian_frame(a) for a in approx]
         dists[k] = np.max([resolvent_distance(e, a, fe, fa)
                            for e, a, fe, fa in zip(exact, approx, exact_frames, frames)])
         remainders[k] = np.max([_norm2(w @ (e - a) @ w if nbody else w[:, None] * (e - a) * w)
                                 for w, e, a in zip(weight, exact, approx)])
         eig_errors[k] = float(np.max(np.abs(_low_levels(approx, frames, mult) - exact_low)))
+        del approx, frames  # before the next order's blocks are formed
     ratio = fit_geometric_ratio(dists)
     return [{"gamma": gamma, "k": k,
              "resolvent_distance": float(dists[k]),
@@ -1027,7 +1141,10 @@ def check_restriction_consistency(gamma: float, cfg: NbodyConfig) -> float:
     conjugated Hamiltonian compressed to the transported frame
     (``_conjugated_compression``) and the factored assembly used at scale,
     after gating it at 1e-8 (ConsistencyError).  Only cfg's charge and
-    n_plus are read; the instance always has two particles.
+    n_plus are read; the instance always has two particles, so its blocks
+    are gathered by the selection rule (``_pair_sector_block``) from the
+    packed pair matrix, and the 1e-8 cross-check exercises that gather
+    against W formed entry by entry in full space.
     """
     fs = _restriction_instance(gamma, cfg)
     compressed = _conjugated_compression(fs)

@@ -558,8 +558,24 @@ def dense_two_site_assemble(z1: np.ndarray, kernel: np.ndarray, z2: np.ndarray,
                             m: int) -> np.ndarray:
     """Contraction [(i,j),(k,l)] of two density stacks on every column,
     reindexed to [(i,k),(j,l)] as one dense transpose: the oracle of the
-    packed contraction and gather of ``manybody.PairInteraction.project``."""
+    packed contraction of ``manybody.PairInteraction.project``, read
+    through ``expand_pairs``."""
     x = z1.T @ kernel @ z2
+    return np.ascontiguousarray(
+        x.reshape(m, m, m, m).transpose(0, 2, 1, 3)).reshape(m * m, m * m)
+
+
+def expand_pairs(packed: np.ndarray) -> np.ndarray:
+    """The two-site matrix [(i,k),(j,l)] of a packed matrix on the index pairs
+    i <= j (``manybody.PairInteraction.project``): unpacked onto every
+    density column (i,j) by a 0/1 matrix, which copies each entry exactly,
+    and reindexed as ``dense_two_site_assemble`` does.  The one expansion
+    through which the dense oracles read a packed matrix."""
+    m = (math.isqrt(8 * packed.shape[0] + 1) - 1) // 2
+    unpack = np.zeros((m * m, packed.shape[0]))
+    for a, (i, j) in enumerate(itertools.combinations_with_replacement(range(m), 2)):
+        unpack[i * m + j, a] = unpack[j * m + i, a] = 1.0
+    x = unpack @ packed @ unpack.T
     return np.ascontiguousarray(
         x.reshape(m, m, m, m).transpose(0, 2, 1, 3)).reshape(m * m, m * m)
 
@@ -567,7 +583,7 @@ def dense_two_site_assemble(z1: np.ndarray, kernel: np.ndarray, z2: np.ndarray,
 def full_pair_series(bundle, pair, upper: np.ndarray, z_charge: float) -> list[np.ndarray]:
     """The two-site coefficients of ``manybody._pair_series`` with every
     density column (i, j) stored and contracted: the oracle of the route on
-    the columns i <= j.  The terms mu < nu and half the middle term are
+    the columns i <= j, read through ``expand_pairs``.  The terms mu < nu and half the middle term are
     contracted, and the site swap is added while reindexing."""
     m = upper.shape[1]
     factors = [pair.frame_factors(fc.conj().T @ upper) for fc in bundle.f_upper]
@@ -697,9 +713,9 @@ def dense_furry(fs, bundle=None) -> dict:
     out["h_diag"] = one_site_sum(pp.T @ sys.dgamma @ pp, s1)
     out["h_furry"] = out["kinetic"]
     if n >= 2:
-        out["w_proj"] = pair_sum(pair.project(phi), s_phi)
+        out["w_proj"] = pair_sum(expand_pairs(pair.project(phi)), s_phi)
         out["h_furry"] = out["kinetic"] + scale * out["w_proj"]
-        out["h_diag"] = out["h_diag"] + scale * pair_sum(pair.project(pp), s1)
+        out["h_diag"] = out["h_diag"] + scale * pair_sum(expand_pairs(pair.project(pp)), s1)
     if bundle is not None:
         s_f = psi.T @ psi
         p_series, u_series = pu_series(sys.grid, bundle.order)

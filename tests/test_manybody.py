@@ -18,6 +18,7 @@ from conftest import (
     dense_conjugated_compression,
     dense_furry,
     dense_two_site_assemble,
+    expand_pairs,
     forbid_svd,
     full_pair_series,
     full_series_ground_energies,
@@ -156,25 +157,30 @@ def test_slater_reference_closed_form():
 
 @pytest.mark.parametrize("m", [5, 7])
 def test_pair_projection_matches_dense_reindex(pair100, m):
-    # the packed contraction and index gather against every density column
-    # contracted and reindexed by one dense transpose, on a real frame
+    # the packed contraction against every density column contracted and
+    # reindexed by one dense transpose, on a real frame
     rng = np.random.default_rng(m)
     dim = pair100.grid.dim
     frame = rng.standard_normal((dim, m))
     gup, glo = pair100.frame_factors(frame)
     z = mb._density_stack(gup, gup) + mb._density_stack(glo, glo)
     ref = dense_two_site_assemble(z, pair100.kernel, z, m)
-    got = pair100.project(frame)
-    assert got.shape == (m * m, m * m)
+    packed = pair100.project(frame)
+    assert packed.shape == (m * (m + 1) // 2,) * 2
+    got = expand_pairs(packed)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # the expansion used before a lift of three or more sites, bit for bit
+    assert np.array_equal(mb._expand_pairs(packed, m), got)
 
 
 def test_pair_projection_properties(sys100, pair100):
     _, phi = positive_states(sys100(0.3), 5)
-    w2 = pair100.project(phi)
+    packed = pair100.project(phi)
+    w2 = expand_pairs(packed)
     m = 5
     # exactly symmetric, and exactly invariant under swapping both particles,
     # [(i,k),(j,l)] == [(k,i),(l,j)]
+    assert np.array_equal(packed, packed.T)
     assert np.array_equal(w2, w2.T)
     t = w2.reshape(m, m, m, m)
     assert np.array_equal(t, t.transpose(1, 0, 3, 2))
@@ -319,23 +325,50 @@ def test_sectors_match_one_svd_per_orbit(m, n_sites):
             assert np.array_equal(got, ref), sector.shape
 
 
+def _random_site_operators(rng, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random symmetric one-site operator and a random symmetric packed
+    two-site matrix of m states, as sector_blocks requires."""
+    one = rng.standard_normal((m, m))
+    one += one.T
+    n_pairs = m * (m + 1) // 2
+    two = rng.standard_normal((n_pairs, n_pairs))
+    two += two.T
+    return one, two
+
+
 @pytest.mark.parametrize("m,n_sites", [(6, 2), (5, 3), (4, 4), (3, 5)])
 def test_orbit_lift_matches_all_sites_lift(m, n_sites):
-    # random symmetric one-site and two-site operators, as sector_blocks
-    # requires, with no site-swap symmetry: the orbit reduction rests on the
-    # isometry alone
+    # random symmetric one-site and packed two-site operators: the orbit
+    # reduction (three or more sites) and the selection-rule gather (two
+    # sites) against every site and pair lifted
     rng = np.random.default_rng(m * 10 + n_sites)
     for _ in range(3):
-        one = rng.standard_normal((m, m))
-        one += one.T
-        two = rng.standard_normal((m * m, m * m))
-        two += two.T
+        one, two = _random_site_operators(rng, m)
         for sector in mb.site_sectors(m, n_sites):
             for args in ((one, None), (None, two), (one, two)):
                 got = mb.sector_blocks(sector, *args)
-                ref = all_sites_sector_blocks(sector, *args)
+                ref = all_sites_sector_blocks(sector, args[0],
+                                              None if args[1] is None else expand_pairs(args[1]))
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), \
                     (sector.shape, [a is not None for a in args])
+
+
+@pytest.mark.parametrize("m,n_sites", [(6, 2), (5, 3), (4, 4), (3, 5)])
+def test_sector_blocks_match_the_dense_kronecker_assembly(m, n_sites):
+    # every sector block against the compression V^T X V of the product-space
+    # operator X, assembled from Kronecker lifts of every site and pair, to
+    # 1e-14 of its largest entry; exactly symmetric as formed
+    rng = np.random.default_rng(m * 100 + n_sites)
+    one, two = _random_site_operators(rng, m)
+    eye = np.eye(m)
+    dense = sum(lift_single(one, eye, n_sites, j) for j in range(n_sites))
+    dense = dense + sum(lift_pair(expand_pairs(two), eye, n_sites, a, b, m)
+                        for a, b in itertools.combinations(range(n_sites), 2))
+    for sector in mb.site_sectors(m, n_sites):
+        got = mb.sector_blocks(sector, one, two)
+        ref = sector.iso.T @ dense @ sector.iso
+        assert np.array_equal(got, got.T), sector.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), sector.shape
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
@@ -411,15 +444,28 @@ def test_transported_frame_leak_gate(sys100):
         mb.assemble_furry_exact(turned, cfg)
 
 
+def _packed_diagonal(low: float) -> np.ndarray:
+    """Packed matrix of n_plus = 3 whose two-site matrix is
+    diag(2, 1, ..., 1, low): a diagonal W[(i,k),(i,k)] = q_ik sits on the
+    entries S[(i,i),(k,k)] of the diagonal pairs."""
+    q = np.ones((3, 3))
+    q[0, 0], q[2, 2] = 2.0, low
+    diag = [0, 3, 5]  # the pairs (0,0), (1,1), (2,2) among (0,0), (0,1), (0,2), (1,1), (1,2), (2,2)
+    packed = np.zeros((6, 6))
+    packed[np.ix_(diag, diag)] = q
+    assert np.array_equal(expand_pairs(packed), np.diag([2.0] + [1.0] * 7 + [low]))
+    return packed
+
+
 def test_pair_projection_gate_rejects_an_indefinite_projection(sys100, pair100):
     # the tolerance is 1e-9 max(1, ||W||) = 2e-9, the norm read off W's eigenvalues
     cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=3)
     indefinite = dataclasses.replace(pair100)
-    object.__setattr__(indefinite, "project", lambda frame: np.diag([2.0] + [1.0] * 7 + [-3e-9]))
+    object.__setattr__(indefinite, "project", lambda frame: _packed_diagonal(-3e-9))
     with pytest.raises(ConsistencyError, match=r"^pair projection not positive semidefinite: "
                                                r"lowest eigenvalue -3\.000e-09$"):
         mb.assemble_furry_exact(sys100(0.3), cfg, indefinite)
-    object.__setattr__(indefinite, "project", lambda frame: np.diag([2.0] + [1.0] * 7 + [-1.5e-9]))
+    object.__setattr__(indefinite, "project", lambda frame: _packed_diagonal(-1.5e-9))
     mb.assemble_furry_exact(sys100(0.3), cfg, indefinite)
 
 
@@ -551,7 +597,7 @@ def test_streamed_partial_sums_match_the_collected_series(sys100, pair100, bundl
     assert len(collected) == len(fs.sectors)
     assert all(s.order == bundle100.order for s in collected)
     sites = list(mb._site_series(bundle100, fs))
-    zero = np.zeros((n_plus ** 2,) * 2)  # adds exact zeros where there is no pair term
+    zero = np.zeros((n_plus * (n_plus + 1) // 2,) * 2)  # exact zeros where there is no pair term
     refs = series_partial_sums(((c, zero if w is None else w) for c, w in sites), 0.3)
     lifted = zip(*(series_partial_sums(zip(series.coeffs), 0.3) for series in collected))
     for k, ((c, w, _), (c_ref, w_ref), blocks) in enumerate(
@@ -561,6 +607,28 @@ def test_streamed_partial_sums_match_the_collected_series(sys100, pair100, bundl
         for b, ((ref,), sector) in enumerate(zip(blocks, fs.sectors)):
             got = mb.sector_blocks(sector, c, w)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (b, k)
+
+
+def test_growth_reads_the_expanded_pair_norm(sys100, pair100, bundle100):
+    # the Weyl growth takes ||w_k||_F off the packed matrix, with the rows
+    # and columns of the pairs i != j weighted sqrt(2): the Frobenius norm of
+    # the expanded two-site matrix to roundoff, so the certificate of
+    # _LazyBlock bounds what it bounded on the m^2 x m^2 coefficients
+    rng = np.random.default_rng(11)
+    for m in (1, 4, 7):
+        _, two = _random_site_operators(rng, m)
+        ref = np.linalg.norm(expand_pairs(two))
+        assert abs(mb._pair_norm(two) - ref) <= 1e-14 * ref, m
+    fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(3, 2.0, 4), pair100)
+    gk = 1.0
+    for k, ((c, w), (_, _, growth)) in enumerate(
+            zip(mb._site_series(bundle100, fs), mb.site_partial_sums(bundle100, fs), strict=True)):
+        if k == 0:
+            assert growth == 0.0
+            continue
+        gk *= 0.3
+        ref = gk * (3 * np.linalg.norm(c) + 3 * np.linalg.norm(expand_pairs(w)))
+        assert abs(growth - ref) <= 1e-14 * ref, k
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +753,7 @@ def test_pair_series_matches_the_full_sum(sys100, pair100, bundle100):
     # ordered pair of densities
     fs = mb.assemble_furry_exact(sys100(0.2), NbodyConfig(2, 2.0, 6), pair100)
     upper = fs.psi[:bundle100.h_upper.dim]
-    got = list(mb._pair_series(bundle100, pair100, upper, 2.0))
+    got = [expand_pairs(w) for w in mb._pair_series(bundle100, pair100, upper, 2.0)]
     assert len(got) == bundle100.order  # orders 1..K, and no order-0 coefficient
     dressed = [fc.conj().T @ upper for fc in bundle100.f_upper]
     ref = [sum(_pair_product(pair100, dressed, mu, n - 1 - mu) for mu in range(n)) / 2.0
@@ -696,11 +764,11 @@ def test_pair_series_matches_the_full_sum(sys100, pair100, bundle100):
 
 @pytest.mark.parametrize("n_plus", [6, 20])
 def test_pair_series_matches_every_density_column(sys100, pair100, bundle100, n_plus):
-    # densities on the columns i <= j, one kernel image per order and one
-    # gather, against the route that stores every column (i, j)
+    # densities on the columns i <= j and one kernel image per order,
+    # against the route that stores every column (i, j)
     fs = mb.assemble_furry_exact(sys100(0.2), NbodyConfig(2, 2.0, n_plus), pair100)
     upper = fs.psi[:bundle100.h_upper.dim]
-    got = list(mb._pair_series(bundle100, pair100, upper, 2.0))
+    got = [expand_pairs(w) for w in mb._pair_series(bundle100, pair100, upper, 2.0)]
     ref = full_pair_series(bundle100, pair100, upper, 2.0)
     scale = max(np.max(np.abs(r)) for r in ref)
     assert len(got) == len(ref)
@@ -939,22 +1007,47 @@ def test_conjugated_compression_matches_dense_oracle(gamma, n_plus):
 
 
 def test_furry_assembly_holds_one_pair_matrix(sys100, pair100):
-    # one pair matrix is m^4 doubles, 6.5 MB at n_plus=30.  The assembly holds
-    # one at a time (two for a moment at the PSD gate, w2 and its
-    # symmetrization, before any sector block exists).  Next to it, the
-    # sector data of N=2 (widths m(m +- 1)/2) add about 2.75 pair matrices
-    # while the last block is built: h_furry and w_proj (sum width^2 ~ m^4/2
-    # each), h_diag's first block (~m^4/4), the lift workspace of
-    # sector_blocks (two m^2 x width arrays, ~m^4/2 each) and the result and
-    # one gathered slice of the compression (~m^4/4 each).  That is 3.75 in
-    # all; a second pair matrix alive at that point breaks 4.  The
-    # isometries are cached by site_sectors and built before the trace.
+    # N=2 forms no m^2 x m^2 array: the pair matrix is packed on the P =
+    # m(m+1)/2 index pairs (P^2 = 216225 doubles at n_plus=30, 1.7 MB, where
+    # m^4 is 6.5 MB), and the sector blocks are gathered from it.  The
+    # widths are w_s = P and w_a = m(m-1)/2.  The peak is reached while the
+    # last block of h_diag is gathered: h_furry and w_proj (w_s^2 + w_a^2
+    # each), h_diag's first block (w_s^2), the scaled pair matrix and its
+    # copy with the one-site term folded in (P^2 each), and the result, one
+    # index array and one gathered term (w_a^2 each).  That is
+    # 3 w_s^2 + 5 w_a^2 + 2 P^2 = 2.50 m^4 doubles; a further packed pair
+    # matrix alive at that point (0.27 m^4) breaks 2.75.  The parent's bound
+    # was 4 m^4, with m^4 arrays.  The isometries are cached by site_sectors
+    # and built before the trace.
     m = 30
     cfg = NbodyConfig(n_particles=2, z_charge=2.0, n_plus=m)
     mb.furry_sectors(cfg)
     fs, peak = traced_peak(mb.assemble_furry_exact, sys100(0.3), cfg, pair100)
     assert fs.dim == m * m
-    assert peak < 4 * m ** 4 * 8
+    assert peak < 2.75 * m ** 4 * 8
+
+
+def test_pair_stream_holds_two_pair_arrays(sys100, pair100, bundle100):
+    # the N=2 partial sums at n_plus=30 and order 8, consumed as a reader
+    # does.  A packed pair array is P^2 doubles, P = m(m+1)/2 = 465.  Beside
+    # the radial samples of the dressed frames (n_r x order x 2 x m) and at
+    # most `order` density stacks and kernel images (n_r x P each; the dead
+    # stacks are dropped), the stream holds the running W_k and the
+    # coefficient being formed, with one product or transposed copy: three
+    # pair arrays, and half of one to spare.  The previous order's
+    # coefficient kept alive across the yield would add a fourth, and one
+    # m^2 x m^2 array (4 P^2) breaks the bound on its own.
+    m = 30
+    fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(2, 2.0, m), pair100)
+
+    def consume():
+        for _ in mb.site_partial_sums(bundle100, fs):
+            pass
+
+    _, peak = traced_peak(consume)
+    n_pairs, n_r, order = m * (m + 1) // 2, pair100.radial.r.size, bundle100.order
+    held = n_r * order * 2 * m + order * n_r * n_pairs
+    assert peak < (held + 3.5 * n_pairs ** 2) * 8
 
 
 def test_compress_gathers_one_position_at_a_time():
