@@ -12,7 +12,8 @@ import numpy as np
 
 from diracdiag.decoupling import fw_frame, projector_series, riesz_projection_series, u_gamma_series
 from diracdiag.grids import build_channel_grid
-from diracdiag.oneparticle import assemble_system, foldy_wouthuysen, fw_conjugate, positive_projector
+from diracdiag.oneparticle import (assemble_system, foldy_wouthuysen, fw_conjugate, fw_rows,
+                                   positive_projector)
 from diracdiag.series import coefficient_norms, series_eval
 
 
@@ -29,8 +30,9 @@ def main():
     for k, nrm in enumerate(coefficient_norms(p_series)):
         print(f"  k={k:>2}: {nrm:.6e}")
 
-    # the series are in the Foldy-Wouthuysen frame; the exact operators are
-    # conjugated into it, which leaves the spectral norm unchanged
+    # the series are in the Foldy-Wouthuysen frame R; the exact projector is
+    # conjugated into it and the exact unitary, held as R U_gamma, is taken
+    # to R U_gamma R^T, which leaves the spectral norm unchanged
     print("\npartial sums vs exact assembly:")
     print(f"{'gamma':>8} {'projector err':>14} {'unitary err':>14}")
     blocks = foldy_wouthuysen(grid)
@@ -40,7 +42,7 @@ def main():
             series_eval(p_series, gamma)
             - fw_conjugate(blocks, positive_projector(s.evals, s.evecs)), 2)
         u_err = np.linalg.norm(
-            series_eval(u_series, gamma) - fw_conjugate(blocks, s.u_gamma), 2)
+            series_eval(u_series, gamma) - fw_rows(blocks, s.ru_gamma.T).T, 2)
         print(f"{gamma:>8.2f} {p_err:>14.3e} {u_err:>14.3e}")
 
     # two-level toy: P(g) has closed-form coefficients, alternating between

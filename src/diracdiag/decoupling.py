@@ -452,14 +452,13 @@ def resolvent_distance(a: np.ndarray, b: np.ndarray, frame_a, frame_b) -> float:
 def h_diag_exact(sys: OneParticleSystem) -> np.ndarray:
     """Upper block E D_gamma E^T of the exact block-diagonalized Hamiltonian.
 
-    E = (R U_gamma P_gamma)[:n] are the rows of the exact decoupled frame on
-    the positive free states, R the FW frame of ``oneparticle.fw_rows``.
-    The lower rows of R U_gamma P_gamma = P0 R U_gamma vanish, so this is
+    E = ru_gamma[:n] P_gamma are the rows of the exact decoupled frame
+    R U_gamma P_gamma on the positive free states (``OneParticleSystem``).
+    Its lower rows vanish, since it equals P0 R U_gamma, so this is
     the operator's only nonzero block.  E is real, and the block H is
     returned as (H + H^T)/2, exactly symmetric since IEEE addition commutes.
     """
-    pg = positive_projector(sys.evals, sys.evecs)
-    e = fw_rows(foldy_wouthuysen(sys.grid), sys.u_gamma @ pg)[:sys.grid.n]
+    e = sys.ru_gamma[:sys.grid.n] @ positive_projector(sys.evals, sys.evecs)
     h = e @ sys.dgamma @ e.T
     h += h.T
     h *= 0.5

@@ -39,9 +39,7 @@ from .oneparticle import (
     _norm2,
     assemble_system,
     d_gamma,
-    foldy_wouthuysen,
     free_energies,
-    fw_rows,
     positive_projector,
     positive_states,
     rayleigh_quotients,
@@ -598,10 +596,10 @@ class FurrySystem:
     h_furry_exact, kinetic and w_proj are expressed on products of the
     retained eigenstates phi; h_diag_exact, like the series partial sums
     of ``site_partial_sums``, on the transported frame psi = R U_gamma phi
-    (its unitary image), so the two spectra must coincide.  psi is in the
-    row order of the FW frame R (``oneparticle.fw_rows``): the positive
-    free states first, where its rows are supported.  Both frames are
-    orthonormal, phi from the eigensolver and psi by the gate of
+    (its unitary image, ``ru_gamma`` phi), so the two spectra must coincide.
+    psi is in the row order of the FW frame R (``oneparticle.fw_rows``):
+    the positive free states first, where its rows are supported.  Both
+    frames are orthonormal, phi from the eigensolver and psi by the gate of
     ``assemble_furry_exact``, so every block is a plain compression and is
     compared with plain ``eigvalsh``.
     kinetic is exactly diagonal, so it holds one vector per sector: each
@@ -646,7 +644,7 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     The diagonalized image is computed through the assembled unitaries and
     projectors (not copied from the direct matrix), so its agreement with
     h_furry_exact is a real consistency statement about those matrices.
-    The transported frame psi = R U_gamma phi is gated twice before any
+    The transported frame psi = ``ru_gamma`` phi is gated twice before any
     block is built: its lower rows must vanish (the decoupling keeps the
     retained states positive) and ||psi^T psi - 1||_2 must stay below 1e-9
     (U_gamma is unitary on the retained span).  A frame failing either
@@ -657,15 +655,14 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
     ``site_sectors(n_plus, 2)``: W is exactly swap-invariant, so its
     spectrum is the union of theirs, and for two particles those blocks
     are the stored w_proj.  A non-finite W reads NaN at the gate, which the
-    eigensolver would not.  cfg is the run's ``config.NbodyConfig``, which
-    checked its shape when it was built.
+    eigensolver would not.  The conjugated path reads ``_pulled_back_frame``.
+    cfg is the run's ``config.NbodyConfig``, checked when it was built.
     """
     n_sites = cfg.n_particles
     if n_sites >= 2 and pair is None:
         raise ValueError("pair interaction required for more than one particle")
     eps, phi = positive_states(sys, cfg.n_plus)
-    blocks = foldy_wouthuysen(sys.grid)
-    psi = fw_rows(blocks, sys.u_gamma @ phi)
+    psi = sys.ru_gamma @ phi
     gate_norm2([psi[sys.grid.n:]], 1e-9,
                "transported frame leaks into the lower block: {value:.3e}")
     gate_norm2([psi.T @ psi - np.eye(cfg.n_plus)], 1e-9,
@@ -693,8 +690,7 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
             h += scale * w
 
     # conjugated path, through the assembled unitaries
-    phi_rt = sys.u_gamma.T @ fw_rows(blocks, psi, back=True)
-    pp = positive_projector(sys.evals, sys.evecs) @ phi_rt
+    pp = _pulled_back_frame(sys, psi)
     k1 = pp.T @ sys.dgamma @ pp
     w2_rt = None
     if n_sites >= 2:
@@ -706,6 +702,11 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
         one_particle=sys, config=cfg, pair=pair, sectors=sectors,
         phi=phi, psi=psi, kinetic=kinetic, w_proj=w_proj,
         h_furry_exact=h_furry, h_diag_exact=h_diag)
+
+
+def _pulled_back_frame(sys: OneParticleSystem, psi: np.ndarray) -> np.ndarray:
+    """E^T psi = P_gamma ru_gamma^T psi, E = R U_gamma P_gamma, without forming E."""
+    return positive_projector(sys.evals, sys.evecs) @ (sys.ru_gamma.T @ psi)
 
 
 def _abs_d0_sum(abs_d0: np.ndarray, sectors: tuple[Sector, ...],
@@ -1172,19 +1173,19 @@ def _conjugated_compression(fs: FurrySystem) -> np.ndarray:
     E = R U_gamma P_+^gamma and R the FW frame of ``oneparticle.fw_rows``,
     where H_2 = D (x) 1 + 1 (x) D + (gamma/Z) W holds both one-particle
     operators D and the full pair matrix W.  Compressed to the frame it is
-    Y^T H_2 Y with Y = kron(E^T psi, E^T psi), so only the frame's columns
-    are conjugated, and H_2 is applied to Y without being stored: the
-    one-site terms act on Y viewed as (d, d, columns), one matmul per site,
-    and W is formed one row slab at a time (``_pair_rows``), each slab
-    applied to Y as soon as it is formed.  Every entry of W is formed in
-    full space before it is conjugated, but no d^2 x d^2 array is: besides
-    Y and H_2 Y, only the density stack of the unit frame, its kernel image
-    (n_r x d^2 each) and one d x d^2 slab are alive.
+    Y^T H_2 Y with Y = kron(E^T psi, E^T psi) (``_pulled_back_frame``), so
+    only the frame's columns are conjugated, and H_2 is applied to Y
+    without being stored: the one-site terms act on Y viewed as
+    (d, d, columns), one matmul per site, and W is formed one row slab at a
+    time (``_pair_rows``), each slab applied to Y as soon as it is formed.
+    Every entry of W is formed in full space before it is conjugated, but
+    no d^2 x d^2 array is: besides Y and H_2 Y, only the density stack of
+    the unit frame, its kernel image (n_r x d^2 each) and one d x d^2 slab
+    are alive.
     """
     sys, pair = fs.one_particle, fs.pair
     d = sys.grid.dim
-    e = fw_rows(foldy_wouthuysen(sys.grid), sys.u_gamma @ positive_projector(sys.evals, sys.evecs))
-    e_psi = e.T @ fs.psi
+    e_psi = _pulled_back_frame(sys, fs.psi)
     y = np.kron(e_psi, e_psi)
     y3 = y.reshape(d, d, -1)
     hy = (sys.dgamma @ y.reshape(d, -1)).reshape(y3.shape)

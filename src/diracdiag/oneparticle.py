@@ -211,12 +211,12 @@ def foldy_wouthuysen(grid: ChannelGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Foldy-Wouthuysen frame
 # ---------------------------------------------------------------------------
-# The FW frame used for the decoupling is R = Pi B: the per-node rotation B
-# of ``foldy_wouthuysen``, held as its node blocks only, followed by the
-# permutation Pi that puts the upper components of all nodes first.  There
-# the free projector is diag(1, ..., 1, 0, ..., 0) with n ones.  Every
-# entry into or exit from the frame goes through ``fw_rows`` or
-# ``fw_conjugate``, at O(n) per column.
+# The FW frame of the decoupling is R = Pi B: the per-node rotation B of
+# ``foldy_wouthuysen``, held as its node blocks only, then the permutation
+# Pi that puts the upper components of all nodes first, where the free
+# projector is diag(1, ..., 1, 0, ..., 0) with n ones.  Matrices enter or
+# leave the frame through ``fw_rows`` or ``fw_conjugate``, O(n) per column;
+# the exact unitary is held as R U_gamma, which its readers apply as it is.
 
 def fw_rows(blocks: np.ndarray, x: np.ndarray, back: bool = False) -> np.ndarray:
     """R x for R = Pi B given by the node blocks of B, or R^T x with back.
@@ -301,15 +301,16 @@ class OneParticleSystem:
     """The matrices of one channel at one coupling, plus spectral data.
 
     A system holds only what depends on the coupling and cannot be rebuilt
-    from the rest at the cost of one product: dgamma, u_gamma and the
-    eigenpairs, three dim x dim arrays.  The positive spectral projector
-    P_gamma is formed from the eigenpairs when it is needed
-    (``positive_projector``).  What depends on the grid alone is read from
-    the grid: the free operator D_0 and its positive projector as
-    closed-form node blocks (``free_energies``, ``free_positive_projector``),
-    the Foldy-Wouthuysen rotation as its node blocks (``foldy_wouthuysen``,
-    O(n)), and the Coulomb matrix, which ``build_coulomb`` keeps once per
-    grid.
+    from the rest at the cost of one product: dgamma, ru_gamma and the
+    eigenpairs, three dim x dim arrays.  ru_gamma = R U_gamma is the exact
+    unitary with rows in the FW frame R and columns in the original frame,
+    as ``DecouplingBundle.f_upper``.  The positive projector P_gamma is
+    formed from the eigenpairs when it is needed (``positive_projector``).
+    What depends on the grid alone is read from the grid: the free operator
+    D_0 and its positive projector as closed-form node blocks
+    (``free_energies``, ``free_positive_projector``), the Foldy-Wouthuysen
+    rotation as its node blocks (``foldy_wouthuysen``, O(n)), and the
+    Coulomb matrix, which ``build_coulomb`` keeps once per grid.
     evals are the raw ``eigh`` values, ascending, with evecs columns
     matching.  They carry the eigensolver's backward error eps*||D_gamma||,
     which moves with the BLAS thread count, so the levels a run reports,
@@ -319,7 +320,7 @@ class OneParticleSystem:
     grid: ChannelGrid
     gamma: float
     dgamma: np.ndarray
-    u_gamma: np.ndarray
+    ru_gamma: np.ndarray
     evals: np.ndarray
     evecs: np.ndarray
 
@@ -348,12 +349,12 @@ def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
     Raises GapError when an eigenvalue sits within GAP_FLOOR of zero, since
     then the positive spectral projector is not numerically well defined.
     P_gamma is formed only to be conjugated into the FW frame and is then
-    dropped; ``exact_u_gamma`` turns that conjugate into its M in place.
-    The system keeps three dim x dim arrays.  While U_gamma is built, at
-    most 3.25 more are alive beside D_gamma, its eigenvectors and V: M, U,
-    the two half-size eigenbases, a column half of their product and one
-    quarter-size factor.  A conjugation, which drops its input after the
-    first pass, needs 2.5: first pass, output and half-height scratch.
+    dropped; ``exact_u_gamma`` turns that conjugate into its M in place,
+    and one ``fw_rows`` pass turns its U into R U_gamma = U R (R at zero
+    coupling).  While U is built, at most 3.25 more dim x dim arrays are
+    alive beside D_gamma, its eigenvectors and V: M, U, the two half-size
+    eigenbases, a column half of their product and one quarter-size factor.
+    Each pass through the frame needs 2.5: input, output, half-height scratch.
     """
     if not 0.0 <= gamma < GAMMA_MAX:
         raise ValueError(f"coupling {gamma} outside [0, sqrt(3)/2)")
@@ -365,14 +366,14 @@ def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
     gap = float(np.min(np.abs(evals)))
     gate(-gap, -GAP_FLOOR, "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero",
          GapError, gap=gap, floor=GAP_FLOOR)
+    blocks = foldy_wouthuysen(grid)
     if gamma == 0.0:
-        u_gamma = np.eye(grid.dim)
+        ru_gamma = fw_rows(blocks, np.eye(grid.dim))
     else:
-        blocks = foldy_wouthuysen(grid)
-        u_gamma = fw_conjugate(blocks, exact_u_gamma(
-            fw_conjugate(blocks, positive_projector(evals, evecs))), back=True)
-    _freeze(dgamma, u_gamma, evals, evecs)
-    return OneParticleSystem(grid=grid, gamma=float(gamma), dgamma=dgamma, u_gamma=u_gamma,
+        ru_gamma = fw_rows(blocks, exact_u_gamma(
+            fw_conjugate(blocks, positive_projector(evals, evecs))).T, back=True).T
+    _freeze(dgamma, ru_gamma, evals, evecs)
+    return OneParticleSystem(grid=grid, gamma=float(gamma), dgamma=dgamma, ru_gamma=ru_gamma,
                              evals=evals, evecs=evecs)
 
 
@@ -562,23 +563,21 @@ def _norm2(x: np.ndarray) -> float:
 
 
 def decoupling_residuals(sys: OneParticleSystem) -> tuple[float, float]:
-    """Unitarity ||U U^T - 1|| and intertwining ||U P_gamma - P_0 U|| of the exact unitary.
+    """Unitarity ||RU (RU)^T - 1|| and intertwining ||RU P_gamma - P_0 RU||, RU = ru_gamma.
 
-    U U^T - 1 is symmetric, so its norm is its largest eigenvalue in
-    magnitude, with no further product.  The intertwining defect is taken
-    in the FW frame R (``fw_rows``), where P_0 is a row mask, and in the
-    eigenbasis X = [X_-, X_+] of D_gamma, which is orthogonal and has
-    P_gamma X = [0, X_+].  So (R U P_gamma - P0 R U) X is
+    R is orthogonal, so these are U's own.  RU (RU)^T - 1 is symmetric, so
+    its norm is its largest eigenvalue in magnitude.  In the FW frame P_0
+    is a row mask, and in the eigenbasis X = [X_-, X_+] of D_gamma, which
+    is orthogonal and has P_gamma X = [0, X_+], (RU P_gamma - P0 RU) X is
     [[-(RU)[:n] X_-, 0], [0, (RU)[n:] X_+]] in rows (:n, n:), and its
     norm is max(||(RU)[:n] X_-||, ||(RU)[n:] X_+||): two half-size
     products and norms in place of a dim-2n product and norm.
     """
-    u, n = sys.u_gamma, sys.grid.n
-    uu = u @ u.T
+    ru, n = sys.ru_gamma, sys.grid.n
+    uu = ru @ ru.T
     uu[np.diag_indices_from(uu)] -= 1.0
     uni = float(np.max(np.abs(np.linalg.eigvalsh(uu))))
     del uu
-    ru = fw_rows(foldy_wouthuysen(sys.grid), u)
     k = int(np.searchsorted(sys.evals, 0.0))  # evals ascend, none is zero
     inter = float(np.maximum(_norm2(ru[:n] @ sys.evecs[:, :k]), _norm2(ru[n:] @ sys.evecs[:, k:])))
     return uni, inter

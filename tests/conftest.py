@@ -38,7 +38,6 @@ from diracdiag.oneparticle import (
     dense_potential,
     foldy_wouthuysen,
     free_energies,
-    fw_rows,
     positive_projector,
     positive_states,
 )
@@ -363,7 +362,7 @@ def series_mul(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
 
 
 def series_adjoint(a: MatrixSeries) -> MatrixSeries:
-    return make_series([c.conj().T for c in a.coeffs])
+    return make_series([c.T for c in a.coeffs])
 
 
 INV_COND_CAP = 1e12
@@ -486,8 +485,8 @@ def dense_exact_u_gamma(p0: np.ndarray, pg: np.ndarray) -> np.ndarray:
     eye = np.eye(p0.shape[0])
     a = p0 @ pg + (eye - p0) @ (eye - pg)
     s = eye - (p0 - pg) @ (p0 - pg)
-    ew, uw = np.linalg.eigh(0.5 * (s + s.conj().T))
-    return a @ (uw * ew ** -0.5) @ uw.conj().T
+    ew, uw = np.linalg.eigh(0.5 * (s + s.T))
+    return a @ (uw * ew ** -0.5) @ uw.T
 
 
 def dense_u_gamma_series(p_series: MatrixSeries, p0: np.ndarray) -> MatrixSeries:
@@ -586,7 +585,7 @@ def full_pair_series(bundle, pair, upper: np.ndarray, z_charge: float) -> list[n
     the columns i <= j, read through ``expand_pairs``.  The terms mu < nu and half the middle term are
     contracted, and the site swap is added while reindexing."""
     m = upper.shape[1]
-    factors = [pair.frame_factors(fc.conj().T @ upper) for fc in bundle.f_upper]
+    factors = [pair.frame_factors(fc.T @ upper) for fc in bundle.f_upper]
     zhat, out = [], []
     for n in range(1, bundle.order + 1):
         zhat.append(sum(_density_stack(factors[a][s], factors[n - 1 - a][s])
@@ -601,19 +600,20 @@ def full_pair_series(bundle, pair, upper: np.ndarray, z_charge: float) -> list[n
 
 
 def dense_conjugated_compression(fs) -> np.ndarray:
-    """Y^H H_2 Y with H_2 = kron(D, 1) + kron(1, D) + (gamma/Z) W and
-    Y = kron(E^H psi, E^H psi), every product-space matrix stored: the
-    oracle of ``manybody._conjugated_compression``."""
+    """Y^T H_2 Y with H_2 = kron(D, 1) + kron(1, D) + (gamma/Z) W and
+    Y = kron(E^T psi, E^T psi), E = R U_gamma P_gamma formed as a dense
+    product and every product-space matrix stored: the oracle of
+    ``manybody._conjugated_compression``."""
     sys, pair = fs.one_particle, fs.pair
     d = sys.grid.dim
     eye = np.eye(d)
     z = pair.densities(eye)
     w = dense_two_site_assemble(z, pair.kernel, z, d)
     h2 = np.kron(sys.dgamma, eye) + np.kron(eye, sys.dgamma) + (sys.gamma / fs.config.z_charge) * w
-    e = fw_rows(foldy_wouthuysen(sys.grid), sys.u_gamma @ positive_projector(sys.evals, sys.evecs))
-    e_psi = e.conj().T @ fs.psi
+    e = sys.ru_gamma @ positive_projector(sys.evals, sys.evecs)
+    e_psi = e.T @ fs.psi
     y = np.kron(e_psi, e_psi)
-    return y.conj().T @ h2 @ y
+    return y.T @ h2 @ y
 
 
 def all_sites_sector_blocks(sector, one_site=None, two_site=None) -> np.ndarray:
@@ -681,9 +681,9 @@ def dense_furry(fs, bundle=None) -> dict:
     alternating subspace.  The one-particle Hamiltonian series and F = U P
     are rebuilt at full size from the projector and unitary series of the
     bundle's order (``pu_series``), which are in the FW frame and are built
-    from the system's grid alone.  abs_d0_psi is formed on U_gamma phi
-    in the original frame: |D_0| commutes with the FW rotation, so it needs
-    no row order of psi.
+    from the system's grid alone.  abs_d0_psi is formed on
+    U_gamma phi = R^T ru_gamma phi in the original frame: |D_0| commutes
+    with the FW rotation, so it needs no row order of psi.
     """
     sys, cfg, pair = fs.one_particle, fs.config, fs.pair
     n, m = cfg.n_particles, cfg.n_plus
@@ -705,10 +705,10 @@ def dense_furry(fs, bundle=None) -> dict:
     s_phi = phi.T @ phi
     absd = abs_free_dirac_power(sys.grid, 1.0)
     out["abs_d0"] = one_site_sum(phi.T @ absd @ phi, s_phi)
-    u_phi = sys.u_gamma @ phi
-    out["abs_d0_psi"] = one_site_sum(u_phi.T @ absd @ u_phi, psi.T @ psi)
     q = fw_matrix(foldy_wouthuysen(sys.grid))
-    pp = positive_projector(sys.evals, sys.evecs) @ sys.u_gamma.T @ q.T @ psi
+    u_phi = q.T @ sys.ru_gamma @ phi
+    out["abs_d0_psi"] = one_site_sum(u_phi.T @ absd @ u_phi, psi.T @ psi)
+    pp = positive_projector(sys.evals, sys.evecs) @ sys.ru_gamma.T @ psi
     s1 = pp.T @ pp
     out["h_diag"] = one_site_sum(pp.T @ sys.dgamma @ pp, s1)
     out["h_furry"] = out["kinetic"]

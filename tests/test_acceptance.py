@@ -38,6 +38,7 @@ from diracdiag.oneparticle import (
     decoupling_residuals,
     foldy_wouthuysen,
     fw_conjugate,
+    fw_rows,
     positive_levels,
     positive_projector,
     sommerfeld_energy,
@@ -121,14 +122,15 @@ def test_criterion_3_unitary_equivalence(sys200, fs2):
 
 
 def test_criterion_4_series_correctness(sys200, pu200):
-    # the bundle's series are in the FW frame, the exact operators are
-    # conjugated into it; the spectral norm is invariant
+    # the bundle's series are in the FW frame R: the exact projector is
+    # conjugated into it and the held R U_gamma is taken to R U_gamma R^T;
+    # the spectral norm is invariant
     s = sys200(0.2)
     p_series, u_series = pu200
     blocks = foldy_wouthuysen(s.grid)
     p_err = np.linalg.norm(series_eval(p_series, 0.2)
                            - fw_conjugate(blocks, positive_projector(s.evals, s.evecs)), 2)
-    u_err = np.linalg.norm(series_eval(u_series, 0.2) - fw_conjugate(blocks, s.u_gamma), 2)
+    u_err = np.linalg.norm(series_eval(u_series, 0.2) - fw_rows(blocks, s.ru_gamma.T).T, 2)
     lam, v = toy_two_level()
     p_toy = projector_series(riesz_projection_series(lam, v, 4))
     toy_err = max(

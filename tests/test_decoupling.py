@@ -342,9 +342,10 @@ def test_projector_series_matches_exact(pu100, sys100):
 
 
 def test_unitary_series_matches_exact(pu100, sys100):
+    # the series is U in the FW frame, R U_gamma R^T = ru_gamma R^T
     s = sys100(0.2)
     err = np.linalg.norm(
-        series_eval(pu100[1], 0.2) - fw_conjugate(foldy_wouthuysen(s.grid), s.u_gamma), 2)
+        series_eval(pu100[1], 0.2) - fw_rows(foldy_wouthuysen(s.grid), s.ru_gamma.T).T, 2)
     assert err < 1e-7
 
 
@@ -373,7 +374,7 @@ def test_hamiltonian_coefficients_upper_supported(pu100, grid100):
 
 def test_h_diag_exact_spectrum(sys100):
     s = sys100(0.3)
-    e = fw_rows(foldy_wouthuysen(s.grid), s.u_gamma @ positive_projector(s.evals, s.evecs))
+    e = s.ru_gamma @ positive_projector(s.evals, s.evecs)
     hd = e @ s.dgamma @ e.T
     # lower block empty, upper block carries exactly the positive spectrum
     assert np.linalg.norm(hd[100:, :], 2) < 1e-9

@@ -421,23 +421,23 @@ def test_transported_frame_orthonormality_gate(sys100):
     s = sys100(0.2)
     cfg = NbodyConfig(n_particles=1, z_charge=2.0, n_plus=8)
     fs = mb.assemble_furry_exact(s, cfg)
-    assert np.linalg.norm(fs.psi.conj().T @ fs.psi - np.eye(8), 2) <= 1e-13
-    # a scaled U_gamma keeps the frame positive but stretches it
-    scaled = dataclasses.replace(s, u_gamma=(1 + 1e-6) * s.u_gamma)
+    assert np.linalg.norm(fs.psi.T @ fs.psi - np.eye(8), 2) <= 1e-13
+    # a scaled R U_gamma keeps the frame positive but stretches it
+    scaled = dataclasses.replace(s, ru_gamma=(1 + 1e-6) * s.ru_gamma)
     with pytest.raises(ConsistencyError,
                        match=r"^transported frame is not orthonormal: 2\.000e-06$"):
         mb.assemble_furry_exact(scaled, cfg)
 
 
 def test_transported_frame_leak_gate(sys100):
-    # U_gamma turned by 1e-8 rad in the plane of the lowest positive and the
+    # R U_gamma turned by 1e-8 rad in the plane of the lowest positive and the
     # highest negative eigenvector carries the first retained state into the
     # lower block by 1e-8, with the frame orthonormal to 1e-16
     s = sys100(0.2)
     k = int(np.searchsorted(s.evals, 0.0))
     x_m, x_p = s.evecs[:, k - 1], s.evecs[:, k]
     turn = np.eye(s.dim) + 1e-8 * (np.outer(x_m, x_p) - np.outer(x_p, x_m))
-    turned = dataclasses.replace(s, u_gamma=s.u_gamma @ turn)
+    turned = dataclasses.replace(s, ru_gamma=s.ru_gamma @ turn)
     cfg = NbodyConfig(n_particles=1, z_charge=2.0, n_plus=8)
     with pytest.raises(ConsistencyError,
                        match=r"^transported frame leaks into the lower block: 1\.000e-08$"):
@@ -569,7 +569,7 @@ def test_two_particle_series_matches_exact(sys100, pair100, bundle100):
     dist = 0.0
     for exact, series in zip(fs.h_diag_exact, collect_series_N(bundle100, fs)):
         hk = series_eval(series, 0.3)
-        a = 0.5 * (hk + hk.conj().T)
+        a = 0.5 * (hk + hk.T)
         dist = max(dist, resolvent_distance(exact, a, hermitian_frame(exact), hermitian_frame(a)))
     assert dist < 1e-7
 
@@ -755,7 +755,7 @@ def test_pair_series_matches_the_full_sum(sys100, pair100, bundle100):
     upper = fs.psi[:bundle100.h_upper.dim]
     got = [expand_pairs(w) for w in mb._pair_series(bundle100, pair100, upper, 2.0)]
     assert len(got) == bundle100.order  # orders 1..K, and no order-0 coefficient
-    dressed = [fc.conj().T @ upper for fc in bundle100.f_upper]
+    dressed = [fc.T @ upper for fc in bundle100.f_upper]
     ref = [sum(_pair_product(pair100, dressed, mu, n - 1 - mu) for mu in range(n)) / 2.0
            for n in range(1, bundle100.order + 1)]
     scale = max(np.max(np.abs(r)) for r in ref)
@@ -788,7 +788,7 @@ def test_series_order_accuracy_two_particle(sys100, pair100, bundle100):
         errs[gamma] = 0.0
         for exact, series in zip(fs.h_diag_exact, collect_series_N(bundle100, fs)):
             hk = series_eval(series_truncate(series, 2), gamma)
-            errs[gamma] = max(errs[gamma], np.linalg.norm(exact - 0.5 * (hk + hk.conj().T), 2))
+            errs[gamma] = max(errs[gamma], np.linalg.norm(exact - 0.5 * (hk + hk.T), 2))
     assert 1e-12 < errs[0.1] < 1e-6
     ratio = errs[0.2] / errs[0.1]
     assert ratio > 2.0 ** 3 / 2.0
@@ -818,14 +818,14 @@ def test_kinetic_weight_bound(sys100, pair100):
 
 
 def _inv_sqrt_oracle(mat):
-    ew, uw = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    ew, uw = np.linalg.eigh(0.5 * (mat + mat.T))
     assert ew[0] > 0
-    return (uw * ew ** -0.5) @ uw.conj().T
+    return (uw * ew ** -0.5) @ uw.T
 
 
 def _top_eig_conjugated(inv_half, mat):
     m = inv_half @ mat @ inv_half
-    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
+    return float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
 
 
 @pytest.mark.parametrize("n_particles,n_plus", [(2, 6), (3, 5)])

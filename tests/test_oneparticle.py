@@ -62,9 +62,10 @@ def kato_block(grid, c: int) -> np.ndarray:
 
 
 def weighted_unitary_norm(sys) -> float:
-    """||  |D_0|^(1/2) U_gamma |D_0|^(-1/2) ||, the weighted boundedness number."""
-    return _norm2(abs_free_dirac_power(sys.grid, 0.5) @ sys.u_gamma
-                  @ abs_free_dirac_power(sys.grid, -0.5))
+    """||  |D_0|^(1/2) U_gamma |D_0|^(-1/2) ||, the weighted boundedness number,
+    with U_gamma = R^T ru_gamma taken back from the FW frame."""
+    u = fw_rows(foldy_wouthuysen(sys.grid), sys.ru_gamma, back=True)
+    return _norm2(abs_free_dirac_power(sys.grid, 0.5) @ u @ abs_free_dirac_power(sys.grid, -0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +156,7 @@ def test_spinor_block_coulomb_matches_the_dense_assembly():
 
 def test_assemble_system_memory_model():
     # with V built beforehand, a system keeps three dim^2 arrays (D_gamma,
-    # its eigenvectors, U_gamma), and P_gamma, its FW-frame conjugate, M and
+    # its eigenvectors, R U_gamma), and P_gamma, its FW-frame conjugate, M and
     # U are never alive together; a system that also kept P_gamma and built
     # U_gamma from a copy of M held 4.02 and peaked at 7.52, and one whose
     # FW conjugations held their input through both passes peaked at 6.13
@@ -168,7 +169,7 @@ def test_assemble_system_memory_model():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert s.u_gamma.shape == (grid.dim, grid.dim)
+    assert s.ru_gamma.shape == (grid.dim, grid.dim)
     assert 3.0 <= held / unit < 3.1
     assert peak / unit <= 5.4
 
@@ -177,7 +178,7 @@ def test_system_keeps_only_per_coupling_arrays():
     # what depends on the grid alone (V, the FW rotation, D_0) is read from
     # the grid, not held per system
     assert [f.name for f in dataclasses.fields(OneParticleSystem)] == [
-        "grid", "gamma", "dgamma", "u_gamma", "evals", "evecs"]
+        "grid", "gamma", "dgamma", "ru_gamma", "evals", "evecs"]
 
 
 def test_coulomb_matrix_is_built_once_per_grid():
@@ -332,17 +333,33 @@ def test_exact_u_gamma_takes_half_size_eigensolves(monkeypatch, sys100):
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     u = exact_u_gamma(fw_conjugate(blocks, positive_projector(s.evals, s.evecs)))
     assert sizes == [100, 100]
-    assert np.max(np.abs(fw_conjugate(blocks, u, back=True) - s.u_gamma)) == 0.0
+    assert np.max(np.abs(fw_rows(blocks, u.T, back=True).T - s.ru_gamma)) == 0.0
 
 
 def test_exact_u_gamma_matches_dense_formula(sys100):
     # the half-size Kato-Nagy transform in the FW frame against the full-size
-    # formula in the original frame
+    # formula in the original frame, conjugated into the FW frame
     for gamma in (0.1, 0.3):
         s = sys100(gamma)
+        q = fw_matrix(foldy_wouthuysen(s.grid))
         pg = positive_projector(s.evals, s.evecs)
-        ref = dense_exact_u_gamma(free_positive_projector(s.grid), pg)
-        assert np.max(np.abs(s.u_gamma - ref)) <= 1e-13
+        ref = q @ dense_exact_u_gamma(free_positive_projector(s.grid), pg) @ q.T
+        assert np.max(np.abs(exact_u_gamma(q @ pg @ q.T) - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3])
+def test_ru_gamma_matches_the_dense_oracle(sys100, gamma):
+    # the system holds R U_gamma: the full-size formula in the original
+    # frame with the dense FW frame R applied on the left, and R itself,
+    # bit for bit, at zero coupling
+    s = sys100(gamma)
+    q = fw_matrix(foldy_wouthuysen(s.grid))
+    if gamma == 0.0:
+        assert np.array_equal(s.ru_gamma, q)
+    else:
+        pg = positive_projector(s.evals, s.evecs)
+        ref = q @ dense_exact_u_gamma(free_positive_projector(s.grid), pg)
+        assert np.max(np.abs(s.ru_gamma - ref)) <= 1e-13
 
 
 def test_fw_rotation_is_accurate_at_small_momentum():
@@ -534,22 +551,23 @@ def test_kato_margin_does_not_depend_on_the_eigensolver():
 def test_unitarity_residual_is_the_spectral_norm(sys100):
     s = sys100(0.3)
     uni, _ = decoupling_residuals(s)
-    ref = np.linalg.norm(s.u_gamma @ s.u_gamma.T - np.eye(s.dim), 2)
+    ref = np.linalg.norm(s.ru_gamma @ s.ru_gamma.T - np.eye(s.dim), 2)
     assert abs(uni - ref) <= 1e-15
 
 
 @pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.3])
 def test_intertwining_residual_matches_the_dense_norm(sys100, theta):
     # rotating a negative and a positive eigenvector of D_gamma into each
-    # other by theta turns U into U G with ||U G P_gamma - P_0 U G|| =
-    # ||G P_gamma - P_gamma G|| = sin(theta), up to U's own roundoff
+    # other by theta turns RU into RU G with ||RU G P_gamma - P_0 RU G|| =
+    # ||G P_gamma - P_gamma G|| = sin(theta), up to U's own roundoff; P_0
+    # zeroes the lower rows of RU G in the FW frame
     s = sys100(0.3)
     k = int(np.searchsorted(s.evals, 0.0))
     a, b = s.evecs[:, k - 1], s.evecs[:, k]
     g = (np.eye(s.dim) + (math.cos(theta) - 1.0) * (np.outer(a, a) + np.outer(b, b))
          + math.sin(theta) * (np.outer(b, a) - np.outer(a, b)))
-    rotated = dataclasses.replace(s, u_gamma=s.u_gamma @ g)
-    ru = fw_rows(foldy_wouthuysen(s.grid), rotated.u_gamma)
+    ru = s.ru_gamma @ g
+    rotated = dataclasses.replace(s, ru_gamma=ru)
     p0_ru = ru.copy()
     p0_ru[s.grid.n:] = 0.0
     ref = np.linalg.norm(ru @ positive_projector(s.evals, s.evecs) - p0_ru, 2)
