@@ -12,8 +12,7 @@ import numpy as np
 
 from diracdiag.decoupling import fw_frame, projector_series, riesz_projection_series, u_gamma_series
 from diracdiag.grids import build_channel_grid
-from diracdiag.oneparticle import (assemble_system, foldy_wouthuysen, fw_conjugate, fw_rows,
-                                   positive_projector)
+from diracdiag.oneparticle import assemble_system, foldy_wouthuysen, fw_rows
 from diracdiag.series import coefficient_norms, series_eval
 
 
@@ -31,16 +30,16 @@ def main():
         print(f"  k={k:>2}: {nrm:.6e}")
 
     # the series are in the Foldy-Wouthuysen frame R; the exact projector is
-    # conjugated into it and the exact unitary, held as R U_gamma, is taken
-    # to R U_gamma R^T, which leaves the spectral norm unchanged
+    # formed there as y y^T from the positive eigenvectors y = R X_+, and the
+    # exact unitary, held as R U_gamma, is taken to R U_gamma R^T, which
+    # leaves the spectral norm unchanged
     print("\npartial sums vs exact assembly:")
     print(f"{'gamma':>8} {'projector err':>14} {'unitary err':>14}")
     blocks = foldy_wouthuysen(grid)
     for gamma in (0.05, 0.1, 0.2, 0.3, 0.37):
         s = assemble_system(grid, gamma)
-        p_err = np.linalg.norm(
-            series_eval(p_series, gamma)
-            - fw_conjugate(blocks, positive_projector(s.evals, s.evecs)), 2)
+        y = fw_rows(blocks, s.positive_frame)
+        p_err = np.linalg.norm(series_eval(p_series, gamma) - y @ y.T, 2)
         u_err = np.linalg.norm(
             series_eval(u_series, gamma) - fw_rows(blocks, s.ru_gamma.T).T, 2)
         print(f"{gamma:>8.2f} {p_err:>14.3e} {u_err:>14.3e}")

@@ -182,7 +182,7 @@ def cmd_one_particle(cfg: RunConfig) -> int:
     kato = op.check_kato(grid)  # does not depend on the coupling
     for gamma in cfg.gamma_list:
         record, levels = op.measure_coupling(grid, gamma, kato)
-        bound = np.flatnonzero((levels > 0.0) & (levels < 1.0))[:12]
+        bound = grid.n + np.flatnonzero(levels[grid.n:] < 1.0)[:12]
         refs = {int(i): op.sommerfeld_energy(gamma, k + grid.l_upper + 1, grid.kappa)
                 for k, i in enumerate(bound)}
         rows = [(i, float(e), refs[i], abs(e - refs[i]) / refs[i]) if i in refs

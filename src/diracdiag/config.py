@@ -166,7 +166,10 @@ def require_convergence_window(cfg: RunConfig) -> None:
 
     Convergence claims need couplings strictly below the critical value,
     and the nbody.n_plus retained states must exist: a grid of n nodes has
-    exactly n positive states.  The other commands never read n_plus.
+    exactly n positive states, since the decoupling forces rank P_gamma = n
+    (Kato, Perturbation Theory for Linear Operators, I sec. 4.6), and
+    ``oneparticle.assemble_system`` gates it.  The other commands never
+    read n_plus.
     """
     if cfg.nbody.n_plus > cfg.grid.n:
         raise ConfigError(f"nbody.n_plus {cfg.nbody.n_plus} exceeds the {cfg.grid.n} positive "

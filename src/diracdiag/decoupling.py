@@ -39,7 +39,6 @@ from .oneparticle import (
     free_positive_projector,
     fw_conjugate,
     fw_rows,
-    positive_projector,
 )
 from .series import (
     MatrixSeries,
@@ -455,10 +454,11 @@ def h_diag_exact(sys: OneParticleSystem) -> np.ndarray:
     E = ru_gamma[:n] P_gamma are the rows of the exact decoupled frame
     R U_gamma P_gamma on the positive free states (``OneParticleSystem``).
     Its lower rows vanish, since it equals P0 R U_gamma, so this is
-    the operator's only nonzero block.  E is real, and the block H is
+    the operator's only nonzero block.  E is formed as
+    (ru_gamma[:n] X_+) X_+^T (``positive_frame``), and the block H is
     returned as (H + H^T)/2, exactly symmetric since IEEE addition commutes.
     """
-    e = sys.ru_gamma[:sys.grid.n] @ positive_projector(sys.evals, sys.evecs)
+    e = (sys.ru_gamma[:sys.grid.n] @ sys.positive_frame) @ sys.positive_frame.T
     h = e @ sys.dgamma @ e.T
     h += h.T
     h *= 0.5

@@ -40,7 +40,6 @@ from .oneparticle import (
     assemble_system,
     d_gamma,
     free_energies,
-    positive_projector,
     positive_states,
     rayleigh_quotients,
 )
@@ -705,8 +704,8 @@ def assemble_furry_exact(sys: OneParticleSystem, cfg: NbodyConfig,
 
 
 def _pulled_back_frame(sys: OneParticleSystem, psi: np.ndarray) -> np.ndarray:
-    """E^T psi = P_gamma ru_gamma^T psi, E = R U_gamma P_gamma, without forming E."""
-    return positive_projector(sys.evals, sys.evecs) @ (sys.ru_gamma.T @ psi)
+    """E^T psi = X_+ X_+^T ru_gamma^T psi, E = R U_gamma P_gamma, as thin as psi throughout."""
+    return sys.positive_frame @ (sys.positive_frame.T @ (sys.ru_gamma.T @ psi))
 
 
 def _abs_d0_sum(abs_d0: np.ndarray, sectors: tuple[Sector, ...],

@@ -30,7 +30,7 @@ from .grids import ChannelGrid, angular_momenta
 
 GAMMA_MAX = math.sqrt(3.0) / 2.0
 TOL_GAP = 1e-6  # slack of the soft gap check ``gap_floor``
-GAP_FLOOR = 1e-8  # smallest |eigenvalue| ``assemble_system`` accepts
+GAP_FLOOR = 1e-8  # smallest gap at the split that ``assemble_system`` accepts
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +273,7 @@ def exact_u_gamma(pg: np.ndarray) -> np.ndarray:
     closer than distance 1, which makes S positive definite; the smaller
     lowest eigenvalue of the two blocks is exactly 1 - ||P0 - pg||^2, so
     no separate norm is taken.
+    pg must be exactly symmetric: the eigensolver reads one triangle.
     pg is overwritten: it is turned into M = P0 pg + Q0 Qg in place, so
     besides U no array of its size is formed.  Pass a copy to keep it.
     """
@@ -282,7 +283,7 @@ def exact_u_gamma(pg: np.ndarray) -> np.ndarray:
     m = pg
     m[k:] *= -1.0
     m[k:, k:] += np.eye(dim - k)
-    halves = [np.linalg.eigh(0.5 * (b + b.T)) for b in (m[:k, :k], m[k:, k:])]
+    halves = [np.linalg.eigh(np.ascontiguousarray(b)) for b in (m[:k, :k], m[k:, k:])]
     low = min(float(ew[0]) for ew, _ in halves)
     gate(-low, -math.ulp(0.0), "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1",
          gap=math.sqrt(max(0.0, 1.0 - low)))
@@ -298,41 +299,38 @@ def exact_u_gamma(pg: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OneParticleSystem:
-    """The matrices of one channel at one coupling, plus spectral data.
+    """The matrices of one channel at one coupling, plus its eigenbasis.
 
     A system holds only what depends on the coupling and cannot be rebuilt
-    from the rest at the cost of one product: dgamma, ru_gamma and the
-    eigenpairs, three dim x dim arrays.  ru_gamma = R U_gamma is the exact
-    unitary with rows in the FW frame R and columns in the original frame,
-    as ``DecouplingBundle.f_upper``.  The positive projector P_gamma is
-    formed from the eigenpairs when it is needed (``positive_projector``).
+    from the rest at the cost of one product: dgamma, ru_gamma and evecs,
+    three dim x dim arrays.  ru_gamma = R U_gamma is the exact unitary with
+    rows in the FW frame R and columns in the original frame, as
+    ``DecouplingBundle.f_upper``.  evecs are ``eigh``'s, ascending; the
+    last n = grid.n span P_gamma's range (``positive_frame``, gated by
+    ``assemble_system``).  The raw eigenvalues, whose backward error
+    eps*||D_gamma|| moves with the BLAS thread count, are not kept: levels
+    come from ``rayleigh_levels``.
     What depends on the grid alone is read from the grid: the free operator
     D_0 and its positive projector as closed-form node blocks
     (``free_energies``, ``free_positive_projector``), the Foldy-Wouthuysen
     rotation as its node blocks (``foldy_wouthuysen``, O(n)), and the
     Coulomb matrix, which ``build_coulomb`` keeps once per grid.
-    evals are the raw ``eigh`` values, ascending, with evecs columns
-    matching.  They carry the eigensolver's backward error eps*||D_gamma||,
-    which moves with the BLAS thread count, so the levels a run reports,
-    and its gap, come from ``rayleigh_levels`` instead.
     """
 
     grid: ChannelGrid
     gamma: float
     dgamma: np.ndarray
     ru_gamma: np.ndarray
-    evals: np.ndarray
     evecs: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.grid.dim
 
-
-def positive_projector(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """P_gamma = X_+ X_+^T, X_+ the eigenvector columns of the positive eigenvalues."""
-    pos = evecs[:, evals > 0.0]
-    return pos @ pos.T
+    @property
+    def positive_frame(self) -> np.ndarray:
+        """X_+ = evecs[:, n:]; P_gamma = X_+ X_+^T is applied through it, never formed."""
+        return self.evecs[:, self.grid.n:]
 
 
 def _freeze(*mats: np.ndarray) -> None:
@@ -346,15 +344,17 @@ def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
     The returned system holds only the coupling's arrays
     (``OneParticleSystem``); V comes from ``build_coulomb``'s per-grid
     cache and the FW rotation from ``foldy_wouthuysen``.
-    Raises GapError when an eigenvalue sits within GAP_FLOOR of zero, since
-    then the positive spectral projector is not numerically well defined.
-    P_gamma is formed only to be conjugated into the FW frame and is then
-    dropped; ``exact_u_gamma`` turns that conjugate into its M in place,
-    and one ``fw_rows`` pass turns its U into R U_gamma = U R (R at zero
-    coupling).  While U is built, at most 3.25 more dim x dim arrays are
-    alive beside D_gamma, its eigenvectors and V: M, U, the two half-size
-    eigenbases, a column half of their product and one quarter-size factor.
-    Each pass through the frame needs 2.5: input, output, half-height scratch.
+    The decoupling needs ||P_0 - P_gamma|| < 1, so rank P_gamma = n (Kato,
+    Perturbation Theory for Linear Operators, I sec. 4.6): the gap is read
+    at that split, min(-lam_(n-1), lam_n) (min |lam| when exactly n are
+    positive), and GapError is raised below GAP_FLOOR.  The FW-frame
+    projector y y^T, y = R X_+, is one symmetric rank-k update, exactly
+    symmetric; ``exact_u_gamma`` turns it into its M in place, and one
+    ``fw_rows`` pass turns its U into R U_gamma = U R (R at zero coupling).
+    While U is built, at most 3.25 more dim x dim arrays are alive beside
+    D_gamma, its eigenvectors and V: M, U, the two half-size eigenbases, a
+    column half of their product and one quarter-size factor.  Each pass
+    through the frame needs at most 2.5: input, output, half-height scratch.
     """
     if not 0.0 <= gamma < GAMMA_MAX:
         raise ValueError(f"coupling {gamma} outside [0, sqrt(3)/2)")
@@ -363,18 +363,20 @@ def assemble_system(grid: ChannelGrid, gamma: float) -> OneParticleSystem:
     for c in (0, 1):
         dgamma[c::2, c::2] += gamma * v[c]
     evals, evecs = np.linalg.eigh(dgamma)
-    gap = float(np.min(np.abs(evals)))
-    gate(-gap, -GAP_FLOOR, "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero",
-         GapError, gap=gap, floor=GAP_FLOOR)
+    n = grid.n
+    gap = float(min(-evals[n - 1], evals[n]))
+    gate(-gap, -GAP_FLOOR, "no spectral gap at the split into {n} negative and {n} positive "
+         "states: gap {gap:.3e} below {floor:.1e}", GapError, n=n, gap=gap, floor=GAP_FLOOR)
     blocks = foldy_wouthuysen(grid)
     if gamma == 0.0:
         ru_gamma = fw_rows(blocks, np.eye(grid.dim))
     else:
-        ru_gamma = fw_rows(blocks, exact_u_gamma(
-            fw_conjugate(blocks, positive_projector(evals, evecs))).T, back=True).T
-    _freeze(dgamma, ru_gamma, evals, evecs)
-    return OneParticleSystem(grid=grid, gamma=float(gamma), dgamma=dgamma, ru_gamma=ru_gamma,
-                             evals=evals, evecs=evecs)
+        y = fw_rows(blocks, evecs[:, n:])
+        pg, y = y @ y.T, None  # each array is dropped once read
+        u, pg = exact_u_gamma(pg), None
+        ru_gamma = fw_rows(blocks, u.T, back=True).T
+    _freeze(dgamma, ru_gamma, evecs)
+    return OneParticleSystem(grid, float(gamma), dgamma, ru_gamma, evecs)
 
 
 def rayleigh_quotients(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -397,26 +399,23 @@ def rayleigh_levels(sys: OneParticleSystem) -> np.ndarray:
 
 
 def positive_levels(sys: OneParticleSystem, count: int | None = None) -> np.ndarray:
-    """Positive levels (``rayleigh_levels``) ascending; the lowest is the ground level."""
-    levels = rayleigh_levels(sys)
-    pos = levels[levels > 0.0]
+    """Positive levels (``rayleigh_levels`` from n on) ascending; the lowest is the ground level."""
+    pos = rayleigh_levels(sys)[sys.grid.n:]
     return pos if count is None else pos[:count]
 
 
 def positive_states(sys: OneParticleSystem, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest positive eigenpairs: (energies, column matrix of states).
 
-    The states are picked by the raw eigenvalues; the energies are their
-    ``rayleigh_quotients`` of D_gamma, free of the eigensolver's backward
-    error, like the levels a run reports.
+    The states are the first count columns of ``positive_frame``, copied in
+    Fortran order (in another layout the N-body levels move at roundoff);
+    the energies are their ``rayleigh_quotients`` of D_gamma, free of the
+    eigensolver's backward error, like the levels a run reports.
     """
-    mask = sys.evals > 0.0
-    vals = sys.evals[mask]
-    vecs = sys.evecs[:, mask]
-    order = np.argsort(vals)[:count]
-    if count > vals.size:
-        raise ValueError(f"requested {count} positive states, only {vals.size} available")
-    vecs = vecs[:, order]
+    n = sys.grid.n
+    if count > n:
+        raise ValueError(f"requested {count} positive states, only {n} available")
+    vecs = sys.evecs[:, n:n + count].copy(order="F")
     return rayleigh_quotients(sys.dgamma, vecs), vecs
 
 
@@ -573,13 +572,12 @@ def decoupling_residuals(sys: OneParticleSystem) -> tuple[float, float]:
     norm is max(||(RU)[:n] X_-||, ||(RU)[n:] X_+||): two half-size
     products and norms in place of a dim-2n product and norm.
     """
-    ru, n = sys.ru_gamma, sys.grid.n
+    ru, x, n = sys.ru_gamma, sys.evecs, sys.grid.n
     uu = ru @ ru.T
     uu[np.diag_indices_from(uu)] -= 1.0
     uni = float(np.max(np.abs(np.linalg.eigvalsh(uu))))
     del uu
-    k = int(np.searchsorted(sys.evals, 0.0))  # evals ascend, none is zero
-    inter = float(np.maximum(_norm2(ru[:n] @ sys.evecs[:, :k]), _norm2(ru[n:] @ sys.evecs[:, k:])))
+    inter = float(np.maximum(_norm2(ru[:n] @ x[:, :n]), _norm2(ru[n:] @ x[:, n:])))
     return uni, inter
 
 
@@ -589,7 +587,7 @@ def measure_coupling(grid: ChannelGrid, gamma: float, kato: float) -> tuple[dict
     The record holds the ground level and its relative error against the
     channel's lowest Sommerfeld level (principal number l_upper + 1), the
     ``decoupling_residuals``, the grid's Kato margin kato (``check_kato``),
-    the ``check_dgamma_bound`` margin and the gap min |level|; at zero
+    the ``check_dgamma_bound`` margin and the gap min(-level_(n-1), level_n); at zero
     coupling the Sommerfeld error and the D_gamma^2 margin are 0.  The
     system is assembled here and released on return.
     """
@@ -597,7 +595,7 @@ def measure_coupling(grid: ChannelGrid, gamma: float, kato: float) -> tuple[dict
     levels = rayleigh_levels(sys)
     uni, inter = decoupling_residuals(sys)
     dg = check_dgamma_bound(sys) if gamma > 0 else 0.0
-    ground = float(levels[levels > 0.0][0])
+    ground = float(levels[grid.n])
     if gamma > 0:
         e_ref = sommerfeld_energy(gamma, grid.l_upper + 1, grid.kappa)
         s_rel = abs(ground - e_ref) / e_ref
@@ -606,5 +604,5 @@ def measure_coupling(grid: ChannelGrid, gamma: float, kato: float) -> tuple[dict
     return {
         "gamma": gamma, "ground_energy": ground, "sommerfeld_rel_error": s_rel,
         "unitarity_residual": uni, "intertwining_residual": inter,
-        "kato_margin": kato, "dgamma_margin": dg, "gap": float(np.min(np.abs(levels))),
+        "kato_margin": kato, "dgamma_margin": dg, "gap": float(min(-levels[grid.n - 1], ground)),
     }, levels

@@ -38,8 +38,8 @@ from diracdiag.oneparticle import (
     dense_potential,
     foldy_wouthuysen,
     free_energies,
-    positive_projector,
     positive_states,
+    rayleigh_levels,
 )
 from diracdiag.report import REPORT_COLUMNS
 from diracdiag.series import (
@@ -480,6 +480,15 @@ def fw_matrix(blocks: np.ndarray) -> np.ndarray:
     return r
 
 
+def dense_positive_projector(sys: OneParticleSystem) -> np.ndarray:
+    """P_gamma = X X^T over the eigenvectors whose levels are positive,
+    picked by sign: the dense oracle of the positive frame
+    ``OneParticleSystem.positive_frame``, which the program applies without
+    forming P_gamma."""
+    pos = sys.evecs[:, rayleigh_levels(sys) > 0.0]
+    return pos @ pos.T
+
+
 def dense_exact_u_gamma(p0: np.ndarray, pg: np.ndarray) -> np.ndarray:
     """U = (P0 Pg + (1-P0)(1-Pg)) (1 - (P0-Pg)^2)^(-1/2) by one full-size eigensolve."""
     eye = np.eye(p0.shape[0])
@@ -610,7 +619,7 @@ def dense_conjugated_compression(fs) -> np.ndarray:
     z = pair.densities(eye)
     w = dense_two_site_assemble(z, pair.kernel, z, d)
     h2 = np.kron(sys.dgamma, eye) + np.kron(eye, sys.dgamma) + (sys.gamma / fs.config.z_charge) * w
-    e = sys.ru_gamma @ positive_projector(sys.evals, sys.evecs)
+    e = sys.ru_gamma @ dense_positive_projector(sys)
     e_psi = e.T @ fs.psi
     y = np.kron(e_psi, e_psi)
     return y.T @ h2 @ y
@@ -708,7 +717,7 @@ def dense_furry(fs, bundle=None) -> dict:
     q = fw_matrix(foldy_wouthuysen(sys.grid))
     u_phi = q.T @ sys.ru_gamma @ phi
     out["abs_d0_psi"] = one_site_sum(u_phi.T @ absd @ u_phi, psi.T @ psi)
-    pp = positive_projector(sys.evals, sys.evecs) @ sys.ru_gamma.T @ psi
+    pp = dense_positive_projector(sys) @ sys.ru_gamma.T @ psi
     s1 = pp.T @ pp
     out["h_diag"] = one_site_sum(pp.T @ sys.dgamma @ pp, s1)
     out["h_furry"] = out["kinetic"]

@@ -18,6 +18,7 @@ from conftest import (
     binomial_half_coefficients,
     child_env,
     dense_coulomb,
+    dense_positive_projector,
     series_adjoint,
     series_identity,
     series_inv,
@@ -40,7 +41,6 @@ from diracdiag.oneparticle import (
     fw_conjugate,
     fw_rows,
     positive_levels,
-    positive_projector,
     sommerfeld_energy,
 )
 from diracdiag.series import make_series, series_eval
@@ -129,7 +129,7 @@ def test_criterion_4_series_correctness(sys200, pu200):
     p_series, u_series = pu200
     blocks = foldy_wouthuysen(s.grid)
     p_err = np.linalg.norm(series_eval(p_series, 0.2)
-                           - fw_conjugate(blocks, positive_projector(s.evals, s.evecs)), 2)
+                           - fw_conjugate(blocks, dense_positive_projector(s)), 2)
     u_err = np.linalg.norm(series_eval(u_series, 0.2) - fw_rows(blocks, s.ru_gamma.T).T, 2)
     lam, v = toy_two_level()
     p_toy = projector_series(riesz_projection_series(lam, v, 4))

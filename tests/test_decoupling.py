@@ -14,6 +14,7 @@ from conftest import (
     coefficient_ratio_radius,
     decoupled_rows,
     dense_h_diag_series,
+    dense_positive_projector,
     dense_u_gamma_series,
     forbid_svd,
     full_riesz_projection_series,
@@ -55,7 +56,6 @@ from diracdiag.oneparticle import (
     fw_conjugate,
     fw_rows,
     positive_levels,
-    positive_projector,
 )
 from diracdiag.series import make_series, series_eval, series_partial_sums
 
@@ -336,7 +336,7 @@ def test_projector_constant_term_drift_gate_trips(monkeypatch, tmp_path, capsys)
 def test_projector_series_matches_exact(pu100, sys100):
     # the bundle's series is in the FW frame; the spectral norm is invariant
     s = sys100(0.2)
-    pg = positive_projector(s.evals, s.evecs)
+    pg = dense_positive_projector(s)
     err = np.linalg.norm(series_eval(pu100[0], 0.2) - fw_conjugate(foldy_wouthuysen(s.grid), pg), 2)
     assert err < 1e-7
 
@@ -374,7 +374,7 @@ def test_hamiltonian_coefficients_upper_supported(pu100, grid100):
 
 def test_h_diag_exact_spectrum(sys100):
     s = sys100(0.3)
-    e = s.ru_gamma @ positive_projector(s.evals, s.evecs)
+    e = s.ru_gamma @ dense_positive_projector(s)
     hd = e @ s.dgamma @ e.T
     # lower block empty, upper block carries exactly the positive spectrum
     assert np.linalg.norm(hd[100:, :], 2) < 1e-9
@@ -467,6 +467,16 @@ def test_bundle_build_peak():
     bundle, peak = traced_peak(build_decoupling_bundle, build_channel_grid(100), 8)
     assert bundle.order == 8
     assert peak < (9 * 3 / 4 + 9 / 2 + 1 + 1.25) * coeff
+
+
+def test_h_diag_exact_peak(sys100):
+    # in dim x dim arrays at n=100: E = (ru_gamma[:n] X_+) X_+^T and E D_gamma
+    # (half each) and the block (a quarter) are alive at once, 1.25 in all;
+    # the dense P_gamma and its product with the rows held 1.50
+    s = sys100(0.2185)
+    h, peak = traced_peak(h_diag_exact, s)
+    assert h.shape == (100, 100)
+    assert peak / (s.dim ** 2 * 8) <= 1.3
 
 
 def test_bundle_shapes(bundle100, pu100, grid100):

@@ -61,7 +61,8 @@ PASSED_TEMPLATES = {
     "is {value:.3e} > {tol:.1e}",
     # oneparticle
     "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1",
-    "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero",
+    "no spectral gap at the split into {n} negative and {n} positive "
+    "states: gap {gap:.3e} below {floor:.1e}",
     # manybody
     "radial transform round-trip defect {value:.3e} > 1e-6; "
     "the momentum grid is too coarse: raise grid.n",
@@ -77,7 +78,8 @@ PASSED_TEMPLATES = {
 # Every gate a one-particle run passes, by message template.
 ONE_PARTICLE_TEMPLATES = {
     "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1",
-    "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero",
+    "no spectral gap at the split into {n} negative and {n} positive "
+    "states: gap {gap:.3e} below {floor:.1e}",
     "lowest eigenvector not found: Rayleigh quotient {value:.3e} "
     "from the lowest eigenvalue > {tol:.1e}",
 }
@@ -104,8 +106,9 @@ TRIP_TESTS = {
         "test_decoupling.py::test_frame_range_gate",
     "projectors too far apart: ||p0 - pg|| = {gap:.6f} >= 1":
         "test_oneparticle.py::test_exact_u_gamma_rejects_far_projectors",
-    "no spectral gap: eigenvalue {gap:.3e} within {floor:.1e} of zero":
-        "test_oneparticle.py::test_assemble_gap_floor_raises",
+    "no spectral gap at the split into {n} negative and {n} positive "
+    "states: gap {gap:.3e} below {floor:.1e}":
+        "test_oneparticle.py::test_assemble_gap_gate_rejects_a_wrong_split",
     "lowest eigenvector not found: Rayleigh quotient {value:.3e} "
     "from the lowest eigenvalue > {tol:.1e}":
         "test_oneparticle.py::test_lowest_eigenvector_gate_rejects_a_shift_in_mid_spectrum",

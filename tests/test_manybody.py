@@ -434,8 +434,8 @@ def test_transported_frame_leak_gate(sys100):
     # highest negative eigenvector carries the first retained state into the
     # lower block by 1e-8, with the frame orthonormal to 1e-16
     s = sys100(0.2)
-    k = int(np.searchsorted(s.evals, 0.0))
-    x_m, x_p = s.evecs[:, k - 1], s.evecs[:, k]
+    n = s.grid.n
+    x_m, x_p = s.evecs[:, n - 1], s.evecs[:, n]
     turn = np.eye(s.dim) + 1e-8 * (np.outer(x_m, x_p) - np.outer(x_p, x_m))
     turned = dataclasses.replace(s, ru_gamma=s.ru_gamma @ turn)
     cfg = NbodyConfig(n_particles=1, z_charge=2.0, n_plus=8)
@@ -1059,6 +1059,17 @@ def test_compress_gathers_one_position_at_a_time():
     got, peak = traced_peak(sector.compress, y)
     assert np.max(np.abs(got - sector.iso.T @ y)) <= 1e-14 * sector.width
     assert peak < 3 * sector.width * sector.width * 8
+
+
+def test_pulled_back_frame_is_as_thin_as_psi(sys100):
+    # P_gamma ru_gamma^T psi applied as X_+ (X_+^T .) at n=100, n_plus=20:
+    # every intermediate is dim x n_plus or thinner, 0.15 dim^2 at the
+    # peak; forming the dense P_gamma held 1.50 dim^2
+    s = sys100(0.2185)
+    psi = s.ru_gamma @ positive_states(s, 20)[1]
+    pp, peak = traced_peak(mb._pulled_back_frame, s, psi)
+    assert pp.shape == (s.dim, 20)
+    assert peak / (s.dim ** 2 * 8) <= 0.25
 
 
 def test_restriction_check_stores_no_product_space_matrix():

@@ -16,6 +16,7 @@ from conftest import (
     abs_free_dirac_power,
     dense_coulomb,
     dense_exact_u_gamma,
+    dense_positive_projector,
     evr_lowest_vector,
     forbid_svd,
     fw_matrix,
@@ -47,7 +48,6 @@ from diracdiag.oneparticle import (
     legendre_q,
     lowest_eigenvector,
     positive_levels,
-    positive_projector,
     positive_states,
     rayleigh_levels,
     rayleigh_quotients,
@@ -178,7 +178,7 @@ def test_system_keeps_only_per_coupling_arrays():
     # what depends on the grid alone (V, the FW rotation, D_0) is read from
     # the grid, not held per system
     assert [f.name for f in dataclasses.fields(OneParticleSystem)] == [
-        "grid", "gamma", "dgamma", "ru_gamma", "evals", "evecs"]
+        "grid", "gamma", "dgamma", "ru_gamma", "evecs"]
 
 
 def test_coulomb_matrix_is_built_once_per_grid():
@@ -249,15 +249,61 @@ def test_assemble_rejects_coupling_range(grid100):
         assemble_system(grid100, GAMMA_MAX)
 
 
+def split_template(n: int, floor: float) -> str:
+    """The gap gate's message on a grid of n nodes, as a regular expression."""
+    return (rf"no spectral gap at the split into {n} negative and {n} positive states: "
+            rf"gap -?\d\.\d{{3}}e[+-]\d\d below {re.escape(f'{floor:.1e}')}")
+
+
 def test_assemble_gap_floor_raises(grid100, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr("diracdiag.oneparticle.GAP_FLOOR", 2.0)
-    template = r"no spectral gap: eigenvalue \d\.\d{3}e[+-]\d\d within 2\.0e\+00 of zero"
-    with pytest.raises(GapError, match=f"^{template}$"):
+    with pytest.raises(GapError, match=f"^{split_template(100, 2.0)}$"):
         assemble_system(grid100, 0.1)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": {"n": 16}, "gamma_list": [0.1]}), encoding="utf-8")
     assert cli.main(["one-particle", "--config", str(cfg), "--output", str(tmp_path)]) == 3
-    assert re.search(template, capsys.readouterr().err)
+    assert re.search(split_template(16, 2.0), capsys.readouterr().err)
+
+
+def test_assemble_gap_gate_rejects_a_wrong_split(monkeypatch, tmp_path, capsys):
+    # with node 0's lower diagonal entry at +2, D_gamma has n + 1 positive
+    # eigenvalues, so no P_gamma of rank n exists and the Kato-Nagy
+    # decoupling does not.  Gated by min |eigenvalue| alone, such a system
+    # was assembled, with a unitarity residual of 1.0 at gamma 0.1 and an
+    # intertwining residual of 1.0 at gamma 0
+    free = oneparticle.build_free_dirac
+
+    def one_more_positive(grid):
+        d0 = free(grid)
+        d0[1, 1] = 2.0
+        return d0
+
+    monkeypatch.setattr(oneparticle, "build_free_dirac", one_more_positive)
+    grid = build_channel_grid(64)
+    assert np.sum(np.linalg.eigvalsh(one_more_positive(grid)) > 0.0) == 65
+    for gamma in (0.0, 0.1):
+        with pytest.raises(GapError, match=f"^{split_template(64, 1e-8)}$"):
+            assemble_system(grid, gamma)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"n": 64}, "gamma_list": [0.1]}), encoding="utf-8")
+    assert cli.main(["one-particle", "--config", str(cfg), "--output", str(tmp_path)]) == 3
+    assert re.search(split_template(64, 1e-8), capsys.readouterr().err)
+
+
+def test_assembled_projector_is_exactly_symmetric(monkeypatch, grid100):
+    # y y^T with y = R X_+ is one symmetric rank-k update, so exact_u_gamma
+    # reads its halves without re-symmetrizing them
+    seen = []
+    exact = oneparticle.exact_u_gamma
+
+    def recording(pg):
+        seen.append(np.array_equal(pg, pg.T))
+        return exact(pg)
+
+    monkeypatch.setattr(oneparticle, "exact_u_gamma", recording)
+    for gamma in (0.1, 0.3):
+        assemble_system(grid100, gamma)
+    assert seen == [True, True]
 
 
 def test_ground_state_against_sommerfeld(sys100):
@@ -331,7 +377,8 @@ def test_exact_u_gamma_takes_half_size_eigensolves(monkeypatch, sys100):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    u = exact_u_gamma(fw_conjugate(blocks, positive_projector(s.evals, s.evecs)))
+    y = fw_rows(blocks, s.positive_frame)
+    u = exact_u_gamma(y @ y.T)
     assert sizes == [100, 100]
     assert np.max(np.abs(fw_rows(blocks, u.T, back=True).T - s.ru_gamma)) == 0.0
 
@@ -342,7 +389,7 @@ def test_exact_u_gamma_matches_dense_formula(sys100):
     for gamma in (0.1, 0.3):
         s = sys100(gamma)
         q = fw_matrix(foldy_wouthuysen(s.grid))
-        pg = positive_projector(s.evals, s.evecs)
+        pg = dense_positive_projector(s)
         ref = q @ dense_exact_u_gamma(free_positive_projector(s.grid), pg) @ q.T
         assert np.max(np.abs(exact_u_gamma(q @ pg @ q.T) - ref)) <= 1e-13
 
@@ -357,7 +404,7 @@ def test_ru_gamma_matches_the_dense_oracle(sys100, gamma):
     if gamma == 0.0:
         assert np.array_equal(s.ru_gamma, q)
     else:
-        pg = positive_projector(s.evals, s.evecs)
+        pg = dense_positive_projector(s)
         ref = q @ dense_exact_u_gamma(free_positive_projector(s.grid), pg)
         assert np.max(np.abs(s.ru_gamma - ref)) <= 1e-13
 
@@ -562,15 +609,15 @@ def test_intertwining_residual_matches_the_dense_norm(sys100, theta):
     # ||G P_gamma - P_gamma G|| = sin(theta), up to U's own roundoff; P_0
     # zeroes the lower rows of RU G in the FW frame
     s = sys100(0.3)
-    k = int(np.searchsorted(s.evals, 0.0))
-    a, b = s.evecs[:, k - 1], s.evecs[:, k]
+    n = s.grid.n
+    a, b = s.evecs[:, n - 1], s.evecs[:, n]
     g = (np.eye(s.dim) + (math.cos(theta) - 1.0) * (np.outer(a, a) + np.outer(b, b))
          + math.sin(theta) * (np.outer(b, a) - np.outer(a, b)))
     ru = s.ru_gamma @ g
     rotated = dataclasses.replace(s, ru_gamma=ru)
     p0_ru = ru.copy()
-    p0_ru[s.grid.n:] = 0.0
-    ref = np.linalg.norm(ru @ positive_projector(s.evals, s.evecs) - p0_ru, 2)
+    p0_ru[n:] = 0.0
+    ref = np.linalg.norm(ru @ dense_positive_projector(s) - p0_ru, 2)
     assert abs(decoupling_residuals(rotated)[1] - ref) <= 1e-14
     assert abs(ref - math.sin(theta)) <= 1e-12
 
@@ -586,7 +633,8 @@ def test_reported_levels_and_dgamma_margin_are_rayleigh_quotients(sys200, gamma)
     eps = np.finfo(float).eps
     levels = rayleigh_levels(s)
     assert np.all(np.diff(levels) > 0.0)
-    assert np.max(np.abs(levels - s.evals)) <= 10.0 * eps * np.linalg.norm(s.dgamma, 2)
+    evals = np.linalg.eigvalsh(s.dgamma)
+    assert np.max(np.abs(levels - evals)) <= 10.0 * eps * np.linalg.norm(s.dgamma, 2)
     d2 = d_gamma(gamma) ** 2
     d0 = build_free_dirac(s.grid)
     m = s.dgamma @ s.dgamma - d2 * (d0 @ d0)
