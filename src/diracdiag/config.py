@@ -56,7 +56,8 @@ class NbodyConfig:
             raise ConfigError(f"nbody.z_charge must be positive, got {self.z_charge}")
         if self.n_plus < 1:
             raise ConfigError(f"nbody.n_plus must be at least 1, got {self.n_plus}")
-        if self.n_plus ** self.n_particles > DIMENSION_CAP:
+        # 2 ** cap.bit_length() exceeds the cap: a larger exponent decides nothing more
+        if self.n_plus ** min(self.n_particles, DIMENSION_CAP.bit_length()) > DIMENSION_CAP:
             raise ConfigError(f"retained dimension nbody.n_plus ** nbody.n_particles = "
                               f"{self.n_plus}^{self.n_particles} exceeds the cap {DIMENSION_CAP}")
         if self.antisymmetrize and self.n_particles > self.n_plus:

@@ -128,11 +128,6 @@ def _pair_index(m: int) -> np.ndarray:
     return packed
 
 
-def _pair_states(n_pairs: int) -> int:
-    """The state count m of a packed two-site matrix with m(m+1)/2 rows."""
-    return (math.isqrt(8 * n_pairs + 1) - 1) // 2
-
-
 def _expand_pairs(s: np.ndarray, m: int) -> np.ndarray:
     """The m^2 x m^2 two-site matrix W[(i,k),(j,l)] = S[(i,j),(k,l)] of a
     packed S, gathered by two broadcast index arrays of m^2 entries each."""
@@ -140,11 +135,10 @@ def _expand_pairs(s: np.ndarray, m: int) -> np.ndarray:
     return s[packed[:, None, :, None], packed[None, :, None, :]].reshape(m * m, m * m)
 
 
-def _pair_norm(s: np.ndarray) -> float:
-    """Frobenius norm of the two-site matrix of a packed S (``_expand_pairs``)
-    without expanding it: a pair i != j stands for two rows or columns of W,
-    so its rows and columns are weighted sqrt(2)."""
-    m = _pair_states(s.shape[0])
+def _pair_norm(s: np.ndarray, m: int) -> float:
+    """Frobenius norm of the two-site matrix of a packed S of m states per
+    site (``_expand_pairs``) without expanding it: a pair i != j stands for
+    two rows or columns of W, so its rows and columns are weighted sqrt(2)."""
     iu, ju = np.triu_indices(m)
     r = np.where(iu == ju, 1.0, math.sqrt(2.0))
     w = s * r
@@ -269,8 +263,8 @@ def slater_monopole_reference(l: int, q: float) -> float:
 class Sector:
     """One copy of a symmetry type of the site permutations on N sites of m states.
 
-    The columns of the isometry span the image of the Young symmetrizer of
-    the row-reading tableau of the partition ``shape`` (Fulton & Harris,
+    The columns of the isometry V span the image of the Young symmetrizer
+    of the row-reading tableau of the partition ``shape`` (Fulton & Harris,
     Representation Theory, sec. 4.1): the multiplicity space of that
     irreducible representation, whose dimension is ``multiplicity``
     (hook-length formula).  An operator that commutes with every site
@@ -278,8 +272,9 @@ class Sector:
     space is the union of its sector blocks, each repeated
     ``multiplicity`` times.  Every column lives on one occupation orbit
     (the arrangements of one multiset of one-particle indices), so it has at
-    most N! nonzeros: ``rows``/``vals`` list them, zero-padded to the
-    largest orbit, and ``occupation`` holds the sorted multiset.
+    most N! nonzeros, and V is held only as those (``dense`` scatters it):
+    ``rows``/``vals`` list them, zero-padded (row 0, value 0) to the largest
+    orbit, ``states`` is m, and ``occupation`` holds the sorted multiset.
     ``site_orbits`` and ``pair_orbits`` list one representative site, and
     one representative site pair a < b, per orbit of ``_site_orbits``, each
     with the orbit's size: ``sector_blocks`` lifts a term only onto those.
@@ -287,7 +282,7 @@ class Sector:
 
     shape: tuple[int, ...]
     multiplicity: int
-    iso: np.ndarray
+    states: int
     rows: np.ndarray
     vals: np.ndarray
     occupation: np.ndarray
@@ -296,7 +291,14 @@ class Sector:
 
     @property
     def width(self) -> int:
-        return self.iso.shape[1]
+        return self.rows.shape[0]
+
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """V as an m^N x width array (into out if given); added, since the padding shares row 0."""
+        v = np.empty((self.states ** self.occupation.shape[1], self.width)) if out is None else out
+        v[...] = 0.0
+        np.add.at(v, (self.rows, np.arange(self.width)[:, None]), self.vals)
+        return v
 
     def compress(self, y: np.ndarray) -> np.ndarray:
         """V^T y for y with one row per product state, read off V's nonzeros.
@@ -403,7 +405,7 @@ def _symmetrizer_image(shape: tuple[int, ...], arrangements: list[tuple[int, ...
 
 @functools.lru_cache(maxsize=None)
 def site_sectors(m: int, n_sites: int) -> tuple[Sector, ...]:
-    """Isometries of every nonempty sector of N sites with m states each, cached.
+    """Every nonempty sector of N sites with m states each, isometries as nonzeros, cached.
 
     Orbit by orbit, the image of each partition's Young symmetrizer is
     orthonormalized by an SVD of at most N! x N! entries.  The symmetrizer
@@ -412,7 +414,7 @@ def site_sectors(m: int, n_sites: int) -> tuple[Sector, ...]:
     whose sorted multisets have the same pattern of equal indices, such as
     (0, 0, 1) and (2, 2, 5), list their arrangements in the same order, so
     their symmetrizers are the same matrix: one SVD serves each pattern.
-    The widths satisfy sum multiplicity * width = m^N.
+    The widths satisfy sum multiplicity * width = m^N; dense, the N=2 isometries are m^4 doubles.
     """
     orbits = []
     for occ in itertools.combinations_with_replacement(range(m), n_sites):
@@ -432,17 +434,15 @@ def site_sectors(m: int, n_sites: int) -> tuple[Sector, ...]:
         if not cols:
             continue
         k = max(len(idx) for idx, _ in cols)
-        iso = np.zeros((m ** n_sites, len(cols)))
         rows = np.zeros((len(cols), k), dtype=np.intp)
         vals = np.zeros((len(cols), k))
         for c, (idx, v) in enumerate(cols):
-            iso[idx, c] = v
             rows[c, :len(idx)] = idx
             vals[c, :len(idx)] = v
-        arrays = (iso, rows, vals, np.array(occs, dtype=np.intp))
+        arrays = (rows, vals, np.array(occs, dtype=np.intp))
         for a in arrays:
             a.flags.writeable = False
-        sectors.append(Sector(shape, _hook_dimension(shape), *arrays, *_site_orbits(shape)))
+        sectors.append(Sector(shape, _hook_dimension(shape), m, *arrays, *_site_orbits(shape)))
     return tuple(sectors)
 
 
@@ -472,25 +472,24 @@ def sector_blocks(sector: Sector, one_site: np.ndarray | None = None,
     orbit's size.  Each lift is one matmul on the isometry V reshaped
     around its sites, V^T compresses the sum, and the block B is returned
     as (B + B^T)/2, exactly symmetric since IEEE addition commutes.  No
-    product-space operator is formed.  All lifts write into one product
-    buffer, and the sum and that buffer are one allocation: as two arrays
-    freed together, or with a fresh product per term, glibc trimmed and
-    re-faulted them on nearly every call of an order-by-order caller (it
+    product-space operator is formed.  V (``Sector.dense``), the sum and the
+    one product buffer that all lifts write into are one allocation: as
+    arrays freed together, or with a fresh product per term, glibc trimmed
+    and re-faulted them on nearly every call of an order-by-order caller (it
     trims a free heap top beyond twice the largest block it has unmapped).
     """
-    n_sites = sector.occupation.shape[1]
-    m = one_site.shape[-1] if one_site is not None else _pair_states(two_site.shape[-1])
+    n_sites, m = sector.occupation.shape[1], sector.states
     if n_sites == 2:
-        return _pair_sector_block(sector, _packed_sum(one_site, two_site, m), m)
+        return _pair_sector_block(sector, _packed_sum(one_site, two_site, m))
     if two_site is not None:
         two_site = _expand_pairs(two_site, m)
     terms = [(size, one_site, (j,)) for j, size in sector.site_orbits if one_site is not None]
     terms += [(size, two_site, pair) for pair, size in sector.pair_orbits if two_site is not None]
-    work = np.empty((2, m ** n_sites, sector.width))
-    y, buf = work
+    v, y, buf = np.empty((3, m ** n_sites, sector.width))
+    sector.dense(out=v)
     y[...] = 0.0
     for size, op, sites in terms:
-        t, shape = _site_axes(sector.iso, sites, m)
+        t, shape = _site_axes(v, sites, m)
         x = np.matmul(op if size == 1 else size * op, t, out=buf.reshape(t.shape))
         x = x.reshape(shape).swapaxes(2, 3)
         y.reshape(x.shape)[...] += x
@@ -519,9 +518,8 @@ def _packed_sum(one_site: np.ndarray | None, two_site: np.ndarray | None, m: int
     return s
 
 
-def _pair_sector_block(sector: Sector, s: np.ndarray, m: int) -> np.ndarray:
-    """Block V^T X V of a two-site sector of m states per site, gathered
-    from the packed S of X.
+def _pair_sector_block(sector: Sector, s: np.ndarray) -> np.ndarray:
+    """Block V^T X V of a two-site sector, gathered from the packed S of X.
 
     This is the Slater-Condon selection rule for two sites: column c of V
     is +-(e_ik + e_ki)/sqrt(2) for i < k, +-e_ii in the symmetric sector,
@@ -537,7 +535,7 @@ def _pair_sector_block(sector: Sector, s: np.ndarray, m: int) -> np.ndarray:
     term are alive; no index array is cached.
     """
     i, k = sector.occupation.T
-    packed, n_pairs = _pair_index(m), s.shape[0]
+    packed, n_pairs = _pair_index(sector.states), s.shape[0]
     rows_i, rows_k = packed.take(i, axis=0), packed.take(k, axis=0)
     index = rows_i.take(i, axis=1)
     index *= n_pairs
@@ -557,18 +555,18 @@ def _pair_sector_block(sector: Sector, s: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _site_axes(iso: np.ndarray, sites: tuple[int, ...], m: int):
-    """iso with the states of one site (a,) or a pair (a, b) as its middle axis.
+def _site_axes(v: np.ndarray, sites: tuple[int, ...], m: int):
+    """v, a dense V (``Sector.dense``), with one site (a,) or a pair (a, b) as its middle axis.
 
     Returns the view (m^a, m^s, rest) for s sites, on which an operator on
     those sites acts by one matmul, and the shape that maps the product
-    back onto iso's layout once its axes 2 and 3 are swapped: the q states
+    back onto v's layout once its axes 2 and 3 are swapped: the q states
     of the sites between a and b lie between the pair's two axes.  Making
-    the pair adjacent copies iso only when q > 1.
+    the pair adjacent copies v only when q > 1.
     """
     a, s = sites[0], len(sites)
     q = m ** (sites[-1] - a - 1) if s == 2 else 1
-    t = iso.reshape(m ** a, m, q, m ** (s - 1), -1).swapaxes(2, 3)
+    t = v.reshape(m ** a, m, q, m ** (s - 1), -1).swapaxes(2, 3)
     return t.reshape(m ** a, m ** s, -1), (m ** a, m, m ** (s - 1), q, -1)
 
 
@@ -833,7 +831,7 @@ def site_partial_sums(bundle: DecouplingBundle, fs: FurrySystem):
     """
     n, gamma = fs.config.n_particles, fs.one_particle.gamma
     weights = (n, math.comb(n, 2))
-    norms = (np.linalg.norm, _pair_norm)
+    norms = (np.linalg.norm, functools.partial(_pair_norm, m=fs.config.n_plus))
     gk, sums = 1.0, [None, None]
     orders = _site_series(bundle, fs)
     for k in range(bundle.order + 1):
@@ -913,8 +911,8 @@ class _LazyBlock:
     def __init__(self, sector: Sector, exact: np.ndarray, low: float):
         self.sector, self.exact, self.low = sector, exact, low
         self.exact_norm = float(np.linalg.norm(exact))
-        m_n, n_sites = sector.iso.shape[0], sector.occupation.shape[1]
-        self.rounding = m_n * math.factorial(n_sites) + sector.width ** 2
+        n_sites = sector.occupation.shape[1]
+        self.rounding = sector.states ** n_sites * math.factorial(n_sites) + sector.width ** 2
         self.dist, self.pending, self.size = np.inf, 0.0, 0.0
 
     def margin(self, k: int) -> float:
@@ -928,7 +926,7 @@ class _LazyBlock:
         p eps ||x||_2 (eps = machine epsilon), with p the block width w
         for a backward-stable Hermitian eigensolver (LAPACK Users' Guide
         sec. 4.7, |lam_hat - lam| <= p(w) eps ||A||_2 by Weyl), at most
-        m^N N! for forming one lifted term (products of length m or m^2,
+        m^N N! for a lifted term of the sector (products of length m or m^2,
         orbit sums, N! gathered positions per column) and w^2 for a
         Frobenius norm.  p = m^N N! + w^2 bounds all of them.  Every matrix
         involved has spectral norm at most ||E||_F + M, with M = size =
@@ -1144,12 +1142,13 @@ def check_restriction_consistency(gamma: float, cfg: NbodyConfig) -> float:
     n_plus are read; the instance always has two particles, so its blocks
     are gathered by the selection rule (``_pair_sector_block``) from the
     packed pair matrix, and the 1e-8 cross-check exercises that gather
-    against W formed entry by entry in full space.
+    against W formed entry by entry in full space.  Each sector's dense
+    isometry V (``Sector.dense``) is formed here for V^T C V.
     """
     fs = _restriction_instance(gamma, cfg)
     compressed = _conjugated_compression(fs)
-    return gate(float(np.max([_norm2(s.iso.T @ compressed @ s.iso - block)
-                              for s, block in zip(fs.sectors, fs.h_diag_exact)])), 1e-8,
+    return gate(float(np.max([_norm2(v.T @ compressed @ v - block) for v, block in
+                              zip(map(Sector.dense, fs.sectors), fs.h_diag_exact)])), 1e-8,
                 "restriction/conjugation order disagreement {value:.3e} > 1e-8 "
                 "on the small cross-check instance")
 

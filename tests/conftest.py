@@ -632,9 +632,8 @@ def all_sites_sector_blocks(sector, one_site=None, two_site=None) -> np.ndarray:
     pair per symmetry orbit: here each term acts on its own axes of V
     reshaped as an m x ... x m x width tensor, with no symmetry used.
     """
-    n_sites = sector.occupation.shape[1]
-    m = one_site.shape[-1] if one_site is not None else math.isqrt(two_site.shape[-1])
-    t = sector.iso.reshape((m,) * n_sites + (sector.width,))
+    n_sites, m = sector.occupation.shape[1], sector.states
+    t = sector.dense().reshape((m,) * n_sites + (sector.width,))
     ops = [x for x in (one_site, two_site) if x is not None]
     y = np.zeros(t.shape, dtype=np.result_type(t, *ops))
     if one_site is not None:

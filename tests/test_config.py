@@ -1,6 +1,7 @@
 """Config parsing: strict keys, typed values, window checks, stable digest."""
 
 import json
+import time
 
 import pytest
 
@@ -117,6 +118,18 @@ def test_retained_dimension_cap():
     assert config_from_dict({"nbody": {"n_particles": 3, "n_plus": 27}}).nbody.n_plus == 27
     with pytest.raises(ConfigError, match=r"28\^3 exceeds the cap 20000"):
         config_from_dict({"nbody": {"n_particles": 3, "n_plus": 28}})
+    assert NbodyConfig(n_particles=2, n_plus=141).n_plus == 141  # 19881
+    with pytest.raises(ConfigError, match=r"142\^2 exceeds the cap 20000"):
+        NbodyConfig(n_particles=2, n_plus=142)  # 20164
+
+
+def test_retained_dimension_cap_takes_constant_time():
+    # the cap is decided without forming n_plus ** n_particles, which takes
+    # seconds as an exact integer at ten million particles
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"20\^10000000 exceeds the cap 20000"):
+        NbodyConfig(n_particles=10 ** 7)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_convergence_window_gate():

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ def test_lift_pair_matches_kron_embedding():
 def test_antisymmetrizer_isometry_properties():
     for m, n in ((4, 2), (5, 3)):
         (sector,) = mb.furry_sectors(NbodyConfig(n, 2.0, m, antisymmetrize=True))
-        a = sector.iso
+        a = sector.dense()
         assert a.shape == (m ** n, math.comb(m, n))
         assert np.linalg.norm(a.T @ a - np.eye(a.shape[1]), 2) < 1e-12
         # columns change sign under site swap
@@ -257,7 +258,8 @@ def test_sector_spectra_match_dense_oracle(system64, n_particles, n_plus, antisy
     for name, blocks, full in cases:
         # every block is the operator restricted to an invariant subspace
         for sector, block in zip(fs.sectors, blocks):
-            defect = np.linalg.norm(full @ sector.iso - sector.iso @ block, 2)
+            v = sector.dense()
+            defect = np.linalg.norm(full @ v - v @ block, 2)
             assert defect <= 1e-12 * np.linalg.norm(full, 2), name
         if a_iso is not None:
             full = a_iso.T @ full @ a_iso
@@ -271,7 +273,7 @@ def test_sector_spectra_match_dense_oracle(system64, n_particles, n_plus, antisy
 def test_sector_isometries(system64, n_particles, n_plus, antisymmetrize):
     fs = _sector_system(system64, n_particles, n_plus, antisymmetrize)
     for sector in fs.sectors:
-        v = sector.iso
+        v = sector.dense()
         assert np.linalg.norm(v.T @ v - np.eye(sector.width), 2) <= 1e-14
         assert np.count_nonzero(v, axis=0).max() <= math.factorial(n_particles)
         # the nonzero list reproduces the dense columns
@@ -294,7 +296,7 @@ def test_sector_multiplicities_follow_hook_lengths():
 
 
 def per_orbit_sector_arrays(m: int, n_sites: int, shape: tuple[int, ...]) -> tuple:
-    """iso, rows and vals of a sector with one SVD of the Young symmetrizer
+    """Dense isometry, rows and vals of a sector with one SVD of the Young symmetrizer
     per occupation orbit: the route ``manybody.site_sectors`` replaced by one
     SVD per pattern of equal indices."""
     cols = []
@@ -320,9 +322,25 @@ def test_sectors_match_one_svd_per_orbit(m, n_sites):
     # orbits with one pattern of equal indices share their symmetrizer, so
     # one SVD per pattern gives every column bit for bit
     for sector in mb.site_sectors(m, n_sites):
-        for got, ref in zip((sector.iso, sector.rows, sector.vals),
+        for got, ref in zip((sector.dense(), sector.rows, sector.vals),
                             per_orbit_sector_arrays(m, n_sites, sector.shape)):
             assert np.array_equal(got, ref), sector.shape
+
+
+@pytest.mark.parametrize("m,n_sites", [(20, 2), (10, 3)])
+def test_sectors_hold_no_dense_isometry(m, n_sites):
+    # the cached sectors hold V as its N! nonzeros per column: what the build
+    # leaves allocated stays below a tenth of the m^N x width doubles of the
+    # dense isometries (the dense ones read 1.06 and 1.03 of them)
+    mb.site_sectors.cache_clear()
+    tracemalloc.start()
+    try:
+        sectors = mb.site_sectors(m, n_sites)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    dense = m ** n_sites * sum(s.width for s in sectors) * 8
+    assert held < 0.1 * dense, held / dense
 
 
 def _random_site_operators(rng, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -366,7 +384,8 @@ def test_sector_blocks_match_the_dense_kronecker_assembly(m, n_sites):
                         for a, b in itertools.combinations(range(n_sites), 2))
     for sector in mb.site_sectors(m, n_sites):
         got = mb.sector_blocks(sector, one, two)
-        ref = sector.iso.T @ dense @ sector.iso
+        v = sector.dense()
+        ref = v.T @ dense @ v
         assert np.array_equal(got, got.T), sector.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), sector.shape
 
@@ -618,7 +637,7 @@ def test_growth_reads_the_expanded_pair_norm(sys100, pair100, bundle100):
     for m in (1, 4, 7):
         _, two = _random_site_operators(rng, m)
         ref = np.linalg.norm(expand_pairs(two))
-        assert abs(mb._pair_norm(two) - ref) <= 1e-14 * ref, m
+        assert abs(mb._pair_norm(two, m) - ref) <= 1e-14 * ref, m
     fs = mb.assemble_furry_exact(sys100(0.3), NbodyConfig(3, 2.0, 4), pair100)
     gk = 1.0
     for k, ((c, w), (_, _, growth)) in enumerate(
@@ -839,7 +858,8 @@ def test_bounds_match_inverse_square_root_formulas(sys100, pair100, n_particles,
     dense = dense_furry(fs)
     for sector, kin in zip(fs.sectors, fs.kinetic):
         # the level sums are the whole compressed kinetic operator
-        block = sector.iso.T @ dense["kinetic"] @ sector.iso
+        v = sector.dense()
+        block = v.T @ dense["kinetic"] @ v
         assert np.max(np.abs(block - np.diag(kin))) <= 1e-14 * np.max(np.abs(kin))
     if antisymmetrize:
         a_iso = antisymmetrizer_isometry(n_plus, n_particles)
@@ -1057,7 +1077,7 @@ def test_compress_gathers_one_position_at_a_time():
     (sector,) = [s for s in mb.site_sectors(10, 3) if s.shape == (3,)]
     y = np.ones((1000, sector.width))
     got, peak = traced_peak(sector.compress, y)
-    assert np.max(np.abs(got - sector.iso.T @ y)) <= 1e-14 * sector.width
+    assert np.max(np.abs(got - sector.dense().T @ y)) <= 1e-14 * sector.width
     assert peak < 3 * sector.width * sector.width * 8
 
 
